@@ -47,6 +47,14 @@ MUTABLE_TYPES: frozenset[str] = frozenset(
     }
 )
 
+#: Frozen dataclasses whose ``ndarray`` fields are read-only at run
+#: time: every constructor clears the arrays' WRITEABLE flag.  An entry
+#: needs a test that writing any of its columns or fields raises
+#: (``_Columns``: tests/unit/test_smr_txbatch.py::TestFrozenSlab).
+READ_ONLY_ARRAY_OWNERS: frozenset[str] = frozenset(
+    {"repro.smr.transaction._Columns"}
+)
+
 #: Immutable leaves — no need to recurse.
 IMMUTABLE_LEAVES: frozenset[str] = frozenset(
     {
@@ -161,6 +169,10 @@ class DeepFreezeRule(ProjectRule):
                 return stack + [f"{target.name} (unfrozen dataclass)"]
             if target.is_dataclass and target.frozen:
                 for fname, fann in target.fields.items():
+                    if resolved in READ_ONLY_ARRAY_OWNERS and dotted_name(
+                        fann
+                    ).endswith("ndarray"):
+                        continue
                     chain = self._classify(
                         index,
                         fann,
@@ -189,5 +201,6 @@ __all__ = [
     "IMMUTABLE_LEAVES",
     "MUTABLE_TYPES",
     "PAYLOAD_FILES",
+    "READ_ONLY_ARRAY_OWNERS",
     "is_payload_module",
 ]

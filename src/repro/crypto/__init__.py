@@ -11,8 +11,10 @@ from .hashing import (
     GENESIS_DIGEST,
     Digest,
     digest_of,
-    digest_of_boolfree,
     encode,
+    encode_int_range,
+    encode_int_rows,
+    sequence_header,
     sha256,
     short,
 )
@@ -27,8 +29,10 @@ __all__ = [
     "GENESIS_DIGEST",
     "Digest",
     "digest_of",
-    "digest_of_boolfree",
     "encode",
+    "encode_int_range",
+    "encode_int_rows",
+    "sequence_header",
     "sha256",
     "short",
     "KeyPair",

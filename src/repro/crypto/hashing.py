@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
-from typing import Any
+from typing import Any, Sequence
+
+import numpy as np
 
 Digest = bytes
 
@@ -22,9 +24,9 @@ def encode(obj: Any) -> bytes:
     The encoding is injective over the supported types: every value is
     tagged with a one-byte type marker and length-prefixed.
 
-    Exact-type dispatch first: hashing a 400-transaction block recurses
-    into thousands of small values, and one ``type() is`` probe per
-    value is measurably cheaper than walking an ``isinstance`` chain.
+    Exact-type dispatch first: a certificate digest recurses into many
+    small values, and one ``type() is`` probe per value is measurably
+    cheaper than walking an ``isinstance`` chain.
     ``bool`` cannot be mistaken for ``int`` here because ``type(True)
     is bool``, not ``int``; subclasses of the supported types fall
     through to the original ``isinstance`` chain and encode the same
@@ -62,6 +64,63 @@ def encode(obj: Any) -> bytes:
         body = b"".join(parts)
         return b"L" + len(parts).to_bytes(4, "big") + body
     raise TypeError(f"cannot canonically encode {type(obj).__name__}")
+
+
+# -- many ints at once ------------------------------------------------------
+# A block's transactions are hundreds of rows of ints between constant
+# bytes.  ``encode(i)`` is ``b"I"``, a 4-byte digit count and the digits,
+# i.e. the %-template ``_INT`` fed ``(digit_count, i)`` — so a whole
+# column set is one ``bytes % tuple`` instead of one ``encode`` per value.
+_INT = b"I\x00\x00\x00%c%d"
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def sequence_header(n: int) -> bytes:
+    """What :func:`encode` writes before the items of an ``n``-item
+    tuple or list."""
+    return b"L" + n.to_bytes(4, "big")
+
+
+def _literal(raw: bytes) -> bytes:
+    """``raw`` as a constant part of a %-template."""
+    return raw.replace(b"%", b"%%")
+
+
+def encode_int_rows(
+    head: bytes, columns: Sequence[np.ndarray], tail: bytes
+) -> bytes:
+    """``head + encode(c0[i]) + encode(c1[i]) + ... + tail`` for every row
+    ``i`` of the parallel int64 ``columns``, concatenated."""
+    rows = len(columns[0])
+    if rows == 0:
+        return b""
+    if min(int(c.min()) for c in columns) < 0:  # a sign is not a digit
+        return b"".join(
+            head + b"".join(map(encode, row)) + tail
+            for row in zip(*(c.tolist() for c in columns))
+        )
+    args = np.empty((rows, 2 * len(columns)), dtype=np.int64)
+    for j, column in enumerate(columns):
+        args[:, 2 * j] = np.searchsorted(_POW10, column, "right") + 1
+        args[:, 2 * j + 1] = column
+    unit = _literal(head) + _INT * len(columns) + _literal(tail)
+    return unit * rows % tuple(args.ravel().tolist())
+
+
+def encode_int_range(head: bytes, ints: range, tail: bytes) -> bytes:
+    """``head + encode(i) + tail`` for every ``i`` of an ascending range
+    of non-negative ints, concatenated.  The digit count is constant
+    between powers of ten, so the range is cut there and each piece is
+    constant bytes around ``%d``."""
+    parts = []
+    lo, hi = ints.start, ints.stop
+    while lo < hi:
+        width = len(str(lo))
+        stop = min(hi, 10**width)
+        unit = _literal(head + b"I" + width.to_bytes(4, "big")) + b"%d"
+        parts.append((unit + _literal(tail)) * (stop - lo) % tuple(range(lo, stop)))
+        lo = stop
+    return b"".join(parts)
 
 
 def sha256(data: bytes) -> Digest:
@@ -140,25 +199,6 @@ def digest_of(*fields: Any) -> Digest:
         return sha256(encode(fields))
 
 
-def digest_of_boolfree(*fields: Any) -> Digest:
-    """:func:`digest_of` for field tuples the caller *guarantees*
-    contain no bool anywhere (however deeply nested).
-
-    Same bytes as :func:`digest_of` — it skips only the
-    :func:`_contains_bool` walk, which for a 400-transaction block
-    tuple re-traverses ~2000 nested values on every call even when the
-    digest itself is memoized.  The guarantee matters: a smuggled
-    ``True`` would share a memo slot with ``1`` (``True == 1``) and
-    come back with the wrong digest.  Use only where the field types
-    are structurally bool-free (e.g. block hashing: strings, ints,
-    digests and tuples thereof).
-    """
-    try:
-        return _digest_of_hashable(fields)
-    except TypeError:  # some field is unhashable (e.g. a list)
-        return sha256(encode(fields))
-
-
 def short(d: Digest) -> str:
     """Short human-readable prefix of a digest (logs and traces)."""
     return d.hex()[:10]
@@ -168,8 +208,10 @@ __all__ = [
     "Digest",
     "GENESIS_DIGEST",
     "encode",
+    "encode_int_range",
+    "encode_int_rows",
+    "sequence_header",
     "sha256",
     "digest_of",
-    "digest_of_boolfree",
     "short",
 ]

@@ -279,23 +279,16 @@ class BaseReplica(Process):
         return True
 
     def _reply_clients(self, block: Block, when: float) -> None:
-        # One fused mempool sweep per block instead of one call per
-        # transaction — mark_committed dominated the e2e profile at
-        # 400 txs/block across every replica.  The key list is cached
-        # on the block, shared by all replicas committing it.
-        self.mempool.mark_committed_keys(block.tx_keys())
+        self.mempool.mark_committed(block.txs)
         if not self.config.reply_to_clients or not self.clients:
             return
-        clients_get = self.clients.get
-        for tx in block.txs:
-            dst = clients_get(tx.client_id)
-            if dst is None:
-                continue
+        clients = self.clients
+        for key in block.txs.keys_of(clients):
             self.send_at(
                 when,
-                dst,
+                clients[key[0]],
                 Reply(
-                    tx_key=tx.key(),
+                    tx_key=key,
                     view=block.view,
                     replica=self.pid,
                     certified=self.CERTIFIED_REPLIES,

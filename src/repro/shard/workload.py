@@ -130,7 +130,7 @@ class ShardedWorkload(Process):
         if self.coordinator is not None:
             for i in np.nonzero(cross)[0]:
                 self.coordinator.submit_transfer(
-                    int(home[i]), int(partner[i]), slab.payload_bytes
+                    int(home[i]), int(partner[i]), self.generators[ri].payload_bytes
                 )
             self.cross_offered += int(cross.sum())
         self.txs_offered += len(slab)

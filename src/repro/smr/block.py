@@ -8,64 +8,62 @@ transitive closure (implemented in :mod:`repro.smr.chain`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Sequence, Union
 
-from ..crypto import Digest, digest_of, digest_of_boolfree
-from .transaction import TX_OVERHEAD_BYTES, Transaction
+from ..crypto import Digest, digest_of, encode, sequence_header, sha256
+from .transaction import Transaction, TxBatch
+
+#: ``encode`` of a 5-item tuple up to its first item, ``"block"``.
+_BLOCK_HEAD = sequence_header(5) + encode("block")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Block:
-    """An immutable block proposed at ``view`` extending ``parent``."""
+    """An immutable block proposed at ``view`` extending ``parent``.
+
+    ``txs`` may be given as a :class:`TxBatch` slab or as any sequence
+    of :class:`Transaction`; it is stored as a slab either way, and a
+    slab reads as a sequence of transactions.  Two blocks are equal
+    when their digests are — the digest covers every field.
+    """
 
     parent: Digest
     view: int
-    txs: tuple[Transaction, ...] = ()
+    txs: Union[TxBatch, Sequence[Transaction]] = TxBatch()
     proposer: int = -1
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.txs, TxBatch):
+            object.__setattr__(self, "txs", TxBatch.from_transactions(self.txs))
 
     @cached_property
     def hash(self) -> Digest:
-        # The field tuple is structurally bool-free (digest, ints,
-        # strings, int tuples), so the bool-disambiguation walk of
-        # plain digest_of — ~2000 nested values for a 400-tx block —
-        # can be skipped while keeping its process-wide memo (a block
-        # re-built with identical fields hashes its tx tuple once).
-        return digest_of_boolfree(
-            "block",
-            self.parent,
-            self.view,
-            self.proposer,
-            tuple([t.encoding() for t in self.txs]),
+        """``digest_of("block", parent, view, proposer, tuple(t.encoding()
+        for t in txs))`` bit for bit, with the transaction part written
+        per slab segment and no process-global memo entry."""
+        return sha256(
+            _BLOCK_HEAD
+            + encode(self.parent)
+            + encode(self.view)
+            + encode(self.proposer)
+            + self.txs.encoding()
         )
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Block) and self.hash == other.hash
+
+    def __hash__(self) -> int:
+        return hash(self.hash)
 
     def extends(self, h: Digest) -> bool:
         """The paper's ``b ≻ h`` relation."""
         return self.parent == h
 
     @cached_property
-    def _tx_keys(self) -> list[tuple[int, int]]:
-        return [(t.client_id, t.tx_id) for t in self.txs]
-
-    def tx_keys(self) -> list[tuple[int, int]]:
-        """Keys of this block's transactions, in block order.
-
-        Cached on the (immutable) block so the n replicas committing
-        it share one key list instead of each rebuilding 400 tuples
-        for their mempool sweep.  Callers must not mutate the list.
-        """
-        return self._tx_keys
-
-    @cached_property
     def _wire_size(self) -> int:
-        # Fixed per-tx overhead folded out of the loop; only payload
-        # sizes need summing.
-        return (
-            8
-            + TX_OVERHEAD_BYTES * len(self.txs)
-            + sum(t.payload_bytes for t in self.txs)
-        )
+        return self.txs.wire_size()
 
     def wire_size(self) -> int:
         """Bytes on the wire: transactions carry their own 40 B overhead
@@ -96,7 +94,7 @@ GENESIS_HASH: Digest = GENESIS.hash
 def create_leaf(
     parent_hash: Digest,
     view: int,
-    txs: tuple[Transaction, ...],
+    txs: Union[TxBatch, Sequence[Transaction]],
     proposer: int,
 ) -> Block:
     """The paper's ``createLeaf``: a new block extending ``parent_hash``."""

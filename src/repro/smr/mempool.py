@@ -11,9 +11,10 @@ filler.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
+from itertools import islice
 from typing import Optional
 
-from .transaction import Transaction, TxBatch, TxFactory
+from .transaction import Transaction, TxBatch, TxFactory, _Run
 
 #: Transactions per block in the paper's evaluation.
 BLOCK_TXS = 400
@@ -33,7 +34,8 @@ class SaturatedSource:
         self.payload_bytes = payload_bytes
         self._factory = TxFactory(client_id, payload_bytes)
 
-    def batch(self, n: int, now: float = 0.0) -> tuple[Transaction, ...]:
+    def batch(self, n: int, now: float = 0.0) -> TxBatch:
+        """The next ``n`` transactions as one arithmetic slab."""
         return self._factory.batch(n, now)
 
 
@@ -55,6 +57,16 @@ class Mempool:
     *queueing* work.  Re-admitting a key whose transaction is *still
     pending* is harmless too: the resubmission overwrites the same
     pending slot, so no batch ever carries the transaction twice.
+
+    **Interval entries.**  A committed run of consecutive ids of one
+    client (a saturated source's filler) enters the window as *one*
+    entry ``[client_id, lo, hi)`` that counts as ``hi - lo`` keys and
+    is evicted one key at a time from its front, so the window holds
+    exactly the keys a per-key FIFO would — provided no key of the run
+    is in the window or pending already.  A run is therefore expanded
+    to its keys unless it starts past every live interval of its client
+    and its client id lies outside the span of client ids ever
+    remembered as single keys (argument: docs/invariants.md).
     """
 
     def __init__(
@@ -69,219 +81,205 @@ class Mempool:
         self.batch_size = batch_size
         self.dedup_window = dedup_window
         self._pending: OrderedDict[tuple[int, int], Transaction] = OrderedDict()
-        #: Bounded FIFO of recently seen keys (values unused); oldest
-        #: insertion evicted first, matching the KeyRing memo pattern.
-        #: A plain dict keeps membership tests and the commit hot
-        #: path's C-level bulk ``update`` fast, but evicting its front
-        #: via ``next(iter(d))`` rescans every tombstone left by prior
-        #: evictions — quadratic once the window fills, which the
-        #: aggregated workload engine reaches in seconds.  So insertion
-        #: order is mirrored in ``_seen_order`` with a head cursor:
-        #: eviction is ``del seen[order[head]]; head += 1`` (O(1)), and
-        #: the consumed prefix is compacted away once it dominates the
-        #: list (amortized O(1)).  Invariant: ``_seen_order[head:]``
-        #: holds each key of ``_seen`` exactly once, oldest first.
+        #: The window.  ``_order`` lists its entries oldest first from
+        #: ``_head`` on: key tuples (also in ``_seen`` for O(1) lookup)
+        #: and ``[client_id, lo, hi]`` intervals (also in ``_runs`` by
+        #: client id, oldest first).  Evicting by advancing ``_head``
+        #: is O(1); popping a dict's front rescans the tombstones of
+        #: earlier evictions and goes quadratic once the window fills.
         self._seen: dict[tuple[int, int], None] = {}
-        self._seen_order: list[tuple[int, int]] = []
-        self._seen_head = 0
-        #: Columnar pending path (the workload engine's slabs): FIFO of
-        #: accepted :class:`TxBatch` slabs, a row cursor into the head
-        #: slab, the set of keys still live in some slab, and keys that
-        #: committed while slab-pending (skipped at drain time).  All
-        #: empty — and every scalar path byte-identical — unless
-        #: :meth:`submit_batch` has been used.
+        self._runs: dict[int, list[list[int]]] = {}
+        self._order: list = []
+        self._head = 0
+        self._run_keys = 0  # keys inside intervals
+        self._single_lo: float = float("inf")  # span of single-key client ids
+        self._single_hi: float = float("-inf")
+        #: Pending slabs: FIFO of accepted :class:`TxBatch` slabs, a row
+        #: cursor into the head slab, and the keys still live in some
+        #: slab — a row whose key has left the set committed while it
+        #: was pending and is skipped at drain time.
         self._slabs: deque[TxBatch] = deque()
         self._slab_cursor = 0
         self._slab_keys: set[tuple[int, int]] = set()
-        self._slab_dropped: set[tuple[int, int]] = set()
 
     def __len__(self) -> int:
         return len(self._pending) + len(self._slab_keys)
 
-    def _evict_oldest(self) -> None:
-        """Drop the oldest ``_seen`` key; amortized O(1)."""
-        order = self._seen_order
-        head = self._seen_head
-        del self._seen[order[head]]
-        head += 1
+    # -- the dedup window ---------------------------------------------------
+    def _evict(self, n: int) -> None:
+        """Forget the ``n`` oldest keys; amortized O(1) per entry."""
+        order, head = self._order, self._head
+        while n > 0:
+            entry = order[head]
+            if type(entry) is tuple:
+                del self._seen[entry]
+                n -= 1
+            else:
+                gone = min(n, entry[2] - entry[1])
+                entry[1] += gone
+                self._run_keys -= gone
+                n -= gone
+                if entry[1] < entry[2]:
+                    break
+                live = self._runs[entry[0]]
+                del live[0]  # one client's intervals leave oldest first
+                if not live:
+                    del self._runs[entry[0]]
+            head += 1
         if head > 4096 and head * 2 >= len(order):
             del order[:head]
             head = 0
-        self._seen_head = head
+        self._head = head
 
-    def _remember(self, k: tuple[int, int]) -> None:
-        seen = self._seen
-        if k in seen:
-            return
-        if len(seen) >= self.dedup_window:
-            self._evict_oldest()
-        seen[k] = None
-        self._seen_order.append(k)
+    def _in_run(self, k: tuple[int, int]) -> bool:
+        live = self._runs.get(k[0])
+        return live is not None and any(lo <= k[1] < hi for _, lo, hi in live)
 
     def seen_recently(self, k: tuple[int, int]) -> bool:
         """Whether ``k`` is inside the current dedup horizon."""
-        return k in self._seen
+        return k in self._seen or self._in_run(k)
 
+    def _widen(self, span: tuple[int, int]) -> None:
+        """Note client ids that are about to be remembered as single keys."""
+        self._single_lo = min(self._single_lo, span[0])
+        self._single_hi = max(self._single_hi, span[1])
+
+    def _remember_keys(self, keys) -> list[int]:
+        """Enter each key not yet in the window, in order, evicting the
+        oldest key whenever the window is full; returns the positions
+        in ``keys`` of the keys entered."""
+        seen, runs, in_run = self._seen, self._runs, self._in_run
+        order_add = self._order.append
+        fresh: list[int] = []
+        room = self.dedup_window - len(seen) - self._run_keys
+        for i, k in enumerate(keys):
+            if k in seen or (runs and in_run(k)):
+                continue
+            if room > 0:
+                room -= 1
+            else:
+                self._evict(1)
+            seen[k] = None
+            order_add(k)
+            fresh.append(i)
+        return fresh
+
+    def _remember_run(self, run: _Run) -> bool:
+        """Enter a committed run as one interval if that is exact."""
+        cid, lo = run.client_id, run.start
+        live = self._runs.get(cid)
+        if self._single_lo <= cid <= self._single_hi or (
+            live and lo < live[-1][2]
+        ):
+            return False
+        entry = [cid, lo, lo + run.n]
+        self._runs.setdefault(cid, []).append(entry)
+        self._order.append(entry)
+        self._run_keys += run.n
+        over = len(self._seen) + self._run_keys - self.dedup_window
+        if over > 0:
+            self._evict(over)
+        return True
+
+    # -- submission ---------------------------------------------------------
     def submit(self, tx: Transaction) -> bool:
         """Queue a client transaction; returns False on duplicates
         (within the dedup horizon — see the class docstring)."""
-        k = tx.key()
-        if k in self._seen:
+        k = (tx.client_id, tx.tx_id)
+        self._widen((tx.client_id, tx.client_id))
+        if not self._remember_keys((k,)):
             return False
-        self._remember(k)
         self._pending[k] = tx
         return True
 
     def submit_batch(self, batch: TxBatch) -> int:
-        """Queue a columnar slab of client transactions; returns the
-        number accepted.
+        """Queue a slab of client transactions; returns the number
+        accepted.
 
         Accept/reject decisions are *identical* to calling
         :meth:`submit` once per row in slab order (same dedup horizon,
-        same ``_seen`` FIFO insertion order and eviction) — the batched
-        path only changes how accepted rows are *stored*: as the slab's
-        numpy columns rather than per-row :class:`Transaction` objects.
-        The rows are materialized lazily by :meth:`next_batch`, and
-        only for the rows that actually enter a block.
+        same window order and eviction); accepted rows stay in the slab
+        (compacted if some were rejected) and :meth:`next_batch` hands
+        them on as slices of it.
         """
+        for seg in batch.segments:
+            self._widen(seg.span)
         keys = batch.keys()
-        seen = self._seen
-        window = self.dedup_window
-        slab_keys = self._slab_keys
-        accepted: list[int] = []
-        accept = accepted.append
-        slab_add = slab_keys.add
-        evict = self._evict_oldest
-        order_add = self._seen_order.append
-        for i, k in enumerate(keys):
-            if k in seen:
-                continue
-            if len(seen) >= window:
-                evict()
-            seen[k] = None
-            order_add(k)
-            slab_add(k)
-            accept(i)
-        if not accepted:
-            return 0
-        if len(accepted) == len(keys):
+        accepted = self._remember_keys(keys)
+        if accepted:
+            if len(accepted) < len(keys):
+                batch, keys = batch.select(accepted), [keys[i] for i in accepted]
             self._slabs.append(batch)
-        else:
-            self._slabs.append(batch.select(accepted))
+            self._slab_keys.update(keys)
         return len(accepted)
 
-    def mark_committed(self, tx: Transaction) -> None:
-        """Drop a transaction that some block already committed."""
-        k = (tx.client_id, tx.tx_id)
-        self._remember(k)
-        self._pending.pop(k, None)
-        if self._slab_keys and k in self._slab_keys:
-            self._slab_keys.discard(k)
-            self._slab_dropped.add(k)
+    # -- commit ---------------------------------------------------------------
+    def mark_committed(self, txs: TxBatch) -> None:
+        """Drop what a committed block carried: its keys enter the dedup
+        window in block order and leave the pending structures."""
+        pending_pop = self._pending.pop
+        for seg in txs.segments:
+            if type(seg) is _Run and self._remember_run(seg):
+                continue  # nothing pending can share a key with it
+            keys = seg.keys
+            self._widen(seg.span)
+            self._remember_keys(keys)
+            if self._pending:
+                for k in keys:
+                    pending_pop(k, None)
+            if self._slab_keys:
+                self._slab_keys.difference_update(keys)
 
-    def mark_committed_many(self, txs) -> None:
-        """Drop a whole committed block's transactions at once.
-
-        Equivalent to :meth:`mark_committed` per transaction (``txs``
-        must be a sequence); see :meth:`mark_committed_keys`.
-        """
-        self.mark_committed_keys([(tx.client_id, tx.tx_id) for tx in txs])
-
-    def mark_committed_keys(self, keys: list[tuple[int, int]]) -> None:
-        """Drop committed transactions by key — same dedup-window
-        insertion order and eviction as per-key :meth:`mark_committed`.
-
-        Taking pre-built keys lets callers share one key list across
-        all replicas committing the same block
-        (:meth:`~repro.smr.block.Block.tx_keys`).  Every replica runs
-        this once per committed block (400 txs in the saturated
-        evaluation), which made the per-call overhead of the scalar
-        method the single hottest line in the e2e profile.
-        """
-        seen = self._seen
-        pending = self._pending
-        slab_keys = self._slab_keys
-        if (
-            not pending
-            and not slab_keys
-            and len(seen) + len(keys) <= self.dedup_window
-        ):
-            # Bulk path (the saturated steady state): nothing pending
-            # to drop and no eviction can trigger, so C-level bulk ops
-            # replace per-key membership tests.  Equivalent to the
-            # loop: an existing key keeps its position (and ``None``
-            # value), exactly like ``_remember``'s early return; fresh
-            # keys append in iteration order (``fromkeys`` collapses
-            # in-block repeats so ``_seen_order`` stays duplicate-free).
-            merged = dict.fromkeys(keys)
-            if seen.keys().isdisjoint(merged):
-                seen.update(merged)
-                self._seen_order.extend(merged)
-            else:
-                order_add = self._seen_order.append
-                for k in merged:
-                    if k not in seen:
-                        seen[k] = None
-                        order_add(k)
-            return
-        pending_pop = pending.pop
-        slab_dropped = self._slab_dropped
-        window = self.dedup_window
-        evict = self._evict_oldest
-        order_add = self._seen_order.append
-        for k in keys:
-            if k not in seen:
-                if len(seen) >= window:
-                    evict()
-                seen[k] = None
-                order_add(k)
-            pending_pop(k, None)
-            if slab_keys and k in slab_keys:
-                slab_keys.discard(k)
-                slab_dropped.add(k)
-
-    def next_batch(self, now: float = 0.0) -> tuple[Transaction, ...]:
-        """Form the next block's transaction list.
+    # -- block assembly -------------------------------------------------------
+    def next_batch(self, now: float = 0.0) -> TxBatch:
+        """Form the next block's transactions as one slab.
 
         Drain order: scalar client submissions first (FIFO), then the
-        columnar slabs (FIFO, skipping rows that committed while
+        pending slabs (FIFO, skipping rows that committed while
         slab-pending), then the synthetic source tops the block up.
         """
-        out: list[Transaction] = []
-        while self._pending and len(out) < self.batch_size:
-            _, tx = self._pending.popitem(last=False)
-            out.append(tx)
-        if self._slabs and len(out) < self.batch_size:
-            self._drain_slabs(out)
-        if self.source is not None and len(out) < self.batch_size:
-            out.extend(self.source.batch(self.batch_size - len(out), now))
-        return tuple(out)
+        parts: list[TxBatch] = []
+        need = self.batch_size
+        if self._pending:
+            pending = self._pending
+            rows = [
+                pending.popitem(last=False)[1]
+                for _ in range(min(need, len(pending)))
+            ]
+            parts.append(TxBatch.from_transactions(rows))
+            need -= len(rows)
+        while self._slabs and need > 0:
+            part = self._drain_head(need)
+            parts.append(part)
+            need -= len(part)
+        if self.source is not None and need > 0:
+            parts.append(self.source.batch(need, now))
+        return parts[0] if len(parts) == 1 else TxBatch.concat(parts)
 
-    def _drain_slabs(self, out: list[Transaction]) -> None:
-        """Move up to ``batch_size - len(out)`` slab rows into ``out``."""
-        slab_keys = self._slab_keys
-        dropped = self._slab_dropped
-        while self._slabs and len(out) < self.batch_size:
-            slab = self._slabs[0]
-            keys = slab.keys()
-            n = len(keys)
-            cursor = self._slab_cursor
-            take: list[int] = []
-            need = self.batch_size - len(out)
-            while cursor < n and len(take) < need:
-                k = keys[cursor]
-                if k in dropped:
-                    dropped.discard(k)
-                else:
-                    take.append(cursor)
-                    slab_keys.discard(k)
-                cursor += 1
-            out.extend(slab.mint(take))
-            if cursor >= n:
-                self._slabs.popleft()
-                self._slab_cursor = 0
-            else:
-                self._slab_cursor = cursor
+    def _drain_head(self, need: int) -> TxBatch:
+        """Up to ``need`` live rows of the head slab, as a slice of it."""
+        slab = self._slabs[0]
+        keys = slab.keys()
+        start = self._slab_cursor
+        end = min(len(keys), start + need)
+        live_keys = self._slab_keys
+        wanted = keys[start:end]
+        if live_keys.issuperset(wanted):
+            part = slab[start:end]
+            live_keys.difference_update(wanted)
+        else:
+            live = list(islice(
+                (i for i in range(start, len(keys)) if keys[i] in live_keys),
+                need,
+            ))
+            end = live[-1] + 1 if len(live) == need else len(keys)
+            part = slab.select(live)
+            live_keys.difference_update([keys[i] for i in live])
+        if end == len(keys):
+            self._slabs.popleft()
+            end = 0
+        self._slab_cursor = end
+        return part
 
 
 __all__ = ["Mempool", "SaturatedSource", "BLOCK_TXS", "DEFAULT_DEDUP_WINDOW"]

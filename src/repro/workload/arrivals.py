@@ -118,7 +118,7 @@ class SuperposedArrivals:
         marks = self.rng.integers(0, self.n_clients, size=rows)
         tx_ids = _number_occurrences(marks, self._counters)
         self.minted += rows
-        return TxBatch(
+        return TxBatch.columns(
             self.client_base + marks, tx_ids, times, self.payload_bytes
         )
 
@@ -191,7 +191,7 @@ class PerClientArrivals:
             all_tids.append(np.arange(len(arr), dtype=np.int64))
         times = np.concatenate(all_times)
         order = np.argsort(times, kind="stable")
-        return TxBatch(
+        return TxBatch.columns(
             np.concatenate(all_cids)[order],
             np.concatenate(all_tids)[order],
             times[order],

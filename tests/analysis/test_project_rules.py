@@ -309,6 +309,39 @@ def test_deep_freeze_accepts_immutable_payloads():
     assert findings == []
 
 
+def test_deep_freeze_allows_ndarray_only_in_read_only_array_owners():
+    """``_Columns`` freezes its arrays at run time (pinned by
+    tests/unit/test_smr_txbatch.py::TestFrozenSlab); the same field
+    type anywhere else, or a list in ``_Columns`` itself, is a finding."""
+    columns = (
+        "import numpy as np\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class _Columns:\n"
+        "    client_ids: np.ndarray\n"
+        "    payload_bytes: int\n"
+        "@dataclass(frozen=True)\n"
+        "class Other:\n"
+        "    client_ids: np.ndarray\n"
+    )
+    block = (
+        "from dataclasses import dataclass\n"
+        "from repro.smr.transaction import Other, _Columns\n"
+        "@dataclass(frozen=True)\n"
+        "class Block:\n"
+        "    txs: _Columns\n"
+        "    other: Other\n"
+    )
+    files = {"repro/smr/transaction.py": columns, "repro/smr/block.py": block}
+    assert locs(run_rule(DeepFreezeRule(), files)) == [("repro/smr/block.py", 6)]
+    files["repro/smr/transaction.py"] = columns.replace(
+        "payload_bytes: int", "payload_bytes: list"
+    )
+    assert locs(run_rule(DeepFreezeRule(), files)) == [
+        ("repro/smr/block.py", 5), ("repro/smr/block.py", 6),
+    ]
+
+
 def test_deep_freeze_handles_recursive_payload_types():
     findings = run_rule(
         DeepFreezeRule(),

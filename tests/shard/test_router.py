@@ -19,7 +19,7 @@ def _batch(n: int = 256, base: int = 1_000_000) -> TxBatch:
     cids = base + rng.integers(0, 500, size=n)
     tids = np.arange(n, dtype=np.int64)
     times = np.cumsum(rng.exponential(0.001, size=n))
-    return TxBatch(cids, tids, times, 0)
+    return TxBatch.columns(cids, tids, times, 0)
 
 
 def test_mix64_scalar_matches_vectorized():

@@ -17,7 +17,7 @@ from repro.smr import (
 def test_genesis_is_stable():
     assert make_genesis().hash == GENESIS.hash == GENESIS_HASH
     assert GENESIS.view == -1
-    assert GENESIS.txs == ()
+    assert len(GENESIS.txs) == 0 and tuple(GENESIS.txs) == ()
 
 
 def test_create_leaf_extends_parent():
@@ -40,6 +40,32 @@ def test_block_hash_cached_and_deterministic():
     assert b.hash is b.hash  # cached object
     b2 = create_leaf(GENESIS.hash, 0, (), 0)
     assert b.hash == b2.hash
+
+
+def test_blocks_compare_and_hash_by_digest():
+    """A block built from Transactions and one built from the equivalent
+    slab are the same block: equal, same hash, same dict key."""
+    slab = TxFactory(7, payload_bytes=256).batch(400, now=1.5)
+    from_slab = create_leaf(GENESIS.hash, 3, slab, proposer=2)
+    from_txs = create_leaf(GENESIS.hash, 3, tuple(slab), proposer=2)
+    assert from_slab == from_txs and hash(from_slab) == hash(from_txs)
+    assert {from_slab: "x"}[from_txs] == "x"
+    assert list(from_txs.txs) == list(slab)
+    other = create_leaf(GENESIS.hash, 3, slab[:399], proposer=2)
+    assert from_slab != other and from_slab != from_slab.hash
+    assert len({from_slab, from_txs, other}) == 2
+
+
+def test_block_hashing_stays_out_of_the_digest_memo():
+    """The process-global ``digest_of`` memo holds no per-block entry
+    (each used to pin a 400-row tuple until 65 536 others pushed it out)."""
+    from repro.crypto.hashing import _digest_of_hashable
+
+    before = _digest_of_hashable.cache_info().currsize
+    factory, parent = TxFactory(11, payload_bytes=256), GENESIS.hash
+    for view in range(100):
+        parent = create_leaf(parent, view, factory.batch(400), view % 4).hash
+    assert _digest_of_hashable.cache_info().currsize == before
 
 
 def test_paper_block_sizes():

@@ -1,6 +1,22 @@
 """Unit tests for mempools and workload sources."""
 
-from repro.smr import BLOCK_TXS, Mempool, SaturatedSource, Transaction, TxFactory
+from repro.smr import (
+    BLOCK_TXS,
+    Mempool,
+    SaturatedSource,
+    Transaction,
+    TxBatch,
+    TxFactory,
+)
+
+
+def _commit(mp, *txs):
+    mp.mark_committed(TxBatch.from_transactions(txs))
+
+
+def _window(mp, keys):
+    """Which of ``keys`` the dedup window currently remembers."""
+    return [k for k in keys if mp.seen_recently(k)]
 
 
 def test_block_txs_matches_paper():
@@ -18,7 +34,7 @@ def test_saturated_source_ids_increase():
     src = SaturatedSource()
     a = src.batch(3)
     b = src.batch(3)
-    assert [t.tx_id for t in a + b] == list(range(6))
+    assert [t.tx_id for t in [*a, *b]] == list(range(6))
 
 
 def test_mempool_fifo_order():
@@ -27,7 +43,7 @@ def test_mempool_fifo_order():
     txs = [f.make() for _ in range(3)]
     for t in txs:
         mp.submit(t)
-    assert mp.next_batch() == tuple(txs)
+    assert tuple(mp.next_batch()) == tuple(txs)
 
 
 def test_mempool_dedup():
@@ -42,7 +58,7 @@ def test_mempool_mark_committed_removes_and_blocks_resubmit():
     mp = Mempool()
     t = Transaction(1, 1)
     mp.submit(t)
-    mp.mark_committed(t)
+    _commit(mp, t)
     assert len(mp) == 0
     assert not mp.submit(t)
 
@@ -60,7 +76,7 @@ def test_mempool_without_source_returns_partial_batch():
     mp = Mempool(batch_size=5)
     mp.submit(Transaction(1, 1))
     assert len(mp.next_batch()) == 1
-    assert mp.next_batch() == ()
+    assert len(mp.next_batch()) == 0
 
 
 def test_batch_size_respected_with_many_pending():
@@ -93,7 +109,9 @@ def test_seen_set_never_exceeds_window():
     mp = Mempool(dedup_window=8)
     for i in range(50):
         mp.submit(Transaction(1, i))
-    assert len(mp._seen) == 8
+    assert _window(mp, [(1, i) for i in range(50)]) == [
+        (1, i) for i in range(42, 50)
+    ]
 
 
 def test_duplicate_within_window_rejected():
@@ -135,57 +153,68 @@ def test_mark_committed_key_inside_window_blocks_resubmit():
     mp = Mempool(dedup_window=4)
     t = Transaction(1, 1)
     mp.submit(t)
-    mp.mark_committed(t)
+    _commit(mp, t)
     assert not mp.submit(t)
     assert len(mp) == 0
 
 
 # -- batched commit (the per-block hot path) ---------------------------
-def _window_state(mp):
-    return (list(mp._seen), sorted(mp._pending), len(mp))
+def _state(mp, keys):
+    return (_window(mp, keys), len(mp))
 
 
 def test_mark_committed_many_equals_per_tx_loop():
-    """Bulk commit ≡ mark_committed per transaction: same window
+    """One slab commit ≡ one commit per transaction: same window
     contents *and insertion order* (order decides future evictions)."""
     a, b = Mempool(dedup_window=100), Mempool(dedup_window=100)
     txs = [Transaction(3, i) for i in range(30)]
     for mp in (a, b):
         for t in txs[:5]:
             mp.submit(t)
-    a.mark_committed_many(txs)
+    _commit(a, *txs)
     for t in txs:
-        b.mark_committed(t)
-    assert _window_state(a) == _window_state(b)
+        _commit(b, t)
+    probe = [t.key() for t in txs]
+    assert _state(a, probe) == _state(b, probe)
+    # Same insertion order: 75 more keys push out the same 5 oldest.
+    for mp in (a, b):
+        for i in range(75):
+            mp.submit(Transaction(7, i))
+    assert _window(a, probe) == _window(b, probe) == probe[5:]
 
 
 def test_mark_committed_keys_bulk_path_preserves_duplicate_positions():
-    """The no-eviction bulk path must keep an already-seen key at its
-    original window position, exactly like _remember's early return."""
-    a, b = Mempool(dedup_window=100), Mempool(dedup_window=100)
+    """A key already in the window keeps its original position when a
+    later commit names it again."""
+    a, b = Mempool(dedup_window=6), Mempool(dedup_window=6)
     for mp in (a, b):
-        mp.mark_committed(Transaction(1, 1))
-        mp.mark_committed(Transaction(1, 2))
+        _commit(mp, Transaction(1, 1))
+        _commit(mp, Transaction(1, 2))
     keys = [(1, 2), (1, 9), (1, 1), (1, 8)]
-    a.mark_committed_keys(keys)
+    _commit(a, *(Transaction(c, t) for c, t in keys))
     for cid, txid in keys:
-        b.mark_committed(Transaction(cid, txid))
-    assert _window_state(a) == _window_state(b)
+        _commit(b, Transaction(cid, txid))
+    for mp in (a, b):
+        # Window order is 1, 2, 9, 8: three fresh keys evict 1 alone.
+        for i in range(3):
+            mp.submit(Transaction(5, i))
+        assert _window(mp, keys) == [(1, 2), (1, 9), (1, 8)]
 
 
 def test_mark_committed_keys_eviction_path_equals_per_tx_loop():
-    """When the batch overflows the window the slow path runs — its
-    evictions must match the scalar loop's exactly."""
+    """When the commit overflows the window its evictions must match
+    the per-transaction loop's exactly."""
     a, b = Mempool(dedup_window=10), Mempool(dedup_window=10)
     txs = [Transaction(2, i) for i in range(25)]
     for mp in (a, b):
         for t in txs[:8]:
             mp.submit(t)
-    a.mark_committed_many(txs)
+    _commit(a, *txs)
     for t in txs:
-        b.mark_committed(t)
-    assert _window_state(a) == _window_state(b)
-    assert len(a._seen) == 10
+        _commit(b, t)
+    probe = [t.key() for t in txs]
+    assert _state(a, probe) == _state(b, probe)
+    assert _window(a, probe) == probe[15:]
 
 
 def test_mark_committed_keys_drops_pending_entries():
@@ -193,6 +222,56 @@ def test_mark_committed_keys_drops_pending_entries():
     txs = [Transaction(4, i) for i in range(6)]
     for t in txs:
         mp.submit(t)
-    mp.mark_committed_keys([t.key() for t in txs[:4]])
+    _commit(mp, *txs[:4])
     assert len(mp) == 2
     assert [t.tx_id for t in mp.next_batch()] == [4, 5]
+
+
+# -- committed runs enter the window as intervals ------------------------
+def test_committed_run_counts_as_its_length_and_leaves_from_its_front():
+    mp = Mempool(dedup_window=10)
+    mp.mark_committed(TxBatch.run(10_000, 0, 6))
+    mp.mark_committed(TxBatch.run(10_001, 0, 6))
+    probe = [(10_000, i) for i in range(6)] + [(10_001, i) for i in range(6)]
+    assert _window(mp, probe) == probe[2:]  # 12 keys, room for 10
+    assert not mp.submit(Transaction(10_001, 5))
+    assert mp.submit(Transaction(10_000, 1))  # aged out: re-admitted
+    assert not mp.seen_recently((10_000, 2))  # ...and pushed one more out
+
+
+def test_run_longer_than_the_window_keeps_its_tail():
+    mp = Mempool(dedup_window=4)
+    mp.submit(Transaction(1, 1))
+    mp.mark_committed(TxBatch.run(10_000, 0, 9))
+    assert not mp.seen_recently((1, 1))
+    assert _window(mp, [(10_000, i) for i in range(9)]) == [
+        (10_000, i) for i in range(5, 9)
+    ]
+
+
+def test_run_sharing_a_client_id_with_single_keys_is_expanded():
+    """A pending key inside a committed run must leave the pool, and a
+    key the window already holds must keep its position."""
+    mp = Mempool(dedup_window=8, batch_size=10)
+    mp.submit(Transaction(5, 2))
+    mp.submit(Transaction(5, 40))
+    mp.mark_committed(TxBatch.run(5, 0, 4))
+    assert [t.key() for t in mp.next_batch()] == [(5, 40)]
+    # Window order: (5,2) (5,40) (5,0) (5,1) (5,3); four more evict
+    # (5,2) first although the run named it last-but-one.
+    for i in range(4):
+        mp.submit(Transaction(6, i))
+    assert _window(mp, [(5, i) for i in range(4)]) == [(5, 0), (5, 1), (5, 3)]
+
+
+def test_overlapping_runs_of_one_client_are_expanded():
+    a, b = Mempool(dedup_window=7), Mempool(dedup_window=7)
+    a.mark_committed(TxBatch.run(9, 0, 4))
+    a.mark_committed(TxBatch.run(9, 2, 4))
+    for t in (0, 1, 2, 3, 2, 3, 4, 5):
+        _commit(b, Transaction(9, t))
+    probe = [(9, i) for i in range(6)]
+    for mp in (a, b):
+        mp.submit(Transaction(1, 1))
+        mp.submit(Transaction(1, 2))
+    assert _window(a, probe) == _window(b, probe) == probe[1:]

@@ -1,13 +1,24 @@
-"""Batched mempool ingest: accept/reject identical to the scalar path."""
+"""Batched mempool ingest: accept/reject identical to the scalar path,
+and the interval window identical to a per-key window."""
+
+from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.smr import DEFAULT_DEDUP_WINDOW, Mempool, Transaction, TxBatch
+from repro.smr import (
+    DEFAULT_DEDUP_WINDOW,
+    Mempool,
+    SaturatedSource,
+    Transaction,
+    TxBatch,
+)
 
 
 def _batch_from_keys(keys, payload=0):
-    return TxBatch(
+    return TxBatch.columns(
         np.array([c for c, _ in keys], dtype=np.int64),
         np.array([t for _, t in keys], dtype=np.int64),
         np.arange(len(keys), dtype=np.float64),
@@ -42,8 +53,11 @@ class TestBatchScalarEquivalence:
             got = batched.submit_batch(_batch_from_keys(chunk))
             slab_accepts.append(got)
         assert sum(accepts) == sum(slab_accepts)
-        # Identical dedup-window contents and order afterwards.
-        assert list(scalar._seen) == list(batched._seen)
+        # Identical dedup-window contents afterwards.
+        universe = [(c, t) for c in range(40) for t in range(25)]
+        assert [k for k in universe if scalar.seen_recently(k)] == [
+            k for k in universe if batched.seen_recently(k)
+        ]
         assert len(scalar) == len(batched)
 
     def test_across_250k_fifo_horizon(self):
@@ -63,7 +77,9 @@ class TestBatchScalarEquivalence:
                 _batch_from_keys(keys[lo : lo + 1024])
             )
         assert n_scalar == n_batched == n + 500
-        assert list(scalar._seen) == list(batched._seen)
+        assert [k for k in keys if scalar.seen_recently(k)] == [
+            k for k in keys if batched.seen_recently(k)
+        ]
 
     def test_interleaved_scalar_and_batch_share_window(self):
         mp = Mempool(batch_size=10**9, dedup_window=100)
@@ -86,14 +102,14 @@ class TestSlabDrain:
     def test_committed_while_slab_pending_is_skipped(self):
         mp = Mempool(batch_size=10)
         mp.submit_batch(_batch_from_keys([(1, 0), (2, 0), (3, 0)]))
-        mp.mark_committed(Transaction(2, 0))
+        mp.mark_committed(TxBatch.from_transactions([Transaction(2, 0)]))
         assert len(mp) == 2
         assert [t.key() for t in mp.next_batch()] == [(1, 0), (3, 0)]
 
     def test_committed_keys_bulk_while_slab_pending(self):
         mp = Mempool(batch_size=10)
         mp.submit_batch(_batch_from_keys([(i, 0) for i in range(6)]))
-        mp.mark_committed_keys([(0, 0), (5, 0), (77, 77)])
+        mp.mark_committed(_batch_from_keys([(0, 0), (5, 0), (77, 77)]))
         assert len(mp) == 4
         assert [t.key() for t in mp.next_batch()] == [
             (i, 0) for i in (1, 2, 3, 4)
@@ -101,7 +117,7 @@ class TestSlabDrain:
 
     def test_minted_rows_carry_slab_metadata(self):
         mp = Mempool(batch_size=2)
-        slab = TxBatch(
+        slab = TxBatch.columns(
             np.array([5, 6], dtype=np.int64),
             np.array([0, 0], dtype=np.int64),
             np.array([1.25, 2.5]),
@@ -120,3 +136,112 @@ class TestSlabDrain:
         assert len(mp) == 3
         assert len(mp.next_batch()) == 2
         assert [t.key() for t in mp.next_batch()] == [(4, 0)]
+
+    def test_drained_slices_share_the_slab_and_filler_tops_up(self):
+        mp = Mempool(source=SaturatedSource(client_id=10_000), batch_size=6)
+        mp.submit(Transaction(9, 0, op=("set", "k", 1)))
+        slab = _batch_from_keys([(i, 0) for i in range(3)])
+        mp.submit_batch(slab)
+        block = mp.next_batch(now=4.0)
+        assert [t.key() for t in block] == [
+            (9, 0), (0, 0), (1, 0), (2, 0), (10_000, 0), (10_000, 1),
+        ]
+        assert block[0].op == ("set", "k", 1) and block[5].submit_time == 4.0
+        assert block.segments[1] is slab.segments[0]  # no row was copied
+
+
+# -- the interval window against a per-key window --------------------------
+class _PerKeyReference:
+    """The mempool's bookkeeping with a plain FIFO of single keys: the
+    window every interval entry must be indistinguishable from."""
+
+    def __init__(self, window):
+        self.window = window
+        self.seen = OrderedDict()
+        self.scalar = {}
+        self.slab = set()
+
+    def _remember(self, k):
+        if k in self.seen:
+            return False
+        if len(self.seen) >= self.window:
+            self.seen.popitem(last=False)
+        self.seen[k] = None
+        return True
+
+    def submit(self, k, pool):
+        if not self._remember(k):
+            return False
+        if pool is self.scalar:
+            pool[k] = None
+        else:
+            pool.add(k)
+        return True
+
+    def commit(self, keys):
+        for k in keys:
+            self._remember(k)
+            self.scalar.pop(k, None)
+            self.slab.discard(k)
+
+    def drained(self, keys):
+        for k in keys:
+            if k in self.scalar:
+                del self.scalar[k]
+            else:
+                self.slab.discard(k)
+
+    def __len__(self):
+        return len(self.scalar) + len(self.slab)
+
+
+_CIDS, _TIDS = range(6), range(24)
+_key = st.tuples(st.sampled_from(_CIDS), st.sampled_from(_TIDS))
+_op = st.one_of(
+    st.tuples(st.just("submit"), _key),
+    st.tuples(st.just("submit_batch"), st.lists(_key, max_size=8)),
+    st.tuples(st.just("commit_keys"), st.lists(_key, max_size=8)),
+    st.tuples(
+        st.just("commit_run"),
+        st.tuples(st.sampled_from(_CIDS), st.sampled_from(_TIDS), st.integers(0, 9)),
+    ),
+    st.tuples(st.just("propose_and_commit"), st.none()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 12), st.integers(1, 6), st.sampled_from([2, 5, 50]),
+    st.lists(_op, max_size=40),
+)
+def test_interval_window_equals_per_key_window(window, batch_size, filler, ops):
+    """Random interleavings of submissions, key commits, run commits
+    and proposals against tiny windows: every accept/reject, every
+    ``seen_recently`` answer and ``len()`` match the per-key window."""
+    mp = Mempool(
+        SaturatedSource(client_id=filler), batch_size, dedup_window=window
+    )
+    ref = _PerKeyReference(window)
+    universe = [(c, t) for c in (*_CIDS, filler) for t in range(40)]
+    for kind, arg in ops:
+        if kind == "submit":
+            assert mp.submit(Transaction(*arg)) == ref.submit(arg, ref.scalar)
+        elif kind == "submit_batch":
+            expected = sum([ref.submit(k, ref.slab) for k in arg])
+            assert mp.submit_batch(_batch_from_keys(arg)) == expected
+        elif kind == "commit_keys":
+            mp.mark_committed(_batch_from_keys(arg))
+            ref.commit(arg)
+        elif kind == "commit_run":
+            cid, start, n = arg
+            mp.mark_committed(TxBatch.run(cid, start, n))
+            ref.commit([(cid, t) for t in range(start, start + n)])
+        else:
+            block = mp.next_batch()
+            ref.drained(block.keys())
+            mp.mark_committed(block)
+            ref.commit(block.keys())
+        assert len(mp) == len(ref)
+        assert [k for k in universe if mp.seen_recently(k)] == [
+            k for k in universe if k in ref.seen
+        ]

@@ -11,6 +11,8 @@ A repro file is a small JSON document:
       "expect": {
         "failure": "safety" | "crash" | "liveness" | null,
         "digest": "<RunFingerprint.digest()> or null (crashed runs)",
+        "timeline_hash": "<RunFingerprint.timeline_hash>  (optional)",
+        "chain_hash": "<RunFingerprint.chain_hash>  (optional)",
         "blocks_decided": 3
       }
     }
@@ -20,6 +22,15 @@ re-runs the scenario and verifies both the failure kind and — when the
 run completed — the exact fingerprint digest.  The committed regression
 corpus under ``tests/fuzz/corpus/`` is replayed in CI, so any drift in
 protocol, fault or network code that changes these runs is caught.
+
+``digest`` folds the executed-event count, which is kernel bookkeeping
+(docs/invariants.md): a scheduling change can move it without moving
+behaviour.  ``timeline_hash`` (every envelope, in order) and
+``chain_hash`` (every decision) are the behavioural components; they
+are written for every run that yields a
+:class:`~repro.analysis.RunFingerprint` (sharded runs have a joint
+fingerprint with no such components), checked before the digest when
+present, and a mismatch names the component that drifted.
 """
 
 from __future__ import annotations
@@ -48,21 +59,31 @@ class ReproFile:
     expect_digest: Optional[str]
     expect_blocks: int
     note: str = ""
+    #: Behavioural components of the fingerprint (None = not recorded).
+    expect_timeline_hash: Optional[str] = None
+    expect_chain_hash: Optional[str] = None
+
+
+#: ``expect`` keys pinning one behavioural fingerprint component each.
+_COMPONENTS = ("timeline_hash", "chain_hash")
 
 
 def make_repro(result: FuzzResult, note: str = "") -> dict:
     """The JSON document describing ``result``."""
+    fp = result.fingerprint
+    expect = {
+        "failure": result.failure,
+        "digest": fp.digest() if fp is not None else None,
+    }
+    for name in _COMPONENTS:
+        if hasattr(fp, name):
+            expect[name] = getattr(fp, name)
+    expect["blocks_decided"] = result.report.blocks_decided
     return {
         "format": FORMAT,
         "note": note,
         "scenario": result.scenario.to_dict(),
-        "expect": {
-            "failure": result.failure,
-            "digest": (
-                result.fingerprint.digest() if result.fingerprint is not None else None
-            ),
-            "blocks_decided": result.report.blocks_decided,
-        },
+        "expect": expect,
     }
 
 
@@ -85,6 +106,8 @@ def load_repro(path: Union[str, Path]) -> ReproFile:
         expect_digest=expect.get("digest"),
         expect_blocks=int(expect.get("blocks_decided", 0)),
         note=data.get("note", ""),
+        expect_timeline_hash=expect.get("timeline_hash"),
+        expect_chain_hash=expect.get("chain_hash"),
     )
 
 
@@ -97,12 +120,22 @@ def replay_repro(path: Union[str, Path]) -> FuzzResult:
             f"{path}: expected failure {repro.expect_failure!r}, "
             f"got {result.failure!r} ({result.report.describe()})"
         )
+    fp = result.fingerprint
+    for name in _COMPONENTS:
+        want = getattr(repro, f"expect_{name}")
+        if want is not None and getattr(fp, name, None) != want:
+            raise ReplayMismatch(
+                f"{path}: {name} drift — expected {want[:16]}…, "
+                f"got {str(getattr(fp, name, None))[:16]}…"
+            )
     if repro.expect_digest is not None:
-        got = result.fingerprint.digest() if result.fingerprint is not None else None
+        got = fp.digest() if fp is not None else None
         if got != repro.expect_digest:
+            held = [n for n in _COMPONENTS if getattr(repro, f"expect_{n}")]
             raise ReplayMismatch(
                 f"{path}: fingerprint drift — expected {repro.expect_digest[:16]}…, "
                 f"got {str(got)[:16]}…"
+                + (f" ({' and '.join(held)} unchanged)" if held else "")
             )
     return result
 

@@ -20,27 +20,34 @@ from repro.analysis.sanitizer import fingerprint_run
 from repro.net.latency import TopologyLatency
 from repro.net.regions import WORLD11
 
-#: protocol -> (events, messages, decisions, fingerprint digest),
-#: captured at seed=7, f=1, target_blocks=4 over WORLD11 with
+from .test_fastpath_determinism import Golden, assert_golden
+
+#: Captured at seed=7, f=1, target_blocks=4 over WORLD11 with
 #: sigma=0.06 log-normal jitter, timeout_base=2.0 — *before* the
 #: vectorized multicast/sample_many fast path landed.
 GOLDEN = {
-    "oneshot": (
+    "oneshot": Golden(
         85,
         44,
         10,
+        "51deaeebea247bbe44ecc3d482d53e8dcaad8b4670b2513f2ecc173e12aa3a55",
+        "7b27c200453d309844510b0f76d3c0c8e9d6597e2effd27487ac468ec8dbc64c",
         "1ee8d1356ab61c840d0cb6319513bd337d470a05e3cb97854ddc39f6868bb258",
     ),
-    "damysus": (
+    "damysus": Golden(
         136,
         70,
         10,
+        "e31f10539cad5ed3e388e50c801c5f8987e825ed068dbb1842d0ba6ac3101d1f",
+        "a31f734dd4d578fa293056ef8f3b416ddae545443355e07f12f4d0a819668053",
         "743ef0f133671dffd2a8e575ce8fd4f1ca1e08689b69915f6733cee1b9ca4db0",
     ),
-    "hotstuff": (
+    "hotstuff": Golden(
         256,
         131,
         16,
+        "df6e700a1f0c846a4c4b119155ddbd002f80973b4f4052b67a416b999ca2138f",
+        "a2189146b1af3e6130765c4dc86afd45c40a47e394c7a8b4235a8772ea996afd",
         "fdacf40d3f6f45001ed89635d8c0446c33f13a090b796bbaffacf636e3dbd3b9",
     ),
 }
@@ -61,12 +68,7 @@ def _world_fingerprint(protocol):
 
 @pytest.mark.parametrize("protocol", sorted(GOLDEN))
 def test_world_fingerprint_matches_scalar_era_golden(protocol):
-    events, messages, decisions, digest = GOLDEN[protocol]
-    fp = _world_fingerprint(protocol)
-    assert fp.events == events
-    assert fp.messages == messages
-    assert fp.decisions == decisions
-    assert fp.digest() == digest
+    assert_golden(_world_fingerprint(protocol), GOLDEN[protocol])
 
 
 def test_world_fingerprint_is_replay_stable():

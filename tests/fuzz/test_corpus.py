@@ -35,6 +35,20 @@ def test_corpus_replays_exactly(path):
     assert result.report.blocks_decided == repro.expect_blocks
 
 
+def test_corpus_pins_behavioural_components():
+    """Every entry that replays to a ``RunFingerprint`` carries its
+    timeline and chain hashes, so a digest re-pin (the digest folds the
+    event count) can be shown to leave behaviour untouched.  The
+    sharded entry's joint fingerprint has no such components."""
+    for path in corpus_paths(CORPUS_DIR):
+        repro = load_repro(path)
+        pinned = (repro.expect_timeline_hash, repro.expect_chain_hash)
+        if repro.scenario.shard is not None:
+            assert pinned == (None, None)
+        else:
+            assert all(pinned), path.stem
+
+
 def test_corpus_covers_all_protocols_and_the_fixed_livelock():
     repros = {p.stem: load_repro(p) for p in corpus_paths(CORPUS_DIR)}
     assert {r.scenario.protocol for r in repros.values()} == {
@@ -70,6 +84,8 @@ def test_round_trip_and_format_check(tmp_path):
     assert repro.scenario == result.scenario
     assert repro.expect_failure is None
     assert repro.expect_digest == result.fingerprint.digest()
+    assert repro.expect_timeline_hash == result.fingerprint.timeline_hash
+    assert repro.expect_chain_hash == result.fingerprint.chain_hash
     assert repro.note == "round trip"
 
     data = json.loads(path.read_text())
@@ -94,3 +110,33 @@ def test_replay_mismatch_on_drift(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ReplayMismatch, match="expected failure"):
         replay_repro(path)
+
+
+def test_replay_mismatch_names_the_drifting_component(tmp_path):
+    """Behavioural components are checked before the composite digest,
+    and a digest-only drift says that they held."""
+    result = run_scenario(generate_scenario(203))
+    path = save_repro(tmp_path / "x.json", result)
+    good = json.loads(path.read_text())
+
+    for name in ("timeline_hash", "chain_hash"):
+        data = json.loads(json.dumps(good))
+        data["expect"][name] = "0" * 64
+        path.write_text(json.dumps(data))
+        with pytest.raises(ReplayMismatch, match=f"{name} drift"):
+            replay_repro(path)
+
+    data = json.loads(json.dumps(good))
+    data["expect"]["digest"] = "0" * 64
+    path.write_text(json.dumps(data))
+    with pytest.raises(
+        ReplayMismatch,
+        match="fingerprint drift.*timeline_hash and chain_hash unchanged",
+    ):
+        replay_repro(path)
+
+    # The keys are optional: a file without them still replays.
+    for name in ("timeline_hash", "chain_hash"):
+        del good["expect"][name]
+    path.write_text(json.dumps(good))
+    assert replay_repro(path).failure is None

@@ -55,9 +55,13 @@ SUBSTRATE_API: dict[str, frozenset[str]] = {
         {"push", "push_many", "pop", "pop_next", "live_count"}
     ),
     "repro.sim.event.Event": frozenset({"cancel", "cancelled", "time"}),
+    # ``total_busy`` and ``jobs`` are here for one caller:
+    # ``BaseReplica.charge`` is ``Resource.occupy`` written out (several
+    # charges per message, one frame each instead of two), so it keeps
+    # the same three fields ``occupy`` does.
     "repro.sim.cpu.Resource": frozenset(
-        {"occupy", "occupy_many", "busy_until", "queueing_delay",
-         "utilization", "name"}
+        {"occupy", "occupy_many", "busy_until", "total_busy", "jobs",
+         "queueing_delay", "utilization", "name"}
     ),
     "repro.sim.cpu.Cpu": frozenset(),
     "repro.sim.cpu.Nic": frozenset(

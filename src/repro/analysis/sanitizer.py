@@ -147,10 +147,8 @@ def fingerprint_run(
         replica_factory=replica_factory,
     )
     cluster.start()
-    reference = cluster.replicas[0]
-    sim.run(
-        until=max_sim_time, stop_when=lambda: len(reference.log) >= target_blocks
-    )
+    cluster.replicas[0].log.when_length(target_blocks, sim.stop)
+    sim.run(until=max_sim_time)
     cluster.stop()
     fp = fingerprint_of(protocol, seed, sim, network, cluster.collector)
     return fp, cluster.collector

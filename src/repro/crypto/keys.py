@@ -63,13 +63,12 @@ class KeyPair:
 
     def sign(self, data: Digest) -> Signature:
         """Sign a digest; only the holder of this object can do this."""
-        tag = hmac.new(self._secret, data, hashlib.sha256).digest()
-        return Signature(self.owner, tag)
+        return Signature(self.owner, hmac.digest(self._secret, data, "sha256"))
 
     def _check_tag(self, data: Digest, sig: Signature) -> bool:
         if sig.signer != self.owner:
             return False
-        expect = hmac.new(self._secret, data, hashlib.sha256).digest()
+        expect = hmac.digest(self._secret, data, "sha256")
         return hmac.compare_digest(expect, sig.tag)
 
     def public(self) -> "PublicKey":
@@ -140,12 +139,15 @@ class KeyRing:
         """Verify ``sig`` over ``data`` against the signer's public key."""
         key = (sig.signer, data, sig.tag)
         memo = self._verified
-        if key in memo and _memo.enabled():
+        # The switch is read once, and as a variable: a call per
+        # memo hit would cost more than the dict probe it guards.
+        use_memo = _memo._enabled
+        if use_memo and key in memo:
             return True
         pk = self._keys.get(sig.signer)
         if pk is None or not pk.verify(data, sig):
             return False
-        if self._capacity > 0 and _memo.enabled():
+        if use_memo and self._capacity > 0:
             if len(memo) >= self._capacity:
                 memo.pop(next(iter(memo)))
             memo[key] = None

@@ -110,8 +110,7 @@ def _revote_scenario_cls(base_cls: Type, selector: Callable[[int], bool]) -> Typ
             if self.is_leader():
                 if isinstance(payload, ProposalMsg) and selector(v):
                     _, x, s = self._roles(v)
-                    for dst in s:
-                        self.send_at(when, dst, payload)
+                    self.transmit(when, tuple(s), payload)
                     return
                 if isinstance(payload, PrepCertMsg) and selector(v):
                     _, x, _ = self._roles(v)
@@ -122,6 +121,8 @@ def _revote_scenario_cls(base_cls: Type, selector: Callable[[int], bool]) -> Typ
             super().broadcast_at(when, payload, include_self)
 
         def send_at(self, when, dst, payload):
+            # New-view messages are only ever unicast, so filtering
+            # them here (not at ``transmit``) catches every one.
             if isinstance(payload, NewViewMsg) and selector(self.view - 2):
                 _, x, s = self._roles(self.view - 2)
                 if self.pid in s and self.pid != x:
@@ -218,8 +219,7 @@ def _preempt_scenario_cls(base_cls: Type, selector: Callable[[int], bool]) -> Ty
             if self.is_leader() and selector(v):
                 if isinstance(payload, ProposalMsg):
                     _, s = self._roles(v)
-                    for dst in s:
-                        self.send_at(when, dst, payload)
+                    self.transmit(when, tuple(s), payload)
                     return
                 if isinstance(payload, PrepCertMsg):
                     late = max(when, self.sim.now) + 0.12
@@ -232,7 +232,8 @@ def _preempt_scenario_cls(base_cls: Type, selector: Callable[[int], bool]) -> Ty
 
             # The deliver phase's votes crawl, so the late prepare
             # certificate arrives while the deliver phase is still
-            # running — the exact race VI-F(c) targets.
+            # running — the exact race VI-F(c) targets.  Votes are only
+            # ever unicast, so ``send_at`` sees every one.
             if isinstance(payload, VoteMsg) and selector(self.view - 1):
                 when = max(when, self.sim.now) + 0.3
             super().send_at(when, dst, payload)

@@ -126,12 +126,12 @@ def run_experiment(
     cluster.start()
     if engine is not None:
         engine.start()
-    reference = cluster.replicas[reference_pid]
-    target = config.target_blocks + config.warmup_blocks
-    sim.run(
-        until=config.max_sim_time,
-        stop_when=lambda: len(reference.log) >= target,
+    # The run ends with the event in which the reference replica
+    # commits its last target block.
+    cluster.replicas[reference_pid].log.when_length(
+        config.target_blocks + config.warmup_blocks, sim.stop
     )
+    sim.run(until=config.max_sim_time)
     if engine is not None:
         engine.stop()
     cluster.stop()

@@ -14,13 +14,22 @@ are modelled separately in :mod:`repro.tee.rollback`).
 from __future__ import annotations
 
 import math
-from typing import Any, Optional, Type
+from typing import Any, Optional, Sequence, Type
 
 from ..protocols.common import BaseReplica
 
 
 class ByzantineMixin:
-    """Marker + common knobs for faulty replicas."""
+    """Marker + common knobs for faulty replicas.
+
+    Behaviours that act on *everything* a replica sends override
+    :meth:`~repro.protocols.common.BaseReplica.transmit`, the one seam
+    unicasts and broadcasts both pass through: they see each
+    transmission once and their effect applies to every copy.
+    Behaviours that act on a broadcast as such (stay silent, pick a
+    subset) override ``broadcast_at`` and call ``transmit`` with the
+    destinations they chose.
+    """
 
     byzantine = True
     #: Window in which the misbehaviour is active.
@@ -59,10 +68,10 @@ class SlowSender(ByzantineMixin):
 
     slow_delay: float = 0.5
 
-    def send_at(self, when: float, dst: int, payload: Any) -> None:
+    def transmit(self, when: float, dsts: Sequence[int], payload: Any) -> None:
         if self._faulty_now():
             when = max(when, self.sim.now) + self.slow_delay  # type: ignore[attr-defined]
-        super().send_at(when, dst, payload)  # type: ignore[misc]
+        super().transmit(when, dsts, payload)  # type: ignore[misc]
 
 
 class VoteWithholder(ByzantineMixin):
@@ -72,10 +81,10 @@ class VoteWithholder(ByzantineMixin):
     the classic "deny quorum" attack.
     """
 
-    def send_at(self, when: float, dst: int, payload: Any) -> None:
+    def transmit(self, when: float, dsts: Sequence[int], payload: Any) -> None:
         if self._faulty_now() and not self.is_leader():  # type: ignore[attr-defined]
             return
-        super().send_at(when, dst, payload)  # type: ignore[misc]
+        super().transmit(when, dsts, payload)  # type: ignore[misc]
 
 
 class Equivocator(ByzantineMixin):
@@ -129,7 +138,7 @@ class Equivocator(ByzantineMixin):
         if phi2 is None:
             return False  # the TEE held (the paper's Lemma 1 mechanism)
         self.equivocation_successes += 1
-        others = [p for p in self.peers if p != self.pid]  # type: ignore[attr-defined]
+        others = self.others  # type: ignore[attr-defined]
         half_a, half_b = tuple(others[::2]), tuple(others[1::2])
         evil_msg = ProposalMsg(evil, phi2, msg.qc, exec_kind=msg.exec_kind)
         self.add_block(evil)  # type: ignore[attr-defined]
@@ -137,10 +146,8 @@ class Equivocator(ByzantineMixin):
             msg.block.hash: (msg.proposal, half_a),
             evil.hash: (phi2, half_b),
         }
-        for dst in half_a:
-            self.send_at(done, dst, msg)  # type: ignore[attr-defined]
-        for dst in half_b:
-            self.send_at(done, dst, evil_msg)  # type: ignore[attr-defined]
+        self.transmit(done, half_a, msg)  # type: ignore[attr-defined]
+        self.transmit(done, half_b, evil_msg)  # type: ignore[attr-defined]
         # Store both locally: the overlap replica of the two forked
         # quorums must double-store, which only a broken TEE permits.
         self.send_at(done, self.pid, msg)  # type: ignore[attr-defined]
@@ -183,8 +190,7 @@ class Equivocator(ByzantineMixin):
         )
         proposal, victims = targets[cert.block_hash]
         done = max(self.sim.now, self.cpu.busy_until)  # type: ignore[attr-defined]
-        for dst in victims:
-            self.send_at(done, dst, PrepCertMsg(phi_c, proposal))  # type: ignore[attr-defined]
+        self.transmit(done, victims, PrepCertMsg(phi_c, proposal))  # type: ignore[attr-defined]
 
 
 class Restarting(ByzantineMixin):
@@ -269,11 +275,10 @@ class GarbageSender(ByzantineMixin):
         def wire_size(self) -> int:
             return 128
 
-    def send_at(self, when: float, dst: int, payload: Any) -> None:
+    def transmit(self, when: float, dsts: Sequence[int], payload: Any) -> None:
         if self._faulty_now() and not self.is_leader():  # type: ignore[attr-defined]
-            super().send_at(when, dst, self._Garbage())  # type: ignore[misc]
-            return
-        super().send_at(when, dst, payload)  # type: ignore[misc]
+            payload = self._Garbage()
+        super().transmit(when, dsts, payload)  # type: ignore[misc]
 
 
 BEHAVIOURS: dict[str, type] = {

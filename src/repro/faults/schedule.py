@@ -153,9 +153,7 @@ def force_catchup_cls(
                 and selector(self.view)
             ):
                 k = min(recipients, self.config.f)  # keep it < f+1
-                targets = [p for p in self.peers if p != self.pid][:k]
-                for dst in targets:
-                    self.send_at(when, dst, payload)
+                self.transmit(when, self.others[:k], payload)
                 return
             super().broadcast_at(when, payload, include_self)
 

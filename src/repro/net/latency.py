@@ -120,7 +120,7 @@ class UniformLatency:
         self, src: int, dsts: Sequence[int], rng: np.random.Generator
     ) -> list[float]:
         """One batched uniform draw for the remote destinations."""
-        remote = sum(1 for dst in dsts if dst != src)
+        remote = len(dsts) - dsts.count(src)
         if remote == 0:
             return [1e-6] * len(dsts)
         draws = rng.uniform(self.low_s, self.high_s, size=remote)
@@ -148,6 +148,9 @@ class TopologyLatency:
             raise ValueError("sigma must be non-negative")
         self.topology = topology
         self.sigma = sigma
+        #: ``Topology.one_way_s`` for every region pair, built once.
+        self._one_way = topology.one_way_table_s()
+        self._regions = len(topology.regions)
 
     @property
     def draw_free(self) -> bool:
@@ -155,13 +158,13 @@ class TopologyLatency:
         return self.sigma == 0.0
 
     def sample(self, src: int, dst: int, rng: np.random.Generator) -> float:
-        base = self.topology.one_way_s(src, dst)
         if src == dst:
             return 1e-6
+        k = self._regions
+        base = self._one_way[src % k][dst % k]
         if self.sigma == 0.0:
             return base
-        jitter = math.exp(rng.normal(0.0, self.sigma))
-        return base * jitter
+        return base * math.exp(rng.normal(0.0, self.sigma))
 
     def sample_many(
         self, src: int, dsts: Sequence[int], rng: np.random.Generator
@@ -172,25 +175,20 @@ class TopologyLatency:
         delay is bit-identical to the scalar path on any platform —
         only the *draws* are batched.
         """
-        one_way = self.topology.one_way_s
+        k = self._regions
+        row = self._one_way[src % k]
         sigma = self.sigma
         if sigma == 0.0:
-            return [
-                1e-6 if dst == src else one_way(src, dst) for dst in dsts
-            ]
-        remote = sum(1 for dst in dsts if dst != src)
+            return [1e-6 if dst == src else row[dst % k] for dst in dsts]
+        remote = len(dsts) - dsts.count(src)
         if remote == 0:
             return [1e-6] * len(dsts)
-        draws = rng.normal(0.0, sigma, size=remote)
-        out: list[float] = []
-        i = 0
-        for dst in dsts:
-            if dst == src:
-                out.append(1e-6)
-            else:
-                out.append(one_way(src, dst) * math.exp(draws[i]))
-                i += 1
-        return out
+        draws = iter(rng.normal(0.0, sigma, size=remote).tolist())
+        exp = math.exp
+        return [
+            1e-6 if dst == src else row[dst % k] * exp(next(draws))
+            for dst in dsts
+        ]
 
 
 __all__ = [

@@ -140,9 +140,9 @@ class Network:
             deliver = now + 1e-6
         else:
             ser_end = self._nics[src].serialize(now, size)
-            prop = self.latency.sample(src, dst, self._rng)
-            extra = self._extra_delay(now, src, dst, size)
-            deliver = ser_end + prop + extra
+            deliver = ser_end + self.latency.sample(src, dst, self._rng)
+            if self.delay_hooks or now < self.gst:
+                deliver = deliver + self._extra_delay(now, src, dst, size)
             if self.fifo_links:
                 link = (src, dst)
                 deliver = max(deliver, self._link_clock.get(link, 0.0))
@@ -152,12 +152,7 @@ class Network:
         self.bytes_sent += size
         if self.message_log is not None:
             self.message_log.append(env)
-        self.sim.schedule_at(
-            deliver,
-            self._deliver,
-            env,
-            label=f"deliver {src}->{dst}",
-        )
+        self.sim.schedule_at(deliver, self._deliver, env, label="deliver")
         return env
 
     def multicast(self, src: int, dsts: Iterable[int], payload: Any) -> list[Envelope]:
@@ -216,7 +211,7 @@ class Network:
                 # All-or-nothing: reject the whole batch before any RNG
                 # draw, NIC occupancy or scheduling happens.
                 raise KeyError(f"unknown destination {dst}")
-        n_remote = sum(1 for dst in dsts if dst != src)
+        n_remote = len(dsts) - dsts.count(src)
 
         sample_many = getattr(self.latency, "sample_many", None)
         if sample_many is not None:
@@ -299,6 +294,8 @@ class Network:
         return extra
 
     def _deliver(self, env: Envelope) -> None:
+        # The destination is looked up when the message arrives, not
+        # when it was sent: whoever holds the pid then receives it.
         self._procs[env.dst].on_message(env.src, env.payload)
 
 

@@ -149,6 +149,14 @@ class Topology:
         """One-way propagation delay between two *nodes*, in seconds."""
         return rtt_ms(self.region_of(src), self.region_of(dst)) / 2.0 / 1000.0
 
+    def one_way_table_s(self) -> list[list[float]]:
+        """:meth:`one_way_s` for every region pair, indexed by region
+        position: ``table[src % k][dst % k] == one_way_s(src, dst)``
+        exactly, for ``k`` regions.  What a latency model reads per
+        message instead of two name lookups and a frozenset."""
+        k = range(len(self.regions))
+        return [[self.one_way_s(a, b) for b in k] for a in k]
+
     def max_rtt_ms(self) -> float:
         return float(self.rtt_matrix_ms().max())
 

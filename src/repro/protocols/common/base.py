@@ -11,7 +11,7 @@ Replica pids are ``0..n-1``; clients register with pids ≥ 1000.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Type
+from typing import Any, Callable, Optional, Sequence, Type
 
 from ...crypto import Digest
 from ...net import Network
@@ -69,11 +69,17 @@ class BaseReplica(Process):
         )
         self.view_timer = self.make_timer(self._view_timeout)
         self.peers = list(range(config.n))
+        #: Every replica but this one (a broadcast without loopback).
+        self.others = [p for p in self.peers if p != pid]
         self.clients: dict[int, int] = {}
         self.stopped = False
-        self._handlers: dict[Type, Callable[[int, Any], None]] = {}
+        #: message type -> (handler, whether handling costs CPU time).
+        self._handlers: dict[Type, tuple[Callable[[int, Any], None], bool]] = {}
         #: hash -> (exec kind, triggering certificate) awaiting ancestors.
         self._pending_commits: dict[Digest, tuple[str, Any]] = {}
+        # Client submissions are not charged the dispatch overhead.
+        self.register_handler(SubmitTx, self._on_submit, charged=False)
+        self.register_handler(SubmitTxBatch, self._on_submit_batch, charged=False)
         if config.view_sync:
             self.register_handler(ViewSyncMsg, self._on_view_sync)
         network.register(self)
@@ -92,49 +98,95 @@ class BaseReplica(Process):
     # CPU accounting and deferred sends
     # ------------------------------------------------------------------
     def charge(self, seconds: float) -> float:
-        """Occupy this replica's core; returns the completion time."""
-        return self.cpu.occupy(self.sim.now, seconds)
+        """Occupy this replica's core; returns the completion time.
+
+        ``self.cpu.occupy(self.sim.now, seconds)`` written out: several
+        charges per message make the second frame worth saving
+        (equality with ``Resource.occupy`` is a property test).
+        """
+        if seconds < 0:
+            raise ValueError(f"negative duration {seconds!r}")
+        cpu = self.cpu
+        now = self.sim.now
+        busy = cpu.busy_until
+        end = (now if busy < now else busy) + seconds
+        cpu.busy_until = end
+        cpu.total_busy += seconds
+        cpu.jobs += 1
+        return end
 
     def charge_enclave(self, enclave) -> float:
         """Drain an enclave's accrued ecall/crypto time onto the CPU."""
         return self.charge(enclave.drain_cost())
 
-    def send_at(self, when: float, dst: int, payload: Any) -> None:
-        """Transmit once the CPU work producing ``payload`` is done."""
-        if when <= self.sim.now:
-            self.network.send(self.pid, dst, payload)
+    def transmit(self, when: float, dsts: Sequence[int], payload: Any) -> None:
+        """Hand ``payload`` for ``dsts`` to the network at ``when`` — the
+        one seam every unicast and broadcast of this replica passes
+        through (only block-fetch and pull *requests* go to the network
+        directly, as single immediate sends).
+
+        ``when`` is when the CPU work producing ``payload`` is done: at
+        or before ``now`` the network gets the transmission at once,
+        otherwise **one** event at ``when`` hands it over.  One
+        destination is a :meth:`Network.send`; several are one
+        :meth:`Network.multicast` (payload sized once, one batched
+        latency draw, one batched NIC occupancy, one bulk insert of the
+        deliveries).
+
+        This equals sending each copy from its own event at ``when``,
+        as replicas once did.  Those n events were scheduled back to
+        back, so they carried consecutive sequence numbers at one
+        timestamp and one priority: nothing could run between them.
+        Doing their work in one event therefore keeps the order of
+        every NIC occupancy, RNG draw, delay-hook call, envelope ``seq``
+        and delivery push, and ``multicast`` is stream-identical to the
+        ``send`` loop, pre-GST scalar fallback included
+        (tests/property/test_prop_multicast.py, test_prop_transmit.py).
+        Only the number of executed events differs.
+
+        Fault behaviours that act on outbound traffic override this
+        method — shift ``when``, return without sending, swap
+        ``payload`` — and see each transmission once, whatever its
+        fan-out (DESIGN.md, "The message path").
+        """
+        if len(dsts) == 1:
+            send, to = self.network.send, dsts[0]
         else:
-            self.sim.schedule_at(
-                when, self.network.send, self.pid, dst, payload,
-                label=f"{self.name} tx",
-            )
+            send, to = self.network.multicast, dsts
+        if when <= self.sim.now:
+            send(self.pid, to, payload)
+        else:
+            self.sim.schedule_at(when, send, self.pid, to, payload, label="tx")
+
+    def send_at(self, when: float, dst: int, payload: Any) -> None:
+        """Unicast once the CPU work producing ``payload`` is done."""
+        self.transmit(when, (dst,), payload)
 
     def broadcast_at(self, when: float, payload: Any, include_self: bool = True) -> None:
-        for dst in self.peers:
-            if dst == self.pid and not include_self:
-                continue
-            self.send_at(when, dst, payload)
+        """Send to every replica (optionally not to itself)."""
+        self.transmit(when, self.peers if include_self else self.others, payload)
 
     # ------------------------------------------------------------------
     # Message dispatch
     # ------------------------------------------------------------------
     def register_handler(
-        self, msg_type: Type, handler: Callable[[int, Any], None]
+        self,
+        msg_type: Type,
+        handler: Callable[[int, Any], None],
+        charged: bool = True,
     ) -> None:
-        self._handlers[msg_type] = handler
+        """Dispatch ``msg_type`` (exact type) to ``handler``; ``charged``
+        handlers cost ``config.handler_overhead`` of CPU per message."""
+        self._handlers[msg_type] = (handler, charged)
 
     def on_message(self, sender: int, payload: Any) -> None:
         if self.stopped:
             return
-        if isinstance(payload, SubmitTx):
-            self._on_submit(sender, payload)
-            return
-        if isinstance(payload, SubmitTxBatch):
-            self._on_submit_batch(sender, payload)
-            return
-        handler = self._handlers.get(type(payload))
-        if handler is not None:
-            self.charge(self.config.handler_overhead)
+        entry = self._handlers.get(type(payload))
+        if entry is not None:
+            handler, charged = entry
+            if charged:
+                self.charge(self.config.handler_overhead)
             handler(sender, payload)
 
     def _on_submit(self, sender: int, msg: SubmitTx) -> None:

@@ -61,8 +61,7 @@ class ShardPort(Process):
     def submit(self, replica_pids: Sequence[int], tx: Transaction) -> None:
         """Broadcast a marker transaction to every replica (so a faulty
         leader cannot censor it silently — same policy as clients)."""
-        for dst in replica_pids:
-            self.network.send(self.pid, dst, SubmitTx(tx))
+        self.network.multicast(self.pid, replica_pids, SubmitTx(tx))
 
 
 @dataclass

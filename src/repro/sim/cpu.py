@@ -36,8 +36,8 @@ class Resource:
         """
         if duration < 0:
             raise ValueError(f"negative duration {duration!r}")
-        start = max(now, self.busy_until)
-        end = start + duration
+        busy = self.busy_until
+        end = (now if busy < now else busy) + duration
         self.busy_until = end
         self.total_busy += duration
         self.jobs += 1

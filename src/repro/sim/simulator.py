@@ -37,6 +37,10 @@ class Simulator:
         or ``"columnar"`` (array-backed).  Every kernel produces
         bit-identical schedules for a fixed seed; the choice only
         affects wall-clock speed.
+
+    ``now`` is the current simulation time in seconds.  It is a plain
+    attribute because every charge, send and timer reads it; only the
+    run loop assigns it.
     """
 
     def __init__(
@@ -45,22 +49,18 @@ class Simulator:
         trace: Optional[Callable[[float, str], None]] = None,
         kernel: str = DEFAULT_KERNEL,
     ) -> None:
-        self._now = 0.0
+        self.now = 0.0
         self.kernel = kernel
         self._queue = create_queue(kernel)
         self.rng = RngRegistry(seed)
         self.trace = trace
         self.events_executed = 0
         self._running = False
+        self._stop_requested = False
 
     # ------------------------------------------------------------------
-    # Clock & scheduling
+    # Scheduling
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
     def schedule(
         self,
         delay: float,
@@ -73,7 +73,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         return self._queue.push(
-            self._now + delay, callback, args, priority=priority, label=label
+            self.now + delay, callback, args, priority=priority, label=label
         )
 
     def schedule_at(
@@ -85,9 +85,9 @@ class Simulator:
         label: str = "",
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute time ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time!r} < now ({self._now!r})"
+                f"cannot schedule at {time!r} < now ({self.now!r})"
             )
         return self._queue.push(
             time, callback, args, priority=priority, label=label
@@ -108,9 +108,9 @@ class Simulator:
         list order — but the batch enters the heap in one pass without
         per-call wrapper overhead (the network multicast fast path).
         """
-        if times and min(times) < self._now:
+        if times and min(times) < self.now:
             raise SimulationError(
-                f"cannot schedule at {min(times)!r} < now ({self._now!r})"
+                f"cannot schedule at {min(times)!r} < now ({self.now!r})"
             )
         return self._queue.push_many(
             times, callback, argss, priority=priority, label=label
@@ -124,12 +124,26 @@ class Simulator:
         ev = self._queue.pop()
         if ev is None:
             return False
-        self._now = ev.time
+        self.now = ev.time
         self.events_executed += 1
         if self.trace is not None:
-            self.trace(self._now, ev.label)
+            self.trace(ev.time, ev.label)
         ev.callback(*ev.args)
         return True
+
+    def stop(self) -> None:
+        """Ask :meth:`run` to return once the current event finishes.
+
+        Meant to be called from inside an event (a commit handler that
+        sees the run reach its target): the loop exits after that very
+        event, exactly where a ``stop_when`` predicate turning true
+        during it would have ended the run — without a predicate call
+        per event.  A request made while no loop is running is kept:
+        the next :meth:`run` consumes it and returns before executing
+        anything.  Every return from :meth:`run` clears the request, so
+        calling :meth:`run` again resumes with the events still queued.
+        """
+        self._stop_requested = True
 
     def run(
         self,
@@ -140,27 +154,29 @@ class Simulator:
         """Drive the loop.
 
         Stops when the queue drains, the clock would pass ``until``,
-        ``max_events`` have executed, or ``stop_when()`` returns true
-        (checked after each event).
+        ``max_events`` have executed, :meth:`stop` was called, or
+        ``stop_when()`` returns true (checked after each event; prefer
+        :meth:`stop` on long runs — a predicate is a call per event).
         """
         if self._running:
             raise SimulationError("simulator loop is not reentrant")
         self._running = True
         executed = 0
         queue = self._queue
+        pop_next = queue.pop_next
         try:
             # Hot loop: :meth:`step` is inlined and peek + pop are
             # fused into a single bounded pop per event.
-            while True:
+            while not self._stop_requested:
                 if max_events is not None and executed >= max_events:
                     return
-                ev = queue.pop_next(until)
+                ev = pop_next(until)
                 if ev is None:
                     if until is not None and queue.live_count():
                         # Next live event lies beyond the bound.
-                        self._now = until
+                        self.now = until
                     return
-                self._now = ev.time
+                self.now = ev.time
                 self.events_executed += 1
                 if self.trace is not None:
                     self.trace(ev.time, ev.label)
@@ -170,6 +186,7 @@ class Simulator:
                     return
         finally:
             self._running = False
+            self._stop_requested = False
 
     def pending_events(self) -> int:
         """Number of events still queued that will actually fire.

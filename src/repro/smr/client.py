@@ -133,9 +133,7 @@ class Client(Process):
             self._reply_counts.pop(stale, None)
             self.evicted += 1
         self._inflight[tx.key()] = self.sim.now
-        msg = SubmitTx(tx)
-        for r in self.replica_pids:
-            self.network.send(self.pid, r, msg)
+        self.network.multicast(self.pid, self.replica_pids, SubmitTx(tx))
         return tx
 
     # ------------------------------------------------------------------

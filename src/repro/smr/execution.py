@@ -8,7 +8,7 @@ across replicas to check agreement.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ..crypto import Digest, digest_of
 from .block import GENESIS, Block
@@ -125,9 +125,22 @@ class ExecutionLog:
         #: with a real ``op`` are tracked — the synthetic workload's
         #: rows carry ``op is None`` and are state-machine no-ops.
         self._applied_keys: set[tuple[int, int]] = set()
+        #: (length, callback) armed by :meth:`when_length`, else None.
+        self._length_watch: Optional[tuple[int, Callable[[], None]]] = None
 
     def __len__(self) -> int:
         return len(self.blocks)
+
+    def when_length(self, length: int, callback: Callable[[], None]) -> None:
+        """Call ``callback`` once, from inside the :meth:`execute` that
+        brings the log to ``length`` blocks — at once if it already has
+        them.  How a run driver learns that its target is reached
+        without polling ``len(log)`` after every simulation event.  One
+        watch at a time; arming again replaces it."""
+        if len(self.blocks) >= length:
+            callback()
+        else:
+            self._length_watch = (length, callback)
 
     def is_executed(self, h: Digest) -> bool:
         return h in self.executed
@@ -158,6 +171,10 @@ class ExecutionLog:
             applied.add(key)
             apply(tx.op)
         self.txs_executed += len(block.txs)
+        watch = self._length_watch
+        if watch is not None and len(self.blocks) >= watch[0]:
+            self._length_watch = None
+            watch[1]()
 
     def head_hash(self) -> Optional[Digest]:
         return self.blocks[-1].hash if self.blocks else None

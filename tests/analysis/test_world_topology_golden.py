@@ -9,9 +9,12 @@ destination: any deviation in draw count, draw order, or float
 arithmetic between the scalar and vectorized paths shifts delivery
 times and changes the digest.
 
-The digests were captured from the pre-fast-path scalar per-destination
-``send`` loop; the vectorized path must reproduce them bit-for-bit.
-Divergence is a correctness bug — never re-pin.
+The timeline and chain hashes, message and decision counts were
+captured from the pre-fast-path scalar per-destination ``send`` loop;
+the vectorized path must reproduce them bit-for-bit.  Divergence there
+is a correctness bug — never re-pin.  (``events`` and ``digest`` moved
+once, with one event per deferred broadcast: see
+test_fastpath_determinism.py.)
 """
 
 import pytest
@@ -22,33 +25,33 @@ from repro.net.regions import WORLD11
 
 from .test_fastpath_determinism import Golden, assert_golden
 
-#: Captured at seed=7, f=1, target_blocks=4 over WORLD11 with
-#: sigma=0.06 log-normal jitter, timeout_base=2.0 — *before* the
-#: vectorized multicast/sample_many fast path landed.
+#: Seed=7, f=1, target_blocks=4 over WORLD11 with sigma=0.06
+#: log-normal jitter, timeout_base=2.0; behaviour captured *before*
+#: the vectorized multicast/sample_many fast path landed.
 GOLDEN = {
     "oneshot": Golden(
-        85,
+        69,
         44,
         10,
         "51deaeebea247bbe44ecc3d482d53e8dcaad8b4670b2513f2ecc173e12aa3a55",
         "7b27c200453d309844510b0f76d3c0c8e9d6597e2effd27487ac468ec8dbc64c",
-        "1ee8d1356ab61c840d0cb6319513bd337d470a05e3cb97854ddc39f6868bb258",
+        "f8c3e1a70ecd4d2a8edd31daa264fc0d3f84fe4bdd2fc85e9ef999ce6f15dc4c",
     ),
     "damysus": Golden(
-        136,
+        112,
         70,
         10,
         "e31f10539cad5ed3e388e50c801c5f8987e825ed068dbb1842d0ba6ac3101d1f",
         "a31f734dd4d578fa293056ef8f3b416ddae545443355e07f12f4d0a819668053",
-        "743ef0f133671dffd2a8e575ce8fd4f1ca1e08689b69915f6733cee1b9ca4db0",
+        "d3ba391bdf7b662cb3e8b5a1bed03cb7e6bfa2c7cb8aaca2c076f466c9bb28d5",
     ),
     "hotstuff": Golden(
-        256,
+        208,
         131,
         16,
         "df6e700a1f0c846a4c4b119155ddbd002f80973b4f4052b67a416b999ca2138f",
         "a2189146b1af3e6130765c4dc86afd45c40a47e394c7a8b4235a8772ea996afd",
-        "fdacf40d3f6f45001ed89635d8c0446c33f13a090b796bbaffacf636e3dbd3b9",
+        "d86f09668f14f0383586770f9b8287f1aa73da5e23b0075ee1fbc1d1c55aa1ec",
     ),
 }
 

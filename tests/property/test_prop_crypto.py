@@ -1,5 +1,8 @@
 """Property tests: the simulated signature scheme behaves like EUF-CMA."""
 
+import hashlib
+import hmac
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -50,3 +53,16 @@ def test_cross_instance_keys_disjoint(data):
     d = sha256(data)
     stranger = KeyPair.generate(0, master_seed=0, domain="other-world")
     assert not RING.verify(d, stranger.sign(d))
+
+
+@given(st.binary(min_size=1, max_size=64), st.integers(0, 4))
+def test_tags_equal_the_hmac_object_construction(data, owner):
+    """``sign`` uses one-shot ``hmac.digest``; the tag is the one
+    ``hmac.new(secret, data, sha256).digest()`` gives (the secret is
+    re-derived here from the documented ``generate`` recipe)."""
+    kp = KeyPair.generate(owner, master_seed=3, domain="tags")
+    secret = hashlib.sha256(f"keygen:3:tags:{owner}".encode()).digest()
+    d = sha256(data)
+    tag = hmac.new(secret, d, hashlib.sha256).digest()
+    assert kp.sign(d).tag == tag
+    assert kp.public().verify(d, Signature(owner, tag))

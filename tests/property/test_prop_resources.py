@@ -1,9 +1,13 @@
 """Property tests: FIFO resource (CPU/NIC) occupancy invariants."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim import Resource
+from repro.net import Network
+from repro.protocols.common import ProtocolConfig, build_cluster
+from repro.protocols.registry import get_protocol
+from repro.sim import Resource, Simulator
 
 jobs = st.lists(
     st.tuples(
@@ -54,3 +58,25 @@ def test_utilization_bounded(job_list):
         r.occupy(now, duration)
     horizon = max(now, r.busy_until, 1e-9)
     assert 0.0 <= r.utilization(horizon) <= 1.0
+
+
+@given(jobs)
+def test_replica_charge_equals_resource_occupy(job_list):
+    """``BaseReplica.charge`` is ``Resource.occupy`` written out in one
+    frame: same completion times, same three fields, bit for bit."""
+    sim = Simulator()
+    cluster = build_cluster(
+        get_protocol("oneshot").replica_cls, sim, Network(sim), ProtocolConfig(n=3, f=1)
+    )
+    replica = cluster.replicas[0]
+    reference = Resource()
+    for delta, duration in job_list:
+        sim.schedule(delta, lambda: None)
+        sim.run()
+        assert replica.charge(duration) == reference.occupy(sim.now, duration)
+        cpu = replica.cpu
+        assert (cpu.busy_until, cpu.total_busy, cpu.jobs) == (
+            reference.busy_until, reference.total_busy, reference.jobs
+        )
+    with pytest.raises(ValueError):
+        replica.charge(-1.0)

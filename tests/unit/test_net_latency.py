@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.net import ConstantLatency, TopologyLatency, UniformLatency
-from repro.net.regions import EU4
+from repro.net.regions import EU4, US4, WORLD11
 
 RNG = np.random.default_rng(0)
 
@@ -63,3 +63,27 @@ def test_topology_rejects_negative_sigma():
 def test_topology_loopback_is_tiny():
     m = TopologyLatency(EU4)
     assert m.sample(2, 2, RNG) < 1e-5
+
+
+@pytest.mark.parametrize("topology", [EU4, US4, WORLD11], ids=lambda t: t.name)
+def test_topology_latency_reads_exactly_one_way_s(topology):
+    """Jitter-free samples — scalar and batched — equal
+    ``Topology.one_way_s`` for every node pair, loopback excepted."""
+    m = TopologyLatency(topology, sigma=0.0)
+    nodes = list(range(2 * len(topology.regions) + 1))
+    for src in nodes:
+        many = m.sample_many(src, nodes, RNG)
+        for dst, batched in zip(nodes, many):
+            want = 1e-6 if src == dst else topology.one_way_s(src, dst)
+            assert m.sample(src, dst, RNG) == want
+            assert batched == want
+
+
+def test_topology_loopback_draws_nothing():
+    """Loopback returns before the region lookup and before any draw."""
+    m = TopologyLatency(WORLD11, sigma=0.06)
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    assert m.sample(4, 4, rng) == 1e-6
+    assert m.sample_many(4, [4, 4], rng) == [1e-6, 1e-6]
+    assert rng.bit_generator.state == before

@@ -54,6 +54,18 @@ def test_one_way_is_half_rtt():
     assert EU4.one_way_s(0, 3) == pytest.approx(29.0 / 2 / 1000)
 
 
+@pytest.mark.parametrize("topology", [EU4, US4, WORLD11, LOCAL], ids=lambda t: t.name)
+def test_one_way_table_equals_one_way_s_for_every_node_pair(topology):
+    """The table a latency model reads per message holds exactly the
+    floats ``one_way_s`` computes (``==``, not approx), for node ids
+    well past one round of the regions."""
+    table = topology.one_way_table_s()
+    k = len(topology.regions)
+    for src in range(3 * k + 1):
+        for dst in range(3 * k + 1):
+            assert table[src % k][dst % k] == topology.one_way_s(src, dst)
+
+
 def test_world_contains_eu_and_us():
     assert set(EU4.regions) <= set(WORLD11.regions)
     assert set(US4.regions) <= set(WORLD11.regions)

@@ -68,6 +68,96 @@ def test_stop_when_predicate():
     assert hits == [0, 1]
 
 
+def test_stop_ends_the_run_after_the_requesting_event():
+    sim = Simulator()
+    hits = []
+
+    def hit(i):
+        hits.append(i)
+        if i == 1:
+            sim.stop()
+
+    for i in range(5):
+        sim.schedule(i + 1.0, hit, i)
+    sim.run()
+    assert hits == [0, 1]
+    assert sim.now == 2.0 and sim.events_executed == 2
+    assert sim.pending_events() == 3
+
+
+def test_stop_equals_a_stop_when_predicate_turning_true():
+    """The same run, ended once by a request from inside the event that
+    reaches the target and once by a predicate polled after every
+    event, stops after the very same event."""
+
+    def run(use_stop):
+        sim = Simulator()
+        log = []
+
+        def work(i):
+            log.append(i)
+            sim.schedule(0.25, log.append, -i)  # events keep coming
+            if use_stop and len(log) >= 7:
+                sim.stop()
+
+        for i in range(20):
+            sim.schedule(i * 0.1, work, i)
+        if use_stop:
+            sim.run(until=100.0)
+        else:
+            sim.run(until=100.0, stop_when=lambda: len(log) >= 7)
+        return sim.events_executed, sim.now, list(log), sim.pending_events()
+
+    assert run(True) == run(False)
+
+
+def test_stop_before_run_is_consumed_by_the_next_run():
+    sim = Simulator()
+    hits = []
+    for i in range(3):
+        sim.schedule(i + 1.0, hits.append, i)
+    sim.stop()
+    sim.run()
+    assert hits == [] and sim.now == 0.0 and sim.events_executed == 0
+    # The request is spent: running again drains the queue.
+    sim.run()
+    assert hits == [0, 1, 2]
+
+
+def test_run_resumes_after_a_stop():
+    sim = Simulator()
+    hits = []
+
+    def hit(i):
+        hits.append(i)
+        if i in (1, 3):
+            sim.stop()
+
+    for i in range(5):
+        sim.schedule(i + 1.0, hit, i)
+    sim.run()
+    assert hits == [0, 1]
+    sim.run()
+    assert hits == [0, 1, 2, 3]
+    sim.run()
+    assert hits == [0, 1, 2, 3, 4] and sim.now == 5.0
+
+
+def test_stop_request_does_not_outlive_a_run_that_raised():
+    sim = Simulator()
+
+    def boom():
+        sim.stop()
+        raise RuntimeError("boom")
+
+    sim.schedule(1.0, boom)
+    sim.schedule(2.0, lambda: None)
+    with pytest.raises(RuntimeError):
+        sim.run()
+    sim.run()
+    assert sim.events_executed == 2
+
+
 def test_events_can_schedule_more_events():
     sim = Simulator()
     seen = []

@@ -68,6 +68,31 @@ def test_log_executes_in_chain_order():
     assert log.execution_time(1) == 2.0
 
 
+def test_when_length_fires_once_inside_the_reaching_execute():
+    log = ExecutionLog()
+    seen = []
+    log.when_length(2, lambda: seen.append((len(log), log.txs_executed)))
+    b1 = _block(GENESIS.hash, 0, [("set", "k", 1)])
+    b2 = _block(b1.hash, 1, [("set", "k", 2)])
+    b3 = _block(b2.hash, 2)
+    log.execute(b1, 1.0)
+    assert seen == []
+    log.execute(b2, 2.0)
+    # Called from within execute, after the block is fully accounted.
+    assert seen == [(2, 2)]
+    log.execute(b3, 3.0)
+    assert seen == [(2, 2)]
+
+
+def test_when_length_already_reached_fires_at_once():
+    log = ExecutionLog()
+    log.execute(_block(GENESIS.hash, 0), 1.0)
+    seen = []
+    log.when_length(1, lambda: seen.append("now"))
+    log.when_length(0, lambda: seen.append("zero"))
+    assert seen == ["now", "zero"]
+
+
 def test_log_rejects_double_execution():
     log = ExecutionLog()
     b1 = _block(GENESIS.hash, 0)

@@ -626,9 +626,7 @@ def index_cache_key(modules: dict[str, ModuleInfo]) -> str:
     return h.hexdigest()
 
 
-def build_project_index(
-    modules: dict[str, ModuleInfo], use_cache: bool = True
-) -> ProjectIndex:
+def build_project_index(modules: dict[str, ModuleInfo]) -> ProjectIndex:
     """Build (or fetch the memoized) :class:`ProjectIndex`.
 
     The cache is keyed by content digest, so any edit to any module
@@ -637,8 +635,6 @@ def build_project_index(
     calls in one process (the analysis test suite) skip re-resolution
     entirely.
     """
-    if not use_cache:
-        return ProjectIndex(modules)
     key = index_cache_key(modules)
     idx = _INDEX_CACHE.get(key)
     if idx is None:
@@ -650,7 +646,7 @@ def build_project_index(
 
 
 def clear_index_cache() -> None:
-    """Drop memoized indexes (benchmarks measure cold builds)."""
+    """Drop memoized indexes (tests measure cold builds)."""
     _INDEX_CACHE.clear()
 
 

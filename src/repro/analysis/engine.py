@@ -12,8 +12,7 @@ into *active* and *suppressed*:
    ``#``) — the preferred, line-precise mechanism; unused ignores are
    reported so they cannot rot;
 2. the curated ``[tool.repro.lint]`` list in ``pyproject.toml`` — for
-   whole-file policy decisions (e.g. the bench modules' wall-clock
-   reads).
+   whole-file policy decisions.
 
 Reports render as text, JSON, SARIF 2.1.0 (CI upload) or
 GitHub-Actions ``::error`` annotations.

@@ -2,9 +2,9 @@
 
 :class:`~repro.sim.rng.RngRegistry` hands out *named* seeded streams —
 ``"net"`` for link-latency jitter, ``"client<k>.arrivals"`` for open-loop
-workload generation, ``"bench.*"`` for harness self-measurement — and the
-golden fingerprints are bit-identical only while each component keeps
-drawing from its own stream in a schedule-independent order.  The
+workload generation — and the golden fingerprints are bit-identical only
+while each component keeps drawing from its own stream in a
+schedule-independent order.  The
 fingerprints catch a stream mix-up *after* a run; this pass catches it
 statically: every ``registry.stream(...)`` call is a taint source labelled
 with the stream's category, the interprocedural engine
@@ -19,7 +19,7 @@ runs that differ only in message timing diverge bit-wise.  The per-file
 TEE/determinism rules cannot see this because the draw, the handle and
 the consumer live in three different modules.
 
-Observer layers (metrics, experiments, benchmarks, this analyzer) are
+Observer layers (metrics, experiments, the CLI, this analyzer) are
 exempt: they may *read* values derived from any stream — that is what
 measurement is — as long as they do not feed them back into protocol
 state, which their own home-layer checks would catch.
@@ -43,7 +43,6 @@ if TYPE_CHECKING:
 HOME_LAYERS: dict[str, tuple[str, ...]] = {
     "net": ("repro/net/", "repro/sim/"),
     "client": ("repro/smr/", "repro/workload/", "repro/sim/"),
-    "bench": ("repro/bench/", "repro/sim/"),
     "faults": ("repro/faults/", "repro/sim/"),
     # Aggregated open-loop load engine: arrival times and client marks
     # drawn from "workload.region<k>.arrivals" feed slab construction
@@ -68,7 +67,6 @@ HOME_LAYERS: dict[str, tuple[str, ...]] = {
 OBSERVER_PATHS: tuple[str, ...] = (
     "repro/metrics/",
     "repro/experiments/",
-    "repro/bench/",
     "repro/analysis/",
     # The CLI prints run reports (RunResult carries the streaming
     # collector, whose reservoir holds metrics-stream draws).

@@ -1,22 +1,24 @@
 """Substrate-boundary pass: protocol code uses only the manifest API.
 
-The ROADMAP's planned substrate refactors (columnar event kernel,
-sharded queues) are only safe if protocol-layer code — everything under
-``repro/protocols``, ``repro/core`` and ``repro/smr`` — touches the
+A shared protocol skeleton, replica crash-recovery (a process swapped
+under in-flight messages) and any rework of the event kernel are only
+safe if protocol-layer code — everything under ``repro/protocols``,
+``repro/core``, ``repro/smr`` and ``repro/shard`` — touches the
 simulator substrate through a *declared* narrow surface.  This pass
 makes that surface machine-checked: :data:`SUBSTRATE_API` maps each
 substrate class to the attribute names the protocol layer may use, the
 project index types every attribute access in the protocol layer, and
 an access that reaches past the manifest (``sim._queue``,
-``network._rng``, ``sim.step``) is a finding.
+``network._rng``, ``sim.run``) is a finding.
 
 The manifest is intentionally the *narrow* API, not the public one:
-``Simulator.run``/``step`` and the queue/metrics introspection
+``Simulator.run``/``stop`` and the queue/metrics introspection
 properties are public for experiment drivers, but a protocol that calls
-them is driving its own simulation — exactly the coupling a substrate
-swap would break.  Subclassing :class:`~repro.sim.process.Process` is
-the supported extension mechanism, so ``Process`` itself is not in the
-manifest and ``self.*`` access on protocol classes is unrestricted.
+them is driving its own simulation — exactly the coupling a kernel
+change or a recovering replica would break.  Subclassing
+:class:`~repro.sim.process.Process` is the supported extension
+mechanism, so ``Process`` itself is not in the manifest and ``self.*``
+access on protocol classes is unrestricted.
 """
 
 from __future__ import annotations
@@ -49,10 +51,7 @@ SUBSTRATE_API: dict[str, frozenset[str]] = {
         {"now", "schedule", "schedule_at", "schedule_many", "rng"}
     ),
     "repro.sim.event.EventQueue": frozenset(
-        {"push", "push_many", "pop", "pop_next", "live_count"}
-    ),
-    "repro.sim.columnar.ColumnarEventQueue": frozenset(
-        {"push", "push_many", "pop", "pop_next", "live_count"}
+        {"push", "push_many", "pop_next", "live_count"}
     ),
     "repro.sim.event.Event": frozenset({"cancel", "cancelled", "time"}),
     # ``total_busy`` and ``jobs`` are here for one caller:
@@ -94,7 +93,7 @@ class SubstrateBoundaryRule(ProjectRule):
         "protocol-layer code may touch substrate objects only through the "
         "declared narrow API (SUBSTRATE_API manifest)"
     )
-    paper_ref = "ROADMAP: swappable columnar kernel; repro.sim"
+    paper_ref = "ROADMAP: protocol skeleton and crash-recovery; repro.sim"
 
     def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
         for fn in index.functions.values():

@@ -111,7 +111,6 @@ def fingerprint_run(
     latency_s: float = 0.002,
     timeout_base: float = 0.2,
     max_sim_time: float = 60.0,
-    kernel: str = "scalar",
     gst: float = 0.0,
     pre_gst_extra: float = 0.0,
     setup=None,
@@ -119,17 +118,15 @@ def fingerprint_run(
 ) -> tuple[RunFingerprint, MetricsCollector]:
     """Run a small cluster to ``target_blocks`` and fingerprint it.
 
-    ``kernel`` selects the simulation substrate (the kernel-parity
-    tests fingerprint the same scenario under every kernel and require
-    bit-identical digests).  ``gst``/``pre_gst_extra`` configure
-    pre-GST asynchrony, ``setup`` (if given) is called with the built
+    ``gst``/``pre_gst_extra`` configure pre-GST asynchrony, ``setup``
+    (if given) is called with the built
     :class:`~repro.net.network.Network` before the run — the hook
     point for installing delay hooks or other conditions — and
     ``replica_factory`` is forwarded to ``build_cluster`` (the zoo
     property tests fingerprint clusters carrying inert fault mixins).
     """
     info = get_protocol(protocol)
-    sim = Simulator(seed=seed, kernel=kernel)
+    sim = Simulator(seed=seed)
     network = Network(
         sim,
         latency=latency or ConstantLatency(latency_s),

@@ -12,9 +12,6 @@ Examples::
     oneshot-repro parallel --k 1 2 4
     oneshot-repro timeline --protocol damysus --views 3 5
     oneshot-repro sweep --grid fig7 --workers 4
-    oneshot-repro bench --tolerance 0.25
-    oneshot-repro bench --suite crypto
-    oneshot-repro bench --suite net
     oneshot-repro fuzz run --seeds 200
     oneshot-repro fuzz replay tests/fuzz/corpus/*.json
     oneshot-repro fuzz shrink fuzz-findings/seed10-liveness.json
@@ -53,7 +50,7 @@ from .experiments.sweep import (
     run_fig7_sweep,
 )
 from .experiments.fig7 import PAPER_F_VALUES
-from .sim import DEFAULT_KERNEL, available_kernels
+from .protocols.registry import REGISTRY
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -70,7 +67,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         deployment=args.deployment,
         target_blocks=args.blocks,
         seed=args.seed,
-        kernel=args.kernel,
         workload=args.workload,
         offered_tps=args.offered_tps,
         virtual_clients=args.clients,
@@ -148,7 +144,6 @@ def _shard_config(args: argparse.Namespace, k: int) -> ExperimentConfig:
         local_latency_s=args.latency,
         max_sim_time=args.time,
         seed=args.seed,
-        kernel=args.kernel,
         workload="open",
         offered_tps=args.offered_tps,
         virtual_clients=args.clients,
@@ -252,83 +247,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         )
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Benchmark regression gate (docs/BENCHMARKS in README).
-
-    Runs the selected suites (kernel microbenches, one e2e consensus
-    run, the crypto verification-fast-path benches, and/or the network
-    multicast-fast-path benches), compares against the recorded
-    baselines and rewrites them when healthy.
-
-    Exit code contract: 0 = within tolerance (baseline JSONs written),
-    1 = regression beyond ``--tolerance`` (baselines left untouched),
-    2 = bad invocation (nonexistent --output-dir).
-    """
-    from pathlib import Path
-
-    from .bench import (
-        annotate_speedups,
-        BenchReport,
-        compare,
-        profile_call,
-        regressions,
-        render_report,
-        run_suite,
-        suite_names,
-    )
-
-    out_dir = Path(args.output_dir)
-    if not out_dir.is_dir():
-        print(
-            f"error: --output-dir {args.output_dir!r} is not a directory",
-            file=sys.stderr,
-        )
-        return 2
-
-    kernel = args.kernel
-    # The registry is the single source of truth: "all" is every
-    # registered tier, and run_suite fails loudly on unknown names
-    # (argparse choices are derived from the same registry).
-    suites = suite_names() if args.suite == "all" else [args.suite]
-
-    if args.profile:
-        # Diagnostic mode: profiler overhead skews every wall-clock
-        # rate, so reports are printed for orientation but baselines
-        # are neither compared against nor rewritten.
-        for s in suites:
-            report, table = profile_call(
-                lambda: run_suite(s, quick=args.quick, kernel=kernel),
-                top_n=args.profile_top,
-            )
-            print(render_report(report))
-            print(
-                f"[{report.name}] cProfile top {args.profile_top} "
-                "by cumulative time (rates above include profiler "
-                "overhead; baselines untouched):"
-            )
-            print(table)
-        return 0
-
-    failed = False
-    for report in (
-        run_suite(s, quick=args.quick, kernel=kernel) for s in suites
-    ):
-        path = out_dir / f"BENCH_{report.name}.json"
-        deltas = None
-        if path.is_file():
-            deltas = compare(
-                report, BenchReport.load(path), tolerance=args.tolerance
-            )
-            annotate_speedups(report, deltas)
-        print(render_report(report, deltas))
-        if deltas and regressions(deltas):
-            failed = True
-            print(f"regression: baseline {path} left untouched", file=sys.stderr)
-        else:
-            report.write(path)
-    return 1 if failed else 0
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -541,20 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="single protocol run")
-    p.add_argument(
-        "--protocol",
-        default="oneshot",
-        choices=["oneshot", "oneshot-chained", "damysus", "hotstuff"],
-    )
+    p.add_argument("--protocol", default="oneshot", choices=list(REGISTRY))
     p.add_argument("--f", type=int, default=1)
     p.add_argument("--payload", type=int, default=0, choices=[0, 256])
-    p.add_argument(
-        "--kernel",
-        default=DEFAULT_KERNEL,
-        choices=list(available_kernels()),
-        help="simulation substrate kernel (identical results, different "
-        "wall-clock speed)",
-    )
     p.add_argument(
         "--workload",
         default="saturated",
@@ -627,11 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     shard_sub = p.add_subparsers(dest="shard_command", required=True)
 
     def _shard_args(ps: argparse.ArgumentParser) -> None:
-        ps.add_argument(
-            "--protocol",
-            default="oneshot",
-            choices=["oneshot", "oneshot-chained", "damysus", "hotstuff"],
-        )
+        ps.add_argument("--protocol", default="oneshot", choices=list(REGISTRY))
         ps.add_argument("--f", type=int, default=1)
         ps.add_argument(
             "--deployment",
@@ -643,9 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=float,
             default=0.002,
             help="per-hop latency in the local deployment (s)",
-        )
-        ps.add_argument(
-            "--kernel", default=DEFAULT_KERNEL, choices=list(available_kernels())
         )
         ps.add_argument(
             "--time", type=float, default=4.0, help="simulated seconds"
@@ -689,18 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=_cmd_shard)
 
     p = sub.add_parser("timeline", help="message-flow timeline of a run")
-    p.add_argument(
-        "--protocol",
-        default="oneshot",
-        choices=[
-            "oneshot",
-            "oneshot-chained",
-            "damysus",
-            "damysus-chained",
-            "hotstuff",
-            "hotstuff-chained",
-        ],
-    )
+    p.add_argument("--protocol", default="oneshot", choices=list(REGISTRY))
     p.add_argument("--views", type=int, nargs=2, default=[2, 4], metavar=("FIRST", "LAST"))
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=_cmd_timeline)
@@ -723,57 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", type=int, nargs="+", default=list(PAPER_F_VALUES))
     _add_common(p)
     p.set_defaults(func=_cmd_sweep)
-
-    from .bench import suite_names
-
-    p = sub.add_parser(
-        "bench",
-        help="kernel + e2e + crypto + net + lint + workload benchmarks "
-        "with regression gate",
-    )
-    p.add_argument(
-        "--quick",
-        action="store_true",
-        help="shrink iteration counts (smoke tests; noisier rates)",
-    )
-    p.add_argument(
-        "--suite",
-        default="all",
-        choices=[*suite_names(), "all"],
-        help="which bench suite to run (default: all, i.e. every "
-        "registered tier)",
-    )
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed fractional slowdown vs baseline (default 0.25)",
-    )
-    p.add_argument(
-        "--output-dir",
-        default=".",
-        help="directory holding the BENCH_<suite>.json baselines",
-    )
-    p.add_argument(
-        "--kernel",
-        default=DEFAULT_KERNEL,
-        choices=list(available_kernels()),
-        help="simulation substrate kernel for the kernel/e2e/net suites",
-    )
-    p.add_argument(
-        "--profile",
-        action="store_true",
-        help="run each suite under cProfile and print the hottest "
-        "functions (diagnostic; baselines are not compared or rewritten)",
-    )
-    p.add_argument(
-        "--profile-top",
-        type=int,
-        default=20,
-        metavar="N",
-        help="rows in the --profile table (default 20)",
-    )
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "fuzz",

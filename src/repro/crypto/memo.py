@@ -54,8 +54,7 @@ def set_enabled(flag: bool) -> bool:
     previous setting.
 
     Exists for tests (proving charged costs and fingerprints are
-    memo-independent) and for the crypto bench's cold path.  Protocol
-    code never calls this.
+    memo-independent).  Protocol code never calls this.
     """
     global _enabled
     previous = _enabled

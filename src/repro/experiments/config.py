@@ -34,9 +34,11 @@ class ExperimentConfig:
     pre_gst_extra: float = 0.0
     #: Skip this many initial decided blocks in the statistics (warm-up).
     warmup_blocks: int = 2
-    #: Simulation substrate kernel ("scalar" or "columnar"); purely a
-    #: wall-clock choice — every kernel replays the identical schedule.
-    kernel: str = "scalar"
+    #: The one event kernel.  A plain class attribute, not a field (so
+    #: ``ExperimentConfig(kernel=...)`` is a TypeError and ``to_dict``
+    #: omits it): ``ledger/workloads.py`` reads ``ExperimentConfig().kernel``
+    #: at import.
+    kernel = "scalar"
     #: Load model: "saturated" (paper default — closed-loop synthetic
     #: sources keep every block full) or "open" (the aggregated
     #: open-loop engine of :mod:`repro.workload`: ``virtual_clients``

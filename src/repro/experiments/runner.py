@@ -69,7 +69,7 @@ def run_experiment(
     """
     info = get_protocol(config.protocol)
     n = info.n_for(config.f)
-    sim = Simulator(seed=config.seed, kernel=config.kernel)
+    sim = Simulator(seed=config.seed)
     network = Network(
         sim,
         latency=latency_model_for(config.deployment, config.local_latency_s),

@@ -110,7 +110,7 @@ def run_sharded(
     info = get_protocol(config.protocol)
     n = info.n_for(config.f)
     k = config.shards
-    sim = Simulator(seed=config.seed, kernel=config.kernel)
+    sim = Simulator(seed=config.seed)
     proto_cfg = ProtocolConfig(
         n=n,
         f=config.f,

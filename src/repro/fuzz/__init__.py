@@ -1,5 +1,5 @@
-"""Seed-driven adversarial scenario fuzzing (the correctness-tooling
-counterpart to :mod:`repro.bench`).
+"""Seed-driven adversarial scenario fuzzing: the correctness harness,
+as ``ledger/`` is the performance one.
 
 Pipeline: :func:`generate_scenario` expands an integer seed into a
 :class:`Scenario` (Byzantine assignments, partitions, WAN churn,

@@ -44,7 +44,7 @@ class AdaptiveLeaderDelay:
 
         t = spec.start
         while t < spec.end:
-            sim.schedule_at(t, aim, label="fuzz adaptive re-aim")
+            sim.schedule_at(t, aim)
             t = round(t + spec.period, 9)
 
         def hook(now: float, src: int, dst: int, size: int) -> float:

@@ -152,7 +152,7 @@ class Network:
         self.bytes_sent += size
         if self.message_log is not None:
             self.message_log.append(env)
-        self.sim.schedule_at(deliver, self._deliver, env, label="deliver")
+        self.sim.schedule_at(deliver, self._deliver, env)
         return env
 
     def multicast(self, src: int, dsts: Iterable[int], payload: Any) -> list[Envelope]:
@@ -281,7 +281,7 @@ class Network:
         self.bytes_sent += size * len(envs)
         if self.message_log is not None:
             self.message_log.extend(envs)
-        self.sim.schedule_many(times, self._deliver, argss, label="deliver")
+        self.sim.schedule_many(times, self._deliver, argss)
         return envs
 
     def _extra_delay(self, now: float, src: int, dst: int, size: int) -> float:

@@ -156,7 +156,7 @@ class BaseReplica(Process):
         if when <= self.sim.now:
             send(self.pid, to, payload)
         else:
-            self.sim.schedule_at(when, send, self.pid, to, payload, label="tx")
+            self.sim.schedule_at(when, send, self.pid, to, payload)
 
     def send_at(self, when: float, dst: int, payload: Any) -> None:
         """Unicast once the CPU work producing ``payload`` is done."""

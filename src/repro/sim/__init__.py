@@ -12,14 +12,6 @@ from .event import Event, EventQueue
 from .process import Process, Timer
 from .rng import RngRegistry, RngStreamConflict
 from .simulator import SimulationError, Simulator
-from .substrate import (
-    DEFAULT_KERNEL,
-    EventHandle,
-    SubstrateQueue,
-    available_kernels,
-    create_queue,
-    register_kernel,
-)
 
 __all__ = [
     "Cpu",
@@ -33,10 +25,4 @@ __all__ = [
     "RngStreamConflict",
     "SimulationError",
     "Simulator",
-    "DEFAULT_KERNEL",
-    "EventHandle",
-    "SubstrateQueue",
-    "available_kernels",
-    "create_queue",
-    "register_kernel",
 ]

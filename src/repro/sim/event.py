@@ -46,7 +46,6 @@ class Event:
         "seq",
         "callback",
         "args",
-        "label",
         "cancelled",
         "_queue",
     )
@@ -58,14 +57,12 @@ class Event:
         seq: int,
         callback: Callable[..., None],
         args: tuple = (),
-        label: str = "",
     ) -> None:
         self.time = time
         self.priority = priority
         self.seq = seq
         self.callback = callback
         self.args = args
-        self.label = label
         self.cancelled = False
         #: Owning queue while enqueued (None once popped/cleared), so a
         #: cancellation can maintain the queue's live-event count.
@@ -110,11 +107,10 @@ class EventQueue:
         callback: Callable[..., None],
         args: tuple = (),
         priority: int = 0,
-        label: str = "",
     ) -> Event:
         seq = self._next_seq
         self._next_seq = seq + 1
-        ev = Event(time, priority, seq, callback, args, label)
+        ev = Event(time, priority, seq, callback, args)
         ev._queue = self
         heappush(self._heap, (time, priority, seq, ev))
         self._live += 1
@@ -126,7 +122,6 @@ class EventQueue:
         callback: Callable[..., None],
         argss: Sequence[tuple],
         priority: int = 0,
-        label: str = "",
     ) -> list[Event]:
         """Bulk insert: one event per ``(time, args)`` pair, all calling
         ``callback``.
@@ -148,7 +143,7 @@ class EventQueue:
         if k > 8 and k * 4 > len(heap):
             heap_append = heap.append
             for time, args in zip(times, argss):
-                ev = Event(time, priority, seq, callback, args, label)
+                ev = Event(time, priority, seq, callback, args)
                 ev._queue = self
                 append_event(ev)
                 heap_append((time, priority, seq, ev))
@@ -156,7 +151,7 @@ class EventQueue:
             heapify(heap)
         else:
             for time, args in zip(times, argss):
-                ev = Event(time, priority, seq, callback, args, label)
+                ev = Event(time, priority, seq, callback, args)
                 ev._queue = self
                 append_event(ev)
                 heappush(heap, (time, priority, seq, ev))
@@ -165,28 +160,14 @@ class EventQueue:
         self._live += len(events)
         return events
 
-    def pop(self) -> Optional[Event]:
-        """Pop the next non-cancelled event, or ``None`` if drained."""
-        heap = self._heap
-        while heap:
-            ev = heappop(heap)[3]
-            if not ev.cancelled:
-                # Detach so a late cancel() of an already-fired event
-                # cannot corrupt the live count.
-                ev._queue = None
-                self._live -= 1
-                return ev
-            ev._queue = None
-        return None
-
     def pop_next(self, until: Optional[float] = None) -> Optional[Event]:
         """Pop the next live event, but only if it fires at or before
         ``until`` (``None`` = no bound).
 
-        Fuses :meth:`peek_time` and :meth:`pop` for the simulator's hot
-        loop: one heap traversal per event instead of two.  Returns
-        ``None`` when drained *or* when the next live event lies beyond
-        the bound — disambiguate with :meth:`live_count`.
+        The simulator's hot loop: one heap traversal per event, cancelled
+        heads discarded on the way.  Returns ``None`` when drained *or*
+        when the next live event lies beyond the bound — disambiguate
+        with :meth:`live_count`.
         """
         heap = self._heap
         while heap:
@@ -202,16 +183,6 @@ class EventQueue:
             ev._queue = None
             self._live -= 1
             return ev
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event without removing it."""
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            if not head[3].cancelled:
-                return head[0]
-            heappop(heap)[3]._queue = None
         return None
 
     def clear(self) -> None:

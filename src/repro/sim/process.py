@@ -31,9 +31,7 @@ class Timer:
     def start(self, delay: float) -> None:
         """(Re)arm the timer ``delay`` seconds from now."""
         self.cancel()
-        self._event = self._sim.schedule(
-            delay, self._fire, label="timer"
-        )
+        self._event = self._sim.schedule(delay, self._fire)
 
     def cancel(self) -> None:
         if self._event is not None:
@@ -64,7 +62,7 @@ class Process:
 
     def after(self, delay: float, callback: Callable[..., None], *args) -> Event:
         """Schedule a local callback; convenience over ``sim.schedule``."""
-        return self.sim.schedule(delay, callback, *args, label=self.name)
+        return self.sim.schedule(delay, callback, *args)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name}>"

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from .event import Event
+from .event import Event, EventQueue
 from .rng import RngRegistry
-from .substrate import DEFAULT_KERNEL, create_queue
 
 
 class SimulationError(RuntimeError):
@@ -28,32 +27,16 @@ class Simulator:
     seed:
         Root seed for the :class:`RngRegistry`; every stochastic model
         component derives its stream from it.
-    trace:
-        Optional callable ``(time, label) -> None`` invoked for every
-        event executed, useful for debugging and trace tests.
-    kernel:
-        Name of the event-queue substrate to drive (see
-        :mod:`repro.sim.substrate`): ``"scalar"`` (tuple heap, default)
-        or ``"columnar"`` (array-backed).  Every kernel produces
-        bit-identical schedules for a fixed seed; the choice only
-        affects wall-clock speed.
 
     ``now`` is the current simulation time in seconds.  It is a plain
     attribute because every charge, send and timer reads it; only the
     run loop assigns it.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        trace: Optional[Callable[[float, str], None]] = None,
-        kernel: str = DEFAULT_KERNEL,
-    ) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.now = 0.0
-        self.kernel = kernel
-        self._queue = create_queue(kernel)
+        self._queue = EventQueue()
         self.rng = RngRegistry(seed)
-        self.trace = trace
         self.events_executed = 0
         self._running = False
         self._stop_requested = False
@@ -67,14 +50,11 @@ class Simulator:
         callback: Callable[..., None],
         *args,
         priority: int = 0,
-        label: str = "",
     ) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self._queue.push(
-            self.now + delay, callback, args, priority=priority, label=label
-        )
+        return self._queue.push(self.now + delay, callback, args, priority=priority)
 
     def schedule_at(
         self,
@@ -82,16 +62,13 @@ class Simulator:
         callback: Callable[..., None],
         *args,
         priority: int = 0,
-        label: str = "",
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute time ``time``."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at {time!r} < now ({self.now!r})"
             )
-        return self._queue.push(
-            time, callback, args, priority=priority, label=label
-        )
+        return self._queue.push(time, callback, args, priority=priority)
 
     def schedule_many(
         self,
@@ -99,7 +76,6 @@ class Simulator:
         callback: Callable[..., None],
         argss: Sequence[tuple],
         priority: int = 0,
-        label: str = "",
     ) -> list[Event]:
         """Bulk-schedule ``callback(*argss[i])`` at absolute ``times[i]``.
 
@@ -112,25 +88,11 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {min(times)!r} < now ({self.now!r})"
             )
-        return self._queue.push_many(
-            times, callback, argss, priority=priority, label=label
-        )
+        return self._queue.push_many(times, callback, argss, priority=priority)
 
     # ------------------------------------------------------------------
-    # Run loops
+    # Run loop
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next event.  Returns ``False`` when drained."""
-        ev = self._queue.pop()
-        if ev is None:
-            return False
-        self.now = ev.time
-        self.events_executed += 1
-        if self.trace is not None:
-            self.trace(ev.time, ev.label)
-        ev.callback(*ev.args)
-        return True
-
     def stop(self) -> None:
         """Ask :meth:`run` to return once the current event finishes.
 
@@ -165,8 +127,7 @@ class Simulator:
         queue = self._queue
         pop_next = queue.pop_next
         try:
-            # Hot loop: :meth:`step` is inlined and peek + pop are
-            # fused into a single bounded pop per event.
+            # Hot loop: one bounded pop per event.
             while not self._stop_requested:
                 if max_events is not None and executed >= max_events:
                     return
@@ -178,8 +139,6 @@ class Simulator:
                     return
                 self.now = ev.time
                 self.events_executed += 1
-                if self.trace is not None:
-                    self.trace(ev.time, ev.label)
                 ev.callback(*ev.args)
                 executed += 1
                 if stop_when is not None and stop_when():

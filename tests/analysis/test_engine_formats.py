@@ -1,5 +1,5 @@
 """Engine satellites: inline ignores, SARIF/GitHub output, changed-only,
-the aliased scalar-sample determinism fix, and the lint bench tier."""
+and the aliased scalar-sample determinism fix."""
 
 import json
 
@@ -155,19 +155,3 @@ def test_latency_module_keeps_its_scalar_fallback():
     )
     assert _determinism(src, "repro/net/latency.py") == []
 
-
-# -- lint bench tier ---------------------------------------------------
-def test_lint_bench_quick_smoke():
-    from repro.bench import run_lint_bench
-
-    report = run_lint_bench(quick=True)
-    assert report.name == "lint"
-    names = set(report.metrics)
-    assert names == {
-        "lint_cold_wall_s",
-        "index_build_wall_s",
-        "lint_warm_wall_s",
-    }
-    for m in report.metrics.values():
-        assert m.higher_is_better is False
-        assert 0.0 < m.value < 30.0  # the acceptance bound

@@ -7,7 +7,7 @@ from repro.experiments.runner import run_experiment
 from repro.fuzz import generate_scenario, run_scenario
 
 #: The CI smoke budget: N fresh seeds from the verified-green range
-#: (the bench tier's steady-state seeds) run under both oracles.
+#: run under both oracles.
 SMOKE_SEEDS = range(200, 225)
 
 

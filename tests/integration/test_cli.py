@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.protocols.registry import REGISTRY
 
 
 def test_parser_requires_command():
@@ -49,6 +50,15 @@ def test_degraded_command(capsys):
 def test_invalid_protocol_rejected():
     with pytest.raises(SystemExit):
         main(["run", "--protocol", "pbft"])
+
+
+@pytest.mark.parametrize("protocol", sorted(REGISTRY))
+@pytest.mark.parametrize(
+    "command", [["run"], ["shard", "run"], ["shard", "sweep"], ["timeline"]]
+)
+def test_every_registered_protocol_parses(command, protocol):
+    args = build_parser().parse_args([*command, "--protocol", protocol])
+    assert args.protocol == protocol
 
 
 def test_invalid_payload_rejected():

@@ -61,11 +61,6 @@ class TestOpenLoopRun:
         assert not res.collector.streaming
         assert res.stats.blocks_decided >= 6
 
-    def test_columnar_kernel_compatible(self):
-        scalar = run_experiment(_open_cfg())
-        columnar = run_experiment(_open_cfg(kernel="columnar"))
-        assert columnar.stats == scalar.stats
-
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValueError, match="unknown workload"):
             run_experiment(_open_cfg(workload="closed"))

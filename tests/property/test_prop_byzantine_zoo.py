@@ -95,11 +95,7 @@ def test_faulty_now_gate_tracks_window(protocol, behaviour):
     byz = cluster.replicas[1]
     probes = {}
     for t in (0.1, 0.35, 0.6):
-        sim.schedule_at(
-            t,
-            lambda t=t: probes.__setitem__(t, byz._faulty_now()),
-            label="zoo window probe",
-        )
+        sim.schedule_at(t, lambda t=t: probes.__setitem__(t, byz._faulty_now()))
     cluster.start()
     sim.run(until=1.0)
     cluster.stop()

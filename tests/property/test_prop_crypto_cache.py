@@ -135,6 +135,32 @@ def test_failures_are_never_memoized():
     assert ring.memo_size == 0
 
 
+def test_warm_quorum_cert_verify_checks_no_tags(monkeypatch):
+    """The memos are the crypto fast path: after a quorum certificate
+    verified once against a ring, verifying it again — or a twin
+    instance carrying the same signatures — performs zero tag checks.
+    Counted, not timed."""
+    checks = []
+    real = KeyPair._check_tag
+
+    def counted(self, data, sig):
+        checks.append(sig.signer)
+        return real(self, data, sig)
+
+    monkeypatch.setattr(KeyPair, "_check_tag", counted)
+    ring = fresh_ring()
+    h = sha256(b"warm-qc")
+    digest = store_digest(4, h, 4)
+    sigs = tuple(PAIRS[i].sign(digest) for i in range(3))
+    cert = PrepareCert(stored_view=4, block_hash=h, prop_view=4, sigs=sigs)
+    assert cert.verify(ring, 3)
+    assert len(checks) == 3  # cold: one HMAC check per signer
+    assert cert.verify(ring, 3)  # instance memo
+    twin = PrepareCert(stored_view=4, block_hash=h, prop_view=4, sigs=sigs)
+    assert twin.verify(ring, 3)  # ring memo
+    assert len(checks) == 3
+
+
 def test_global_disable_switch_bypasses_both_layers():
     """memo.set_enabled(False) forces every check down the cold path
     (used to prove fingerprints and ledgers are memo-independent)."""

@@ -11,7 +11,7 @@ def test_push_pop_orders_by_time():
     q.push(2.0, seen.append, ("b",))
     q.push(1.0, seen.append, ("a",))
     q.push(3.0, seen.append, ("c",))
-    while (ev := q.pop()) is not None:
+    while (ev := q.pop_next()) is not None:
         ev.callback(*ev.args)
     assert seen == ["a", "b", "c"]
 
@@ -21,7 +21,7 @@ def test_equal_times_fire_in_insertion_order():
     order = []
     for i in range(10):
         q.push(1.0, order.append, (i,))
-    while (ev := q.pop()) is not None:
+    while (ev := q.pop_next()) is not None:
         ev.callback(*ev.args)
     assert order == list(range(10))
 
@@ -31,7 +31,7 @@ def test_priority_breaks_ties_before_seq():
     order = []
     q.push(1.0, order.append, ("low",), priority=1)
     q.push(1.0, order.append, ("high",), priority=0)
-    while (ev := q.pop()) is not None:
+    while (ev := q.pop_next()) is not None:
         ev.callback(*ev.args)
     assert order == ["high", "low"]
 
@@ -42,7 +42,7 @@ def test_cancelled_events_are_skipped():
     ev = q.push(1.0, fired.append, (1,))
     q.push(2.0, fired.append, (2,))
     ev.cancel()
-    while (e := q.pop()) is not None:
+    while (e := q.pop_next()) is not None:
         e.callback(*e.args)
     assert fired == [2]
 
@@ -52,20 +52,23 @@ def test_cancel_is_idempotent():
     ev = q.push(1.0, lambda: None)
     ev.cancel()
     ev.cancel()
-    assert q.pop() is None
+    assert q.pop_next() is None
 
 
-def test_peek_time_skips_cancelled():
+def test_bounded_pop_next_looks_past_cancelled_head():
     q = EventQueue()
     first = q.push(1.0, lambda: None)
     q.push(5.0, lambda: None)
-    assert q.peek_time() == 1.0
     first.cancel()
-    assert q.peek_time() == 5.0
+    # The cancelled 1.0 head is discarded; the live 5.0 lies beyond.
+    assert q.pop_next(until=2.0) is None
+    assert q.live_count() == 1
+    assert q.pop_next(until=5.0).time == 5.0
 
 
-def test_peek_time_empty_queue():
-    assert EventQueue().peek_time() is None
+def test_pop_next_empty_queue():
+    assert EventQueue().pop_next() is None
+    assert EventQueue().pop_next(until=1.0) is None
 
 
 def test_len_counts_queued_events():
@@ -79,13 +82,7 @@ def test_clear_empties_queue():
     q = EventQueue()
     q.push(1.0, lambda: None)
     q.clear()
-    assert q.pop() is None
-
-
-def test_event_labels_preserved():
-    q = EventQueue()
-    ev = q.push(1.0, lambda: None, label="hello")
-    assert ev.label == "hello"
+    assert q.pop_next() is None
 
 
 # ----------------------------------------------------------------------
@@ -105,9 +102,9 @@ def test_live_count_tracks_pops():
     q = EventQueue()
     q.push(1.0, lambda: None)
     q.push(2.0, lambda: None)
-    q.pop()
+    q.pop_next()
     assert q.live_count() == 1
-    q.pop()
+    q.pop_next()
     assert q.live_count() == 0
 
 
@@ -115,7 +112,7 @@ def test_cancel_after_pop_does_not_corrupt_live_count():
     q = EventQueue()
     ev = q.push(1.0, lambda: None)
     q.push(2.0, lambda: None)
-    assert q.pop() is ev
+    assert q.pop_next() is ev
     ev.cancel()  # too late — it already fired
     assert q.live_count() == 1
 
@@ -185,7 +182,7 @@ def test_tuple_heap_never_compares_events():
     # Many identical keys force deep sift chains through equal tuples.
     for i in range(100):
         q.push(1.0, order.append, (i,), priority=0)
-    while (ev := q.pop()) is not None:
+    while (ev := q.pop_next()) is not None:
         ev.callback(*ev.args)
     assert order == list(range(100))
 
@@ -209,7 +206,7 @@ def test_push_many_matches_sequential_pushes():
     for t, args in zip(times, argss):
         b.push(t, cb, args)
     while True:
-        ea, eb = a.pop(), b.pop()
+        ea, eb = a.pop_next(), b.pop_next()
         assert (ea is None) == (eb is None)
         if ea is None:
             break
@@ -224,7 +221,7 @@ def test_push_many_matches_sequential_pushes():
 def test_push_many_equal_times_fire_in_batch_order():
     q = EventQueue()
     q.push_many([1.0] * 4, lambda i: None, [(i,) for i in range(4)])
-    assert [q.pop().args[0] for _ in range(4)] == [0, 1, 2, 3]
+    assert [q.pop_next().args[0] for _ in range(4)] == [0, 1, 2, 3]
 
 
 def test_push_many_interleaves_with_push_by_seq():
@@ -248,14 +245,14 @@ def test_push_many_heapify_path_orders_against_existing_events():
     """A batch large relative to the heap takes extend+heapify — the
     pre-existing events must still pop in time order."""
     q = EventQueue()
-    q.push(2.5, lambda: None, label="old")
+    q.push(2.5, lambda: None)
     q.push_many(
         [float(t) for t in (5, 1, 4, 2, 3, 9, 8, 7, 6, 0)],
         lambda: None,
         [()] * 10,
     )
     times = []
-    while (ev := q.pop()) is not None:
+    while (ev := q.pop_next()) is not None:
         times.append(ev.time)
     assert times == sorted(times)
     assert 2.5 in times
@@ -266,8 +263,8 @@ def test_push_many_events_are_cancellable():
     events = q.push_many([1.0, 2.0, 3.0], lambda: None, [()] * 3)
     events[1].cancel()
     assert q.live_count() == 2
-    assert [q.pop().time for _ in range(2)] == [1.0, 3.0]
-    assert q.pop() is None
+    assert [q.pop_next().time for _ in range(2)] == [1.0, 3.0]
+    assert q.pop_next() is None
 
 
 def test_push_many_live_count():

@@ -190,14 +190,6 @@ def test_events_executed_counter():
     assert sim.events_executed == 4
 
 
-def test_trace_hook_called_per_event():
-    trace = []
-    sim = Simulator(trace=lambda t, label: trace.append((t, label)))
-    sim.schedule(1.0, lambda: None, label="x")
-    sim.run()
-    assert trace == [(1.0, "x")]
-
-
 def test_loop_not_reentrant():
     sim = Simulator()
 

@@ -194,13 +194,17 @@ class BaseReplica(Process):
         self.mempool.submit(msg.tx)
 
     def _on_submit_batch(self, sender: int, msg: SubmitTxBatch) -> None:
-        """Columnar slab from the aggregated workload engine.
+        """A slab: the load engines' columns or the 2PC coordinator's
+        marker rows.
 
-        Deliberately does *not* populate ``self.clients``: the engine's
-        virtual clients never listen for per-transaction replies (their
-        latency is measured replica-side at commit), so routing state
-        for a million virtual client ids would be pure overhead.
+        Only a sender that asks for replies (``wants_replies``) enters
+        ``self.clients``: the engines' virtual clients never listen
+        (their latency is measured replica-side at commit), so routing
+        state for a million virtual client ids would be pure overhead.
         """
+        if msg.wants_replies:
+            for client_id, _ in msg.batch.keys():
+                self.clients[client_id] = sender
         self.mempool.submit_batch(msg.batch)
 
     # ------------------------------------------------------------------
@@ -335,12 +339,16 @@ class BaseReplica(Process):
         if not self.config.reply_to_clients or not self.clients:
             return
         clients = self.clients
+        # One reply per client per block, clients in first-key order.
+        keys_by_client: dict[int, list[tuple[int, int]]] = {}
         for key in block.txs.keys_of(clients):
+            keys_by_client.setdefault(key[0], []).append(key)
+        for client_id, keys in keys_by_client.items():
             self.send_at(
                 when,
-                clients[key[0]],
+                clients[client_id],
                 Reply(
-                    tx_key=key,
+                    tx_keys=tuple(keys),
                     view=block.view,
                     replica=self.pid,
                     certified=self.CERTIFIED_REPLIES,

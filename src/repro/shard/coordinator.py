@@ -9,7 +9,9 @@ prepare (observed through client replies: a certified single reply for
 OneShot, ``f+1`` matching replies otherwise), submits the ``xcommit``
 decision the same way.  If any shard misses the prepare deadline the
 decision is ``xabort`` (presumed abort: a late prepare after an abort
-stages nothing).
+stages nothing).  All of it is batched: one marker slab per touched
+shard per call or per decision instant, one deadline timer per call,
+and one :class:`~repro.smr.Reply` per block listing its marker keys.
 
 Atomicity therefore rests on two facts the oracle checks:
 
@@ -28,12 +30,12 @@ with overlapping replica pids; the port tags replies with its shard id.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..metrics.streaming import P2Quantile, StreamingMoments
 from ..net import Network
 from ..sim import Process, Simulator
-from ..smr import Reply, SubmitTx, Transaction
+from ..smr import Reply, SubmitTxBatch, Transaction, TxBatch
 
 #: The coordinator's pid on every shard's network (also its client id
 #: in the marker transactions, so replicas route replies back to it).
@@ -58,11 +60,6 @@ class ShardPort(Process):
     def on_message(self, sender: int, payload) -> None:
         self.coordinator.on_shard_message(self.shard_id, sender, payload)
 
-    def submit(self, replica_pids: Sequence[int], tx: Transaction) -> None:
-        """Broadcast a marker transaction to every replica (so a faulty
-        leader cannot censor it silently — same policy as clients)."""
-        self.network.multicast(self.pid, replica_pids, SubmitTx(tx))
-
 
 @dataclass
 class _PendingTx:
@@ -74,7 +71,6 @@ class _PendingTx:
     prepared: set[int] = field(default_factory=set)
     #: shard -> replica pids that acked the prepare (quorum counting).
     prepare_acks: dict[int, set[int]] = field(default_factory=dict)
-    decided: Optional[str] = None  # "commit" | "abort"
 
 
 class Coordinator(Process):
@@ -82,9 +78,9 @@ class Coordinator(Process):
 
     One instance per sharded run; it owns a :class:`ShardPort` per
     shard and drives every cross-shard transaction through
-    prepare → decision.  Per-transaction state is dropped at decision
-    time; only counters and streaming latency sketches persist, so the
-    coordinator is O(in-flight), not O(history).
+    prepare → decision.  The pending table is O(in-flight); counters
+    and latency sketches are O(1); ``decision_log`` is O(history), one
+    record per decided transfer, because the fingerprint folds it.
     """
 
     def __init__(
@@ -101,12 +97,11 @@ class Coordinator(Process):
             raise ValueError("one replica pid list per shard network")
         if prepare_timeout <= 0:
             raise ValueError("prepare_timeout must be positive")
-        self.ports = [
-            ShardPort(sim, net, s, self)
-            for s, net in enumerate(shard_networks)
-        ]
+        self.ports = [ShardPort(sim, n, s, self) for s, n in enumerate(shard_networks)]
         self.replica_pids = [list(p) for p in shard_replica_pids]
-        self.ack_quorum = 1 if certified_replies else f + 1
+        # A reply alone acks only if certified *and* the protocol certifies.
+        self.certified_replies = certified_replies
+        self.ack_quorum = f + 1
         self.prepare_timeout = prepare_timeout
         self._pending: dict[int, _PendingTx] = {}
         self._next_xid = 0
@@ -123,32 +118,40 @@ class Coordinator(Process):
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def submit_transfer(self, home: int, partner: int, payload_bytes: int = 0) -> int:
-        """Start 2PC for a one-unit transfer ``home`` → ``partner``."""
-        if home == partner:
+    def submit_transfers(
+        self, pairs: Sequence[tuple[int, int]], payload_bytes: int = 0
+    ) -> range:
+        """Start 2PC for one-unit transfers ``home`` → ``partner``, one
+        per pair; returns their xids, minted in pair order."""
+        if any(home == partner for home, partner in pairs):
             raise ValueError("cross-shard tx must touch two distinct shards")
-        xid = self._next_xid
-        self._next_xid += 1
-        shards = (home, partner)
-        self._pending[xid] = _PendingTx(
-            xid=xid, shards=shards, submitted_at=self.sim.now
-        )
-        self.submitted += 1
-        legs = {
-            home: (("add", f"acct{home}", -1),),
-            partner: (("add", f"acct{partner}", 1),),
-        }
-        for shard in shards:
-            tx = Transaction(
-                client_id=COORDINATOR_PID,
-                tx_id=2 * xid,
-                payload_bytes=payload_bytes,
-                op=("xprepare", xid, legs[shard]),
-                submit_time=self.sim.now,
+        now = self.sim.now
+        xids = range(self._next_xid, self._next_xid + len(pairs))
+        self._next_xid = xids.stop
+        self.submitted += len(pairs)
+        markers: dict[int, list[Transaction]] = {}
+        for xid, (home, partner) in zip(xids, pairs):
+            self._pending[xid] = _PendingTx(xid, (home, partner), now)
+            for shard, delta in ((home, -1), (partner, 1)):
+                markers.setdefault(shard, []).append(Transaction(
+                    COORDINATOR_PID, 2 * xid, payload_bytes,
+                    ("xprepare", xid, (("add", f"acct{shard}", delta),)), now,
+                ))
+        if markers:
+            self._send(markers)
+            self.after(self.prepare_timeout, self._deadline, xids)
+        return xids
+
+    def _send(self, markers: dict[int, list[Transaction]]) -> None:
+        """One marker slab per shard, in ascending shard order, to every
+        replica (so a faulty leader cannot censor it silently)."""
+        for shard in sorted(markers):
+            slab = TxBatch.from_transactions(markers[shard])
+            self.ports[shard].network.multicast(
+                COORDINATOR_PID,
+                self.replica_pids[shard],
+                SubmitTxBatch(slab, wants_replies=True),
             )
-            self.ports[shard].submit(self.replica_pids[shard], tx)
-        self.after(self.prepare_timeout, self._deadline, xid)
-        return xid
 
     # ------------------------------------------------------------------
     # Replies from shard replicas
@@ -156,49 +159,47 @@ class Coordinator(Process):
     def on_shard_message(self, shard: int, sender: int, payload) -> None:
         if not isinstance(payload, Reply):
             return
-        client_id, tx_id = payload.tx_key
-        if client_id != COORDINATOR_PID or tx_id % 2 != 0:
-            return  # decision acks need no tracking
-        xid = tx_id // 2
-        pend = self._pending.get(xid)
-        if pend is None or pend.decided is not None or shard in pend.prepared:
-            return
-        acks = pend.prepare_acks.setdefault(shard, set())
-        acks.add(payload.replica)
-        certified_enough = payload.certified and self.ack_quorum == 1
-        if certified_enough or len(acks) >= self.ack_quorum:
-            pend.prepared.add(shard)
-            if len(pend.prepared) == len(pend.shards):
-                self._decide(pend, "commit")
+        trusted = self.certified_replies and payload.certified
+        done: list[_PendingTx] = []
+        for client_id, tx_id in payload.tx_keys:
+            if client_id != COORDINATOR_PID or tx_id % 2 != 0:
+                continue  # decision acks need no tracking
+            pend = self._pending.get(tx_id // 2)
+            if pend is None or shard in pend.prepared:
+                continue
+            acks = pend.prepare_acks.setdefault(shard, set())
+            acks.add(payload.replica)
+            if trusted or len(acks) >= self.ack_quorum:
+                pend.prepared.add(shard)
+                if len(pend.prepared) == len(pend.shards):
+                    done.append(pend)
+        self._decide(done, "commit")
 
-    def _deadline(self, xid: int) -> None:
-        pend = self._pending.get(xid)
-        if pend is not None and pend.decided is None:
-            self._decide(pend, "abort")
+    def _deadline(self, xids: range) -> None:
+        self._decide([p for p in map(self._pending.get, xids) if p], "abort")
 
     # ------------------------------------------------------------------
     # Decision
     # ------------------------------------------------------------------
-    def _decide(self, pend: _PendingTx, outcome: str) -> None:
-        pend.decided = outcome
-        op = ("xcommit", pend.xid) if outcome == "commit" else ("xabort", pend.xid)
-        for shard in pend.shards:
-            tx = Transaction(
-                client_id=COORDINATOR_PID,
-                tx_id=2 * pend.xid + 1,
-                op=op,
-                submit_time=self.sim.now,
-            )
-            self.ports[shard].submit(self.replica_pids[shard], tx)
+    def _decide(self, pends: list[_PendingTx], outcome: str) -> None:
+        now = self.sim.now
+        markers: dict[int, list[Transaction]] = {}
+        for pend in pends:
+            op = ("x" + outcome, pend.xid)
+            for shard in pend.shards:
+                markers.setdefault(shard, []).append(Transaction(
+                    COORDINATOR_PID, 2 * pend.xid + 1, op=op, submit_time=now
+                ))
+            latency = now - pend.submitted_at
+            self.decision_latency.add(latency)
+            self.decision_p99.add(latency)
+            self.decision_log.append((pend.xid, outcome, now))
+            del self._pending[pend.xid]
         if outcome == "commit":
-            self.committed += 1
+            self.committed += len(pends)
         else:
-            self.aborted += 1
-        latency = self.sim.now - pend.submitted_at
-        self.decision_latency.add(latency)
-        self.decision_p99.add(latency)
-        self.decision_log.append((pend.xid, outcome, self.sim.now))
-        del self._pending[pend.xid]
+            self.aborted += len(pends)
+        self._send(markers)
 
     # ------------------------------------------------------------------
     # Reporting

@@ -8,8 +8,9 @@ minted slab passes through the :class:`~repro.shard.router.Router`:
   and multicast to that shard's replicas (one ``SubmitTxBatch`` per
   shard per slab — the slab fan-out stays O(k), not O(rows));
 * cross-shard rows are handed to the 2PC
-  :class:`~repro.shard.coordinator.Coordinator` row by row, in slab
-  order — deterministic xid assignment.
+  :class:`~repro.shard.coordinator.Coordinator` in one
+  ``submit_transfers`` call per slab, in slab order — deterministic
+  xid assignment, one marker slab per touched shard.
 
 The pump also drives the epoch clock: at every ``epoch_s`` boundary
 the :class:`~repro.shard.rebalance.Rebalancer` inspects the
@@ -128,11 +129,9 @@ class ShardedWorkload(Process):
                     SubmitTxBatch(slab.select(idx)),
                 )
         if self.coordinator is not None:
-            for i in np.nonzero(cross)[0]:
-                self.coordinator.submit_transfer(
-                    int(home[i]), int(partner[i]), self.generators[ri].payload_bytes
-                )
-            self.cross_offered += int(cross.sum())
+            pairs = list(zip(home[cross].tolist(), partner[cross].tolist()))
+            self.coordinator.submit_transfers(pairs, self.generators[ri].payload_bytes)
+            self.cross_offered += len(pairs)
         self.txs_offered += len(slab)
         self.slabs_sent += 1
         self._schedule(ri)

@@ -34,17 +34,15 @@ class SubmitTx:
 
 @dataclass(frozen=True)
 class SubmitTxBatch:
-    """Workload engine → replica submission of a columnar slab.
-
-    One message carries a whole :class:`~repro.smr.transaction.TxBatch`
-    (arrival times, client ids, tx ids as numpy columns) — the batched
-    counterpart of per-transaction :class:`SubmitTx` used by the
-    aggregated open-loop load engine (:mod:`repro.workload`).  The slab
-    is immutable (read-only arrays), so the reference-passing in-memory
-    network cannot let a receiver alter it.
+    """One immutable :class:`~repro.smr.transaction.TxBatch` slab in one
+    message: the load engines' numpy columns or the 2PC coordinator's
+    marker rows.  ``wants_replies`` asks the replica to route a
+    :class:`Reply` for the slab's client ids back to the sender; the
+    engines' virtual clients leave it off (measured at commit).
     """
 
     batch: TxBatch
+    wants_replies: bool = False
 
     def wire_size(self) -> int:
         return 8 + self.batch.wire_size()
@@ -52,21 +50,22 @@ class SubmitTxBatch:
 
 @dataclass(frozen=True)
 class Reply:
-    """Replica → client execution notification.
+    """Replica → client execution notification: one per block per
+    client, naming every key of that client the block carried.
 
     ``certified`` marks replies carrying a forwarded prepare
     certificate (trustable in isolation).
     """
 
-    tx_key: tuple[int, int]
+    tx_keys: tuple[tuple[int, int], ...]
     view: int
     replica: int
     certified: bool = False
     result: Any = None
 
     def wire_size(self) -> int:
-        # tx key + view + flag (+ certificate bytes when certified)
-        return 24 + (80 if self.certified else 0)
+        # view + flag + 8 B per tx key (+ certificate bytes when certified)
+        return 16 + 8 * len(self.tx_keys) + (80 if self.certified else 0)
 
 
 #: Default cap on a client's in-flight (submitted, not yet committed)
@@ -142,15 +141,15 @@ class Client(Process):
     def on_message(self, sender: int, payload: Any) -> None:
         if not isinstance(payload, Reply):
             return
-        key = payload.tx_key
-        if key in self.committed or key not in self._inflight:
-            return
-        if self.certified_replies and payload.certified:
-            self._commit(key, payload)
-            return
-        voters = self._reply_counts.setdefault(key, set())
-        voters.add(payload.replica)
-        if len(voters) >= self.f + 1:
+        trusted = self.certified_replies and payload.certified
+        for key in payload.tx_keys:
+            if key in self.committed or key not in self._inflight:
+                continue
+            if not trusted:
+                voters = self._reply_counts.setdefault(key, set())
+                voters.add(payload.replica)
+                if len(voters) <= self.f:
+                    continue
             self._commit(key, payload)
 
     def _commit(self, key: tuple[int, int], payload: Reply) -> None:

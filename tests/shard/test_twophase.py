@@ -5,7 +5,7 @@ import pytest
 from repro.net import Network
 from repro.shard import COORDINATOR_PID, Coordinator, check_atomicity
 from repro.sim import Process, Simulator
-from repro.smr import KVStore, Reply, SubmitTx
+from repro.smr import KVStore, Reply, SubmitTxBatch
 
 
 # ----------------------------------------------------------------------
@@ -62,26 +62,35 @@ def test_double_decision_and_double_prepare_raise():
 # Coordinator over stub shards
 # ----------------------------------------------------------------------
 class _Replica(Process):
-    """A stub shard replica: optionally acks marker submissions and
-    applies them to a local KVStore in arrival order."""
+    """A stub shard replica: applies each marker slab to a local KVStore
+    in arrival order and optionally acks it with one multi-key reply."""
 
-    def __init__(self, sim, network, pid, ack=True):
+    def __init__(self, sim, network, pid, ack=True, certified=True):
         super().__init__(sim, pid, name=f"stub-{pid}")
         self.network = network
         self.ack = ack
+        self.certified = certified
         self.kv = KVStore()
+        self.slabs = []
         network.register(self)
 
     def on_message(self, sender, payload):
-        if not isinstance(payload, SubmitTx):
+        if not isinstance(payload, SubmitTxBatch):
             return
-        tx = payload.tx
-        self.kv.apply(tx.op)
+        assert payload.wants_replies
+        self.slabs.append(payload.batch)
+        for tx in payload.batch:
+            self.kv.apply(tx.op)
         if self.ack:
             self.network.send(
                 self.pid,
                 sender,
-                Reply(tx_key=tx.key(), view=1, replica=self.pid, certified=True),
+                Reply(
+                    tx_keys=payload.batch.keys(),
+                    view=1,
+                    replica=self.pid,
+                    certified=self.certified,
+                ),
             )
 
 
@@ -99,7 +108,7 @@ def test_coordinator_commits_when_both_shards_prepare():
     sim = Simulator(seed=1)
     nets, pids, replicas = _fabric(sim, [True, True])
     coord = Coordinator(sim, nets, pids, f=0, certified_replies=False)
-    coord.submit_transfer(0, 1)
+    coord.submit_transfers([(0, 1)])
     sim.run(until=5.0)
     assert (coord.committed, coord.aborted, coord.in_flight) == (1, 0, 0)
     assert coord.decision_log[0][:2] == (0, "commit")
@@ -110,13 +119,38 @@ def test_coordinator_commits_when_both_shards_prepare():
     assert replicas[1].kv.get("acct1") == 1
 
 
+def test_coordinator_batches_markers_per_shard():
+    sim = Simulator(seed=1)
+    nets, pids, replicas = _fabric(sim, [True, True, True])
+    coord = Coordinator(sim, nets, pids, f=0, certified_replies=True)
+    assert list(coord.submit_transfers([(0, 1), (2, 0), (1, 0)])) == [0, 1, 2]
+    sim.run(until=5.0)
+    assert (coord.committed, coord.aborted, coord.in_flight) == (3, 0, 0)
+    # One prepare slab per touched shard, rows in xid order.
+    prepares = [[tx.tx_id for tx in r.slabs[0]] for r in replicas]
+    assert prepares == [[0, 2, 4], [0, 4], [2]]
+    # Shard 0's slab is the largest, so its ack lands last and completes
+    # all three: one decision instant, one decision slab per shard.
+    assert [x for x, _, _ in coord.decision_log] == [0, 1, 2]
+    assert len({t for _, _, t in coord.decision_log}) == 1
+    decisions = [[tx.op for tx in slab] for r in replicas for slab in r.slabs[1:]]
+    assert decisions == [
+        [("xcommit", 0), ("xcommit", 1), ("xcommit", 2)],
+        [("xcommit", 0), ("xcommit", 2)],
+        [("xcommit", 1)],
+    ]
+    assert replicas[0].kv.get("acct0") == 1  # -1 (xid 0), +1, +1
+    assert replicas[1].kv.get("acct1") == 0  # +1 (xid 0), -1 (xid 2)
+    assert replicas[2].kv.get("acct2") == -1
+
+
 def test_coordinator_aborts_on_prepare_timeout():
     sim = Simulator(seed=1)
     nets, pids, replicas = _fabric(sim, [True, False])  # shard 1 never acks
     coord = Coordinator(
         sim, nets, pids, f=0, certified_replies=False, prepare_timeout=0.5
     )
-    coord.submit_transfer(0, 1)
+    coord.submit_transfers([(0, 1)])
     sim.run(until=5.0)
     assert (coord.committed, coord.aborted) == (0, 1)
     assert coord.decision_log[0][:2] == (0, "abort")
@@ -124,6 +158,27 @@ def test_coordinator_aborts_on_prepare_timeout():
     for r in replicas:
         assert r.kv.x_aborted == {0}
         assert r.kv.get("acct0") is None and r.kv.get("acct1") is None
+
+
+def test_forced_deadline_aborts_a_whole_batch_together():
+    sim = Simulator(seed=1)
+    nets, pids, replicas = _fabric(sim, [True, False])  # shard 1 never acks
+    coord = Coordinator(
+        sim, nets, pids, f=0, certified_replies=True, prepare_timeout=0.5
+    )
+    coord.submit_transfers([(0, 1), (1, 0), (0, 1)])
+    sim.run(until=5.0)
+    assert (coord.committed, coord.aborted, coord.in_flight) == (0, 3, 0)
+    assert [(x, o) for x, o, _ in coord.decision_log] == [
+        (0, "abort"), (1, "abort"), (2, "abort"),
+    ]
+    # One deadline, one decision instant, one abort slab per shard.
+    assert len({t for _, _, t in coord.decision_log}) == 1
+    assert coord.decision_log[0][2] == pytest.approx(0.5)
+    for r in replicas:
+        assert len(r.slabs) == 2
+        assert [tx.op for tx in r.slabs[1]] == [("xabort", x) for x in range(3)]
+        assert r.kv.x_aborted == {0, 1, 2}
 
 
 def test_coordinator_needs_quorum_without_certified_replies():
@@ -141,19 +196,51 @@ def test_coordinator_needs_quorum_without_certified_replies():
         certified_replies=False,
         prepare_timeout=0.5,
     )
-    coord.submit_transfer(0, 1)
+    coord.submit_transfers([(0, 1)])
     sim.run(until=5.0)
     # A single ack per shard is below the f+1 quorum -> presumed abort.
     assert (coord.committed, coord.aborted) == (0, 1)
     assert replicas[0][0].kv.x_aborted == {0}
 
 
-def test_coordinator_rejects_degenerate_transfer():
+def test_coordinator_rejects_one_uncertified_ack_under_certified_replies():
     sim = Simulator(seed=1)
-    nets, pids, _ = _fabric(sim, [True, True])
-    coord = Coordinator(sim, nets, pids, f=0, certified_replies=False)
-    with pytest.raises(ValueError):
-        coord.submit_transfer(1, 1)
+    nets = [Network(sim), Network(sim)]
+    replicas = [
+        [
+            _Replica(sim, nets[s], pid, ack=(pid == 0), certified=False)
+            for pid in range(3)
+        ]
+        for s in range(2)
+    ]
+    coord = Coordinator(
+        sim,
+        nets,
+        [[0, 1, 2], [0, 1, 2]],
+        f=1,
+        certified_replies=True,
+        prepare_timeout=0.5,
+    )
+    coord.submit_transfers([(0, 1)])
+    sim.run(until=5.0)
+    # A plain reply is trusted only as one of f+1 distinct replicas,
+    # even when the protocol could have certified it.
+    assert (coord.committed, coord.aborted) == (0, 1)
+    assert replicas[0][0].kv.x_aborted == {0}
+
+
+def test_coordinator_rejects_degenerate_transfer():
+    # Any ``home == partner`` pair rejects the whole batch.
+    for pairs in ([(1, 1)], [(0, 1), (1, 1)], [(0, 1), (1, 0), (0, 0)]):
+        sim = Simulator(seed=1)
+        nets, pids, replicas = _fabric(sim, [True, True])
+        coord = Coordinator(sim, nets, pids, f=0, certified_replies=False)
+        with pytest.raises(ValueError):
+            coord.submit_transfers(pairs)
+        # A rejected batch mints no xid and sends nothing.
+        sim.run(until=1.0)
+        assert (coord.submitted, coord.in_flight) == (0, 0)
+        assert all(not r.slabs for r in replicas)
 
 
 # ----------------------------------------------------------------------

@@ -48,11 +48,11 @@ def test_quorum_client_waits_for_f_plus_1_distinct():
     tx = client.submit(None)
     sim.run()
     key = tx.key()
-    client.on_message(0, Reply(key, view=1, replica=0))
+    client.on_message(0, Reply((key,), view=1, replica=0))
     assert key not in client.committed
-    client.on_message(0, Reply(key, view=1, replica=0))  # duplicate replica
+    client.on_message(0, Reply((key,), view=1, replica=0))  # duplicate replica
     assert key not in client.committed
-    client.on_message(1, Reply(key, view=1, replica=1))
+    client.on_message(1, Reply((key,), view=1, replica=1))
     assert key in client.committed
 
 
@@ -60,7 +60,7 @@ def test_certified_client_trusts_single_certified_reply():
     sim, net, replicas, client = setup(certified=True)
     tx = client.submit(None)
     sim.run()
-    client.on_message(2, Reply(tx.key(), view=1, replica=2, certified=True))
+    client.on_message(2, Reply((tx.key(),), view=1, replica=2, certified=True))
     assert tx.key() in client.committed
 
 
@@ -68,15 +68,15 @@ def test_certified_client_falls_back_to_quorum_for_plain_replies():
     sim, net, replicas, client = setup(f=1, certified=True)
     tx = client.submit(None)
     sim.run()
-    client.on_message(0, Reply(tx.key(), view=1, replica=0, certified=False))
+    client.on_message(0, Reply((tx.key(),), view=1, replica=0, certified=False))
     assert tx.key() not in client.committed
-    client.on_message(1, Reply(tx.key(), view=1, replica=1, certified=False))
+    client.on_message(1, Reply((tx.key(),), view=1, replica=1, certified=False))
     assert tx.key() in client.committed
 
 
 def test_replies_for_unknown_tx_ignored():
     sim, net, replicas, client = setup()
-    client.on_message(0, Reply((9, 9), view=1, replica=0, certified=True))
+    client.on_message(0, Reply(((9, 9),), view=1, replica=0, certified=True))
     assert (9, 9) not in client.committed
 
 
@@ -85,7 +85,7 @@ def test_latency_none_until_committed():
     tx = client.submit(None)
     sim.run()
     assert client.latency(tx) is None
-    client.on_message(0, Reply(tx.key(), view=1, replica=0, certified=True))
+    client.on_message(0, Reply((tx.key(),), view=1, replica=0, certified=True))
     assert client.latency(tx) is not None and client.latency(tx) >= 0
 
 
@@ -94,7 +94,7 @@ def test_pending_count():
     t1, t2 = client.submit(None), client.submit(None)
     sim.run()
     assert client.pending() == 2
-    client.on_message(0, Reply(t1.key(), view=1, replica=0, certified=True))
+    client.on_message(0, Reply((t1.key(),), view=1, replica=0, certified=True))
     assert client.pending() == 1
 
 
@@ -102,8 +102,47 @@ def test_result_recorded_on_commit():
     sim, net, replicas, client = setup(certified=True)
     tx = client.submit(None)
     sim.run()
-    client.on_message(0, Reply(tx.key(), 1, 0, certified=True, result="ok"))
+    client.on_message(0, Reply((tx.key(),), 1, 0, certified=True, result="ok"))
     assert client.results[tx.key()] == "ok"
+
+
+def test_reply_wire_size_is_per_key():
+    assert Reply(((1, 2),), view=1, replica=0).wire_size() == 24
+    assert Reply(((1, 2), (1, 3), (1, 4)), view=1, replica=0).wire_size() == 40
+    assert Reply(((1, 2),), 1, 0, certified=True).wire_size() == 104
+
+
+def test_multi_key_reply_counts_f_plus_1_per_key():
+    sim, net, replicas, client = setup(f=1, certified=False)
+    t1, t2, t3 = (client.submit(None) for _ in range(3))
+    sim.run()
+    client.on_message(0, Reply((t1.key(), t2.key()), view=1, replica=0))
+    client.on_message(0, Reply((t1.key(), t2.key()), view=1, replica=0))
+    assert client.pending() == 3  # one distinct voter per key so far
+    client.on_message(1, Reply((t2.key(), t3.key()), view=1, replica=1))
+    assert t2.key() in client.committed
+    assert t1.key() not in client.committed and t3.key() not in client.committed
+    client.on_message(2, Reply((t1.key(), t3.key()), view=1, replica=2))
+    assert client.pending() == 0
+
+
+def test_multi_key_certified_reply_commits_every_key():
+    sim, net, replicas, client = setup(certified=True)
+    t1, t2 = client.submit(None), client.submit(None)
+    sim.run()
+    client.on_message(0, Reply((t1.key(), t2.key()), 1, 0, certified=True))
+    assert t1.key() in client.committed and t2.key() in client.committed
+    assert client.pending() == 0
+
+
+def test_multi_key_reply_ignores_unknown_keys():
+    sim, net, replicas, client = setup(certified=True)
+    tx = client.submit(None)
+    sim.run()
+    keys = ((9, 9), tx.key(), (1000, 77))
+    client.on_message(0, Reply(keys, view=1, replica=0, certified=True))
+    assert set(client.committed) == {tx.key()}
+    assert client.pending() == 0
 
 
 def test_non_reply_payloads_ignored():

@@ -1,8 +1,8 @@
 """RNG stream-purity pass: each stream's draws stay in its home layer.
 
 :class:`~repro.sim.rng.RngRegistry` hands out *named* seeded streams —
-``"net"`` for link-latency jitter, ``"client<k>.arrivals"`` for open-loop
-workload generation — and the golden fingerprints are bit-identical only
+``"net"`` for link-latency jitter, ``"workload.region<k>.arrivals"`` for
+open-loop workload generation — and the golden fingerprints are bit-identical only
 while each component keeps drawing from its own stream in a
 schedule-independent order.  The
 fingerprints catch a stream mix-up *after* a run; this pass catches it
@@ -39,10 +39,9 @@ if TYPE_CHECKING:
 
 #: Stream-name category -> path prefixes where its values may be used.
 #: The category is the first dotted/slashed segment of the stream name
-#: with any trailing digits stripped (``client7.arrivals`` -> ``client``).
+#: with any trailing digits stripped (``net3`` -> ``net``).
 HOME_LAYERS: dict[str, tuple[str, ...]] = {
     "net": ("repro/net/", "repro/sim/"),
-    "client": ("repro/smr/", "repro/workload/", "repro/sim/"),
     "faults": ("repro/faults/", "repro/sim/"),
     # Aggregated open-loop load engine: arrival times and client marks
     # drawn from "workload.region<k>.arrivals" feed slab construction
@@ -82,7 +81,7 @@ _LABEL_PREFIX = "stream:"
 def stream_category(arg: Optional[ast.expr]) -> Optional[str]:
     """Category of a stream name expression, if statically knowable.
 
-    ``"net"`` -> ``net``; ``f"client{pid}.arrivals"`` -> ``client``
+    ``"net"`` -> ``net``; ``f"workload.region{k}.arrivals"`` -> ``workload``
     (the leading literal part decides); a fully dynamic name yields
     ``None`` and the draw is not tracked.
     """

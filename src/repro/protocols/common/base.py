@@ -24,7 +24,6 @@ from ...smr import (
     ExecutionLog,
     Mempool,
     Reply,
-    SubmitTx,
     SubmitTxBatch,
 )
 from ...tee import Credentials
@@ -78,7 +77,6 @@ class BaseReplica(Process):
         #: hash -> (exec kind, triggering certificate) awaiting ancestors.
         self._pending_commits: dict[Digest, tuple[str, Any]] = {}
         # Client submissions are not charged the dispatch overhead.
-        self.register_handler(SubmitTx, self._on_submit, charged=False)
         self.register_handler(SubmitTxBatch, self._on_submit_batch, charged=False)
         if config.view_sync:
             self.register_handler(ViewSyncMsg, self._on_view_sync)
@@ -189,13 +187,9 @@ class BaseReplica(Process):
                 self.charge(self.config.handler_overhead)
             handler(sender, payload)
 
-    def _on_submit(self, sender: int, msg: SubmitTx) -> None:
-        self.clients[msg.tx.client_id] = sender
-        self.mempool.submit(msg.tx)
-
     def _on_submit_batch(self, sender: int, msg: SubmitTxBatch) -> None:
-        """A slab: the load engines' columns or the 2PC coordinator's
-        marker rows.
+        """A slab: the load engines' columns, the 2PC coordinator's
+        marker rows or a KV client's one-row slab.
 
         Only a sender that asks for replies (``wants_replies``) enters
         ``self.clients``: the engines' virtual clients never listen

@@ -3,7 +3,7 @@ mempools, clients, and deterministic execution."""
 
 from .block import GENESIS, GENESIS_HASH, Block, create_leaf, make_genesis
 from .chain import BlockStore, ChainError
-from .client import Client, PoissonClient, Reply, SubmitTx, SubmitTxBatch
+from .client import Client, Reply, SubmitTxBatch
 from .execution import ExecutionLog, KVStore, prefix_agreement
 from .mempool import BLOCK_TXS, DEFAULT_DEDUP_WINDOW, Mempool, SaturatedSource
 from .transaction import TX_OVERHEAD_BYTES, Transaction, TxBatch, TxFactory
@@ -17,9 +17,7 @@ __all__ = [
     "BlockStore",
     "ChainError",
     "Client",
-    "PoissonClient",
     "Reply",
-    "SubmitTx",
     "SubmitTxBatch",
     "ExecutionLog",
     "KVStore",

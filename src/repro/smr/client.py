@@ -14,7 +14,7 @@ transaction's block executes.  Two trust modes:
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..net import Network
@@ -23,22 +23,14 @@ from .transaction import Transaction, TxBatch, TxFactory
 
 
 @dataclass(frozen=True)
-class SubmitTx:
-    """Client → replica submission."""
-
-    tx: Transaction
-
-    def wire_size(self) -> int:
-        return 8 + self.tx.wire_size()
-
-
-@dataclass(frozen=True)
 class SubmitTxBatch:
-    """One immutable :class:`~repro.smr.transaction.TxBatch` slab in one
-    message: the load engines' numpy columns or the 2PC coordinator's
-    marker rows.  ``wants_replies`` asks the replica to route a
-    :class:`Reply` for the slab's client ids back to the sender; the
-    engines' virtual clients leave it off (measured at commit).
+    """Client → replica submission: one immutable
+    :class:`~repro.smr.transaction.TxBatch` slab in one message — the
+    load engines' numpy columns, the 2PC coordinator's marker rows or a
+    KV client's one-row slab.  ``wants_replies`` asks the replica to
+    route a :class:`Reply` for the slab's client ids back to the
+    sender; the engines' virtual clients leave it off (measured at
+    commit).
     """
 
     batch: TxBatch
@@ -106,6 +98,7 @@ class Client(Process):
             raise ValueError("max_inflight must be positive")
         self.network = network
         self.replica_pids = list(replica_pids)
+        self._replicas = frozenset(self.replica_pids)
         self.f = f
         self.certified_replies = certified_replies
         self.max_inflight = max_inflight
@@ -132,14 +125,21 @@ class Client(Process):
             self._reply_counts.pop(stale, None)
             self.evicted += 1
         self._inflight[tx.key()] = self.sim.now
-        self.network.multicast(self.pid, self.replica_pids, SubmitTx(tx))
+        self.network.multicast(
+            self.pid,
+            self.replica_pids,
+            SubmitTxBatch(TxBatch.from_transactions([tx]), wants_replies=True),
+        )
         return tx
 
     # ------------------------------------------------------------------
     # Replies
     # ------------------------------------------------------------------
     def on_message(self, sender: int, payload: Any) -> None:
-        if not isinstance(payload, Reply):
+        # Voters are network senders: ``payload.replica`` is
+        # self-declared, so one Byzantine replica could otherwise fill
+        # a whole f+1 quorum by itself.
+        if not isinstance(payload, Reply) or sender not in self._replicas:
             return
         trusted = self.certified_replies and payload.certified
         for key in payload.tx_keys:
@@ -147,7 +147,7 @@ class Client(Process):
                 continue
             if not trusted:
                 voters = self._reply_counts.setdefault(key, set())
-                voters.add(payload.replica)
+                voters.add(sender)
                 if len(voters) <= self.f:
                     continue
             self._commit(key, payload)
@@ -176,58 +176,8 @@ class Client(Process):
         return list(self._latencies.values())
 
 
-class PoissonClient(Client):
-    """An open-loop client: submissions arrive as a Poisson process.
-
-    Unlike the closed-loop saturated sources that keep blocks full,
-    an open-loop client measures end-to-end latency at a *fixed offered
-    load* (``rate_tps`` transactions per second), independent of how
-    fast the system commits.
-    """
-
-    def __init__(
-        self,
-        *args,
-        rate_tps: float = 100.0,
-        op_factory=None,
-        **kwargs,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        if rate_tps <= 0:
-            raise ValueError("rate must be positive")
-        self.rate_tps = rate_tps
-        self.op_factory = op_factory
-        self._rng = self.sim.rng.stream(
-            f"client{self.pid}.arrivals", purpose="client tx arrivals"
-        )
-        self._running = False
-
-    def start(self) -> None:
-        """Begin submitting; call once after the cluster starts."""
-        if self._running:
-            return
-        self._running = True
-        self._schedule_next()
-
-    def stop(self) -> None:
-        self._running = False
-
-    def _schedule_next(self) -> None:
-        gap = float(self._rng.exponential(1.0 / self.rate_tps))
-        self.after(gap, self._fire)
-
-    def _fire(self) -> None:
-        if not self._running:
-            return
-        op = self.op_factory() if self.op_factory is not None else None
-        self.submit(op)
-        self._schedule_next()
-
-
 __all__ = [
     "Client",
-    "PoissonClient",
-    "SubmitTx",
     "SubmitTxBatch",
     "Reply",
     "DEFAULT_MAX_INFLIGHT",

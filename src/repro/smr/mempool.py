@@ -3,18 +3,18 @@
 The evaluation keeps the system saturated: every block carries exactly
 400 transactions.  :class:`SaturatedSource` models that steady state by
 synthesizing a full batch on demand (as the C++ harness's closed-loop
-clients do).  :class:`Mempool` additionally holds real client
-submissions (used by the replicated-KV example) ahead of the synthetic
-filler.
+clients do).  :class:`Mempool` additionally holds submitted slabs (the
+load engine's arrivals, 2PC markers, a KV client's one-row slabs) ahead
+of the synthetic filler.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from itertools import islice
 from typing import Optional
 
-from .transaction import Transaction, TxBatch, TxFactory, _Run
+from .transaction import TxBatch, TxFactory, _Run
 
 #: Transactions per block in the paper's evaluation.
 BLOCK_TXS = 400
@@ -40,10 +40,10 @@ class SaturatedSource:
 
 
 class Mempool:
-    """Per-replica pool of client transactions, FIFO with dedup.
+    """Per-replica pool of submitted slabs, FIFO with dedup.
 
-    ``next_batch`` drains queued client transactions first and tops the
-    batch up from the synthetic source (if any) so blocks stay full.
+    ``next_batch`` drains the accepted slabs in arrival order and tops
+    the batch up from the synthetic source (if any) so blocks stay full.
 
     **Dedup-horizon semantics.**  Duplicate detection remembers the
     last ``dedup_window`` distinct transaction keys (submissions and
@@ -55,8 +55,9 @@ class Mempool:
     dedup is the execution layer's job (the KV app's per-client
     ``tx_id`` ordering), the mempool window only suppresses redundant
     *queueing* work.  Re-admitting a key whose transaction is *still
-    pending* is harmless too: the resubmission overwrites the same
-    pending slot, so no batch ever carries the transaction twice.
+    pending* is harmless too: its second copy joins a later slab, the
+    first copy to reach the drain cursor takes the key and every later
+    copy is skipped, so no batch ever carries the transaction twice.
 
     **Interval entries.**  A committed run of consecutive ids of one
     client (a saturated source's filler) enters the window as *one*
@@ -80,7 +81,6 @@ class Mempool:
         self.source = source
         self.batch_size = batch_size
         self.dedup_window = dedup_window
-        self._pending: OrderedDict[tuple[int, int], Transaction] = OrderedDict()
         #: The window.  ``_order`` lists its entries oldest first from
         #: ``_head`` on: key tuples (also in ``_seen`` for O(1) lookup)
         #: and ``[client_id, lo, hi]`` intervals (also in ``_runs`` by
@@ -96,14 +96,15 @@ class Mempool:
         self._single_hi: float = float("-inf")
         #: Pending slabs: FIFO of accepted :class:`TxBatch` slabs, a row
         #: cursor into the head slab, and the keys still live in some
-        #: slab — a row whose key has left the set committed while it
-        #: was pending and is skipped at drain time.
+        #: slab — a row whose key has left the set committed, or was
+        #: drained from an earlier slab, while it was pending and is
+        #: skipped at drain time.
         self._slabs: deque[TxBatch] = deque()
         self._slab_cursor = 0
         self._slab_keys: set[tuple[int, int]] = set()
 
     def __len__(self) -> int:
-        return len(self._pending) + len(self._slab_keys)
+        return len(self._slab_keys)
 
     # -- the dedup window ---------------------------------------------------
     def _evict(self, n: int) -> None:
@@ -182,25 +183,15 @@ class Mempool:
         return True
 
     # -- submission ---------------------------------------------------------
-    def submit(self, tx: Transaction) -> bool:
-        """Queue a client transaction; returns False on duplicates
-        (within the dedup horizon — see the class docstring)."""
-        k = (tx.client_id, tx.tx_id)
-        self._widen((tx.client_id, tx.client_id))
-        if not self._remember_keys((k,)):
-            return False
-        self._pending[k] = tx
-        return True
-
     def submit_batch(self, batch: TxBatch) -> int:
         """Queue a slab of client transactions; returns the number
         accepted.
 
-        Accept/reject decisions are *identical* to calling
-        :meth:`submit` once per row in slab order (same dedup horizon,
-        same window order and eviction); accepted rows stay in the slab
-        (compacted if some were rejected) and :meth:`next_batch` hands
-        them on as slices of it.
+        Rows are decided one by one in slab order against the dedup
+        horizon, so any split of the same rows into slabs accepts the
+        same rows and leaves the same window; accepted rows stay in the
+        slab (compacted if some were rejected) and :meth:`next_batch`
+        hands them on as slices of it.
         """
         for seg in batch.segments:
             self._widen(seg.span)
@@ -216,17 +207,13 @@ class Mempool:
     # -- commit ---------------------------------------------------------------
     def mark_committed(self, txs: TxBatch) -> None:
         """Drop what a committed block carried: its keys enter the dedup
-        window in block order and leave the pending structures."""
-        pending_pop = self._pending.pop
+        window in block order and leave the pending slabs."""
         for seg in txs.segments:
             if type(seg) is _Run and self._remember_run(seg):
                 continue  # nothing pending can share a key with it
             keys = seg.keys
             self._widen(seg.span)
             self._remember_keys(keys)
-            if self._pending:
-                for k in keys:
-                    pending_pop(k, None)
             if self._slab_keys:
                 self._slab_keys.difference_update(keys)
 
@@ -234,20 +221,12 @@ class Mempool:
     def next_batch(self, now: float = 0.0) -> TxBatch:
         """Form the next block's transactions as one slab.
 
-        Drain order: scalar client submissions first (FIFO), then the
-        pending slabs (FIFO, skipping rows that committed while
-        slab-pending), then the synthetic source tops the block up.
+        Drain order: the pending slabs in arrival order (skipping rows
+        that committed, or were drained, while pending), then the
+        synthetic source tops the block up.
         """
         parts: list[TxBatch] = []
         need = self.batch_size
-        if self._pending:
-            pending = self._pending
-            rows = [
-                pending.popitem(last=False)[1]
-                for _ in range(min(need, len(pending)))
-            ]
-            parts.append(TxBatch.from_transactions(rows))
-            need -= len(rows)
         while self._slabs and need > 0:
             part = self._drain_head(need)
             parts.append(part)

@@ -9,7 +9,7 @@ that flow through the batched submit path
 per-transaction Python objects.
 """
 
-from .arrivals import DEFAULT_SLAB_ROWS, PerClientArrivals, SuperposedArrivals
+from .arrivals import DEFAULT_SLAB_ROWS, SuperposedArrivals
 from .engine import (
     VIRTUAL_CLIENT_BASE,
     WORKLOAD_PID,
@@ -21,7 +21,6 @@ from .engine import (
 
 __all__ = [
     "DEFAULT_SLAB_ROWS",
-    "PerClientArrivals",
     "SuperposedArrivals",
     "VIRTUAL_CLIENT_BASE",
     "WORKLOAD_PID",

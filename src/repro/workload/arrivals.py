@@ -7,32 +7,21 @@ probability λᵢ/Σλᵢ (the superposition/thinning theorem).  With equal
 per-client rates the marks are iid-uniform over the client population.
 :class:`SuperposedArrivals` simulates exactly that — one exponential
 stream for the pooled process plus one uniform-integer stream for the
-marks — so its law matches N independent
-:class:`~repro.smr.client.PoissonClient` processes while costing one
-RNG call per *slab* instead of one simulator event per *arrival*.
-That is what makes million-client populations affordable: the state is
-one int64 counter per virtual client (for per-client ``tx_id``
-numbering) and the work per arrival is a few vectorized numpy ops.
+marks — so its law matches N independent per-client Poisson
+processes merged into one stream, while costing one RNG call per *slab*
+instead of one simulator event per *arrival*.  That is what makes
+million-client populations affordable: the state is one int64 counter
+per virtual client (for per-client ``tx_id`` numbering) and the work
+per arrival is a few vectorized numpy ops.
 
-**Streams.**  The aggregated mode draws from
-``workload.region<k>.arrivals`` (a *new* stream purpose — documented
-in docs/invariants.md; it does not and cannot reproduce the legacy
-per-client draw sequence).  The compatibility mode
-(:class:`PerClientArrivals`) instead draws from the *legacy* streams
-``client<pid>.arrivals`` and relies on the prefix property of
-``Generator.exponential``: a batched ``size=k`` request returns
-bit-identical values to ``k`` scalar requests, so the arrival times it
-mints are exactly those the legacy :class:`PoissonClient` processes
-would produce — pinned by a golden fingerprint test.
+**Streams.**  Each region draws from ``workload.region<k>.arrivals``
+(documented in docs/invariants.md).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import numpy as np
 
-from ..sim.rng import RngRegistry
 from ..smr.transaction import TxBatch
 
 #: Default rows per minted slab: one simulator event carries this many
@@ -123,84 +112,7 @@ class SuperposedArrivals:
         )
 
 
-class PerClientArrivals:
-    """Compatibility-mode generator: the legacy clients' exact arrivals.
-
-    Draws each client's inter-arrival gaps from the *same* named stream
-    the legacy :class:`~repro.smr.client.PoissonClient` uses
-    (``client<pid>.arrivals``, purpose ``"client tx arrivals"``), in
-    batches — bit-identical to the scalar draws by the numpy
-    prefix property — so the merged arrival sequence is exactly what
-    ``len(pids)`` independent client processes would submit.  Useful
-    for pinning the aggregated engine's plumbing against the legacy
-    mode on small populations; the superposed generator is the one that
-    scales.
-    """
-
-    #: Gaps drawn per batched request while extending one client's
-    #: timeline past the horizon.
-    CHUNK = 64
-
-    def __init__(
-        self,
-        registry: RngRegistry,
-        pids: Sequence[int],
-        rate_tps: float,
-        payload_bytes: int = 0,
-    ) -> None:
-        if not pids:
-            raise ValueError("need at least one client pid")
-        if rate_tps <= 0:
-            raise ValueError("rate must be positive")
-        self.pids = list(pids)
-        self.rate_tps = rate_tps
-        self.payload_bytes = payload_bytes
-        self._rngs = [
-            registry.stream(f"client{pid}.arrivals", purpose="client tx arrivals")
-            for pid in self.pids
-        ]
-
-    def arrivals_until(self, horizon: float) -> TxBatch:
-        """All arrivals in ``[0, horizon)``, merged and time-sorted.
-
-        Single-shot.  The arrival *times* are bit-identical to what the
-        legacy client processes produce by ``horizon`` (prefix property
-        of batched draws); the stream cursor may sit a partial chunk
-        further along, which is invisible to anything except a later
-        draw from the same stream in the same run.
-        """
-        scale = 1.0 / self.rate_tps
-        all_times: list[np.ndarray] = []
-        all_cids: list[np.ndarray] = []
-        all_tids: list[np.ndarray] = []
-        for pid, rng in zip(self.pids, self._rngs):
-            t = 0.0
-            times: list[float] = []
-            done = False
-            while not done:
-                gaps = rng.exponential(scale, size=self.CHUNK)
-                for g in gaps.tolist():
-                    t += g
-                    if t >= horizon:
-                        done = True
-                        break
-                    times.append(t)
-            arr = np.array(times, dtype=np.float64)
-            all_times.append(arr)
-            all_cids.append(np.full(len(arr), pid, dtype=np.int64))
-            all_tids.append(np.arange(len(arr), dtype=np.int64))
-        times = np.concatenate(all_times)
-        order = np.argsort(times, kind="stable")
-        return TxBatch.columns(
-            np.concatenate(all_cids)[order],
-            np.concatenate(all_tids)[order],
-            times[order],
-            self.payload_bytes,
-        )
-
-
 __all__ = [
     "DEFAULT_SLAB_ROWS",
-    "PerClientArrivals",
     "SuperposedArrivals",
 ]

@@ -1,7 +1,8 @@
 """The aggregated open-loop load engine.
 
-One :class:`WorkloadEngine` process replaces N independent
-:class:`~repro.smr.client.PoissonClient` processes.  Per region it owns
+One :class:`WorkloadEngine` process stands for N independent open-loop
+Poisson clients — their superposition (see
+:mod:`repro.workload.arrivals`).  Per region it owns
 a :class:`~repro.workload.arrivals.SuperposedArrivals` generator; it
 mints arrivals in columnar slabs and, when a slab's *last* arrival time
 is reached, multicasts the whole slab to every replica as one
@@ -10,8 +11,8 @@ arrival time rides in the slab's ``submit_times`` column, so per-tx
 timing is preserved even though the simulator executes one event per
 slab instead of one per arrival.
 
-Deliberate differences from the per-client mode (documented, not
-accidental):
+Deliberate differences from N client processes each submitting its
+own transactions (documented, not accidental):
 
 * slab granularity — a slab is dispatched when its last arrival
   occurs, so the first rows of a slab reach the mempool up to
@@ -34,11 +35,11 @@ from ..smr import SubmitTxBatch
 from .arrivals import DEFAULT_SLAB_ROWS, SuperposedArrivals
 
 #: Process id of the engine on the network fabric — far above replica
-#: pids (0..n) and legacy client pids.
+#: pids (0..n) and :class:`~repro.smr.client.Client` pids.
 WORKLOAD_PID = 90_000
 
 #: First virtual client id.  Replica synthetic sources use
-#: ``10_000 + pid`` and legacy clients use small pids, so a disjoint
+#: ``10_000 + pid`` and clients use small pids, so a disjoint
 #: base keeps ``(client_id, tx_id)`` keys globally unique.
 VIRTUAL_CLIENT_BASE = 1_000_000
 

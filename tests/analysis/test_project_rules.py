@@ -71,22 +71,22 @@ def test_stream_purity_allows_home_layer_and_observers():
 
 def test_stream_purity_tracks_fstring_stream_names():
     files = {
-        "repro/smr/client.py": (
-            "class Client:\n"
-            "    def __init__(self, sim, pid):\n"
-            "        self._rng = sim.rng.stream(f'client{pid}.arrivals')\n"
+        "repro/workload/engine.py": (
+            "class Engine:\n"
+            "    def __init__(self, sim, k):\n"
+            "        self._rng = sim.rng.stream(f'workload.region{k}.arrivals')\n"
             "    def next_gap(self):\n"
             "        return self._rng.exponential(1.0)\n"
         ),
         "repro/protocols/pbft/replica.py": (
-            "from repro.smr.client import Client\n"
-            "def misuse(c: 'Client'):\n"
-            "    return c.next_gap()\n"
+            "from repro.workload.engine import Engine\n"
+            "def misuse(e: 'Engine'):\n"
+            "    return e.next_gap()\n"
         ),
     }
     findings = run_rule(StreamPurityRule(), files)
     assert locs(findings) == [("repro/protocols/pbft/replica.py", 3)]
-    assert "'client' RNG stream" in findings[0].message
+    assert "'workload' RNG stream" in findings[0].message
 
 
 # -- secret flow -------------------------------------------------------

@@ -54,8 +54,8 @@ def run_blocks(
 ) -> None:
     """Start the cluster and run until a replica decided ``blocks``."""
     cluster.start()
-    ref = cluster.replicas[reference]
-    sim.run(until=max_time, stop_when=lambda: len(ref.log) >= blocks)
+    cluster.replicas[reference].log.when_length(blocks, sim.stop)
+    sim.run(until=max_time)
     cluster.stop()
 
 

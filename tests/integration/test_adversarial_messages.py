@@ -193,7 +193,8 @@ def test_cluster_keeps_working_after_injections(cluster3):
     target = len(cluster.replicas[0].log) + 5
     for r in cluster.replicas:
         r.stopped = False
-    sim.run(until=sim.now + 5.0, stop_when=lambda: len(cluster.replicas[0].log) >= target)
+    cluster.replicas[0].log.when_length(target, sim.stop)
+    sim.run(until=sim.now + 5.0)
     cluster.stop()
     assert len(cluster.replicas[0].log) >= target
     assert prefix_agreement(cluster.logs())

@@ -6,7 +6,7 @@ from repro.net import ConstantLatency, Network
 from repro.protocols.common import ProtocolConfig, build_cluster
 from repro.protocols.registry import get_protocol
 from repro.sim import Simulator
-from repro.smr import Client
+from repro.smr import Client, SubmitTxBatch, TxBatch
 
 
 def build(protocol="oneshot", f=1, seed=1, saturated=False, certified=None):
@@ -70,8 +70,8 @@ def test_oneshot_client_trusts_single_certified_reply():
         tx = client.submit(("set", "a", 1))
 
     sim.schedule(0.01, go)
-    # Stop as soon as it commits and count replies received so far.
-    sim.run(until=2.0, stop_when=lambda: tx is not None and tx.key() in client.committed)
+    sim.run(until=2.0)
+    cluster.stop()
     assert tx.key() in client.committed
 
 
@@ -97,10 +97,11 @@ def test_duplicate_submissions_commit_once():
     def go():
         tx = client.submit(("add", "c", 1))
         # Re-broadcast the same transaction (e.g. a client retry).
-        from repro.smr import SubmitTx
-
+        retry = SubmitTxBatch(
+            TxBatch.from_transactions([tx]), wants_replies=True
+        )
         for r in cluster.replicas:
-            net.send(client.pid, r.pid, SubmitTx(tx))
+            net.send(client.pid, r.pid, retry)
 
     sim.schedule(0.01, go)
     sim.run(until=2.0)

@@ -8,6 +8,7 @@ streaming metrics — all deterministic under the seed.
 import pytest
 
 from repro.experiments import ExperimentConfig, run_experiment
+from repro.smr import prefix_agreement
 from repro.workload import VIRTUAL_CLIENT_BASE
 
 
@@ -42,6 +43,19 @@ class TestOpenLoopRun:
         assert all(
             tx.client_id >= VIRTUAL_CLIENT_BASE for tx in block.txs
         )
+
+    def test_low_rate_open_loop_is_live(self):
+        # A few hundred clients at 200 tx/s: small slabs keep flowing,
+        # blocks commit them and every replica holds one history.
+        res = run_experiment(_open_cfg(
+            offered_tps=200.0, virtual_clients=300, arrival_slab=16,
+            target_blocks=4,
+        ))
+        assert 0 < res.stats.txs_decided <= res.engine.txs_offered
+        replicas = res.cluster.replicas
+        assert prefix_agreement(res.cluster.logs())
+        assert min(len(r.log) for r in replicas) >= 2
+        assert len({r.log.state.state_digest() for r in replicas}) == 1
 
     def test_deterministic_under_seed(self):
         a = run_experiment(_open_cfg())

@@ -4,7 +4,7 @@ import pytest
 
 from repro.net import ConstantLatency, Network
 from repro.sim import Simulator
-from repro.smr import Client, Reply, SubmitTx
+from repro.smr import Client, Reply, SubmitTxBatch
 
 
 class FakeReplica:
@@ -39,8 +39,10 @@ def test_submit_broadcasts_to_all_replicas():
     sim.run()
     for r in replicas:
         assert len(r.received) == 1
-        assert isinstance(r.received[0][1], SubmitTx)
-        assert r.received[0][1].tx.key() == tx.key()
+        msg = r.received[0][1]
+        assert isinstance(msg, SubmitTxBatch) and msg.wants_replies
+        assert msg.batch.keys() == (tx.key(),)
+        assert msg.batch[0] is tx  # the op rides in the one-row slab
 
 
 def test_quorum_client_waits_for_f_plus_1_distinct():
@@ -54,6 +56,25 @@ def test_quorum_client_waits_for_f_plus_1_distinct():
     assert key not in client.committed
     client.on_message(1, Reply((key,), view=1, replica=1))
     assert key in client.committed
+
+
+def test_self_declared_replica_ids_do_not_forge_a_quorum():
+    """One Byzantine replica naming two different ``replica`` ids is
+    still one voter: the client counts network senders."""
+    sim, net, replicas, client = setup(f=1, certified=False)
+    tx = client.submit(None)
+    sim.run()
+    client.on_message(0, Reply((tx.key(),), view=1, replica=0))
+    client.on_message(0, Reply((tx.key(),), view=1, replica=1))
+    assert tx.key() not in client.committed
+
+
+def test_replies_from_non_replicas_ignored():
+    sim, net, replicas, client = setup(f=1, certified=True)
+    tx = client.submit(None)
+    sim.run()
+    client.on_message(7, Reply((tx.key(),), view=1, replica=0, certified=True))
+    assert tx.key() not in client.committed
 
 
 def test_certified_client_trusts_single_certified_reply():

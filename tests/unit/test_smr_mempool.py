@@ -10,6 +10,11 @@ from repro.smr import (
 )
 
 
+def _submit(mp, tx):
+    """A client's one-row slab; whether it was accepted."""
+    return mp.submit_batch(TxBatch.from_transactions([tx])) == 1
+
+
 def _commit(mp, *txs):
     mp.mark_committed(TxBatch.from_transactions(txs))
 
@@ -42,31 +47,31 @@ def test_mempool_fifo_order():
     f = TxFactory(1)
     txs = [f.make() for _ in range(3)]
     for t in txs:
-        mp.submit(t)
+        _submit(mp, t)
     assert tuple(mp.next_batch()) == tuple(txs)
 
 
 def test_mempool_dedup():
     mp = Mempool()
     t = Transaction(1, 1)
-    assert mp.submit(t)
-    assert not mp.submit(t)
+    assert _submit(mp, t)
+    assert not _submit(mp, t)
     assert len(mp) == 1
 
 
 def test_mempool_mark_committed_removes_and_blocks_resubmit():
     mp = Mempool()
     t = Transaction(1, 1)
-    mp.submit(t)
+    _submit(mp, t)
     _commit(mp, t)
     assert len(mp) == 0
-    assert not mp.submit(t)
+    assert not _submit(mp, t)
 
 
 def test_mempool_tops_up_from_source():
     mp = Mempool(source=SaturatedSource(), batch_size=5)
     client_tx = Transaction(1, 1)
-    mp.submit(client_tx)
+    _submit(mp, client_tx)
     batch = mp.next_batch()
     assert len(batch) == 5
     assert batch[0] is client_tx  # client txs first
@@ -74,7 +79,7 @@ def test_mempool_tops_up_from_source():
 
 def test_mempool_without_source_returns_partial_batch():
     mp = Mempool(batch_size=5)
-    mp.submit(Transaction(1, 1))
+    _submit(mp, Transaction(1, 1))
     assert len(mp.next_batch()) == 1
     assert len(mp.next_batch()) == 0
 
@@ -83,7 +88,7 @@ def test_batch_size_respected_with_many_pending():
     mp = Mempool(batch_size=2)
     f = TxFactory(9)
     for _ in range(5):
-        mp.submit(f.make())
+        _submit(mp, f.make())
     assert len(mp.next_batch()) == 2
     assert len(mp) == 3
 
@@ -108,7 +113,7 @@ def test_default_dedup_window_is_bounded():
 def test_seen_set_never_exceeds_window():
     mp = Mempool(dedup_window=8)
     for i in range(50):
-        mp.submit(Transaction(1, i))
+        _submit(mp, Transaction(1, i))
     assert _window(mp, [(1, i) for i in range(50)]) == [
         (1, i) for i in range(42, 50)
     ]
@@ -117,9 +122,9 @@ def test_seen_set_never_exceeds_window():
 def test_duplicate_within_window_rejected():
     mp = Mempool(dedup_window=4)
     t = Transaction(1, 1)
-    assert mp.submit(t)
-    mp.submit(Transaction(1, 2))
-    assert not mp.submit(t)
+    assert _submit(mp, t)
+    _submit(mp, Transaction(1, 2))
+    assert not _submit(mp, t)
 
 
 def test_resubmit_after_horizon_is_readmitted():
@@ -127,24 +132,24 @@ def test_resubmit_after_horizon_is_readmitted():
     is accepted again — commit-time dedup is the execution layer's job."""
     mp = Mempool(dedup_window=3)
     t = Transaction(1, 1)
-    mp.submit(t)
+    _submit(mp, t)
     mp.next_batch()  # drain pending; t is no longer queued
     for i in range(2, 6):  # push t's key out of the 3-wide window
-        mp.submit(Transaction(1, i))
+        _submit(mp, Transaction(1, i))
     assert not mp.seen_recently(t.key())
-    assert mp.submit(t)
+    assert _submit(mp, t)
 
 
 def test_readmitted_pending_key_never_duplicates_a_batch():
     """If a still-pending transaction's key ages out and it is
-    resubmitted, the resubmission overwrites the same pending slot —
+    resubmitted, the first copy drains and the later one is skipped —
     no batch ever carries the transaction twice."""
     mp = Mempool(dedup_window=2, batch_size=10)
     t = Transaction(1, 1)
-    mp.submit(t)  # stays pending (no next_batch call)
-    mp.submit(Transaction(1, 2))
-    mp.submit(Transaction(1, 3))  # t's key evicted from window
-    assert mp.submit(t)  # re-admitted
+    _submit(mp, t)  # stays pending (no next_batch call)
+    _submit(mp, Transaction(1, 2))
+    _submit(mp, Transaction(1, 3))  # t's key evicted from window
+    assert _submit(mp, t)  # re-admitted
     batch = mp.next_batch()
     assert sum(1 for tx in batch if tx.key() == t.key()) == 1
 
@@ -152,9 +157,9 @@ def test_readmitted_pending_key_never_duplicates_a_batch():
 def test_mark_committed_key_inside_window_blocks_resubmit():
     mp = Mempool(dedup_window=4)
     t = Transaction(1, 1)
-    mp.submit(t)
+    _submit(mp, t)
     _commit(mp, t)
-    assert not mp.submit(t)
+    assert not _submit(mp, t)
     assert len(mp) == 0
 
 
@@ -170,7 +175,7 @@ def test_mark_committed_many_equals_per_tx_loop():
     txs = [Transaction(3, i) for i in range(30)]
     for mp in (a, b):
         for t in txs[:5]:
-            mp.submit(t)
+            _submit(mp, t)
     _commit(a, *txs)
     for t in txs:
         _commit(b, t)
@@ -179,7 +184,7 @@ def test_mark_committed_many_equals_per_tx_loop():
     # Same insertion order: 75 more keys push out the same 5 oldest.
     for mp in (a, b):
         for i in range(75):
-            mp.submit(Transaction(7, i))
+            _submit(mp, Transaction(7, i))
     assert _window(a, probe) == _window(b, probe) == probe[5:]
 
 
@@ -197,7 +202,7 @@ def test_mark_committed_keys_bulk_path_preserves_duplicate_positions():
     for mp in (a, b):
         # Window order is 1, 2, 9, 8: three fresh keys evict 1 alone.
         for i in range(3):
-            mp.submit(Transaction(5, i))
+            _submit(mp, Transaction(5, i))
         assert _window(mp, keys) == [(1, 2), (1, 9), (1, 8)]
 
 
@@ -208,7 +213,7 @@ def test_mark_committed_keys_eviction_path_equals_per_tx_loop():
     txs = [Transaction(2, i) for i in range(25)]
     for mp in (a, b):
         for t in txs[:8]:
-            mp.submit(t)
+            _submit(mp, t)
     _commit(a, *txs)
     for t in txs:
         _commit(b, t)
@@ -221,7 +226,7 @@ def test_mark_committed_keys_drops_pending_entries():
     mp = Mempool(dedup_window=50, batch_size=10)
     txs = [Transaction(4, i) for i in range(6)]
     for t in txs:
-        mp.submit(t)
+        _submit(mp, t)
     _commit(mp, *txs[:4])
     assert len(mp) == 2
     assert [t.tx_id for t in mp.next_batch()] == [4, 5]
@@ -234,14 +239,14 @@ def test_committed_run_counts_as_its_length_and_leaves_from_its_front():
     mp.mark_committed(TxBatch.run(10_001, 0, 6))
     probe = [(10_000, i) for i in range(6)] + [(10_001, i) for i in range(6)]
     assert _window(mp, probe) == probe[2:]  # 12 keys, room for 10
-    assert not mp.submit(Transaction(10_001, 5))
-    assert mp.submit(Transaction(10_000, 1))  # aged out: re-admitted
+    assert not _submit(mp, Transaction(10_001, 5))
+    assert _submit(mp, Transaction(10_000, 1))  # aged out: re-admitted
     assert not mp.seen_recently((10_000, 2))  # ...and pushed one more out
 
 
 def test_run_longer_than_the_window_keeps_its_tail():
     mp = Mempool(dedup_window=4)
-    mp.submit(Transaction(1, 1))
+    _submit(mp, Transaction(1, 1))
     mp.mark_committed(TxBatch.run(10_000, 0, 9))
     assert not mp.seen_recently((1, 1))
     assert _window(mp, [(10_000, i) for i in range(9)]) == [
@@ -253,14 +258,14 @@ def test_run_sharing_a_client_id_with_single_keys_is_expanded():
     """A pending key inside a committed run must leave the pool, and a
     key the window already holds must keep its position."""
     mp = Mempool(dedup_window=8, batch_size=10)
-    mp.submit(Transaction(5, 2))
-    mp.submit(Transaction(5, 40))
+    _submit(mp, Transaction(5, 2))
+    _submit(mp, Transaction(5, 40))
     mp.mark_committed(TxBatch.run(5, 0, 4))
     assert [t.key() for t in mp.next_batch()] == [(5, 40)]
     # Window order: (5,2) (5,40) (5,0) (5,1) (5,3); four more evict
     # (5,2) first although the run named it last-but-one.
     for i in range(4):
-        mp.submit(Transaction(6, i))
+        _submit(mp, Transaction(6, i))
     assert _window(mp, [(5, i) for i in range(4)]) == [(5, 0), (5, 1), (5, 3)]
 
 
@@ -272,6 +277,6 @@ def test_overlapping_runs_of_one_client_are_expanded():
         _commit(b, Transaction(9, t))
     probe = [(9, i) for i in range(6)]
     for mp in (a, b):
-        mp.submit(Transaction(1, 1))
-        mp.submit(Transaction(1, 2))
+        _submit(mp, Transaction(1, 1))
+        _submit(mp, Transaction(1, 2))
     assert _window(a, probe) == _window(b, probe) == probe[1:]

@@ -1,5 +1,6 @@
-"""Batched mempool ingest: accept/reject identical to the scalar path,
-and the interval window identical to a per-key window."""
+"""Slab ingest: accept/reject identical to a per-key window, one FIFO
+drain across every kind of slab, and the interval window identical to
+a per-key window."""
 
 from collections import OrderedDict
 
@@ -10,11 +11,16 @@ from hypothesis import strategies as st
 
 from repro.smr import (
     DEFAULT_DEDUP_WINDOW,
+    Client,
     Mempool,
     SaturatedSource,
+    SubmitTxBatch,
     Transaction,
     TxBatch,
 )
+from repro.workload import WORKLOAD_PID
+
+from ..conftest import make_cluster
 
 
 def _batch_from_keys(keys, payload=0):
@@ -26,11 +32,45 @@ def _batch_from_keys(keys, payload=0):
     )
 
 
-def _scalar_submit_all(mp, keys):
-    out = []
-    for i, (c, t) in enumerate(keys):
-        out.append(mp.submit(Transaction(c, t, submit_time=float(i))))
-    return out
+def _one_row(key):
+    """A KV client's submission: one :class:`Transaction` row."""
+    return TxBatch.from_transactions([Transaction(*key)])
+
+
+class _PerKeyReference:
+    """The mempool's bookkeeping with a plain FIFO of single keys and a
+    set of pending keys: the window every slab split and every interval
+    entry must be indistinguishable from."""
+
+    def __init__(self, window=DEFAULT_DEDUP_WINDOW):
+        self.window = window
+        self.seen = OrderedDict()
+        self.pending = set()
+
+    def _remember(self, k):
+        if k in self.seen:
+            return False
+        if len(self.seen) >= self.window:
+            self.seen.popitem(last=False)
+        self.seen[k] = None
+        return True
+
+    def submit(self, k):
+        if not self._remember(k):
+            return False
+        self.pending.add(k)
+        return True
+
+    def commit(self, keys):
+        for k in keys:
+            self._remember(k)
+            self.pending.discard(k)
+
+    def drained(self, keys):
+        self.pending.difference_update(keys)
+
+    def __len__(self):
+        return len(self.pending)
 
 
 class TestBatchScalarEquivalence:
@@ -44,9 +84,9 @@ class TestBatchScalarEquivalence:
                 rng.integers(0, 40, size=3000), rng.integers(0, 25, size=3000)
             )
         ]
-        scalar = Mempool(batch_size=10**9, dedup_window=64)
+        ref = _PerKeyReference(window=64)
         batched = Mempool(batch_size=10**9, dedup_window=64)
-        accepts = _scalar_submit_all(scalar, keys)
+        accepts = [ref.submit(k) for k in keys]
         slab_accepts = []
         for lo in range(0, len(keys), 37):
             chunk = keys[lo : lo + 37]
@@ -55,48 +95,63 @@ class TestBatchScalarEquivalence:
         assert sum(accepts) == sum(slab_accepts)
         # Identical dedup-window contents afterwards.
         universe = [(c, t) for c in range(40) for t in range(25)]
-        assert [k for k in universe if scalar.seen_recently(k)] == [
+        assert [k for k in universe if k in ref.seen] == [
             k for k in universe if batched.seen_recently(k)
         ]
-        assert len(scalar) == len(batched)
+        assert len(ref) == len(batched)
 
     def test_across_250k_fifo_horizon(self):
         # More distinct keys than the default window: the oldest age
         # out and a retransmission of an aged-out key is re-admitted by
-        # both paths.
+        # both.
         n = DEFAULT_DEDUP_WINDOW + 10_000
         keys = [(i % 97, i) for i in range(n)]
         keys += keys[:500]  # beyond-horizon retransmissions: re-admitted
         keys += keys[-600:-100]  # in-horizon duplicates: rejected
-        scalar = Mempool(batch_size=10**9)
+        ref = _PerKeyReference()
         batched = Mempool(batch_size=10**9)
-        n_scalar = sum(_scalar_submit_all(scalar, keys))
+        n_ref = sum(ref.submit(k) for k in keys)
         n_batched = 0
         for lo in range(0, len(keys), 1024):
             n_batched += batched.submit_batch(
                 _batch_from_keys(keys[lo : lo + 1024])
             )
-        assert n_scalar == n_batched == n + 500
-        assert [k for k in keys if scalar.seen_recently(k)] == [
+        assert n_ref == n_batched == n + 500
+        assert [k for k in keys if k in ref.seen] == [
             k for k in keys if batched.seen_recently(k)
         ]
 
     def test_interleaved_scalar_and_batch_share_window(self):
         mp = Mempool(batch_size=10**9, dedup_window=100)
-        assert mp.submit(Transaction(1, 1))
+        assert mp.submit_batch(_one_row((1, 1))) == 1
         assert mp.submit_batch(_batch_from_keys([(1, 1), (2, 2)])) == 1
-        assert not mp.submit(Transaction(2, 2))
+        assert mp.submit_batch(_one_row((2, 2))) == 0
         assert len(mp) == 2
 
 
 class TestSlabDrain:
-    def test_drain_order_scalar_first_then_slabs_fifo(self):
-        mp = Mempool(batch_size=3)
-        mp.submit(Transaction(9, 0))
-        mp.submit_batch(_batch_from_keys([(1, 0), (2, 0), (3, 0)]))
-        first = mp.next_batch()
-        assert [t.key() for t in first] == [(9, 0), (1, 0), (2, 0)]
-        assert [t.key() for t in mp.next_batch()] == [(3, 0)]
+    def test_one_fifo_across_client_and_engine_slabs(self):
+        """A KV client's submission drains in arrival order between two
+        engine column slabs at a real replica — no kind of slab jumps
+        the queue."""
+        sim, net, cluster = make_cluster("oneshot", f=1)
+        pids = [r.pid for r in cluster.replicas]
+        client = Client(sim, net, pid=1000, replica_pids=pids, f=1)
+        net.multicast(WORKLOAD_PID, pids, SubmitTxBatch(
+            _batch_from_keys([(1, 0), (2, 0)])
+        ))
+        sim.run()
+        tx = client.submit(("set", "k", 1))
+        sim.run()
+        net.multicast(WORKLOAD_PID, pids, SubmitTxBatch(
+            _batch_from_keys([(3, 0)])
+        ))
+        sim.run()
+        mp = cluster.replicas[0].mempool
+        assert len(mp) == 4
+        assert [t.key() for t in mp.next_batch()][:4] == [
+            (1, 0), (2, 0), tx.key(), (3, 0),
+        ]
         assert len(mp) == 0
 
     def test_committed_while_slab_pending_is_skipped(self):
@@ -139,62 +194,20 @@ class TestSlabDrain:
 
     def test_drained_slices_share_the_slab_and_filler_tops_up(self):
         mp = Mempool(source=SaturatedSource(client_id=10_000), batch_size=6)
-        mp.submit(Transaction(9, 0, op=("set", "k", 1)))
+        row = TxBatch.from_transactions([Transaction(9, 0, op=("set", "k", 1))])
         slab = _batch_from_keys([(i, 0) for i in range(3)])
+        mp.submit_batch(row)
         mp.submit_batch(slab)
         block = mp.next_batch(now=4.0)
         assert [t.key() for t in block] == [
             (9, 0), (0, 0), (1, 0), (2, 0), (10_000, 0), (10_000, 1),
         ]
         assert block[0].op == ("set", "k", 1) and block[5].submit_time == 4.0
-        assert block.segments[1] is slab.segments[0]  # no row was copied
+        assert block.segments[0] is row.segments[0]  # no row was copied
+        assert block.segments[1] is slab.segments[0]
 
 
 # -- the interval window against a per-key window --------------------------
-class _PerKeyReference:
-    """The mempool's bookkeeping with a plain FIFO of single keys: the
-    window every interval entry must be indistinguishable from."""
-
-    def __init__(self, window):
-        self.window = window
-        self.seen = OrderedDict()
-        self.scalar = {}
-        self.slab = set()
-
-    def _remember(self, k):
-        if k in self.seen:
-            return False
-        if len(self.seen) >= self.window:
-            self.seen.popitem(last=False)
-        self.seen[k] = None
-        return True
-
-    def submit(self, k, pool):
-        if not self._remember(k):
-            return False
-        if pool is self.scalar:
-            pool[k] = None
-        else:
-            pool.add(k)
-        return True
-
-    def commit(self, keys):
-        for k in keys:
-            self._remember(k)
-            self.scalar.pop(k, None)
-            self.slab.discard(k)
-
-    def drained(self, keys):
-        for k in keys:
-            if k in self.scalar:
-                del self.scalar[k]
-            else:
-                self.slab.discard(k)
-
-    def __len__(self):
-        return len(self.scalar) + len(self.slab)
-
-
 _CIDS, _TIDS = range(6), range(24)
 _key = st.tuples(st.sampled_from(_CIDS), st.sampled_from(_TIDS))
 _op = st.one_of(
@@ -225,9 +238,9 @@ def test_interval_window_equals_per_key_window(window, batch_size, filler, ops):
     universe = [(c, t) for c in (*_CIDS, filler) for t in range(40)]
     for kind, arg in ops:
         if kind == "submit":
-            assert mp.submit(Transaction(*arg)) == ref.submit(arg, ref.scalar)
+            assert mp.submit_batch(_one_row(arg)) == ref.submit(arg)
         elif kind == "submit_batch":
-            expected = sum([ref.submit(k, ref.slab) for k in arg])
+            expected = sum([ref.submit(k) for k in arg])
             assert mp.submit_batch(_batch_from_keys(arg)) == expected
         elif kind == "commit_keys":
             mp.mark_committed(_batch_from_keys(arg))

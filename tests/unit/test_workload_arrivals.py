@@ -5,28 +5,14 @@
   and so do the gaps of N merged independent clients (the two modes
   agree in law);
 * per-client tx-id numbering matches what each virtual client's own
-  factory would assign;
-* compatibility mode is *stream-identical* to the legacy PoissonClient
-  draws, pinned by a golden fingerprint.
+  factory would assign.
 """
-
-import hashlib
 
 import numpy as np
 import pytest
 
 from repro.sim import Simulator
-from repro.sim.rng import RngRegistry
-from repro.workload import PerClientArrivals, SuperposedArrivals
-
-#: sha256 of the compat-mode arrival-time doubles on (seed=1234,
-#: pids=0..9, rate=20 tx/s each, horizon=5 s).  Pins stream identity
-#: with the legacy per-client mode: the same constant must fall out of
-#: re-deriving the arrivals from the raw ``client<pid>.arrivals``
-#: streams scalar draw by scalar draw.
-COMPAT_FINGERPRINT = (
-    "598d6d3c9cb0051b40a0470e260beba5d8186ce3f1276abe26146c1b6fe73f16"
-)
+from repro.workload import SuperposedArrivals
 
 
 def _ks_against_exponential(gaps: np.ndarray, rate: float) -> float:
@@ -61,15 +47,17 @@ class TestSuperposition:
         assert _ks_against_exponential(gaps, 100_000.0) < 0.01
 
     def test_merged_independent_clients_agree_in_law(self):
-        # N legacy per-client streams merged give gaps with the same
-        # Exp(N*lambda) law as the pooled generator (superposition
-        # theorem) — the distributional equivalence the engine rests on.
-        registry = RngRegistry(root_seed=77)
-        pc = PerClientArrivals(registry, pids=range(50), rate_tps=40.0)
-        merged = pc.arrivals_until(30.0)
-        gaps = np.diff(merged.submit_times)
+        # N independent per-client Poisson streams merged give gaps with
+        # the same Exp(N*lambda) law as the pooled generator
+        # (superposition theorem) — the distributional equivalence the
+        # engine rests on.
+        rng = np.random.default_rng(77)
+        per_client = [
+            np.cumsum(rng.exponential(1.0 / 40.0, size=1_500)) for _ in range(50)
+        ]
+        merged = np.sort(np.concatenate([t[t < 30.0] for t in per_client]))
         assert len(merged) > 40_000
-        assert _ks_against_exponential(gaps, 50 * 40.0) < 0.01
+        assert _ks_against_exponential(np.diff(merged), 50 * 40.0) < 0.01
 
     def test_marks_uniform_over_population(self):
         gen = _superposed(seed=5, n_clients=1000, rate=1000.0)
@@ -108,65 +96,11 @@ class TestSuperposition:
             assert (np.diff(s.submit_times) >= 0).all()
             prev = float(s.submit_times[-1])
 
-
-class TestCompatStreamIdentity:
-    HORIZON = 5.0
-    RATE = 20.0
-    PIDS = tuple(range(10))
-
-    def _legacy_reference(self):
-        """Arrivals re-derived scalar draw by scalar draw, exactly as
-        the legacy PoissonClient consumes its stream."""
-        registry = RngRegistry(root_seed=1234)
-        rows = []
-        for pid in self.PIDS:
-            rng = registry.stream(
-                f"client{pid}.arrivals", purpose="client tx arrivals"
-            )
-            t, tid = 0.0, 0
-            while True:
-                t += float(rng.exponential(1.0 / self.RATE))
-                if t >= self.HORIZON:
-                    break
-                rows.append((t, pid, tid))
-                tid += 1
-        rows.sort(key=lambda r: r[0])
-        return rows
-
-    def test_bitwise_identical_to_scalar_draws(self):
-        registry = RngRegistry(root_seed=1234)
-        batch = PerClientArrivals(
-            registry, pids=self.PIDS, rate_tps=self.RATE
-        ).arrivals_until(self.HORIZON)
-        ref = self._legacy_reference()
-        assert len(batch) == len(ref)
-        assert batch.submit_times.tolist() == [t for t, _, _ in ref]
-        assert batch.client_ids.tolist() == [p for _, p, _ in ref]
-        assert batch.tx_ids.tolist() == [i for _, _, i in ref]
-
-    def test_golden_fingerprint(self):
-        registry = RngRegistry(root_seed=1234)
-        batch = PerClientArrivals(
-            registry, pids=self.PIDS, rate_tps=self.RATE
-        ).arrivals_until(self.HORIZON)
-        digest = hashlib.sha256(batch.submit_times.tobytes()).hexdigest()
-        assert digest == COMPAT_FINGERPRINT
-
-    def test_stream_purpose_matches_legacy(self):
-        registry = RngRegistry(root_seed=0)
-        PerClientArrivals(registry, pids=[3], rate_tps=1.0)
-        # Re-deriving under the legacy purpose must not conflict.
-        registry.stream("client3.arrivals", purpose="client tx arrivals")
-
     def test_validation(self):
-        registry = RngRegistry(root_seed=0)
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            PerClientArrivals(registry, pids=[], rate_tps=1.0)
+            SuperposedArrivals(rng, n_clients=0, rate_tps=1.0)
         with pytest.raises(ValueError):
-            PerClientArrivals(registry, pids=[1], rate_tps=0.0)
+            SuperposedArrivals(rng, n_clients=1, rate_tps=0.0)
         with pytest.raises(ValueError):
-            SuperposedArrivals(
-                registry.stream("workload.region0.arrivals"),
-                n_clients=0,
-                rate_tps=1.0,
-            )
+            SuperposedArrivals(rng, n_clients=1, rate_tps=1.0).next_slab(0)

@@ -13,12 +13,13 @@ callers.
 
 Model:
 
-* **sources** — reads of ``_secret``/``_kp`` attributes anywhere, and
-  the ``secret`` constructor parameter inside ``crypto/keys.py``;
-* **sanitizers** — ``hmac.new``, ``hmac.compare_digest`` and
-  ``hashlib.sha256``: a MAC tag or digest *proves knowledge of* the key
-  without revealing it, which is exactly the simulated-signature
-  contract;
+* **sources** — reads of ``_secret``/``_kp`` and of the ``_inner``/
+  ``_outer`` HMAC key schedule (states that can forge tags) anywhere,
+  and the ``secret`` constructor parameter inside ``crypto/keys.py``;
+* **sanitizers** — ``hmac.new``, ``hmac.compare_digest``,
+  ``hashlib.sha256`` and a hash state's ``.digest()``: a MAC tag or
+  digest *proves knowledge of* the key without revealing it, which is
+  exactly the simulated-signature contract;
 * **sinks** — any use in a module outside ``repro/tee/`` +
   ``repro/crypto/``; a return from a public (non-underscore) function
   even inside the trusted base; a store onto a public attribute; a
@@ -42,7 +43,7 @@ if TYPE_CHECKING:
 TRUSTED_PATHS: tuple[str, ...] = ("repro/tee/", "repro/crypto/")
 
 #: Attribute names whose *read* introduces secret taint.
-SECRET_ATTRS: frozenset[str] = frozenset({"_secret", "_kp"})
+SECRET_ATTRS: frozenset[str] = frozenset({"_secret", "_inner", "_outer", "_kp"})
 
 #: Module whose ``secret``-named parameters carry key material.
 KEY_MODULE = "repro/crypto/keys.py"
@@ -84,7 +85,8 @@ class _SecretFlowSpec(FlowSpec):
 
     # -- sanitizers ----------------------------------------------------
     def sanitizes(self, target: Optional[str], node: ast.Call) -> bool:
-        return target in SANITIZERS
+        # ``state.digest()`` finishes a keyed hash state into a tag.
+        return target in SANITIZERS or getattr(node.func, "attr", None) == "digest"
 
     # -- sinks ---------------------------------------------------------
     def check_use(self, fn, stmt, taints) -> Iterator[tuple[ast.AST, str]]:

@@ -64,6 +64,8 @@ PRIVATE_ATTRS: frozenset[str] = frozenset(
         "_verify",
         "_verify_many",
         "_secret",
+        "_inner",
+        "_outer",
         "_check_tag",
         "_kp",
     }

@@ -18,7 +18,6 @@ import hmac
 from dataclasses import dataclass
 from typing import Iterable
 
-from . import memo as _memo
 from .hashing import Digest
 
 #: Default bound on a :class:`KeyRing`'s verified-signature memo.  At
@@ -27,6 +26,11 @@ from .hashing import Digest
 #: re-verified within a few views of first sight — behaves like LRU
 #: without per-hit bookkeeping.
 SIG_MEMO_CAPACITY = 1 << 16
+
+#: SHA-256 block size and RFC 2104 pad tables (for ``bytes.translate``).
+_BLOCK = 64
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
 @dataclass(frozen=True)
@@ -45,13 +49,22 @@ class Signature:
 
 
 class KeyPair:
-    """A signing key bound to an integer identity."""
+    """A signing key bound to an integer identity.
 
-    __slots__ = ("owner", "_secret")
+    Holds only its RFC 2104 key schedule, derived once: the SHA-256
+    states after absorbing ``key ^ ipad`` and ``key ^ opad``.  They can
+    forge tags, so they are as secret as the key.
+    """
+
+    __slots__ = ("owner", "_inner", "_outer")
 
     def __init__(self, owner: int, secret: bytes) -> None:
         self.owner = owner
-        self._secret = secret
+        if len(secret) > _BLOCK:
+            secret = hashlib.sha256(secret).digest()
+        secret = secret.ljust(_BLOCK, b"\0")
+        self._inner = hashlib.sha256(secret.translate(_IPAD))
+        self._outer = hashlib.sha256(secret.translate(_OPAD))
 
     @classmethod
     def generate(cls, owner: int, master_seed: int = 0, domain: str = "") -> "KeyPair":
@@ -61,15 +74,24 @@ class KeyPair:
         ).digest()
         return cls(owner, secret)
 
+    def _tag(self, data: Digest) -> bytes:
+        inner = self._inner.copy()
+        inner.update(data)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
+
     def sign(self, data: Digest) -> Signature:
         """Sign a digest; only the holder of this object can do this."""
-        return Signature(self.owner, hmac.digest(self._secret, data, "sha256"))
+        return Signature(self.owner, self._tag(data))
 
     def _check_tag(self, data: Digest, sig: Signature) -> bool:
         if sig.signer != self.owner:
             return False
-        expect = hmac.digest(self._secret, data, "sha256")
-        return hmac.compare_digest(expect, sig.tag)
+        return hmac.compare_digest(self._tag(data), sig.tag)
+
+    def __deepcopy__(self, memo: dict) -> "KeyPair":
+        return self  # immutable; hash states cannot be pickled anyway
 
     def public(self) -> "PublicKey":
         return PublicKey(self)
@@ -139,15 +161,12 @@ class KeyRing:
         """Verify ``sig`` over ``data`` against the signer's public key."""
         key = (sig.signer, data, sig.tag)
         memo = self._verified
-        # The switch is read once, and as a variable: a call per
-        # memo hit would cost more than the dict probe it guards.
-        use_memo = _memo._enabled
-        if use_memo and key in memo:
+        if key in memo:
             return True
         pk = self._keys.get(sig.signer)
         if pk is None or not pk.verify(data, sig):
             return False
-        if use_memo and self._capacity > 0:
+        if self._capacity > 0:
             if len(memo) >= self._capacity:
                 memo.pop(next(iter(memo)))
             memo[key] = None

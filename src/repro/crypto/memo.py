@@ -26,9 +26,8 @@ new keys.
 full per-signature verification cost whether or not the memo hits:
 replicas charge *before* calling ``verify``, and the charge is a pure
 function of the certificate's shape.  Only redundant Python work is
-skipped, which is why golden-run fingerprints are bit-identical with
-the memos on or off (:func:`set_enabled` exists so tests can prove
-that).
+skipped, which is why golden-run fingerprints are bit-identical
+whether a check hits a memo or runs cold against a fresh ring.
 """
 
 from __future__ import annotations
@@ -41,31 +40,9 @@ from typing import Any, Hashable
 #: fact "this frozen instance verified against that ring".
 _MEMO_ATTR = "_verified_for"
 
-_enabled = True
-
-
-def enabled() -> bool:
-    """Whether verification memos are currently active."""
-    return _enabled
-
-
-def set_enabled(flag: bool) -> bool:
-    """Globally enable/disable the verification memos; returns the
-    previous setting.
-
-    Exists for tests (proving charged costs and fingerprints are
-    memo-independent).  Protocol code never calls this.
-    """
-    global _enabled
-    previous = _enabled
-    _enabled = bool(flag)
-    return previous
-
 
 def seen_valid(cert: Any, ring: Hashable, quorum: int = -1) -> bool:
     """True iff ``cert`` already fully verified against ``(ring, quorum)``."""
-    if not _enabled:
-        return False
     memo = getattr(cert, _MEMO_ATTR, None)
     return memo is not None and (ring, quorum) in memo
 
@@ -78,8 +55,6 @@ def record_valid(cert: Any, ring: Hashable, quorum: int = -1) -> None:
     outlive every certificate of their run), so a different ring —
     e.g. one missing a signer — never aliases a recorded success.
     """
-    if not _enabled:
-        return
     memo = getattr(cert, _MEMO_ATTR, None)
     if memo is None:
         memo = set()
@@ -87,4 +62,4 @@ def record_valid(cert: Any, ring: Hashable, quorum: int = -1) -> None:
     memo.add((ring, quorum))
 
 
-__all__ = ["enabled", "set_enabled", "seen_valid", "record_valid"]
+__all__ = ["seen_valid", "record_valid"]

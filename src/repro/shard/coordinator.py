@@ -99,6 +99,7 @@ class Coordinator(Process):
             raise ValueError("prepare_timeout must be positive")
         self.ports = [ShardPort(sim, n, s, self) for s, n in enumerate(shard_networks)]
         self.replica_pids = [list(p) for p in shard_replica_pids]
+        self._replicas = [frozenset(p) for p in self.replica_pids]
         # A reply alone acks only if certified *and* the protocol certifies.
         self.certified_replies = certified_replies
         self.ack_quorum = f + 1
@@ -157,7 +158,8 @@ class Coordinator(Process):
     # Replies from shard replicas
     # ------------------------------------------------------------------
     def on_shard_message(self, shard: int, sender: int, payload) -> None:
-        if not isinstance(payload, Reply):
+        # Voters are network senders, not the self-declared ``replica``.
+        if not isinstance(payload, Reply) or sender not in self._replicas[shard]:
             return
         trusted = self.certified_replies and payload.certified
         done: list[_PendingTx] = []
@@ -168,7 +170,7 @@ class Coordinator(Process):
             if pend is None or shard in pend.prepared:
                 continue
             acks = pend.prepare_acks.setdefault(shard, set())
-            acks.add(payload.replica)
+            acks.add(sender)
             if trusted or len(acks) >= self.ack_quorum:
                 pend.prepared.add(shard)
                 if len(pend.prepared) == len(pend.shards):

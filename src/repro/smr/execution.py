@@ -188,13 +188,13 @@ class ExecutionLog:
 
 
 def prefix_agreement(logs: list[ExecutionLog]) -> bool:
-    """True iff every pair of logs agrees on their common prefix."""
-    for i in range(len(logs)):
-        for j in range(i + 1, len(logs)):
-            a, b = logs[i].blocks, logs[j].blocks
-            for x, y in zip(a, b):
-                if x.hash != y.hash:
-                    return False
+    """True iff every pair of logs agrees on their common prefix — that
+    is, iff every log is a prefix of the longest one (O(n·L))."""
+    longest = max((log.blocks for log in logs), key=len, default=())
+    for log in logs:
+        for x, y in zip(log.blocks, longest):
+            if x.hash != y.hash:
+                return False
     return True
 
 

@@ -93,18 +93,3 @@ def test_fingerprint_is_replay_stable():
     b, _ = fingerprint_run("oneshot", seed=7, f=1, target_blocks=6)
     assert a.digest() == b.digest()
 
-
-@pytest.mark.parametrize("protocol", sorted(GOLDEN))
-def test_fingerprint_identical_with_verification_memo_disabled(protocol):
-    """The verification memos (PR 3) elide only redundant Python work:
-    with the cache switched off entirely, every run still reproduces
-    the same golden fingerprint — simulated time and decisions are a
-    function of *charged* cost, never of wall-clock shortcuts."""
-    from repro.crypto import memo
-
-    prev = memo.set_enabled(False)
-    try:
-        fp, _ = fingerprint_run(protocol, seed=7, f=1, target_blocks=6)
-    finally:
-        memo.set_enabled(prev)
-    assert_golden(fp, GOLDEN[protocol])

@@ -5,6 +5,8 @@ asserts the exact finding location, plus a clean twin proving the
 pass does not fire on the sanctioned pattern.
 """
 
+import pytest
+
 from repro.analysis.engine import LintEngine
 from repro.analysis.rules import (
     DeepFreezeRule,
@@ -159,6 +161,48 @@ def test_secret_flow_flags_secret_stored_on_public_attribute():
     )
     assert locs(findings) == [("repro/crypto/keys.py", 3)]
     assert "public attribute" in findings[0].message
+
+
+KEY_SCHEDULE = (
+    "import hashlib\n"
+    "class KeyPair:\n"
+    "    def __init__(self, owner, secret):\n"
+    "        self._inner = hashlib.sha256(secret)\n"
+    "        self._outer = hashlib.sha256(secret)\n"
+    "    def sign(self, data):\n"
+    "        inner = self._inner.copy()\n"
+    "        inner.update(data)\n"
+    "        outer = self._outer.copy()\n"
+    "        outer.update(inner.digest())\n"
+    "        return outer.digest()\n"
+)
+
+
+def test_secret_flow_allows_tags_finished_from_the_key_schedule():
+    findings = run_rule(SecretFlowRule(), {"repro/crypto/keys.py": KEY_SCHEDULE})
+    assert findings == []
+
+
+@pytest.mark.parametrize("attr", ["_inner", "_outer"])
+def test_secret_flow_flags_key_schedule_read_outside_the_key_module(attr):
+    findings = run_rule(
+        SecretFlowRule(),
+        {
+            "repro/crypto/keys.py": KEY_SCHEDULE
+            + f"    def export(self):\n        return self.{attr}.copy()\n",
+            "repro/protocols/pbft/replica.py": (
+                "from repro.crypto.keys import KeyPair\n"
+                "def peek(kp: 'KeyPair'):\n"
+                f"    state = kp.{attr}.copy()\n"
+                "    return state\n"
+            ),
+        },
+    )
+    # The schedule is secret even though hashlib.sha256 produced it: a
+    # copied state escaping a public method or an untrusted module both
+    # flag.
+    assert ("repro/crypto/keys.py", 13) in locs(findings)
+    assert ("repro/protocols/pbft/replica.py", 3) in locs(findings)
 
 
 # -- substrate boundary ------------------------------------------------

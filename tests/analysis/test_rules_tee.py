@@ -91,6 +91,15 @@ def test_flags_raw_secret_access():
     assert lint("def attack(pk):\n    return pk._kp\n")
 
 
+def test_flags_key_schedule_access():
+    for attr in ("_inner", "_outer"):
+        findings = lint(f"def attack(kp, d):\n    return kp.{attr}.copy()\n")
+        assert len(findings) == 1
+        assert attr in findings[0].message
+        src = f"def _tag(self, d):\n    return self.{attr}.copy()\n"
+        assert lint(src, path="repro/crypto/keys.py") == []
+
+
 def test_keys_module_is_the_trusted_secret_holder():
     src = "def _check_tag(self, d, t):\n    return self._kp is not None\n"
     assert lint(src, path="repro/crypto/keys.py") == []

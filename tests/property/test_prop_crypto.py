@@ -57,12 +57,33 @@ def test_cross_instance_keys_disjoint(data):
 
 @given(st.binary(min_size=1, max_size=64), st.integers(0, 4))
 def test_tags_equal_the_hmac_object_construction(data, owner):
-    """``sign`` uses one-shot ``hmac.digest``; the tag is the one
-    ``hmac.new(secret, data, sha256).digest()`` gives (the secret is
-    re-derived here from the documented ``generate`` recipe)."""
+    """The tag is the one ``hmac.new(secret, data, sha256).digest()``
+    gives (the secret is re-derived here from the documented
+    ``generate`` recipe)."""
     kp = KeyPair.generate(owner, master_seed=3, domain="tags")
     secret = hashlib.sha256(f"keygen:3:tags:{owner}".encode()).digest()
     d = sha256(data)
     tag = hmac.new(secret, d, hashlib.sha256).digest()
     assert kp.sign(d).tag == tag
     assert kp.public().verify(d, Signature(owner, tag))
+
+
+def _sized_binary(max_size):
+    """Bytes whose length is drawn first, so long inputs are as likely
+    as short ones."""
+    return st.integers(0, max_size).flatmap(lambda n: st.binary(min_size=n, max_size=n))
+
+
+@given(_sized_binary(130), _sized_binary(200), st.integers(0, 255), st.integers(0, 31))
+def test_key_schedule_tags_equal_one_shot_hmac(secret, data, flip, pos):
+    """The precomputed key schedule is RFC 2104 for every key length —
+    shorter than, equal to, and longer than the 64-byte block (long keys
+    are hashed first) — and ``_check_tag`` accepts exactly that tag."""
+    kp = KeyPair(7, secret)
+    tag = hmac.digest(secret, data, "sha256")
+    assert kp.sign(data).tag == tag
+    assert kp._check_tag(data, Signature(7, tag))
+    forged = bytearray(tag)
+    forged[pos] ^= flip
+    assert kp._check_tag(data, Signature(7, bytes(forged))) == (flip == 0)
+    assert not kp._check_tag(data, Signature(8, tag))

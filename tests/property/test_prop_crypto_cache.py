@@ -161,25 +161,39 @@ def test_warm_quorum_cert_verify_checks_no_tags(monkeypatch):
     assert len(checks) == 3
 
 
-def test_global_disable_switch_bypasses_both_layers():
-    """memo.set_enabled(False) forces every check down the cold path
-    (used to prove fingerprints and ledgers are memo-independent)."""
+def test_fresh_uncached_ring_bypasses_both_layers(monkeypatch):
+    """A fresh ``KeyRing(memo_capacity=0)`` holding the same public keys
+    misses both memos — it keeps no verified triples, and certificate
+    instance memos are keyed by ring — so every check re-runs the HMAC
+    (how fingerprints and ledgers are proved memo-independent)."""
+    checks = []
+    real = KeyPair._check_tag
+
+    def counted(self, data, sig):
+        checks.append(sig.signer)
+        return real(self, data, sig)
+
+    monkeypatch.setattr(KeyPair, "_check_tag", counted)
     ring = fresh_ring()
     d = sha256(b"switch")
     sig = PAIRS[0].sign(d)
     assert ring.verify(d, sig)
-    prev = memo.set_enabled(False)
-    try:
-        assert ring.verify(d, sig)  # still verifies, via the HMAC
-        h = sha256(b"switch-block")
-        digest = store_digest(1, h, 1)
-        cert = PrepareCert(
-            stored_view=1,
-            block_hash=h,
-            prop_view=1,
-            sigs=tuple(PAIRS[i].sign(digest) for i in range(3)),
-        )
-        assert cert.verify(ring, 3)
-        assert not memo.seen_valid(cert, ring, 3)  # nothing was recorded
-    finally:
-        memo.set_enabled(prev)
+    cold = fresh_ring(capacity=0)
+    assert cold.verify(d, sig)  # still verifies, via the HMAC
+    assert cold.memo_size == 0
+    assert len(checks) == 2
+
+    h = sha256(b"switch-block")
+    digest = store_digest(1, h, 1)
+    cert = PrepareCert(
+        stored_view=1,
+        block_hash=h,
+        prop_view=1,
+        sigs=tuple(PAIRS[i].sign(digest) for i in range(3)),
+    )
+    assert cert.verify(ring, 3)
+    assert memo.seen_valid(cert, ring, 3)
+    uncached = fresh_ring(capacity=0)
+    assert not memo.seen_valid(cert, uncached, 3)
+    assert cert.verify(uncached, 3)
+    assert len(checks) == 2 + 3 + 3  # every tag checked again

@@ -65,11 +65,14 @@ class _Replica(Process):
     """A stub shard replica: applies each marker slab to a local KVStore
     in arrival order and optionally acks it with one multi-key reply."""
 
-    def __init__(self, sim, network, pid, ack=True, certified=True):
+    def __init__(self, sim, network, pid, ack=True, certified=True, claims=None):
         super().__init__(sim, pid, name=f"stub-{pid}")
         self.network = network
         self.ack = ack
         self.certified = certified
+        #: ``replica`` ids written into replies, one reply each (a
+        #: Byzantine stub claims several identities).
+        self.claims = [pid] if claims is None else claims
         self.kv = KVStore()
         self.slabs = []
         network.register(self)
@@ -81,14 +84,16 @@ class _Replica(Process):
         self.slabs.append(payload.batch)
         for tx in payload.batch:
             self.kv.apply(tx.op)
-        if self.ack:
+        if not self.ack:
+            return
+        for replica in self.claims:
             self.network.send(
                 self.pid,
                 sender,
                 Reply(
                     tx_keys=payload.batch.keys(),
                     view=1,
-                    replica=self.pid,
+                    replica=replica,
                     certified=self.certified,
                 ),
             )
@@ -227,6 +232,48 @@ def test_coordinator_rejects_one_uncertified_ack_under_certified_replies():
     # even when the protocol could have certified it.
     assert (coord.committed, coord.aborted) == (0, 1)
     assert replicas[0][0].kv.x_aborted == {0}
+
+
+def test_coordinator_counts_senders_not_claimed_replica_ids():
+    """One Byzantine replica sending f+1 replies under distinct
+    self-declared ``replica`` ids is still one voter."""
+    sim = Simulator(seed=1)
+    nets = [Network(sim), Network(sim)]
+    replicas = [
+        [_Replica(sim, nets[s], 0, certified=False, claims=[0, 1])]
+        + [_Replica(sim, nets[s], pid, ack=False) for pid in (1, 2)]
+        for s in range(2)
+    ]
+    coord = Coordinator(
+        sim,
+        nets,
+        [[0, 1, 2], [0, 1, 2]],
+        f=1,
+        certified_replies=False,
+        prepare_timeout=0.5,
+    )
+    coord.submit_transfers([(0, 1)])
+    sim.run(until=5.0)
+    assert (coord.committed, coord.aborted) == (0, 1)
+    assert replicas[0][0].kv.x_aborted == {0}
+
+
+def test_coordinator_ignores_replies_from_non_replicas():
+    sim = Simulator(seed=1)
+    nets, pids, _ = _fabric(sim, [False, False])
+    coord = Coordinator(
+        sim, nets, pids, f=0, certified_replies=True, prepare_timeout=0.5
+    )
+    coord.submit_transfers([(0, 1)])
+    # A certified ack on each shard, but from a pid outside the shard.
+    for shard in (0, 1):
+        coord.on_shard_message(
+            shard,
+            9,
+            Reply(tx_keys=((COORDINATOR_PID, 0),), view=1, replica=0, certified=True),
+        )
+    sim.run(until=5.0)
+    assert (coord.committed, coord.aborted) == (0, 1)
 
 
 def test_coordinator_rejects_degenerate_transfer():

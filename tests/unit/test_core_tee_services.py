@@ -334,26 +334,26 @@ def test_vote_batch_rejects_empty_batch():
 # ----------------------------------------------------------------------
 def test_accum_ledger_identical_with_memo_on_and_off():
     """The wall-clock verification memos never reduce *charged* cost:
-    TEEaccum accrues the same ledger for cold, warm, and memo-disabled
-    verification of the same certificates."""
-    from repro.crypto import memo
+    TEEaccum accrues the same ledger for cold, warm, and uncached
+    verification of the same certificates — uncached meaning a fresh
+    ``KeyRing(memo_capacity=0)`` with the same public keys, which no
+    ring or instance memo answers for."""
+    from repro.crypto import KeyRing
     from repro.tee import TeeCostModel as _Tee
 
     top, rest, _ = make_nv_set()
 
-    def run(enabled):
-        svc = AccumulatorService(
-            0, CREDS[0].keypair, RING, T2_MICRO, _Tee(), QUORUM
-        )
-        prev = memo.set_enabled(enabled)
-        try:
-            acc = svc.tee_accum(top, rest)
-        finally:
-            memo.set_enabled(prev)
+    def run(ring):
+        svc = AccumulatorService(0, CREDS[0].keypair, ring, T2_MICRO, _Tee(), QUORUM)
+        acc = svc.tee_accum(top, rest)
         assert acc is not None
         return svc.drain_cost()
 
-    first = run(True)  # cold: populates the instance memos
-    warm = run(True)  # warm: served from the memos
-    off = run(False)  # memo machinery bypassed entirely
+    uncached = KeyRing(memo_capacity=0)
+    for c in CREDS:
+        uncached.add(c.keypair.public())
+
+    first = run(RING)  # cold: populates the memos
+    warm = run(RING)  # warm: served from the memos
+    off = run(uncached)  # misses both memo layers
     assert first == warm == off

@@ -1,5 +1,7 @@
 """Unit tests for simulated signatures and key rings."""
 
+import hmac
+
 import pytest
 
 from repro.crypto import KeyPair, KeyRing, Signature, digest_of
@@ -146,3 +148,31 @@ def test_memo_capacity_is_configurable():
 
     assert KeyRing().memo_capacity == SIG_MEMO_CAPACITY
     assert KeyRing(memo_capacity=7).memo_capacity == 7
+
+
+# ----------------------------------------------------------------------
+# the precomputed HMAC key schedule
+# ----------------------------------------------------------------------
+def test_sign_and_cold_verify_never_rederive_the_key(monkeypatch, ring_and_keys):
+    """Signing and tag checks resume the key schedule derived at key
+    generation: neither calls into ``hmac`` to rebuild the pads.
+    Counted, not timed."""
+    _, pairs = ring_and_keys
+    calls = []
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(hmac, "digest", counted(hmac.digest))
+    monkeypatch.setattr(hmac, "new", counted(hmac.new))
+    cold = KeyRing(memo_capacity=0)
+    cold.add(pairs[0].public())
+    for i in range(100):
+        d = digest_of("schedule", i)
+        assert cold.verify(d, pairs[0].sign(d))
+    assert cold.memo_size == 0  # every verify ran the tag check
+    assert calls == []

@@ -1,6 +1,10 @@
 """Unit tests for execution logs and the KV state machine."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.smr import (
     GENESIS,
@@ -148,3 +152,35 @@ def test_prefix_agreement_detects_forks():
     l1.execute(b1, 1.0)
     l2.execute(fork, 1.0)
     assert not prefix_agreement([l1, l2])
+
+
+def _pairwise_prefix_agreement(logs):
+    """The definition: every pair agrees on its common prefix."""
+    return all(
+        x.hash == y.hash
+        for i, a in enumerate(logs)
+        for b in logs[i + 1 :]
+        for x, y in zip(a.blocks, b.blocks)
+    )
+
+
+@st.composite
+def _log_sets(draw):
+    """Prefixes of one base chain (empty and equal-length ones
+    included), some with one block replaced at any position — a fork
+    there, or a no-op when the draw repeats the base block."""
+    base = draw(st.lists(st.integers(0, 3), max_size=8))
+    logs = []
+    for _ in range(draw(st.integers(0, 5))):
+        hashes = base[: draw(st.integers(0, len(base)))]
+        if hashes and draw(st.booleans()):
+            pos = draw(st.integers(0, len(hashes) - 1))
+            hashes[pos] = draw(st.integers(0, 3))
+        blocks = [SimpleNamespace(hash=h) for h in hashes]
+        logs.append(SimpleNamespace(blocks=blocks))
+    return logs
+
+
+@given(_log_sets())
+def test_prefix_agreement_matches_the_pairwise_definition(logs):
+    assert prefix_agreement(logs) == _pairwise_prefix_agreement(logs)

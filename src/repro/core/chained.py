@@ -21,18 +21,10 @@ and the recovery proposal re-enters the pipeline.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..metrics import NORMAL
-from .certificates import (
-    Accumulator,
-    PrepareCert,
-    qc_ref,
-    qc_verify_cost_sigs,
-    verify_qc,
-)
+from .certificates import Accumulator, PrepareCert
 from .messages import ProposalMsg, StoreMsg
-from .replica import OneShotReplica, Prop
+from .replica import OneShotReplica
 
 
 def _qc_commits(qc) -> bool:
@@ -54,48 +46,20 @@ class ChainedOneShotReplica(OneShotReplica):
     PROTOCOL = "oneshot-chained"
 
     # ------------------------------------------------------------------
-    # Prepare phase, replica side: store toward the *next* leader and
-    # commit the certificate's block.
+    # Prepare phase, replica side: commit the certificate's block and
+    # store toward the *next* leader.
     # ------------------------------------------------------------------
     def on_proposal(self, sender: int, msg: ProposalMsg) -> None:
-        phi_p = msg.proposal
-        v = phi_p.view
-        if v < self.view or sender != self.leader_of(v):
+        if not self._admit(sender, msg):
             return
-        cost = self.config.crypto_costs.verify(
-            1 + qc_verify_cost_sigs(msg.qc)
-        ) + self.config.crypto_costs.hash(msg.block.wire_size())
-        self.charge(cost)
-        if not phi_p.verify(self.ring):
-            return
-        ref = qc_ref(msg.qc)
-        if ref is None or not verify_qc(msg.qc, self.ring, self.config.quorum):
-            return
-        qv, qh = ref
-        if qv != v or msg.block.hash != phi_p.block_hash or not msg.block.extends(qh):
-            return
-        if v > self.view:
-            self._advance_to(v)
-        if v != self.view:
-            return
-        self.add_block(msg.block)
-        self._proposal_kind[msg.block.hash] = msg.exec_kind
-        self.prop = Prop(msg.block, phi_p, msg.qc)
-        self.puller.pull(msg.qc)
         # 1-chain commit: the certificate decides the previous block.
         if _qc_commits(msg.qc):
+            qh = msg.block.parent
             kind = self._proposal_kind.get(qh, msg.exec_kind)
             self.commit_chain(qh, kind, context=msg.qc)
             self.record_decision_progress()
-        self._sync_tee(v)
-        phi_s = self.checker.tee_store(phi_p)
-        done = self.charge_enclave(self.checker)
-        if phi_s is None:
-            return
-        self._ff_proposal = phi_p
-        self.last_store = phi_s
         # Pipelining: the store certificate goes to the NEXT leader.
-        self.send_at(done, self.leader_of(v + 1), StoreMsg(phi_s))
+        self._store(msg.proposal, self.leader_of(msg.proposal.view + 1))
 
     # ------------------------------------------------------------------
     # Next leader: assemble the certificate, enter the view, propose.
@@ -109,20 +73,9 @@ class ChainedOneShotReplica(OneShotReplica):
             or v + 1 < self.view
         ):
             return
-        self.charge(self.config.crypto_costs.verify(1))
-        if not cert.verify(self.ring):
+        phi_c = self._collect_store(cert)
+        if phi_c is None:
             return
-        quorum = self._store_tracker.add(
-            (v, cert.block_hash), cert.sig.signer, cert
-        )
-        if quorum is None:
-            return
-        phi_c = PrepareCert(
-            stored_view=v,
-            block_hash=cert.block_hash,
-            prop_view=v,
-            sigs=tuple(c.sig for c in quorum),
-        )
         if v + 1 > self.view:
             self._advance_to(v + 1)
         if self.view != v + 1 or self._led_view >= self.view:

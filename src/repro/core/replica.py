@@ -27,7 +27,7 @@ from typing import Any, Optional
 
 from ..crypto import Digest
 from ..metrics import CATCHUP, NORMAL, PIGGYBACK
-from ..smr import GENESIS, Block, create_leaf
+from ..smr import GENESIS, Block
 from .certificates import (
     GENESIS_PROPOSAL,
     GENESIS_QC,
@@ -59,7 +59,7 @@ from .messages import (
 )
 from .pulling import Puller
 from .tee_services import AccumulatorService, Checker
-from ..protocols.common import BaseReplica, QuorumTracker
+from ..protocols.common import BaseReplica
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,17 @@ class Prop:
 class OneShotReplica(BaseReplica):
     """A OneShot replica (N = 2f+1)."""
 
-    MIN_N_FACTOR = 2
     PROTOCOL = "oneshot"
     #: Replies forward the prepare certificate — one reply suffices.
     CERTIFIED_REPLIES = True
+    HANDLERS = {
+        NewViewMsg: "on_new_view",
+        ProposalMsg: "on_proposal",
+        StoreMsg: "on_store",
+        PrepCertMsg: "on_prep_cert",
+        DeliverMsg: "on_deliver",
+        VoteMsg: "on_vote",
+    }
     #: Optimization toggles; subclass via :func:`oneshot_with_options`.
     OPTIONS = OneShotOptions()
 
@@ -113,7 +120,7 @@ class OneShotReplica(BaseReplica):
             self.ring,
             cfg.crypto_costs,
             cfg.tee_costs,
-            cfg.quorum,
+            self.quorum,
         )
         self.prop = Prop(GENESIS, GENESIS_PROPOSAL, GENESIS_QC)
         self.last_store: Optional[StoreCert] = None
@@ -121,26 +128,15 @@ class OneShotReplica(BaseReplica):
         #: so it can drive TEE fast-forwards across skipped views.
         self._ff_proposal: Proposal = GENESIS_PROPOSAL
         self.puller = Puller(self)
-        # Leader-side collection state
-        self._nv_tracker: QuorumTracker[NewViewCert] = QuorumTracker(cfg.quorum)
-        self._store_tracker: QuorumTracker[StoreCert] = QuorumTracker(cfg.quorum)
-        self._vote_tracker: QuorumTracker = QuorumTracker(cfg.quorum)
+        # Leader-side collection state (deliver votes go to self.votes)
+        self._nv_tracker = self.tracker()
+        self._store_tracker = self.tracker()
         self._prep_certs: dict[int, PrepareCert] = {}  # stored_view -> φ_c
-        self._led_view = -1  # highest view this replica proposed in
         self._deliver: Optional[tuple[int, Digest]] = None  # (view, h)
         self._current_proposal: Optional[Proposal] = None
         self._proposal_kind: dict[Digest, str] = {}
-        for mtype, handler in (
-            (NewViewMsg, self.on_new_view),
-            (ProposalMsg, self.on_proposal),
-            (StoreMsg, self.on_store),
-            (PrepCertMsg, self.on_prep_cert),
-            (DeliverMsg, self.on_deliver),
-            (VoteMsg, self.on_vote),
-            (PullRequest, self.puller.on_pull_request),
-            (PullReply, self.puller.on_pull_reply),
-        ):
-            self.register_handler(mtype, handler)
+        self.register_handler(PullRequest, self.puller.on_pull_request)
+        self.register_handler(PullReply, self.puller.on_pull_reply)
 
     # ------------------------------------------------------------------
     # Boot & view plumbing
@@ -149,16 +145,11 @@ class OneShotReplica(BaseReplica):
         self._maybe_lead()
 
     def on_enter_view(self, view: int) -> None:
-        if view % 64 == 0:
-            self._prune(view)
         self._maybe_lead()
 
-    def _prune(self, view: int) -> None:
-        horizon = view - 4
-        self._nv_tracker.clear_below(horizon)
-        self._store_tracker.clear_below(horizon)
-        self._vote_tracker.clear_below(horizon)
-        for w in [w for w in self._prep_certs if w < horizon]:
+    def prune_below(self, view: int) -> None:
+        super().prune_below(view)
+        for w in [w for w in self._prep_certs if w < view]:
             del self._prep_certs[w]
 
     def _sync_tee(self, target: int) -> None:
@@ -202,10 +193,8 @@ class OneShotReplica(BaseReplica):
             return
         if w in self._prep_certs:
             return  # already have one; skip re-verification
-        self.charge(self.config.crypto_costs.verify(len(cert.sigs)))
-        if cert.prop_view != cert.stored_view:
-            return  # new-view prepare certs are decide-phase certs
-        if not cert.verify(self.ring, self.config.quorum):
+        # New-view prepare certs are decide-phase certs (prop_view = w).
+        if not self.check_qc(cert) or cert.prop_view != w:
             return
         self._prep_certs[w] = cert
         if w + 1 > self.view:
@@ -217,7 +206,7 @@ class OneShotReplica(BaseReplica):
         if w + 1 < self.view or self.leader_of(w + 1) != self.pid:
             return
         self.charge(self.config.crypto_costs.verify(nv_verify_cost_sigs(cert)))
-        if not verify_new_view(cert, self.ring, self.config.quorum):
+        if not verify_new_view(cert, self.ring, self.quorum):
             return
         if cert.block is not None:
             self.add_block(cert.block)
@@ -293,56 +282,63 @@ class OneShotReplica(BaseReplica):
 
     def _propose(self, h: Digest, qc: QuorumCert, kind: str) -> None:
         """l.5-8: createLeaf, certify via TEEprepare, broadcast."""
-        block = create_leaf(h, self.view, self.mempool.next_batch(self.sim.now), self.pid)
-        self.charge(self.config.crypto_costs.hash(block.wire_size()))
+        block = self.new_leaf(h)
         phi_p = self.checker.tee_prepare(block.hash)
         done = self.charge_enclave(self.checker)
         if phi_p is None:
             return  # TEE refused: already proposed in this view
-        self._led_view = self.view
         self._current_proposal = phi_p
         self._proposal_kind[block.hash] = kind
-        self.add_block(block)
-        self.collector.on_propose(self.pid, self.view, block.hash, self.sim.now)
+        self.record_proposal(block)
         self.broadcast_at(done, ProposalMsg(block, phi_p, qc, exec_kind=kind))
 
     # ------------------------------------------------------------------
     # Prepare phase, replica side (l.29-33)
     # ------------------------------------------------------------------
     def on_proposal(self, sender: int, msg: ProposalMsg) -> None:
+        if self._admit(sender, msg):
+            self._store(msg.proposal, sender)
+
+    def _admit(self, sender: int, msg: ProposalMsg) -> bool:
+        """Validate a proposal (l.30/l.32), enter its view and adopt it
+        as ``prop``; True iff it is for the view now current."""
         phi_p = msg.proposal
         v = phi_p.view
         if v < self.view or sender != self.leader_of(v):
-            return
+            return False
         cost = self.config.crypto_costs.verify(
             1 + qc_verify_cost_sigs(msg.qc)
         ) + self.config.crypto_costs.hash(msg.block.wire_size())
         self.charge(cost)
         if not phi_p.verify(self.ring):
-            return
+            return False
         ref = qc_ref(msg.qc)
-        if ref is None or not verify_qc(msg.qc, self.ring, self.config.quorum):
-            return
+        if ref is None or not verify_qc(msg.qc, self.ring, self.quorum):
+            return False
         qv, qh = ref
         # l.30/l.32: φ_qc is for ⟨view, h⟩, b ≻ h, H(b) == φ_p.hash.
         if qv != v or msg.block.hash != phi_p.block_hash or not msg.block.extends(qh):
-            return
+            return False
         if v > self.view:
             self._advance_to(v)
         if v != self.view:
-            return
+            return False
         self.add_block(msg.block)
         self._proposal_kind[msg.block.hash] = msg.exec_kind
         self.prop = Prop(msg.block, phi_p, msg.qc)
         self.puller.pull(msg.qc)  # Sec. VI-E: fetch the parent if missing
-        self._sync_tee(v)  # catch the CHECKER up if this replica lagged
+        return True
+
+    def _store(self, phi_p: Proposal, to: int) -> None:
+        """TEEstore ``phi_p`` and send the store certificate to ``to``."""
+        self._sync_tee(phi_p.view)  # catch the CHECKER up if this replica lagged
         phi_s = self.checker.tee_store(phi_p)
         done = self.charge_enclave(self.checker)
         if phi_s is None:
             return
         self._ff_proposal = phi_p
         self.last_store = phi_s
-        self.send_at(done, sender, StoreMsg(phi_s))
+        self.send_at(done, to, StoreMsg(phi_s))
 
     # ------------------------------------------------------------------
     # Decide ½-phase, leader side (l.36-39)
@@ -353,23 +349,28 @@ class OneShotReplica(BaseReplica):
         # l.37: only store(view, h, view) counts.
         if cert.stored_view != v or cert.prop_view != v or self._led_view != v:
             return
-        self.charge(self.config.crypto_costs.verify(1))
-        if not cert.verify(self.ring):
+        phi_c = self._collect_store(cert)
+        if phi_c is None:
             return
-        quorum = self._store_tracker.add(
-            (v, cert.block_hash), cert.sig.signer, cert
-        )
+        done = max(self.sim.now, self.cpu.busy_until)
+        assert self._current_proposal is not None
+        self.broadcast_at(done, PrepCertMsg(phi_c, self._current_proposal))
+
+    def _collect_store(self, cert: StoreCert) -> Optional[PrepareCert]:
+        """Count a verified store certificate; the prepare certificate
+        φ_c once f+1 replicas stored the same block in its view."""
+        if not self.check_sig(cert):
+            return None
+        v = cert.stored_view
+        quorum = self._store_tracker.add((v, cert.block_hash), cert.sig.signer, cert)
         if quorum is None:
-            return
-        phi_c = PrepareCert(
+            return None
+        return PrepareCert(
             stored_view=v,
             block_hash=cert.block_hash,
             prop_view=v,
             sigs=tuple(c.sig for c in quorum),
         )
-        done = max(self.sim.now, self.cpu.busy_until)
-        assert self._current_proposal is not None
-        self.broadcast_at(done, PrepCertMsg(phi_c, self._current_proposal))
 
     # ------------------------------------------------------------------
     # Decide ½-phase, replica side (l.41-46)
@@ -387,8 +388,7 @@ class OneShotReplica(BaseReplica):
             if v == self.view - 1 and self.is_leader():
                 self._on_nv_prep_cert(phi_c)
             return
-        self.charge(self.config.crypto_costs.verify(len(phi_c.sigs) + 1))
-        if not phi_c.verify(self.ring, self.config.quorum):
+        if not self.check_qc(phi_c, extra_sigs=1):
             return
         phi_p = msg.proposal
         if (
@@ -427,9 +427,9 @@ class OneShotReplica(BaseReplica):
             self.config.crypto_costs.verify(1 + nv_verify_cost_sigs(top))
         )
         # l.5: acc valid ∧ VERIFY(φ_n) ∧ b₁ ≻ h₂.
-        if not acc.is_valid(self.ring, self.config.quorum):
+        if not acc.is_valid(self.ring, self.quorum):
             return
-        if not verify_new_view(top, self.ring, self.config.quorum):
+        if not verify_new_view(top, self.ring, self.quorum):
             return
         if (
             acc.block_hash != top.store.block_hash
@@ -469,10 +469,9 @@ class OneShotReplica(BaseReplica):
         dv, dh = self._deliver
         if vote.view != dv or vote.block_hash != dh or dv != self.view:
             return
-        self.charge(self.config.crypto_costs.verify(1))
-        if not vote.verify(self.ring):
+        if not self.check_sig(vote):
             return
-        quorum = self._vote_tracker.add((dv, dh), vote.sig.signer, vote)
+        quorum = self.votes.add((dv, dh), vote.sig.signer, vote)
         if quorum is None:
             return
         phi_vc = VoteCert(

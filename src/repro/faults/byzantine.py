@@ -168,26 +168,14 @@ class Equivocator(ByzantineMixin):
         ):
             super().on_store(sender, msg)  # type: ignore[misc]
             return
-        from ..core.certificates import PrepareCert
         from ..core.messages import PrepCertMsg
 
         v = self.view  # type: ignore[attr-defined]
         if cert.stored_view != v or cert.prop_view != v:
             return
-        self.charge(self.config.crypto_costs.verify(1))  # type: ignore[attr-defined]
-        if not cert.verify(self.ring):  # type: ignore[attr-defined]
+        phi_c = self._collect_store(cert)  # type: ignore[attr-defined]
+        if phi_c is None:
             return
-        quorum = self._store_tracker.add(  # type: ignore[attr-defined]
-            (v, cert.block_hash), cert.sig.signer, cert
-        )
-        if quorum is None:
-            return
-        phi_c = PrepareCert(
-            stored_view=v,
-            block_hash=cert.block_hash,
-            prop_view=v,
-            sigs=tuple(c.sig for c in quorum),
-        )
         proposal, victims = targets[cert.block_hash]
         done = max(self.sim.now, self.cpu.busy_until)  # type: ignore[attr-defined]
         self.transmit(done, victims, PrepCertMsg(phi_c, proposal))  # type: ignore[attr-defined]

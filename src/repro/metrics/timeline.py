@@ -45,8 +45,8 @@ def classify_oneshot(payload: Any) -> Optional[tuple[str, int]]:
 
 def classify_damysus(payload: Any) -> Optional[tuple[str, int]]:
     """Wave classification for Damysus (basic and chained) messages."""
-    from ..protocols.damysus.chained import ChainedDamProposalMsg
     from ..protocols.damysus.messages import (
+        ChainedDamProposalMsg,
         DamCertMsg,
         DamNewViewMsg,
         DamProposalMsg,

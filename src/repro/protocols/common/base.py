@@ -1,10 +1,14 @@
-"""Replica base class shared by OneShot, Damysus and HotStuff.
+"""Replica skeleton shared by OneShot, Damysus and HotStuff.
 
-Provides everything that is *not* protocol logic: CPU cost charging,
-deferred sends, the view pacemaker, round-robin leader election,
-block storage, commit walks (execute a block and its unexecuted
-ancestors), client replies, and message dispatch.  Protocol packages
-subclass this and implement the paper's pseudocode on top.
+Provides everything that is *not* a protocol's own rules: CPU cost
+charging, deferred sends, the view pacemaker, round-robin leader
+election, the quorum size, quorum collection with per-view pruning,
+quorum-certificate checks, leaf creation, block storage and fetch,
+commit walks (execute a block and its unexecuted ancestors), client
+replies, and table-driven message dispatch.  A protocol subclasses
+this, declares its message table (:attr:`BaseReplica.HANDLERS`) and
+implements the paper's pseudocode on top; a chained variant subclasses
+its basic replica and overrides the steps that pipelining changes.
 
 Replica pids are ``0..n-1``; clients register with pids ≥ 1000.
 """
@@ -25,10 +29,12 @@ from ...smr import (
     Mempool,
     Reply,
     SubmitTxBatch,
+    create_leaf,
 )
 from ...tee import Credentials
 from .config import ProtocolConfig
 from .pacemaker import Pacemaker, ViewSyncMsg
+from .quorum import QuorumTracker
 
 
 class BaseReplica(Process):
@@ -40,6 +46,24 @@ class BaseReplica(Process):
     PROTOCOL = "base"
     #: Whether replies to clients carry a certificate (single-reply trust).
     CERTIFIED_REPLIES = False
+    #: Message type (exact) -> name of the method handling it.
+    HANDLERS: dict[type, str] = {}
+    #: Block-fetch (request, response) message types, each built from
+    #: one field (hash / block); None when the protocol overrides
+    #: :meth:`on_missing_block` (OneShot pulls, Fig. 6).
+    FETCH: Optional[tuple[type, type]] = None
+    #: Certificate type a quorum of phase votes combines into
+    #: (:meth:`collect_vote`; fields phase, view, block_hash, sigs).
+    VOTE_CERT: Optional[type] = None
+    #: Once every ``PRUNE_EVERY`` views, per-view state of views more
+    #: than ``PRUNE_KEEP`` before the one entered is dropped.
+    PRUNE_EVERY = 64
+    PRUNE_KEEP = 4
+
+    @classmethod
+    def quorum_for(cls, f: int) -> int:
+        """Certificate quorum: ``f+1`` at ``n = 2f+1``, ``2f+1`` at ``n = 3f+1``."""
+        return (cls.MIN_N_FACTOR - 1) * f + 1
 
     def __init__(
         self,
@@ -72,6 +96,16 @@ class BaseReplica(Process):
         self.others = [p for p in self.peers if p != pid]
         self.clients: dict[int, int] = {}
         self.stopped = False
+        self.quorum = self.quorum_for(config.f)
+        #: Highest view this replica proposed in (leads once per view).
+        self._led_view = -1
+        #: Quorum trackers holding per-view state (see :meth:`tracker`).
+        self._trackers: list[QuorumTracker] = []
+        self._pruned_at = 0
+        #: Vote collection (:meth:`collect_vote`, OneShot's deliver votes).
+        self.votes = self.tracker()
+        #: Block hashes with a fetch request outstanding.
+        self._fetching: set[Digest] = set()
         #: message type -> (handler, whether handling costs CPU time).
         self._handlers: dict[Type, tuple[Callable[[int, Any], None], bool]] = {}
         #: hash -> (exec kind, triggering certificate) awaiting ancestors.
@@ -80,6 +114,11 @@ class BaseReplica(Process):
         self.register_handler(SubmitTxBatch, self._on_submit_batch, charged=False)
         if config.view_sync:
             self.register_handler(ViewSyncMsg, self._on_view_sync)
+        for mtype, name in self.HANDLERS.items():
+            self.register_handler(mtype, getattr(self, name))
+        if self.FETCH is not None:
+            self.register_handler(self.FETCH[0], self.on_fetch_req)
+            self.register_handler(self.FETCH[1], self.on_fetch_resp)
         network.register(self)
 
     # ------------------------------------------------------------------
@@ -116,6 +155,60 @@ class BaseReplica(Process):
     def charge_enclave(self, enclave) -> float:
         """Drain an enclave's accrued ecall/crypto time onto the CPU."""
         return self.charge(enclave.drain_cost())
+
+    # ------------------------------------------------------------------
+    # Signature and certificate checks, quorum collection
+    # ------------------------------------------------------------------
+    def check_sig(self, signed: Any) -> bool:
+        """Charge one signature check, then run ``signed.verify``."""
+        self.charge(self.config.crypto_costs.verify(1))
+        return signed.verify(self.ring)
+
+    def check_qc(self, qc: Any, extra_sigs: int = 0, extra_cost: float = 0.0) -> bool:
+        """Charge a quorum certificate's signature checks, then verify
+        it against :attr:`quorum`.
+
+        ``extra_sigs`` further signatures and ``extra_cost`` seconds of
+        other work checked in the same step go into the same charge.
+        """
+        self.charge(
+            self.config.crypto_costs.verify(len(qc.sigs) + extra_sigs) + extra_cost
+        )
+        return qc.verify(self.ring, self.quorum)
+
+    def tracker(self, threshold: Optional[int] = None) -> QuorumTracker:
+        """A quorum tracker (default threshold :attr:`quorum`) whose
+        per-view keys are pruned as views advance."""
+        t = QuorumTracker(self.quorum if threshold is None else threshold)
+        self._trackers.append(t)
+        return t
+
+    def prune_below(self, view: int) -> None:
+        """Drop per-view state of views below ``view``.
+
+        Only state no handler can still act on may go: every tracker
+        key is a view the handlers already reject as stale.
+        """
+        for t in self._trackers:
+            t.clear_below(view)
+
+    def collect_vote(self, sender: int, vote: Any) -> Optional[Any]:
+        """Count a phase vote — its signature checked unless this
+        replica cast it — and return the :attr:`VOTE_CERT` combining
+        the first quorum of signers on its (view, phase, block)."""
+        if sender != self.pid and not self.check_sig(vote):
+            return None
+        quorum = self.votes.add(
+            (vote.view, vote.phase, vote.block_hash), vote.sig.signer, vote
+        )
+        if quorum is None:
+            return None
+        return self.VOTE_CERT(
+            phase=vote.phase,
+            view=vote.view,
+            block_hash=vote.block_hash,
+            sigs=tuple(x.sig for x in quorum),
+        )
 
     def transmit(self, when: float, dsts: Sequence[int], payload: Any) -> None:
         """Hand ``payload`` for ``dsts`` to the network at ``when`` — the
@@ -214,6 +307,9 @@ class BaseReplica(Process):
         if view < self.view:
             raise ValueError(f"view regression {self.view} -> {view}")
         self.view = view
+        if view - self._pruned_at >= self.PRUNE_EVERY:
+            self._pruned_at = view
+            self.prune_below(view - self.PRUNE_KEEP)
         self.view_timer.start(self.pacemaker.current_timeout())
         self.on_enter_view(view)
 
@@ -260,11 +356,52 @@ class BaseReplica(Process):
         """Called whenever the replica enters a view."""
 
     def on_timeout(self) -> None:
-        """Called when the current view's timer fires."""
-        raise NotImplementedError
+        """Called when the current view's timer fires: give up the view."""
+        self.enter_view(self.view + 1)
 
+    # ------------------------------------------------------------------
+    # Proposals
+    # ------------------------------------------------------------------
+    def new_leaf(self, parent: Digest) -> Block:
+        """createLeaf: the mempool's next batch on ``parent`` in this
+        view, charged for hashing the block."""
+        block = create_leaf(
+            parent, self.view, self.mempool.next_batch(self.sim.now), self.pid
+        )
+        self.charge(self.config.crypto_costs.hash(block.wire_size()))
+        return block
+
+    def record_proposal(self, block: Block) -> None:
+        """This replica proposes ``block`` in the current view: it leads
+        the view no more, stores the block and reports it."""
+        self._led_view = self.view
+        self.add_block(block)
+        self.collector.on_propose(self.pid, self.view, block.hash, self.sim.now)
+
+    # ------------------------------------------------------------------
+    # Block fetch
+    # ------------------------------------------------------------------
     def on_missing_block(self, h: Digest, context: Any = None) -> None:
-        """A commit needs block ``h`` but it is not stored (fetch hook)."""
+        """A commit needs block ``h`` but it is not stored: fetch it
+        from the first other signer of ``context``, the certificate
+        that triggered the commit (its signers hold ``h``'s chain)."""
+        if h in self._fetching or context is None:
+            return
+        self._fetching.add(h)
+        targets = [i for i in context.signer_ids() if i != self.pid]
+        if targets:
+            self.network.send(self.pid, targets[0], self.FETCH[0](h))
+
+    def on_fetch_req(self, sender: int, msg: Any) -> None:
+        block = self.store.get(msg.block_hash)
+        if block is not None:
+            done = self.charge(self.config.handler_overhead)
+            self.send_at(done, sender, self.FETCH[1](block))
+
+    def on_fetch_resp(self, sender: int, msg: Any) -> None:
+        self.charge(self.config.crypto_costs.hash(msg.block.wire_size()))
+        self._fetching.discard(msg.block.hash)
+        self.add_block(msg.block)
 
     # ------------------------------------------------------------------
     # Blocks and commits

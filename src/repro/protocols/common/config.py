@@ -14,7 +14,9 @@ class ProtocolConfig:
 
     ``n`` and ``f`` must satisfy the protocol's resilience bound:
     ``n >= 2f+1`` for OneShot/Damysus, ``n >= 3f+1`` for HotStuff —
-    enforced by each protocol's ``check_resilience``.
+    checked by :meth:`validate` when a replica is built.  The replica
+    derives its quorum size from ``f``
+    (:meth:`~repro.protocols.common.BaseReplica.quorum_for`).
     """
 
     n: int
@@ -35,14 +37,6 @@ class ProtocolConfig:
     #: Off reproduces the historical pacemaker, which the fuzzer showed
     #: can livelock HotStuff under a view split (docs/fuzzing.md).
     view_sync: bool = True
-
-    @property
-    def quorum(self) -> int:
-        """Votes needed for a certificate: ``f+1`` (hybrid protocols).
-
-        HotStuff overrides its quorum to ``2f+1`` in its replica class.
-        """
-        return self.f + 1
 
     def validate(self, min_n_factor: int) -> None:
         """Check ``n >= min_n_factor * f + 1`` and basic sanity."""

@@ -8,6 +8,7 @@ the paper's "wait for f+1 ..." lines.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Generic, Hashable, Optional, TypeVar
 
 T = TypeVar("T")
@@ -50,19 +51,22 @@ class QuorumTracker(Generic[T]):
         return key in self._fired
 
     def clear_below(self, min_key_view: int) -> None:
-        """Drop state for keys whose first element is an old view.
+        """Drop state for keys of views below ``min_key_view``.
 
-        Keys are conventionally ``(view, ...)`` tuples; this bounds
-        memory over long runs.
+        Keys are conventionally a view or a ``(view, ...)`` tuple; other
+        keys are kept.  This bounds memory over long runs.
         """
-        stale = [
-            k
-            for k in self._items
-            if isinstance(k, tuple) and k and isinstance(k[0], int) and k[0] < min_key_view
-        ]
+        stale = [k for k in self._items if _view_of(k) < min_key_view]
         for k in stale:
             del self._items[k]
             self._fired.discard(k)
+
+
+def _view_of(key: Hashable) -> float:
+    """The view a tracker key belongs to (``inf``: no view, never stale)."""
+    if isinstance(key, tuple) and key:
+        key = key[0]
+    return key if isinstance(key, int) else math.inf
 
 
 __all__ = ["QuorumTracker"]

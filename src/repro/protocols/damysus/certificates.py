@@ -12,6 +12,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
 from ...crypto import Digest, KeyRing, Signature, digest_of
 from ...crypto.memo import record_valid, seen_valid
@@ -133,6 +134,11 @@ class DamCert:
         return 48 + 64 * len(self.sigs)
 
 
+#: A chained proposal's justification: prepare certificate (steady
+#: state) or ACCUMULATOR certificate (after a timeout).
+Justify = Union[DamCert, DamAccum]
+
+
 __all__ = [
     "PREPARE",
     "COMMIT",
@@ -141,6 +147,7 @@ __all__ = [
     "DamProposal",
     "DamVote",
     "DamCert",
+    "Justify",
     "commitment_digest",
     "accum_digest",
     "proposal_digest",

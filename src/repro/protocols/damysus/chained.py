@@ -14,83 +14,38 @@ f+1 quorums on the chain).
   leader;
 * on timeout, replicas ship their CHECKER commitment to the next
   leader, whose ACCUMULATOR selects the highest prepared pair — the
-  basic protocol's view-change machinery, unchanged.
+  basic protocol's view-change machinery, inherited unchanged from
+  :class:`~repro.protocols.damysus.replica.DamysusReplica`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Optional
 
 from ...crypto import Digest
 from ...metrics import NORMAL
-from ...smr import Block, create_leaf
-from ..common import BaseReplica, QuorumTracker
 from .certificates import PREPARE, DamAccum, DamCert, DamProposal
-from .messages import DamFetchReq, DamFetchResp, DamNewViewMsg, DamVoteMsg
-from .tee_services import (
-    ChainedDamysusChecker,
-    DamysusAccumulator,
-    Justify,
-)
+from .messages import ChainedDamProposalMsg, DamNewViewMsg, DamVoteMsg
+from .replica import DamysusReplica
+from .tee_services import ChainedDamysusChecker
 
 
-@dataclass(frozen=True)
-class ChainedDamProposalMsg:
-    """⟨block, proposal, justify⟩ — the chained prepare wave."""
-
-    block: Block
-    proposal: DamProposal
-    justify: Justify
-
-    def wire_size(self) -> int:
-        return (
-            8
-            + self.block.wire_size()
-            + self.proposal.wire_size()
-            + self.justify.wire_size()
-        )
-
-
-class ChainedDamysusReplica(BaseReplica):
+class ChainedDamysusReplica(DamysusReplica):
     """Chained Damysus: one block per view, 2-chain commit."""
 
-    MIN_N_FACTOR = 2
     PROTOCOL = "damysus-chained"
-    CERTIFIED_REPLIES = False
+    HANDLERS = {
+        DamNewViewMsg: "on_new_view",
+        ChainedDamProposalMsg: "on_proposal",
+        DamVoteMsg: "on_vote",
+    }
+    CHECKER = ChainedDamysusChecker
+    PROPOSAL_MSG = ChainedDamProposalMsg
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        cfg = self.config
-        self.checker = ChainedDamysusChecker(
-            self.pid,
-            self.creds.keypair,
-            self.ring,
-            cfg.crypto_costs,
-            cfg.tee_costs,
-            cfg.quorum,
-        )
-        self.accumulator = DamysusAccumulator(
-            self.pid,
-            self.creds.keypair,
-            self.ring,
-            cfg.crypto_costs,
-            cfg.tee_costs,
-            cfg.quorum,
-        )
         #: block hash -> prepare certificate (for the 2-chain walk).
         self._cert_of: dict[Digest, DamCert] = {}
-        self._com_tracker = QuorumTracker(cfg.quorum)
-        self._vote_tracker = QuorumTracker(cfg.quorum)
-        self._led_view = -1
-        self._fetching: set[Digest] = set()
-        for mtype, handler in (
-            (DamNewViewMsg, self.on_new_view),
-            (ChainedDamProposalMsg, self.on_proposal),
-            (DamVoteMsg, self.on_vote),
-            (DamFetchReq, self.on_fetch_req),
-            (DamFetchResp, self.on_fetch_resp),
-        ):
-            self.register_handler(mtype, handler)
 
     # ------------------------------------------------------------------
     # Bootstrap & timeout: commitments to the (next) leader
@@ -99,44 +54,19 @@ class ChainedDamysusReplica(BaseReplica):
         self._send_commitment(0)
 
     def on_enter_view(self, view: int) -> None:
-        if view % 64 == 0:
-            self._com_tracker.clear_below(view - 4)
-            self._vote_tracker.clear_below(view - 4)
+        """In steady state the pipeline needs no commitments."""
 
     def on_timeout(self) -> None:
-        self.enter_view(self.view + 1)
+        super().on_timeout()
         self._send_commitment(self.view)
 
-    def _send_commitment(self, view: int) -> None:
-        com = self.checker.new_view(view)
-        done = self.charge_enclave(self.checker)
-        if com is not None:
-            self.send_at(done, self.leader_of(view), DamNewViewMsg(com))
+    def _tee_propose(self, h: Digest) -> Optional[DamProposal]:
+        return self.checker.tee_propose(h, self.view)
 
     # ------------------------------------------------------------------
-    # Leader paths: from commitments (recovery) or votes (steady state)
+    # Next leader: a quorum of prepare votes certifies the block, and
+    # the certificate justifies the next proposal.
     # ------------------------------------------------------------------
-    def on_new_view(self, sender: int, msg: DamNewViewMsg) -> None:
-        com = msg.commitment
-        if com.view < self.view or self.leader_of(com.view) != self.pid:
-            return
-        if sender != self.pid:
-            self.charge(self.config.crypto_costs.verify(1))
-            if not com.verify(self.ring):
-                return
-        quorum = self._com_tracker.add(com.view, com.sig.signer, com)
-        if quorum is None:
-            return
-        if com.view > self.view:
-            self.enter_view(com.view)
-        if com.view != self.view or self._led_view >= self.view:
-            return
-        acc = self.accumulator.tee_accum(quorum)
-        self.charge_enclave(self.accumulator)
-        if acc is None:  # pragma: no cover - commitments pre-verified
-            return
-        self._propose(acc.prep_hash, acc)
-
     def on_vote(self, sender: int, msg: DamVoteMsg) -> None:
         vote = msg.vote
         v = vote.view  # votes of view v elect the leader of v+1
@@ -144,41 +74,15 @@ class ChainedDamysusReplica(BaseReplica):
             return
         if v + 1 < self.view:
             return
-        if sender != self.pid:
-            self.charge(self.config.crypto_costs.verify(1))
-            if not vote.verify(self.ring):
-                return
-        quorum = self._vote_tracker.add(
-            (v, vote.block_hash), vote.sig.signer, vote
-        )
-        if quorum is None:
+        cert = self.collect_vote(sender, vote)
+        if cert is None:
             return
-        cert = DamCert(
-            block_hash=vote.block_hash,
-            view=v,
-            phase=PREPARE,
-            sigs=tuple(x.sig for x in quorum),
-        )
         self._register_cert(cert)
         if v + 1 > self.view:
             self.enter_view(v + 1)
         if self.view != v + 1 or self._led_view >= self.view:
             return
         self._propose(cert.block_hash, cert)
-
-    def _propose(self, parent: Digest, justify: Justify) -> None:
-        block = create_leaf(
-            parent, self.view, self.mempool.next_batch(self.sim.now), self.pid
-        )
-        self.charge(self.config.crypto_costs.hash(block.wire_size()))
-        prop = self.checker.tee_propose(block.hash, self.view)
-        done = self.charge_enclave(self.checker)
-        if prop is None:
-            return
-        self._led_view = self.view
-        self.add_block(block)
-        self.collector.on_propose(self.pid, self.view, block.hash, self.sim.now)
-        self.broadcast_at(done, ChainedDamProposalMsg(block, prop, justify))
 
     # ------------------------------------------------------------------
     # Replicas: vote to the next leader, 2-chain commit walk
@@ -240,28 +144,6 @@ class ChainedDamysusReplica(BaseReplica):
         if not self.log.is_executed(cert0.block_hash):
             self.commit_chain(cert0.block_hash, NORMAL, context=cert0)
             self.record_decision_progress()
-
-    # ------------------------------------------------------------------
-    # Block fetch
-    # ------------------------------------------------------------------
-    def on_missing_block(self, h: Digest, context=None) -> None:
-        if h in self._fetching or context is None:
-            return
-        self._fetching.add(h)
-        targets = [i for i in context.signer_ids() if i != self.pid]
-        if targets:
-            self.network.send(self.pid, targets[0], DamFetchReq(h))
-
-    def on_fetch_req(self, sender: int, msg: DamFetchReq) -> None:
-        block = self.store.get(msg.block_hash)
-        if block is not None:
-            done = self.charge(self.config.handler_overhead)
-            self.send_at(done, sender, DamFetchResp(block))
-
-    def on_fetch_resp(self, sender: int, msg: DamFetchResp) -> None:
-        self.charge(self.config.crypto_costs.hash(msg.block.wire_size()))
-        self._fetching.discard(msg.block.hash)
-        self.add_block(msg.block)
 
 
 __all__ = [

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from ...crypto import Digest
 from ...smr import Block
-from .certificates import Commitment, DamAccum, DamCert, DamProposal, DamVote
+from .certificates import Commitment, DamAccum, DamCert, DamProposal, DamVote, Justify
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,25 @@ class DamProposalMsg:
             + self.block.wire_size()
             + self.proposal.wire_size()
             + self.acc.wire_size()
+        )
+
+
+@dataclass(frozen=True)
+class ChainedDamProposalMsg:
+    """Chained Damysus: leader → all, ⟨block, proposal, justify⟩, where
+    ``justify`` is the parent's prepare certificate (steady state) or
+    an ACCUMULATOR certificate (after a timeout)."""
+
+    block: Block
+    proposal: DamProposal
+    justify: Justify
+
+    def wire_size(self) -> int:
+        return (
+            8
+            + self.block.wire_size()
+            + self.proposal.wire_size()
+            + self.justify.wire_size()
         )
 
 
@@ -77,6 +96,7 @@ class DamFetchResp:
 __all__ = [
     "DamNewViewMsg",
     "DamProposalMsg",
+    "ChainedDamProposalMsg",
     "DamVoteMsg",
     "DamCertMsg",
     "DamFetchReq",

@@ -20,13 +20,13 @@ themselves (loopback deliveries), as a real implementation would.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from ...crypto import Digest
 from ...metrics import NORMAL
-from ...smr import create_leaf
-from ..common import BaseReplica, QuorumTracker
-from .certificates import COMMIT, PREPARE, DamCert, DamProposal
+from ...smr import GENESIS
+from ..common import BaseReplica
+from .certificates import PREPARE, DamCert, DamProposal, Justify
 from .messages import (
     DamCertMsg,
     DamFetchReq,
@@ -41,20 +41,29 @@ from .tee_services import DamysusAccumulator, DamysusChecker
 class DamysusReplica(BaseReplica):
     """A Damysus replica (N = 2f+1, two core phases)."""
 
-    MIN_N_FACTOR = 2
     PROTOCOL = "damysus"
-    CERTIFIED_REPLIES = False
+    HANDLERS = {
+        DamNewViewMsg: "on_new_view",
+        DamProposalMsg: "on_proposal",
+        DamVoteMsg: "on_vote",
+        DamCertMsg: "on_cert",
+    }
+    FETCH = (DamFetchReq, DamFetchResp)
+    VOTE_CERT = DamCert
+    #: CHECKER enclave class and the proposal message it feeds.
+    CHECKER = DamysusChecker
+    PROPOSAL_MSG = DamProposalMsg
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         cfg = self.config
-        self.checker = DamysusChecker(
+        self.checker = self.CHECKER(
             self.pid,
             self.creds.keypair,
             self.ring,
             cfg.crypto_costs,
             cfg.tee_costs,
-            cfg.quorum,
+            self.quorum,
         )
         self.accumulator = DamysusAccumulator(
             self.pid,
@@ -62,38 +71,23 @@ class DamysusReplica(BaseReplica):
             self.ring,
             cfg.crypto_costs,
             cfg.tee_costs,
-            cfg.quorum,
+            self.quorum,
         )
-        self._com_tracker = QuorumTracker(cfg.quorum)
-        self._vote_tracker = QuorumTracker(cfg.quorum)
-        self._led_view = -1
-        self._current_hash: dict[int, Digest] = {}  # view -> proposed hash
-        self._fetching: set[Digest] = set()
-        for mtype, handler in (
-            (DamNewViewMsg, self.on_new_view),
-            (DamProposalMsg, self.on_proposal),
-            (DamVoteMsg, self.on_vote),
-            (DamCertMsg, self.on_cert),
-            (DamFetchReq, self.on_fetch_req),
-            (DamFetchResp, self.on_fetch_resp),
-        ):
-            self.register_handler(mtype, handler)
+        self._com_tracker = self.tracker()
+        #: (view, hash) of the proposal this replica last accepted.
+        self._accepted: tuple[int, Digest] = (-1, GENESIS.hash)
 
     # ------------------------------------------------------------------
     # View entry / timeout: step 1 (new-view)
     # ------------------------------------------------------------------
     def on_enter_view(self, view: int) -> None:
-        if view % 64 == 0:
-            self._com_tracker.clear_below(view - 4)
-            self._vote_tracker.clear_below(view - 4)
+        self._send_commitment(view)
+
+    def _send_commitment(self, view: int) -> None:
         com = self.checker.new_view(view)
         done = self.charge_enclave(self.checker)
-        if com is None:  # pragma: no cover - views are monotonic
-            return
-        self.send_at(done, self.leader_of(view), DamNewViewMsg(com))
-
-    def on_timeout(self) -> None:
-        self.enter_view(self.view + 1)
+        if com is not None:
+            self.send_at(done, self.leader_of(view), DamNewViewMsg(com))
 
     # ------------------------------------------------------------------
     # Leader: accumulate commitments, propose (step 2)
@@ -102,10 +96,8 @@ class DamysusReplica(BaseReplica):
         com = msg.commitment
         if com.view < self.view or self.leader_of(com.view) != self.pid:
             return
-        if sender != self.pid:
-            self.charge(self.config.crypto_costs.verify(1))
-            if not com.verify(self.ring):
-                return
+        if sender != self.pid and not self.check_sig(com):
+            return
         quorum = self._com_tracker.add(com.view, com.sig.signer, com)
         if quorum is None:
             return
@@ -117,18 +109,19 @@ class DamysusReplica(BaseReplica):
         self.charge_enclave(self.accumulator)
         if acc is None:  # pragma: no cover - commitments pre-verified
             return
-        block = create_leaf(
-            acc.prep_hash, self.view, self.mempool.next_batch(self.sim.now), self.pid
-        )
-        self.charge(self.config.crypto_costs.hash(block.wire_size()))
-        prop = self.checker.tee_prepare(block.hash)
+        self._propose(acc.prep_hash, acc)
+
+    def _propose(self, parent: Digest, justify: Justify) -> None:
+        block = self.new_leaf(parent)
+        prop = self._tee_propose(block.hash)
         done = self.charge_enclave(self.checker)
         if prop is None:
             return
-        self._led_view = self.view
-        self.add_block(block)
-        self.collector.on_propose(self.pid, self.view, block.hash, self.sim.now)
-        self.broadcast_at(done, DamProposalMsg(block, prop, acc))
+        self.record_proposal(block)
+        self.broadcast_at(done, self.PROPOSAL_MSG(block, prop, justify))
+
+    def _tee_propose(self, h: Digest) -> Optional[DamProposal]:
+        return self.checker.tee_prepare(h)
 
     # ------------------------------------------------------------------
     # Replicas: prepare vote (step 3)
@@ -157,7 +150,7 @@ class DamysusReplica(BaseReplica):
         if v != self.view:
             return
         self.add_block(msg.block)
-        self._current_hash[v] = msg.block.hash
+        self._accepted = (v, msg.block.hash)
         vote = self.checker.tee_vote_prepare(msg.block.hash)
         done = self.charge_enclave(self.checker)
         if vote is None:
@@ -172,25 +165,12 @@ class DamysusReplica(BaseReplica):
         v = self.view
         if vote.view != v or self._led_view != v:
             return
-        if self._current_hash.get(v) != vote.block_hash:
+        if self._accepted != (v, vote.block_hash):
             return
-        if sender != self.pid:
-            self.charge(self.config.crypto_costs.verify(1))
-            if not vote.verify(self.ring):
-                return
-        quorum = self._vote_tracker.add(
-            (v, vote.phase, vote.block_hash), vote.sig.signer, vote
-        )
-        if quorum is None:
-            return
-        cert = DamCert(
-            block_hash=vote.block_hash,
-            view=v,
-            phase=vote.phase,
-            sigs=tuple(x.sig for x in quorum),
-        )
-        done = max(self.sim.now, self.cpu.busy_until)
-        self.broadcast_at(done, DamCertMsg(cert))
+        cert = self.collect_vote(sender, vote)
+        if cert is not None:
+            done = max(self.sim.now, self.cpu.busy_until)
+            self.broadcast_at(done, DamCertMsg(cert))
 
     # ------------------------------------------------------------------
     # Replicas: store + commit vote (step 5), execute (after step 6)
@@ -207,10 +187,8 @@ class DamysusReplica(BaseReplica):
             # processing; the CHECKER then re-verifies inside the
             # enclave before mutating its prepared pair (it cannot
             # trust the untrusted side's check).
-            if sender != self.pid:
-                self.charge(self.config.crypto_costs.verify(len(cert.sigs)))
-                if not cert.verify(self.ring, self.config.quorum):
-                    return
+            if sender != self.pid and not self.check_qc(cert):
+                return
             commit_vote = self.checker.tee_store(cert)
             done = self.charge_enclave(self.checker)
             if commit_vote is None:
@@ -218,10 +196,8 @@ class DamysusReplica(BaseReplica):
             self.send_at(done, sender, DamVoteMsg(commit_vote))
             return
         # COMMIT certificate: verify and execute.
-        if sender != self.pid:
-            self.charge(self.config.crypto_costs.verify(len(cert.sigs)))
-            if not cert.verify(self.ring, self.config.quorum):
-                return
+        if sender != self.pid and not self.check_qc(cert):
+            return
         if v > self.view:
             self.enter_view(v)
         if v != self.view:
@@ -229,28 +205,6 @@ class DamysusReplica(BaseReplica):
         self.commit_chain(cert.block_hash, NORMAL, context=cert)
         self.record_decision_progress()
         self.enter_view(v + 1)
-
-    # ------------------------------------------------------------------
-    # Block fetch (recovery)
-    # ------------------------------------------------------------------
-    def on_missing_block(self, h: Digest, context: Any = None) -> None:
-        if h in self._fetching or context is None:
-            return
-        self._fetching.add(h)
-        targets = [i for i in context.signer_ids() if i != self.pid]
-        if targets:
-            self.network.send(self.pid, targets[0], DamFetchReq(h))
-
-    def on_fetch_req(self, sender: int, msg: DamFetchReq) -> None:
-        block = self.store.get(msg.block_hash)
-        if block is not None:
-            done = self.charge(self.config.handler_overhead)
-            self.send_at(done, sender, DamFetchResp(block))
-
-    def on_fetch_resp(self, sender: int, msg: DamFetchResp) -> None:
-        self.charge(self.config.crypto_costs.hash(msg.block.wire_size()))
-        self._fetching.discard(msg.block.hash)
-        self.add_block(msg.block)
 
 
 __all__ = ["DamysusReplica"]

@@ -13,7 +13,7 @@ non-equivocation guarantee.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from ...crypto import CryptoCostModel, Digest, KeyPair, KeyRing
 from ...smr import GENESIS
@@ -26,15 +26,12 @@ from .certificates import (
     DamCert,
     DamProposal,
     DamVote,
+    Justify,
     accum_digest,
     commitment_digest,
     proposal_digest,
     vote_digest,
 )
-
-#: A chained proposal's justification: prepare certificate (steady
-#: state) or ACCUMULATOR certificate (after a timeout).
-Justify = Union[DamCert, DamAccum]
 
 # Per-view step counter values (strictly increasing within a view).
 _STEP_NV = 0

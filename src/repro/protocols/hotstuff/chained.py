@@ -6,63 +6,41 @@ which assembles the QC and proposes on top.  Commit is by the 3-chain
 rule — when blocks b ← b' ← b'' are linked by direct parent edges and
 each has a QC, b is decided; the 2-chain prefix locks b (safety).
 
-This is the pipelined counterpart of
-:class:`~repro.protocols.hotstuff.replica.HotStuffReplica`, kept as a
-separate class so basic and chained versions can be benchmarked side
-by side (the paper's Sec. III describes both forms).
+The pipelined counterpart of
+:class:`~repro.protocols.hotstuff.replica.HotStuffReplica`: it inherits
+the leader's highQC selection, proposal validation (``safeNode``),
+voting and vote collection, and overrides only what pipelining changes
+— where votes go, who proposes next, the commit rule, and new-view
+traffic only at boot and after a timeout.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ...crypto import Digest
 from ...metrics import NORMAL
-from ...smr import create_leaf
-from ..common import BaseReplica, QuorumTracker
-from .certificates import HS_GENESIS_QC, HS_PREPARE, HsQC, HsVote, hs_vote_digest
-from .messages import (
-    HsFetchReq,
-    HsFetchResp,
-    HsNewViewMsg,
-    HsProposalMsg,
-    HsVoteMsg,
-)
+from .certificates import HS_PREPARE, HsQC
+from .messages import HsNewViewMsg, HsProposalMsg, HsVoteMsg
+from .replica import HotStuffReplica
 
 #: Phase tag used for all chained (generic) votes.
 GENERIC = HS_PREPARE
 
 
-class ChainedHotStuffReplica(BaseReplica):
+class ChainedHotStuffReplica(HotStuffReplica):
     """Chained HotStuff: one block and two waves per view."""
 
-    MIN_N_FACTOR = 3
     PROTOCOL = "hotstuff-chained"
-    CERTIFIED_REPLIES = False
+    HANDLERS = {
+        HsNewViewMsg: "on_new_view",
+        HsProposalMsg: "on_proposal",
+        HsVoteMsg: "on_vote",
+    }
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.generic_qc: HsQC = HS_GENESIS_QC  # highest QC known
-        self.locked_qc: HsQC = HS_GENESIS_QC
         #: block hash -> the QC certifying it (set when first seen).
         self._qc_of: dict[Digest, HsQC] = {}
-        self._nv_tracker = QuorumTracker(self.config.n - self.config.f)
-        self._vote_tracker = QuorumTracker(self.hs_quorum)
-        self._led_view = -1
         self._voted_view = -1
-        self._fetching: set[Digest] = set()
-        for mtype, handler in (
-            (HsNewViewMsg, self.on_new_view),
-            (HsProposalMsg, self.on_proposal),
-            (HsVoteMsg, self.on_vote),
-            (HsFetchReq, self.on_fetch_req),
-            (HsFetchResp, self.on_fetch_resp),
-        ):
-            self.register_handler(mtype, handler)
-
-    @property
-    def hs_quorum(self) -> int:
-        return 2 * self.config.f + 1
 
     # ------------------------------------------------------------------
     # View entry / timeout
@@ -72,84 +50,23 @@ class ChainedHotStuffReplica(BaseReplica):
         self._send_new_view(0)
 
     def on_enter_view(self, view: int) -> None:
-        if view % 64 == 0:
-            self._nv_tracker.clear_below(view - 4)
-            self._vote_tracker.clear_below(view - 4)
+        """In steady state the pipeline needs no new-view traffic."""
 
     def on_timeout(self) -> None:
-        # In steady state the pipeline needs no new-view traffic; after
-        # a timeout the next leader must be told where everyone stands.
-        self.enter_view(self.view + 1)
+        # After a timeout the next leader must be told where everyone stands.
+        super().on_timeout()
         self._send_new_view(self.view)
 
-    def _send_new_view(self, view: int) -> None:
-        done = max(self.sim.now, self.cpu.busy_until)
-        self.send_at(done, self.leader_of(view), HsNewViewMsg(view, self.generic_qc))
-
-    # ------------------------------------------------------------------
-    # Leader: propose on the highest QC
-    # ------------------------------------------------------------------
-    def on_new_view(self, sender: int, msg: HsNewViewMsg) -> None:
-        if msg.view < self.view or self.leader_of(msg.view) != self.pid:
-            return
-        quorum = self._nv_tracker.add(msg.view, sender, msg)
-        if quorum is None:
-            return
-        if msg.view > self.view:
-            self.enter_view(msg.view)
-        if msg.view != self.view or self._led_view >= self.view:
-            return
-        high = max((m.justify for m in quorum), key=lambda qc: qc.view)
-        if high.view < self.generic_qc.view:
-            high = self.generic_qc
-        if not high.is_genesis and high.view != self.generic_qc.view:
-            self.charge(self.config.crypto_costs.verify(len(high.sigs)))
-            if not high.verify(self.ring, self.hs_quorum):
-                return
-        self._propose(high)
-
-    def _propose(self, justify: HsQC) -> None:
-        block = create_leaf(
-            justify.block_hash,
-            self.view,
-            self.mempool.next_batch(self.sim.now),
-            self.pid,
-        )
-        self.charge(self.config.crypto_costs.hash(block.wire_size()))
-        self._led_view = self.view
-        self.add_block(block)
-        self.collector.on_propose(self.pid, self.view, block.hash, self.sim.now)
-        done = max(self.sim.now, self.cpu.busy_until)
-        self.broadcast_at(done, HsProposalMsg(block, self.view, justify))
+    def _known_valid(self, qc: HsQC) -> bool:
+        # A highQC no newer than this replica's own was checked on arrival.
+        return qc.is_genesis or qc.view == self.prepare_qc.view
 
     # ------------------------------------------------------------------
     # Replicas: generic vote to the NEXT leader + 3-chain commit walk
     # ------------------------------------------------------------------
-    def _safe_node(self, block, justify: HsQC) -> bool:
-        if justify.view > self.locked_qc.view:
-            return True
-        if block.parent == self.locked_qc.block_hash:
-            return True
-        return self.store.extends_plus(block.parent, self.locked_qc.block_hash)
-
     def on_proposal(self, sender: int, msg: HsProposalMsg) -> None:
         v = msg.view
-        if v < self.view or sender != self.leader_of(v):
-            return
-        if sender != self.pid:
-            self.charge(
-                self.config.crypto_costs.verify(len(msg.justify.sigs))
-                + self.config.crypto_costs.hash(msg.block.wire_size())
-            )
-            if not msg.justify.verify(self.ring, self.hs_quorum):
-                return
-        if not msg.block.extends(msg.justify.block_hash):
-            return
-        if not self._safe_node(msg.block, msg.justify):
-            return
-        if v > self.view:
-            self.enter_view(v)
-        if v != self.view or self._voted_view >= v:
+        if not self._admit(sender, msg) or self._voted_view >= v:
             return
         self.add_block(msg.block)
         # A valid proposal is pipeline progress: reset the backoff even
@@ -159,24 +76,12 @@ class ChainedHotStuffReplica(BaseReplica):
         self._chain_update(msg.justify)
         # Vote to the next view's leader (pipelining).
         self._voted_view = v
-        self.charge(self.config.crypto_costs.sign())
-        vote = HsVote(
-            phase=GENERIC,
-            view=v,
-            block_hash=msg.block.hash,
-            sig=self.creds.keypair.sign(
-                hs_vote_digest(GENERIC, v, msg.block.hash)
-            ),
-        )
-        done = max(self.sim.now, self.cpu.busy_until)
-        self.send_at(done, self.leader_of(v + 1), HsVoteMsg(vote))
+        self._send_vote(GENERIC, v, msg.block.hash, self.leader_of(v + 1))
 
     def _register_qc(self, qc: HsQC) -> None:
-        if qc.is_genesis:
-            return
-        if qc.view > self.generic_qc.view:
-            self.generic_qc = qc
-        self._qc_of.setdefault(qc.block_hash, qc)
+        super()._register_qc(qc)
+        if not qc.is_genesis:
+            self._qc_of.setdefault(qc.block_hash, qc)
 
     def _chain_update(self, qc: HsQC) -> None:
         """Algorithm 5's lock & decide rules over the justify chain.
@@ -212,21 +117,9 @@ class ChainedHotStuffReplica(BaseReplica):
         v = vote.view  # votes of view v elect the leader of v+1
         if self.leader_of(v + 1) != self.pid or v + 1 < self.view:
             return
-        if sender != self.pid:
-            self.charge(self.config.crypto_costs.verify(1))
-            if not vote.verify(self.ring):
-                return
-        quorum = self._vote_tracker.add(
-            (v, vote.block_hash), vote.sig.signer, vote
-        )
-        if quorum is None:
+        qc = self.collect_vote(sender, vote)
+        if qc is None:
             return
-        qc = HsQC(
-            phase=GENERIC,
-            view=v,
-            block_hash=vote.block_hash,
-            sigs=tuple(x.sig for x in quorum),
-        )
         self._register_qc(qc)
         self._chain_update(qc)
         if v + 1 > self.view:
@@ -234,28 +127,6 @@ class ChainedHotStuffReplica(BaseReplica):
         if self.view != v + 1 or self._led_view >= self.view:
             return
         self._propose(qc)
-
-    # ------------------------------------------------------------------
-    # Block fetch
-    # ------------------------------------------------------------------
-    def on_missing_block(self, h: Digest, context=None) -> None:
-        if h in self._fetching or context is None:
-            return
-        self._fetching.add(h)
-        targets = [i for i in context.signer_ids() if i != self.pid]
-        if targets:
-            self.network.send(self.pid, targets[0], HsFetchReq(h))
-
-    def on_fetch_req(self, sender: int, msg: HsFetchReq) -> None:
-        block = self.store.get(msg.block_hash)
-        if block is not None:
-            done = self.charge(self.config.handler_overhead)
-            self.send_at(done, sender, HsFetchResp(block))
-
-    def on_fetch_resp(self, sender: int, msg: HsFetchResp) -> None:
-        self.charge(self.config.crypto_costs.hash(msg.block.wire_size()))
-        self._fetching.discard(msg.block.hash)
-        self.add_block(msg.block)
 
 
 __all__ = ["ChainedHotStuffReplica"]

@@ -12,15 +12,12 @@ QC costs 2f+1 signature checks.
 
 from __future__ import annotations
 
-from typing import Any, Optional
-
 from ...crypto import Digest
 from ...metrics import NORMAL
-from ...smr import create_leaf
-from ..common import BaseReplica, QuorumTracker
+from ...smr import GENESIS
+from ..common import BaseReplica
 from .certificates import (
     HS_COMMIT,
-    HS_DECIDE,
     HS_GENESIS_QC,
     HS_PRECOMMIT,
     HS_PREPARE,
@@ -43,46 +40,33 @@ class HotStuffReplica(BaseReplica):
 
     MIN_N_FACTOR = 3
     PROTOCOL = "hotstuff"
-    CERTIFIED_REPLIES = False
+    HANDLERS = {
+        HsNewViewMsg: "on_new_view",
+        HsProposalMsg: "on_proposal",
+        HsVoteMsg: "on_vote",
+        HsQcMsg: "on_qc",
+    }
+    FETCH = (HsFetchReq, HsFetchResp)
+    VOTE_CERT = HsQC
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        #: Highest QC known (prepareQC; Algorithm 5's genericQC).
         self.prepare_qc: HsQC = HS_GENESIS_QC
         self.locked_qc: HsQC = HS_GENESIS_QC
-        self._nv_tracker = QuorumTracker(self.config.n - self.config.f)
-        self._vote_tracker = QuorumTracker(self.hs_quorum)
-        self._led_view = -1
-        self._current_hash: dict[int, Digest] = {}
-        self._fetching: set[Digest] = set()
-        for mtype, handler in (
-            (HsNewViewMsg, self.on_new_view),
-            (HsProposalMsg, self.on_proposal),
-            (HsVoteMsg, self.on_vote),
-            (HsQcMsg, self.on_qc),
-            (HsFetchReq, self.on_fetch_req),
-            (HsFetchResp, self.on_fetch_resp),
-        ):
-            self.register_handler(mtype, handler)
-
-    @property
-    def hs_quorum(self) -> int:
-        """HotStuff quorums are 2f+1 (vs f+1 for the hybrid protocols)."""
-        return 2 * self.config.f + 1
+        self._nv_tracker = self.tracker(self.config.n - self.config.f)
+        #: (view, hash) of the proposal this replica last accepted.
+        self._accepted: tuple[int, Digest] = (-1, GENESIS.hash)
 
     # ------------------------------------------------------------------
     # View entry / timeout (new-view interrupt)
     # ------------------------------------------------------------------
     def on_enter_view(self, view: int) -> None:
-        if view % 64 == 0:
-            self._nv_tracker.clear_below(view - 4)
-            self._vote_tracker.clear_below(view - 4)
-        done = max(self.sim.now, self.cpu.busy_until)
-        self.send_at(
-            done, self.leader_of(view), HsNewViewMsg(view, self.prepare_qc)
-        )
+        self._send_new_view(view)
 
-    def on_timeout(self) -> None:
-        self.enter_view(self.view + 1)
+    def _send_new_view(self, view: int) -> None:
+        done = max(self.sim.now, self.cpu.busy_until)
+        self.send_at(done, self.leader_of(view), HsNewViewMsg(view, self.prepare_qc))
 
     # ------------------------------------------------------------------
     # Leader: prepare phase
@@ -97,29 +81,24 @@ class HotStuffReplica(BaseReplica):
             self.enter_view(msg.view)
         if msg.view != self.view or self._led_view >= self.view:
             return
-        high_qc = max(
-            (m.justify for m in quorum), key=lambda qc: qc.view
-        )
+        high_qc = max((m.justify for m in quorum), key=lambda qc: qc.view)
         if high_qc.view < self.prepare_qc.view:
             high_qc = self.prepare_qc
         # Verify the selected highQC (implementations verify lazily:
         # only the QC actually adopted, not every carried copy).
-        if not high_qc.is_genesis:
-            self.charge(self.config.crypto_costs.verify(len(high_qc.sigs)))
-            if not high_qc.verify(self.ring, self.hs_quorum):
-                return
-        block = create_leaf(
-            high_qc.block_hash,
-            self.view,
-            self.mempool.next_batch(self.sim.now),
-            self.pid,
-        )
-        self.charge(self.config.crypto_costs.hash(block.wire_size()))
-        self._led_view = self.view
-        self.add_block(block)
-        self.collector.on_propose(self.pid, self.view, block.hash, self.sim.now)
+        if not self._known_valid(high_qc) and not self.check_qc(high_qc):
+            return
+        self._propose(high_qc)
+
+    def _known_valid(self, qc: HsQC) -> bool:
+        """Whether adopting ``qc`` as highQC needs no signature check."""
+        return qc.is_genesis
+
+    def _propose(self, justify: HsQC) -> None:
+        block = self.new_leaf(justify.block_hash)
+        self.record_proposal(block)
         done = max(self.sim.now, self.cpu.busy_until)
-        self.broadcast_at(done, HsProposalMsg(block, self.view, high_qc))
+        self.broadcast_at(done, HsProposalMsg(block, self.view, justify))
 
     # ------------------------------------------------------------------
     # Replicas: prepare vote (safeNode rule)
@@ -132,32 +111,38 @@ class HotStuffReplica(BaseReplica):
             return True
         return self.store.extends_plus(block.parent, self.locked_qc.block_hash)
 
-    def on_proposal(self, sender: int, msg: HsProposalMsg) -> None:
+    def _admit(self, sender: int, msg: HsProposalMsg) -> bool:
+        """Validate a proposal (leader, highQC, extension, safeNode) and
+        enter its view; True iff it is for the view now current."""
         v = msg.view
         if v < self.view or sender != self.leader_of(v):
-            return
-        if sender != self.pid:
-            self.charge(
-                self.config.crypto_costs.verify(len(msg.justify.sigs))
-                + self.config.crypto_costs.hash(msg.block.wire_size())
-            )
-            if not msg.justify.verify(self.ring, self.hs_quorum):
-                return
+            return False
+        if sender != self.pid and not self.check_qc(
+            msg.justify,
+            extra_cost=self.config.crypto_costs.hash(msg.block.wire_size()),
+        ):
+            return False
         if not msg.block.extends(msg.justify.block_hash):
-            return
+            return False
         if not self._safe_node(msg.block, msg.justify):
-            return
+            return False
         if v > self.view:
             self.enter_view(v)
-        if v != self.view:
+        return v == self.view
+
+    def on_proposal(self, sender: int, msg: HsProposalMsg) -> None:
+        if not self._admit(sender, msg):
             return
         self.add_block(msg.block)
-        self._current_hash[v] = msg.block.hash
-        if msg.justify.view > self.prepare_qc.view:
-            self.prepare_qc = msg.justify
-        self._send_vote(HS_PREPARE, v, msg.block.hash, sender)
+        self._accepted = (msg.view, msg.block.hash)
+        self._register_qc(msg.justify)
+        self._send_vote(HS_PREPARE, msg.view, msg.block.hash, sender)
 
-    def _send_vote(self, phase: str, view: int, h: Digest, leader: int) -> None:
+    def _register_qc(self, qc: HsQC) -> None:
+        if qc.view > self.prepare_qc.view:
+            self.prepare_qc = qc
+
+    def _send_vote(self, phase: str, view: int, h: Digest, to: int) -> None:
         self.charge(self.config.crypto_costs.sign())
         vote = HsVote(
             phase=phase,
@@ -166,7 +151,7 @@ class HotStuffReplica(BaseReplica):
             sig=self.creds.keypair.sign(hs_vote_digest(phase, view, h)),
         )
         done = max(self.sim.now, self.cpu.busy_until)
-        self.send_at(done, leader, HsVoteMsg(vote))
+        self.send_at(done, to, HsVoteMsg(vote))
 
     # ------------------------------------------------------------------
     # Leader: combine votes into QCs (steps 4/6/8)
@@ -176,25 +161,12 @@ class HotStuffReplica(BaseReplica):
         v = self.view
         if vote.view != v or self._led_view != v:
             return
-        if self._current_hash.get(v) != vote.block_hash:
+        if self._accepted != (v, vote.block_hash):
             return
-        if sender != self.pid:
-            self.charge(self.config.crypto_costs.verify(1))
-            if not vote.verify(self.ring):
-                return
-        quorum = self._vote_tracker.add(
-            (v, vote.phase, vote.block_hash), vote.sig.signer, vote
-        )
-        if quorum is None:
-            return
-        qc = HsQC(
-            phase=vote.phase,
-            view=v,
-            block_hash=vote.block_hash,
-            sigs=tuple(x.sig for x in quorum),
-        )
-        done = max(self.sim.now, self.cpu.busy_until)
-        self.broadcast_at(done, HsQcMsg(qc))
+        qc = self.collect_vote(sender, vote)
+        if qc is not None:
+            done = max(self.sim.now, self.cpu.busy_until)
+            self.broadcast_at(done, HsQcMsg(qc))
 
     # ------------------------------------------------------------------
     # Replicas: phase transitions on QCs (steps 5/7 and decide)
@@ -204,15 +176,12 @@ class HotStuffReplica(BaseReplica):
         v = qc.view
         if v < self.view or sender != self.leader_of(v):
             return
-        if sender != self.pid:
-            self.charge(self.config.crypto_costs.verify(len(qc.sigs)))
-            if not qc.verify(self.ring, self.hs_quorum):
-                return
+        if sender != self.pid and not self.check_qc(qc):
+            return
         if qc.phase == HS_PREPARE:
             if v != self.view:
                 return
-            if qc.view > self.prepare_qc.view:
-                self.prepare_qc = qc
+            self._register_qc(qc)
             self._send_vote(HS_PRECOMMIT, v, qc.block_hash, sender)
         elif qc.phase == HS_PRECOMMIT:
             if v != self.view:
@@ -229,28 +198,6 @@ class HotStuffReplica(BaseReplica):
             self.commit_chain(qc.block_hash, NORMAL, context=qc)
             self.record_decision_progress()
             self.enter_view(v + 1)
-
-    # ------------------------------------------------------------------
-    # Block fetch (recovery)
-    # ------------------------------------------------------------------
-    def on_missing_block(self, h: Digest, context: Any = None) -> None:
-        if h in self._fetching or context is None:
-            return
-        self._fetching.add(h)
-        targets = [i for i in context.signer_ids() if i != self.pid]
-        if targets:
-            self.network.send(self.pid, targets[0], HsFetchReq(h))
-
-    def on_fetch_req(self, sender: int, msg: HsFetchReq) -> None:
-        block = self.store.get(msg.block_hash)
-        if block is not None:
-            done = self.charge(self.config.handler_overhead)
-            self.send_at(done, sender, HsFetchResp(block))
-
-    def on_fetch_resp(self, sender: int, msg: HsFetchResp) -> None:
-        self.charge(self.config.crypto_costs.hash(msg.block.wire_size()))
-        self._fetching.discard(msg.block.hash)
-        self.add_block(msg.block)
 
 
 __all__ = ["HotStuffReplica"]

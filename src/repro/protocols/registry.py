@@ -1,7 +1,8 @@
 """Protocol registry: name → replica class + resilience metadata.
 
-The experiment harness looks protocols up by name; registering here is
-all that is needed for a protocol to participate in every experiment.
+The experiment harness looks protocols up by name; listing a replica
+class here is all that is needed for a protocol to participate in every
+experiment (its name and resilience come from the class).
 """
 
 from __future__ import annotations
@@ -24,8 +25,11 @@ class ProtocolInfo:
 
     name: str
     replica_cls: Type[BaseReplica]
-    #: n = factor * f + 1 (minimum cluster size for f faults).
-    n_factor: int
+
+    @property
+    def n_factor(self) -> int:
+        """n = factor * f + 1 (minimum cluster size for f faults)."""
+        return self.replica_cls.MIN_N_FACTOR
 
     def n_for(self, f: int) -> int:
         """Smallest cluster tolerating ``f`` faults."""
@@ -33,12 +37,15 @@ class ProtocolInfo:
 
 
 REGISTRY: dict[str, ProtocolInfo] = {
-    "oneshot": ProtocolInfo("oneshot", OneShotReplica, 2),
-    "oneshot-chained": ProtocolInfo("oneshot-chained", ChainedOneShotReplica, 2),
-    "damysus": ProtocolInfo("damysus", DamysusReplica, 2),
-    "damysus-chained": ProtocolInfo("damysus-chained", ChainedDamysusReplica, 2),
-    "hotstuff": ProtocolInfo("hotstuff", HotStuffReplica, 3),
-    "hotstuff-chained": ProtocolInfo("hotstuff-chained", ChainedHotStuffReplica, 3),
+    cls.PROTOCOL: ProtocolInfo(cls.PROTOCOL, cls)
+    for cls in (
+        OneShotReplica,
+        ChainedOneShotReplica,
+        DamysusReplica,
+        ChainedDamysusReplica,
+        HotStuffReplica,
+        ChainedHotStuffReplica,
+    )
 }
 
 

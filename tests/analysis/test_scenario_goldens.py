@@ -4,7 +4,9 @@ Smoke-size fig7/ablation/degraded configurations, pre-GST asynchrony
 (batched and draw-consuming) and delay-hook injection each pin their
 *behaviour* — message count, decision count, timeline hash, chain hash
 — in :data:`BEHAVIOUR` (captured from the per-destination ``send``
-loop, before replicas had a ``transmit`` seam).  A mismatch is a
+loop, before replicas had a ``transmit`` seam; the chained-replica
+scenarios from the standalone chained HotStuff/Damysus classes, before
+they became overrides of their basic replicas).  A mismatch is a
 behaviour change, never something to re-pin.  The executed-event count
 is not pinned here: it is kernel bookkeeping (docs/invariants.md).
 """
@@ -14,10 +16,11 @@ import pytest
 from repro.analysis.sanitizer import _hash_chain, _hash_timeline, fingerprint_run
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
-from repro.faults import every_kth_view, forced_execution_factory
+from repro.faults import FaultPlan, every_kth_view, forced_execution_factory
 from repro.net.latency import UniformLatency
 
 PROTOCOLS = ("oneshot", "damysus", "hotstuff")
+CHAINED = tuple(f"{p}-chained" for p in PROTOCOLS)
 
 
 #: scenario -> (messages, decisions, timeline_hash, chain_hash).
@@ -88,6 +91,42 @@ BEHAVIOUR = {
         "734383237668a4d8c9beb61d1e8ce06878d7a552e17111d2852315832543c703",
         "c12da4ef71635d1aea622136e6369be11a0dc4bd5cd14e4032f111ce47637fde",
     ),
+    "steady-oneshot-chained": (
+        75,
+        34,
+        "f3ab72b5fbcaafb78a58844d46ac999a4934c495c6ac504ac97d4ef4c3b646d9",
+        "46496f99c06aecbd7111375efb4a9341c462bad0501c8ce05f1c274407e3f11f",
+    ),
+    "steady-damysus-chained": (
+        85,
+        35,
+        "65e5633edfb9b37c417fc655ae3e40ae8e51c7fa23671a5444e6e69885f54f0c",
+        "1da1d9454dcd6ae9db5d830f7047e7a5c67673bb03eebb27e96e1d6dfdb1e434",
+    ),
+    "steady-hotstuff-chained": (
+        121,
+        46,
+        "26e18f714945b906a1293101802a2ed700f3524661fc66c676a46fa4bb3b390d",
+        "4cbde27e8b8acce36d1926e207ce5700bedcd01b368088a737e14776577d1aad",
+    ),
+    "recovery-oneshot-chained": (
+        208,
+        89,
+        "92a6cc5f79dc4329d4bc39de6fa9e784ffc72ed9ad20278a48e8cab89c33902a",
+        "6a0c1486825e06044ff832e964078d0ead1211f39b998cc2332cb8a5a9fe0d3e",
+    ),
+    "recovery-damysus-chained": (
+        220,
+        90,
+        "8e51d65b87d6dc4f13d0a9d9a187724562147a5da4f47f0ee151f76d5f0f193b",
+        "72fc0b07d99dc44b6e397dc1927482b0c65bed0e7dacf52f31d82c88dde9bcd7",
+    ),
+    "recovery-hotstuff-chained": (
+        304,
+        118,
+        "89f949847e6bfbc9eca175da70c429f363f181200f553efc5d41e49da3b31df4",
+        "ab82597e3c511fba0977cfd1702ef4c57b3de5cf041edf5f728c1fe0ed09a182",
+    ),
 }
 
 
@@ -107,8 +146,8 @@ def _assert_run(scenario, replica_factory=None, **overrides):
     ) == BEHAVIOUR[scenario]
 
 
-def _assert_fingerprint(scenario, protocol, **kwargs):
-    fp, _ = fingerprint_run(protocol, f=1, target_blocks=6, **kwargs)
+def _assert_fingerprint(scenario, protocol, target_blocks=6, **kwargs):
+    fp, _ = fingerprint_run(protocol, f=1, target_blocks=target_blocks, **kwargs)
     assert (
         fp.messages, fp.decisions, fp.timeline_hash, fp.chain_hash
     ) == BEHAVIOUR[scenario]
@@ -213,4 +252,29 @@ def test_pre_gst_plus_delay_hook_scenario():
         gst=0.05,
         pre_gst_extra=0.01,
         setup=_install_hook,
+    )
+
+
+# ----------------------------------------------------------------------
+# The chained replicas (overrides of their basic replicas): steady
+# pipeline, and a crash window whose recovery runs timeouts, view sync,
+# new-view collection and block fetch (Fig. 6 pulling for OneShot)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("protocol", CHAINED)
+def test_chained_steady_state(protocol):
+    _assert_fingerprint(
+        f"steady-{protocol}", protocol, seed=7, target_blocks=12
+    )
+
+
+@pytest.mark.parametrize("protocol", CHAINED)
+def test_chained_recovery(protocol):
+    _assert_fingerprint(
+        f"recovery-{protocol}",
+        protocol,
+        seed=5,
+        target_blocks=30,
+        latency=UniformLatency(0.001, 0.004),
+        timeout_base=0.1,
+        replica_factory=FaultPlan().add(1, "crashed", start=0.02, end=0.3).factory(),
     )

@@ -73,7 +73,7 @@ def test_chained_hotstuff_lock_advances():
     run_blocks(sim, cluster, 10)
     for r in cluster.replicas:
         assert r.locked_qc.view >= 5
-        assert r.generic_qc.view >= r.locked_qc.view
+        assert r.prepare_qc.view >= r.locked_qc.view
 
 
 def test_chained_damysus_prepared_pair_tracks_chain():

@@ -7,8 +7,16 @@ from repro.protocols.registry import REGISTRY, get_protocol
 
 
 def test_quorum_is_f_plus_1():
-    assert ProtocolConfig(n=5, f=2).quorum == 3
-    assert ProtocolConfig(n=3, f=1).quorum == 2
+    for name in ("oneshot", "oneshot-chained", "damysus", "damysus-chained"):
+        cls = get_protocol(name).replica_cls
+        assert cls.quorum_for(2) == 3
+        assert cls.quorum_for(1) == 2
+
+
+def test_hotstuff_quorum_is_2f_plus_1():
+    for name in ("hotstuff", "hotstuff-chained"):
+        assert get_protocol(name).replica_cls.quorum_for(30) == 61
+        assert get_protocol(name).replica_cls.quorum_for(1) == 3
 
 
 def test_validate_hybrid_bound():

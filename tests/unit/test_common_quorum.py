@@ -58,6 +58,16 @@ def test_clear_below_drops_old_view_keys():
     assert t.count((9, "h")) == 1
 
 
+def test_clear_below_drops_old_int_view_keys():
+    """Trackers keyed by a bare view (new-view collection) prune too."""
+    t = QuorumTracker(1)
+    assert t.add(1, 0, "old") is not None
+    t.add(9, 0, "new")
+    t.clear_below(5)
+    assert t.count(1) == 0 and not t.fired(1)
+    assert t.count(9) == 1
+
+
 def test_clear_below_ignores_non_view_keys():
     t = QuorumTracker(2)
     t.add("plain", 0, "x")

@@ -1,0 +1,94 @@
+"""The replica skeleton: what every protocol inherits from BaseReplica.
+
+Table-driven dispatch, chained replicas as overrides of their basic
+replicas, one quorum size, one block fetch, and per-view pruning that
+keeps collection state bounded however views advance.
+"""
+
+import pytest
+
+from repro.metrics import NORMAL
+from repro.protocols.common.quorum import _view_of
+from repro.protocols.registry import REGISTRY, get_protocol
+from repro.smr import GENESIS, create_leaf
+
+from ..conftest import make_cluster, run_blocks
+
+FETCHING = ["damysus", "damysus-chained", "hotstuff", "hotstuff-chained"]
+
+
+@pytest.mark.parametrize("basic", ["oneshot", "damysus", "hotstuff"])
+def test_chained_replica_overrides_its_basic_replica(basic):
+    chained = get_protocol(f"{basic}-chained").replica_cls
+    assert issubclass(chained, get_protocol(basic).replica_cls)
+    assert chained.quorum_for(3) == get_protocol(basic).replica_cls.quorum_for(3)
+
+
+def test_chained_hotstuff_ignores_basic_phase_certificates():
+    """The pipeline has no pre-commit/commit waves: a stray HsQcMsg is
+    not dispatched (not even charged the handler overhead)."""
+    from repro.protocols.hotstuff.certificates import HS_GENESIS_QC
+    from repro.protocols.hotstuff.messages import HsQcMsg
+
+    _, _, cluster = make_cluster("hotstuff-chained", f=1)
+    r = cluster.replicas[0]
+    r.on_message(1, HsQcMsg(HS_GENESIS_QC))
+    assert r.cpu.jobs == 0
+
+
+@pytest.mark.parametrize("protocol", FETCHING)
+def test_missing_block_is_fetched_once_from_a_certificate_signer(protocol):
+    sim, net, cluster = make_cluster(protocol, f=1, enable_log=True)
+    r, holder = cluster.replicas[0], cluster.replicas[1]
+    block = create_leaf(GENESIS.hash, 0, (), proposer=1)
+    holder.add_block(block)
+    signers = (0, 1, 2)
+    cert = r.VOTE_CERT(
+        phase="prepare",
+        view=0,
+        block_hash=block.hash,
+        sigs=tuple(
+            cluster.replicas[i].creds.keypair.sign(block.hash) for i in signers
+        ),
+    )
+    assert not r.commit_chain(block.hash, NORMAL, context=cert)
+    r.on_missing_block(block.hash, cert)  # already outstanding: no resend
+    sim.run(until=1.0)
+    assert r.log.is_executed(block.hash)
+    req, resp = r.FETCH
+    sent = [(e.src, e.dst, type(e.payload)) for e in net.message_log]
+    assert sent == [(0, 1, req), (1, 0, resp)]
+
+
+@pytest.mark.parametrize("protocol", sorted(REGISTRY))
+def test_per_view_state_is_pruned_on_long_runs(protocol):
+    """Every tracker key — int views (new-view / commitment collection)
+    as well as (view, ...) tuples — stays within the pruning horizon."""
+    sim, _, cluster = make_cluster(protocol, f=1, seed=3)
+    run_blocks(sim, cluster, 200)
+    for r in cluster.replicas:
+        assert r.view >= 150
+        horizon = r.view - r.PRUNE_EVERY - r.PRUNE_KEEP
+        for t in r._trackers:
+            assert all(_view_of(k) >= horizon for k in t._items), protocol
+
+
+@pytest.mark.parametrize("protocol", ["hotstuff", "damysus"])
+def test_pruning_survives_view_jumps(protocol):
+    """A replica that jumps over every multiple of PRUNE_EVERY still
+    prunes its new-view collection state."""
+    _, _, cluster = make_cluster(protocol, f=1)
+    r = cluster.replicas[0]
+    tracker = r._nv_tracker if protocol == "hotstuff" else r._com_tracker
+    tracker.add(3, 1, "nv")
+    r.enter_view(100)
+    assert tracker.count(3) == 0
+
+
+def test_oneshot_prunes_prepare_certificates_on_jumps():
+    _, _, cluster = make_cluster("oneshot", f=1)
+    r = cluster.replicas[0]
+    r._prep_certs[3] = object()
+    r._prep_certs[98] = object()
+    r.enter_view(100)
+    assert list(r._prep_certs) == [98]

@@ -196,8 +196,10 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
         info.replica_cls, sim, network, ProtocolConfig(n=info.n_for(1), f=1)
     )
     cluster.start()
-    ref = cluster.replicas[0]
-    sim.run(until=60.0, stop_when=lambda: ref.view > args.views[1] + 1)
+    # No protocol executes its (LAST+2)-th block before the event that
+    # takes it into view LAST+2: every wave of the window has been sent.
+    cluster.replicas[0].log.when_length(args.views[1] + 2, sim.stop)
+    sim.run(until=60.0)
     cluster.stop()
     waves = extract_waves(
         network.message_log,

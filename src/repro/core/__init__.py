@@ -1,8 +1,9 @@
 """OneShot — the paper's primary contribution.
 
 Certificates (Defs 1-6), trusted services (CHECKER / ACCUMULATOR,
-Fig. 5c), the replica state machine (Fig. 5a/5b), the block-pulling
-subprotocol (Fig. 6) and the Sec. VI-F optimizations.
+Fig. 5c), the replica state machine (Fig. 5a/5b) and the Sec. VI-F
+optimizations.  Block pulling (Fig. 6) is the one recovery path every
+protocol inherits from :class:`~repro.protocols.common.BaseReplica`.
 """
 
 from .certificates import (
@@ -20,7 +21,6 @@ from .certificates import (
     certifies,
     nv_triple,
     qc_ref,
-    qc_signer_ids,
     verify_new_view,
     verify_qc,
 )
@@ -34,7 +34,6 @@ from .messages import (
     StoreMsg,
     VoteMsg,
 )
-from .pulling import Puller
 from .replica import OneShotOptions, OneShotReplica, Prop, oneshot_with_options
 from .tee_services import AccumulatorService, Checker
 
@@ -53,7 +52,6 @@ __all__ = [
     "certifies",
     "nv_triple",
     "qc_ref",
-    "qc_signer_ids",
     "verify_new_view",
     "verify_qc",
     "DeliverMsg",
@@ -64,7 +62,6 @@ __all__ = [
     "PullRequest",
     "StoreMsg",
     "VoteMsg",
-    "Puller",
     "OneShotOptions",
     "OneShotReplica",
     "Prop",

@@ -211,8 +211,8 @@ class Accumulator:
 
     ``certified`` is the Boolean B: whether the top new-view
     certificate is certified by its own hash (the re-vote-avoidance
-    marker of Sec. VI-F(a)).  ``ids`` are the f+1 contributors — used
-    by the block-pulling subprotocol.
+    marker of Sec. VI-F(a)).  ``ids`` are the f+1 contributors — the
+    nodes a block pull asks (:meth:`signer_ids`).
     """
 
     certified: bool  # B
@@ -220,6 +220,9 @@ class Accumulator:
     block_hash: Digest
     ids: tuple[int, ...]
     sig: Signature
+
+    def signer_ids(self) -> tuple[int, ...]:
+        return self.ids
 
     def is_valid(self, ring: KeyRing, quorum: int) -> bool:
         """Def. 5 validity: correct signature + f+1 unique ids."""
@@ -258,13 +261,6 @@ def qc_ref(qc: QuorumCert) -> Optional[tuple[int, Digest]]:
             return None
         return (qc.view + 1, qc.block_hash)
     return None
-
-
-def qc_signer_ids(qc: QuorumCert) -> tuple[int, ...]:
-    """The f+1 node ids certifying ``qc`` (targets for block pulls)."""
-    if isinstance(qc, Accumulator):
-        return qc.ids
-    return qc.signer_ids()
 
 
 def verify_qc(qc: QuorumCert, ring: KeyRing, quorum: int) -> bool:
@@ -406,7 +402,6 @@ __all__ = [
     "vote_digest",
     "accumulator_digest",
     "qc_ref",
-    "qc_signer_ids",
     "verify_qc",
     "qc_verify_cost_sigs",
     "nv_triple",

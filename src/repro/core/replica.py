@@ -23,7 +23,7 @@ exactly one — the enclave interface has no other way forward).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Optional
+from typing import Optional
 
 from ..crypto import Digest
 from ..metrics import CATCHUP, NORMAL, PIGGYBACK
@@ -42,7 +42,6 @@ from .certificates import (
     nv_triple,
     nv_verify_cost_sigs,
     qc_ref,
-    qc_signer_ids,
     qc_verify_cost_sigs,
     verify_new_view,
     verify_qc,
@@ -57,7 +56,6 @@ from .messages import (
     StoreMsg,
     VoteMsg,
 )
-from .pulling import Puller
 from .tee_services import AccumulatorService, Checker
 from ..protocols.common import BaseReplica
 
@@ -100,6 +98,7 @@ class OneShotReplica(BaseReplica):
         DeliverMsg: "on_deliver",
         VoteMsg: "on_vote",
     }
+    FETCH = (PullRequest, PullReply)
     #: Optimization toggles; subclass via :func:`oneshot_with_options`.
     OPTIONS = OneShotOptions()
 
@@ -127,16 +126,13 @@ class OneShotReplica(BaseReplica):
         #: Last proposal the CHECKER accepted — always storable again,
         #: so it can drive TEE fast-forwards across skipped views.
         self._ff_proposal: Proposal = GENESIS_PROPOSAL
-        self.puller = Puller(self)
         # Leader-side collection state (deliver votes go to self.votes)
         self._nv_tracker = self.tracker()
         self._store_tracker = self.tracker()
         self._prep_certs: dict[int, PrepareCert] = {}  # stored_view -> φ_c
         self._deliver: Optional[tuple[int, Digest]] = None  # (view, h)
         self._current_proposal: Optional[Proposal] = None
-        self._proposal_kind: dict[Digest, str] = {}
-        self.register_handler(PullRequest, self.puller.on_pull_request)
-        self.register_handler(PullReply, self.puller.on_pull_reply)
+        self._proposal_kind: dict[Digest, str] = self.block_map()
 
     # ------------------------------------------------------------------
     # Boot & view plumbing
@@ -326,7 +322,7 @@ class OneShotReplica(BaseReplica):
         self.add_block(msg.block)
         self._proposal_kind[msg.block.hash] = msg.exec_kind
         self.prop = Prop(msg.block, phi_p, msg.qc)
-        self.puller.pull(msg.qc)  # Sec. VI-E: fetch the parent if missing
+        self.pull(qv, qh, msg.qc.signer_ids())  # Sec. VI-E: the parent
         return True
 
     def _store(self, phi_p: Proposal, to: int) -> None:
@@ -439,7 +435,7 @@ class OneShotReplica(BaseReplica):
         ref = qc_ref(top.qc)
         if ref is None:
             return
-        _, h2 = ref
+        rv, h2 = ref
         b1 = top.block
         if b1 is not None and not (b1.extends(h2) or b1.hash == h2):
             return
@@ -451,11 +447,9 @@ class OneShotReplica(BaseReplica):
             self.add_block(b1)
         else:
             # Vote only for received blocks — pull it first (Sec. VI-B f).
-            self.puller.pull_hash(
-                top.store.prop_view, top.store.block_hash, acc.ids
-            )
+            self.pull(top.store.prop_view, top.store.block_hash, acc.ids)
             return
-        self.puller.pull(top.qc)
+        self.pull(rv, h2, top.qc.signer_ids())
         self._sync_tee(v)  # votes must carry the current view
         vote = self.checker.tee_vote(top.store.block_hash)
         done = self.charge_enclave(self.checker)
@@ -519,20 +513,7 @@ class OneShotReplica(BaseReplica):
         assert nv.block is not None
         if not certifies(nv.block.hash, nv):
             return False
-        return leader in qc_signer_ids(nv.qc)
-
-    # ------------------------------------------------------------------
-    # Pulling integration
-    # ------------------------------------------------------------------
-    def on_missing_block(self, h: Digest, context: Any = None) -> None:
-        """Pull a missing chain block from the certifiers of ``context``.
-
-        Any of the f+1 nodes behind the triggering certificate executed
-        the full chain, so each holds every ancestor (Sec. VI-E).
-        """
-        if context is not None:
-            view = getattr(context, "stored_view", 0)
-            self.puller.pull_hash(view, h, qc_signer_ids(context))
+        return leader in nv.qc.signer_ids()
 
 
 def oneshot_with_options(options: OneShotOptions) -> type[OneShotReplica]:

@@ -3,12 +3,13 @@
 Provides everything that is *not* a protocol's own rules: CPU cost
 charging, deferred sends, the view pacemaker, round-robin leader
 election, the quorum size, quorum collection with per-view pruning,
-quorum-certificate checks, leaf creation, block storage and fetch,
-commit walks (execute a block and its unexecuted ancestors), client
-replies, and table-driven message dispatch.  A protocol subclasses
-this, declares its message table (:attr:`BaseReplica.HANDLERS`) and
-implements the paper's pseudocode on top; a chained variant subclasses
-its basic replica and overrides the steps that pipelining changes.
+quorum-certificate checks, leaf creation, block storage, block
+recovery (Fig. 6 pulling), commit walks (execute a block and its
+unexecuted ancestors), client replies, and table-driven message
+dispatch.  A protocol subclasses this, declares its message table
+(:attr:`BaseReplica.HANDLERS`) and implements the paper's pseudocode
+on top; a chained variant subclasses its basic replica and overrides
+the steps that pipelining changes.
 
 Replica pids are ``0..n-1``; clients register with pids ≥ 1000.
 """
@@ -48,10 +49,11 @@ class BaseReplica(Process):
     CERTIFIED_REPLIES = False
     #: Message type (exact) -> name of the method handling it.
     HANDLERS: dict[type, str] = {}
-    #: Block-fetch (request, response) message types, each built from
-    #: one field (hash / block); None when the protocol overrides
-    #: :meth:`on_missing_block` (OneShot pulls, Fig. 6).
-    FETCH: Optional[tuple[type, type]] = None
+    #: Block-recovery (request, reply) message types, built as
+    #: ``FETCH[0](view=, block_hash=)`` and ``FETCH[1](view=, block=)``.
+    FETCH: tuple[type, type]
+    #: Re-ask the next certifier when no reply came within this long.
+    RETRY_S = 1.0
     #: Certificate type a quorum of phase votes combines into
     #: (:meth:`collect_vote`; fields phase, view, block_hash, sigs).
     VOTE_CERT: Optional[type] = None
@@ -101,11 +103,16 @@ class BaseReplica(Process):
         self._led_view = -1
         #: Quorum trackers holding per-view state (see :meth:`tracker`).
         self._trackers: list[QuorumTracker] = []
+        #: Per-block maps (see :meth:`block_map`).
+        self._block_maps: list[dict[Digest, Any]] = []
         self._pruned_at = 0
         #: Vote collection (:meth:`collect_vote`, OneShot's deliver votes).
         self.votes = self.tracker()
-        #: Block hashes with a fetch request outstanding.
-        self._fetching: set[Digest] = set()
+        #: hash -> (view, certifiers, index of the next one): pulls
+        #: outstanding (:meth:`pull`).
+        self._pulls: dict[Digest, tuple[int, tuple[int, ...], int]] = {}
+        #: (requester, hash) -> view answered in (answer once, Sec. VI-E).
+        self._answered: dict[tuple[int, Digest], int] = {}
         #: message type -> (handler, whether handling costs CPU time).
         self._handlers: dict[Type, tuple[Callable[[int, Any], None], bool]] = {}
         #: hash -> (exec kind, triggering certificate) awaiting ancestors.
@@ -116,9 +123,8 @@ class BaseReplica(Process):
             self.register_handler(ViewSyncMsg, self._on_view_sync)
         for mtype, name in self.HANDLERS.items():
             self.register_handler(mtype, getattr(self, name))
-        if self.FETCH is not None:
-            self.register_handler(self.FETCH[0], self.on_fetch_req)
-            self.register_handler(self.FETCH[1], self.on_fetch_resp)
+        self.register_handler(self.FETCH[0], self.on_pull_request)
+        self.register_handler(self.FETCH[1], self.on_pull_reply)
         network.register(self)
 
     # ------------------------------------------------------------------
@@ -183,14 +189,31 @@ class BaseReplica(Process):
         self._trackers.append(t)
         return t
 
+    def block_map(self) -> dict[Digest, Any]:
+        """A block hash -> value dict that forgets executed blocks of
+        views below the pruning horizon (:meth:`prune_below`)."""
+        d: dict[Digest, Any] = {}
+        self._block_maps.append(d)
+        return d
+
     def prune_below(self, view: int) -> None:
         """Drop per-view state of views below ``view``.
 
         Only state no handler can still act on may go: every tracker
-        key is a view the handlers already reject as stale.
+        key is a view the handlers already reject as stale, and an
+        executed block's entry is never needed again (its commit and
+        its ancestors' are done).  Pulls and answers go by the view they
+        were made in; a pruned pull stops retrying, and the next commit
+        attempt that misses its block pulls it afresh.
         """
         for t in self._trackers:
             t.clear_below(view)
+        executed, store = self.log.executed, self.store
+        for d in self._block_maps:
+            for h in [h for h in d if h in executed and store.get(h).view < view]:
+                del d[h]
+        self._pulls = {h: e for h, e in self._pulls.items() if e[0] >= view}
+        self._answered = {k: w for k, w in self._answered.items() if w >= view}
 
     def collect_vote(self, sender: int, vote: Any) -> Optional[Any]:
         """Count a phase vote — its signature checked unless this
@@ -213,8 +236,8 @@ class BaseReplica(Process):
     def transmit(self, when: float, dsts: Sequence[int], payload: Any) -> None:
         """Hand ``payload`` for ``dsts`` to the network at ``when`` — the
         one seam every unicast and broadcast of this replica passes
-        through (only block-fetch and pull *requests* go to the network
-        directly, as single immediate sends).
+        through (only pull *requests* go to the network directly, as
+        single immediate sends).
 
         ``when`` is when the CPU work producing ``payload`` is done: at
         or before ``now`` the network gets the transmission at once,
@@ -379,29 +402,53 @@ class BaseReplica(Process):
         self.collector.on_propose(self.pid, self.view, block.hash, self.sim.now)
 
     # ------------------------------------------------------------------
-    # Block fetch
+    # Block recovery (Fig. 6 pulling, Sec. VI-E)
     # ------------------------------------------------------------------
-    def on_missing_block(self, h: Digest, context: Any = None) -> None:
-        """A commit needs block ``h`` but it is not stored: fetch it
-        from the first other signer of ``context``, the certificate
-        that triggered the commit (its signers hold ``h``'s chain)."""
-        if h in self._fetching or context is None:
+    def on_missing_block(self, h: Digest, context: Any) -> None:
+        """A commit needs block ``h`` but it is not stored: pull it from
+        the signers of ``context``, the certificate that triggered the
+        commit (they executed ``h``'s whole chain)."""
+        self.pull(self.view, h, context.signer_ids())
+
+    def pull(self, view: int, h: Digest, signer_ids: Sequence[int]) -> None:
+        """Fig. 6 l.1-11: ask the certifiers of ``h`` for its block, one
+        at a time and skipping this replica, moving to the next one
+        every :attr:`RETRY_S` until a reply arrives.  ``view`` goes into
+        the request and dates the pull for :meth:`prune_below`."""
+        if h in self._pulls or h in self.store or self.log.is_executed(h):
             return
-        self._fetching.add(h)
-        targets = [i for i in context.signer_ids() if i != self.pid]
-        if targets:
-            self.network.send(self.pid, targets[0], self.FETCH[0](h))
+        candidates = tuple(i for i in signer_ids if i != self.pid)
+        if candidates:
+            self._pulls[h] = (view, candidates, 0)
+            self._ask(h)
 
-    def on_fetch_req(self, sender: int, msg: Any) -> None:
+    def _ask(self, h: Digest) -> None:
+        entry = self._pulls.get(h)
+        if entry is None or self.stopped:
+            return
+        view, candidates, idx = entry
+        self._pulls[h] = (view, candidates, idx + 1)
+        request = self.FETCH[0](view=view, block_hash=h)
+        self.network.send(self.pid, candidates[idx % len(candidates)], request)
+        self.after(self.RETRY_S, self._ask, h)
+
+    def on_pull_request(self, sender: int, msg: Any) -> None:
+        """Fig. 6 l.13-16: send the block, at most once per requester
+        and hash (anti-DoS, Sec. VI-E); silent when it is not stored."""
+        key = (sender, msg.block_hash)
         block = self.store.get(msg.block_hash)
-        if block is not None:
-            done = self.charge(self.config.handler_overhead)
-            self.send_at(done, sender, self.FETCH[1](block))
+        if block is None or key in self._answered:
+            return
+        self._answered[key] = self.view
+        done = self.charge(self.config.handler_overhead)
+        self.send_at(done, sender, self.FETCH[1](view=msg.view, block=block))
 
-    def on_fetch_resp(self, sender: int, msg: Any) -> None:
+    def on_pull_reply(self, sender: int, msg: Any) -> None:
+        """Fig. 6 l.18-20: store the block and stop pulling it.  A block
+        nobody pulled costs its hash check and is dropped."""
         self.charge(self.config.crypto_costs.hash(msg.block.wire_size()))
-        self._fetching.discard(msg.block.hash)
-        self.add_block(msg.block)
+        if self._pulls.pop(msg.block.hash, None) is not None:
+            self.add_block(msg.block)
 
     # ------------------------------------------------------------------
     # Blocks and commits
@@ -414,17 +461,17 @@ class BaseReplica(Process):
                 if self._try_commit(h, kind):
                     self._pending_commits.pop(h, None)
                 else:
-                    # Still gaps below: fetch the next missing ancestor.
+                    # Still gaps below: pull the next missing ancestor.
                     self._request_missing_ancestor(h, context)
 
-    def commit_chain(self, h: Digest, kind: str, context: Any = None) -> bool:
+    def commit_chain(self, h: Digest, kind: str, context: Any) -> bool:
         """Execute the block with hash ``h`` and all unexecuted ancestors.
 
         Returns False (and remembers the commit for retry) when some
-        ancestor block has not been received yet; the protocol's
-        fetch/pull hook is invoked on the *first missing* ancestor in
-        that case — the nodes certifying ``context`` executed ``h``'s
-        whole chain, so they can serve any block on it.
+        ancestor block has not been received yet; the *first missing*
+        ancestor then goes to :meth:`on_missing_block` — the nodes
+        certifying ``context`` executed ``h``'s whole chain, so they
+        can serve any block on it.
         """
         if self.log.is_executed(h):
             return True

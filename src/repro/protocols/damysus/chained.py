@@ -45,7 +45,7 @@ class ChainedDamysusReplica(DamysusReplica):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         #: block hash -> prepare certificate (for the 2-chain walk).
-        self._cert_of: dict[Digest, DamCert] = {}
+        self._cert_of: dict[Digest, DamCert] = self.block_map()
 
     # ------------------------------------------------------------------
     # Bootstrap & timeout: commitments to the (next) leader

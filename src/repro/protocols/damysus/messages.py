@@ -77,8 +77,11 @@ class DamCertMsg:
 
 @dataclass(frozen=True)
 class DamFetchReq:
-    """Block fetch (recovery path; not part of the six steps)."""
+    """Block recovery request (not part of the six steps).  ``view`` is
+    the requester's local bookkeeping (the one recovery path dates
+    pulls by it) and is not on the wire: the size counts the hash only."""
 
+    view: int
     block_hash: Digest
 
     def wire_size(self) -> int:
@@ -87,6 +90,9 @@ class DamFetchReq:
 
 @dataclass(frozen=True)
 class DamFetchResp:
+    """Block recovery reply; ``view`` echoes the request, off the wire."""
+
+    view: int
     block: Block
 
     def wire_size(self) -> int:

@@ -38,8 +38,10 @@ class ChainedHotStuffReplica(HotStuffReplica):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        #: block hash -> the QC certifying it (set when first seen).
-        self._qc_of: dict[Digest, HsQC] = {}
+        #: block hash -> the QC certifying it (set when first seen).  An
+        #: executed block's QC is dropped: it can neither decide nor lock
+        #: (the lock already certifies a newer block).
+        self._qc_of: dict[Digest, HsQC] = self.block_map()
         self._voted_view = -1
 
     # ------------------------------------------------------------------

@@ -54,6 +54,11 @@ class HsQcMsg:
 
 @dataclass(frozen=True)
 class HsFetchReq:
+    """Block recovery request.  ``view`` is the requester's local
+    bookkeeping (the one recovery path dates pulls by it) and is not
+    on the wire: the size counts the hash only."""
+
+    view: int
     block_hash: Digest
 
     def wire_size(self) -> int:
@@ -62,6 +67,9 @@ class HsFetchReq:
 
 @dataclass(frozen=True)
 class HsFetchResp:
+    """Block recovery reply; ``view`` echoes the request, off the wire."""
+
+    view: int
     block: Block
 
     def wire_size(self) -> int:

@@ -98,9 +98,7 @@ class Simulator:
 
         Meant to be called from inside an event (a commit handler that
         sees the run reach its target): the loop exits after that very
-        event, exactly where a ``stop_when`` predicate turning true
-        during it would have ended the run — without a predicate call
-        per event.  A request made while no loop is running is kept:
+        event.  A request made while no loop is running is kept:
         the next :meth:`run` consumes it and returns before executing
         anything.  Every return from :meth:`run` clears the request, so
         calling :meth:`run` again resumes with the events still queued.
@@ -111,14 +109,11 @@ class Simulator:
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
     ) -> None:
         """Drive the loop.
 
         Stops when the queue drains, the clock would pass ``until``,
-        ``max_events`` have executed, :meth:`stop` was called, or
-        ``stop_when()`` returns true (checked after each event; prefer
-        :meth:`stop` on long runs — a predicate is a call per event).
+        ``max_events`` have executed, or :meth:`stop` was called.
         """
         if self._running:
             raise SimulationError("simulator loop is not reentrant")
@@ -141,8 +136,6 @@ class Simulator:
                 self.events_executed += 1
                 ev.callback(*ev.args)
                 executed += 1
-                if stop_when is not None and stop_when():
-                    return
         finally:
             self._running = False
             self._stop_requested = False

@@ -258,7 +258,7 @@ def test_pre_gst_plus_delay_hook_scenario():
 # ----------------------------------------------------------------------
 # The chained replicas (overrides of their basic replicas): steady
 # pipeline, and a crash window whose recovery runs timeouts, view sync,
-# new-view collection and block fetch (Fig. 6 pulling for OneShot)
+# new-view collection and block recovery (Fig. 6 pulling)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("protocol", CHAINED)
 def test_chained_steady_state(protocol):

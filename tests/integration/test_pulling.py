@@ -3,8 +3,10 @@ synchronization of lagging replicas."""
 
 import pytest
 
+from repro.metrics import NORMAL
 from repro.net import ConstantLatency, Network, isolate_node, remove_hook
-from repro.smr import prefix_agreement
+from repro.protocols.registry import REGISTRY
+from repro.smr import GENESIS, create_leaf, prefix_agreement
 
 from ..conftest import make_cluster, run_blocks
 
@@ -24,53 +26,53 @@ def test_lagging_replica_catches_up_via_pull():
     assert len(cluster.replicas[4].log) >= len(cluster.replicas[0].log) - 3
 
 
-def _pull_replies(net):
-    from repro.core.messages import PullReply
+def _pull_replies(net, replica):
+    reply = replica.FETCH[1]
+    return [e for e in net.message_log if isinstance(e.payload, reply)]
 
-    return [e for e in net.message_log if isinstance(e.payload, PullReply)]
 
-
-def test_pull_request_answered_once_per_requester():
-    from repro.core.messages import PullRequest
-
-    sim, net, cluster = make_cluster("oneshot", f=1, seed=22, enable_log=True)
+@pytest.mark.parametrize("protocol", sorted(REGISTRY))
+def test_pull_request_answered_once_per_requester(protocol):
+    sim, net, cluster = make_cluster(protocol, f=1, seed=22, enable_log=True)
     run_blocks(sim, cluster, 4)
     r0 = cluster.replicas[0]
     block = r0.log.blocks[0]
-    req = PullRequest(view=block.view, block_hash=block.hash)
+    req = r0.FETCH[0](view=block.view, block_hash=block.hash)
     r0.stopped = False
     r0.on_message(1, req)
     sim.run(until=sim.now + 0.1)
-    assert len(_pull_replies(net)) == 1
+    assert len(_pull_replies(net, r0)) == 1
     r0.on_message(1, req)  # anti-DoS: second identical request ignored
     sim.run(until=sim.now + 0.1)
-    assert len(_pull_replies(net)) == 1
+    assert len(_pull_replies(net, r0)) == 1
 
 
-def test_pull_for_unknown_block_is_silent():
-    from repro.core.messages import PullRequest
+@pytest.mark.parametrize("protocol", sorted(REGISTRY))
+def test_pull_for_unknown_block_is_silent(protocol):
     from repro.crypto import digest_of
 
-    sim, net, cluster = make_cluster("oneshot", f=1, seed=23, enable_log=True)
+    sim, net, cluster = make_cluster(protocol, f=1, seed=23, enable_log=True)
     run_blocks(sim, cluster, 3)
     r0 = cluster.replicas[0]
     r0.stopped = False
-    r0.on_message(1, PullRequest(view=99, block_hash=digest_of("nope")))
+    r0.on_message(1, r0.FETCH[0](view=99, block_hash=digest_of("nope")))
     sim.run(until=sim.now + 0.1)
-    assert len(_pull_replies(net)) == 0
+    assert len(_pull_replies(net, r0)) == 0
 
 
 def test_pull_reply_stores_block_and_unblocks_commit():
+    from repro.core.certificates import VoteCert
     from repro.core.messages import PullReply
 
-    sim, net, cluster = make_cluster("oneshot", f=1, seed=24)
-    run_blocks(sim, cluster, 3)
-    r0, r1 = cluster.replicas[0], cluster.replicas[1]
-    blk = r0.log.blocks[1]
-    # Simulate a fresh replica that sees a reply for a block it lacks.
-    assert blk.hash in r1.store._blocks
-    r1.puller.on_pull_reply(0, PullReply(view=blk.view, block=blk))
+    _, _, cluster = make_cluster("oneshot", f=1, seed=24)
+    r1 = cluster.replicas[1]
+    blk = create_leaf(GENESIS.hash, 0, (), proposer=0)
+    sigs = tuple(cluster.replicas[i].creds.keypair.sign(blk.hash) for i in (0, 2))
+    cert = VoteCert(block_hash=blk.hash, view=0, sigs=sigs)
+    assert not r1.commit_chain(blk.hash, NORMAL, context=cert)  # pulls from r0
+    r1.on_message(0, PullReply(view=0, block=blk))
     assert r1.store.get(blk.hash) is not None
+    assert r1.log.is_executed(blk.hash)
 
 
 def test_tee_never_desynchronizes_under_isolation():

@@ -1,12 +1,15 @@
 """The replica skeleton: what every protocol inherits from BaseReplica.
 
 Table-driven dispatch, chained replicas as overrides of their basic
-replicas, one quorum size, one block fetch, and per-view pruning that
-keeps collection state bounded however views advance.
+replicas, one quorum size, one block-recovery path (Fig. 6 pulling:
+rotate, retry, answer once), and per-view pruning that keeps collection,
+recovery and per-block state bounded however views advance.
 """
 
 import pytest
 
+from repro.core.certificates import VoteCert
+from repro.crypto import digest_of
 from repro.metrics import NORMAL
 from repro.protocols.common.quorum import _view_of
 from repro.protocols.registry import REGISTRY, get_protocol
@@ -14,7 +17,16 @@ from repro.smr import GENESIS, create_leaf
 
 from ..conftest import make_cluster, run_blocks
 
-FETCHING = ["damysus", "damysus-chained", "hotstuff", "hotstuff-chained"]
+PROTOCOLS = sorted(REGISTRY)
+
+
+def _cert(cluster, h, signers):
+    """A certificate on ``h`` whose signers are ``signers``, in order."""
+    sigs = tuple(cluster.replicas[i].creds.keypair.sign(h) for i in signers)
+    r = cluster.replicas[0]
+    if r.VOTE_CERT is None:  # OneShot: a deliver-phase vote certificate
+        return VoteCert(block_hash=h, view=0, sigs=sigs)
+    return r.VOTE_CERT(phase="prepare", view=0, block_hash=h, sigs=sigs)
 
 
 @pytest.mark.parametrize("basic", ["oneshot", "damysus", "hotstuff"])
@@ -36,41 +48,78 @@ def test_chained_hotstuff_ignores_basic_phase_certificates():
     assert r.cpu.jobs == 0
 
 
-@pytest.mark.parametrize("protocol", FETCHING)
+@pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_missing_block_is_fetched_once_from_a_certificate_signer(protocol):
     sim, net, cluster = make_cluster(protocol, f=1, enable_log=True)
     r, holder = cluster.replicas[0], cluster.replicas[1]
     block = create_leaf(GENESIS.hash, 0, (), proposer=1)
     holder.add_block(block)
-    signers = (0, 1, 2)
-    cert = r.VOTE_CERT(
-        phase="prepare",
-        view=0,
-        block_hash=block.hash,
-        sigs=tuple(
-            cluster.replicas[i].creds.keypair.sign(block.hash) for i in signers
-        ),
-    )
+    cert = _cert(cluster, block.hash, (0, 1, 2))
     assert not r.commit_chain(block.hash, NORMAL, context=cert)
     r.on_missing_block(block.hash, cert)  # already outstanding: no resend
-    sim.run(until=1.0)
+    sim.run(until=3 * r.RETRY_S)
     assert r.log.is_executed(block.hash)
     req, resp = r.FETCH
     sent = [(e.src, e.dst, type(e.payload)) for e in net.message_log]
     assert sent == [(0, 1, req), (1, 0, resp)]
 
 
-@pytest.mark.parametrize("protocol", sorted(REGISTRY))
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_silent_first_signer_is_skipped_after_a_retry(protocol):
+    """Signer 1 lacks the block and stays silent; signer 2 holds it.
+    After RETRY_S without a reply the pull asks signer 2, and the
+    commit completes.  (A one-shot fetch to the first signer stalled
+    the lagging replica's log for good.)"""
+    sim, net, cluster = make_cluster(protocol, f=1, enable_log=True)
+    r = cluster.replicas[0]
+    block = create_leaf(GENESIS.hash, 0, (), proposer=2)
+    cluster.replicas[2].add_block(block)
+    cert = _cert(cluster, block.hash, (0, 1, 2))
+    assert not r.commit_chain(block.hash, NORMAL, context=cert)
+    sim.run(until=3 * r.RETRY_S)
+    assert r.log.is_executed(block.hash)
+    req, resp = r.FETCH
+    sent = [(e.src, e.dst, type(e.payload)) for e in net.message_log]
+    assert sent == [(0, 1, req), (0, 2, req), (2, 0, resp)]
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_unsolicited_pull_reply_is_dropped(protocol):
+    """A reply for a block nobody pulled is charged its hash check and
+    never reaches the block store."""
+    _, _, cluster = make_cluster(protocol, f=1)
+    r = cluster.replicas[0]
+    block = create_leaf(GENESIS.hash, 0, (), proposer=1)
+    stored = len(r.store)
+    r.on_message(1, r.FETCH[1](view=0, block=block))
+    assert block.hash not in r.store and len(r.store) == stored
+    assert r.cpu.jobs == 2  # dispatch overhead + hash check
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_per_view_state_is_pruned_on_long_runs(protocol):
     """Every tracker key — int views (new-view / commitment collection)
-    as well as (view, ...) tuples — stays within the pruning horizon."""
+    as well as (view, ...) tuples — stays within the pruning horizon;
+    so do outstanding pulls and answered pull requests, and the
+    per-block maps forget executed blocks older than the horizon."""
     sim, _, cluster = make_cluster(protocol, f=1, seed=3)
+    for r in cluster.replicas:
+        # A pull nobody can answer (retried until it ages out), and an
+        # answered request (its reply is unsolicited, hence dropped).
+        r.pull(0, digest_of("lost"), r.others)
+        r.on_pull_request(r.others[0], r.FETCH[0](view=0, block_hash=GENESIS.hash))
+        assert r._pulls and r._answered
     run_blocks(sim, cluster, 200)
     for r in cluster.replicas:
         assert r.view >= 150
         horizon = r.view - r.PRUNE_EVERY - r.PRUNE_KEEP
         for t in r._trackers:
             assert all(_view_of(k) >= horizon for k in t._items), protocol
+        assert all(view >= horizon for view, _, _ in r._pulls.values())
+        assert all(view >= horizon for view in r._answered.values())
+        for name in ("_qc_of", "_cert_of", "_proposal_kind"):
+            for h in getattr(r, name, ()):
+                assert not r.log.is_executed(h) or r.store.get(h).view >= horizon
 
 
 @pytest.mark.parametrize("protocol", ["hotstuff", "damysus"])

@@ -18,7 +18,6 @@ from repro.core.certificates import (
     nv_verify_cost_sigs,
     proposal_digest,
     qc_ref,
-    qc_signer_ids,
     qc_verify_cost_sigs,
     store_digest,
     verify_new_view,
@@ -171,8 +170,9 @@ def test_qc_ref_genesis():
 
 
 def test_qc_signer_ids():
-    assert qc_signer_ids(make_prep(4, H1, 4, owners=(0, 1))) == (0, 1)
-    assert qc_signer_ids(make_acc(ids=(2, 3))) == (2, 3)
+    """Every quorum-certificate arm names the nodes a block pull asks."""
+    assert make_prep(4, H1, 4, owners=(0, 1)).signer_ids() == (0, 1)
+    assert make_acc(ids=(2, 3)).signer_ids() == (2, 3)
 
 
 def test_verify_qc_dispatch():

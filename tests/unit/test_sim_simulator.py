@@ -60,11 +60,19 @@ def test_run_max_events():
 
 
 def test_stop_when_predicate():
+    """A target watched by the model itself (here: two hits) ends the
+    run through :meth:`Simulator.stop` from the event that reaches it."""
     sim = Simulator()
     hits = []
+
+    def hit(i):
+        hits.append(i)
+        if len(hits) >= 2:
+            sim.stop()
+
     for i in range(5):
-        sim.schedule(i + 1.0, hits.append, i)
-    sim.run(stop_when=lambda: len(hits) >= 2)
+        sim.schedule(i + 1.0, hit, i)
+    sim.run()
     assert hits == [0, 1]
 
 
@@ -86,9 +94,9 @@ def test_stop_ends_the_run_after_the_requesting_event():
 
 
 def test_stop_equals_a_stop_when_predicate_turning_true():
-    """The same run, ended once by a request from inside the event that
-    reaches the target and once by a predicate polled after every
-    event, stops after the very same event."""
+    """A stop requested from inside the event that reaches the target
+    ends the run after that very event: the same point as stepping the
+    loop one event at a time and checking the target after each."""
 
     def run(use_stop):
         sim = Simulator()
@@ -105,7 +113,8 @@ def test_stop_equals_a_stop_when_predicate_turning_true():
         if use_stop:
             sim.run(until=100.0)
         else:
-            sim.run(until=100.0, stop_when=lambda: len(log) >= 7)
+            while len(log) < 7:
+                sim.run(until=100.0, max_events=1)
         return sim.events_executed, sim.now, list(log), sim.pending_events()
 
     assert run(True) == run(False)

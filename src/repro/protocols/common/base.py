@@ -305,7 +305,7 @@ class BaseReplica(Process):
 
     def _on_submit_batch(self, sender: int, msg: SubmitTxBatch) -> None:
         """A slab: the load engines' columns, the 2PC coordinator's
-        marker rows or a KV client's one-row slab.
+        marker slab or a KV client's one-row slab.
 
         Only a sender that asks for replies (``wants_replies``) enters
         ``self.clients``: the engines' virtual clients never listen

@@ -30,12 +30,14 @@ with overlapping replica pids; the port tags replies with its shard id.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Sequence
+
+import numpy as np
 
 from ..metrics.streaming import P2Quantile, StreamingMoments
 from ..net import Network
 from ..sim import Process, Simulator
-from ..smr import Reply, SubmitTxBatch, Transaction, TxBatch
+from ..smr import Reply, SubmitTxBatch, TxBatch
 
 #: The coordinator's pid on every shard's network (also its client id
 #: in the marker transactions, so replicas route replies back to it).
@@ -106,6 +108,12 @@ class Coordinator(Process):
         self.prepare_timeout = prepare_timeout
         self._pending: dict[int, _PendingTx] = {}
         self._next_xid = 0
+        #: A transfer's staged leg on each side, one tuple per shard and
+        #: sign, shared by every prepare marker that stages it.
+        self._legs = [
+            {delta: (("add", f"acct{shard}", delta),) for delta in (-1, 1)}
+            for shard in range(len(shard_networks))
+        ]
         # Outcome counters + streaming commit-latency sketches.
         self.submitted = 0
         self.committed = 0
@@ -130,24 +138,32 @@ class Coordinator(Process):
         xids = range(self._next_xid, self._next_xid + len(pairs))
         self._next_xid = xids.stop
         self.submitted += len(pairs)
-        markers: dict[int, list[Transaction]] = {}
+        markers: dict[int, list[tuple[int, Any]]] = {}
         for xid, (home, partner) in zip(xids, pairs):
             self._pending[xid] = _PendingTx(xid, (home, partner), now)
             for shard, delta in ((home, -1), (partner, 1)):
-                markers.setdefault(shard, []).append(Transaction(
-                    COORDINATOR_PID, 2 * xid, payload_bytes,
-                    ("xprepare", xid, (("add", f"acct{shard}", delta),)), now,
-                ))
+                op = ("xprepare", xid, self._legs[shard][delta])
+                markers.setdefault(shard, []).append((2 * xid, op))
         if markers:
-            self._send(markers)
+            self._send(markers, payload_bytes)
             self.after(self.prepare_timeout, self._deadline, xids)
         return xids
 
-    def _send(self, markers: dict[int, list[Transaction]]) -> None:
-        """One marker slab per shard, in ascending shard order, to every
-        replica (so a faulty leader cannot censor it silently)."""
+    def _send(
+        self, markers: dict[int, list[tuple[int, Any]]], payload_bytes: int = 0
+    ) -> None:
+        """One marker slab per shard — ``(tx_id, op)`` rows as columns of
+        the coordinator's client id and the current time — in ascending
+        shard order, to every replica (so a faulty leader cannot censor
+        it silently)."""
+        now = self.sim.now
         for shard in sorted(markers):
-            slab = TxBatch.from_transactions(markers[shard])
+            tx_ids, ops = zip(*markers[shard])
+            n = len(tx_ids)
+            slab = TxBatch.columns(
+                np.full(n, COORDINATOR_PID), tx_ids, np.full(n, now),
+                payload_bytes, ops,
+            )
             self.ports[shard].network.multicast(
                 COORDINATOR_PID,
                 self.replica_pids[shard],
@@ -185,13 +201,11 @@ class Coordinator(Process):
     # ------------------------------------------------------------------
     def _decide(self, pends: list[_PendingTx], outcome: str) -> None:
         now = self.sim.now
-        markers: dict[int, list[Transaction]] = {}
+        markers: dict[int, list[tuple[int, Any]]] = {}
         for pend in pends:
             op = ("x" + outcome, pend.xid)
             for shard in pend.shards:
-                markers.setdefault(shard, []).append(Transaction(
-                    COORDINATOR_PID, 2 * pend.xid + 1, op=op, submit_time=now
-                ))
+                markers.setdefault(shard, []).append((2 * pend.xid + 1, op))
             latency = now - pend.submitted_at
             self.decision_latency.add(latency)
             self.decision_p99.add(latency)

@@ -26,11 +26,11 @@ from .transaction import Transaction, TxBatch, TxFactory
 class SubmitTxBatch:
     """Client → replica submission: one immutable
     :class:`~repro.smr.transaction.TxBatch` slab in one message — the
-    load engines' numpy columns, the 2PC coordinator's marker rows or a
-    KV client's one-row slab.  ``wants_replies`` asks the replica to
-    route a :class:`Reply` for the slab's client ids back to the
-    sender; the engines' virtual clients leave it off (measured at
-    commit).
+    load engines' arrivals, the 2PC coordinator's marker slabs or a KV
+    client's one-row slab, all of them columns.  ``wants_replies`` asks
+    the replica to route a :class:`Reply` for the slab's client ids back
+    to the sender; the engines' virtual clients leave it off (measured
+    at commit).
     """
 
     batch: TxBatch

@@ -160,16 +160,19 @@ class ExecutionLog:
         self.blocks.append(block)
         self.executed.add(block.hash)
         self._exec_times.append(now)
-        # Only op-bearing rows can matter: ``op is None`` (every row of
-        # the synthetic saturated workload) is the documented no-op.
+        # Only op columns can matter: ``op is None`` (every row of the
+        # synthetic saturated workload) is the documented no-op.  The
+        # applied set keeps the segment's own cached key tuples.
         apply = self.state.apply
         applied = self._applied_keys
-        for tx in block.txs.op_rows:
-            key = (tx.client_id, tx.tx_id)
-            if key in applied:
-                continue  # re-ordered by a pipelined leader
-            applied.add(key)
-            apply(tx.op)
+        for seg in block.txs.segments:
+            if seg.ops is None:
+                continue
+            for key, op in zip(seg.keys, seg.ops):
+                if op is None or key in applied:
+                    continue  # no-op, or re-ordered by a pipelined leader
+                applied.add(key)
+                apply(op)
         self.txs_executed += len(block.txs)
         watch = self._length_watch
         if watch is not None and len(self.blocks) >= watch[0]:

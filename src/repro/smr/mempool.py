@@ -246,6 +246,8 @@ class Mempool:
         if live_keys.issuperset(wanted):
             part = slab[start:end]
             live_keys.difference_update(wanted)
+        elif live_keys.isdisjoint(wanted):
+            part = TxBatch()  # every row committed from another block
         else:
             live = list(islice(
                 (i for i in range(start, len(keys)) if keys[i] in live_keys),

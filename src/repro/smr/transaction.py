@@ -8,9 +8,10 @@ payloads of 0 B (protocol overhead) and 256 B (trend with block size).
 Between source, mempool, block, execution and client replies the only
 transaction container is the :class:`TxBatch` slab: a few segments
 describing many rows, so a 400-transaction block costs its handlers a
-handful of operations.  :class:`Transaction` objects exist where a
-client made one (scalar submissions, the only rows that carry an
-``op``) and wherever a reader indexes or iterates a slab.
+handful of operations.  A segment is an arithmetic run or a set of
+columns; an ``op`` lives only in a column segment's ``ops`` column.  No
+slab holds a :class:`Transaction`: one is built when a reader indexes
+or iterates a slab, and not retained.
 """
 
 from __future__ import annotations
@@ -18,7 +19,11 @@ from __future__ import annotations
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any, Collection, Iterable, Iterator, Sequence, Union
+from itertools import groupby, repeat
+from operator import attrgetter
+from typing import (
+    Any, Collection, Iterable, Iterator, Optional, Sequence, Union,
+)
 
 import numpy as np
 
@@ -69,7 +74,7 @@ class _Run:
     payload_bytes: int
     submit_time: float
 
-    op_rows = ()
+    ops = None
 
     def __len__(self) -> int:
         return self.n
@@ -105,14 +110,19 @@ class _Run:
 
 @dataclass(frozen=True, eq=False)
 class _Columns:
-    """Rows as read-only numpy columns sharing one payload size."""
+    """Rows as read-only numpy columns sharing one payload size.
+
+    ``ops`` is the op column: a tuple aligned with the rows (``None``
+    where a row has no op), or ``None`` when no row has one.  Ops are
+    opaque to consensus — never hashed, never sized — so they are kept
+    as the objects their client made.
+    """
 
     client_ids: np.ndarray
     tx_ids: np.ndarray
     submit_times: np.ndarray
     payload_bytes: int
-
-    op_rows = ()
+    ops: Optional[tuple[Any, ...]] = None
 
     def __post_init__(self) -> None:
         for column in (self.client_ids, self.tx_ids, self.submit_times):
@@ -127,12 +137,14 @@ class _Columns:
 
     @cached_property
     def keys(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.client_ids.tolist(), self.tx_ids.tolist()))
+        lo, hi = self.span
+        cids = repeat(lo) if lo == hi else self.client_ids.tolist()
+        return tuple(zip(cids, self.tx_ids.tolist()))
 
     def row(self, i: int) -> Transaction:
         return Transaction(
             int(self.client_ids[i]), int(self.tx_ids[i]), self.payload_bytes,
-            None, float(self.submit_times[i]),
+            self.ops and self.ops[i], float(self.submit_times[i]),
         )
 
     def slice(self, lo: int, hi: int) -> "_Columns":
@@ -140,9 +152,13 @@ class _Columns:
 
     def take(self, index) -> "_Columns":
         """Rows at ``index`` (a slice is a view, an index array a copy)."""
+        ops = self.ops and _op_column(
+            self.ops[index] if type(index) is slice
+            else [self.ops[i] for i in index.tolist()]
+        )
         return _Columns(
             self.client_ids[index], self.tx_ids[index],
-            self.submit_times[index], self.payload_bytes,
+            self.submit_times[index], self.payload_bytes, ops,
         )
 
     def wire_bytes(self) -> int:
@@ -154,42 +170,13 @@ class _Columns:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class _Rows:
-    """Transactions as their client made them: any payload, any op."""
-
-    txs: tuple[Transaction, ...]
-
-    def __len__(self) -> int:
-        return len(self.txs)
-
-    @cached_property
-    def span(self) -> tuple[int, int]:
-        cids = [t.client_id for t in self.txs]
-        return (min(cids), max(cids))
-
-    @cached_property
-    def keys(self) -> tuple[tuple[int, int], ...]:
-        return tuple([(t.client_id, t.tx_id) for t in self.txs])
-
-    @property
-    def op_rows(self) -> list[Transaction]:
-        return [t for t in self.txs if t.op is not None]
-
-    def row(self, i: int) -> Transaction:
-        return self.txs[i]
-
-    def slice(self, lo: int, hi: int) -> "_Rows":
-        return _Rows(self.txs[lo:hi])
-
-    def wire_bytes(self) -> int:
-        return sum(TX_OVERHEAD_BYTES + t.payload_bytes for t in self.txs)
-
-    def encoding(self) -> bytes:
-        return b"".join([encode(t.encoding()) for t in self.txs])
+def _op_column(ops: Iterable[Any]) -> Optional[tuple[Any, ...]]:
+    """``ops`` as an op column: a tuple, or ``None`` if every op is."""
+    ops = tuple(ops)
+    return ops if any(op is not None for op in ops) else None
 
 
-Segment = Union[_Run, _Columns, _Rows]
+Segment = Union[_Run, _Columns]
 
 
 def _column(name: str) -> property:
@@ -207,14 +194,14 @@ def _column(name: str) -> property:
 class TxBatch(SequenceABC):
     """An immutable slab of transactions: a tuple of non-empty segments.
 
-    A segment is an arithmetic run (the saturated source's filler), a
-    set of numpy columns (the workload engine's arrivals and slices of
-    them) or the :class:`Transaction` objects of scalar submissions.
-    A slab is frozen all the way down — read-only columns, no mutators,
-    write-once caches — so it rides inside frozen messages and blocks
-    and is shared by every replica.  It reads as a sequence of
-    :class:`Transaction`; rows that are not already objects are built
-    on each access and never retained.
+    A segment is an arithmetic run (the saturated source's filler) or a
+    set of numpy columns with an optional op column (the workload
+    engine's arrivals, 2PC marker slabs, client submissions and slices
+    of them).  A slab is frozen all the way down — read-only columns, an
+    op tuple, no mutators, write-once caches — so it rides inside frozen
+    messages and blocks and is shared by every replica.  It reads as a
+    sequence of :class:`Transaction`, built on each access and never
+    retained.
     """
 
     segments: tuple[Segment, ...] = ()
@@ -227,15 +214,20 @@ class TxBatch(SequenceABC):
         tx_ids: np.ndarray,
         submit_times: np.ndarray,
         payload_bytes: int = 0,
+        ops: Optional[Sequence[Any]] = None,
     ) -> "TxBatch":
-        """A slab over (copies of) parallel columns."""
-        if not (len(client_ids) == len(tx_ids) == len(submit_times)):
+        """A slab over (copies of) parallel columns; ``ops``, if given,
+        holds one op (or ``None``) per row."""
+        if not len(client_ids) == len(tx_ids) == len(submit_times) == len(
+            tx_ids if ops is None else ops
+        ):
             raise ValueError("TxBatch columns must have equal length")
         return cls._of(_Columns(
             np.array(client_ids, dtype=np.int64),
             np.array(tx_ids, dtype=np.int64),
             np.array(submit_times, dtype=np.float64),
             int(payload_bytes),
+            None if ops is None else _op_column(ops),
         ))
 
     @classmethod
@@ -254,8 +246,15 @@ class TxBatch(SequenceABC):
 
     @classmethod
     def from_transactions(cls, txs: Iterable[Transaction]) -> "TxBatch":
-        """A slab holding ``txs`` themselves (ops and payloads intact)."""
-        return cls._of(_Rows(tuple(txs)))
+        """The rows of ``txs`` (ops and payloads intact) as columns, one
+        segment per stretch of equal payload size."""
+        parts = []
+        for payload, group in groupby(txs, attrgetter("payload_bytes")):
+            cids, tids, times, ops = zip(
+                *[(t.client_id, t.tx_id, t.submit_time, t.op) for t in group]
+            )
+            parts.append(cls.columns(cids, tids, times, payload, ops))
+        return cls.concat(parts)
 
     @classmethod
     def concat(cls, parts: Iterable["TxBatch"]) -> "TxBatch":
@@ -326,11 +325,6 @@ class TxBatch(SequenceABC):
         if len(self.segments) == 1:
             return self.segments[0].keys
         return tuple([k for seg in self.segments for k in seg.keys])
-
-    @cached_property
-    def op_rows(self) -> tuple[Transaction, ...]:
-        """The rows that carry an ``op`` — all a state machine can see."""
-        return tuple(t for seg in self.segments for t in seg.op_rows)
 
     def keys_of(self, client_ids: Collection[int]) -> Iterator[tuple[int, int]]:
         """Keys of the rows submitted by any of ``client_ids``, skipping

@@ -386,6 +386,35 @@ def test_deep_freeze_allows_ndarray_only_in_read_only_array_owners():
     ]
 
 
+def test_deep_freeze_walks_the_op_column():
+    """``_Columns.ops`` holds objects, not arrays: the ndarray allowance
+    does not cover it, so a tuple passes and a list is a finding."""
+    columns = (
+        "import numpy as np\n"
+        "from dataclasses import dataclass\n"
+        "from typing import Any, Optional\n"
+        "@dataclass(frozen=True)\n"
+        "class _Columns:\n"
+        "    client_ids: np.ndarray\n"
+        "    ops: Optional[tuple[Any, ...]] = None\n"
+    )
+    block = (
+        "from dataclasses import dataclass\n"
+        "from repro.smr.transaction import _Columns\n"
+        "@dataclass(frozen=True)\n"
+        "class Block:\n"
+        "    txs: _Columns\n"
+    )
+    files = {"repro/smr/transaction.py": columns, "repro/smr/block.py": block}
+    assert run_rule(DeepFreezeRule(), files) == []
+    files["repro/smr/transaction.py"] = columns.replace(
+        "tuple[Any, ...]", "list[Any]"
+    )
+    findings = run_rule(DeepFreezeRule(), files)
+    assert locs(findings) == [("repro/smr/block.py", 5)]
+    assert "_Columns.ops -> list" in findings[0].message
+
+
 def test_deep_freeze_handles_recursive_payload_types():
     findings = run_rule(
         DeepFreezeRule(),

@@ -1,17 +1,20 @@
-"""Guard: the saturated hot path never materialises per-row objects.
+"""Guard: the saturated and sharded hot paths never materialise
+per-row objects.
 
 Count-based, no timing: a change that goes back to building one
 ``Transaction`` per block row anywhere between source and commit —
-mempool, block hashing, execution, replies, metrics — leaves them
-reachable from the run's logs and fails here without a benchmark.
+mempool, block hashing, execution, replies, metrics, 2PC markers —
+leaves them reachable from the run's logs and fails here without a
+benchmark.
 """
 
 import gc
 
 import pytest
 
-from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments import ExperimentConfig, run_experiment, run_sharded
 from repro.smr import Transaction
+from tests.shard.test_hot_path_2pc import CONFIG as SHARDED
 
 
 def _live_transactions() -> int:
@@ -31,3 +34,15 @@ def test_saturated_run_retains_no_transaction_objects(protocol):
     assert len(log) >= 30 and log.txs_executed == 400 * len(log)
     assert _live_transactions() - before == 0
     assert run.stats.blocks_decided >= 30  # the result is still referenced
+
+
+def test_sharded_run_retains_no_transaction_objects():
+    """2PC markers and routed arrivals are column slabs: a k=2 run with
+    15 % cross-shard transfers ends with every marker op in an op column
+    and no ``Transaction`` alive."""
+    before = _live_transactions()
+    run = run_sharded(SHARDED)
+    assert run.atomicity.ok, run.atomicity.describe()
+    assert run.coordinator.committed > 10
+    assert _live_transactions() - before == 0
+    assert run.clusters  # the result is still referenced

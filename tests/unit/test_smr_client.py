@@ -42,7 +42,7 @@ def test_submit_broadcasts_to_all_replicas():
         msg = r.received[0][1]
         assert isinstance(msg, SubmitTxBatch) and msg.wants_replies
         assert msg.batch.keys() == (tx.key(),)
-        assert msg.batch[0] is tx  # the op rides in the one-row slab
+        assert msg.batch[0] == tx and msg.batch[0].op is tx.op  # op rides along
 
 
 def test_quorum_client_waits_for_f_plus_1_distinct():

@@ -80,14 +80,45 @@ class TestTxBatch:
 
     def test_from_transactions_keeps_mixed_payloads_and_ops(self):
         txs = [
-            Transaction(1, 0, payload_bytes=0, op=("set", "k", 1)),
-            Transaction(1, 1, payload_bytes=256),
+            Transaction(1, 0, 0, ("set", "k", 1), 0.5),
+            Transaction(2, 7, 0, None, 0.25),
+            Transaction(1, 1, 256, None, 1.0),
+            Transaction(3, 2, 256, ("del", "k"), 2.0),
+            Transaction(1, 2, 0, ("add", "n", -1), 3.0),
         ]
         b = TxBatch.from_transactions(txs)
-        assert b[0] is txs[0] and b[1] is txs[1]
-        assert b.wire_size() == 8 + 2 * TX_OVERHEAD_BYTES + 256
-        assert list(b.op_rows) == [txs[0]]
-        assert list(b.select([1, 0])) == [txs[1], txs[0]]
+        assert list(b) == txs
+        # A new column segment wherever the payload changes.
+        assert [len(seg) for seg in b.segments] == [2, 2, 1]
+        assert b.segments[0].ops == (("set", "k", 1), None)
+        assert b.encoding() == encode(tuple(t.encoding() for t in txs))
+        assert b.wire_size() == 8 + sum(t.wire_size() for t in txs)
+        assert b.wire_size() == 8 + 5 * TX_OVERHEAD_BYTES + 2 * 256
+        assert TxBatch.from_transactions([]).segments == ()
+
+    def test_segments_without_ops_carry_no_op_column(self):
+        plain = TxBatch.from_transactions([Transaction(1, 0), Transaction(1, 1)])
+        assert plain.segments[0].ops is None
+        assert TxBatch.columns([1], [0], [0.0], ops=[None]).segments[0].ops is None
+        with pytest.raises(ValueError):
+            TxBatch.columns([1, 2], [0, 0], [0.0, 0.0], ops=[None])
+
+    def test_select_and_slices_keep_ops_aligned(self):
+        txs = [
+            Transaction(i % 3, i, 0, None if i % 2 else ("add", "n", i))
+            for i in range(8)
+        ]
+        b = TxBatch.from_transactions(txs)
+        assert list(b.select([5, 0, 4])) == [txs[5], txs[0], txs[4]]
+        assert list(b[3:7]) == txs[3:7]
+        assert list(b[3:7][1:3]) == txs[4:6]
+        assert b.select([1, 3]).segments[0].ops is None  # no op left
+        mixed = TxBatch.concat([b, TxBatch.run(5, 0, 2), b[6:]])
+        rows = list(mixed)
+        assert list(mixed.select([9, 0, 10, 7])) == [
+            rows[9], rows[0], rows[10], rows[7],
+        ]
+        assert [t.op for t in mixed[6:11]] == [t.op for t in rows[6:11]]
 
     def test_run_is_arithmetic(self):
         run = TxFactory(client_id=3, payload_bytes=256).batch(400, now=2.5)
@@ -100,8 +131,8 @@ class TestTxBatch:
             TxBatch.run(3, -1, 5)
 
     def test_slices_and_concat_cross_segments(self):
-        rows = TxBatch.from_transactions([Transaction(9, i) for i in range(3)])
-        mixed = TxBatch.concat([rows, _slab(4), TxBatch.run(5, 10, 3)])
+        cols = TxBatch.from_transactions([Transaction(9, i) for i in range(3)])
+        mixed = TxBatch.concat([cols, _slab(4), TxBatch.run(5, 10, 3)])
         assert len(mixed) == 10 and len(mixed.segments) == 3
         everything = list(mixed)
         assert list(mixed[2:8]) == everything[2:8]
@@ -110,8 +141,8 @@ class TestTxBatch:
         assert len(mixed[5:5]) == 0 and mixed[5:5].segments == ()
 
     def test_keys_of_visits_only_registered_clients(self):
-        rows = TxBatch.from_transactions([Transaction(9, 0), Transaction(8, 0)])
-        mixed = TxBatch.concat([rows, _slab(4), TxBatch.run(5, 10, 2)])
+        cols = TxBatch.from_transactions([Transaction(9, 0), Transaction(8, 0)])
+        mixed = TxBatch.concat([cols, _slab(4), TxBatch.run(5, 10, 2)])
         assert list(mixed.keys_of({})) == []
         assert list(mixed.keys_of({9: "a", 2: "b", 5: "c"})) == [
             (9, 0), (2, 0), (5, 10), (5, 11),
@@ -123,9 +154,13 @@ class TestFrozenSlab:
     of the ``deep-freeze`` lint allowance for ``_Columns``."""
 
     def test_no_field_or_column_of_any_segment_can_be_written(self):
-        rows = TxBatch.from_transactions([Transaction(9, 0, op=("del", "k"))])
-        mixed = TxBatch.concat([rows, _slab(4)[1:3], TxBatch.run(5, 10, 3)])
-        for obj in (mixed, *mixed.segments, _slab(3).select([0, 2]).segments[0]):
+        ops = TxBatch.from_transactions(
+            [Transaction(9, 0, op=("del", "k")), Transaction(9, 1)]
+        )
+        mixed = TxBatch.concat([ops, _slab(4)[1:3], TxBatch.run(5, 10, 3)])
+        taken = (ops.select([1, 0]).segments[0], ops[:1].segments[0])
+        for obj in (mixed, *mixed.segments, _slab(3).select([0, 2]).segments[0],
+                    *taken):
             for field in dataclasses.fields(obj):
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(obj, field.name, None)
@@ -135,6 +170,11 @@ class TestFrozenSlab:
                         value[0] = 1
             with pytest.raises(dataclasses.FrozenInstanceError):
                 obj.extra = 1
+        # The op column is a tuple, in every segment cut from the slab.
+        for seg in (ops.segments[0], *taken):
+            assert type(seg.ops) is tuple
+            with pytest.raises(TypeError):
+                seg.ops[0] = ("set", "k", 1)
         for column in (mixed.client_ids, mixed.tx_ids, mixed.submit_times):
             with pytest.raises(ValueError):
                 column[0] = 1
@@ -184,6 +224,7 @@ _segments = st.one_of(
         st.builds(
             Transaction, _ids, _ids, st.sampled_from([0, 256, 7]),
             st.sampled_from([None, ("set", "k", 1)]),
+            st.sampled_from([0.0, 1.5]),
         ),
         max_size=4,
     ).map(TxBatch.from_transactions),

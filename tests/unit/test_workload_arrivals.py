@@ -5,11 +5,16 @@
   and so do the gaps of N merged independent clients (the two modes
   agree in law);
 * per-client tx-id numbering matches what each virtual client's own
-  factory would assign.
+  factory would assign, and what one dense counter per client gave;
+* per-client state is kept for touched clients only.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Simulator
 from repro.workload import SuperposedArrivals
@@ -100,7 +105,83 @@ class TestSuperposition:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             SuperposedArrivals(rng, n_clients=0, rate_tps=1.0)
+        with pytest.raises(ValueError):  # client << 32 must fit an int64
+            SuperposedArrivals(rng, n_clients=2**31 + 1, rate_tps=1.0)
         with pytest.raises(ValueError):
             SuperposedArrivals(rng, n_clients=1, rate_tps=0.0)
         with pytest.raises(ValueError):
             SuperposedArrivals(rng, n_clients=1, rate_tps=1.0).next_slab(0)
+
+
+def _dense_number_occurrences(
+    marks: np.ndarray, counters: np.ndarray
+) -> np.ndarray:
+    """Reference numbering with one dense counter per virtual client (the
+    generator's former state): row *j* gets ``counters[marks[j]]`` plus
+    the number of earlier rows with the same mark."""
+    n = len(marks)
+    order = np.argsort(marks, kind="stable")
+    sorted_marks = marks[order]
+    idx = np.arange(n, dtype=np.int64)
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    first[1:] = sorted_marks[1:] != sorted_marks[:-1]
+    group_start = np.maximum.accumulate(np.where(first, idx, 0))
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = idx - group_start
+    tx_ids = counters[marks] + rank
+    uniq, counts = np.unique(marks, return_counts=True)
+    counters[uniq] += counts
+    return tx_ids
+
+
+class TestTouchedClientState:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.integers(1, 40), st.sampled_from([1000, 10**6])),
+        st.lists(st.integers(1, 600), min_size=1, max_size=8),
+        st.sampled_from([(16_384, 32), (1, 2), (3, 3)]),
+    )
+    def test_numbering_equals_dense_counters(
+        self, seed, n_clients, slab_rows, run_bounds
+    ):
+        gen = _superposed(seed=seed, n_clients=n_clients, rate=500.0)
+        # Small run bounds push touched clients through many merges.
+        gen._RUN_ROWS, gen._FANOUT = run_bounds
+        # Replay the generator's mark draws: each slab draws its
+        # exponential gaps first, then its marks.
+        replay = _superposed(seed=seed, n_clients=n_clients, rate=500.0).rng
+        dense = np.zeros(n_clients, dtype=np.int64)
+        for rows in slab_rows:
+            slab = gen.next_slab(rows)
+            replay.exponential(1.0, size=rows)
+            marks = replay.integers(0, n_clients, size=rows)
+            assert slab.client_ids.tolist() == marks.tolist()
+            expected = _dense_number_occurrences(marks, dense)
+            assert slab.tx_ids.tolist() == expected.tolist()
+
+    def test_large_population_allocates_only_touched_state(self):
+        rng = np.random.default_rng(0)
+        # Warm numpy's lazily built internals outside the trace.
+        SuperposedArrivals(rng, n_clients=10, rate_tps=1.0).next_slab(512)
+        tracemalloc.start()
+        try:
+            gen = SuperposedArrivals(rng, n_clients=10**7, rate_tps=1000.0)
+            for _ in range(8):
+                gen.next_slab(512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # a dense int64 counter array is 80 MB
+
+    def test_touched_state_is_one_entry_per_client_in_few_runs(self):
+        gen = _superposed(seed=3, n_clients=50_000, rate=1000.0)
+        for _ in range(400):
+            gen.next_slab(512)
+        entries = np.concatenate(gen._runs)
+        clients = entries >> 32
+        assert len(np.unique(clients)) == len(clients)  # each in one run
+        assert (entries & 0xFFFFFFFF).sum() == gen.minted
+        assert len(gen._runs) <= 2  # bounds 16 384 and 524 288
+        assert all(np.all(np.diff(run) > 0) for run in gen._runs)

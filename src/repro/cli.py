@@ -11,7 +11,7 @@ Examples::
     oneshot-repro ablations
     oneshot-repro parallel --k 1 2 4
     oneshot-repro timeline --protocol damysus --views 3 5
-    oneshot-repro sweep --grid fig7 --workers 4
+    oneshot-repro paper --workers 2
     oneshot-repro fuzz run --seeds 200
     oneshot-repro fuzz replay tests/fuzz/corpus/*.json
     oneshot-repro fuzz shrink fuzz-findings/seed10-liveness.json
@@ -27,7 +27,6 @@ from typing import Optional, Sequence
 
 from .experiments import (
     ExperimentConfig,
-    check_linearity,
     compute_gains,
     render_ablations,
     render_complexity,
@@ -44,12 +43,9 @@ from .experiments import (
     run_parallel_scaling,
     steps_table,
 )
-from .experiments.sweep import (
-    run_ablations_sweep,
-    run_degraded_sweep,
-    run_fig7_sweep,
-)
+from .experiments.complexity import check_complexity
 from .experiments.fig7 import PAPER_F_VALUES
+from .experiments.paper import REDUCED_F, render_report, render_timing, run_paper
 from .protocols.registry import REGISTRY
 
 
@@ -86,24 +82,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig7(args: argparse.Namespace) -> int:
+    """``fig7`` prints the panel, ``gains`` its Sec. VIII gain tables."""
     res = run_fig7(
         args.deployment,
         f_values=tuple(args.f),
         target_blocks=args.blocks,
         seed=args.seed,
     )
-    print(render_fig7(res))
-    return 0
-
-
-def _cmd_gains(args: argparse.Namespace) -> int:
-    res = run_fig7(
-        args.deployment,
-        f_values=tuple(args.f),
-        target_blocks=args.blocks,
-        seed=args.seed,
-    )
-    print(render_gains(compute_gains(res)))
+    if args.command == "fig7":
+        print(render_fig7(res))
+    else:
+        print(render_gains(compute_gains(res)))
     return 0
 
 
@@ -120,8 +109,8 @@ def _cmd_degraded(args: argparse.Namespace) -> int:
 def _cmd_complexity(args: argparse.Namespace) -> int:
     result = run_complexity(f_values=tuple(args.f), seed=args.seed)
     print(render_complexity(result))
-    problems = check_linearity(result)
-    print(f"linearity violations: {problems or 'none'}")
+    problems = check_complexity(result)
+    print(f"complexity violations: {problems or 'none'}")
     return 0 if not problems else 1
 
 
@@ -215,40 +204,17 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    """Run a paper-scale grid across a worker pool.
+def _cmd_paper(args: argparse.Namespace) -> int:
+    """Every paper table, its checks, then seconds per section.
 
-    The merged output is byte-identical for any ``--workers`` value:
-    results are joined in task-key order, never completion order.
+    Everything above the timing block is byte-identical for any
+    ``--workers`` value; exit 1 if any section's check fails.
     """
-    if args.grid == "fig7":
-        res = run_fig7_sweep(
-            args.deployment,
-            f_values=tuple(args.f),
-            target_blocks=args.blocks,
-            seed=args.seed,
-            workers=args.workers,
-        )
-        print(render_fig7(res))
-    elif args.grid == "ablations":
-        print(
-            render_ablations(
-                run_ablations_sweep(
-                    target_blocks=args.blocks, workers=args.workers
-                )
-            )
-        )
-    else:  # degraded
-        print(
-            render_degraded(
-                run_degraded_sweep(
-                    target_blocks=args.blocks,
-                    seed=args.seed,
-                    workers=args.workers,
-                )
-            )
-        )
-    return 0
+    results, total_s = run_paper(tuple(args.f), workers=args.workers)
+    print(render_report(results))
+    print()
+    print(render_timing(results, total_s))
+    return 1 if any(r.violations for r in results) else 0
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -497,15 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("fig7", help="Fig. 7 panel for one deployment")
-    p.add_argument("--f", type=int, nargs="+", default=list(PAPER_F_VALUES))
-    _add_common(p)
-    p.set_defaults(func=_cmd_fig7)
-
-    p = sub.add_parser("gains", help="Sec. VIII gain tables")
-    p.add_argument("--f", type=int, nargs="+", default=list(PAPER_F_VALUES))
-    _add_common(p)
-    p.set_defaults(func=_cmd_gains)
+    for name, text in (
+        ("fig7", "Fig. 7 panel for one deployment"),
+        ("gains", "Sec. VIII gain tables"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--f", type=int, nargs="+", default=list(PAPER_F_VALUES))
+        _add_common(p)
+        p.set_defaults(func=_cmd_fig7)
 
     p = sub.add_parser("steps", help="Sec. V execution-type table")
     p.add_argument("--seed", type=int, default=11)
@@ -597,13 +562,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_timeline)
 
     p = sub.add_parser(
-        "sweep", help="run an experiment grid across a worker pool"
+        "paper", help="every paper table and its checks, on a worker pool"
     )
     p.add_argument(
-        "--grid",
-        default="fig7",
-        choices=["fig7", "ablations", "degraded"],
-        help="which experiment grid to sweep",
+        "--f",
+        type=int,
+        nargs="+",
+        default=list(REDUCED_F),
+        help="Fig. 7 fault thresholds (the paper's: 1 2 4 10 20 30)",
     )
     p.add_argument(
         "--workers",
@@ -611,9 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="pool size (0 = one per CPU, 1 = sequential)",
     )
-    p.add_argument("--f", type=int, nargs="+", default=list(PAPER_F_VALUES))
-    _add_common(p)
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_paper)
 
     p = sub.add_parser(
         "fuzz",

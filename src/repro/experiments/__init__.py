@@ -38,15 +38,7 @@ from .shard import (
     run_shard_scaling,
     run_sharded,
 )
-from .sweep import (
-    SweepOutcome,
-    SweepTask,
-    outcomes_to_json,
-    run_ablations_sweep,
-    run_degraded_sweep,
-    run_fig7_sweep,
-    run_sweep,
-)
+from .sweep import run_sweep
 from .steps_table import (
     PAPER_STEPS,
     StepsRow,
@@ -90,12 +82,6 @@ __all__ = [
     "render_shard",
     "run_shard_scaling",
     "run_sharded",
-    "SweepOutcome",
-    "SweepTask",
-    "outcomes_to_json",
-    "run_ablations_sweep",
-    "run_degraded_sweep",
-    "run_fig7_sweep",
     "run_sweep",
     "PAPER_STEPS",
     "StepsRow",

@@ -33,9 +33,6 @@ from ..metrics import RunStats, render_table
 from .config import ExperimentConfig
 from .runner import RunResult, run_experiment
 
-#: The three optimization axes.
-AXES = ("avoid_revotes", "omit_known_blocks", "preempt_catchup")
-
 
 def oneshot_factory(options: OneShotOptions, base_factory=None):
     """A ``replica_factory`` building OneShot replicas with ``options``,
@@ -76,6 +73,51 @@ def _count_delivers(result: RunResult) -> int:
         if isinstance(env.payload, DeliverMsg)
     }
     return len(views)
+
+
+#: Views the crafted scenarios sabotage (leaving warm-up views alone).
+_SELECTOR = lambda v: v >= 2 and v % 6 == 2  # noqa: E731
+
+
+def _on_off(
+    axis: str,
+    base_factory,
+    target_blocks: int,
+    seed: int,
+    payload_bytes: int = 0,
+    message_log: bool = False,
+) -> tuple[RunResult, RunResult]:
+    """Run one crafted scenario (f=2, 5 ms local links) with the
+    :class:`OneShotOptions` flag ``axis`` on, then off."""
+    cfg = ExperimentConfig(
+        protocol="oneshot",
+        f=2,
+        payload_bytes=payload_bytes,
+        deployment="local",
+        local_latency_s=0.005,
+        timeout_base=0.08,
+        target_blocks=target_blocks,
+        max_sim_time=120.0,
+        seed=seed,
+    )
+
+    def run(flag: bool) -> RunResult:
+        factory = oneshot_factory(OneShotOptions(**{axis: flag}), base_factory)
+        return run_experiment(
+            cfg, replica_factory=factory, enable_message_log=message_log
+        )
+
+    return run(True), run(False)
+
+
+def _deliver_ablation(axis: str, on: RunResult, off: RunResult) -> AblationResult:
+    return AblationResult(
+        axis,
+        on.stats,
+        off.stats,
+        on_delivers=_count_delivers(on),
+        off_delivers=_count_delivers(off),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -133,33 +175,14 @@ def _revote_scenario_cls(base_cls: Type, selector: Callable[[int], bool]) -> Typ
 
 
 def ablate_avoid_revotes(target_blocks: int = 24, seed: int = 23) -> AblationResult:
-    cfg = ExperimentConfig(
-        protocol="oneshot",
-        f=2,
-        deployment="local",
-        local_latency_s=0.005,
-        timeout_base=0.08,
-        target_blocks=target_blocks,
-        max_sim_time=120.0,
-        seed=seed,
-    )
-    selector = lambda v: v >= 2 and v % 6 == 2  # noqa: E731
-
-    def run(avoid: bool) -> RunResult:
-        factory = oneshot_factory(
-            OneShotOptions(avoid_revotes=avoid),
-            lambda pid, cls: _revote_scenario_cls(cls, selector),
-        )
-        return run_experiment(cfg, replica_factory=factory, enable_message_log=True)
-
-    on, off = run(True), run(False)
-    return AblationResult(
+    on, off = _on_off(
         "avoid_revotes",
-        on.stats,
-        off.stats,
-        on_delivers=_count_delivers(on),
-        off_delivers=_count_delivers(off),
+        lambda pid, cls: _revote_scenario_cls(cls, _SELECTOR),
+        target_blocks,
+        seed,
+        message_log=True,
     )
+    return _deliver_ablation("avoid_revotes", on, off)
 
 
 # ----------------------------------------------------------------------
@@ -169,26 +192,10 @@ def ablate_omit_known_blocks(target_blocks: int = 24, seed: int = 29) -> Ablatio
     """A periodically silent leader right after decisions: the timeout
     certificates are self-certified and the next leader co-signed the
     decided block's certificate, so the block can be omitted."""
-    cfg = ExperimentConfig(
-        protocol="oneshot",
-        f=2,
-        payload_bytes=256,
-        deployment="local",
-        local_latency_s=0.005,
-        timeout_base=0.08,
-        target_blocks=target_blocks,
-        max_sim_time=120.0,
-        seed=seed,
-    )
     plan = FaultPlan().add(1, "silent-leader")
-
-    def run(omit: bool) -> RunResult:
-        factory = oneshot_factory(
-            OneShotOptions(omit_known_blocks=omit), plan.factory()
-        )
-        return run_experiment(cfg, replica_factory=factory)
-
-    on, off = run(True), run(False)
+    on, off = _on_off(
+        "omit_known_blocks", plan.factory(), target_blocks, seed, payload_bytes=256
+    )
     return AblationResult(
         "omit_known_blocks",
         on.stats,
@@ -242,33 +249,14 @@ def _preempt_scenario_cls(base_cls: Type, selector: Callable[[int], bool]) -> Ty
 
 
 def ablate_preempt_catchup(target_blocks: int = 24, seed: int = 31) -> AblationResult:
-    cfg = ExperimentConfig(
-        protocol="oneshot",
-        f=2,
-        deployment="local",
-        local_latency_s=0.005,
-        timeout_base=0.08,
-        target_blocks=target_blocks,
-        max_sim_time=120.0,
-        seed=seed,
-    )
-    selector = lambda v: v >= 2 and v % 6 == 2  # noqa: E731
-
-    def run(preempt: bool) -> RunResult:
-        factory = oneshot_factory(
-            OneShotOptions(preempt_catchup=preempt),
-            lambda pid, cls: _preempt_scenario_cls(cls, selector),
-        )
-        return run_experiment(cfg, replica_factory=factory, enable_message_log=True)
-
-    on, off = run(True), run(False)
-    return AblationResult(
+    on, off = _on_off(
         "preempt_catchup",
-        on.stats,
-        off.stats,
-        on_delivers=_count_delivers(on),
-        off_delivers=_count_delivers(off),
+        lambda pid, cls: _preempt_scenario_cls(cls, _SELECTOR),
+        target_blocks,
+        seed,
+        message_log=True,
     )
+    return _deliver_ablation("preempt_catchup", on, off)
 
 
 def run_all_ablations(target_blocks: int = 24) -> list[AblationResult]:
@@ -277,6 +265,27 @@ def run_all_ablations(target_blocks: int = 24) -> list[AblationResult]:
         ablate_omit_known_blocks(target_blocks),
         ablate_preempt_catchup(target_blocks),
     ]
+
+
+def check_ablations(results: list[AblationResult]) -> list[str]:
+    """Each optimization's effect in its target scenario; returns
+    violations."""
+    problems = []
+    for r in results:
+        if r.axis == "avoid_revotes":
+            if r.on_delivers >= r.off_delivers:
+                problems.append("avoid_revotes: deliver phases did not drop")
+            if r.on.throughput_tps < 0.98 * r.off.throughput_tps:
+                problems.append("avoid_revotes: throughput fell below 0.98x")
+        elif r.axis == "omit_known_blocks":
+            if 1 - r.on_bytes / r.off_bytes <= 0.05:
+                problems.append("omit_known_blocks: saved <= 5% of bytes")
+        elif r.axis == "preempt_catchup":
+            if r.on.throughput_tps <= r.off.throughput_tps:
+                problems.append("preempt_catchup: throughput did not rise")
+            if r.on.mean_latency_s >= r.off.mean_latency_s:
+                problems.append("preempt_catchup: latency did not fall")
+    return problems
 
 
 def render_ablations(results: list[AblationResult]) -> str:
@@ -307,12 +316,12 @@ def render_ablations(results: list[AblationResult]) -> str:
 
 
 __all__ = [
-    "AXES",
     "AblationResult",
     "oneshot_factory",
     "ablate_avoid_revotes",
     "ablate_omit_known_blocks",
     "ablate_preempt_catchup",
     "run_all_ablations",
+    "check_ablations",
     "render_ablations",
 ]

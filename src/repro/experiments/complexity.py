@@ -96,6 +96,25 @@ def check_linearity(result: ComplexityResult, slack: float = 1.6) -> list[str]:
     return problems
 
 
+#: Communication steps per view: a linear protocol's per-node message
+#: count per block.
+STEPS_PER_VIEW = {"oneshot": 4, "damysus": 6, "hotstuff": 8}
+
+
+def check_complexity(result: ComplexityResult) -> list[str]:
+    """:func:`check_linearity`, plus per-node messages per block within
+    0.5 of each protocol's step count; returns violations."""
+    problems = check_linearity(result)
+    for point in result.points.values():
+        steps = STEPS_PER_VIEW.get(point.protocol)
+        if steps is not None and abs(point.msgs_per_block_per_node - steps) >= 0.5:
+            problems.append(
+                f"{point.protocol} f={point.f}: "
+                f"{point.msgs_per_block_per_node:.2f} msgs/block/node, not ~{steps}"
+            )
+    return problems
+
+
 def render_complexity(result: ComplexityResult) -> str:
     protocols = sorted({p.protocol for p in result.points.values()})
     rows, cells = [], []
@@ -122,5 +141,7 @@ __all__ = [
     "ComplexityResult",
     "run_complexity",
     "check_linearity",
+    "STEPS_PER_VIEW",
+    "check_complexity",
     "render_complexity",
 ]

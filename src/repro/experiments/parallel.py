@@ -122,6 +122,20 @@ def run_parallel_scaling(
     return scaling
 
 
+def check_parallel(scaling: ParallelScaling) -> list[str]:
+    """Near-linear gain at k=2, a plateau (not a collapse) once the
+    shared cores saturate at k=8; returns violations."""
+    runs = scaling.runs
+    problems = []
+    if runs[2].aggregate_tps <= 1.5 * runs[1].aggregate_tps:
+        problems.append("k=2 gives <= 1.5x the k=1 rate")
+    if runs[8].aggregate_tps <= 0.9 * runs[4].aggregate_tps:
+        problems.append("k=8 gives <= 0.9x the k=4 rate")
+    if runs[8].cpu_utilization <= 0.9:
+        problems.append("busiest core at k=8 is not saturated (<= 90%)")
+    return problems
+
+
 def render_parallel(scaling: ParallelScaling) -> str:
     rows, cells = [], []
     base = None
@@ -150,5 +164,6 @@ __all__ = [
     "ParallelScaling",
     "run_parallel",
     "run_parallel_scaling",
+    "check_parallel",
     "render_parallel",
 ]

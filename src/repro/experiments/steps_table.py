@@ -127,6 +127,16 @@ def steps_table(seed: int = 11) -> list[StepsRow]:
     return [measure_execution(k, seed) for k in (NORMAL, CATCHUP, PIGGYBACK)]
 
 
+def check_steps(rows: list[StepsRow]) -> list[str]:
+    """Every measured row equals the paper's; returns violations."""
+    return [
+        f"{r.kind}: {r.blocks} blocks / {r.steps} steps, paper "
+        f"{PAPER_STEPS[r.kind][0]} / {PAPER_STEPS[r.kind][1]}"
+        for r in rows
+        if not r.matches_paper
+    ]
+
+
 def render_steps_table(rows: list[StepsRow]) -> str:
     cells = []
     for row in rows:
@@ -153,5 +163,6 @@ __all__ = [
     "StepsRow",
     "measure_execution",
     "steps_table",
+    "check_steps",
     "render_steps_table",
 ]

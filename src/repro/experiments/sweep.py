@@ -1,126 +1,25 @@
-"""Parallel sweep executor — fan independent simulations over a pool.
+"""Process-pool executor for independent simulations.
 
-Every paper-scale result is a grid of *independent* simulations
-(protocol × payload × fault-threshold × seed); each builds its own
-:class:`~repro.sim.simulator.Simulator` from its own root seed, so
-they can run on separate OS processes with no shared state.  This
-module provides the one executor all sweep drivers share:
-
-* a :class:`SweepTask` names a registered *driver* (a top-level,
-  picklable function) plus its keyword arguments and a sortable key;
-* :func:`run_sweep` executes tasks sequentially or across a
-  ``multiprocessing`` pool and **merges results ordered by task key,
-  never by completion order** — so the merged output of a parallel
-  sweep is byte-identical to the sequential one;
-* grid builders and assemblers power the Fig. 7, ablation and
-  degraded-network sweeps (and the ``oneshot-repro sweep`` CLI).
-
-Determinism: workers inherit nothing from the parent's simulation
-state (each task seeds its own RNG registry), and
-:func:`outcomes_to_json` serializes with sorted keys and canonical
-float repr, so ``workers=N`` output can be byte-compared across N.
+Every experiment builds its own :class:`~repro.sim.simulator.Simulator`
+from its own root seed, so independent ones can run on separate OS
+processes with no shared state.  A task is ``(key, function, kwargs)``:
+``function`` is a top-level function, so it pickles by reference and
+runs as ``function(**kwargs)`` in a worker.  :func:`run_sweep` merges
+results **ordered by task key, never by completion order**, so its
+output is the same for any worker count.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
-from dataclasses import asdict, dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence
+import pickle
+from typing import Any, Callable, Iterable
 
-from ..metrics import RunStats
-from .ablation import (
-    AXES,
-    AblationResult,
-    ablate_avoid_revotes,
-    ablate_omit_known_blocks,
-    ablate_preempt_catchup,
-)
-from .config import ExperimentConfig
-from .degraded import FRACTIONS, DegradedResult
-from .fig7 import PAPER_F_VALUES, PAPER_PAYLOADS, PROTOCOLS, Fig7Result
-from .runner import run_experiment
-
-#: A sweep key: a tuple of strings/ints/floats, unique per task, whose
-#: sort order defines the merge order.
-SweepKey = tuple
+#: ``(key, function, kwargs)``; keys are unique and sortable.
+SweepTask = tuple[tuple, Callable[..., Any], dict[str, Any]]
 
 
-@dataclass(frozen=True)
-class SweepTask:
-    """One unit of sweep work: ``driver(**dict(params))``.
-
-    ``params`` is a tuple of ``(name, value)`` pairs (not a dict) so
-    tasks stay hashable; values must be picklable for pool dispatch.
-    """
-
-    key: SweepKey
-    driver: str
-    params: tuple[tuple[str, Any], ...]
-
-
-@dataclass(frozen=True)
-class SweepOutcome:
-    """A task's result, tagged with its key for deterministic merging."""
-
-    key: SweepKey
-    result: Any
-
-
-# ----------------------------------------------------------------------
-# Drivers — top-level (hence picklable) task bodies
-# ----------------------------------------------------------------------
-def _drive_experiment(config: ExperimentConfig) -> RunStats:
-    """Run one configured experiment and keep only its summary stats
-    (the full :class:`RunResult` drags the simulator across the pipe)."""
-    return run_experiment(config).stats
-
-
-def _drive_forced(
-    config: ExperimentConfig, mode: str, every_k: int
-) -> tuple[RunStats, float]:
-    """A degraded-network point: OneShot with every k-th view forced to
-    an abnormal execution; returns (stats, observed abnormal fraction)."""
-    from ..faults import every_kth_view, forced_execution_factory
-
-    factory = forced_execution_factory(mode, every_kth_view(every_k))
-    run = run_experiment(config, replica_factory=factory)
-    kinds = run.collector.execution_kinds()
-    abnormal = sum(1 for v in kinds.values() if v != "normal")
-    return run.stats, abnormal / max(1, len(kinds))
-
-
-_ABLATE = {
-    "avoid_revotes": ablate_avoid_revotes,
-    "omit_known_blocks": ablate_omit_known_blocks,
-    "preempt_catchup": ablate_preempt_catchup,
-}
-
-
-def _drive_ablation(axis: str, target_blocks: int) -> AblationResult:
-    """One Sec. VI-F ablation axis (its on/off pair runs in-task)."""
-    return _ABLATE[axis](target_blocks)
-
-
-#: Driver registry: names are stable CLI/task identifiers.
-DRIVERS: dict[str, Callable[..., Any]] = {
-    "experiment": _drive_experiment,
-    "forced": _drive_forced,
-    "ablation": _drive_ablation,
-}
-
-
-def _execute(task: SweepTask) -> SweepOutcome:
-    fn = DRIVERS.get(task.driver)
-    if fn is None:
-        raise KeyError(f"unknown sweep driver {task.driver!r}")
-    return SweepOutcome(key=task.key, result=fn(**dict(task.params)))
-
-
-# ----------------------------------------------------------------------
-# The executor
-# ----------------------------------------------------------------------
 def resolve_workers(workers: int) -> int:
     """Normalize a worker-count request (``0`` = one per CPU)."""
     if workers <= 0:
@@ -128,251 +27,35 @@ def resolve_workers(workers: int) -> int:
     return workers
 
 
-def run_sweep(
-    tasks: Iterable[SweepTask],
-    workers: int = 1,
-    mp_context: Optional[str] = None,
-) -> list[SweepOutcome]:
-    """Execute ``tasks`` and return outcomes **sorted by task key**.
+def _call(task: SweepTask) -> tuple[tuple, Any]:
+    key, fn, kwargs = task
+    return key, fn(**kwargs)
+
+
+def run_sweep(tasks: Iterable[SweepTask], workers: int = 1) -> list[tuple[tuple, Any]]:
+    """Execute ``tasks`` and return ``(key, result)`` pairs sorted by key.
 
     With ``workers > 1`` the tasks fan out over a ``multiprocessing``
-    pool; completion order is irrelevant because the merge orders by
-    key, so parallel and sequential sweeps produce identical output.
-    Duplicate keys are rejected — they would make the merge ambiguous.
+    pool.  Duplicate keys are rejected (they would make the merge
+    ambiguous), and so is a task that cannot cross the process pipe,
+    whatever the worker count, so ``workers=1`` accepts exactly what a
+    pool accepts.
     """
     task_list = list(tasks)
-    keys = [t.key for t in task_list]
+    keys = [key for key, _, _ in task_list]
     if len(set(keys)) != len(keys):
         dupes = sorted({k for k in keys if keys.count(k) > 1})
         raise ValueError(f"duplicate sweep keys: {dupes}")
+    pickle.dumps(task_list)
     workers = resolve_workers(workers)
     if workers <= 1 or len(task_list) <= 1:
-        outcomes = [_execute(t) for t in task_list]
+        outcomes = [_call(t) for t in task_list]
     else:
         methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            mp_context or ("fork" if "fork" in methods else "spawn")
-        )
+        ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
         with ctx.Pool(processes=min(workers, len(task_list))) as pool:
-            outcomes = pool.map(_execute, task_list, chunksize=1)
-    return sorted(outcomes, key=lambda o: o.key)
+            outcomes = pool.map(_call, task_list, chunksize=1)
+    return sorted(outcomes, key=lambda o: o[0])
 
 
-def outcomes_to_json(outcomes: Sequence[SweepOutcome]) -> str:
-    """Canonical JSON of a sweep's merged outcomes (byte-comparable)."""
-
-    def jsonable(value: Any) -> Any:
-        if isinstance(value, RunStats):
-            return asdict(value)
-        if isinstance(value, AblationResult):
-            return {
-                "axis": value.axis,
-                "on": asdict(value.on),
-                "off": asdict(value.off),
-                "on_delivers": value.on_delivers,
-                "off_delivers": value.off_delivers,
-                "on_bytes": value.on_bytes,
-                "off_bytes": value.off_bytes,
-            }
-        if isinstance(value, tuple):
-            return [jsonable(v) for v in value]
-        return value
-
-    payload = [
-        {"key": list(o.key), "result": jsonable(o.result)} for o in outcomes
-    ]
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-# ----------------------------------------------------------------------
-# Fig. 7 grids
-# ----------------------------------------------------------------------
-def fig7_tasks(
-    deployment: str,
-    f_values: Sequence[int] = PAPER_F_VALUES,
-    payloads: Sequence[int] = PAPER_PAYLOADS,
-    protocols: Sequence[str] = PROTOCOLS,
-    target_blocks: int = 30,
-    seeds: Sequence[int] = (7,),
-) -> list[SweepTask]:
-    """The (protocol × payload × f × seed) grid behind one Fig. 7 panel."""
-    tasks: list[SweepTask] = []
-    for seed in seeds:
-        for payload in payloads:
-            for protocol in protocols:
-                for f in f_values:
-                    cfg = ExperimentConfig(
-                        protocol=protocol,
-                        f=f,
-                        payload_bytes=payload,
-                        deployment=deployment,
-                        target_blocks=target_blocks,
-                        seed=seed,
-                    )
-                    tasks.append(
-                        SweepTask(
-                            key=(protocol, payload, f, seed),
-                            driver="experiment",
-                            params=(("config", cfg),),
-                        )
-                    )
-    return tasks
-
-
-def assemble_fig7(
-    deployment: str,
-    outcomes: Sequence[SweepOutcome],
-    f_values: Sequence[int],
-    payloads: Sequence[int],
-    seed: int,
-) -> Fig7Result:
-    """Rebuild one seed's :class:`Fig7Result` from sweep outcomes."""
-    result = Fig7Result(
-        deployment=deployment,
-        f_values=tuple(f_values),
-        payloads=tuple(payloads),
-    )
-    for o in outcomes:
-        protocol, payload, f, task_seed = o.key
-        if task_seed != seed:
-            continue
-        result.runs.setdefault((protocol, payload), {})[f] = o.result
-    return result
-
-
-def run_fig7_sweep(
-    deployment: str,
-    f_values: Sequence[int] = PAPER_F_VALUES,
-    payloads: Sequence[int] = PAPER_PAYLOADS,
-    protocols: Sequence[str] = PROTOCOLS,
-    target_blocks: int = 30,
-    seed: int = 7,
-    workers: int = 1,
-) -> Fig7Result:
-    """Drop-in parallel equivalent of
-    :func:`repro.experiments.fig7.run_fig7` (same output, any workers)."""
-    tasks = fig7_tasks(
-        deployment, f_values, payloads, protocols, target_blocks, seeds=(seed,)
-    )
-    outcomes = run_sweep(tasks, workers=workers)
-    return assemble_fig7(deployment, outcomes, f_values, payloads, seed)
-
-
-# ----------------------------------------------------------------------
-# Ablation and degraded-network grids
-# ----------------------------------------------------------------------
-def ablation_tasks(target_blocks: int = 24) -> list[SweepTask]:
-    return [
-        SweepTask(
-            key=(i, axis),
-            driver="ablation",
-            params=(("axis", axis), ("target_blocks", target_blocks)),
-        )
-        for i, axis in enumerate(AXES)
-    ]
-
-
-def run_ablations_sweep(
-    target_blocks: int = 24, workers: int = 1
-) -> list[AblationResult]:
-    """Parallel equivalent of
-    :func:`repro.experiments.ablation.run_all_ablations` (axis order kept)."""
-    outcomes = run_sweep(ablation_tasks(target_blocks), workers=workers)
-    return [o.result for o in outcomes]
-
-
-def degraded_tasks(
-    f: int = 2,
-    payload_bytes: int = 256,
-    latency_s: float = 0.010,
-    target_blocks: int = 40,
-    timeout_base: float = 0.06,
-    seed: int = 17,
-    modes: Sequence[str] = ("catchup", "piggyback"),
-) -> list[SweepTask]:
-    """The Sec. VIII-d grid: three baselines + forced-execution points."""
-
-    def cfg(protocol: str) -> ExperimentConfig:
-        return ExperimentConfig(
-            protocol=protocol,
-            f=f,
-            payload_bytes=payload_bytes,
-            deployment="local",
-            local_latency_s=latency_s,
-            target_blocks=target_blocks,
-            timeout_base=timeout_base,
-            seed=seed,
-        )
-
-    tasks = [
-        SweepTask(
-            key=("baseline", protocol, "", 0),
-            driver="experiment",
-            params=(("config", cfg(protocol)),),
-        )
-        for protocol in ("hotstuff", "damysus", "oneshot")
-    ]
-    for mode in modes:
-        for label, k in FRACTIONS.items():
-            if k == 0:
-                continue  # the 0% row is the oneshot baseline
-            tasks.append(
-                SweepTask(
-                    key=("forced", mode, label, k),
-                    driver="forced",
-                    params=(
-                        ("config", cfg("oneshot")),
-                        ("mode", mode),
-                        ("every_k", k),
-                    ),
-                )
-            )
-    return tasks
-
-
-def run_degraded_sweep(
-    f: int = 2,
-    payload_bytes: int = 256,
-    latency_s: float = 0.010,
-    target_blocks: int = 40,
-    timeout_base: float = 0.06,
-    seed: int = 17,
-    modes: Sequence[str] = ("catchup", "piggyback"),
-    workers: int = 1,
-) -> DegradedResult:
-    """Parallel equivalent of
-    :func:`repro.experiments.degraded.run_degraded` (same result object)."""
-    outcomes = run_sweep(
-        degraded_tasks(
-            f, payload_bytes, latency_s, target_blocks, timeout_base, seed, modes
-        ),
-        workers=workers,
-    )
-    result = DegradedResult(f=f, payload_bytes=payload_bytes)
-    for o in outcomes:
-        kind, name, label, _k = o.key
-        if kind == "baseline":
-            result.baselines[name] = o.result
-        else:
-            stats, fraction = o.result
-            result.forced[(name, label)] = stats
-            result.observed_fraction[(name, label)] = fraction
-    return result
-
-
-__all__ = [
-    "SweepKey",
-    "SweepTask",
-    "SweepOutcome",
-    "DRIVERS",
-    "resolve_workers",
-    "run_sweep",
-    "outcomes_to_json",
-    "fig7_tasks",
-    "assemble_fig7",
-    "run_fig7_sweep",
-    "ablation_tasks",
-    "run_ablations_sweep",
-    "degraded_tasks",
-    "run_degraded_sweep",
-]
+__all__ = ["SweepTask", "resolve_workers", "run_sweep"]

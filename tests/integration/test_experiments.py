@@ -1,5 +1,7 @@
 """Integration tests: the experiment harness (E1-E8 drivers)."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import (
@@ -110,6 +112,23 @@ def test_fig7_payload_slows_everyone(eu_panel):
 def test_fig7_rendering(eu_panel):
     out = render_fig7(eu_panel)
     assert "throughput" in out and "latency" in out and "oneshot" in out
+
+
+def test_fig7_renders_and_checks_requested_protocols():
+    panel = run_fig7(
+        "local",
+        f_values=(1,),
+        payloads=(0,),
+        protocols=("oneshot-chained",),
+        target_blocks=4,
+    )
+    assert "oneshot-chained" in render_fig7(panel)
+    assert fig7_shape(panel) == []
+
+
+def test_fig7_shape_flags_short_runs(eu_panel):
+    panel = dataclasses.replace(eu_panel, target_blocks=10**6)
+    assert any("decided" in p for p in fig7_shape(panel))
 
 
 def test_gains_positive(eu_panel):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import ExperimentConfig
+from repro.experiments.degraded import DegradedResult, check_shape
 from repro.experiments.deployments import DEPLOYMENTS, latency_model_for
 from repro.experiments.fig7 import Fig7Result
 from repro.experiments.gains import PAPER_GAINS, compute_gains, render_gains
@@ -86,3 +87,14 @@ def test_fig7_result_series_accessors():
     panel = synthetic_panel()
     assert panel.throughput_series("oneshot", 0) == [400, 300]
     assert panel.latency_series("oneshot", 0) == [25.0, 40.0]
+
+
+def test_degraded_catchup_collapse_flagged():
+    """50 % catch-up at 0.4x Damysus is not "comparable": flagged."""
+    result = DegradedResult(f=2, payload_bytes=256)
+    result.baselines["hotstuff"] = _stats(100, 0.1)
+    result.baselines["damysus"] = _stats(1000, 0.05)
+    result.forced[("catchup", "50%")] = _stats(400, 0.1)
+    assert check_shape(result) == [
+        "50% catch-up should be comparable to damysus"
+    ]

@@ -1,66 +1,63 @@
-"""Parallel sweep executor: deterministic merge and driver dispatch.
+"""Process-pool executor: deterministic merge, pickling by reference.
 
 The acceptance bar for ``repro.experiments.sweep`` is byte-identity:
-running a grid on a multiprocessing pool must produce exactly the same
-merged output as running it sequentially, because results are joined
+running tasks on a multiprocessing pool must produce exactly the same
+merged output as running them sequentially, because results are joined
 in task-key order, never completion order.
 """
 
+import pickle
+
 import pytest
 
-from repro.experiments.fig7 import render_fig7, run_fig7
-from repro.experiments.sweep import (
-    SweepOutcome,
-    SweepTask,
-    fig7_tasks,
-    outcomes_to_json,
-    resolve_workers,
-    run_fig7_sweep,
-    run_sweep,
-)
+from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments.paper import sections
+from repro.experiments.sweep import resolve_workers, run_sweep
 
 pytestmark = pytest.mark.sweep
 
-#: A grid small enough for CI but wide enough to interleave completion
-#: order across workers.
-GRID = dict(f_values=(1, 2), payloads=(0,), target_blocks=6, seeds=(7,))
+
+def _stats(protocol: str, f: int):
+    cfg = ExperimentConfig(
+        protocol=protocol, f=f, deployment="local", target_blocks=6, seed=7
+    )
+    return run_experiment(cfg).stats
+
+
+def _tasks():
+    """A grid small enough for CI but wide enough to interleave
+    completion order across workers; built f-major, so task order is
+    not key order."""
+    return [
+        ((protocol, f), _stats, {"protocol": protocol, "f": f})
+        for f in (1, 2)
+        for protocol in ("oneshot", "damysus", "hotstuff")
+    ]
 
 
 def test_parallel_sweep_byte_identical_to_sequential():
-    tasks = fig7_tasks("local", **GRID)
-    seq = run_sweep(tasks, workers=1)
-    par = run_sweep(tasks, workers=2)
-    assert outcomes_to_json(seq) == outcomes_to_json(par)
-
-
-def test_fig7_sweep_matches_sequential_driver():
-    """The sweep-built Fig. 7 result equals run_fig7's, run for run."""
-    kwargs = dict(f_values=(1, 2), payloads=(0,), target_blocks=6, seed=7)
-    direct = run_fig7("local", **kwargs)
-    swept = run_fig7_sweep("local", workers=2, **kwargs)
-    assert swept.runs == direct.runs
-    assert render_fig7(swept) == render_fig7(direct)
+    seq = run_sweep(_tasks(), workers=1)
+    par = run_sweep(_tasks(), workers=2)
+    assert repr(seq) == repr(par)
 
 
 def test_outcomes_sorted_by_key_not_completion():
-    # The fig7 grid is built payload-major, so task order != key order;
-    # the merge must still come back key-sorted.
-    tasks = fig7_tasks("local", **GRID)
-    assert [t.key for t in tasks] != sorted(t.key for t in tasks)
-    outcomes = run_sweep(tasks, workers=1)
-    keys = [o.key for o in outcomes]
+    tasks = _tasks()
+    assert [key for key, _, _ in tasks] != sorted(key for key, _, _ in tasks)
+    keys = [key for key, _ in run_sweep(tasks, workers=1)]
     assert keys == sorted(keys)
 
 
 def test_duplicate_keys_rejected():
-    t = SweepTask(key=("x",), driver="experiment", params=())
+    t = (("x",), _stats, {})
     with pytest.raises(ValueError, match="duplicate sweep keys"):
         run_sweep([t, t])
 
 
-def test_unknown_driver_rejected():
-    with pytest.raises(KeyError, match="unknown sweep driver"):
-        run_sweep([SweepTask(key=("x",), driver="nope", params=())])
+def test_unpicklable_task_rejected():
+    # A lambda cannot cross the pipe; workers=1 refuses it as a pool would.
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        run_sweep([(("x",), lambda: 1, {})], workers=1)
 
 
 def test_resolve_workers():
@@ -70,18 +67,6 @@ def test_resolve_workers():
 
 
 def test_tasks_are_picklable():
-    import pickle
-
-    for task in fig7_tasks("local", **GRID):
-        clone = pickle.loads(pickle.dumps(task))
-        assert clone == task
-
-
-def test_outcomes_to_json_is_canonical():
-    outcomes = [
-        SweepOutcome(key=("a", 1), result={"z": 1, "a": 2}),
-        SweepOutcome(key=("b", 2), result=(1.5, 2.5)),
-    ]
-    text = outcomes_to_json(outcomes)
-    assert text == outcomes_to_json(list(outcomes))  # stable
-    assert text.index('"a"') < text.index('"z"')  # sorted keys
+    # Top-level functions pickle by reference: no name registry needed.
+    for name, (fn, kwargs) in sections().items():
+        assert pickle.loads(pickle.dumps((fn, kwargs))) == (fn, kwargs), name

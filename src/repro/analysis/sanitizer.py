@@ -143,10 +143,15 @@ def fingerprint_run(
         ProtocolConfig(n=info.n_for(f), f=f, timeout_base=timeout_base),
         replica_factory=replica_factory,
     )
-    cluster.start()
-    cluster.replicas[0].log.when_length(target_blocks, sim.stop)
-    sim.run(until=max_sim_time)
-    cluster.stop()
+    try:
+        cluster.start()
+        cluster.replicas[0].log.when_length(target_blocks, sim.stop)
+        sim.run(until=max_sim_time)
+        cluster.stop()
+    finally:
+        # As in run_experiment: the ended run lets go of its cycles.
+        sim.close()
+        network.close()
     fp = fingerprint_of(protocol, seed, sim, network, cluster.collector)
     return fp, cluster.collector
 

@@ -93,11 +93,17 @@ def run_parallel(
                 network.attach_nic(i, nics[i])
         clusters.append(cluster)
 
-    for cluster in clusters:
-        cluster.start()
-    sim.run(until=sim_time)
-    for cluster in clusters:
-        cluster.stop()
+    try:
+        for cluster in clusters:
+            cluster.start()
+        sim.run(until=sim_time)
+        for cluster in clusters:
+            cluster.stop()
+    finally:
+        # As in run_experiment: the ended run lets go of its cycles.
+        sim.close()
+        for cluster in clusters:
+            cluster.network.close()
 
     run = ParallelRun(k=k, f=f, clusters=clusters, cpus=cpus, nics=nics, sim=sim)
     stats = [compute_stats(c.collector) for c in clusters]

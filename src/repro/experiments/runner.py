@@ -121,20 +121,27 @@ def run_experiment(
         )
     elif config.workload != "saturated":
         raise ValueError(f"unknown workload model {config.workload!r}")
-    if instrument is not None:
-        instrument(sim, network, cluster)
-    cluster.start()
-    if engine is not None:
-        engine.start()
-    # The run ends with the event in which the reference replica
-    # commits its last target block.
-    cluster.replicas[reference_pid].log.when_length(
-        config.target_blocks + config.warmup_blocks, sim.stop
-    )
-    sim.run(until=config.max_sim_time)
-    if engine is not None:
-        engine.stop()
-    cluster.stop()
+    try:
+        if instrument is not None:
+            instrument(sim, network, cluster)
+        cluster.start()
+        if engine is not None:
+            engine.start()
+        # The run ends with the event in which the reference replica
+        # commits its last target block.
+        cluster.replicas[reference_pid].log.when_length(
+            config.target_blocks + config.warmup_blocks, sim.stop
+        )
+        sim.run(until=config.max_sim_time)
+        if engine is not None:
+            engine.stop()
+        cluster.stop()
+    finally:
+        # Ended or crashed, the run lets go of its cycles through the
+        # event queue and the network registry, so the caller's last
+        # reference frees it (docs/invariants.md).
+        sim.close()
+        network.close()
     if config.streaming_metrics:
         stats = compute_stats(cluster.collector)
     else:

@@ -176,15 +176,21 @@ def run_sharded(
         rebalancer=Rebalancer(),
     )
 
-    if instrument is not None:
-        instrument(sim, networks, clusters)
-    for cluster in clusters:
-        cluster.start()
-    pump.start()
-    sim.run(until=config.max_sim_time)
-    pump.stop()
-    for cluster in clusters:
-        cluster.stop()
+    try:
+        if instrument is not None:
+            instrument(sim, networks, clusters)
+        for cluster in clusters:
+            cluster.start()
+        pump.start()
+        sim.run(until=config.max_sim_time)
+        pump.stop()
+        for cluster in clusters:
+            cluster.stop()
+    finally:
+        # As in run_experiment: the ended run lets go of its cycles.
+        sim.close()
+        for network in networks:
+            network.close()
 
     run = ShardRun(
         config=config,

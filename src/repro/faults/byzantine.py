@@ -250,7 +250,7 @@ class Restarting(ByzantineMixin):
             # The crash loses the pending timeout, but the process
             # restarts with a fresh timer — without this the replica
             # would sleep forever after its first outage.
-            self.view_timer.start(self.pacemaker.current_timeout())  # type: ignore[attr-defined]
+            self.view_timer.start(self.pacemaker.current_timeout(), self)  # type: ignore[attr-defined]
             return
         self._maybe_restore()
         super().on_timeout()  # type: ignore[misc]

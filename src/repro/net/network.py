@@ -104,6 +104,20 @@ class Network:
     def pids(self) -> list[int]:
         return list(self._procs)
 
+    def close(self) -> None:
+        """Forget the registered processes and the delay hooks.
+
+        Each process points at this network (``.network``) and many
+        hooks hold the network or a cluster, so the registry closes
+        reference cycles through every replica.  A driver closes the
+        network with its simulator once the run has ended; the traffic
+        accounting (``messages_sent``, ``bytes_sent``, ``message_log``)
+        and the NICs stay readable, and a later send to a forgotten pid
+        raises ``KeyError`` like any unknown destination.
+        """
+        self._procs.clear()
+        self.delay_hooks.clear()
+
     # ------------------------------------------------------------------
     # Tracing
     # ------------------------------------------------------------------

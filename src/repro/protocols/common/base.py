@@ -34,6 +34,7 @@ from ...smr import (
 )
 from ...tee import Credentials
 from .config import ProtocolConfig
+from .leadermap import LeaderMap
 from .pacemaker import Pacemaker, ViewSyncMsg
 from .quorum import QuorumTracker
 
@@ -89,10 +90,18 @@ class BaseReplica(Process):
         self.store = BlockStore()
         self.log = ExecutionLog()
         self.view = 0
+        #: view -> leader: deterministic round-robin election (Sec. IV).
+        #: A map object rather than a method, so services that check
+        #: proposers (OneShot's CHECKER) hold it without holding the
+        #: replica; multi-instance drivers rebind it with an offset.
+        self.leader_of = LeaderMap(config.n)
         self.pacemaker = Pacemaker(
             config.timeout_base, config.timeout_backoff, config.timeout_max
         )
-        self.view_timer = self.make_timer(self._view_timeout)
+        # Armed with the replica as argument (see Timer): a bound
+        # method held by the timer would be a replica -> timer -> replica
+        # reference cycle.
+        self.view_timer = self.make_timer(type(self)._view_timeout)
         self.peers = list(range(config.n))
         #: Every replica but this one (a broadcast without loopback).
         self.others = [p for p in self.peers if p != pid]
@@ -113,27 +122,47 @@ class BaseReplica(Process):
         self._pulls: dict[Digest, tuple[int, tuple[int, ...], int]] = {}
         #: (requester, hash) -> view answered in (answer once, Sec. VI-E).
         self._answered: dict[tuple[int, Digest], int] = {}
-        #: message type -> (handler, whether handling costs CPU time).
-        self._handlers: dict[Type, tuple[Callable[[int, Any], None], bool]] = {}
         #: hash -> (exec kind, triggering certificate) awaiting ancestors.
         self._pending_commits: dict[Digest, tuple[str, Any]] = {}
-        # Client submissions are not charged the dispatch overhead.
-        self.register_handler(SubmitTxBatch, self._on_submit_batch, charged=False)
-        if config.view_sync:
-            self.register_handler(ViewSyncMsg, self._on_view_sync)
-        for mtype, name in self.HANDLERS.items():
-            self.register_handler(mtype, getattr(self, name))
-        self.register_handler(self.FETCH[0], self.on_pull_request)
-        self.register_handler(self.FETCH[1], self.on_pull_reply)
+        #: message type -> (function, whether handling costs CPU time).
+        self._handlers = self.handler_table(config.view_sync)
         network.register(self)
+
+    @classmethod
+    def handler_table(
+        cls, view_sync: bool
+    ) -> dict[Type, tuple[Callable[..., None], bool]]:
+        """Message type -> (plain function called as ``fn(replica,
+        sender, payload)``, whether handling costs CPU time).
+
+        Built once per class and view-sync setting, from
+        :attr:`HANDLERS`, :attr:`FETCH` and the skeleton's own
+        handlers, and shared by every instance.  Functions rather than
+        bound methods: a table of a replica's own bound methods, held
+        by that replica, would make every replica a reference cycle.
+        The tables live on the class, so a fault subclass built per run
+        takes its tables with it when it goes.
+        """
+        tables = cls.__dict__.get("_handler_tables")
+        if tables is None:
+            tables = {}
+            cls._handler_tables = tables
+        table = tables.get(view_sync)
+        if table is None:
+            # Client submissions are not charged the dispatch overhead.
+            table = {SubmitTxBatch: (cls._on_submit_batch, False)}
+            if view_sync:
+                table[ViewSyncMsg] = (cls._on_view_sync, True)
+            for mtype, name in cls.HANDLERS.items():
+                table[mtype] = (getattr(cls, name), True)
+            table[cls.FETCH[0]] = (cls.on_pull_request, True)
+            table[cls.FETCH[1]] = (cls.on_pull_reply, True)
+            tables[view_sync] = table
+        return table
 
     # ------------------------------------------------------------------
     # Roles
     # ------------------------------------------------------------------
-    def leader_of(self, view: int) -> int:
-        """Deterministic round-robin leader election (Sec. IV)."""
-        return view % self.config.n
-
     def is_leader(self, view: Optional[int] = None) -> bool:
         return self.leader_of(self.view if view is None else view) == self.pid
 
@@ -289,9 +318,18 @@ class BaseReplica(Process):
         handler: Callable[[int, Any], None],
         charged: bool = True,
     ) -> None:
-        """Dispatch ``msg_type`` (exact type) to ``handler``; ``charged``
-        handlers cost ``config.handler_overhead`` of CPU per message."""
-        self._handlers[msg_type] = (handler, charged)
+        """Dispatch ``msg_type`` (exact type) to ``handler(sender,
+        payload)`` on this replica only; ``charged`` handlers cost
+        ``config.handler_overhead`` of CPU per message.
+
+        The replica then dispatches from its own copy of the class's
+        :meth:`handler_table`.
+        """
+
+        def call(_replica, sender: int, payload: Any) -> None:
+            handler(sender, payload)
+
+        self._handlers = {**self._handlers, msg_type: (call, charged)}
 
     def on_message(self, sender: int, payload: Any) -> None:
         if self.stopped:
@@ -301,7 +339,7 @@ class BaseReplica(Process):
             handler, charged = entry
             if charged:
                 self.charge(self.config.handler_overhead)
-            handler(sender, payload)
+            handler(self, sender, payload)
 
     def _on_submit_batch(self, sender: int, msg: SubmitTxBatch) -> None:
         """A slab: the load engines' columns, the 2PC coordinator's
@@ -333,7 +371,7 @@ class BaseReplica(Process):
         if view - self._pruned_at >= self.PRUNE_EVERY:
             self._pruned_at = view
             self.prune_below(view - self.PRUNE_KEEP)
-        self.view_timer.start(self.pacemaker.current_timeout())
+        self.view_timer.start(self.pacemaker.current_timeout(), self)
         self.on_enter_view(view)
 
     def _view_timeout(self) -> None:
@@ -545,7 +583,7 @@ class BaseReplica(Process):
         inflated = self.pacemaker.consecutive_failures > 0
         self.pacemaker.on_progress()
         if inflated and not self.stopped:
-            self.view_timer.start(self.pacemaker.current_timeout())
+            self.view_timer.start(self.pacemaker.current_timeout(), self)
 
     def record_decision_progress(self) -> None:
         """Common bookkeeping when a view decides."""

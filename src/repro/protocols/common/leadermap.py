@@ -6,7 +6,7 @@ on different machines each view.  Historically that was done with a
 per-replica closure lambda, which was invisible to introspection and
 had to be rebuilt ad hoc for the CHECKER's proposer-identity rebind.
 ``LeaderMap`` is the explicit object both paths share: it is callable
-with a view (drop-in for ``BaseReplica.leader_of``) and knows how to
+with a view (every replica's ``leader_of`` is one) and knows how to
 bind itself to every replica of a cluster, including the TEE CHECKER
 which validates proposer identity with the same map.
 """

@@ -48,7 +48,12 @@ DEFAULT_PREPARE_TIMEOUT = 8.0
 
 
 class ShardPort(Process):
-    """The coordinator's endpoint on one shard's network."""
+    """The coordinator's endpoint on one shard's network.
+
+    The port points at the coordinator but not the other way round:
+    the coordinator sends through the shard networks directly, so the
+    two do not form a reference cycle.
+    """
 
     def __init__(
         self, sim: Simulator, network: Network, shard_id: int, coordinator
@@ -78,9 +83,9 @@ class _PendingTx:
 class Coordinator(Process):
     """2PC coordinator across shard consensus groups.
 
-    One instance per sharded run; it owns a :class:`ShardPort` per
-    shard and drives every cross-shard transaction through
-    prepare → decision.  The pending table is O(in-flight); counters
+    One instance per sharded run; it registers a :class:`ShardPort` on
+    each shard's network and drives every cross-shard transaction
+    through prepare → decision.  The pending table is O(in-flight); counters
     and latency sketches are O(1); ``decision_log`` is O(history), one
     record per decided transfer, because the fingerprint folds it.
     """
@@ -99,7 +104,9 @@ class Coordinator(Process):
             raise ValueError("one replica pid list per shard network")
         if prepare_timeout <= 0:
             raise ValueError("prepare_timeout must be positive")
-        self.ports = [ShardPort(sim, n, s, self) for s, n in enumerate(shard_networks)]
+        self.networks = list(shard_networks)
+        for shard, network in enumerate(self.networks):
+            ShardPort(sim, network, shard, self)
         self.replica_pids = [list(p) for p in shard_replica_pids]
         self._replicas = [frozenset(p) for p in self.replica_pids]
         # A reply alone acks only if certified *and* the protocol certifies.
@@ -164,7 +171,7 @@ class Coordinator(Process):
                 np.full(n, COORDINATOR_PID), tx_ids, np.full(n, now),
                 payload_bytes, ops,
             )
-            self.ports[shard].network.multicast(
+            self.networks[shard].multicast(
                 COORDINATOR_PID,
                 self.replica_pids[shard],
                 SubmitTxBatch(slab, wants_replies=True),

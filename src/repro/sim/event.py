@@ -37,7 +37,10 @@ class Event:
         What to run.
     cancelled:
         Soft-delete flag — cancelled events stay in the heap but are
-        skipped by the loop (cheaper than heap surgery).
+        skipped by the loop (cheaper than heap surgery).  A cancelled
+        event never fires, so it lets go of its callback and args: a
+        timer re-armed every view does not keep each old target alive
+        until the heap drops the stale entry.
     """
 
     __slots__ = (
@@ -72,6 +75,8 @@ class Event:
         """Prevent this event from firing (idempotent)."""
         if not self.cancelled:
             self.cancelled = True
+            self.callback = None
+            self.args = ()
             queue = self._queue
             if queue is not None:
                 queue._live -= 1
@@ -186,8 +191,12 @@ class EventQueue:
         return None
 
     def clear(self) -> None:
+        """Drop every heaped event; each is cancelled and lets go of its
+        callback and args (see :meth:`Event.cancel`)."""
         for entry in self._heap:
-            entry[3]._queue = None
+            ev = entry[3]
+            ev._queue = None
+            ev.cancel()
         self._heap.clear()
         self._live = 0
 

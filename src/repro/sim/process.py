@@ -17,9 +17,18 @@ from .simulator import Simulator
 
 
 class Timer:
-    """A cancellable, re-armable one-shot timer."""
+    """A cancellable, re-armable one-shot timer.
 
-    def __init__(self, sim: Simulator, callback: Callable[[], None]) -> None:
+    The callback gets the arguments of the :meth:`start` that armed the
+    timer.  An owner that keeps a timer of its own passes a plain
+    function and arms it with itself as the argument: a bound method
+    stored here would tie the timer and its owner into a reference
+    cycle for as long as both live, while an argument is held only by
+    the pending event, which firing, :meth:`cancel` and
+    :meth:`Simulator.close` all let go of.
+    """
+
+    def __init__(self, sim: Simulator, callback: Callable[..., None]) -> None:
         self._sim = sim
         self._callback = callback
         self._event: Optional[Event] = None
@@ -28,19 +37,20 @@ class Timer:
     def armed(self) -> bool:
         return self._event is not None and not self._event.cancelled
 
-    def start(self, delay: float) -> None:
-        """(Re)arm the timer ``delay`` seconds from now."""
+    def start(self, delay: float, *args) -> None:
+        """(Re)arm the timer to call ``callback(*args)`` ``delay``
+        seconds from now."""
         self.cancel()
-        self._event = self._sim.schedule(delay, self._fire)
+        self._event = self._sim.schedule(delay, self._fire, *args)
 
     def cancel(self) -> None:
         if self._event is not None:
             self._event.cancel()
             self._event = None
 
-    def _fire(self) -> None:
+    def _fire(self, *args) -> None:
         self._event = None
-        self._callback()
+        self._callback(*args)
 
 
 class Process:
@@ -57,7 +67,7 @@ class Process:
         raise NotImplementedError
 
     # -- timers ----------------------------------------------------------
-    def make_timer(self, callback: Callable[[], None]) -> Timer:
+    def make_timer(self, callback: Callable[..., None]) -> Timer:
         return Timer(self.sim, callback)
 
     def after(self, delay: float, callback: Callable[..., None], *args) -> Event:

@@ -19,6 +19,29 @@ class SimulationError(RuntimeError):
     """Raised for simulator misuse (e.g. scheduling in the past)."""
 
 
+class _ClosedQueue:
+    """The queue of a closed simulator: empty, and every way in or out
+    raises, so a closed run cannot be resumed or fed by accident while
+    the open run loop keeps its per-event path free of a closed check."""
+
+    __slots__ = ()
+
+    def _closed(self, *_args, **_kwargs):
+        raise SimulationError("simulator is closed")
+
+    push = push_many = _closed
+
+    @property
+    def pop_next(self):
+        self._closed()
+
+    def live_count(self) -> int:
+        return 0
+
+    def clear(self) -> None:
+        pass
+
+
 class Simulator:
     """Deterministic discrete-event simulator.
 
@@ -117,10 +140,10 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator loop is not reentrant")
+        queue = self._queue
+        pop_next = queue.pop_next  # raises once the simulator is closed
         self._running = True
         executed = 0
-        queue = self._queue
-        pop_next = queue.pop_next
         try:
             # Hot loop: one bounded pop per event.
             while not self._stop_requested:
@@ -139,6 +162,23 @@ class Simulator:
         finally:
             self._running = False
             self._stop_requested = False
+
+    def close(self) -> None:
+        """End the simulation for good and let the run be freed.
+
+        Every event still queued holds a bound method of some replica,
+        timer or network, and every one of those holds this simulator:
+        the pending events tie a finished run into one reference cycle.
+        ``close`` drops them (releasing each callback and its args) and
+        swaps in a queue that raises :class:`SimulationError` on
+        :meth:`run` and every ``schedule*``.  ``now``, ``rng`` and
+        ``events_executed`` stay readable.  Idempotent; the run drivers
+        call it in a ``finally`` once the loop has returned or raised.
+        """
+        if self._running:
+            raise SimulationError("cannot close a running simulator")
+        self._queue.clear()
+        self._queue = _ClosedQueue()
 
     def pending_events(self) -> int:
         """Number of events still queued that will actually fire.

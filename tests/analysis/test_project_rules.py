@@ -14,6 +14,7 @@ from repro.analysis.rules import (
     StreamPurityRule,
     SubstrateBoundaryRule,
 )
+from repro.analysis.rules.substrate import SUBSTRATE_API
 
 
 def run_rule(rule, files: dict):
@@ -218,6 +219,8 @@ SIMULATOR = {
         "        pass\n"
         "    def step(self):\n"
         "        pass\n"
+        "    def close(self):\n"
+        "        pass\n"
     ),
 }
 
@@ -248,6 +251,25 @@ def test_substrate_boundary_allows_the_manifest_surface():
         "    return sim.now\n"
     )
     assert run_rule(SubstrateBoundaryRule(), files) == []
+
+
+def test_substrate_boundary_flags_a_replica_closing_its_simulator():
+    # ``close`` ends a run for good: only the driver that built the
+    # simulator may call it, so it stays out of the manifest.
+    assert "close" not in SUBSTRATE_API["repro.sim.simulator.Simulator"]
+    assert "close" not in SUBSTRATE_API["repro.net.network.Network"]
+    files = dict(SIMULATOR)
+    files["repro/protocols/pbft/replica.py"] = (
+        "from repro.sim.simulator import Simulator\n"
+        "class Replica:\n"
+        "    def __init__(self, sim: Simulator):\n"
+        "        self.sim = sim\n"
+        "    def give_up(self):\n"
+        "        self.sim.close()\n"
+    )
+    findings = run_rule(SubstrateBoundaryRule(), files)
+    assert locs(findings) == [("repro/protocols/pbft/replica.py", 6)]
+    assert "Simulator.close" in findings[0].message
 
 
 def test_substrate_boundary_ignores_non_protocol_layers():

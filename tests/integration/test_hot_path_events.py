@@ -31,9 +31,9 @@ def test_events_and_sizing_scale_with_transmissions_not_copies(protocol, monkeyp
         counts["sized"] += 1
         return real_size(payload)
 
-    def counting_fire(timer):
+    def counting_fire(timer, *args):
         counts["timer_fires"] += 1
-        real_fire(timer)
+        real_fire(timer, *args)
 
     monkeypatch.setattr(network_module, "payload_size", counting_size)
     monkeypatch.setattr(Timer, "_fire", counting_fire)

@@ -133,3 +133,17 @@ def test_messages_never_lost():
 def test_payload_size_default_for_unsized():
     assert payload_size(object()) == 64
     assert payload_size(Sized(123)) == 123
+
+
+def test_close_forgets_processes_and_hooks_but_keeps_accounting():
+    sim, net, procs = make_net()
+    net.delay_hooks.append(lambda now, src, dst, size: 0.0)
+    net.send(0, 1, Sized(10))
+    sim.run()
+    sent, nbytes = net.messages_sent, net.bytes_sent
+    net.close()
+    assert net.pids == [] and net.delay_hooks == []
+    assert (net.messages_sent, net.bytes_sent) == (sent, nbytes)
+    assert procs[1].got and all(p.sim is sim for p in procs)
+    with pytest.raises(KeyError):
+        net.send(0, 1, Sized(10))

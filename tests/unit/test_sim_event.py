@@ -272,3 +272,20 @@ def test_push_many_live_count():
     q.push_many([1.0, 2.0], lambda: None, [(), ()])
     assert q.live_count() == 2
     assert len(q) == 2
+
+
+def test_cancel_releases_callback_and_args():
+    q = EventQueue()
+    target = object()
+    ev = q.push(1.0, print, (target,))
+    ev.cancel()
+    assert ev.callback is None and ev.args == ()
+    assert q.pop_next() is None
+
+
+def test_clear_releases_every_heaped_event():
+    q = EventQueue()
+    events = [q.push(float(t), print, (t,)) for t in range(3)]
+    q.clear()
+    assert all(ev.cancelled and ev.callback is None for ev in events)
+    assert len(q) == 0 and q.live_count() == 0

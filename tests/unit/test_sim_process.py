@@ -83,3 +83,17 @@ def test_make_timer_bound_to_process_sim():
     t.start(0.5)
     sim.run()
     assert fired == [0.5]
+
+
+def test_timer_passes_start_args_and_lets_go_of_them():
+    sim = Simulator()
+    fired = []
+    t = Timer(sim, lambda owner: fired.append(owner))
+    owner = object()
+    t.start(1.0, owner)
+    sim.run()
+    assert fired == [owner] and not t.armed
+    t.start(1.0, owner)
+    event = t._event
+    t.cancel()
+    assert event.args == ()

@@ -304,3 +304,37 @@ def test_schedule_many_equal_times_fire_in_batch_order():
     sim.schedule_many([1.0] * 3, fired.append, [(i,) for i in range(3)])
     sim.run()
     assert fired == [0, 1, 2]
+
+
+def test_close_drops_pending_events_and_keeps_the_clock():
+    sim = Simulator()
+    hits = []
+    sim.schedule(1.0, hits.append, 1)
+    pending = sim.schedule(5.0, hits.append, 5)
+    sim.run(until=2.0)
+    sim.close()
+    assert hits == [1]
+    assert (sim.now, sim.events_executed, sim.pending_events()) == (2.0, 1, 0)
+    assert pending.cancelled and pending.args == ()
+
+
+def test_closed_simulator_raises_on_run_and_schedule():
+    sim = Simulator()
+    sim.close()
+    sim.close()  # idempotent
+    for attempt in (
+        sim.run,
+        lambda: sim.schedule(1.0, print),
+        lambda: sim.schedule_at(1.0, print),
+        lambda: sim.schedule_many([1.0], print, [()]),
+    ):
+        with pytest.raises(SimulationError, match="closed"):
+            attempt()
+    assert not sim._running
+
+
+def test_close_inside_the_loop_is_refused():
+    sim = Simulator()
+    sim.schedule(1.0, sim.close)
+    with pytest.raises(SimulationError, match="running"):
+        sim.run()

@@ -19,6 +19,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
+from ..crypto import clear_digest_memos
 from ..metrics import MetricsCollector
 from ..net import ConstantLatency, Network
 from ..net.latency import LatencyModel
@@ -152,6 +153,7 @@ def fingerprint_run(
         # As in run_experiment: the ended run lets go of its cycles.
         sim.close()
         network.close()
+        clear_digest_memos()
     fp = fingerprint_of(protocol, seed, sim, network, cluster.collector)
     return fp, cluster.collector
 

@@ -10,6 +10,8 @@ from .costs import FREE, T2_MICRO, CryptoCostModel
 from .hashing import (
     GENESIS_DIGEST,
     Digest,
+    clear_digest_memos,
+    digest_memo_entries,
     digest_of,
     encode,
     encode_int_range,
@@ -28,6 +30,8 @@ __all__ = [
     "CryptoCostModel",
     "GENESIS_DIGEST",
     "Digest",
+    "clear_digest_memos",
+    "digest_memo_entries",
     "digest_of",
     "encode",
     "encode_int_range",

@@ -90,15 +90,11 @@ def encode_int_rows(
     head: bytes, columns: Sequence[np.ndarray], tail: bytes
 ) -> bytes:
     """``head + encode(c0[i]) + encode(c1[i]) + ... + tail`` for every row
-    ``i`` of the parallel int64 ``columns``, concatenated."""
+    ``i`` of the parallel int64 ``columns`` of non-negative ints (the
+    slabs' unsigned 32-bit ids), concatenated."""
     rows = len(columns[0])
     if rows == 0:
         return b""
-    if min(int(c.min()) for c in columns) < 0:  # a sign is not a digit
-        return b"".join(
-            head + b"".join(map(encode, row)) + tail
-            for row in zip(*(c.tolist() for c in columns))
-        )
     args = np.empty((rows, 2 * len(columns)), dtype=np.int64)
     for j, column in enumerate(columns):
         args[:, 2 * j] = np.searchsorted(_POW10, column, "right") + 1
@@ -171,8 +167,9 @@ def _digest_of_hashable(fields: tuple) -> Digest:
 
     Certificates and votes are verified many times per view but their
     signed-content digests never change; caching here means each
-    distinct field tuple is encoded and hashed once per process, not
-    once per verification.  Keying on ``fields`` directly is injective
+    distinct field tuple is encoded and hashed once per run, not once
+    per verification (the run drivers empty it when a run ends, see
+    :func:`clear_digest_memos`).  Keying on ``fields`` directly is injective
     only because callers route every tuple containing a bool to
     :func:`_digest_of_disambiguated` instead (``False == 0`` would
     otherwise share a slot with a differently-encoded tuple).  Purely
@@ -187,6 +184,23 @@ def _digest_of_disambiguated(key: tuple, fields: tuple) -> Digest:
     """Memo for field tuples that contain bools, keyed on the
     sentinel-substituted form (see :func:`_substitute_bools`)."""
     return sha256(encode(fields))
+
+
+#: Every process-global memo in the program.  A run driver empties them
+#: in the ``finally`` that closes its simulator, so no memo — nor the
+#: field tuples its keys pin — outlives the run that filled it.
+RUN_MEMOS = (_digest_of_hashable, _digest_of_disambiguated)
+
+
+def clear_digest_memos() -> None:
+    """Empty every memo in :data:`RUN_MEMOS` (the end of a run)."""
+    for memo in RUN_MEMOS:
+        memo.cache_clear()
+
+
+def digest_memo_entries() -> int:
+    """How many digests the memos in :data:`RUN_MEMOS` hold now."""
+    return sum(memo.cache_info().currsize for memo in RUN_MEMOS)
 
 
 def digest_of(*fields: Any) -> Digest:
@@ -214,4 +228,7 @@ __all__ = [
     "sha256",
     "digest_of",
     "short",
+    "RUN_MEMOS",
+    "clear_digest_memos",
+    "digest_memo_entries",
 ]

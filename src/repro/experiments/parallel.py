@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from ..crypto import clear_digest_memos
 from ..metrics import MetricsCollector, compute_stats, render_table
 from ..net import Network
 from ..protocols.common import Cluster, LeaderMap, ProtocolConfig, build_cluster
@@ -104,6 +105,7 @@ def run_parallel(
         sim.close()
         for cluster in clusters:
             cluster.network.close()
+        clear_digest_memos()
 
     run = ParallelRun(k=k, f=f, clusters=clusters, cpus=cpus, nics=nics, sim=sim)
     stats = [compute_stats(c.collector) for c in clusters]

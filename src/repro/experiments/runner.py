@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Type
 
+from ..crypto import clear_digest_memos
 from ..metrics import MetricsCollector, RunStats, compute_stats
 from ..net import Network
 from ..protocols.common import BaseReplica, Cluster, ProtocolConfig, build_cluster
@@ -139,9 +140,11 @@ def run_experiment(
     finally:
         # Ended or crashed, the run lets go of its cycles through the
         # event queue and the network registry, so the caller's last
-        # reference frees it (docs/invariants.md).
+        # reference frees it (docs/invariants.md); no digest memo
+        # outlives it either.
         sim.close()
         network.close()
+        clear_digest_memos()
     if config.streaming_metrics:
         stats = compute_stats(cluster.collector)
     else:

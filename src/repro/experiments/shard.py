@@ -27,6 +27,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from ..crypto import clear_digest_memos
 from ..metrics import MetricsCollector, compute_stats, render_table
 from ..net import Network
 from ..protocols.common import Cluster, LeaderMap, ProtocolConfig, build_cluster
@@ -186,11 +187,24 @@ def run_sharded(
         pump.stop()
         for cluster in clusters:
             cluster.stop()
+        # Judged before the memos are emptied: both read digests.
+        atomicity = check_atomicity(clusters)
+        fingerprint = fingerprint_shards(
+            config.protocol,
+            config.seed,
+            clusters,
+            router,
+            coordinator,
+            end_time=sim.now,
+            reference_pid=reference_pid,
+        )
     finally:
-        # As in run_experiment: the ended run lets go of its cycles.
+        # As in run_experiment: the ended run lets go of its cycles,
+        # and no digest memo outlives it.
         sim.close()
         for network in networks:
             network.close()
+        clear_digest_memos()
 
     run = ShardRun(
         config=config,
@@ -220,16 +234,8 @@ def run_sharded(
             run.cross_overhead_ratio = (
                 run.cross_mean_latency_s / run.mean_latency_s
             )
-    run.atomicity = check_atomicity(clusters)
-    run.fingerprint = fingerprint_shards(
-        config.protocol,
-        config.seed,
-        clusters,
-        router,
-        coordinator,
-        end_time=sim.now,
-        reference_pid=reference_pid,
-    )
+    run.atomicity = atomicity
+    run.fingerprint = fingerprint
     return run
 
 

@@ -349,9 +349,10 @@ class BaseReplica(Process):
         ``self.clients``: the engines' virtual clients never listen
         (their latency is measured replica-side at commit), so routing
         state for a million virtual client ids would be pure overhead.
+        A route is registered per one-client segment, not per row.
         """
         if msg.wants_replies:
-            for client_id, _ in msg.batch.keys():
+            for client_id in msg.batch.distinct_clients():
                 self.clients[client_id] = sender
         self.mempool.submit_batch(msg.batch)
 
@@ -556,10 +557,7 @@ class BaseReplica(Process):
             return
         clients = self.clients
         # One reply per client per block, clients in first-key order.
-        keys_by_client: dict[int, list[tuple[int, int]]] = {}
-        for key in block.txs.keys_of(clients):
-            keys_by_client.setdefault(key[0], []).append(key)
-        for client_id, keys in keys_by_client.items():
+        for client_id, keys in block.txs.keys_by_client(clients).items():
             self.send_at(
                 when,
                 clients[client_id],

@@ -8,7 +8,7 @@ from typing import Callable, Optional, Sequence, Type
 from ...metrics import MetricsCollector
 from ...net import Network
 from ...sim import Simulator
-from ...smr import Mempool, SaturatedSource
+from ...smr import Mempool, TxFactory
 from ...tee import provision
 from .base import BaseReplica
 from .config import ProtocolConfig
@@ -66,11 +66,7 @@ def build_cluster(
         cls = replica_cls
         if replica_factory is not None:
             cls = replica_factory(pid, replica_cls) or replica_cls
-        source = (
-            SaturatedSource(payload_bytes, client_id=10_000 + pid)
-            if saturated
-            else None
-        )
+        source = TxFactory(10_000 + pid, payload_bytes) if saturated else None
         mempool = Mempool(source=source)
         replicas.append(
             cls(

@@ -11,7 +11,8 @@ decision the same way.  If any shard misses the prepare deadline the
 decision is ``xabort`` (presumed abort: a late prepare after an abort
 stages nothing).  All of it is batched: one marker slab per touched
 shard per call or per decision instant, one deadline timer per call,
-and one :class:`~repro.smr.Reply` per block listing its marker keys.
+and one :class:`~repro.smr.Reply` per block listing its marker keys
+(packed, ``client_id << 32 | tx_id``; the coordinator unpacks them).
 
 Atomicity therefore rests on two facts the oracle checks:
 
@@ -186,7 +187,8 @@ class Coordinator(Process):
             return
         trusted = self.certified_replies and payload.certified
         done: list[_PendingTx] = []
-        for client_id, tx_id in payload.tx_keys:
+        for key in payload.tx_keys:
+            client_id, tx_id = key >> 32, key & 0xFFFF_FFFF
             if client_id != COORDINATOR_PID or tx_id % 2 != 0:
                 continue  # decision acks need no tracking
             pend = self._pending.get(tx_id // 2)

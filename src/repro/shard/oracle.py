@@ -26,6 +26,9 @@ separately so liveness-style checks can bound them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+from ..smr.execution import COMMITTED
 
 
 @dataclass
@@ -54,6 +57,26 @@ class AtomicityReport:
         return "ATOMICITY: " + "; ".join(self.violations)
 
 
+class _Outcomes(NamedTuple):
+    undecided: set[int]
+    committed: set[int]
+    aborted: set[int]
+
+
+def _outcomes(state) -> _Outcomes:
+    """One pass over a store's 2PC table (xid → staged ops or a decided
+    state, :class:`~repro.smr.KVStore`)."""
+    out = _Outcomes(set(), set(), set())
+    for xid, s in state.x_table.items():
+        if s == COMMITTED:
+            out.committed.add(xid)
+        elif type(s) is tuple:
+            out.undecided.add(xid)
+        else:
+            out.aborted.add(xid)
+    return out
+
+
 def check_atomicity(shard_clusters) -> AtomicityReport:
     """Judge the 2PC histories of a sharded run.
 
@@ -71,33 +94,33 @@ def check_atomicity(shard_clusters) -> AtomicityReport:
         if not replicas:
             per_shard.append((set(), set(), set()))
             continue
-        ref = max(replicas, key=lambda r: len(r.log)).log.state
+        ref = _outcomes(max(replicas, key=lambda r: len(r.log)).log.state)
         for r in replicas:
-            st = r.log.state
-            conflicts = (st.x_committed & ref.x_aborted) | (
-                st.x_aborted & ref.x_committed
+            st = _outcomes(r.log.state)
+            conflicts = (st.committed & ref.aborted) | (
+                st.aborted & ref.committed
             )
             for xid in sorted(conflicts):
                 report.violations.append(
                     f"shard {shard}: replica {r.pid} decided 2PC tx "
                     f"{xid} differently from the reference replica"
                 )
-            lagging = (st.x_committed - ref.x_committed) | (
-                st.x_aborted - ref.x_aborted
+            lagging = (st.committed - ref.committed) | (
+                st.aborted - ref.aborted
             )
             for xid in sorted(lagging - conflicts):
                 report.violations.append(
                     f"shard {shard}: replica {r.pid} decided 2PC tx "
                     f"{xid} which the longest log has not"
                 )
-        per_shard.append((ref.x_prepared, ref.x_committed, ref.x_aborted))
+        per_shard.append(ref)
 
     # Cross-shard: decisions must be unanimous.
     commit_shards: dict[int, int] = {}
-    for shard, (prepared, committed, aborted) in enumerate(per_shard):
+    for shard, (undecided, committed, aborted) in enumerate(per_shard):
         report.committed |= committed
         report.aborted |= aborted
-        report.undecided |= prepared - committed - aborted
+        report.undecided |= undecided
         for xid in committed:
             commit_shards[xid] = commit_shards.get(xid, 0) + 1
         for other in range(shard + 1, len(per_shard)):

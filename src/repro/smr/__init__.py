@@ -5,7 +5,7 @@ from .block import GENESIS, GENESIS_HASH, Block, create_leaf, make_genesis
 from .chain import BlockStore, ChainError
 from .client import Client, Reply, SubmitTxBatch
 from .execution import ExecutionLog, KVStore, prefix_agreement
-from .mempool import BLOCK_TXS, DEFAULT_DEDUP_WINDOW, Mempool, SaturatedSource
+from .mempool import BLOCK_TXS, DEFAULT_DEDUP_WINDOW, Mempool
 from .transaction import TX_OVERHEAD_BYTES, Transaction, TxBatch, TxFactory
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "BLOCK_TXS",
     "DEFAULT_DEDUP_WINDOW",
     "Mempool",
-    "SaturatedSource",
     "TX_OVERHEAD_BYTES",
     "Transaction",
     "TxBatch",

@@ -67,11 +67,8 @@ class Block:
 
     def wire_size(self) -> int:
         """Bytes on the wire: transactions carry their own 40 B overhead
-        (which already amortizes the 32 B parent hash, per Sec. VIII).
-
-        Cached: a block is immutable, and broadcasting it sizes the
-        same transaction set once instead of once per destination.
-        """
+        (which amortizes the 32 B parent hash, Sec. VIII); cached, so a
+        broadcast sizes the block once, not once per destination."""
         return self._wire_size
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -24,13 +24,11 @@ from .transaction import Transaction, TxBatch, TxFactory
 
 @dataclass(frozen=True)
 class SubmitTxBatch:
-    """Client → replica submission: one immutable
-    :class:`~repro.smr.transaction.TxBatch` slab in one message — the
-    load engines' arrivals, the 2PC coordinator's marker slabs or a KV
-    client's one-row slab, all of them columns.  ``wants_replies`` asks
-    the replica to route a :class:`Reply` for the slab's client ids back
-    to the sender; the engines' virtual clients leave it off (measured
-    at commit).
+    """Client → replica submission: one immutable slab (the engines'
+    arrivals, the 2PC coordinator's markers, a KV client's one row).
+    ``wants_replies`` asks the replica to route a :class:`Reply` for the
+    slab's client ids back to the sender; the engines' virtual clients
+    leave it off (measured at commit).
     """
 
     batch: TxBatch
@@ -43,13 +41,12 @@ class SubmitTxBatch:
 @dataclass(frozen=True)
 class Reply:
     """Replica → client execution notification: one per block per
-    client, naming every key of that client the block carried.
-
-    ``certified`` marks replies carrying a forwarded prepare
-    certificate (trustable in isolation).
+    client, naming every packed key (``client_id << 32 | tx_id``) of
+    that client the block carried.  ``certified`` marks replies carrying
+    a forwarded prepare certificate (trustable in isolation).
     """
 
-    tx_keys: tuple[tuple[int, int], ...]
+    tx_keys: tuple[int, ...]
     view: int
     replica: int
     certified: bool = False
@@ -61,25 +58,24 @@ class Reply:
 
 
 #: Default cap on a client's in-flight (submitted, not yet committed)
-#: transactions.  In a correct run commits drain ``_inflight`` almost as
-#: fast as submissions fill it; the cap only bites when transactions
-#: stop committing (censorship, partitions, runaway open-loop load), in
-#: which case the *oldest* stale entries are evicted so a long run's
-#: bookkeeping stays bounded.  An evicted transaction can no longer be
-#: matched to replies — its latency is simply not recorded.
+#: transactions.  It bites only when transactions stop committing
+#: (censorship, partitions, runaway load): the oldest entries go, and an
+#: evicted transaction's replies are no longer matched.
 DEFAULT_MAX_INFLIGHT = 100_000
 
 
 class Client(Process):
     """A closed-loop or scripted client.
 
-    **Bounded bookkeeping.**  Per-transaction state is dropped as soon
-    as it is no longer needed: the submit-time (``_inflight``) and
-    reply-voter (``_reply_counts``) entries for a transaction are popped
-    the moment it commits, with the end-to-end latency folded into
-    ``_latencies`` at that point.  Entries for transactions that *never*
-    commit are capped at ``max_inflight`` (oldest evicted first), so no
-    dict grows without bound over a long open-loop run.
+    Its bookkeeping is keyed by ``tx_id`` (its client id is its pid);
+    a reply's keys of other clients are ignored.
+
+    **Bounded bookkeeping.**  The in-flight (``_inflight``) and
+    reply-voter (``_reply_counts``) entries of a transaction are popped
+    the moment it commits, leaving its commit time in ``committed``.
+    Entries for transactions that *never* commit are capped at
+    ``max_inflight`` (oldest evicted first), so no dict grows without
+    bound over a long open-loop run.
     """
 
     def __init__(
@@ -105,13 +101,10 @@ class Client(Process):
         self.factory = TxFactory(client_id=pid, payload_bytes=payload_bytes)
         # OrderedDict so the cap eviction unlinks the oldest entry in
         # O(1); popping a plain dict's front rescans prior tombstones.
-        self._inflight: OrderedDict[tuple[int, int], float] = OrderedDict()
-        self._reply_counts: dict[tuple[int, int], set[int]] = {}
-        self._latencies: dict[tuple[int, int], float] = {}
-        self.committed: dict[tuple[int, int], float] = {}
-        self.results: dict[tuple[int, int], Any] = {}
-        #: Stale submissions dropped by the ``max_inflight`` cap.
-        self.evicted = 0
+        self._inflight: OrderedDict[int, None] = OrderedDict()
+        self._reply_counts: dict[int, set[int]] = {}
+        self.committed: dict[int, float] = {}
+        self.results: dict[int, Any] = {}
         network.register(self)
 
     # ------------------------------------------------------------------
@@ -123,8 +116,7 @@ class Client(Process):
         if len(self._inflight) >= self.max_inflight:
             stale, _ = self._inflight.popitem(last=False)
             self._reply_counts.pop(stale, None)
-            self.evicted += 1
-        self._inflight[tx.key()] = self.sim.now
+        self._inflight[tx.tx_id] = None
         self.network.multicast(
             self.pid,
             self.replica_pids,
@@ -143,37 +135,34 @@ class Client(Process):
             return
         trusted = self.certified_replies and payload.certified
         for key in payload.tx_keys:
-            if key in self.committed or key not in self._inflight:
+            if key >> 32 != self.pid:
+                continue  # another client's row
+            tx_id = key & 0xFFFF_FFFF
+            if tx_id in self.committed or tx_id not in self._inflight:
                 continue
             if not trusted:
-                voters = self._reply_counts.setdefault(key, set())
+                voters = self._reply_counts.setdefault(tx_id, set())
                 voters.add(sender)
                 if len(voters) <= self.f:
                     continue
-            self._commit(key, payload)
+            self._commit(tx_id, payload)
 
-    def _commit(self, key: tuple[int, int], payload: Reply) -> None:
-        now = self.sim.now
-        self.committed[key] = now
-        self.results[key] = payload.result
-        # Fold the latency in and drop the per-tx bookkeeping: commit
-        # is the last event that needs either entry.
-        self._latencies[key] = now - self._inflight.pop(key)
-        self._reply_counts.pop(key, None)
+    def _commit(self, tx_id: int, payload: Reply) -> None:
+        self.committed[tx_id] = self.sim.now
+        self.results[tx_id] = payload.result
+        del self._inflight[tx_id]
+        self._reply_counts.pop(tx_id, None)
 
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
     def latency(self, tx: Transaction) -> Optional[float]:
         """Submit → commit latency, or None if still pending."""
-        return self._latencies.get(tx.key())
+        done = self.committed.get(tx.tx_id) if tx.client_id == self.pid else None
+        return None if done is None else done - tx.submit_time
 
     def pending(self) -> int:
         return len(self._inflight)
-
-    def committed_latencies(self) -> list[float]:
-        """Latencies of all committed transactions (seconds)."""
-        return list(self._latencies.values())
 
 
 __all__ = [

@@ -13,6 +13,16 @@ from typing import Any, Callable, Optional
 from ..crypto import Digest, digest_of
 from .block import GENESIS, Block
 
+#: 2PC states besides the staged ops (see :class:`KVStore`).
+COMMITTED, ABORTED, ABORTED_PREPARED = "committed", "aborted", "aborted+prepared"
+#: Arity of each plain op, the only ops a prepare may stage.
+_ARITY = {"set": 3, "del": 2, "add": 3}
+_OP_NAMES = tuple((name,) for name in _ARITY)  # ``in`` compares, never hashes
+
+
+def _is_plain(op: Any) -> bool:
+    return type(op) is tuple and op[:1] in _OP_NAMES and _ARITY[op[0]] == len(op)
+
 
 class KVStore:
     """A deterministic replicated key-value state machine.
@@ -23,34 +33,28 @@ class KVStore:
     * ``("del", key)``
     * ``("add", key, delta)`` — integer accumulate, missing keys are 0
 
-    Cross-shard 2PC markers (:mod:`repro.shard`) — a multi-shard
-    transaction's local effects are *staged* by a prepare and only
-    reach the data on a commit decision, so the per-shard chain records
-    the whole 2PC history and the atomicity oracle can compare shards:
+    Cross-shard 2PC markers (:mod:`repro.shard`) stage a multi-shard
+    transaction's local effects until its decision, so each shard's
+    chain records the whole 2PC history:
 
     * ``("xprepare", xid, ops)`` — stage ``ops`` (a tuple of plain
-      set/del/add ops) under transaction id ``xid``
-    * ``("xcommit", xid)`` — apply the staged ops
-    * ``("xabort", xid)`` — discard them
+      set/del/add ops; anything else raises) under transaction id ``xid``
+    * ``("xcommit", xid)`` — apply the staged ops (unstaged: raises)
+    * ``("xabort", xid)`` — discard them; presumed abort, so it may
+      precede the prepare, which then stages nothing
 
-    Presumed abort: an ``xabort`` may serialize *before* the prepare on
-    a shard (the coordinator's deadline fires while the prepare is
-    still in that shard's pipeline), so an abort never requires a prior
-    prepare, and a prepare that lands after the abort records the xid
-    but stages nothing.  A commit, by contrast, is only ever sent after
-    the coordinator observed every prepare committed, so an unstaged
-    ``xcommit`` is a real protocol violation and raises.
+    The history is one table, ``x_table``: xid → its staged ops
+    (undecided), ``COMMITTED``, ``ABORTED`` (no prepare seen) or
+    ``ABORTED_PREPARED``; ``x_staged``, ``x_prepared``, ``x_committed``
+    and ``x_aborted`` are read-only views of it (transitions:
+    docs/invariants.md, "One 2PC table per store").
     """
 
     def __init__(self) -> None:
         self._data: dict[str, Any] = {}
         self.ops_applied = 0
-        #: xid -> staged ops awaiting a 2PC decision.
-        self.x_staged: dict[int, tuple] = {}
-        #: Full 2PC history (never pruned; the oracle reads these).
-        self.x_prepared: set[int] = set()
-        self.x_committed: set[int] = set()
-        self.x_aborted: set[int] = set()
+        #: xid -> 2PC state (never pruned; the oracle reads it).
+        self.x_table: dict[int, Any] = {}
 
     def apply(self, op: Any) -> None:
         if op is None:
@@ -67,33 +71,41 @@ class KVStore:
             self._data[key] = int(self._data.get(key, 0)) + int(delta)
         elif kind == "xprepare":
             _, xid, ops = op
-            if xid in self.x_prepared:
+            state = self.x_table.get(xid)
+            if state is not None and state != ABORTED:
                 raise ValueError(f"2PC tx {xid} prepared twice")
-            self.x_prepared.add(xid)
-            if xid not in self.x_aborted:  # late prepare: presumed abort
-                self.x_staged[xid] = tuple(ops)
-        elif kind == "xcommit":
+            if type(ops) is not tuple or not all(map(_is_plain, ops)):
+                raise ValueError(f"2PC tx {xid} stages a non-plain op")
+            # A late prepare (presumed abort) stages nothing.
+            self.x_table[xid] = ops if state is None else ABORTED_PREPARED
+        elif kind == "xcommit" or kind == "xabort":
             _, xid = op
-            self._decide(xid)
-            if xid not in self.x_staged:
+            legs = self.x_table.get(xid)
+            if legs is not None and type(legs) is not tuple:
+                raise ValueError(f"2PC tx {xid} decided twice")
+            if kind == "xabort":  # may precede the prepare
+                self.x_table[xid] = ABORTED if legs is None else ABORTED_PREPARED
+            elif legs is None:
                 raise ValueError(f"2PC commit for unstaged tx {xid}")
-            self.x_committed.add(xid)
-            for staged in self.x_staged.pop(xid):
-                self.apply(tuple(staged))
-                self.ops_applied -= 1  # count the decision, not each leg
-        elif kind == "xabort":
-            _, xid = op
-            self._decide(xid)
-            self.x_aborted.add(xid)
-            self.x_staged.pop(xid, None)  # may precede the prepare
+            else:
+                self.x_table[xid] = COMMITTED
+                for leg in legs:
+                    self.apply(leg)
+                    self.ops_applied -= 1  # count the decision, not each leg
         else:
             raise ValueError(f"unknown operation {kind!r}")
         self.ops_applied += 1
 
-    def _decide(self, xid: int) -> None:
-        """A 2PC decision is unique per transaction id."""
-        if xid in self.x_committed or xid in self.x_aborted:
-            raise ValueError(f"2PC tx {xid} decided twice")
+    # -- read-only views of the 2PC table -----------------------------------
+    def _xids(self, *states: str) -> frozenset[int]:
+        return frozenset(x for x, s in self.x_table.items() if s in states)
+
+    x_committed = property(lambda kv: kv._xids(COMMITTED))
+    x_aborted = property(lambda kv: kv._xids(ABORTED, ABORTED_PREPARED))
+    x_prepared = property(lambda kv: frozenset(kv.x_table) - kv._xids(ABORTED))
+    x_staged = property(
+        lambda kv: {x: s for x, s in kv.x_table.items() if type(s) is tuple}
+    )
 
     def get(self, key: str, default: Any = None) -> Any:
         return self._data.get(key, default)
@@ -117,14 +129,12 @@ class ExecutionLog:
         self.state = state if state is not None else KVStore()
         self.txs_executed = 0
         self._exec_times: list[float] = []
-        #: Keys of op-bearing transactions already applied.  Pipelined
-        #: protocols can legitimately order one transaction into two
+        #: Packed keys of op-bearing transactions already applied.
+        #: Pipelined protocols can order one transaction into two
         #: committed blocks (the view-(v+1) leader proposes before view
         #: v's commit prunes its mempool), so commit-time dedup lives
-        #: here, keyed on ``(client_id, tx_id)``.  Only transactions
-        #: with a real ``op`` are tracked — the synthetic workload's
-        #: rows carry ``op is None`` and are state-machine no-ops.
-        self._applied_keys: set[tuple[int, int]] = set()
+        #: here; rows with ``op is None`` are no-ops and not tracked.
+        self._applied_keys: set[int] = set()
         #: (length, callback) armed by :meth:`when_length`, else None.
         self._length_watch: Optional[tuple[int, Callable[[], None]]] = None
 
@@ -132,11 +142,9 @@ class ExecutionLog:
         return len(self.blocks)
 
     def when_length(self, length: int, callback: Callable[[], None]) -> None:
-        """Call ``callback`` once, from inside the :meth:`execute` that
-        brings the log to ``length`` blocks — at once if it already has
-        them.  How a run driver learns that its target is reached
-        without polling ``len(log)`` after every simulation event.  One
-        watch at a time; arming again replaces it."""
+        """Call ``callback`` once, inside the :meth:`execute` that brings
+        the log to ``length`` blocks (at once if it has them): how a run
+        driver stops at its target without polling.  One watch at a time."""
         if len(self.blocks) >= length:
             callback()
         else:
@@ -162,13 +170,13 @@ class ExecutionLog:
         self._exec_times.append(now)
         # Only op columns can matter: ``op is None`` (every row of the
         # synthetic saturated workload) is the documented no-op.  The
-        # applied set keeps the segment's own cached key tuples.
+        # applied set keeps the segment's own cached packed keys.
         apply = self.state.apply
         applied = self._applied_keys
         for seg in block.txs.segments:
             if seg.ops is None:
                 continue
-            for key, op in zip(seg.keys, seg.ops):
+            for key, op in zip(seg.packed, seg.ops):
                 if op is None or key in applied:
                     continue  # no-op, or re-ordered by a pipelined leader
                 applied.add(key)
@@ -201,4 +209,5 @@ def prefix_agreement(logs: list[ExecutionLog]) -> bool:
     return True
 
 
-__all__ = ["KVStore", "ExecutionLog", "prefix_agreement"]
+__all__ = ["KVStore", "ExecutionLog", "prefix_agreement", "COMMITTED",
+           "ABORTED", "ABORTED_PREPARED"]

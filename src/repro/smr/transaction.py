@@ -11,7 +11,9 @@ describing many rows, so a 400-transaction block costs its handlers a
 handful of operations.  A segment is an arithmetic run or a set of
 columns; an ``op`` lives only in a column segment's ``ops`` column.  No
 slab holds a :class:`Transaction`: one is built when a reader indexes
-or iterates a slab, and not retained.
+or iterates a slab, and not retained.  Inside the program a
+transaction's identity is one int, its *packed key* ``client_id << 32 |
+tx_id``: both ids are unsigned 32-bit, like the paper's 4-byte fields.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import groupby, repeat
+from itertools import chain, groupby
 from operator import attrgetter
 from typing import (
     Any, Collection, Iterable, Iterator, Optional, Sequence, Union,
@@ -32,15 +34,14 @@ from ..crypto import encode, encode_int_range, encode_int_rows, sequence_header
 #: Fixed per-transaction overhead in bytes (paper Sec. VIII).
 TX_OVERHEAD_BYTES = 40
 
+#: Client and transaction ids are unsigned 32-bit: ``[0, ID_LIMIT)``.
+ID_LIMIT = 1 << 32
+
 
 @dataclass(frozen=True, slots=True)
 class Transaction:
-    """An opaque client command with size accounting.
-
-    ``op`` is an optional application-level operation (used by the
-    replicated key-value store example); the consensus layer never
-    inspects it.
-    """
+    """An opaque client command with size accounting; ``op`` (the KV
+    example's operation) is never inspected by consensus."""
 
     client_id: int
     tx_id: int
@@ -84,9 +85,9 @@ class _Run:
         return (self.client_id, self.client_id)
 
     @property
-    def keys(self) -> tuple[tuple[int, int], ...]:
-        cid = self.client_id
-        return tuple([(cid, t) for t in range(self.start, self.start + self.n)])
+    def packed(self) -> range:
+        first = self.client_id << 32 | self.start
+        return range(first, first + self.n)
 
     def row(self, i: int) -> Transaction:
         return Transaction(
@@ -136,10 +137,10 @@ class _Columns:
         return (int(self.client_ids.min()), int(self.client_ids.max()))
 
     @cached_property
-    def keys(self) -> tuple[tuple[int, int], ...]:
-        lo, hi = self.span
-        cids = repeat(lo) if lo == hi else self.client_ids.tolist()
-        return tuple(zip(cids, self.tx_ids.tolist()))
+    def packed(self) -> tuple[int, ...]:
+        """Each row's packed key, once: replicas share one int per row."""
+        wide = self.client_ids.astype(np.uint64) << np.uint64(32)
+        return tuple((wide | self.tx_ids.astype(np.uint64)).tolist())
 
     def row(self, i: int) -> Transaction:
         return Transaction(
@@ -170,6 +171,18 @@ class _Columns:
         )
 
 
+def _id_column(name: str, ids: Any) -> np.ndarray:
+    """``ids`` as an int64 column; ValueError naming ``name`` unless
+    every id is unsigned 32-bit."""
+    try:
+        column = np.array(ids, dtype=np.int64)
+        if not len(column) or column.min() >= 0 and column.max() < ID_LIMIT:
+            return column
+    except OverflowError:
+        pass
+    raise ValueError(f"TxBatch {name} outside [0, 2**32)")
+
+
 def _op_column(ops: Iterable[Any]) -> Optional[tuple[Any, ...]]:
     """``ops`` as an op column: a tuple, or ``None`` if every op is."""
     ops = tuple(ops)
@@ -194,14 +207,11 @@ def _column(name: str) -> property:
 class TxBatch(SequenceABC):
     """An immutable slab of transactions: a tuple of non-empty segments.
 
-    A segment is an arithmetic run (the saturated source's filler) or a
-    set of numpy columns with an optional op column (the workload
-    engine's arrivals, 2PC marker slabs, client submissions and slices
-    of them).  A slab is frozen all the way down — read-only columns, an
-    op tuple, no mutators, write-once caches — so it rides inside frozen
-    messages and blocks and is shared by every replica.  It reads as a
-    sequence of :class:`Transaction`, built on each access and never
-    retained.
+    A segment is an arithmetic run (the filler) or a set of numpy
+    columns with an optional op column (arrivals, 2PC marker slabs,
+    client submissions and slices of them).  A slab is frozen all the
+    way down — read-only columns, an op tuple, write-once caches — so it
+    rides inside frozen messages and blocks, shared by every replica.
     """
 
     segments: tuple[Segment, ...] = ()
@@ -216,15 +226,15 @@ class TxBatch(SequenceABC):
         payload_bytes: int = 0,
         ops: Optional[Sequence[Any]] = None,
     ) -> "TxBatch":
-        """A slab over (copies of) parallel columns; ``ops``, if given,
-        holds one op (or ``None``) per row."""
+        """A slab over (copies of) parallel columns of unsigned 32-bit
+        ids; ``ops``, if given, holds one op (or ``None``) per row."""
         if not len(client_ids) == len(tx_ids) == len(submit_times) == len(
             tx_ids if ops is None else ops
         ):
             raise ValueError("TxBatch columns must have equal length")
         return cls._of(_Columns(
-            np.array(client_ids, dtype=np.int64),
-            np.array(tx_ids, dtype=np.int64),
+            _id_column("client_id", client_ids),
+            _id_column("tx_id", tx_ids),
             np.array(submit_times, dtype=np.float64),
             int(payload_bytes),
             None if ops is None else _op_column(ops),
@@ -240,8 +250,12 @@ class TxBatch(SequenceABC):
         submit_time: float = 0.0,
     ) -> "TxBatch":
         """``n`` rows of one client with ids ``start, start+1, ...``."""
-        if client_id < 0 or start < 0 or n < 0:
-            raise ValueError("a run needs non-negative ids and length")
+        if n < 0:
+            raise ValueError("a run needs a non-negative length")
+        if not 0 <= client_id < ID_LIMIT:
+            raise ValueError("TxBatch client_id outside [0, 2**32)")
+        if not 0 <= start <= start + n <= ID_LIMIT:
+            raise ValueError("TxBatch tx_id outside [0, 2**32)")
         return cls._of(_Run(client_id, start, n, payload_bytes, submit_time))
 
     @classmethod
@@ -320,19 +334,39 @@ class TxBatch(SequenceABC):
             [seg.encoding() for seg in self.segments]
         )
 
-    def keys(self) -> tuple[tuple[int, int], ...]:
-        """``(client_id, tx_id)`` per row (cached on stored segments)."""
+    def packed(self) -> Sequence[int]:
+        """Every row's packed key (shared with a lone segment)."""
         if len(self.segments) == 1:
-            return self.segments[0].keys
-        return tuple([k for seg in self.segments for k in seg.keys])
+            return self.segments[0].packed
+        return tuple(chain.from_iterable(seg.packed for seg in self.segments))
 
-    def keys_of(self, client_ids: Collection[int]) -> Iterator[tuple[int, int]]:
-        """Keys of the rows submitted by any of ``client_ids``, skipping
-        every segment whose client-id span holds none of them."""
+    def keys(self) -> tuple[tuple[int, int], ...]:
+        """``(client_id, tx_id)`` per row, unpacked for readers."""
+        return tuple([(k >> 32, k & ID_LIMIT - 1) for k in self.packed()])
+
+    def distinct_clients(self) -> set[int]:
+        """Every client id with a row here, one step per one-client
+        segment."""
+        out: set[int] = set()
         for seg in self.segments:
             lo, hi = seg.span
-            if any(lo <= c <= hi for c in client_ids):
-                yield from (k for k in seg.keys if k[0] in client_ids)
+            out.update([lo] if lo == hi else seg.client_ids.tolist())
+        return out
+
+    def keys_by_client(self, clients: Collection[int]) -> dict[int, list[int]]:
+        """The packed keys of the rows of ``clients``, by client in
+        first-row order; a one-client segment adds its keys whole."""
+        out: dict[int, list[int]] = {}
+        for seg in self.segments:
+            lo, hi = seg.span
+            if lo == hi:
+                if lo in clients:
+                    out.setdefault(lo, []).extend(seg.packed)
+            elif any(lo <= c <= hi for c in clients):
+                for k in seg.packed:
+                    if k >> 32 in clients:
+                        out.setdefault(k >> 32, []).append(k)
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<TxBatch {len(self)}tx in {len(self.segments)} segments>"
@@ -347,15 +381,8 @@ class TxFactory:
         self._next_id = 0
 
     def make(self, now: float = 0.0, op: Any = None) -> Transaction:
-        tx_id = self._next_id
-        self._next_id = tx_id + 1
-        return Transaction(
-            client_id=self.client_id,
-            tx_id=tx_id,
-            payload_bytes=self.payload_bytes,
-            op=op,
-            submit_time=now,
-        )
+        tx_id, self._next_id = self._next_id, self._next_id + 1
+        return Transaction(self.client_id, tx_id, self.payload_bytes, op, now)
 
     def batch(self, n: int, now: float = 0.0) -> TxBatch:
         """``n`` fresh transactions as one arithmetic slab; same ids as
@@ -365,4 +392,6 @@ class TxFactory:
         return TxBatch.run(self.client_id, start, n, self.payload_bytes, now)
 
 
-__all__ = ["Transaction", "TxBatch", "TxFactory", "TX_OVERHEAD_BYTES"]
+__all__ = [
+    "Transaction", "TxBatch", "TxFactory", "ID_LIMIT", "TX_OVERHEAD_BYTES",
+]

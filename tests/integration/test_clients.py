@@ -72,7 +72,7 @@ def test_oneshot_client_trusts_single_certified_reply():
     sim.schedule(0.01, go)
     sim.run(until=2.0)
     cluster.stop()
-    assert tx.key() in client.committed
+    assert tx.tx_id in client.committed
 
 
 def test_quorum_client_needs_f_plus_1_replies():
@@ -87,7 +87,7 @@ def test_quorum_client_needs_f_plus_1_replies():
     sim.schedule(0.01, go)
     sim.run(until=2.0)
     cluster.stop()
-    assert tx.key() in client.committed
+    assert tx.tx_id in client.committed
 
 
 def test_duplicate_submissions_commit_once():

@@ -12,17 +12,29 @@ and nothing else.
 A second group pins what ``close`` keeps: every post-run read is the
 same after it as before, and a closed simulator refuses to run or
 schedule.
+
+A third group pins that no memo outlives its run: the process-global
+digest memos are empty once any driver returns or raises, so repeated
+runs in one process hold a flat amount of memory.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import gc
+import tracemalloc
 
 import pytest
 
+from repro.analysis import fingerprint_run
 from repro.core import OneShotReplica
-from repro.experiments import ExperimentConfig, run_experiment, run_sharded
+from repro.crypto import digest_memo_entries, digest_of
+from repro.experiments import (
+    ExperimentConfig,
+    run_experiment,
+    run_parallel,
+    run_sharded,
+)
 from repro.faults import every_kth_view, forced_execution_factory
 from repro.fuzz import generate_scenario, run_scenario
 from repro.metrics import compute_stats
@@ -161,6 +173,7 @@ def test_run_crashed_by_a_handler_frees_itself(no_gc):
             _config(),
             replica_factory=lambda pid, cls: _CrashingReplica if pid == 1 else None,
         )
+    assert digest_memo_entries() == 0
     assert gc.collect() == 0
 
 
@@ -180,6 +193,7 @@ def test_crashed_fuzz_run_keeps_its_verdict_and_frees_itself(no_gc, monkeypatch)
     result = run_scenario(scenario)
     assert result.report.crashed == "RuntimeError: planted failure in execute"
     assert result.failure is not None and result.fingerprint is None
+    assert digest_memo_entries() == 0
     del result
     assert gc.collect() == 0
 
@@ -240,3 +254,48 @@ def test_closed_simulator_refuses_to_run_or_schedule():
     now, executed = sim.now, sim.events_executed
     sim.close()  # idempotent
     assert (sim.now, sim.events_executed) == (now, executed) and executed > 0
+
+
+# -- no memo outlives its run ------------------------------------------------
+
+DRIVERS = {
+    "run_experiment": lambda: run_experiment(_config(target_blocks=5)),
+    "run_sharded": lambda: run_sharded(
+        dataclasses.replace(SHARD_CONFIG, max_sim_time=0.5)
+    ),
+    "run_parallel": lambda: run_parallel(2, sim_time=0.3),
+    "fingerprint_run": lambda: fingerprint_run(target_blocks=4),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_driver_leaves_the_digest_memos_empty(driver):
+    digest_of("filled before the run", 1)
+    assert digest_memo_entries() > 0
+    DRIVERS[driver]()
+    assert digest_memo_entries() == 0
+
+
+#: What five runs may add after the second: numpy's small-buffer cache
+#: grows by ~4 KB a run.  Digest memos kept across runs added ~110 KB a
+#: run here, each seed's certificates, blocks and chains.
+FLAT_BYTES = 48 * 1024
+
+
+def test_repeated_sharded_runs_hold_flat_memory():
+    """Five k=2 cross-shard runs on distinct seeds in one process: from
+    the second run on the traced total stays flat."""
+    totals = []
+    tracemalloc.start()
+    try:
+        for seed in range(100, 105):
+            run = run_sharded(
+                dataclasses.replace(SHARD_CONFIG, max_sim_time=1.0, seed=seed)
+            )
+            assert run.coordinator.committed > 0
+            del run
+            gc.collect()
+            totals.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert max(totals[1:]) - totals[1] < FLAT_BYTES, totals

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments import run_sharded
 from repro.net import Network
 from repro.shard import COORDINATOR_PID, Coordinator, check_atomicity
 from repro.sim import Process, Simulator
@@ -58,6 +59,99 @@ def test_double_decision_and_double_prepare_raise():
         kv.apply(("xprepare", 1, ()))
 
 
+#: Each 2PC state of xid 1, as the marker history that reaches it.
+HISTORIES = {
+    "fresh": (),
+    "staged": ("prepare",),
+    "committed": ("prepare", "commit"),
+    "aborted": ("abort",),
+    "late-prepared": ("abort", "prepare"),
+    "prepared-aborted": ("prepare", "abort"),
+}
+_MARKERS = {
+    "prepare": ("xprepare", 1, (("add", "acct0", -1),)),
+    "commit": ("xcommit", 1),
+    "abort": ("xabort", 1),
+}
+_TWICE = "2PC tx 1 prepared twice"
+_DECIDED = "2PC tx 1 decided twice"
+#: (state, marker) -> the error text, or what the views read after it:
+#: (staged, prepared, committed, aborted, acct0, ops_applied).
+TRANSITIONS = {
+    ("fresh", "prepare"): ({1}, {1}, set(), set(), None, 1),
+    ("fresh", "commit"): "2PC commit for unstaged tx 1",
+    ("fresh", "abort"): (set(), set(), set(), {1}, None, 1),
+    ("staged", "prepare"): _TWICE,
+    ("staged", "commit"): (set(), {1}, {1}, set(), -1, 2),
+    ("staged", "abort"): (set(), {1}, set(), {1}, None, 2),
+    ("committed", "prepare"): _TWICE,
+    ("committed", "commit"): _DECIDED,
+    ("committed", "abort"): _DECIDED,
+    ("aborted", "prepare"): (set(), {1}, set(), {1}, None, 2),
+    ("aborted", "commit"): _DECIDED,
+    ("aborted", "abort"): _DECIDED,
+    ("late-prepared", "prepare"): _TWICE,
+    ("late-prepared", "commit"): _DECIDED,
+    ("late-prepared", "abort"): _DECIDED,
+    ("prepared-aborted", "prepare"): _TWICE,
+    ("prepared-aborted", "commit"): _DECIDED,
+    ("prepared-aborted", "abort"): _DECIDED,
+}
+
+
+def _views(kv):
+    return (
+        set(kv.x_staged), set(kv.x_prepared), set(kv.x_committed),
+        set(kv.x_aborted), kv.get("acct0"), kv.ops_applied,
+    )
+
+
+def test_transition_table_covers_every_state_and_marker():
+    assert set(TRANSITIONS) == {(h, m) for h in HISTORIES for m in _MARKERS}
+
+
+@pytest.mark.parametrize("state,marker", sorted(TRANSITIONS))
+def test_2pc_transition(state, marker):
+    kv = KVStore()
+    for step in HISTORIES[state]:
+        kv.apply(_MARKERS[step])
+    before = _views(kv)
+    expected = TRANSITIONS[state, marker]
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as raised:
+            kv.apply(_MARKERS[marker])
+        assert str(raised.value) == expected
+        assert _views(kv) == before  # a rejected marker changes nothing
+    else:
+        kv.apply(_MARKERS[marker])
+        assert _views(kv) == expected
+
+
+@pytest.mark.parametrize(
+    "legs",
+    [
+        (("xabort", 5),),
+        (("xprepare", 5, ()),),
+        (("set", "k"),),
+        (("add", "k", 1, 2),),
+        (("add", "k", 1), ["set", "k", 1]),
+        (("mul", "k", 2),),
+        ((),),
+        [("set", "k", 1)],
+    ],
+)
+def test_prepare_rejects_legs_that_are_not_plain_ops(legs):
+    kv = KVStore()
+    kv.apply(("xprepare", 5, (("add", "acct0", 1),)))
+    with pytest.raises(ValueError, match="^2PC tx 1 stages a non-plain op$"):
+        kv.apply(("xprepare", 1, legs))
+    # Nothing was staged, so the commit cannot decide transaction 5.
+    with pytest.raises(ValueError, match="unstaged tx 1"):
+        kv.apply(("xcommit", 1))
+    assert set(kv.x_staged) == {5} and not kv.x_aborted
+    assert kv.ops_applied == 1
+
+
 # ----------------------------------------------------------------------
 # Coordinator over stub shards
 # ----------------------------------------------------------------------
@@ -91,7 +185,7 @@ class _Replica(Process):
                 self.pid,
                 sender,
                 Reply(
-                    tx_keys=payload.batch.keys(),
+                    tx_keys=payload.batch.packed(),
                     view=1,
                     replica=replica,
                     certified=self.certified,
@@ -270,7 +364,7 @@ def test_coordinator_ignores_replies_from_non_replicas():
         coord.on_shard_message(
             shard,
             9,
-            Reply(tx_keys=((COORDINATOR_PID, 0),), view=1, replica=0, certified=True),
+            Reply(tx_keys=(COORDINATOR_PID << 32,), view=1, replica=0, certified=True),
         )
     sim.run(until=5.0)
     assert (coord.committed, coord.aborted) == (0, 1)
@@ -317,10 +411,15 @@ class _FakeCluster:
 
 
 def _state(committed=(), aborted=(), prepared=(), accounts=()):
+    """A store whose 2PC history is built through ``apply``: every xid
+    prepared (nothing staged), then the decisions."""
     kv = KVStore()
-    kv.x_committed = set(committed)
-    kv.x_aborted = set(aborted)
-    kv.x_prepared = set(prepared) | set(committed) | set(aborted)
+    for xid in sorted(set(prepared) | set(committed) | set(aborted)):
+        kv.apply(("xprepare", xid, ()))
+    for xid in committed:
+        kv.apply(("xcommit", xid))
+    for xid in aborted:
+        kv.apply(("xabort", xid))
     for key, value in accounts:
         kv.apply(("set", key, value))
     return kv
@@ -391,3 +490,20 @@ def test_oracle_allows_half_applied_commit_in_flight():
     )
     assert report.ok
     assert report.partial_commits == {0}
+
+
+@pytest.mark.parametrize(
+    "protocol,k,report",
+    [
+        ("oneshot", 2, "342 committed, 0 aborted, 0 undecided, 0 in flight"),
+        ("hotstuff", 2, "334 committed, 0 aborted, 8 undecided, 0 in flight"),
+        ("oneshot", 8, "342 committed, 0 aborted, 0 undecided, 0 in flight"),
+    ],
+)
+def test_oracle_reports_on_real_runs_are_unchanged(protocol, k, report):
+    """The oracle reads the one-table store exactly as it read the four
+    sets: the reports on the cross-shard runs of ``test_end_to_end``."""
+    from .test_end_to_end import _config
+
+    run = run_sharded(_config(protocol, shards=k))
+    assert run.atomicity.describe() == "atomicity ok: " + report

@@ -5,15 +5,16 @@ ones, and repeated digests must not re-enter SHA-256.
 tests stub ``sha256`` with a counting wrapper to prove (a) the cache
 actually short-circuits recomputation and (b) for every message-digest
 helper in the codebase, the memoized value equals an independently
-recomputed one.
+recomputed one.  ``clear_digest_memos`` (what a run driver calls when
+its run ends) empties the memos between tests.
 """
 
 import pytest
 
 from repro.crypto import hashing
 from repro.crypto.hashing import (
-    _digest_of_disambiguated,
-    _digest_of_hashable,
+    clear_digest_memos,
+    digest_memo_entries,
     digest_of,
     encode,
     sha256,
@@ -34,11 +35,9 @@ def counting_sha256(monkeypatch):
     monkeypatch.setattr(hashing, "sha256", counted)
     # A clean cache, restored empty afterwards so cached digests
     # produced under the stub cannot leak into other tests.
-    _digest_of_hashable.cache_clear()
-    _digest_of_disambiguated.cache_clear()
+    clear_digest_memos()
     yield calls
-    _digest_of_hashable.cache_clear()
-    _digest_of_disambiguated.cache_clear()
+    clear_digest_memos()
 
 
 def test_repeat_digest_hits_cache(counting_sha256):
@@ -53,6 +52,19 @@ def test_distinct_fields_miss_cache(counting_sha256):
     digest_of("memo-test", 1)
     before = counting_sha256["n"]
     digest_of("memo-test", 2)
+    assert counting_sha256["n"] == before + 1
+
+
+def test_clearing_empties_both_memos(counting_sha256):
+    """Bool-free and bool-bearing field tuples live in separate memos;
+    ``clear_digest_memos`` empties both, and a cleared digest is
+    recomputed to the same bytes."""
+    plain, flagged = digest_of("memo-test", 0), digest_of("memo-test", False)
+    assert plain != flagged and digest_memo_entries() == 2
+    clear_digest_memos()
+    assert digest_memo_entries() == 0
+    before = counting_sha256["n"]
+    assert digest_of("memo-test", 0) == plain
     assert counting_sha256["n"] == before + 1
 
 
@@ -91,9 +103,9 @@ MESSAGE_FIELDS = [
 def test_memoized_equals_recomputed(fields):
     """The cache is a pure speed memo: for each message type, the
     memoized digest equals a from-scratch ``sha256(encode(...))``."""
-    _digest_of_hashable.cache_clear()
-    _digest_of_disambiguated.cache_clear()
+    clear_digest_memos()
     memoized = digest_of(*fields)  # populates the cache
+    assert digest_memo_entries() == 1
     cached = digest_of(*fields)  # served from the cache
     recomputed = sha256(encode(fields))
     assert memoized == cached == recomputed

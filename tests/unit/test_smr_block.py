@@ -57,15 +57,15 @@ def test_blocks_compare_and_hash_by_digest():
 
 
 def test_block_hashing_stays_out_of_the_digest_memo():
-    """The process-global ``digest_of`` memo holds no per-block entry
-    (each used to pin a 400-row tuple until 65 536 others pushed it out)."""
-    from repro.crypto.hashing import _digest_of_hashable
+    """The run's ``digest_of`` memos hold no per-block entry (each used
+    to pin a 400-row tuple until 65 536 others pushed it out)."""
+    from repro.crypto import digest_memo_entries
 
-    before = _digest_of_hashable.cache_info().currsize
+    before = digest_memo_entries()
     factory, parent = TxFactory(11, payload_bytes=256), GENESIS.hash
     for view in range(100):
         parent = create_leaf(parent, view, factory.batch(400), view % 4).hash
-    assert _digest_of_hashable.cache_info().currsize == before
+    assert digest_memo_entries() == before
 
 
 def test_paper_block_sizes():

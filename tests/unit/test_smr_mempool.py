@@ -3,7 +3,6 @@
 from repro.smr import (
     BLOCK_TXS,
     Mempool,
-    SaturatedSource,
     Transaction,
     TxBatch,
     TxFactory,
@@ -29,14 +28,14 @@ def test_block_txs_matches_paper():
 
 
 def test_saturated_source_full_batches():
-    src = SaturatedSource(payload_bytes=256)
+    src = TxFactory(10_000, payload_bytes=256)
     batch = src.batch(400)
     assert len(batch) == 400
     assert all(t.payload_bytes == 256 for t in batch)
 
 
 def test_saturated_source_ids_increase():
-    src = SaturatedSource()
+    src = TxFactory(10_000)
     a = src.batch(3)
     b = src.batch(3)
     assert [t.tx_id for t in [*a, *b]] == list(range(6))
@@ -69,7 +68,7 @@ def test_mempool_mark_committed_removes_and_blocks_resubmit():
 
 
 def test_mempool_tops_up_from_source():
-    mp = Mempool(source=SaturatedSource(), batch_size=5)
+    mp = Mempool(source=TxFactory(10_000), batch_size=5)
     client_tx = Transaction(1, 1)
     _submit(mp, client_tx)
     batch = mp.next_batch()

@@ -13,10 +13,10 @@ from repro.smr import (
     DEFAULT_DEDUP_WINDOW,
     Client,
     Mempool,
-    SaturatedSource,
     SubmitTxBatch,
     Transaction,
     TxBatch,
+    TxFactory,
 )
 from repro.workload import WORKLOAD_PID
 
@@ -193,7 +193,7 @@ class TestSlabDrain:
         assert [t.key() for t in mp.next_batch()] == [(4, 0)]
 
     def test_drained_slices_share_the_slab_and_filler_tops_up(self):
-        mp = Mempool(source=SaturatedSource(client_id=10_000), batch_size=6)
+        mp = Mempool(source=TxFactory(10_000), batch_size=6)
         row = TxBatch.from_transactions([Transaction(9, 0, op=("set", "k", 1))])
         slab = _batch_from_keys([(i, 0) for i in range(3)])
         mp.submit_batch(row)
@@ -232,7 +232,7 @@ def test_interval_window_equals_per_key_window(window, batch_size, filler, ops):
     and proposals against tiny windows: every accept/reject, every
     ``seen_recently`` answer and ``len()`` match the per-key window."""
     mp = Mempool(
-        SaturatedSource(client_id=filler), batch_size, dedup_window=window
+        TxFactory(filler), batch_size, dedup_window=window
     )
     ref = _PerKeyReference(window)
     universe = [(c, t) for c in (*_CIDS, filler) for t in range(40)]
@@ -258,3 +258,41 @@ def test_interval_window_equals_per_key_window(window, batch_size, filler, ops):
         assert [k for k in universe if mp.seen_recently(k)] == [
             k for k in universe if k in ref.seen
         ]
+
+
+# -- packed keys against the tuple-keyed reference -------------------------
+#: Ids at the edges of the 32-bit contract, where a packing slip (a sign,
+#: a shift, a mask) would alias two keys or split one.
+_EDGE_IDS = st.sampled_from([0, 1, 2, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1])
+_edge_key = st.tuples(_EDGE_IDS, _EDGE_IDS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(_edge_key, max_size=6), max_size=8),
+    st.integers(1, 10),
+    st.lists(st.booleans(), max_size=8),
+)
+def test_packed_keys_round_trip_and_window_matches_the_tuple_reference(
+    slabs, window, commits
+):
+    """``packed()`` and ``keys()`` are one another's image, and a
+    window of packed keys accepts and rejects exactly the rows the
+    tuple-keyed reference does — committed slabs included."""
+    mp = Mempool(batch_size=10**9, dedup_window=window)
+    ref = _PerKeyReference(window)
+    for keys, commit in zip(slabs, commits + [False] * len(slabs)):
+        batch = _batch_from_keys(keys)
+        assert batch.keys() == tuple(keys)
+        assert list(batch.packed()) == [c << 32 | t for c, t in keys]
+        if commit:
+            mp.mark_committed(batch)
+            ref.commit(keys)
+        else:
+            assert mp.submit_batch(batch) == sum([ref.submit(k) for k in keys])
+        assert len(mp) == len(ref)
+    universe = [(c, t) for c in (0, 1, 2, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1)
+                for t in (0, 1, 2, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1)]
+    assert [k for k in universe if mp.seen_recently(k)] == [
+        k for k in universe if k in ref.seen
+    ]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import digest_of, encode
+from repro.crypto import digest_of, encode, encode_int_range
 from repro.smr import (
     GENESIS,
     ExecutionLog,
@@ -140,13 +140,61 @@ class TestTxBatch:
         assert list(mixed[7:]) == [Transaction(5, 10 + i) for i in range(3)]
         assert len(mixed[5:5]) == 0 and mixed[5:5].segments == ()
 
-    def test_keys_of_visits_only_registered_clients(self):
+    def test_keys_by_client_visits_only_registered_clients(self):
         cols = TxBatch.from_transactions([Transaction(9, 0), Transaction(8, 0)])
         mixed = TxBatch.concat([cols, _slab(4), TxBatch.run(5, 10, 2)])
-        assert list(mixed.keys_of({})) == []
-        assert list(mixed.keys_of({9: "a", 2: "b", 5: "c"})) == [
-            (9, 0), (2, 0), (5, 10), (5, 11),
+        assert mixed.keys_by_client({}) == {}
+        routes = mixed.keys_by_client({5: "c", 2: "b", 9: "a"})
+        # Clients in first-row order, each with its rows' packed keys.
+        assert list(routes.items()) == [
+            (9, [9 << 32]), (2, [2 << 32]), (5, [5 << 32 | 10, 5 << 32 | 11]),
         ]
+        assert mixed.distinct_clients() == {9, 8, 0, 1, 2, 3, 5}
+
+
+class TestIdContract:
+    """Client and transaction ids are unsigned 32-bit; each constructor
+    names the field an out-of-range id came in."""
+
+    @pytest.mark.parametrize(
+        "cids,tids,field",
+        [
+            ([2**32], [0], "client_id"),
+            ([-1], [0], "client_id"),
+            (np.array([2**63], dtype=np.uint64), [0], "client_id"),
+            ([0], [-1], "tx_id"),
+            ([0], [2**32], "tx_id"),
+            ([0], [2**64], "tx_id"),
+        ],
+    )
+    def test_columns_reject_ids_outside_32_bits(self, cids, tids, field):
+        with pytest.raises(ValueError, match=field):
+            TxBatch.columns(cids, tids, [0.0])
+
+    @pytest.mark.parametrize(
+        "args,field",
+        [((2**32, 0, 1), "client_id"), ((-1, 0, 1), "client_id"),
+         ((0, 2**32 - 1, 2), "tx_id"), ((0, -1, 1), "tx_id")],
+    )
+    def test_runs_reject_ids_outside_32_bits(self, args, field):
+        with pytest.raises(ValueError, match=field):
+            TxBatch.run(*args)
+
+    def test_from_transactions_names_the_field(self):
+        with pytest.raises(ValueError, match="client_id"):
+            TxBatch.from_transactions([Transaction(2**32, 0)])
+        with pytest.raises(ValueError, match="tx_id"):
+            TxBatch.from_transactions([Transaction(1, -5)])
+
+    def test_the_largest_ids_pack_and_unpack(self):
+        top = 2**32 - 1
+        run = TxBatch.run(top, top - 2, 3)
+        cols = TxBatch.columns([top, 0], [0, top], [0.0, 0.0])
+        assert list(run.packed()) == [(top << 32) | t for t in range(top - 2, 2**32)]
+        assert cols.packed() == (top << 32, top)
+        assert TxBatch.concat([run, cols]).keys() == (
+            (top, top - 2), (top, top - 1), (top, top), (top, 0), (0, top),
+        )
 
 
 class TestFrozenSlab:
@@ -209,15 +257,17 @@ def test_encoding_of_empty_and_full_blocks():
     for payload in (0, 256):
         full = TxFactory(10_000, payload).batch(400)
         assert full.encoding() == _reference(full)
-    assert TxBatch.run(10**36, 0, 2).encoding() == _reference(
-        TxBatch.run(10**36, 0, 2)
-    )  # a digit count of 37 is the byte "%"
+    # A digit count of 37 is the byte "%": constant parts are escaped.
+    head = encode(10**36)
+    assert encode_int_range(head, range(8, 12), head) == b"".join(
+        head + encode(i) + head for i in range(8, 12)
+    )
 
 
 _ids = st.one_of(
-    st.integers(-(2**62), 2**62),
+    st.integers(0, 2**32 - 1),
     st.integers(0, 200_000),
-    st.sampled_from([0, 9, 10, 99_999, 100_000, 10**18, 2**63 - 1]),
+    st.sampled_from([0, 9, 10, 99_999, 100_000, 2**31, 2**32 - 1]),
 )
 _segments = st.one_of(
     st.lists(

@@ -5,29 +5,22 @@
   the invariants the paper's argument rests on (determinism, TEE
   encapsulation, message immutability, hygiene);
 * :mod:`repro.analysis.sanitizer` — runtime checks: same-seed replay
-  stability and the no-equivocation oracle.
+  stability and the no-equivocation gate.  The run fingerprint and the
+  equivocation oracle they build on live in :mod:`repro.fuzz`, so the
+  runtime never imports the lint engine.
 
 See ``docs/invariants.md`` for the rule catalogue and
 ``oneshot-repro lint`` for the CLI gate.
 """
 
-from .engine import (
-    LintEngine,
-    LintReport,
-    find_pyproject,
-    lint_package,
-    load_suppressions,
-)
-from .findings import Finding, Suppression
+from .engine import LintEngine, LintReport, lint_package
+from .findings import Finding
 from .rules import default_rules
 from .sanitizer import (
     DeterminismViolation,
     EquivocationDetected,
-    RunFingerprint,
     assert_no_equivocation,
     check_determinism,
-    find_equivocations,
-    fingerprint_of,
     fingerprint_run,
     replay_and_check,
 )
@@ -36,18 +29,12 @@ __all__ = [
     "LintEngine",
     "LintReport",
     "Finding",
-    "Suppression",
     "default_rules",
     "lint_package",
-    "load_suppressions",
-    "find_pyproject",
-    "RunFingerprint",
     "DeterminismViolation",
     "EquivocationDetected",
-    "fingerprint_of",
     "fingerprint_run",
     "check_determinism",
-    "find_equivocations",
     "assert_no_equivocation",
     "replay_and_check",
 ]

@@ -5,17 +5,12 @@
 tree to every per-file rule, builds the shared
 :class:`~repro.analysis.callgraph.ProjectIndex` once and hands it to
 every whole-program :class:`~repro.analysis.rules.base.ProjectRule`,
-then partitions the resulting findings against the suppression layers
-into *active* and *suppressed*:
+then partitions the resulting findings into *active* and *suppressed*
+by the one suppression mechanism: inline ``repro: lint-ignore[rule-id]``
+comments (written after a ``#``), line-precise; unused ignores are
+reported so they cannot rot.
 
-1. inline ``repro: lint-ignore[rule-id]`` comments (written after a
-   ``#``) — the preferred, line-precise mechanism; unused ignores are
-   reported so they cannot rot;
-2. the curated ``[tool.repro.lint]`` list in ``pyproject.toml`` — for
-   whole-file policy decisions.
-
-Reports render as text, JSON, SARIF 2.1.0 (CI upload) or
-GitHub-Actions ``::error`` annotations.
+Reports render as text or JSON.
 """
 
 from __future__ import annotations
@@ -23,13 +18,12 @@ from __future__ import annotations
 import ast
 import json
 import re
-import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .callgraph import build_project_index
-from .findings import Finding, Suppression
+from .findings import Finding
 from .rules import ModuleInfo, ProjectRule, Rule, default_rules
 
 #: One inline ignore comment: a ``#`` followed by
@@ -58,9 +52,6 @@ class InlineIgnore:
     def unused_rules(self) -> tuple[str, ...]:
         return tuple(r for r in self.rules if r not in self.used)
 
-    def spec(self) -> str:
-        return f"{self.path}:{self.line}: lint-ignore[{', '.join(self.rules)}]"
-
 
 def parse_inline_ignores(source: str, path: str) -> list[InlineIgnore]:
     """Collect ``# repro: lint-ignore[...]`` comments from a module."""
@@ -81,12 +72,9 @@ class LintReport:
     modules_checked: int = 0
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
-    unused_suppressions: list[Suppression] = field(default_factory=list)
     #: ``path:line`` ignore comments that matched nothing (warning only).
     unused_ignores: list[str] = field(default_factory=list)
     parse_errors: list[str] = field(default_factory=list)
-    #: rule id -> {description, paper_ref}, for SARIF metadata.
-    rule_meta: dict = field(default_factory=dict)
 
     @property
     def clean(self) -> bool:
@@ -98,8 +86,6 @@ class LintReport:
             lines.append(f"PARSE ERROR: {err}")
         for f in self.findings:
             lines.append(f.render())
-        for s in self.unused_suppressions:
-            lines.append(f"note: unused suppression {s.spec()!r}")
         for spec in self.unused_ignores:
             lines.append(f"note: unused inline ignore {spec}")
         lines.append(
@@ -116,92 +102,18 @@ class LintReport:
                 "modules_checked": self.modules_checked,
                 "findings": [f.to_dict() for f in self.findings],
                 "suppressed": [f.to_dict() for f in self.suppressed],
-                "unused_suppressions": [s.spec() for s in self.unused_suppressions],
                 "unused_ignores": list(self.unused_ignores),
                 "parse_errors": list(self.parse_errors),
             },
             indent=2,
         )
 
-    def to_sarif(self) -> str:
-        """SARIF 2.1.0 document for CI code-scanning upload."""
-        rules = [
-            {
-                "id": rid,
-                "shortDescription": {"text": meta.get("description", rid)},
-                "properties": {"paper_ref": meta.get("paper_ref", "")},
-            }
-            for rid, meta in sorted(self.rule_meta.items())
-        ]
-        results = [
-            {
-                "ruleId": f.rule,
-                "level": "error",
-                "message": {"text": f.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {"uri": f.path},
-                            "region": {
-                                "startLine": max(f.line, 1),
-                                "startColumn": f.col + 1,
-                            },
-                        }
-                    }
-                ],
-            }
-            for f in self.findings
-        ]
-        doc = {
-            "$schema": (
-                "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-                "master/Schemata/sarif-schema-2.1.0.json"
-            ),
-            "version": "2.1.0",
-            "runs": [
-                {
-                    "tool": {
-                        "driver": {
-                            "name": "oneshot-repro-lint",
-                            "rules": rules,
-                        }
-                    },
-                    "results": results,
-                }
-            ],
-        }
-        return json.dumps(doc, indent=2)
-
-    def render_github(self) -> str:
-        """GitHub-Actions ``::error`` workflow annotations."""
-
-        def esc(text: str) -> str:
-            return (
-                text.replace("%", "%25")
-                .replace("\r", "%0D")
-                .replace("\n", "%0A")
-            )
-
-        lines = [
-            f"::error file={f.path},line={f.line},col={f.col + 1},"
-            f"title={f.rule}::{esc(f.message)}"
-            for f in self.findings
-        ]
-        for err in self.parse_errors:
-            lines.append(f"::error title=parse-error::{esc(err)}")
-        return "\n".join(lines)
-
 
 class LintEngine:
     """Runs a rule set over a package tree."""
 
-    def __init__(
-        self,
-        rules: Optional[Sequence[Rule]] = None,
-        suppressions: Iterable[Suppression] = (),
-    ) -> None:
+    def __init__(self, rules: Optional[Sequence[Rule]] = None) -> None:
         self.rules = list(rules) if rules is not None else default_rules()
-        self.suppressions = list(suppressions)
 
     # ------------------------------------------------------------------
     # Module loading
@@ -226,19 +138,12 @@ class LintEngine:
     # ------------------------------------------------------------------
     # Runs
     # ------------------------------------------------------------------
-    def run(
-        self, root: Path, only_paths: Optional[set[str]] = None
-    ) -> LintReport:
+    def run(self, root: Path) -> LintReport:
         """Lint every ``*.py`` under ``root``.
 
         Module paths in findings are relative to ``root``'s *parent*,
         so linting ``.../src/repro`` yields paths like
-        ``repro/sim/rng.py`` — the form the suppression list uses.
-
-        ``only_paths`` restricts *reporting* to the given module paths
-        (``--changed-only``); the analysis itself always covers the
-        whole tree, because the interprocedural passes need the full
-        call graph to be sound.
+        ``repro/sim/rng.py``.
         """
         root = Path(root)
         report = LintReport(root=str(root))
@@ -249,14 +154,10 @@ class LintEngine:
                 modules[rel] = self.load_module(path, rel)
             except SyntaxError as exc:
                 report.parse_errors.append(f"{rel}: {exc}")
-        self._run_rules(report, modules, only_paths)
+        self._run_rules(report, modules)
         return report
 
-    def run_sources(
-        self,
-        sources: dict[str, str],
-        only_paths: Optional[set[str]] = None,
-    ) -> LintReport:
+    def run_sources(self, sources: dict[str, str]) -> LintReport:
         """Lint an in-memory module set (multi-module test fixtures)."""
         report = LintReport(root="<memory>")
         modules: dict[str, ModuleInfo] = {}
@@ -267,21 +168,14 @@ class LintEngine:
                 )
             except SyntaxError as exc:
                 report.parse_errors.append(f"{rel}: {exc}")
-        self._run_rules(report, modules, only_paths)
+        self._run_rules(report, modules)
         return report
 
     # ------------------------------------------------------------------
     def _run_rules(
-        self,
-        report: LintReport,
-        modules: dict[str, ModuleInfo],
-        only_paths: Optional[set[str]],
+        self, report: LintReport, modules: dict[str, ModuleInfo]
     ) -> None:
         report.modules_checked = len(modules)
-        report.rule_meta = {
-            r.name: {"description": r.description, "paper_ref": r.paper_ref}
-            for r in self.rules
-        }
         raw: list[Finding] = []
         file_rules = [r for r in self.rules if not isinstance(r, ProjectRule)]
         project_rules = [r for r in self.rules if isinstance(r, ProjectRule)]
@@ -299,87 +193,30 @@ class LintEngine:
         for module in modules.values():
             ignores.extend(parse_inline_ignores(module.source, module.path))
 
-        used_supp: set[int] = set()
         for f in raw:
             ignore = next((ig for ig in ignores if ig.matches(f)), None)
-            if ignore is not None:
+            if ignore is None:
+                report.findings.append(f)
+            else:
                 ignore.used.add(f.rule)
                 report.suppressed.append(f)
-                continue
-            for i, s in enumerate(self.suppressions):
-                if s.matches(f):
-                    used_supp.add(i)
-                    report.suppressed.append(f)
-                    break
-            else:
-                report.findings.append(f)
-
-        if only_paths is None:
-            report.unused_suppressions = [
-                s for i, s in enumerate(self.suppressions) if i not in used_supp
-            ]
-            report.unused_ignores = [
-                f"{ig.path}:{ig.line}: lint-ignore[{', '.join(ig.unused_rules())}]"
-                for ig in ignores
-                if ig.unused_rules()
-            ]
-        else:
-            # Partial view: filter findings, skip staleness accounting
-            # (a suppression for an unchanged file is not "unused").
-            report.findings = [
-                f for f in report.findings if f.path in only_paths
-            ]
-            report.suppressed = [
-                f for f in report.suppressed if f.path in only_paths
-            ]
-            report.parse_errors = [
-                e
-                for e in report.parse_errors
-                if e.split(":", 1)[0] in only_paths
-            ]
+        report.unused_ignores = [
+            f"{ig.path}:{ig.line}: lint-ignore[{', '.join(ig.unused_rules())}]"
+            for ig in ignores
+            if ig.unused_rules()
+        ]
         report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
 
 
-def load_suppressions(pyproject: Path) -> list[Suppression]:
-    """Read ``[tool.repro.lint] suppressions`` from a pyproject file."""
-    with open(pyproject, "rb") as fh:
-        data = tomllib.load(fh)
-    specs = data.get("tool", {}).get("repro", {}).get("lint", {}).get(
-        "suppressions", []
-    )
-    return [Suppression.parse(s) for s in specs]
-
-
-def find_pyproject(start: Path) -> Optional[Path]:
-    """Nearest ``pyproject.toml`` at or above ``start``."""
-    for candidate in [start, *start.parents]:
-        p = candidate / "pyproject.toml"
-        if p.is_file():
-            return p
-    return None
-
-
 def lint_package(
-    root: Optional[Path] = None,
-    pyproject: Optional[Path] = None,
-    rules: Optional[Sequence[Rule]] = None,
-    ignore_suppressions: bool = False,
-    only_paths: Optional[set[str]] = None,
+    root: Optional[Path] = None, rules: Optional[Sequence[Rule]] = None
 ) -> LintReport:
-    """Lint the installed ``repro`` package with the project suppressions."""
+    """Lint the installed ``repro`` package (or the tree at ``root``)."""
     if root is None:
         import repro
 
         root = Path(repro.__file__).resolve().parent
-    if pyproject is None and not ignore_suppressions:
-        pyproject = find_pyproject(Path(root))
-    suppressions = (
-        []
-        if ignore_suppressions or pyproject is None
-        else load_suppressions(pyproject)
-    )
-    engine = LintEngine(rules=rules, suppressions=suppressions)
-    return engine.run(Path(root), only_paths=only_paths)
+    return LintEngine(rules=rules).run(Path(root))
 
 
 __all__ = [
@@ -387,7 +224,5 @@ __all__ = [
     "LintEngine",
     "LintReport",
     "lint_package",
-    "load_suppressions",
-    "find_pyproject",
     "parse_inline_ignores",
 ]

@@ -1,10 +1,9 @@
-"""Lint findings and suppression matching.
+"""Lint findings.
 
-A :class:`Finding` pinpoints one invariant violation; suppressions are
-strings of the form ``rule``, ``rule:path`` or ``rule:path:line``
-(paths are POSIX-style, relative to the source root, e.g.
-``repro/sim/rng.py``).  The curated project-wide list lives in
-``pyproject.toml`` under ``[tool.repro.lint]``.
+A :class:`Finding` pinpoints one invariant violation; its path is
+POSIX-style, relative to the source root (e.g. ``repro/sim/rng.py``).
+A finding is suppressed only by an inline ``lint-ignore`` comment on
+its line (:mod:`repro.analysis.engine`).
 """
 
 from __future__ import annotations
@@ -38,49 +37,4 @@ class Finding:
         }
 
 
-@dataclass(frozen=True)
-class Suppression:
-    """A parsed suppression pattern."""
-
-    rule: str
-    path: str = ""  # empty = any path
-    line: int = 0  # 0 = any line
-
-    @staticmethod
-    def parse(spec: str) -> "Suppression":
-        parts = spec.strip().split(":")
-        if not parts or not parts[0]:
-            raise ValueError(f"empty suppression spec {spec!r}")
-        rule = parts[0]
-        path = parts[1] if len(parts) > 1 else ""
-        line = 0
-        if len(parts) > 2:
-            try:
-                line = int(parts[2])
-            except ValueError as exc:
-                raise ValueError(
-                    f"bad line number in suppression {spec!r}"
-                ) from exc
-        if len(parts) > 3:
-            raise ValueError(f"too many fields in suppression {spec!r}")
-        return Suppression(rule=rule, path=path, line=line)
-
-    def matches(self, finding: Finding) -> bool:
-        if self.rule != finding.rule:
-            return False
-        if self.path and self.path != finding.path:
-            return False
-        if self.line and self.line != finding.line:
-            return False
-        return True
-
-    def spec(self) -> str:
-        out = self.rule
-        if self.path:
-            out += f":{self.path}"
-        if self.line:
-            out += f":{self.line}"
-        return out
-
-
-__all__ = ["Finding", "Suppression"]
+__all__ = ["Finding"]

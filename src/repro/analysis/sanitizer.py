@@ -15,11 +15,10 @@ replicas decide prefix-consistent chains.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
 from typing import Optional
 
 from ..crypto import clear_digest_memos
+from ..fuzz import RunFingerprint, find_equivocations, fingerprint_of
 from ..metrics import MetricsCollector
 from ..net import ConstantLatency, Network
 from ..net.latency import LatencyModel
@@ -34,73 +33,6 @@ class DeterminismViolation(AssertionError):
 
 class EquivocationDetected(AssertionError):
     """Conflicting blocks were decided in the same view."""
-
-
-@dataclass(frozen=True)
-class RunFingerprint:
-    """Canonical digest of one run's observable behaviour."""
-
-    protocol: str
-    seed: int
-    events: int
-    messages: int
-    decisions: int
-    timeline_hash: str
-    chain_hash: str
-
-    def digest(self) -> str:
-        return hashlib.sha256(
-            f"{self.timeline_hash}:{self.chain_hash}:{self.events}:"
-            f"{self.messages}".encode()
-        ).hexdigest()
-
-
-def _hash_timeline(message_log) -> str:
-    h = hashlib.sha256()
-    for env in message_log:
-        h.update(
-            f"{env.src}>{env.dst}:{type(env.payload).__name__}:{env.size}:"
-            f"{env.send_time!r}:{env.deliver_time!r}\n".encode()
-        )
-    return h.hexdigest()
-
-
-def _hash_chain(collector: MetricsCollector) -> str:
-    h = hashlib.sha256()
-    for d in sorted(
-        collector.decisions, key=lambda d: (d.time, d.replica, d.view)
-    ):
-        h.update(
-            f"{d.replica}:{d.view}:{d.block_hash.hex()}:{d.ntxs}:"
-            f"{d.time!r}:{d.kind}\n".encode()
-        )
-    return h.hexdigest()
-
-
-def fingerprint_of(
-    protocol: str,
-    seed: int,
-    sim: Simulator,
-    network: Network,
-    collector: MetricsCollector,
-) -> RunFingerprint:
-    """Fingerprint an already-executed run (message log must be on).
-
-    Extracted from :func:`fingerprint_run` so harnesses that build
-    their own cluster (the fuzzer, the experiment runner) produce
-    digests on the same canonical form.
-    """
-    if network.message_log is None:
-        raise ValueError("fingerprinting requires network.enable_log()")
-    return RunFingerprint(
-        protocol=protocol,
-        seed=seed,
-        events=sim.events_executed,
-        messages=len(network.message_log),
-        decisions=len(collector.decisions),
-        timeline_hash=_hash_timeline(network.message_log),
-        chain_hash=_hash_chain(collector),
-    )
 
 
 def fingerprint_run(
@@ -200,54 +132,6 @@ def check_determinism(
     return first
 
 
-def find_equivocations(
-    collector: MetricsCollector, replicas: Optional[set[int]] = None
-) -> list[str]:
-    """Conflicts in a run's decision records (empty means safe).
-
-    Checks the two safety properties the trusted services guarantee:
-
-    * **view agreement** — all decisions recorded for one view commit
-      the same block (the once-per-view TEE counters make certifying
-      two blocks in one view impossible);
-    * **prefix consistency** — any two replicas' decided hash
-      sequences agree on their common prefix.
-
-    ``replicas`` (if given) restricts the oracle to those pids — the
-    fuzzer's safety oracle judges only *correct* replicas, since a
-    Byzantine replica's own decision records carry no guarantees.
-    """
-    decisions = collector.decisions
-    if replicas is not None:
-        decisions = [d for d in decisions if d.replica in replicas]
-    problems: list[str] = []
-    by_view: dict[int, set] = {}
-    for d in decisions:
-        by_view.setdefault(d.view, set()).add(d.block_hash)
-    for view in sorted(by_view):
-        hashes = by_view[view]
-        if len(hashes) > 1:
-            short = ", ".join(sorted(h.hex()[:12] for h in hashes))
-            problems.append(
-                f"view {view}: {len(hashes)} conflicting blocks decided ({short})"
-            )
-    chains: dict[int, list] = {}
-    for d in sorted(decisions, key=lambda d: (d.time, d.view)):
-        chains.setdefault(d.replica, []).append(d.block_hash)
-    pids = sorted(chains)
-    for i, a in enumerate(pids):
-        for b in pids[i + 1 :]:
-            ca, cb = chains[a], chains[b]
-            for k, (ha, hb) in enumerate(zip(ca, cb)):
-                if ha != hb:
-                    problems.append(
-                        f"replicas {a} and {b} diverge at height {k}: "
-                        f"{ha.hex()[:12]} vs {hb.hex()[:12]}"
-                    )
-                    break
-    return problems
-
-
 def assert_no_equivocation(collector: MetricsCollector) -> None:
     """Raise :class:`EquivocationDetected` if the run is unsafe."""
     problems = find_equivocations(collector)
@@ -270,13 +154,10 @@ def replay_and_check(
 
 
 __all__ = [
-    "RunFingerprint",
     "DeterminismViolation",
     "EquivocationDetected",
-    "fingerprint_of",
     "fingerprint_run",
     "check_determinism",
-    "find_equivocations",
     "assert_no_equivocation",
     "replay_and_check",
 ]

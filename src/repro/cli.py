@@ -3,19 +3,18 @@
 Examples::
 
     oneshot-repro run --protocol oneshot --f 4 --deployment eu
-    oneshot-repro fig7 --deployment eu --f 1 2 4 --blocks 20
-    oneshot-repro gains --deployment us
-    oneshot-repro steps
-    oneshot-repro degraded
-    oneshot-repro complexity
-    oneshot-repro ablations
-    oneshot-repro parallel --k 1 2 4
+    oneshot-repro shard run --k 4 --cross 100
     oneshot-repro timeline --protocol damysus --views 3 5
     oneshot-repro paper --workers 2
+    oneshot-repro paper --f 1 2 4 10 20 30
     oneshot-repro fuzz run --seeds 200
     oneshot-repro fuzz replay tests/fuzz/corpus/*.json
     oneshot-repro fuzz shrink fuzz-findings/seed10-liveness.json
     oneshot-repro lint --format json
+
+Every paper table comes from ``paper``; for custom seeds and block
+counts call its Python functions (``run_fig7``, ``run_degraded``, ...).
+A configuration no run can honour exits 2 with ``error: ...`` on stderr.
 """
 
 from __future__ import annotations
@@ -25,34 +24,10 @@ import dataclasses
 import sys
 from typing import Optional, Sequence
 
-from .experiments import (
-    ExperimentConfig,
-    compute_gains,
-    render_ablations,
-    render_complexity,
-    render_degraded,
-    render_fig7,
-    render_gains,
-    render_parallel,
-    render_steps_table,
-    run_all_ablations,
-    run_complexity,
-    run_degraded,
-    run_experiment,
-    run_fig7,
-    run_parallel_scaling,
-    steps_table,
-)
-from .experiments.complexity import check_complexity
-from .experiments.fig7 import PAPER_F_VALUES
+from .experiments import DEPLOYMENTS, ConfigError, ExperimentConfig, run_experiment
+from .experiments.config import WORKLOADS
 from .experiments.paper import REDUCED_F, render_report, render_timing, run_paper
 from .protocols.registry import REGISTRY
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--deployment", default="eu", choices=["eu", "us", "world", "local"])
-    p.add_argument("--blocks", type=int, default=20, help="decided blocks per run")
-    p.add_argument("--seed", type=int, default=7)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -78,50 +53,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{result.engine.virtual_clients:,} virtual clients "
             f"({result.engine.observed_rate_tps():,.0f} tx/s)"
         )
-    return 0
-
-
-def _cmd_fig7(args: argparse.Namespace) -> int:
-    """``fig7`` prints the panel, ``gains`` its Sec. VIII gain tables."""
-    res = run_fig7(
-        args.deployment,
-        f_values=tuple(args.f),
-        target_blocks=args.blocks,
-        seed=args.seed,
-    )
-    if args.command == "fig7":
-        print(render_fig7(res))
-    else:
-        print(render_gains(compute_gains(res)))
-    return 0
-
-
-def _cmd_steps(args: argparse.Namespace) -> int:
-    print(render_steps_table(steps_table(seed=args.seed)))
-    return 0
-
-
-def _cmd_degraded(args: argparse.Namespace) -> int:
-    print(render_degraded(run_degraded(target_blocks=args.blocks, seed=args.seed)))
-    return 0
-
-
-def _cmd_complexity(args: argparse.Namespace) -> int:
-    result = run_complexity(f_values=tuple(args.f), seed=args.seed)
-    print(render_complexity(result))
-    problems = check_complexity(result)
-    print(f"complexity violations: {problems or 'none'}")
-    return 0 if not problems else 1
-
-
-def _cmd_ablations(args: argparse.Namespace) -> int:
-    print(render_ablations(run_all_ablations(target_blocks=args.blocks)))
-    return 0
-
-
-def _cmd_parallel(args: argparse.Namespace) -> int:
-    scaling = run_parallel_scaling(ks=tuple(args.k), seed=args.seed)
-    print(render_parallel(scaling))
     return 0
 
 
@@ -171,36 +102,32 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
     from .metrics import CLASSIFIERS, extract_waves, render_timeline
-    from .net import Network
-    from .protocols.common import ProtocolConfig, build_cluster
-    from .protocols.registry import get_protocol
-    from .experiments.deployments import latency_model_for
-    from .sim import Simulator
 
-    info = get_protocol(args.protocol)
-    sim = Simulator(seed=args.seed)
-    network = Network(sim, latency=latency_model_for("local", 0.005))
-    network.enable_log()
-    cluster = build_cluster(
-        info.replica_cls, sim, network, ProtocolConfig(n=info.n_for(1), f=1)
-    )
-    cluster.start()
+    first, last = args.views
+    if not 0 <= first <= last:
+        raise ConfigError(f"--views needs 0 <= FIRST <= LAST, got {first} {last}")
     # No protocol executes its (LAST+2)-th block before the event that
     # takes it into view LAST+2: every wave of the window has been sent.
-    cluster.replicas[0].log.when_length(args.views[1] + 2, sim.stop)
-    sim.run(until=60.0)
-    cluster.stop()
+    run = run_experiment(
+        ExperimentConfig(
+            protocol=args.protocol,
+            f=1,
+            deployment="local",
+            local_latency_s=0.005,
+            target_blocks=last + 2,
+            warmup_blocks=0,
+            max_sim_time=60.0,
+            seed=args.seed,
+        ),
+        enable_message_log=True,
+    )
     waves = extract_waves(
-        network.message_log,
+        run.network.message_log,
         CLASSIFIERS[args.protocol],
-        first_view=args.views[0],
-        last_view=args.views[1],
+        first_view=first,
+        last_view=last,
     )
-    print(
-        render_timeline(
-            waves, title=f"{args.protocol} views {args.views[0]}-{args.views[1]}:"
-        )
-    )
+    print(render_timeline(waves, title=f"{args.protocol} views {first}-{last}:"))
     return 0
 
 
@@ -311,63 +238,12 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0
 
 
-def _changed_module_paths(ref: str, root: "Path") -> Optional[set[str]]:
-    """Module paths (``repro/...`` form) differing from git ``ref``.
-
-    Combines ``git diff --name-only <ref>`` with untracked files, maps
-    repo-relative paths onto the lint root's coordinate system, and
-    returns None (with a message) if git is unavailable or ``ref`` does
-    not resolve.
-    """
-    import subprocess
-    from pathlib import Path
-
-    def _git(*argv: str) -> Optional[str]:
-        try:
-            proc = subprocess.run(
-                ["git", *argv],
-                capture_output=True,
-                text=True,
-                cwd=str(root),
-                timeout=30,
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        return proc.stdout if proc.returncode == 0 else None
-
-    toplevel = _git("rev-parse", "--show-toplevel")
-    if toplevel is None:
-        print("error: --changed-only requires a git checkout", file=sys.stderr)
-        return None
-    repo = Path(toplevel.strip())
-    diff = _git("diff", "--name-only", ref, "--", "*.py")
-    if diff is None:
-        print(
-            f"error: --changed-only ref {ref!r} did not resolve", file=sys.stderr
-        )
-        return None
-    untracked = _git("ls-files", "--others", "--exclude-standard", "--", "*.py")
-    names = set(diff.split()) | set((untracked or "").split())
-    # Lint paths are relative to the lint root's *parent* (e.g.
-    # ``src/repro/sim/rng.py`` reports as ``repro/sim/rng.py``).
-    base = root.resolve().parent
-    out: set[str] = set()
-    for name in names:
-        p = (repo / name).resolve()
-        try:
-            out.add(p.relative_to(base).as_posix())
-        except ValueError:
-            continue  # changed file outside the lint root
-    return out
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Static invariant gate (docs/invariants.md).
 
-    Exit code contract: 0 = clean (no findings outside the curated
-    suppression list in pyproject.toml), 1 = violations found,
-    2 = bad invocation (nonexistent --root / --pyproject, or a
-    --changed-only ref that does not resolve).
+    Exit code contract: 0 = clean (a finding counts only without an
+    inline ``lint-ignore`` on its line), 1 = violations found, 2 = the
+    ``--root`` given is not a directory.
     """
     from pathlib import Path
 
@@ -380,42 +256,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.root and not Path(args.root).is_dir():
         print(f"error: --root {args.root!r} is not a directory", file=sys.stderr)
         return 2
-    if args.pyproject and not Path(args.pyproject).is_file():
-        print(
-            f"error: --pyproject {args.pyproject!r} does not exist", file=sys.stderr
-        )
-        return 2
-    if args.root:
-        root = Path(args.root)
-    else:
-        import repro
-
-        root = Path(repro.__file__).resolve().parent
-    only_paths: Optional[set[str]] = None
-    if args.changed_only is not None:
-        only_paths = _changed_module_paths(args.changed_only, root)
-        if only_paths is None:
-            return 2
-        if not only_paths:
-            print("0 finding(s): no modules changed vs "
-                  f"{args.changed_only}")
-            return 0
-    report = lint_package(
-        root=root,
-        pyproject=Path(args.pyproject) if args.pyproject else None,
-        ignore_suppressions=args.no_suppressions,
-        only_paths=only_paths,
-    )
-    if args.format == "json":
-        print(report.to_json())
-    elif args.format == "sarif":
-        print(report.to_sarif())
-    elif args.format == "github":
-        out = report.render_github()
-        if out:
-            print(out)
-    else:
-        print(report.render_text())
+    report = lint_package(root=Path(args.root) if args.root else None)
+    print(report.to_json() if args.format == "json" else report.render_text())
     return 0 if report.clean else 1
 
 
@@ -433,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workload",
         default="saturated",
-        choices=["saturated", "open"],
+        choices=list(WORKLOADS),
         help="load model: closed-loop saturated sources (paper default) "
         "or the aggregated open-loop engine (repro.workload)",
     )
@@ -460,40 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="O(1)-memory streaming collector (P² quantile estimates)",
     )
-    _add_common(p)
+    p.add_argument("--deployment", default="eu", choices=list(DEPLOYMENTS))
+    p.add_argument("--blocks", type=int, default=20, help="decided blocks per run")
+    p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=_cmd_run)
-
-    for name, text in (
-        ("fig7", "Fig. 7 panel for one deployment"),
-        ("gains", "Sec. VIII gain tables"),
-    ):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--f", type=int, nargs="+", default=list(PAPER_F_VALUES))
-        _add_common(p)
-        p.set_defaults(func=_cmd_fig7)
-
-    p = sub.add_parser("steps", help="Sec. V execution-type table")
-    p.add_argument("--seed", type=int, default=11)
-    p.set_defaults(func=_cmd_steps)
-
-    p = sub.add_parser("degraded", help="Sec. VIII-d degraded network")
-    p.add_argument("--blocks", type=int, default=30)
-    p.add_argument("--seed", type=int, default=17)
-    p.set_defaults(func=_cmd_degraded)
-
-    p = sub.add_parser("complexity", help="message complexity vs cluster size")
-    p.add_argument("--f", type=int, nargs="+", default=[1, 2, 4, 10])
-    p.add_argument("--seed", type=int, default=13)
-    p.set_defaults(func=_cmd_complexity)
-
-    p = sub.add_parser("ablations", help="Sec. VI-F optimization ablations")
-    p.add_argument("--blocks", type=int, default=24)
-    p.set_defaults(func=_cmd_ablations)
-
-    p = sub.add_parser("parallel", help="multi-instance scaling")
-    p.add_argument("--k", type=int, nargs="+", default=[1, 2, 4, 8])
-    p.add_argument("--seed", type=int, default=9)
-    p.set_defaults(func=_cmd_parallel)
 
     p = sub.add_parser(
         "shard", help="sharded consensus: routed keyspace, 2PC, rebalancing"
@@ -503,11 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     def _shard_args(ps: argparse.ArgumentParser) -> None:
         ps.add_argument("--protocol", default="oneshot", choices=list(REGISTRY))
         ps.add_argument("--f", type=int, default=1)
-        ps.add_argument(
-            "--deployment",
-            default="local",
-            choices=["eu", "us", "world", "local"],
-        )
+        ps.add_argument("--deployment", default="local", choices=list(DEPLOYMENTS))
         ps.add_argument(
             "--latency",
             type=float,
@@ -633,25 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lint", help="static invariant checks (docs/invariants.md)")
     p.add_argument("--root", default=None, help="package dir to lint (default: repro)")
-    p.add_argument("--pyproject", default=None, help="pyproject.toml with suppressions")
     p.add_argument(
         "--format",
         default="text",
-        choices=["text", "json", "sarif", "github"],
-        help="output style: human text, JSON, SARIF 2.1.0, or "
-        "GitHub-Actions ::error annotations",
-    )
-    p.add_argument(
-        "--no-suppressions",
-        action="store_true",
-        help="ignore the curated suppression list",
-    )
-    p.add_argument(
-        "--changed-only",
-        metavar="REF",
-        default=None,
-        help="report findings only for modules differing from git REF "
-        "(analysis still covers the whole tree)",
+        choices=["text", "json"],
+        help="output style: human text or JSON",
     )
     p.add_argument("--rules", action="store_true", help="list rules and exit")
     p.set_defaults(func=_cmd_lint)
@@ -661,7 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 __all__ = ["build_parser", "main"]

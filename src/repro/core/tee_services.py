@@ -24,7 +24,7 @@ normal executions.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from ..crypto import CryptoCostModel, Digest, KeyPair, KeyRing
 from ..smr import GENESIS
@@ -127,27 +127,6 @@ class Checker(Enclave):
             view=self.view,
             sig=self._sign(vote_digest(h, self.view)),
         )
-
-    def tee_vote_batch(self, hs: Sequence[Digest]) -> list[Vote]:
-        """Vote for several blocks in a single ecall.
-
-        Semantically ``[tee_vote(h) for h in hs]`` (voting mutates no
-        CHECKER state, so the batch is order-insensitive and produces
-        bit-identical votes), but the SGX transition overhead is paid
-        once for the whole batch instead of once per vote; the crypto
-        ledger still charges every signature in full.  Hosts with many
-        co-located protocol instances use this to amortize deliver-phase
-        voting; an empty batch is rejected rather than charged a free
-        transition.
-        """
-        if not hs:
-            raise ValueError("tee_vote_batch needs at least one block hash")
-        self._enter()
-        view = self.view
-        sigs = self._sign_batch([vote_digest(h, view) for h in hs])
-        return [
-            Vote(block_hash=h, view=view, sig=s) for h, s in zip(hs, sigs)
-        ]
 
 
 class AccumulatorService(Enclave):

@@ -12,7 +12,7 @@ from .complexity import (
     render_complexity,
     run_complexity,
 )
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .degraded import DegradedResult, render_degraded, run_degraded
 from .deployments import DEPLOYMENTS, latency_model_for
 from .fig7 import (
@@ -55,6 +55,7 @@ __all__ = [
     "check_linearity",
     "render_complexity",
     "run_complexity",
+    "ConfigError",
     "ExperimentConfig",
     "DegradedResult",
     "render_degraded",

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Optional
+from dataclasses import dataclass, fields
+from typing import Any
 
 from ..net import DEFAULT_BANDWIDTH_BPS
+from .deployments import DEPLOYMENTS
+
+#: Load models a run can use (``ExperimentConfig.workload``).
+WORKLOADS = ("saturated", "open")
+
+
+class ConfigError(ValueError):
+    """An :class:`ExperimentConfig` no run can honour."""
 
 
 @dataclass(frozen=True)
@@ -74,6 +82,38 @@ class ExperimentConfig:
     #: Routing slots (key ranges) in the shard routing table.
     shard_slots: int = 64
 
+    def __post_init__(self) -> None:
+        """Reject a configuration at construction; the message names
+        the offending field."""
+        checks = [
+            ("target_blocks", self.target_blocks >= 1, "must be >= 1"),
+            ("warmup_blocks", self.warmup_blocks >= 0, "must be >= 0"),
+            ("max_sim_time", self.max_sim_time > 0, "must be > 0"),
+            ("deployment", self.deployment in DEPLOYMENTS,
+             f"unknown deployment; known: {sorted(DEPLOYMENTS)}"),
+            ("workload", self.workload in WORKLOADS,
+             f"unknown workload; known: {list(WORKLOADS)}"),
+            ("shards", self.shards >= 1, "must be >= 1"),
+            ("cross_shard_permille", 0 <= self.cross_shard_permille <= 1000,
+             "must be in [0, 1000]"),
+            ("hot_key_permille", 0 <= self.hot_key_permille <= 1000,
+             "must be in [0, 1000]"),
+            ("shard_slots", self.shard_slots >= self.shards,
+             f"must be >= shards ({self.shards})"),
+        ]
+        if self.workload == "open":
+            checks += [
+                ("offered_tps", self.offered_tps > 0,
+                 "must be > 0 for the open workload"),
+                ("virtual_clients", self.virtual_clients >= 1,
+                 "must be >= 1 for the open workload"),
+            ]
+        for name, ok, problem in checks:
+            if not ok:
+                raise ConfigError(
+                    f"ExperimentConfig.{name} = {getattr(self, name)!r}: {problem}"
+                )
+
     def describe(self) -> str:
         return (
             f"{self.protocol} f={self.f} {self.deployment} "
@@ -95,4 +135,4 @@ class ExperimentConfig:
         return cls(**data)
 
 
-__all__ = ["ExperimentConfig"]
+__all__ = ["ConfigError", "ExperimentConfig", "WORKLOADS"]

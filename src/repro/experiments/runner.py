@@ -120,8 +120,6 @@ def run_experiment(
             payload_bytes=config.payload_bytes,
             slab_rows=config.arrival_slab,
         )
-    elif config.workload != "saturated":
-        raise ValueError(f"unknown workload model {config.workload!r}")
     try:
         if instrument is not None:
             instrument(sim, network, cluster)

@@ -106,8 +106,6 @@ def run_sharded(
     .run_experiment`) substitutes Byzantine subclasses per pid — it is
     applied to *every* shard, since replica pids repeat across shards.
     """
-    if config.shards < 1:
-        raise ValueError("need at least one shard")
     info = get_protocol(config.protocol)
     n = info.n_for(config.f)
     k = config.shards

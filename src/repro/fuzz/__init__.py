@@ -24,6 +24,7 @@ from .corpus import (
     save_repro,
 )
 from .generator import DEFAULT_CONFIG, FuzzConfig, generate_scenario
+from .fingerprint import RunFingerprint, fingerprint_of
 from .harness import FuzzResult, run_scenario
 from .oracles import (
     CRASH,
@@ -31,6 +32,7 @@ from .oracles import (
     SAFETY,
     OracleReport,
     check_safety,
+    find_equivocations,
     judge,
     judge_sharded,
 )
@@ -58,12 +60,15 @@ __all__ = [
     "FuzzConfig",
     "generate_scenario",
     "FuzzResult",
+    "RunFingerprint",
+    "fingerprint_of",
     "run_scenario",
     "CRASH",
     "LIVENESS",
     "SAFETY",
     "OracleReport",
     "check_safety",
+    "find_equivocations",
     "judge",
     "judge_sharded",
     "AdaptiveSpec",

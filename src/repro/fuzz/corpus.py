@@ -28,7 +28,7 @@ protocol, fault or network code that changes these runs is caught.
 behaviour.  ``timeline_hash`` (every envelope, in order) and
 ``chain_hash`` (every decision) are the behavioural components; they
 are written for every run that yields a
-:class:`~repro.analysis.RunFingerprint` (sharded runs have a joint
+:class:`~repro.fuzz.fingerprint.RunFingerprint` (sharded runs have a joint
 fingerprint with no such components), checked before the digest when
 present, and a mismatch names the component that drifted.
 """

@@ -11,7 +11,7 @@ not fork the run loop.  It contributes exactly three things:
   correct replicas afterwards (``ExecutionLog.execute`` refuses
   conflicting chains), and the harness must classify that run as a
   safety failure, not die with it;
-* the oracle verdict and a :class:`~repro.analysis.RunFingerprint`
+* the oracle verdict and a :class:`~repro.fuzz.RunFingerprint`
   (for replay-identity checks) packed into a :class:`FuzzResult`.
 """
 
@@ -20,14 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..analysis import RunFingerprint, fingerprint_of
 from ..experiments.runner import run_experiment
 from ..net.conditions import degrade_window, isolate_node
 from .adversary import AdaptiveLeaderDelay
+from .fingerprint import RunFingerprint, fingerprint_of
 from .oracles import OracleReport, judge, judge_sharded
 from .scenario import Scenario
 
-#: Either a single-cluster :class:`~repro.analysis.RunFingerprint` or a
+#: Either a single-cluster :class:`RunFingerprint` or a
 #: :class:`~repro.shard.ShardFingerprint`; both expose ``digest()``,
 #: which is all the corpus replay-identity check uses.
 Fingerprint = Union[RunFingerprint, "object"]

@@ -4,7 +4,7 @@ Every generated scenario is judged by both:
 
 * **safety** — restricted to *correct* replicas: the equivocation
   oracle (no view decides two blocks, per-replica chains
-  prefix-consistent — :func:`repro.analysis.find_equivocations`) plus
+  prefix-consistent — :func:`find_equivocations`) plus
   a direct :func:`repro.smr.prefix_agreement` over the execution logs.
   A run that crashed a correct replica mid-commit is still examined:
   whatever decisions were recorded before the crash are evidence.
@@ -23,10 +23,58 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..analysis import find_equivocations
+from ..metrics import MetricsCollector
 from ..protocols.common import Cluster
 from ..smr import prefix_agreement
 from .scenario import Scenario
+
+def find_equivocations(
+    collector: MetricsCollector, replicas: Optional[set[int]] = None
+) -> list[str]:
+    """Conflicts in a run's decision records (empty means safe).
+
+    Checks the two safety properties the trusted services guarantee:
+
+    * **view agreement** — all decisions recorded for one view commit
+      the same block (the once-per-view TEE counters make certifying
+      two blocks in one view impossible);
+    * **prefix consistency** — any two replicas' decided hash
+      sequences agree on their common prefix.
+
+    ``replicas`` (if given) restricts the oracle to those pids — the
+    fuzzer's safety oracle judges only *correct* replicas, since a
+    Byzantine replica's own decision records carry no guarantees.
+    """
+    decisions = collector.decisions
+    if replicas is not None:
+        decisions = [d for d in decisions if d.replica in replicas]
+    problems: list[str] = []
+    by_view: dict[int, set] = {}
+    for d in decisions:
+        by_view.setdefault(d.view, set()).add(d.block_hash)
+    for view in sorted(by_view):
+        hashes = by_view[view]
+        if len(hashes) > 1:
+            short = ", ".join(sorted(h.hex()[:12] for h in hashes))
+            problems.append(
+                f"view {view}: {len(hashes)} conflicting blocks decided ({short})"
+            )
+    chains: dict[int, list] = {}
+    for d in sorted(decisions, key=lambda d: (d.time, d.view)):
+        chains.setdefault(d.replica, []).append(d.block_hash)
+    pids = sorted(chains)
+    for i, a in enumerate(pids):
+        for b in pids[i + 1 :]:
+            ca, cb = chains[a], chains[b]
+            for k, (ha, hb) in enumerate(zip(ca, cb)):
+                if ha != hb:
+                    problems.append(
+                        f"replicas {a} and {b} diverge at height {k}: "
+                        f"{ha.hex()[:12]} vs {hb.hex()[:12]}"
+                    )
+                    break
+    return problems
+
 
 #: Failure kinds, most severe first.
 SAFETY = "safety"
@@ -131,6 +179,7 @@ def judge_sharded(
 __all__ = [
     "OracleReport",
     "check_safety",
+    "find_equivocations",
     "judge",
     "judge_sharded",
     "SAFETY",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -265,9 +265,6 @@ class MetricsCollector:
             if t is None or d.time < t:
                 out[d.block_hash] = d.time
         return out
-
-    def decisions_of(self, replica: int) -> list[Decision]:
-        return [d for d in self.decisions if d.replica == replica]
 
     def execution_kinds(self) -> dict[int, str]:
         """Decisive view -> execution kind (normal/piggyback/catchup)."""

@@ -154,11 +154,6 @@ class Router:
             % np.uint64(self.table.slots)
         ).astype(np.int64)
 
-    def shard_of_key(self, client_id: int) -> int:
-        """Scalar route (tests, single submissions)."""
-        slots = self.slots_of(np.asarray([client_id], dtype=np.int64))
-        return int(self.table.slot_to_shard[int(slots[0])])
-
     def classify(self, batch: TxBatch):
         """Route one slab: per-row slot, home shard, cross-shard mask
         and partner shard.
@@ -184,17 +179,6 @@ class Router:
         partner = (home + 1 + hop.astype(np.int64)) % self.n_shards
         return slots, home, cross, partner
 
-    def partition(self, batch: TxBatch) -> dict[int, TxBatch]:
-        """Split a slab into per-shard slabs by home shard (single-shard
-        rows only; callers handle the cross-shard rows separately)."""
-        _, home, cross, _ = self.classify(batch)
-        out: dict[int, TxBatch] = {}
-        single = ~cross
-        for shard in range(self.n_shards):
-            idx = np.nonzero(single & (home == shard))[0]
-            if len(idx):
-                out[shard] = batch.select(idx)
-        return out
 
 
 __all__ = [

@@ -20,7 +20,6 @@ except the ones providing these trusted services").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from ..crypto import CryptoCostModel, Digest, KeyPair, KeyRing, Signature
 
@@ -86,18 +85,6 @@ class Enclave:
     def _sign(self, digest: Digest) -> Signature:
         self._charge(self._crypto.sign() * self._tee.crypto_factor)
         return self._key.sign(digest)
-
-    def _sign_batch(self, digests: Sequence[Digest]) -> list[Signature]:
-        """Sign every digest inside one already-entered ecall.
-
-        The SGX world switch was paid by the caller's single
-        ``_enter()``; the crypto ledger still charges per signature —
-        batching amortizes the trusted-boundary transition, never the
-        ECDSA work itself.
-        """
-        self._charge(self._crypto.sign() * self._tee.crypto_factor * len(digests))
-        key = self._key
-        return [key.sign(d) for d in digests]
 
     def _verify(self, digest: Digest, sig: Signature) -> bool:
         self._charge(self._crypto.verify() * self._tee.crypto_factor)

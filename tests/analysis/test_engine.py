@@ -1,16 +1,8 @@
-"""Engine plumbing: suppressions, tree walks, reports, CLI contract."""
+"""Engine plumbing: inline ignores, tree walks, reports, CLI contract."""
 
 import json
 
-import pytest
-
-from repro.analysis import (
-    Finding,
-    LintEngine,
-    Suppression,
-    lint_package,
-    load_suppressions,
-)
+from repro.analysis import LintEngine
 from repro.cli import main as cli_main
 
 CLEAN = 'def ok():\n    return 1\n\n__all__ = ["ok"]\n'
@@ -27,31 +19,6 @@ def make_tree(tmp_path, files: dict):
     return root
 
 
-# -- Suppression parsing ----------------------------------------------
-def test_suppression_parse_roundtrip():
-    for spec in ("determinism", "determinism:repro/a.py", "determinism:repro/a.py:4"):
-        assert Suppression.parse(spec).spec() == spec
-
-
-def test_suppression_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        Suppression.parse("")
-    with pytest.raises(ValueError):
-        Suppression.parse("rule:path:notaline")
-    with pytest.raises(ValueError):
-        Suppression.parse("rule:path:3:extra")
-
-
-def test_suppression_matching_scopes():
-    f = Finding(rule="determinism", path="repro/a.py", line=4, col=0, message="m")
-    assert Suppression.parse("determinism").matches(f)
-    assert Suppression.parse("determinism:repro/a.py").matches(f)
-    assert Suppression.parse("determinism:repro/a.py:4").matches(f)
-    assert not Suppression.parse("tee-encapsulation").matches(f)
-    assert not Suppression.parse("determinism:repro/b.py").matches(f)
-    assert not Suppression.parse("determinism:repro/a.py:5").matches(f)
-
-
 # -- Tree walk + report ------------------------------------------------
 def test_run_reports_findings_with_relative_paths(tmp_path):
     root = make_tree(tmp_path, {"good.py": CLEAN, "sub/bad.py": DIRTY})
@@ -63,23 +30,21 @@ def test_run_reports_findings_with_relative_paths(tmp_path):
 
 
 def test_suppressed_findings_do_not_fail_the_run(tmp_path):
-    root = make_tree(tmp_path, {"bad.py": DIRTY})
-    engine = LintEngine(
-        suppressions=[Suppression.parse("determinism:repro/bad.py")]
+    ignored = DIRTY.replace(
+        "time.time()", "time.time()  # repro: lint-ignore[determinism]"
     )
-    report = engine.run(root)
+    report = LintEngine().run(make_tree(tmp_path, {"bad.py": ignored}))
     assert report.clean
     assert len(report.suppressed) == 1
-    assert report.unused_suppressions == []
+    assert report.unused_ignores == []
 
 
 def test_unused_suppressions_are_reported(tmp_path):
-    root = make_tree(tmp_path, {"good.py": CLEAN})
-    stale = Suppression.parse("determinism:repro/gone.py")
-    report = LintEngine(suppressions=[stale]).run(root)
-    assert report.clean  # unused suppressions warn, they don't fail
-    assert report.unused_suppressions == [stale]
-    assert "unused suppression" in report.render_text()
+    stale = CLEAN.replace("return 1", "return 1  # repro: lint-ignore[determinism]")
+    report = LintEngine().run(make_tree(tmp_path, {"good.py": stale}))
+    assert report.clean  # unused ignores warn, they don't fail
+    assert report.unused_ignores == ["repro/good.py:2: lint-ignore[determinism]"]
+    assert "unused inline ignore" in report.render_text()
 
 
 def test_parse_errors_fail_the_run(tmp_path):
@@ -101,28 +66,6 @@ def test_report_render_and_json(tmp_path):
     assert data["findings"][0]["path"] == "repro/bad.py"
 
 
-# -- pyproject suppression loading ------------------------------------
-def test_load_suppressions_from_pyproject(tmp_path):
-    py = tmp_path / "pyproject.toml"
-    py.write_text(
-        "[tool.repro.lint]\n"
-        'suppressions = ["determinism:repro/bad.py"]\n'
-    )
-    subs = load_suppressions(py)
-    assert subs == [Suppression.parse("determinism:repro/bad.py")]
-
-
-def test_lint_package_honours_pyproject(tmp_path):
-    root = make_tree(tmp_path, {"bad.py": DIRTY})
-    py = tmp_path / "pyproject.toml"
-    py.write_text(
-        '[tool.repro.lint]\nsuppressions = ["determinism:repro/bad.py"]\n'
-    )
-    assert lint_package(root=root, pyproject=py).clean
-    # --no-suppressions equivalent: the violation resurfaces.
-    assert not lint_package(root=root, ignore_suppressions=True).clean
-
-
 # -- CLI exit-code / JSON contract ------------------------------------
 def test_cli_lint_json_contract(tmp_path, capsys):
     dirty_root = make_tree(tmp_path, {"bad.py": DIRTY})
@@ -131,27 +74,16 @@ def test_cli_lint_json_contract(tmp_path, capsys):
     assert rc == 1
     assert data["clean"] is False
     assert data["findings"][0]["rule"] == "determinism"
+    assert set(data) == {
+        "root", "clean", "modules_checked", "findings", "suppressed",
+        "unused_ignores", "parse_errors",
+    }
 
     clean_root = make_tree(tmp_path / "ok", {"good.py": CLEAN})
     rc = cli_main(["lint", "--root", str(clean_root), "--format", "json"])
     data = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert data["clean"] is True and data["findings"] == []
-
-
-def test_cli_lint_respects_suppressions_flag(tmp_path, capsys):
-    root = make_tree(tmp_path, {"bad.py": DIRTY})
-    py = tmp_path / "pyproject.toml"
-    py.write_text(
-        '[tool.repro.lint]\nsuppressions = ["determinism:repro/bad.py"]\n'
-    )
-    assert cli_main(["lint", "--root", str(root), "--pyproject", str(py)]) == 0
-    capsys.readouterr()
-    rc = cli_main(
-        ["lint", "--root", str(root), "--pyproject", str(py), "--no-suppressions"]
-    )
-    assert rc == 1
-    capsys.readouterr()
 
 
 def test_cli_lint_rules_listing(capsys):

@@ -1,16 +1,12 @@
-"""Engine satellites: inline ignores, SARIF/GitHub output, changed-only,
-and the aliased scalar-sample determinism fix."""
-
-import json
+"""Engine satellites: inline ignores and the aliased scalar-sample
+determinism fix."""
 
 from repro.analysis.engine import LintEngine, parse_inline_ignores
 from repro.analysis.rules import DeterminismRule
 
-DIRTY = "import time\n\ndef bad():\n    return time.time()\n\n__all__ = ['bad']\n"
-
 
 def run_sources(files: dict, rules=None):
-    return LintEngine(rules=rules, suppressions=()).run_sources(files)
+    return LintEngine(rules=rules).run_sources(files)
 
 
 # -- inline ignores ----------------------------------------------------
@@ -65,59 +61,13 @@ def test_inline_ignore_for_wrong_rule_does_not_suppress():
     assert len(report.unused_ignores) == 1
 
 
-# -- output formats ----------------------------------------------------
-def test_sarif_output_shape():
-    report = run_sources({"repro/a.py": DIRTY})
-    doc = json.loads(report.to_sarif())
-    assert doc["version"] == "2.1.0"
-    run = doc["runs"][0]
-    rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    assert "determinism" in rule_ids
-    result = run["results"][0]
-    assert result["ruleId"] == "determinism"
-    loc = result["locations"][0]["physicalLocation"]
-    assert loc["artifactLocation"]["uri"] == "repro/a.py"
-    assert loc["region"]["startLine"] == 4
-    assert loc["region"]["startColumn"] >= 1  # SARIF columns are 1-based
-
-
-def test_github_annotations_format_and_escaping():
-    report = run_sources({"repro/a.py": DIRTY})
-    line = report.render_github().splitlines()[0]
-    assert line.startswith("::error file=repro/a.py,line=4,")
-    assert "title=determinism::" in line
-    assert "\n" not in line
-
-
-def test_github_annotations_empty_when_clean():
-    report = run_sources({"repro/a.py": "x = 1\n__all__ = []\n"})
-    assert report.render_github() == ""
-
-
-# -- changed-only filtering -------------------------------------------
-def test_only_paths_filters_reporting_not_analysis():
-    files = {"repro/a.py": DIRTY, "repro/b.py": DIRTY.replace("bad", "worse")}
-    full = run_sources(files)
-    assert sorted({f.path for f in full.findings}) == [
-        "repro/a.py",
-        "repro/b.py",
-    ]
-    partial = LintEngine(suppressions=()).run_sources(
-        files, only_paths={"repro/b.py"}
-    )
-    assert {f.path for f in partial.findings} == {"repro/b.py"}
-    # Partial views skip staleness accounting entirely.
-    assert partial.unused_suppressions == []
-    assert partial.unused_ignores == []
-
-
 # -- determinism: aliased scalar sample (satellite fix) ----------------
 def _determinism(src: str, path: str):
     return [
         f
-        for f in LintEngine(
-            rules=[DeterminismRule()], suppressions=()
-        ).check_source(src, path=path)
+        for f in LintEngine(rules=[DeterminismRule()]).check_source(
+            src, path=path
+        )
         if "sample" in f.message
     ]
 

@@ -18,7 +18,7 @@ from repro.analysis.rules.substrate import SUBSTRATE_API
 
 
 def run_rule(rule, files: dict):
-    report = LintEngine(rules=[rule], suppressions=()).run_sources(files)
+    report = LintEngine(rules=[rule]).run_sources(files)
     assert report.parse_errors == []
     return report.findings
 

@@ -1,20 +1,26 @@
 """Runtime determinism sanitizer and equivocation oracle."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis import (
     DeterminismViolation,
     EquivocationDetected,
     assert_no_equivocation,
     check_determinism,
-    find_equivocations,
     fingerprint_run,
     replay_and_check,
 )
+from repro.fuzz import find_equivocations
 from repro.metrics import Decision, MetricsCollector
+
 
 H0, H1, H2 = b"\x00" * 32, b"\x01" * 32, b"\x02" * 32
 
@@ -122,3 +128,21 @@ def test_lagging_replica_prefix_is_fine():
 def test_replay_and_check_protocols(protocol):
     fp = replay_and_check(protocol=protocol, seed=5, target_blocks=3)
     assert fp.decisions >= 3
+
+
+def test_runtime_does_not_import_the_lint_engine():
+    """The fuzzer and the experiment runners load no callgraph,
+    dataflow or rule: only this module's gates need them."""
+    code = (
+        "import sys, repro.fuzz, repro.experiments; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "[]"

@@ -13,7 +13,8 @@ is not pinned here: it is kernel bookkeeping (docs/invariants.md).
 
 import pytest
 
-from repro.analysis.sanitizer import _hash_chain, _hash_timeline, fingerprint_run
+from repro.analysis.sanitizer import fingerprint_run
+from repro.fuzz.fingerprint import _hash_chain, _hash_timeline
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.faults import FaultPlan, every_kth_view, forced_execution_factory

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.analysis import fingerprint_of
 from repro.experiments.runner import run_experiment
-from repro.fuzz import generate_scenario, run_scenario
+from repro.fuzz import fingerprint_of, generate_scenario, run_scenario
 
 #: The CI smoke budget: N fresh seeds from the verified-green range
 #: run under both oracles.

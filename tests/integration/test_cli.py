@@ -1,14 +1,52 @@
 """Integration tests: the command-line interface."""
 
+import argparse
+import hashlib
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.protocols.registry import REGISTRY
 
 
+def _choices(parser: argparse.ArgumentParser) -> dict:
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def test_subcommand_set_is_pinned():
+    """One way in per job: the paper's tables come only from ``paper``."""
+    commands = _choices(build_parser())
+    assert sorted(commands) == ["fuzz", "lint", "paper", "run", "shard", "timeline"]
+    assert sorted(_choices(commands["shard"])) == ["run", "sweep"]
+    assert sorted(_choices(commands["fuzz"])) == ["replay", "run", "shrink"]
+    [fmt] = [a for a in commands["lint"]._actions if a.dest == "format"]
+    assert fmt.choices == ["text", "json"]
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["run", "--blocks", "0"], "target_blocks"),
+        (["run", "--blocks", "-2"], "target_blocks"),
+        (["run", "--workload", "open", "--clients", "0"], "virtual_clients"),
+        (["timeline", "--views", "4", "2"], "--views"),
+        (["timeline", "--views", "-1", "2"], "--views"),
+        (["shard", "run", "--k", "0"], "shards"),
+        (["shard", "run", "--cross", "1500"], "cross_shard_permille"),
+        (["shard", "run", "--slots", "0"], "shard_slots"),
+    ],
+)
+def test_bad_input_exits_two_with_an_error_line(argv, field, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and field in captured.err
 
 
 def test_run_command(capsys):
@@ -21,30 +59,6 @@ def test_run_command(capsys):
 def test_run_command_each_protocol(capsys):
     for protocol in ("oneshot", "damysus", "hotstuff"):
         assert main(["run", "--protocol", protocol, "--blocks", "4"]) == 0
-
-
-def test_fig7_command(capsys):
-    assert main(["fig7", "--deployment", "eu", "--f", "1", "--blocks", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "Fig.7 [eu]" in out
-
-
-def test_gains_command(capsys):
-    assert main(["gains", "--deployment", "eu", "--f", "1", "2", "--blocks", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "Throughput gains" in out and "Latency decreases" in out
-
-
-def test_steps_command(capsys):
-    assert main(["steps"]) == 0
-    out = capsys.readouterr().out
-    assert "piggyback" in out and "yes" in out
-
-
-def test_degraded_command(capsys):
-    assert main(["degraded", "--blocks", "12"]) == 0
-    out = capsys.readouterr().out
-    assert "degraded network" in out
 
 
 def test_invalid_protocol_rejected():
@@ -66,22 +80,24 @@ def test_invalid_payload_rejected():
         main(["run", "--payload", "128"])
 
 
-def test_complexity_command(capsys):
-    assert main(["complexity", "--f", "1", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "msgs/block/node" in out and "none" in out
-
-
-def test_parallel_command(capsys):
-    assert main(["parallel", "--k", "1", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "speedup" in out
-
-
 def test_timeline_command(capsys):
     assert main(["timeline", "--protocol", "oneshot", "--views", "2", "3"]) == 0
     out = capsys.readouterr().out
     assert "proposal" in out and "view 2" in out
+
+
+@pytest.mark.parametrize(
+    "protocol, views, sha256",
+    [
+        ("oneshot", ("2", "4"),
+         "a80f37b032926edc75ea76abb1c9b10fa242a880804aa7dcab806cc0b3591d2e"),
+        ("hotstuff-chained", ("3", "3"),
+         "7fb79061d1da4fb5dd1b10db2ad7cfcfc5fe938211b0a90f15057182b4e428eb"),
+    ],
+)
+def test_timeline_output_is_pinned(protocol, views, sha256, capsys):
+    assert main(["timeline", "--protocol", protocol, "--views", *views]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
 
 def test_timeline_command_chained(capsys):

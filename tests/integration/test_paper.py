@@ -35,6 +35,30 @@ def test_paper_exits_zero(sequential):
     assert "VIOLATION" not in out
 
 
+@pytest.mark.parametrize(
+    "markers",
+    [
+        ("Fig.7 [eu]",),
+        ("Throughput gains", "Latency decreases"),
+        ("degraded network",),
+        ("msgs/block/node",),
+        ("speedup",),
+    ],
+    ids=["fig7", "gains", "degraded", "complexity", "parallel"],
+)
+def test_paper_prints_table(sequential, markers):
+    _, out = sequential
+    for marker in markers:
+        assert marker in out
+
+
+def test_paper_prints_steps_table(sequential):
+    """Sec. V: the piggyback row's last column says it needs no pull."""
+    _, out = sequential
+    rows = [line.split() for line in out.splitlines()]
+    assert any(r and r[0] == "piggyback" and r[-1] == "yes" for r in rows)
+
+
 def test_paper_output_independent_of_workers(sequential, capsys):
     _, out = sequential
     assert main(["paper", "--workers", "2"]) == 0

@@ -1,4 +1,4 @@
-"""Deterministic router: stability, versioning, partitioning."""
+"""Deterministic router: stability, versioning, classification."""
 
 import numpy as np
 import pytest
@@ -29,11 +29,17 @@ def test_mix64_scalar_matches_vectorized():
         assert mix64_scalar(int(x)) == int(v)
 
 
+def _shards_of(router: Router, cids) -> list[int]:
+    """Home shard per client id: slot, then the table's slot owner."""
+    slots = router.slots_of(np.asarray(cids, dtype=np.int64))
+    return [router.table.slot_to_shard[s] for s in slots.tolist()]
+
+
 def test_key_to_shard_is_stable_across_router_instances():
-    a = Router(4, slots=32)
-    b = Router(4, slots=32)
-    for cid in range(1_000_000, 1_000_200):
-        assert a.shard_of_key(cid) == b.shard_of_key(cid)
+    cids = range(1_000_000, 1_000_200)
+    assert _shards_of(Router(4, slots=32), cids) == _shards_of(
+        Router(4, slots=32), cids
+    )
 
 
 def test_classification_is_stable_and_covers_all_shards():
@@ -50,14 +56,11 @@ def test_classification_is_stable_and_covers_all_shards():
     assert np.all(partner[cross] != home[cross])
 
 
-def test_partition_agrees_with_scalar_route():
+def test_classify_home_agrees_with_slot_table():
     router = Router(3, slots=27)
     batch = _batch()
-    parts = router.partition(batch)
-    assert sum(len(p) for p in parts.values()) == len(batch)
-    for shard, part in parts.items():
-        for cid in part.client_ids.tolist():
-            assert router.shard_of_key(int(cid)) == shard
+    _, home, _, _ = router.classify(batch)
+    assert home.tolist() == _shards_of(router, batch.client_ids)
 
 
 def test_epoch_versioning_and_history():
@@ -85,13 +88,13 @@ def test_rebalance_moves_keys_with_their_slot():
     router = Router(2, slots=8)
     cid = 1_000_042
     slot = int(router.slots_of(np.asarray([cid]))[0])
-    before = router.shard_of_key(cid)
+    [before] = _shards_of(router, [cid])
     flipped = list(router.table.slot_to_shard)
     flipped[slot] = 1 - flipped[slot]
     router.advance(tuple(flipped))
     # The key's slot never changes; only the slot's shard does.
     assert int(router.slots_of(np.asarray([cid]))[0]) == slot
-    assert router.shard_of_key(cid) == 1 - before
+    assert _shards_of(router, [cid]) == [1 - before]
 
 
 def test_hot_key_collapse_routes_to_one_slot():

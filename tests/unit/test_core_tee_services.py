@@ -1,7 +1,5 @@
 """Unit tests for OneShot's CHECKER and ACCUMULATOR (Fig. 5c)."""
 
-import pytest
-
 from repro.core.certificates import (
     GENESIS_PROPOSAL,
     GENESIS_QC,
@@ -275,58 +273,6 @@ def test_rebind_leader_map_changes_proposal_validation():
     # Rebinding back restores acceptance.
     verifier.rebind_leader_map(leader_of)
     assert verifier._verify_proposal(prop)
-
-
-# ----------------------------------------------------------------------
-# tee_vote_batch: one ecall, per-signature crypto cost
-# ----------------------------------------------------------------------
-def test_vote_batch_matches_individual_votes():
-    """Batching is a transport optimization: the votes themselves are
-    bit-identical to the one-ecall-per-vote path."""
-    singles_checker = make_checker(owner=0)
-    batch_checker = make_checker(owner=0)
-    hs = [digest_of("vb", i) for i in range(5)]
-    singles = [singles_checker.tee_vote(h) for h in hs]
-    batch = batch_checker.tee_vote_batch(hs)
-    assert batch == singles
-
-
-def test_vote_batch_charges_one_transition_full_crypto():
-    from repro.tee import TeeCostModel as _Tee
-
-    tee = _Tee()  # real (nonzero) ecall overhead and crypto factor
-    c = Checker(0, CREDS[0].keypair, RING, T2_MICRO, tee, leader_of)
-    hs = [digest_of("vb", i) for i in range(7)]
-    votes = c.tee_vote_batch(hs)
-    assert len(votes) == 7 and all(v.verify(RING) for v in votes)
-    assert c.ecalls == 1  # the whole batch crossed the boundary once
-    expected = tee.ecall_overhead + 7 * T2_MICRO.sign() * tee.crypto_factor
-    assert c.drain_cost() == pytest.approx(expected)
-
-
-def test_vote_batch_saves_exactly_the_extra_transitions():
-    """batch(n) == n x single - (n-1) ecall overheads: the signature
-    ledger is untouched, only the world switches amortize."""
-    from repro.tee import TeeCostModel as _Tee
-
-    tee = _Tee()
-    hs = [digest_of("vb", i) for i in range(4)]
-
-    single = Checker(0, CREDS[0].keypair, RING, T2_MICRO, tee, leader_of)
-    for h in hs:
-        single.tee_vote(h)
-    batched = Checker(0, CREDS[0].keypair, RING, T2_MICRO, tee, leader_of)
-    batched.tee_vote_batch(hs)
-
-    saved = single.drain_cost() - batched.drain_cost()
-    assert saved == pytest.approx((len(hs) - 1) * tee.ecall_overhead)
-
-
-def test_vote_batch_rejects_empty_batch():
-    c = make_checker(owner=0)
-    with pytest.raises(ValueError):
-        c.tee_vote_batch([])
-    assert c.ecalls == 0  # no free transition was recorded
 
 
 # ----------------------------------------------------------------------

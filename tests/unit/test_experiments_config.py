@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import ExperimentConfig
+from repro.experiments import ConfigError, ExperimentConfig
 from repro.experiments.degraded import DegradedResult, check_shape
 from repro.experiments.deployments import DEPLOYMENTS, latency_model_for
 from repro.experiments.fig7 import Fig7Result
@@ -22,6 +22,34 @@ def test_config_defaults_sane():
     assert cfg.protocol == "oneshot"
     assert cfg.gst == 0.0
     assert cfg.warmup_blocks >= 0
+
+
+@pytest.mark.parametrize(
+    "field, value, extra",
+    [
+        ("target_blocks", 0, {}),
+        ("target_blocks", -2, {}),
+        ("warmup_blocks", -1, {}),
+        ("max_sim_time", 0.0, {}),
+        ("deployment", "mars", {}),
+        ("workload", "bursty", {}),
+        ("shards", 0, {}),
+        ("cross_shard_permille", 1500, {}),
+        ("cross_shard_permille", -1, {}),
+        ("hot_key_permille", 1001, {}),
+        ("shard_slots", 0, {}),
+        ("shard_slots", 2, {"shards": 4}),
+        ("offered_tps", 0.0, {"workload": "open"}),
+        ("virtual_clients", 0, {"workload": "open"}),
+    ],
+)
+def test_config_rejects_what_no_run_can_honour(field, value, extra):
+    with pytest.raises(ConfigError, match=rf"^ExperimentConfig\.{field} = "):
+        ExperimentConfig(**{field: value, **extra})
+
+
+def test_closed_loop_config_ignores_open_loop_fields():
+    ExperimentConfig(offered_tps=0.0, virtual_clients=0)
 
 
 def test_deployments_match_paper_fleet_names():

@@ -6,11 +6,12 @@ open-loop workload generation — and the golden fingerprints are bit-identical 
 while each component keeps drawing from its own stream in a
 schedule-independent order.  The
 fingerprints catch a stream mix-up *after* a run; this pass catches it
-statically: every ``registry.stream(...)`` call is a taint source labelled
-with the stream's category, the interprocedural engine
+statically: every statically named ``registry.stream(...)`` call is a
+taint source labelled with the stream's category, the interprocedural engine
 (:mod:`repro.analysis.dataflow`) follows the handle and every value drawn
 from it across calls, attribute stores and containers, and a use outside
-the category's home layer is a finding.
+the category's home layer is a finding.  A category with no entry in
+:data:`HOME_LAYERS` has no home: only observer layers may read it.
 
 Example of the bug class this exists for: a protocol handler computing a
 timeout from ``network._rng.uniform(...)`` — the run still *works*, but
@@ -19,7 +20,7 @@ runs that differ only in message timing diverge bit-wise.  The per-file
 TEE/determinism rules cannot see this because the draw, the handle and
 the consumer live in three different modules.
 
-Observer layers (metrics, experiments, the CLI, this analyzer) are
+Observer layers (metrics, experiments, this analyzer) are
 exempt: they may *read* values derived from any stream — that is what
 measurement is — as long as they do not feed them back into protocol
 state, which their own home-layer checks would catch.
@@ -55,9 +56,10 @@ HOME_LAYERS: dict[str, tuple[str, ...]] = {
         "repro/sim/",
         "repro/shard/",
     ),
-    # Seeded latency reservoir: "metrics.reservoir" draws stay inside
-    # the (observer) metrics layer by construction.
-    "metrics": ("repro/metrics/", "repro/sim/"),
+    # Fuzz scenario generation: ``RngRegistry(seed, namespace="fuzz")
+    # .stream("generate")`` draws become scenario fields in repro/fuzz,
+    # and the CLI's ``fuzz run`` loop hands those scenarios on.
+    "generate": ("repro/fuzz/", "repro/cli.py"),
 }
 
 #: Layers that observe runs rather than participate in them; they may
@@ -67,9 +69,6 @@ OBSERVER_PATHS: tuple[str, ...] = (
     "repro/metrics/",
     "repro/experiments/",
     "repro/analysis/",
-    # The CLI prints run reports (RunResult carries the streaming
-    # collector, whose reservoir holds metrics-stream draws).
-    "repro/cli.py",
 )
 
 #: The one true stream factory.
@@ -131,7 +130,7 @@ class _StreamFlowSpec(FlowSpec):
                         arg = kw.value
                         break
             cat = stream_category(arg)
-            if cat is not None and cat in HOME_LAYERS:
+            if cat is not None:
                 return f"{_LABEL_PREFIX}{cat}"
         return None
 
@@ -150,13 +149,17 @@ class _StreamFlowSpec(FlowSpec):
         for t in sorted(taints, key=lambda t: (t.label, t.origin)):
             cat = self._out_of_home(fn.module, t.label)
             if cat is not None:
+                homes = HOME_LAYERS.get(cat)
+                where = (
+                    f"its home layer {homes}" if homes
+                    else "the observer layers (it has no home layer)"
+                )
                 yield (
                     stmt,
                     f"value drawn from the {cat!r} RNG stream "
-                    f"(created at {t.origin}) is consumed outside its home "
-                    f"layer {HOME_LAYERS[cat]} — cross-purpose stream use "
-                    f"couples unrelated draw orders and breaks fingerprint "
-                    f"bit-identity",
+                    f"(created at {t.origin}) is consumed outside {where} "
+                    f"— cross-purpose stream use couples unrelated draw "
+                    f"orders and breaks fingerprint bit-identity",
                 )
 
 

@@ -42,7 +42,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         offered_tps=args.offered_tps,
         virtual_clients=args.clients,
         workload_regions=args.regions,
-        streaming_metrics=args.streaming_metrics,
     )
     result = run_experiment(cfg)
     print(cfg.describe())
@@ -296,11 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="regions the open-mode population is split across",
-    )
-    p.add_argument(
-        "--streaming-metrics",
-        action="store_true",
-        help="O(1)-memory streaming collector (P² quantile estimates)",
     )
     p.add_argument("--deployment", default="eu", choices=list(DEPLOYMENTS))
     p.add_argument("--blocks", type=int, default=20, help="decided blocks per run")

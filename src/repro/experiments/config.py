@@ -61,8 +61,9 @@ class ExperimentConfig:
     workload_regions: int = 1
     #: Arrivals minted per slab (one simulator event) in "open" mode.
     arrival_slab: int = 512
-    #: Use the O(1)-memory streaming metrics collector (quantiles become
-    #: P² estimates; mandatory for very long open-loop runs).
+    #: Keep no per-decision records in the metrics collector (the
+    #: statistics stay exact; fingerprints and the equivocation oracle
+    #: need the records, so such a run cannot be fingerprinted).
     streaming_metrics: bool = False
     #: Highest-view gossip on timeout (minimal view synchronizer); off
     #: reproduces the historical pacemaker with the HotStuff view-split
@@ -86,9 +87,15 @@ class ExperimentConfig:
         """Reject a configuration at construction; the message names
         the offending field."""
         checks = [
+            ("f", self.f >= 0, "must be >= 0"),
             ("target_blocks", self.target_blocks >= 1, "must be >= 1"),
             ("warmup_blocks", self.warmup_blocks >= 0, "must be >= 0"),
             ("max_sim_time", self.max_sim_time > 0, "must be > 0"),
+            ("timeout_base", self.timeout_base > 0, "must be > 0"),
+            ("bandwidth_bps", self.bandwidth_bps > 0, "must be > 0"),
+            ("local_latency_s", self.local_latency_s >= 0, "must be >= 0"),
+            ("gst", self.gst >= 0, "must be >= 0"),
+            ("pre_gst_extra", self.pre_gst_extra >= 0, "must be >= 0"),
             ("deployment", self.deployment in DEPLOYMENTS,
              f"unknown deployment; known: {sorted(DEPLOYMENTS)}"),
             ("workload", self.workload in WORKLOADS,
@@ -100,12 +107,19 @@ class ExperimentConfig:
              "must be in [0, 1000]"),
             ("shard_slots", self.shard_slots >= self.shards,
              f"must be >= shards ({self.shards})"),
+            ("shard_epoch_s", self.shard_epoch_s >= 0, "must be >= 0"),
         ]
         if self.workload == "open":
             checks += [
                 ("offered_tps", self.offered_tps > 0,
                  "must be > 0 for the open workload"),
                 ("virtual_clients", self.virtual_clients >= 1,
+                 "must be >= 1 for the open workload"),
+                ("workload_regions",
+                 1 <= self.workload_regions <= self.virtual_clients,
+                 f"must be in [1, virtual_clients ({self.virtual_clients})] "
+                 "for the open workload"),
+                ("arrival_slab", self.arrival_slab >= 1,
                  "must be >= 1 for the open workload"),
             ]
         for name, ok, problem in checks:

@@ -37,20 +37,6 @@ class RunResult:
     engine: Optional[object] = None
 
 
-def _trimmed(collector: MetricsCollector, warmup_blocks: int) -> MetricsCollector:
-    """A collector view with the first ``warmup_blocks`` blocks dropped."""
-    if warmup_blocks <= 0:
-        return collector
-    by_time = sorted(collector.decided_blocks().items(), key=lambda kv: kv[1])
-    skip = {h for h, _ in by_time[:warmup_blocks]}
-    out = MetricsCollector()
-    out.decisions = [d for d in collector.decisions if d.block_hash not in skip]
-    out.view_outcomes = list(collector.view_outcomes)
-    out._proposal_times = dict(collector._proposal_times)
-    out._decisive_kind = dict(collector._decisive_kind)
-    return out
-
-
 def run_experiment(
     config: ExperimentConfig,
     replica_factory: Optional[ReplicaFactory] = None,
@@ -86,25 +72,13 @@ def run_experiment(
         timeout_base=config.timeout_base,
         view_sync=config.view_sync,
     )
-    collector = None
-    if config.streaming_metrics:
-        # Streaming mode trims warm-up inside the collector (a stream
-        # cannot be re-trimmed post hoc the way _trimmed does).
-        collector = MetricsCollector(
-            streaming=True,
-            n_replicas=n,
-            warmup_blocks=config.warmup_blocks,
-            reservoir_rng=sim.rng.stream(
-                "metrics.reservoir", purpose="streaming latency reservoir"
-            ),
-        )
     cluster = build_cluster(
         info.replica_cls,
         sim,
         network,
         proto_cfg,
         payload_bytes=config.payload_bytes,
-        collector=collector,
+        collector=MetricsCollector(keep_decisions=not config.streaming_metrics),
         replica_factory=replica_factory,
         saturated=(config.workload == "saturated"),
     )
@@ -143,10 +117,7 @@ def run_experiment(
         sim.close()
         network.close()
         clear_digest_memos()
-    if config.streaming_metrics:
-        stats = compute_stats(cluster.collector)
-    else:
-        stats = compute_stats(_trimmed(cluster.collector, config.warmup_blocks))
+    stats = compute_stats(cluster.collector, config.warmup_blocks)
     return RunResult(
         config=config,
         stats=stats,

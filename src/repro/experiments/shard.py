@@ -132,7 +132,9 @@ def run_sharded(
             network,
             proto_cfg,
             payload_bytes=config.payload_bytes,
-            collector=MetricsCollector(),
+            collector=MetricsCollector(
+                keep_decisions=not config.streaming_metrics
+            ),
             replica_factory=replica_factory,
             saturated=False,
         )

@@ -68,6 +68,8 @@ def fingerprint_of(
 
     The run must have been built by the caller (the fuzzer, the
     experiment runner or the sanitizer); every digest shares this form.
+    A collector that keeps no decisions raises
+    :class:`~repro.metrics.DecisionsNotKept`.
     """
     if network.message_log is None:
         raise ValueError("fingerprinting requires network.enable_log()")

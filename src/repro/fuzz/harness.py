@@ -53,6 +53,17 @@ class FuzzResult:
         return f"seed {self.scenario.seed}: {self.report.describe()}"
 
 
+def _install_conditions(scenario: Scenario, sim, network, cluster) -> None:
+    """The scenario's degrade windows, isolations and adaptive
+    adversary, on one network fabric and the cluster it carries."""
+    for d in scenario.degrades:
+        degrade_window(network, d.start, d.end, d.extra_s, nodes=d.nodes)
+    for iso in scenario.isolates:
+        isolate_node(network, iso.node, iso.start, iso.end, delay_s=iso.delay_s)
+    if scenario.adaptive is not None:
+        AdaptiveLeaderDelay(scenario.adaptive).install(sim, network, cluster)
+
+
 def _run_shard_scenario(scenario: Scenario) -> FuzzResult:
     """The sharded run path: k clusters, 2PC, the atomicity oracle.
 
@@ -73,16 +84,7 @@ def _run_shard_scenario(scenario: Scenario) -> FuzzResult:
         captured["clusters"] = clusters
         captured["run_objects"] = (sim, networks)
         for network, cluster in zip(networks, clusters):
-            for d in scenario.degrades:
-                degrade_window(network, d.start, d.end, d.extra_s, nodes=d.nodes)
-            for iso in scenario.isolates:
-                isolate_node(
-                    network, iso.node, iso.start, iso.end, delay_s=iso.delay_s
-                )
-            if scenario.adaptive is not None:
-                AdaptiveLeaderDelay(scenario.adaptive).install(
-                    sim, network, cluster
-                )
+            _install_conditions(scenario, sim, network, cluster)
             if spec.decision_delay_s > 0 and spec.delay_end > spec.delay_start:
                 degrade_window(
                     network,
@@ -124,21 +126,16 @@ def run_scenario(scenario: Scenario) -> FuzzResult:
         captured["sim"] = sim
         captured["network"] = network
         captured["cluster"] = cluster
-        for d in scenario.degrades:
-            degrade_window(network, d.start, d.end, d.extra_s, nodes=d.nodes)
-        for iso in scenario.isolates:
-            isolate_node(network, iso.node, iso.start, iso.end, delay_s=iso.delay_s)
-        if scenario.adaptive is not None:
-            AdaptiveLeaderDelay(scenario.adaptive).install(sim, network, cluster)
+        _install_conditions(scenario, sim, network, cluster)
 
     config = scenario.to_experiment_config()
     plan = scenario.fault_plan()
     factory = plan.factory() if plan.faults else None
     crashed: Optional[str] = None
     try:
-        # The runner's result (metrics folded from its RNG streams) is
-        # discarded — the oracles read the captured cluster directly.
-        run_experiment(  # repro: lint-ignore[stream-purity]
+        # The runner's result is discarded: the oracles read the
+        # captured cluster directly.
+        run_experiment(
             config,
             replica_factory=factory,
             enable_message_log=True,

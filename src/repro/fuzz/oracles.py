@@ -44,6 +44,9 @@ def find_equivocations(
     ``replicas`` (if given) restricts the oracle to those pids — the
     fuzzer's safety oracle judges only *correct* replicas, since a
     Byzantine replica's own decision records carry no guarantees.
+    A collector that keeps no decisions raises
+    :class:`~repro.metrics.DecisionsNotKept` instead of a vacuous
+    "safe".
     """
     decisions = collector.decisions
     if replicas is not None:

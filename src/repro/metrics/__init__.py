@@ -4,14 +4,13 @@ from .collector import (
     CATCHUP,
     NORMAL,
     PIGGYBACK,
-    STREAM_WINDOW,
     Decision,
+    DecisionsNotKept,
     MetricsCollector,
-    ViewOutcome,
 )
 from .report import GainCell, render_series, render_table
-from .streaming import P2Quantile, ReservoirSample, StreamingMoments
-from .stats import RunStats, block_latencies, compute_stats, decrease_pct, gain_pct
+from .streaming import P2Quantile, StreamingMoments
+from .stats import RunStats, compute_stats, decrease_pct, gain_pct
 from .timeline import (
     CLASSIFIERS,
     Wave,
@@ -26,18 +25,15 @@ __all__ = [
     "CATCHUP",
     "NORMAL",
     "PIGGYBACK",
-    "STREAM_WINDOW",
     "Decision",
+    "DecisionsNotKept",
     "MetricsCollector",
-    "ViewOutcome",
     "P2Quantile",
-    "ReservoirSample",
     "StreamingMoments",
     "GainCell",
     "render_series",
     "render_table",
     "RunStats",
-    "block_latencies",
     "compute_stats",
     "decrease_pct",
     "gain_pct",

@@ -10,7 +10,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -40,41 +39,27 @@ class RunStats:
         )
 
 
-def block_latencies(collector: MetricsCollector) -> dict[bytes, float]:
-    """Per-block proposal→execution latency, averaged over replicas."""
-    sums: dict[bytes, float] = {}
-    counts: dict[bytes, int] = {}
-    for d in collector.decisions:
-        t0 = collector.proposal_time(d.block_hash)
-        if t0 is None:
-            continue
-        sums[d.block_hash] = sums.get(d.block_hash, 0.0) + (d.time - t0)
-        counts[d.block_hash] = counts.get(d.block_hash, 0) + 1
-    return {h: sums[h] / counts[h] for h in sums}
-
-
-def compute_stats(collector: MetricsCollector) -> RunStats:
+def compute_stats(collector: MetricsCollector, warmup_blocks: int = 0) -> RunStats:
     """Summarize a run; degenerate runs yield zeroed stats.
 
-    A streaming collector is summarized from its O(1) aggregate state
-    (quantiles are P² estimates); a legacy collector from its exact
-    flat records.  Field-for-field the two modes report the same
-    quantities.
+    The first ``warmup_blocks`` decided blocks (by earliest execution)
+    are dropped from throughput and latency; ``views_decided`` and
+    ``timeouts`` count the whole run.
     """
-    if getattr(collector, "streaming", False):
-        return RunStats(**collector.streaming_stats())
-    decided = collector.decided_blocks()
-    lats = np.array(sorted(block_latencies(collector).values()))
-    ntx_by_block: dict[bytes, int] = {}
-    for d in collector.decisions:
-        ntx_by_block[d.block_hash] = d.ntxs
-    txs = sum(ntx_by_block.values())
+    blocks = collector.blocks()
+    if warmup_blocks > 0:
+        by_time = sorted(blocks.items(), key=lambda kv: kv[1][3])
+        blocks = dict(by_time[warmup_blocks:])
+    lats = np.array(sorted(s / n for s, n, _, _ in blocks.values() if n))
+    txs = sum(rec[2] for rec in blocks.values())
 
-    if decided:
+    if blocks:
+        # ``or``: a proposal at t = 0 counts as unrecorded, so the span
+        # starts at that block's execution; the paper tables pin this.
         t_first = min(
-            (collector.proposal_time(h) or t) for h, t in decided.items()
+            (collector.proposal_time(h) or rec[3]) for h, rec in blocks.items()
         )
-        t_last = max(decided.values())
+        t_last = max(rec[3] for rec in blocks.values())
         duration = max(t_last - t_first, 1e-9)
         tput = txs / duration
     else:
@@ -86,7 +71,7 @@ def compute_stats(collector: MetricsCollector) -> RunStats:
         mean_latency_s=float(lats.mean()) if lats.size else 0.0,
         p50_latency_s=float(np.percentile(lats, 50)) if lats.size else 0.0,
         p99_latency_s=float(np.percentile(lats, 99)) if lats.size else 0.0,
-        blocks_decided=len(decided),
+        blocks_decided=len(blocks),
         txs_decided=txs,
         views_decided=len(collector.execution_kinds()),
         timeouts=collector.timeouts(),
@@ -110,7 +95,6 @@ def decrease_pct(new: float, old: float) -> float:
 
 __all__ = [
     "RunStats",
-    "block_latencies",
     "compute_stats",
     "gain_pct",
     "decrease_pct",

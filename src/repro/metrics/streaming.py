@@ -1,24 +1,14 @@
-"""O(1)-memory streaming estimators for long-horizon runs.
+"""O(1)-memory streaming estimators.
 
-A million-client open-loop run decides orders of magnitude more blocks
-than the paper's 30-block experiments; storing every decision record
-(the legacy :class:`~repro.metrics.collector.MetricsCollector` mode)
-would dominate memory long before the simulator does.  This module
-provides the two bounded-state estimators the streaming collector mode
-is built from:
+Long-running observers — the 2PC coordinator's commit latencies
+(:mod:`repro.shard.coordinator`) and the rebalancer's load figures
+(:mod:`repro.shard.rebalance`) — summarize unbounded streams with:
 
 * :class:`P2Quantile` — the P² algorithm of Jain & Chlamtác (CACM
   1985): a single-quantile estimator that maintains five markers and
   adjusts them with piecewise-parabolic interpolation.  Deterministic
   (no randomness at all) and exact for the first five observations.
-* :class:`ReservoirSample` — Vitter's Algorithm R over an *injected*
-  seeded generator (a named stream from :mod:`repro.sim.rng`), giving a
-  fixed-size uniform sample of the full latency population for
-  cross-checks and ad-hoc percentiles.
-
-Both are deterministic functions of (seed, observation sequence), so a
-streaming run's report is replayable bit-for-bit — the same guarantee
-docs/invariants.md makes for the simulation itself.
+* :class:`StreamingMoments` — running count, sum, min and max.
 """
 
 from __future__ import annotations
@@ -131,53 +121,8 @@ class P2Quantile:
         return self._q[2]
 
 
-class ReservoirSample:
-    """Fixed-capacity uniform sample of a stream (Algorithm R).
-
-    The generator is *injected* — callers hand it a named stream from
-    :mod:`repro.sim.rng` (purpose ``"streaming latency reservoir"``) so
-    the sample is deterministic under the run seed and never touches
-    global numpy state.
-    """
-
-    __slots__ = ("capacity", "_rng", "_buf", "_seen")
-
-    def __init__(self, rng: np.random.Generator, capacity: int = 4096) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._rng = rng
-        self._buf: list[float] = []
-        self._seen = 0
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-    @property
-    def seen(self) -> int:
-        """Total observations offered (≥ the retained sample size)."""
-        return self._seen
-
-    def add(self, x: float) -> None:
-        self._seen += 1
-        if len(self._buf) < self.capacity:
-            self._buf.append(float(x))
-            return
-        j = int(self._rng.integers(0, self._seen))
-        if j < self.capacity:
-            self._buf[j] = float(x)
-
-    def values(self) -> list[float]:
-        return list(self._buf)
-
-    def quantile(self, q: float) -> float:
-        if not self._buf:
-            return 0.0
-        return float(np.percentile(np.array(self._buf), q * 100.0))
-
-
 class StreamingMoments:
-    """Running count/sum/min/max — the O(1) core of throughput stats."""
+    """Running count/sum/min/max."""
 
     __slots__ = ("count", "total", "min", "max")
 
@@ -200,4 +145,4 @@ class StreamingMoments:
         return self.total / self.count if self.count else 0.0
 
 
-__all__ = ["P2Quantile", "ReservoirSample", "StreamingMoments"]
+__all__ = ["P2Quantile", "StreamingMoments"]

@@ -20,7 +20,7 @@ own transactions (documented, not accidental):
   engine's target rates (≥100k tx/s) that skew is microseconds.
 * no reply tracking — virtual clients do not register with the network
   or populate the replicas' client-routing maps; commit latency is
-  measured replica-side by the (streaming) metrics collector.  A
+  measured replica-side by the metrics collector.  A
   million-entry routing dict per replica would be pure overhead.
 """
 

@@ -92,6 +92,29 @@ def test_stream_purity_tracks_fstring_stream_names():
     assert "'workload' RNG stream" in findings[0].message
 
 
+def test_stream_purity_flags_a_homeless_stream_read_by_the_cli():
+    # A category with no home layer may be read only by observers, and
+    # the CLI is not one.
+    files = {
+        "repro/metrics/sampler.py": (
+            "class Sampler:\n"
+            "    def __init__(self, sim):\n"
+            "        self._rng = sim.rng.stream('metrics.sample')\n"
+            "    def draw(self):\n"
+            "        return self._rng.random()\n"
+        ),
+        "repro/cli.py": (
+            "from repro.metrics.sampler import Sampler\n"
+            "def report(s: 'Sampler'):\n"
+            "    return s.draw()\n"
+        ),
+    }
+    findings = run_rule(StreamPurityRule(), files)
+    assert locs(findings) == [("repro/cli.py", 3)]
+    assert "'metrics' RNG stream" in findings[0].message
+    assert "no home layer" in findings[0].message
+
+
 # -- secret flow -------------------------------------------------------
 def test_secret_flow_flags_public_return_of_secret():
     findings = run_rule(

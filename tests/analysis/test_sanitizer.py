@@ -18,8 +18,10 @@ from repro.analysis import (
     fingerprint_run,
     replay_and_check,
 )
-from repro.fuzz import find_equivocations
-from repro.metrics import Decision, MetricsCollector
+from repro.experiments import ExperimentConfig, run_experiment
+from repro.fuzz import find_equivocations, fingerprint_of
+from repro.fuzz.fingerprint import _hash_chain
+from repro.metrics import Decision, DecisionsNotKept, MetricsCollector
 
 
 H0, H1, H2 = b"\x00" * 32, b"\x01" * 32, b"\x02" * 32
@@ -121,6 +123,27 @@ def test_lagging_replica_prefix_is_fine():
     _decide(c, 0, 2, H2, 0.2)
     _decide(c, 1, 1, H1, 0.1)
     assert find_equivocations(c) == []
+
+
+# -- no verdict from a collector without decision records --------------
+def test_equivocation_oracle_refuses_a_collector_without_decisions():
+    with pytest.raises(DecisionsNotKept, match="keep_decisions"):
+        find_equivocations(MetricsCollector(keep_decisions=False))
+
+
+def test_chain_hash_refuses_a_collector_without_decisions():
+    with pytest.raises(DecisionsNotKept, match="keep_decisions"):
+        _hash_chain(MetricsCollector(keep_decisions=False))
+
+
+def test_fingerprint_refuses_a_run_without_decisions():
+    cfg = ExperimentConfig(
+        protocol="oneshot", f=1, deployment="local", target_blocks=3, seed=5,
+        streaming_metrics=True,
+    )
+    run = run_experiment(cfg, enable_message_log=True)
+    with pytest.raises(DecisionsNotKept, match="keep_decisions"):
+        fingerprint_of(cfg.protocol, cfg.seed, run.sim, run.network, run.collector)
 
 
 # -- combined gate -----------------------------------------------------

@@ -40,6 +40,10 @@ def test_subcommand_set_is_pinned():
         (["shard", "run", "--k", "0"], "shards"),
         (["shard", "run", "--cross", "1500"], "cross_shard_permille"),
         (["shard", "run", "--slots", "0"], "shard_slots"),
+        (["run", "--f", "-1"], "ExperimentConfig.f = -1"),
+        (["shard", "run", "--latency", "-1"], "local_latency_s"),
+        (["run", "--workload", "open", "--regions", "0"], "workload_regions"),
+        (["shard", "run", "--epoch", "-1"], "shard_epoch_s"),
     ],
 )
 def test_bad_input_exits_two_with_an_error_line(argv, field, capsys):

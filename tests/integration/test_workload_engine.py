@@ -2,14 +2,17 @@
 
 A small aggregated-engine run through real consensus: slabs multicast
 to the replicas, batched mempool ingest, block assembly from slab rows,
-streaming metrics — all deterministic under the seed.
+metrics without per-decision records — all deterministic under the seed.
 """
 
 import pytest
 
 from repro.experiments import ExperimentConfig, run_experiment
+from repro.metrics import DecisionsNotKept
 from repro.smr import prefix_agreement
 from repro.workload import VIRTUAL_CLIENT_BASE
+
+from ..unit.test_metrics_streaming import legacy_stats
 
 
 def _open_cfg(**kw):
@@ -66,14 +69,22 @@ class TestOpenLoopRun:
 
     def test_streaming_collector_stays_bounded(self):
         res = run_experiment(_open_cfg(target_blocks=10))
-        assert res.collector.streaming
-        assert res.collector.decisions == []
-        assert res.collector.state_size() < 20_000
+        with pytest.raises(DecisionsNotKept):
+            res.collector.decisions
+        # Proposals, blocks and views: no record per replica report.
+        assert res.collector.state_size() <= 3 * len(res.collector.blocks())
 
     def test_open_mode_with_legacy_collector(self):
         res = run_experiment(_open_cfg(streaming_metrics=False))
-        assert not res.collector.streaming
+        assert len(res.collector.decisions) >= 6 * len(res.cluster.replicas)
         assert res.stats.blocks_decided >= 6
+
+    def test_statistics_are_exact_with_and_without_decisions(self):
+        cfg = _open_cfg(target_blocks=60)
+        tap_off = run_experiment(cfg)
+        kept = run_experiment(_open_cfg(target_blocks=60, streaming_metrics=False))
+        assert tap_off.stats == kept.stats
+        assert kept.stats == legacy_stats(kept.collector, cfg.warmup_blocks)
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValueError, match="unknown workload"):

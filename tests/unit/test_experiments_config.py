@@ -41,6 +41,16 @@ def test_config_defaults_sane():
         ("shard_slots", 2, {"shards": 4}),
         ("offered_tps", 0.0, {"workload": "open"}),
         ("virtual_clients", 0, {"workload": "open"}),
+        ("f", -1, {}),
+        ("local_latency_s", -0.001, {}),
+        ("timeout_base", 0.0, {}),
+        ("bandwidth_bps", 0.0, {}),
+        ("gst", -1.0, {}),
+        ("pre_gst_extra", -0.5, {}),
+        ("shard_epoch_s", -1.0, {}),
+        ("workload_regions", 0, {"workload": "open"}),
+        ("workload_regions", 11, {"workload": "open", "virtual_clients": 10}),
+        ("arrival_slab", 0, {"workload": "open"}),
     ],
 )
 def test_config_rejects_what_no_run_can_honour(field, value, extra):
@@ -49,7 +59,9 @@ def test_config_rejects_what_no_run_can_honour(field, value, extra):
 
 
 def test_closed_loop_config_ignores_open_loop_fields():
-    ExperimentConfig(offered_tps=0.0, virtual_clients=0)
+    ExperimentConfig(
+        offered_tps=0.0, virtual_clients=0, workload_regions=0, arrival_slab=0
+    )
 
 
 def test_deployments_match_paper_fleet_names():

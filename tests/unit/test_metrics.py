@@ -12,7 +12,6 @@ from repro.metrics import (
     render_series,
     render_table,
 )
-from repro.metrics.stats import block_latencies
 
 H1, H2 = digest_of("b1"), digest_of("b2")
 
@@ -28,9 +27,11 @@ def collector_with_two_blocks():
 
 
 def test_block_latencies_average_over_replicas():
-    lats = block_latencies(collector_with_two_blocks())
+    blocks = collector_with_two_blocks().blocks()
+    lats = {h: lat_sum / reports for h, (lat_sum, reports, _, _) in blocks.items()}
     assert lats[H1] == pytest.approx(0.2)  # mean of 0.1 and 0.3
     assert lats[H2] == pytest.approx(0.2)
+    assert [rec[1:] for rec in blocks.values()] == [[2, 400, 1.1], [1, 400, 2.2]]
 
 
 def test_decided_blocks_earliest_time():

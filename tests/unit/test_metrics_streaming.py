@@ -1,24 +1,70 @@
-"""Streaming metrics: sketch accuracy, bounded memory, determinism."""
+"""Streaming estimators, and the one exact metrics collector.
+
+``legacy_stats`` keeps the formulas the collector used to apply post hoc
+to its per-decision records (per-block latency averaged over replicas,
+warm-up trimmed by dropping whole blocks); the per-block fold must
+reproduce them bit for bit, with or without those records.
+"""
 
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.experiments import ExperimentConfig, run_experiment
 from repro.metrics import (
-    STREAM_WINDOW,
     MetricsCollector,
     P2Quantile,
-    ReservoirSample,
+    RunStats,
     StreamingMoments,
     compute_stats,
 )
-from repro.sim import Simulator
+from repro.protocols.registry import REGISTRY
 
 
-def _reservoir_rng(seed=0):
-    return Simulator(seed=seed).rng.stream(
-        "metrics.reservoir", purpose="streaming latency reservoir"
+def legacy_stats(collector: MetricsCollector, warmup_blocks: int = 0) -> RunStats:
+    """The parent formulas over ``collector.decisions``."""
+    decisions = collector.decisions
+    if warmup_blocks > 0:
+        earliest: dict = {}
+        for d in decisions:
+            if d.block_hash not in earliest or d.time < earliest[d.block_hash]:
+                earliest[d.block_hash] = d.time
+        by_time = sorted(earliest.items(), key=lambda kv: kv[1])
+        skip = {h for h, _ in by_time[:warmup_blocks]}
+        decisions = [d for d in decisions if d.block_hash not in skip]
+    decided: dict = {}
+    sums: dict = {}
+    counts: dict = {}
+    ntx_by_block: dict = {}
+    for d in decisions:
+        if d.block_hash not in decided or d.time < decided[d.block_hash]:
+            decided[d.block_hash] = d.time
+        ntx_by_block[d.block_hash] = d.ntxs
+        t0 = collector.proposal_time(d.block_hash)
+        if t0 is not None:
+            sums[d.block_hash] = sums.get(d.block_hash, 0.0) + (d.time - t0)
+            counts[d.block_hash] = counts.get(d.block_hash, 0) + 1
+    lats = np.array(sorted(sums[h] / counts[h] for h in sums))
+    txs = sum(ntx_by_block.values())
+    if decided:
+        t_first = min((collector.proposal_time(h) or t) for h, t in decided.items())
+        duration = max(max(decided.values()) - t_first, 1e-9)
+        tput = txs / duration
+    else:
+        duration = tput = 0.0
+    return RunStats(
+        throughput_tps=tput,
+        mean_latency_s=float(lats.mean()) if lats.size else 0.0,
+        p50_latency_s=float(np.percentile(lats, 50)) if lats.size else 0.0,
+        p99_latency_s=float(np.percentile(lats, 99)) if lats.size else 0.0,
+        blocks_decided=len(decided),
+        txs_decided=txs,
+        views_decided=len(collector.execution_kinds()),
+        timeouts=collector.timeouts(),
+        duration_s=duration,
     )
 
 
@@ -65,32 +111,6 @@ class TestP2Quantile:
             P2Quantile(1.0)
 
 
-class TestReservoirSample:
-    def test_capacity_bound_and_uniformity(self):
-        r = ReservoirSample(_reservoir_rng(), capacity=500)
-        for x in range(50_000):
-            r.add(float(x))
-        assert len(r) == 500
-        assert r.seen == 50_000
-        # A uniform sample of 0..50k has mean near 25k.
-        assert abs(np.mean(r.values()) - 25_000) < 3_000
-
-    def test_deterministic_under_seed(self):
-        a = ReservoirSample(_reservoir_rng(9), capacity=64)
-        b = ReservoirSample(_reservoir_rng(9), capacity=64)
-        for x in range(10_000):
-            a.add(float(x))
-            b.add(float(x))
-        assert a.values() == b.values()
-
-    def test_quantile_of_small_sample(self):
-        r = ReservoirSample(_reservoir_rng(), capacity=10)
-        for x in (1.0, 2.0, 3.0):
-            r.add(x)
-        assert r.quantile(0.5) == pytest.approx(2.0)
-        assert ReservoirSample(_reservoir_rng(1), 4).quantile(0.5) == 0.0
-
-
 class TestStreamingMoments:
     def test_running_stats(self):
         m = StreamingMoments()
@@ -110,67 +130,99 @@ def _report_block(col, b, t0, n_replicas=4, ntxs=400):
 
 
 class TestStreamingCollector:
-    def test_matches_legacy_stats(self):
-        leg = MetricsCollector()
-        st = MetricsCollector(streaming=True, n_replicas=4)
-        for b in range(500):
-            _report_block(leg, b, 0.1 + b * 0.01)
-            _report_block(st, b, 0.1 + b * 0.01)
-            leg.on_view_outcome(0, b, "decide", b * 0.01)
-            st.on_view_outcome(0, b, "decide", b * 0.01)
-        sl, ss = compute_stats(leg), compute_stats(st)
-        assert ss.throughput_tps == pytest.approx(sl.throughput_tps)
-        assert ss.mean_latency_s == pytest.approx(sl.mean_latency_s)
-        assert ss.p50_latency_s == pytest.approx(sl.p50_latency_s, rel=0.01)
-        assert ss.p99_latency_s == pytest.approx(sl.p99_latency_s, rel=0.01)
-        assert ss.blocks_decided == sl.blocks_decided
-        assert ss.txs_decided == sl.txs_decided
-        assert ss.views_decided == sl.views_decided
-        assert ss.timeouts == sl.timeouts
+    """``keep_decisions=False`` (``ExperimentConfig.streaming_metrics``)."""
 
-    def test_memory_bounded(self):
-        # 50k blocks — far beyond the open-block window — must leave
-        # only O(STREAM_WINDOW) records behind, and no flat lists.
-        st = MetricsCollector(
-            streaming=True, n_replicas=4, reservoir_rng=_reservoir_rng()
-        )
-        for b in range(50_000):
-            _report_block(st, b, 0.1 + b * 0.01)
-            st.on_view_outcome(0, b, "decide", b * 0.01)
-        assert st.decisions == [] and st.view_outcomes == []
-        assert st.state_size() <= 3 * STREAM_WINDOW
-        stats = compute_stats(st)
-        assert stats.blocks_decided == 50_000
-        assert stats.txs_decided == 50_000 * 400
+    def test_matches_legacy_stats(self):
+        kept = MetricsCollector()
+        tap_off = MetricsCollector(keep_decisions=False)
+        for b in range(500):
+            for col in (kept, tap_off):
+                _report_block(col, b, 0.1 + b * 0.01)
+                col.on_view_outcome(0, b, "decide", b * 0.01)
+        assert compute_stats(tap_off) == compute_stats(kept) == legacy_stats(kept)
 
     def test_warmup_trimmed_inside_collector(self):
-        st = MetricsCollector(streaming=True, n_replicas=4, warmup_blocks=10)
+        col = MetricsCollector(keep_decisions=False)
         for b in range(60):
-            _report_block(st, b, 0.1 + b * 0.01)
-        stats = compute_stats(st)
+            _report_block(col, b, 0.1 + b * 0.01)
+        stats = compute_stats(col, warmup_blocks=10)
         assert stats.blocks_decided == 50
+        assert stats.views_decided == 60  # untrimmed, as always
 
     def test_partial_blocks_flushed_at_compute(self):
-        st = MetricsCollector(streaming=True, n_replicas=4)
+        col = MetricsCollector(keep_decisions=False)
         h = b"\x01" * 32
-        st.on_propose(0, 0, h, 1.0)
-        st.on_execute(0, 0, h, 400, 1.05, "normal")  # 1 of 4 reports
-        stats = compute_stats(st)
+        col.on_propose(0, 0, h, 1.0)
+        col.on_execute(0, 0, h, 400, 1.05, "normal")  # 1 of 4 reports
+        stats = compute_stats(col)
         assert stats.blocks_decided == 1
         assert stats.mean_latency_s == pytest.approx(0.05)
 
-    def test_deterministic_reservoir_in_collector(self):
-        runs = []
-        for _ in range(2):
-            st = MetricsCollector(
-                streaming=True, n_replicas=2, reservoir_rng=_reservoir_rng(3)
-            )
-            for b in range(9000):
-                _report_block(st, b, 0.1 + b * 0.01, n_replicas=2)
-            st.flush()
-            runs.append(st.reservoir.values())
-        assert runs[0] == runs[1]
+    def test_state_does_not_grow_with_replicas(self):
+        sizes = []
+        for n in (4, 16):
+            col = MetricsCollector(keep_decisions=False)
+            for b in range(100):
+                _report_block(col, b, 0.1 + b * 0.01, n_replicas=n)
+            sizes.append(col.state_size())
+        assert sizes[0] == sizes[1] == 300  # proposal + block + view
 
-    def test_streaming_stats_requires_streaming_mode(self):
-        with pytest.raises(ValueError):
-            MetricsCollector().streaming_stats()
+
+# -- the fold against the legacy formulas --------------------------------
+_TIMES = st.integers(0, 40).map(lambda k: k * 0.025)  # ties, and t = 0
+
+
+@st.composite
+def report_sequences(draw):
+    """Proposals, then execution reports in any order.  A block may have
+    duplicate proposals, no proposal at all, or reports from only some
+    replicas; no report precedes its block's proposal, as in a run."""
+    n_replicas = draw(st.integers(1, 6))
+    n_blocks = draw(st.integers(0, 10))
+    proposals, reports = [], []
+    for b in range(n_blocks):
+        h = hashlib.sha256(b"blk%d" % b).digest()
+        view = draw(st.integers(1, 12))
+        ntxs = draw(st.integers(0, 400))
+        t0 = draw(_TIMES)
+        if draw(st.booleans()):
+            proposals.append((draw(st.integers(0, n_replicas - 1)), view, h, t0))
+            for later in draw(st.lists(_TIMES, max_size=2)):
+                proposals.append((0, view, h, t0 + later))
+        who = draw(st.lists(st.integers(0, n_replicas - 1), min_size=1, max_size=8))
+        kind = draw(st.sampled_from(["normal", "piggyback", "catchup"]))
+        for r in who:
+            reports.append((r, view, h, ntxs, t0 + draw(_TIMES), kind))
+    reports = draw(st.permutations(reports))
+    timeouts = draw(st.integers(0, 3))
+    warmup = draw(st.integers(0, n_blocks + 2))
+    return proposals, reports, timeouts, warmup
+
+
+@settings(max_examples=200, deadline=None)
+@given(report_sequences())
+def test_fold_matches_legacy_formulas(seq):
+    proposals, reports, timeouts, warmup = seq
+    kept = MetricsCollector()
+    tap_off = MetricsCollector(keep_decisions=False)
+    for col in (kept, tap_off):
+        for p in proposals:
+            col.on_propose(*p)
+        for r in reports:
+            col.on_execute(*r)
+        for v in range(timeouts):
+            col.on_view_outcome(0, v, "timeout", 0.0)
+    want = legacy_stats(kept, warmup)
+    assert compute_stats(kept, warmup) == want
+    assert compute_stats(tap_off, warmup) == want
+
+
+@pytest.mark.parametrize("protocol", sorted(REGISTRY))
+def test_fold_matches_legacy_formulas_on_smr_local(protocol):
+    cfg = ExperimentConfig(
+        protocol=protocol, f=1, payload_bytes=256, deployment="local",
+        local_latency_s=0.002, timeout_base=0.5, target_blocks=40, seed=11,
+    )
+    run = run_experiment(cfg)
+    assert run.stats == legacy_stats(run.collector, cfg.warmup_blocks)
+    assert run.stats.blocks_decided >= cfg.target_blocks

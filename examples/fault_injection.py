@@ -5,42 +5,39 @@ Runs a 7-replica OneShot cluster (f=3) with three simultaneously
 faulty replicas — one crashed, one silent-when-leading, one that keeps
 *attempting* to equivocate (and is stopped by its CHECKER every time) —
 and shows that the correct replicas keep agreeing and keep deciding.
+The faults are part of the run's description, the config.
 
 Run:  python examples/fault_injection.py
 """
 
-from repro.core import OneShotReplica
-from repro.faults import FaultPlan
-from repro.metrics import compute_stats
-from repro.net import ConstantLatency, Network
-from repro.protocols.common import ProtocolConfig, build_cluster
-from repro.sim import Simulator
+from collections import Counter
+
+from repro.experiments import ExperimentConfig, run_experiment
+from repro.faults import Fault
 from repro.smr import prefix_agreement
 
 
 def main() -> None:
-    sim = Simulator(seed=13)
-    network = Network(sim, latency=ConstantLatency(0.005))
-    config = ProtocolConfig(n=7, f=3, timeout_base=0.25)
-
-    plan = (
-        FaultPlan()
-        .add(1, "crashed", start=0.5)
-        .add(3, "silent-leader")
-        .add(5, "equivocate")
+    config = ExperimentConfig(
+        protocol="oneshot",
+        f=3,
+        deployment="local",
+        local_latency_s=0.005,
+        timeout_base=0.25,
+        seed=13,
+        # Run the full 8 simulated seconds: no block target ends it.
+        target_blocks=10**6,
+        max_sim_time=8.0,
+        warmup_blocks=0,
+        faults=(
+            Fault(1, "crashed", start=0.5),
+            Fault(3, "silent-leader"),
+            Fault(5, "equivocate"),
+        ),
     )
-    cluster = build_cluster(
-        OneShotReplica,
-        sim,
-        network,
-        config,
-        replica_factory=plan.factory(),
-    )
-    cluster.start()
-    sim.run(until=8.0)
-    cluster.stop()
+    run = run_experiment(config)
+    cluster, stats = run.cluster, run.stats
 
-    stats = compute_stats(cluster.collector)
     correct = cluster.correct_replicas()
     print("OneShot N=7 (f=3) with 3 faulty replicas:")
     print("  r1 crashes at t=0.5s, r3 is silent whenever it leads,")
@@ -57,8 +54,8 @@ def main() -> None:
         f"successes: {equivocator.equivocation_successes} "
         "(the CHECKER allows one proposal per view)"
     )
-    kinds = cluster.collector.execution_kinds()
-    by_kind = {k: sum(1 for v in kinds.values() if v == k) for k in set(kinds.values())}
+    by_kind = Counter(run.collector.execution_kinds().values())
+    by_kind = dict(sorted(by_kind.items()))
     print(f"  execution kinds observed: {by_kind}")
     print(f"  timed-out views: {stats.timeouts // max(1, len(correct))}")
 

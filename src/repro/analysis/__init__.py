@@ -21,8 +21,6 @@ from .sanitizer import (
     EquivocationDetected,
     assert_no_equivocation,
     check_determinism,
-    fingerprint_run,
-    replay_and_check,
 )
 
 __all__ = [
@@ -33,8 +31,6 @@ __all__ = [
     "lint_package",
     "DeterminismViolation",
     "EquivocationDetected",
-    "fingerprint_run",
     "check_determinism",
     "assert_no_equivocation",
-    "replay_and_check",
 ]

@@ -180,18 +180,18 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         out_dir = Path(args.out)
         findings = 0
         for seed in range(args.start_seed, args.start_seed + args.seeds):
-            scenario = generate_scenario(seed, cfg)
+            config = generate_scenario(seed, cfg)
             if args.no_view_sync:
-                scenario = dataclasses.replace(scenario, view_sync=False)
-            result = run_scenario(scenario)
+                config = dataclasses.replace(config, view_sync=False)
+            result = run_scenario(config)
             if result.ok:
                 if args.verbose:
-                    print(f"seed {seed}: ok ({scenario.describe()})")
+                    print(f"seed {seed}: ok ({config.describe()})")
                 continue
             findings += 1
             print(f"seed {seed}: {result.report.describe()}")
-            print(f"  scenario: {scenario.describe()}")
-            outcome = shrink(scenario, failing=result, max_runs=args.shrink_runs)
+            print(f"  scenario: {config.describe()}")
+            outcome = shrink(config, failing=result, max_runs=args.shrink_runs)
             path = save_repro(
                 out_dir / f"seed{seed}-{outcome.result.failure}.json",
                 outcome.result,
@@ -202,7 +202,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             )
             print(
                 f"  minimized ({outcome.runs} shrink runs): "
-                f"{outcome.scenario.describe()}"
+                f"{outcome.config.describe()}"
             )
             print(f"  repro written: {path}")
         print(
@@ -225,14 +225,14 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
     # shrink
     repro = load_repro(args.file)
-    outcome = shrink(repro.scenario, max_runs=args.shrink_runs)
+    outcome = shrink(repro.config, max_runs=args.shrink_runs)
     out_path = Path(args.out_file) if args.out_file else Path(args.file)
     save_repro(
         out_path,
         outcome.result,
         note=f"re-minimized from {args.file} in {outcome.runs} runs",
     )
-    print(f"minimized ({outcome.runs} runs): {outcome.scenario.describe()}")
+    print(f"minimized ({outcome.runs} runs): {outcome.config.describe()}")
     print(f"written: {out_path}")
     return 0
 
@@ -261,9 +261,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # ``exit_on_error=False`` along the ``fuzz run`` path: a bad option
+    # value there (``--protocols nope``) reaches ``main`` as an
+    # ArgumentError and exits 2 with one ``error:`` line.
     parser = argparse.ArgumentParser(
         prog="oneshot-repro",
         description="OneShot (IPPS 2024) reproduction harness",
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -384,16 +388,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "fuzz",
         help="adversarial scenario fuzzing with safety/liveness oracles",
+        exit_on_error=False,
     )
     fuzz_sub = p.add_subparsers(dest="fuzz_command", required=True)
 
-    pf = fuzz_sub.add_parser("run", help="generate + run N seeded scenarios")
+    pf = fuzz_sub.add_parser(
+        "run", help="generate + run N seeded scenarios", exit_on_error=False
+    )
     pf.add_argument("--seeds", type=int, default=100, help="scenario count")
     pf.add_argument("--start-seed", type=int, default=0, help="first seed")
     pf.add_argument(
         "--protocols",
         nargs="+",
         default=["oneshot", "damysus", "hotstuff"],
+        choices=list(REGISTRY),
         help="protocols to draw scenarios from",
     )
     pf.add_argument("--max-f", type=int, default=2, help="largest f to draw")
@@ -448,10 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

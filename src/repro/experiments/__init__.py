@@ -12,7 +12,7 @@ from .complexity import (
     render_complexity,
     run_complexity,
 )
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, from_dict, to_dict
 from .degraded import DegradedResult, render_degraded, run_degraded
 from .deployments import DEPLOYMENTS, latency_model_for
 from .fig7 import (
@@ -57,6 +57,8 @@ __all__ = [
     "run_complexity",
     "ConfigError",
     "ExperimentConfig",
+    "from_dict",
+    "to_dict",
     "DegradedResult",
     "render_degraded",
     "run_degraded",

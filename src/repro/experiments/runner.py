@@ -1,8 +1,9 @@
 """Experiment runner: build a cluster, run it, summarize.
 
-``run_experiment`` is the single entry point every figure/table driver
-uses; it wires the simulator, network, protocol and fault factory from
-an :class:`~repro.experiments.config.ExperimentConfig`.
+``run_experiment`` is the single entry point every figure/table driver,
+the fuzzer and the determinism sanitizer use; it wires the simulator,
+network, protocol, faults and network conditions from an
+:class:`~repro.experiments.config.ExperimentConfig`.
 """
 
 from __future__ import annotations
@@ -11,16 +12,45 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Type
 
 from ..crypto import clear_digest_memos
+from ..faults import AdaptiveLeaderDelay, FaultPlan
 from ..metrics import MetricsCollector, RunStats, compute_stats
-from ..net import Network
+from ..net import Network, degrade_window, isolate_node
 from ..protocols.common import BaseReplica, Cluster, ProtocolConfig, build_cluster
 from ..protocols.registry import get_protocol
 from ..sim import Simulator
 from ..workload import attach_workload
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .deployments import latency_model_for
 
 ReplicaFactory = Callable[[int, Type[BaseReplica]], Optional[Type[BaseReplica]]]
+
+
+def fault_factory(
+    config: ExperimentConfig, replica_factory: Optional[ReplicaFactory]
+) -> Optional[ReplicaFactory]:
+    """The replica factory of a run: ``config.faults`` as a fault plan,
+    or the caller's own factory (one of the two picks replica classes)."""
+    if not config.faults:
+        return replica_factory
+    if replica_factory is not None:
+        raise ConfigError(
+            "ExperimentConfig.faults and replica_factory= both choose "
+            "replica classes; give one"
+        )
+    return FaultPlan(list(config.faults)).factory()
+
+
+def install_conditions(
+    config: ExperimentConfig, sim: Simulator, network: Network, cluster: Cluster
+) -> None:
+    """The config's degrade windows, partitions and adaptive adversary,
+    on one network fabric and the cluster it carries."""
+    for d in config.degrades:
+        degrade_window(network, d.start, d.end, d.extra_s, nodes=d.nodes)
+    for iso in config.isolates:
+        isolate_node(network, iso.node, iso.start, iso.end, delay_s=iso.delay_s)
+    if config.adaptive is not None:
+        AdaptiveLeaderDelay(config.adaptive).install(sim, network, cluster)
 
 
 @dataclass
@@ -42,17 +72,15 @@ def run_experiment(
     replica_factory: Optional[ReplicaFactory] = None,
     enable_message_log: bool = False,
     instrument: Optional[Callable[[Simulator, Network, Cluster], None]] = None,
-    reference_pid: int = 0,
 ) -> RunResult:
     """Run one experiment to completion and return its results.
 
+    The config's faults become the replica factory and its network
+    conditions are installed just before the cluster starts; then
     ``instrument`` (if given) is called with the built simulator,
-    network and cluster just before the cluster starts — the hook the
-    fuzz harness uses to install network conditions, adaptive
-    adversaries and TEE storms without forking the run path.
-    ``reference_pid`` selects the replica whose executed-block count
-    drives the stop condition (the fuzzer points it at a replica its
-    scenario leaves correct).
+    network and cluster — the hook that lets the fuzz harness keep the
+    cluster of a run that crashes.  ``config.reference_pid`` selects
+    the replica whose executed-block count drives the stop condition.
     """
     info = get_protocol(config.protocol)
     n = info.n_for(config.f)
@@ -79,7 +107,7 @@ def run_experiment(
         proto_cfg,
         payload_bytes=config.payload_bytes,
         collector=MetricsCollector(keep_decisions=not config.streaming_metrics),
-        replica_factory=replica_factory,
+        replica_factory=fault_factory(config, replica_factory),
         saturated=(config.workload == "saturated"),
     )
     engine = None
@@ -95,6 +123,7 @@ def run_experiment(
             slab_rows=config.arrival_slab,
         )
     try:
+        install_conditions(config, sim, network, cluster)
         if instrument is not None:
             instrument(sim, network, cluster)
         cluster.start()
@@ -102,7 +131,7 @@ def run_experiment(
             engine.start()
         # The run ends with the event in which the reference replica
         # commits its last target block.
-        cluster.replicas[reference_pid].log.when_length(
+        cluster.replicas[config.reference_pid].log.when_length(
             config.target_blocks + config.warmup_blocks, sim.stop
         )
         sim.run(until=config.max_sim_time)
@@ -129,4 +158,10 @@ def run_experiment(
     )
 
 
-__all__ = ["RunResult", "run_experiment", "ReplicaFactory"]
+__all__ = [
+    "RunResult",
+    "run_experiment",
+    "ReplicaFactory",
+    "fault_factory",
+    "install_conditions",
+]

@@ -29,10 +29,11 @@ from typing import Callable, Optional, Sequence
 
 from ..crypto import clear_digest_memos
 from ..metrics import MetricsCollector, compute_stats, render_table
-from ..net import Network
+from ..net import Network, degrade_window
 from ..protocols.common import Cluster, LeaderMap, ProtocolConfig, build_cluster
 from ..protocols.registry import get_protocol
 from ..shard import (
+    COORDINATOR_PID,
     AtomicityReport,
     Coordinator,
     Rebalancer,
@@ -46,9 +47,10 @@ from ..sim import Simulator
 from ..workload import split_regions
 from .config import ExperimentConfig
 from .deployments import latency_model_for
+from .runner import fault_factory, install_conditions
 
-#: ``instrument(sim, networks, clusters)`` — the fuzz harness's hook
-#: for installing degradations before the clusters start.
+#: ``instrument(sim, networks, clusters)`` — called after the config's
+#: conditions are installed, before the clusters start.
 ShardInstrument = Callable[[Simulator, list[Network], list[Cluster]], None]
 
 
@@ -97,18 +99,22 @@ class ShardRun:
 def run_sharded(
     config: ExperimentConfig,
     instrument: Optional[ShardInstrument] = None,
-    reference_pid: int = 0,
     replica_factory=None,
 ) -> ShardRun:
     """Run one sharded experiment to ``config.max_sim_time``.
 
-    ``replica_factory`` (as in :func:`~repro.experiments.runner
-    .run_experiment`) substitutes Byzantine subclasses per pid — it is
-    applied to *every* shard, since replica pids repeat across shards.
+    The config's faults (or ``replica_factory``, as in
+    :func:`~repro.experiments.runner.run_experiment`) and network
+    conditions apply to *every* shard, since replica pids repeat
+    across shards.  ``config.coordinator_delay`` slows the 2PC
+    coordinator's traffic (its well-known pid names its port on each
+    fabric), stretching the window between prepare and decision where
+    a broken 2PC layering would apply a partial transfer.
     """
     info = get_protocol(config.protocol)
     n = info.n_for(config.f)
     k = config.shards
+    factory = fault_factory(config, replica_factory)
     sim = Simulator(seed=config.seed)
     proto_cfg = ProtocolConfig(
         n=n,
@@ -135,7 +141,7 @@ def run_sharded(
             collector=MetricsCollector(
                 keep_decisions=not config.streaming_metrics
             ),
-            replica_factory=replica_factory,
+            replica_factory=factory,
             saturated=False,
         )
         # Stagger leaders per shard so the k leaders of any view land on
@@ -178,6 +184,14 @@ def run_sharded(
     )
 
     try:
+        delay = config.coordinator_delay
+        for network, cluster in zip(networks, clusters):
+            install_conditions(config, sim, network, cluster)
+            if delay is not None:
+                degrade_window(
+                    network, delay.start, delay.end, delay.extra_s,
+                    nodes=(COORDINATOR_PID,),
+                )
         if instrument is not None:
             instrument(sim, networks, clusters)
         for cluster in clusters:
@@ -196,7 +210,7 @@ def run_sharded(
             router,
             coordinator,
             end_time=sim.now,
-            reference_pid=reference_pid,
+            reference_pid=config.reference_pid,
         )
     finally:
         # As in run_experiment: the ended run lets go of its cycles,
@@ -218,7 +232,7 @@ def run_sharded(
         duration_s=sim.now,
     )
     run.committed_txs = sum(
-        c.replicas[reference_pid].log.txs_executed for c in clusters
+        c.replicas[config.reference_pid].log.txs_executed for c in clusters
     )
     run.aggregate_tps = run.committed_txs / sim.now if sim.now > 0 else 0.0
     lats = [

@@ -1,5 +1,7 @@
-"""Fault injection: Byzantine behaviours and fault/forcing schedules."""
+"""Fault injection: Byzantine behaviours, fault/forcing schedules and
+the adaptive leader-chasing adversary."""
 
+from .adaptive import AdaptiveLeaderDelay, AdaptiveSpec
 from .byzantine import (
     BEHAVIOURS,
     ByzantineMixin,
@@ -23,6 +25,8 @@ from .schedule import (
 )
 
 __all__ = [
+    "AdaptiveLeaderDelay",
+    "AdaptiveSpec",
     "BEHAVIOURS",
     "ByzantineMixin",
     "Crashed",

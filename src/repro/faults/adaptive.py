@@ -1,7 +1,8 @@
 """The adaptive adversary: a delay hook that chases the leader.
 
-Static leader-targeted degradation (a :class:`DegradeSpec` whose node
-set is ``view % n``) only hurts if the run actually passes through
+Static leader-targeted degradation (a
+:class:`~repro.net.conditions.DegradeSpec` whose node set is
+``view % n``) only hurts if the run actually passes through
 that view during the window.  The adaptive adversary removes the
 guesswork: it periodically reads the *live* view of a correct replica,
 recomputes who leads it, and re-aims its extra delay there — the
@@ -17,10 +18,23 @@ network stream), so an adaptive run replays bit-identically.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from ..net import Network
 from ..protocols.common import Cluster
 from ..sim import Simulator
-from .scenario import AdaptiveSpec
+
+
+@dataclass(frozen=True)
+class AdaptiveSpec:
+    """Adaptive adversary: every ``period`` seconds re-aim ``extra_s``
+    of delay at whichever replica currently leads (read from live
+    protocol state) during ``[start, end)``."""
+
+    start: float
+    end: float
+    extra_s: float = 0.05
+    period: float = 0.1
 
 
 class AdaptiveLeaderDelay:
@@ -55,4 +69,4 @@ class AdaptiveLeaderDelay:
         network.delay_hooks.append(hook)
 
 
-__all__ = ["AdaptiveLeaderDelay"]
+__all__ = ["AdaptiveLeaderDelay", "AdaptiveSpec"]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Type
 
 from ..protocols.common import BaseReplica
-from .byzantine import make_byzantine
+from .byzantine import BEHAVIOURS, make_byzantine
 
 #: Decides whether the view led by this replica is sabotaged.
 ViewSelector = Callable[[int], bool]
@@ -32,7 +32,9 @@ ViewSelector = Callable[[int], bool]
 
 @dataclass(frozen=True)
 class Fault:
-    """One replica's assigned misbehaviour.
+    """One replica's assigned misbehaviour: ``pid`` runs ``behaviour``
+    in ``[start, end)`` with behaviour-specific ``attrs`` knobs.  It is
+    also the run description's fault entry (``ExperimentConfig.faults``).
 
     Window semantics are half-open ``[start, end)``: ``start == end``
     is a legal *inert* fault (never active), while ``end < start`` can
@@ -46,6 +48,8 @@ class Fault:
     attrs: tuple[tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
+        if self.behaviour not in BEHAVIOURS:
+            raise ValueError(f"unknown behaviour {self.behaviour!r}")
         if self.end < self.start:
             raise ValueError(
                 f"fault window inverted: end {self.end} < start {self.start}"

@@ -1,18 +1,17 @@
 """Seed-driven adversarial scenario fuzzing: the correctness harness,
 as ``ledger/`` is the performance one.
 
-Pipeline: :func:`generate_scenario` expands an integer seed into a
-:class:`Scenario` (Byzantine assignments, partitions, WAN churn,
-leader-targeted and adaptive degradation, TEE restart storms);
-:func:`run_scenario` executes it through the canonical experiment
-runner under the safety and liveness oracles; :func:`shrink` minimizes
-any failure; :mod:`repro.fuzz.corpus` serializes counterexamples as
-JSON repro files that replay byte-identically.
+Pipeline: :func:`generate_scenario` expands an integer seed into an
+:class:`~repro.experiments.ExperimentConfig` (Byzantine assignments,
+partitions, WAN churn, leader-targeted and adaptive degradation, TEE
+restart storms); :func:`run_scenario` executes it through the canonical
+experiment runner under the safety and liveness oracles; :func:`shrink`
+minimizes any failure; :mod:`repro.fuzz.corpus` serializes
+counterexamples as JSON repro files that replay byte-identically.
 
 CLI: ``oneshot-repro fuzz run|replay|shrink``.
 """
 
-from .adversary import AdaptiveLeaderDelay
 from .corpus import (
     FORMAT,
     ReplayMismatch,
@@ -36,18 +35,9 @@ from .oracles import (
     judge,
     judge_sharded,
 )
-from .scenario import (
-    AdaptiveSpec,
-    DegradeSpec,
-    FaultSpec,
-    IsolateSpec,
-    Scenario,
-    ShardSpec,
-)
 from .shrinker import ShrinkOutcome, shrink
 
 __all__ = [
-    "AdaptiveLeaderDelay",
     "FORMAT",
     "ReplayMismatch",
     "ReproFile",
@@ -71,12 +61,6 @@ __all__ = [
     "find_equivocations",
     "judge",
     "judge_sharded",
-    "AdaptiveSpec",
-    "DegradeSpec",
-    "FaultSpec",
-    "IsolateSpec",
-    "Scenario",
-    "ShardSpec",
     "ShrinkOutcome",
     "shrink",
 ]

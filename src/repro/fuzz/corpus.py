@@ -5,9 +5,9 @@ A repro file is a small JSON document:
 .. code-block:: json
 
     {
-      "format": "repro.fuzz/1",
+      "format": "repro.fuzz/2",
       "note": "free-form provenance",
-      "scenario": { ...Scenario.to_dict()... },
+      "config": { ...repro.experiments.to_dict(ExperimentConfig)... },
       "expect": {
         "failure": "safety" | "crash" | "liveness" | null,
         "digest": "<RunFingerprint.digest()> or null (crashed runs)",
@@ -18,7 +18,7 @@ A repro file is a small JSON document:
     }
 
 ``expect`` records what the run did when the file was written; replay
-re-runs the scenario and verifies both the failure kind and — when the
+re-runs the config and verifies both the failure kind and — when the
 run completed — the exact fingerprint digest.  The committed regression
 corpus under ``tests/fuzz/corpus/`` is replayed in CI, so any drift in
 protocol, fault or network code that changes these runs is caught.
@@ -40,10 +40,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
+from ..experiments.config import ExperimentConfig, from_dict, to_dict
 from .harness import FuzzResult, run_scenario
-from .scenario import Scenario
 
-FORMAT = "repro.fuzz/1"
+#: The one format written and read; ``repro.fuzz/1`` files (a separate
+#: scenario description) no longer load.
+FORMAT = "repro.fuzz/2"
 
 
 class ReplayMismatch(AssertionError):
@@ -54,7 +56,7 @@ class ReplayMismatch(AssertionError):
 class ReproFile:
     """One parsed repro document."""
 
-    scenario: Scenario
+    config: ExperimentConfig
     expect_failure: Optional[str]
     expect_digest: Optional[str]
     expect_blocks: int
@@ -82,7 +84,7 @@ def make_repro(result: FuzzResult, note: str = "") -> dict:
     return {
         "format": FORMAT,
         "note": note,
-        "scenario": result.scenario.to_dict(),
+        "config": to_dict(result.config),
         "expect": expect,
     }
 
@@ -101,7 +103,7 @@ def load_repro(path: Union[str, Path]) -> ReproFile:
         raise ValueError(f"{path}: unknown repro format {fmt!r}")
     expect = data.get("expect", {})
     return ReproFile(
-        scenario=Scenario.from_dict(data["scenario"]),
+        config=from_dict(ExperimentConfig, data["config"]),
         expect_failure=expect.get("failure"),
         expect_digest=expect.get("digest"),
         expect_blocks=int(expect.get("blocks_decided", 0)),
@@ -114,7 +116,7 @@ def load_repro(path: Union[str, Path]) -> ReproFile:
 def replay_repro(path: Union[str, Path]) -> FuzzResult:
     """Re-run a repro file and verify it reproduces exactly."""
     repro = load_repro(path)
-    result = run_scenario(repro.scenario)
+    result = run_scenario(repro.config)
     if result.failure != repro.expect_failure:
         raise ReplayMismatch(
             f"{path}: expected failure {repro.expect_failure!r}, "

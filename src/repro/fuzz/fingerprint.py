@@ -1,9 +1,10 @@
 """Canonical fingerprint of one executed run.
 
-Every harness that replays runs fingerprints through
+Every harness that replays runs fingerprints a finished
+:func:`~repro.experiments.run_experiment` run (message log on) through
 :func:`fingerprint_of`: the fuzzer (:mod:`repro.fuzz.harness`, the
 corpus), the scenario goldens and the determinism sanitizer
-(:func:`repro.analysis.sanitizer.fingerprint_run`).
+(:func:`repro.analysis.sanitizer.check_determinism`).
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ def fingerprint_of(
 ) -> RunFingerprint:
     """Fingerprint an already-executed run (message log must be on).
 
-    The run must have been built by the caller (the fuzzer, the
-    experiment runner or the sanitizer); every digest shares this form.
+    Every digest shares this form, whoever ran the run (the fuzzer,
+    the experiment runner or the sanitizer).
     A collector that keeps no decisions raises
     :class:`~repro.metrics.DecisionsNotKept`.
     """

@@ -1,12 +1,13 @@
 """Seed-driven scenario generation.
 
 ``generate_scenario(seed, cfg)`` maps one integer to one
-:class:`~repro.fuzz.scenario.Scenario`, drawing every choice from a
-dedicated :class:`~repro.sim.rng.RngRegistry` stream derived from that
-seed.  The generator's registry is completely separate from the
-simulation's (the run builds its own ``Simulator(seed=...)``), so
-generation cannot perturb the RNG streams of the run it describes —
-that separation is what makes a generated fault-free scenario
+:class:`~repro.experiments.ExperimentConfig` (a local deployment with
+no warm-up), drawing every choice from a dedicated
+:class:`~repro.sim.rng.RngRegistry` stream derived from that seed.  The
+generator's registry is completely separate from the simulation's (the
+run builds its own simulator from the config's seed), so generation
+cannot perturb the RNG streams of the run it describes — that
+separation is what makes a generated fault-free scenario
 fingerprint-identical to the plain ``experiments.runner`` path.
 
 Structural invariants the generator maintains:
@@ -15,7 +16,7 @@ Structural invariants the generator maintains:
 * the reference replica (stop condition + liveness oracle) is correct
   and is never isolated;
 * every fault window and network condition closes before
-  ``quiesce_time``, and ``max_sim_time`` leaves a generous progress
+  :func:`quiesce_time`, and ``max_sim_time`` leaves a generous progress
   budget after it — so the liveness oracle judges recovery, not luck.
 """
 
@@ -24,8 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from ..experiments.config import ExperimentConfig, check_fields
+from ..faults import BEHAVIOURS, AdaptiveSpec, Fault
+from ..net import DegradeSpec, IsolateSpec
+from ..protocols.registry import REGISTRY, get_protocol
 from ..sim.rng import RngRegistry
-from .scenario import AdaptiveSpec, DegradeSpec, FaultSpec, IsolateSpec, Scenario
 
 #: Behaviour-specific knobs: name -> (attr, low, high) ranges drawn
 #: when the behaviour is assigned.
@@ -71,19 +75,44 @@ class FuzzConfig:
     timeout_base: float = 0.2
     latency_s: float = 0.002
 
+    def __post_init__(self) -> None:
+        """Reject a scenario space no draw can come from
+        (:class:`~repro.experiments.ConfigError` names the field)."""
+        check_fields(self, [
+            ("protocols", bool(self.protocols)
+             and set(self.protocols) <= set(REGISTRY),
+             f"must be a non-empty subset of {sorted(REGISTRY)}"),
+            ("behaviours", bool(self.behaviours)
+             and set(self.behaviours) <= set(BEHAVIOURS),
+             f"must be a non-empty subset of {sorted(BEHAVIOURS)}"),
+            ("max_f", self.max_f >= 1, "must be >= 1"),
+            ("min_blocks", 1 <= self.min_blocks <= self.max_blocks,
+             f"must be in [1, max_blocks ({self.max_blocks})]"),
+        ])
+
 
 DEFAULT_CONFIG = FuzzConfig()
 
 
-def generate_scenario(seed: int, cfg: FuzzConfig = DEFAULT_CONFIG) -> Scenario:
+def quiesce_time(config: ExperimentConfig) -> float:
+    """When all injected trouble is over (fault windows closed,
+    conditions lifted, GST passed) — the liveness clock starts."""
+    ends = [config.gst]
+    ends += [f.end for f in config.faults]
+    ends += [d.end for d in config.degrades]
+    ends += [i.end + i.delay_s for i in config.isolates]
+    if config.adaptive is not None:
+        ends.append(config.adaptive.end)
+    return max(ends)
+
+
+def generate_scenario(seed: int, cfg: FuzzConfig = DEFAULT_CONFIG) -> ExperimentConfig:
     """Deterministically expand ``seed`` into a scenario."""
     rng = RngRegistry(seed, namespace="fuzz").stream(
         "generate", purpose="scenario generation choices"
     )
     protocol = cfg.protocols[rng.integers(len(cfg.protocols))]
     f = 1 + int(rng.integers(cfg.max_f))
-    from ..protocols.registry import get_protocol
-
     n = get_protocol(protocol).n_for(f)
 
     def window() -> tuple[float, float]:
@@ -103,7 +132,7 @@ def generate_scenario(seed: int, cfg: FuzzConfig = DEFAULT_CONFIG) -> Scenario:
             for name, lo, hi in _BEHAVIOUR_ATTRS.get(behaviour, [])
         )
         faults.append(
-            FaultSpec(pid=int(pid), behaviour=behaviour, start=start, end=end, attrs=attrs)
+            Fault(pid=int(pid), behaviour=behaviour, start=start, end=end, attrs=attrs)
         )
     faulty = {f.pid for f in faults}
     reference_pid = min(p for p in range(n) if p not in faulty)
@@ -146,24 +175,26 @@ def generate_scenario(seed: int, cfg: FuzzConfig = DEFAULT_CONFIG) -> Scenario:
         gst = round(float(rng.uniform(0.1, cfg.horizon)), 4)
         pre_gst_extra = round(float(rng.uniform(0.01, 0.1)), 4)
 
-    scenario = Scenario(
+    config = ExperimentConfig(
         protocol=protocol,
         f=f,
+        deployment="local",
         seed=seed,
         target_blocks=int(rng.integers(cfg.min_blocks, cfg.max_blocks + 1)),
         timeout_base=cfg.timeout_base,
-        latency_s=cfg.latency_s,
+        local_latency_s=cfg.latency_s,
         gst=gst,
         pre_gst_extra=pre_gst_extra,
-        max_sim_time=0.0,  # placeholder, patched below
+        warmup_blocks=0,
+        max_sim_time=cfg.liveness_budget,  # placeholder, patched below
         reference_pid=reference_pid,
         faults=tuple(faults),
         degrades=tuple(degrades),
         isolates=tuple(isolates),
         adaptive=adaptive,
     )
-    budget = round(scenario.quiesce_time() + cfg.liveness_budget, 4)
-    return replace(scenario, max_sim_time=budget)
+    budget = round(quiesce_time(config) + cfg.liveness_budget, 4)
+    return replace(config, max_sim_time=budget)
 
 
-__all__ = ["FuzzConfig", "DEFAULT_CONFIG", "generate_scenario"]
+__all__ = ["FuzzConfig", "DEFAULT_CONFIG", "generate_scenario", "quiesce_time"]

@@ -10,7 +10,7 @@ Every generated scenario is judged by both:
   whatever decisions were recorded before the crash are evidence.
 * **liveness** — after the scenario quiesces (fault windows closed,
   conditions lifted, GST passed) the reference replica must reach the
-  target block count within the scenario's generous sim-time budget.
+  target block count within the config's generous sim-time budget.
 
 Failures rank ``safety > crash > liveness``: a safety violation is
 reported even when the run also stalled or raised, because a fork
@@ -23,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..experiments.config import ExperimentConfig
 from ..metrics import MetricsCollector
 from ..protocols.common import Cluster
 from ..smr import prefix_agreement
-from .scenario import Scenario
 
 def find_equivocations(
     collector: MetricsCollector, replicas: Optional[set[int]] = None
@@ -137,20 +137,20 @@ def check_safety(cluster: Cluster) -> list[str]:
 
 
 def judge(
-    scenario: Scenario, cluster: Cluster, crashed: Optional[str] = None
+    config: ExperimentConfig, cluster: Cluster, crashed: Optional[str] = None
 ) -> OracleReport:
     """Run both oracles over a finished (or crashed) run."""
-    reference = cluster.replicas[scenario.reference_pid]
+    reference = cluster.replicas[config.reference_pid]
     return OracleReport(
         safety_problems=tuple(check_safety(cluster)),
         blocks_decided=len(reference.log),
-        target_blocks=scenario.target_blocks,
+        target_blocks=config.target_blocks,
         crashed=crashed,
     )
 
 
 def judge_sharded(
-    scenario: Scenario,
+    config: ExperimentConfig,
     shard_clusters: list[Cluster],
     crashed: Optional[str] = None,
 ) -> OracleReport:
@@ -169,12 +169,12 @@ def judge_sharded(
         problems += [f"shard {shard}: {p}" for p in check_safety(cluster)]
     problems += check_atomicity(shard_clusters).violations
     blocks = min(
-        len(c.replicas[scenario.reference_pid].log) for c in shard_clusters
+        len(c.replicas[config.reference_pid].log) for c in shard_clusters
     )
     return OracleReport(
         safety_problems=tuple(problems),
         blocks_decided=blocks,
-        target_blocks=scenario.target_blocks,
+        target_blocks=config.target_blocks,
         crashed=crashed,
     )
 

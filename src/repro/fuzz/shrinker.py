@@ -10,8 +10,8 @@ thrown away the interesting bug).  Passes, in order:
 3. halve each fault window (keep the opening half — misbehaviour
    usually bites when it starts);
 4. reduce the block target;
-5. reduce ``f`` (smaller cluster), keeping only faults whose pids
-   still exist.
+5. reduce ``f`` (smaller cluster), keeping only faults and partitions
+   whose pids still exist.
 
 The pass list repeats until a full sweep changes nothing or the run
 budget is exhausted.  Everything is deterministic: candidate order is
@@ -24,21 +24,22 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
+from ..experiments.config import ExperimentConfig
+from ..protocols.registry import get_protocol
 from .harness import FuzzResult, run_scenario
-from .scenario import Scenario
 
 
 @dataclass
 class ShrinkOutcome:
     """The minimized scenario plus bookkeeping."""
 
-    scenario: Scenario
+    config: ExperimentConfig
     result: FuzzResult
     runs: int
     improved: bool
 
 
-def _candidates(s: Scenario) -> Iterator[Scenario]:
+def _candidates(s: ExperimentConfig) -> Iterator[ExperimentConfig]:
     # 1. Drop one fault at a time.
     for i in range(len(s.faults)):
         yield replace(s, faults=s.faults[:i] + s.faults[i + 1 :])
@@ -60,18 +61,17 @@ def _candidates(s: Scenario) -> Iterator[Scenario]:
         yield replace(s, target_blocks=max(2, s.target_blocks // 2))
     # 5. Smaller cluster.
     if s.f > 1:
-        from ..protocols.registry import get_protocol
-
         new_f = s.f - 1
         new_n = get_protocol(s.protocol).n_for(new_f)
         faults = tuple(f for f in s.faults if f.pid < new_n)
+        isolates = tuple(i for i in s.isolates if i.node < new_n)
         if len(faults) <= new_f and s.reference_pid < new_n:
             faulty = {f.pid for f in faults}
             if s.reference_pid not in faulty:
-                yield replace(s, f=new_f, faults=faults)
+                yield replace(s, f=new_f, faults=faults, isolates=isolates)
 
 
-def _weight(s: Scenario) -> tuple:
+def _weight(s: ExperimentConfig) -> tuple:
     """Lexicographic size of a scenario (smaller is simpler)."""
     return (
         len(s.faults),
@@ -83,16 +83,16 @@ def _weight(s: Scenario) -> tuple:
 
 
 def shrink(
-    scenario: Scenario,
+    config: ExperimentConfig,
     failing: Optional[FuzzResult] = None,
     max_runs: int = 200,
 ) -> ShrinkOutcome:
     """Minimize a failing scenario; raises if it does not fail at all."""
-    best_result = failing if failing is not None else run_scenario(scenario)
+    best_result = failing if failing is not None else run_scenario(config)
     kind = best_result.failure
     if kind is None:
         raise ValueError("cannot shrink a passing scenario")
-    best = scenario
+    best = config
     runs = 0
     improved = True
     any_progress = False
@@ -111,7 +111,7 @@ def shrink(
                 any_progress = True
                 break  # restart passes from the simpler scenario
     return ShrinkOutcome(
-        scenario=best, result=best_result, runs=runs, improved=any_progress
+        config=best, result=best_result, runs=runs, improved=any_progress
     )
 
 

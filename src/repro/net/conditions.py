@@ -4,15 +4,40 @@ The paper's Sec. VIII-d studies *unstable and degraded* conditions by
 artificially triggering catch-up/piggyback executions.  These helpers
 install delay hooks on a :class:`~repro.net.network.Network` to slow
 specific nodes or time windows, which is how a leader "misses" the
-previous view's certificate and must fall back.
+previous view's certificate and must fall back.  :class:`DegradeSpec`
+and :class:`IsolateSpec` describe the same conditions as data
+(``ExperimentConfig.degrades`` / ``isolates``).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .network import DelayHook, Network
+
+
+@dataclass(frozen=True)
+class DegradeSpec:
+    """WAN churn: :func:`degrade_window` on (optionally node-filtered)
+    traffic."""
+
+    start: float
+    end: float
+    extra_s: float
+    nodes: Optional[tuple[int, ...]] = None
+
+
+@dataclass(frozen=True)
+class IsolateSpec:
+    """A time-windowed partition of one node (:func:`isolate_node`:
+    links stay reliable, messages eventually arrive)."""
+
+    node: int
+    start: float
+    end: float
+    delay_s: float = 2.0
 
 
 def degrade_window(
@@ -88,4 +113,11 @@ def remove_hook(network: Network, hook: DelayHook) -> None:
         pass
 
 
-__all__ = ["degrade_window", "slow_node", "isolate_node", "remove_hook"]
+__all__ = [
+    "DegradeSpec",
+    "IsolateSpec",
+    "degrade_window",
+    "slow_node",
+    "isolate_node",
+    "remove_hook",
+]

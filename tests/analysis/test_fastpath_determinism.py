@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import pytest
 
-from repro.analysis.sanitizer import fingerprint_run
+from ..conftest import fingerprint, small_run
 
 
 class Golden(NamedTuple):
@@ -82,14 +82,14 @@ GOLDEN = {
 
 @pytest.mark.parametrize("protocol", sorted(GOLDEN))
 def test_fingerprint_matches_pre_fastpath_golden(protocol):
-    fp, _ = fingerprint_run(protocol, seed=7, f=1, target_blocks=6)
+    fp, _ = fingerprint(small_run(protocol, seed=7, f=1, target_blocks=6))
     assert_golden(fp, GOLDEN[protocol])
 
 
 def test_fingerprint_is_replay_stable():
     """Two fresh runs in one process agree — digest memo caches and the
     RNG stream cache must not make a second run see different state."""
-    a, _ = fingerprint_run("oneshot", seed=7, f=1, target_blocks=6)
-    b, _ = fingerprint_run("oneshot", seed=7, f=1, target_blocks=6)
+    a, _ = fingerprint(small_run("oneshot", seed=7, f=1, target_blocks=6))
+    b, _ = fingerprint(small_run("oneshot", seed=7, f=1, target_blocks=6))
     assert a.digest() == b.digest()
 

@@ -29,7 +29,6 @@ DRIVERS = (
     ("repro.experiments.runner", "run_experiment"),
     ("repro.experiments.shard", "run_sharded"),
     ("repro.experiments.parallel", "run_parallel"),
-    ("repro.analysis.sanitizer", "fingerprint_run"),
 )
 
 

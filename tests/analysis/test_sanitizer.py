@@ -15,13 +15,14 @@ from repro.analysis import (
     EquivocationDetected,
     assert_no_equivocation,
     check_determinism,
-    fingerprint_run,
-    replay_and_check,
 )
 from repro.experiments import ExperimentConfig, run_experiment
-from repro.fuzz import find_equivocations, fingerprint_of
+from repro.fuzz import FuzzConfig, find_equivocations, fingerprint_of, generate_scenario
 from repro.fuzz.fingerprint import _hash_chain
+from repro.fuzz.planted import broken_checker_guard
 from repro.metrics import Decision, DecisionsNotKept, MetricsCollector
+
+from ..conftest import fingerprint, small_run, with_latency
 
 
 H0, H1, H2 = b"\x00" * 32, b"\x01" * 32, b"\x02" * 32
@@ -45,7 +46,7 @@ class WallClockLatency:
 
 # -- determinism replay ------------------------------------------------
 def test_same_seed_runs_are_identical():
-    fp = check_determinism(protocol="oneshot", seed=11, target_blocks=3)
+    fp = check_determinism(small_run("oneshot", seed=11, target_blocks=3))
     assert fp.decisions > 0 and fp.timeline_hash
 
 
@@ -54,11 +55,13 @@ def test_fingerprint_changes_with_seed():
     # root seeds must yield different timelines.
     from repro.net import UniformLatency
 
-    fp_a, _ = fingerprint_run(
-        protocol="oneshot", seed=1, target_blocks=3, latency=UniformLatency(0.001, 0.003)
+    fp_a, _ = fingerprint(
+        small_run("oneshot", seed=1, target_blocks=3),
+        instrument=with_latency(UniformLatency(0.001, 0.003)),
     )
-    fp_b, _ = fingerprint_run(
-        protocol="oneshot", seed=2, target_blocks=3, latency=UniformLatency(0.001, 0.003)
+    fp_b, _ = fingerprint(
+        small_run("oneshot", seed=2, target_blocks=3),
+        instrument=with_latency(UniformLatency(0.001, 0.003)),
     )
     assert fp_a.digest() != fp_b.digest()
 
@@ -68,16 +71,14 @@ def test_detects_injected_wall_clock_regression():
     must trip the sanitizer."""
     with pytest.raises(DeterminismViolation, match="diverged"):
         check_determinism(
-            protocol="oneshot",
-            seed=7,
-            target_blocks=3,
-            latency_factory=WallClockLatency,
+            small_run("oneshot", seed=7, target_blocks=3),
+            instrument=with_latency(WallClockLatency()),
         )
 
 
 def test_check_determinism_needs_two_runs():
     with pytest.raises(ValueError):
-        check_determinism(runs=1)
+        check_determinism(small_run(), runs=1)
 
 
 # -- equivocation oracle ----------------------------------------------
@@ -93,7 +94,7 @@ def test_clean_run_has_no_equivocations():
         _decide(c, r, 1, H1, 0.1 + r * 0.01)
         _decide(c, r, 2, H2, 0.2 + r * 0.01)
     assert find_equivocations(c) == []
-    assert_no_equivocation(c)
+    assert_no_equivocation(small_run(target_blocks=3))
 
 
 def test_detects_conflicting_blocks_in_one_view():
@@ -102,8 +103,13 @@ def test_detects_conflicting_blocks_in_one_view():
     _decide(c, 1, 1, H2, 0.1)  # same view, different block
     problems = find_equivocations(c)
     assert any("view 1" in p and "conflicting" in p for p in problems)
-    with pytest.raises(EquivocationDetected):
-        assert_no_equivocation(c)
+    # A real fork (the planted CHECKER bug, a known forking seed) trips
+    # the gate although the fork then crashes a correct replica.
+    forking = generate_scenario(
+        24, FuzzConfig(protocols=("oneshot",), behaviours=("equivocate",))
+    )
+    with broken_checker_guard(), pytest.raises(EquivocationDetected, match="view"):
+        assert_no_equivocation(forking)
 
 
 def test_detects_chain_prefix_divergence():
@@ -146,10 +152,12 @@ def test_fingerprint_refuses_a_run_without_decisions():
         fingerprint_of(cfg.protocol, cfg.seed, run.sim, run.network, run.collector)
 
 
-# -- combined gate -----------------------------------------------------
+# -- both gates on each protocol ---------------------------------------
 @pytest.mark.parametrize("protocol", ["oneshot", "damysus", "hotstuff"])
 def test_replay_and_check_protocols(protocol):
-    fp = replay_and_check(protocol=protocol, seed=5, target_blocks=3)
+    config = small_run(protocol, seed=5, target_blocks=3)
+    fp = check_determinism(config)
+    assert_no_equivocation(config)
     assert fp.decisions >= 3
 
 

@@ -13,12 +13,13 @@ is not pinned here: it is kernel bookkeeping (docs/invariants.md).
 
 import pytest
 
-from repro.analysis.sanitizer import fingerprint_run
 from repro.fuzz.fingerprint import _hash_chain, _hash_timeline
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.faults import FaultPlan, every_kth_view, forced_execution_factory
 from repro.net.latency import UniformLatency
+
+from ..conftest import fingerprint, small_run, with_latency
 
 PROTOCOLS = ("oneshot", "damysus", "hotstuff")
 CHAINED = tuple(f"{p}-chained" for p in PROTOCOLS)
@@ -147,8 +148,14 @@ def _assert_run(scenario, replica_factory=None, **overrides):
     ) == BEHAVIOUR[scenario]
 
 
-def _assert_fingerprint(scenario, protocol, target_blocks=6, **kwargs):
-    fp, _ = fingerprint_run(protocol, f=1, target_blocks=target_blocks, **kwargs)
+def _assert_fingerprint(
+    scenario, protocol, instrument=None, replica_factory=None, **overrides
+):
+    fp, _ = fingerprint(
+        small_run(protocol, f=1, **overrides),
+        instrument=instrument,
+        replica_factory=replica_factory,
+    )
     assert (
         fp.messages, fp.decisions, fp.timeline_hash, fp.chain_hash
     ) == BEHAVIOUR[scenario]
@@ -226,13 +233,13 @@ def test_pre_gst_draw_consuming_fallback():
         "pre-gst-fallback",
         "oneshot",
         seed=11,
-        latency=UniformLatency(0.001, 0.004),
+        instrument=with_latency(UniformLatency(0.001, 0.004)),
         gst=0.05,
         pre_gst_extra=0.01,
     )
 
 
-def _install_hook(network):
+def _install_hook(sim, network, cluster):
     # Deterministic per-link penalty (DelayHook contract: no RNG use).
     network.delay_hooks.append(
         lambda now, src, dst, size: ((src * 7 + dst * 13) % 5) * 1e-4
@@ -240,7 +247,7 @@ def _install_hook(network):
 
 
 def test_delay_hook_scenario():
-    _assert_fingerprint("delay-hook", "oneshot", seed=13, setup=_install_hook)
+    _assert_fingerprint("delay-hook", "oneshot", seed=13, instrument=_install_hook)
 
 
 def test_pre_gst_plus_delay_hook_scenario():
@@ -252,7 +259,7 @@ def test_pre_gst_plus_delay_hook_scenario():
         seed=13,
         gst=0.05,
         pre_gst_extra=0.01,
-        setup=_install_hook,
+        instrument=_install_hook,
     )
 
 
@@ -275,7 +282,7 @@ def test_chained_recovery(protocol):
         protocol,
         seed=5,
         target_blocks=30,
-        latency=UniformLatency(0.001, 0.004),
+        instrument=with_latency(UniformLatency(0.001, 0.004)),
         timeout_base=0.1,
         replica_factory=FaultPlan().add(1, "crashed", start=0.02, end=0.3).factory(),
     )

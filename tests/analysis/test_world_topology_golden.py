@@ -19,10 +19,7 @@ test_fastpath_determinism.py.)
 
 import pytest
 
-from repro.analysis.sanitizer import fingerprint_run
-from repro.net.latency import TopologyLatency
-from repro.net.regions import WORLD11
-
+from ..conftest import fingerprint, small_run
 from .test_fastpath_determinism import Golden, assert_golden
 
 #: Seed=7, f=1, target_blocks=4 over WORLD11 with sigma=0.06
@@ -57,14 +54,17 @@ GOLDEN = {
 
 
 def _world_fingerprint(protocol):
-    fp, _ = fingerprint_run(
-        protocol,
-        seed=7,
-        f=1,
-        target_blocks=4,
-        latency=TopologyLatency(WORLD11, sigma=0.06),
-        timeout_base=2.0,
-        max_sim_time=120.0,
+    # The "world" deployment is TopologyLatency(WORLD11, sigma=0.06).
+    fp, _ = fingerprint(
+        small_run(
+            protocol,
+            deployment="world",
+            seed=7,
+            f=1,
+            target_blocks=4,
+            timeout_base=2.0,
+            max_sim_time=120.0,
+        )
     )
     return fp
 

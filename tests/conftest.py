@@ -1,4 +1,5 @@
-"""Shared test helpers: compact cluster construction and run loops."""
+"""Shared test helpers: compact cluster construction, run loops and
+fingerprinted runs."""
 
 from __future__ import annotations
 
@@ -6,8 +7,10 @@ from typing import Optional
 
 import pytest
 
+from repro.experiments import ExperimentConfig, run_experiment
+from repro.fuzz import RunFingerprint, fingerprint_of
 from repro.metrics import MetricsCollector
-from repro.net import ConstantLatency, Network
+from repro.net import ConstantLatency, LatencyModel, Network
 from repro.protocols.common import Cluster, ProtocolConfig, build_cluster
 from repro.protocols.registry import get_protocol
 from repro.sim import Simulator
@@ -57,6 +60,48 @@ def run_blocks(
     cluster.replicas[reference].log.when_length(blocks, sim.stop)
     sim.run(until=max_time)
     cluster.stop()
+
+
+#: The small local run the determinism goldens pin: seed 7, six
+#: blocks, 2 ms links, 0.2 s base timeout, no warm-up, a 60 s cap.
+SMALL_RUN = dict(
+    deployment="local",
+    warmup_blocks=0,
+    seed=7,
+    target_blocks=6,
+    local_latency_s=0.002,
+    timeout_base=0.2,
+    max_sim_time=60.0,
+)
+
+
+def small_run(protocol: str = "oneshot", **overrides) -> ExperimentConfig:
+    """:data:`SMALL_RUN` of ``protocol``, with ``overrides``."""
+    return ExperimentConfig(**{**SMALL_RUN, "protocol": protocol, **overrides})
+
+
+def fingerprint(
+    config: ExperimentConfig, instrument=None, replica_factory=None
+) -> tuple[RunFingerprint, MetricsCollector]:
+    """Run ``config`` with the message log on: its fingerprint and its
+    metrics collector."""
+    run = run_experiment(
+        config,
+        replica_factory=replica_factory,
+        enable_message_log=True,
+        instrument=instrument,
+    )
+    fp = fingerprint_of(config.protocol, config.seed, run.sim, run.network, run.collector)
+    return fp, run.collector
+
+
+def with_latency(model: LatencyModel):
+    """An ``instrument`` that puts ``model`` on the run's links."""
+
+    def instrument(sim, network, cluster) -> None:
+        network.latency = model
+
+    return instrument
 
 
 @pytest.fixture

@@ -28,11 +28,15 @@ def test_corpus_is_committed():
 @pytest.mark.parametrize(
     "path", corpus_paths(CORPUS_DIR), ids=lambda p: p.stem
 )
-def test_corpus_replays_exactly(path):
+def test_corpus_replays_exactly(path, tmp_path):
     result = replay_repro(path)
     repro = load_repro(path)
     assert result.failure == repro.expect_failure
     assert result.report.blocks_decided == repro.expect_blocks
+    # Load -> save -> load: the one format written is the one committed.
+    copy = save_repro(tmp_path / path.name, result, note=repro.note)
+    assert copy.read_text() == path.read_text()
+    assert load_repro(copy) == repro
 
 
 def test_corpus_pins_behavioural_components():
@@ -43,7 +47,7 @@ def test_corpus_pins_behavioural_components():
     for path in corpus_paths(CORPUS_DIR):
         repro = load_repro(path)
         pinned = (repro.expect_timeline_hash, repro.expect_chain_hash)
-        if repro.scenario.shard is not None:
+        if repro.config.shards > 1:
             assert pinned == (None, None)
         else:
             assert all(pinned), path.stem
@@ -51,7 +55,7 @@ def test_corpus_pins_behavioural_components():
 
 def test_corpus_covers_all_protocols_and_the_fixed_livelock():
     repros = {p.stem: load_repro(p) for p in corpus_paths(CORPUS_DIR)}
-    assert {r.scenario.protocol for r in repros.values()} == {
+    assert {r.config.protocol for r in repros.values()} == {
         "oneshot",
         "damysus",
         "hotstuff",
@@ -62,7 +66,7 @@ def test_corpus_covers_all_protocols_and_the_fixed_livelock():
     # view_sync=False — see test_livelock_reproduces_without_view_sync.
     fixed = repros["hotstuff-view-split-liveness"]
     assert fixed.expect_failure is None
-    assert fixed.scenario.view_sync
+    assert fixed.config.view_sync
 
 
 def test_livelock_reproduces_without_view_sync():
@@ -72,7 +76,7 @@ def test_livelock_reproduces_without_view_sync():
     import dataclasses
 
     repro = load_repro(CORPUS_DIR / "hotstuff-view-split-liveness.json")
-    legacy = dataclasses.replace(repro.scenario, view_sync=False)
+    legacy = dataclasses.replace(repro.config, view_sync=False)
     result = run_scenario(legacy)
     assert result.failure == "liveness"
 
@@ -81,7 +85,7 @@ def test_round_trip_and_format_check(tmp_path):
     result = run_scenario(generate_scenario(203))
     path = save_repro(tmp_path / "x.json", result, note="round trip")
     repro = load_repro(path)
-    assert repro.scenario == result.scenario
+    assert repro.config == result.config
     assert repro.expect_failure is None
     assert repro.expect_digest == result.fingerprint.digest()
     assert repro.expect_timeline_hash == result.fingerprint.timeline_hash

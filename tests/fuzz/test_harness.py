@@ -29,29 +29,15 @@ def test_fault_free_scenario_matches_plain_runner():
     # Differential check: on a fault-free generated scenario the fuzz
     # harness must be a no-op wrapper — bit-identical fingerprint to
     # the plain experiments.runner path with no fuzz code involved.
-    scenario = generate_scenario(203)
-    assert not scenario.faults and not scenario.degrades
-    assert not scenario.isolates and scenario.adaptive is None
+    config = generate_scenario(203)
+    assert not config.faults and not config.degrades
+    assert not config.isolates and config.adaptive is None
 
-    fuzzed = run_scenario(scenario)
+    fuzzed = run_scenario(config)
 
-    captured = {}
-
-    def instrument(sim, network, cluster):
-        captured.update(sim=sim, network=network, cluster=cluster)
-
-    run_experiment(
-        scenario.to_experiment_config(),
-        enable_message_log=True,
-        instrument=instrument,
-        reference_pid=scenario.reference_pid,
-    )
+    run = run_experiment(config, enable_message_log=True)
     plain = fingerprint_of(
-        scenario.protocol,
-        scenario.seed,
-        captured["sim"],
-        captured["network"],
-        captured["cluster"].collector,
+        config.protocol, config.seed, run.sim, run.network, run.collector
     )
     assert fuzzed.fingerprint.digest() == plain.digest()
     assert fuzzed.fingerprint == plain

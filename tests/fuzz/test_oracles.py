@@ -12,14 +12,15 @@ from repro.fuzz import (
     CRASH,
     LIVENESS,
     SAFETY,
-    FaultSpec,
     FuzzConfig,
     OracleReport,
-    Scenario,
     generate_scenario,
     run_scenario,
 )
+from repro.faults import Fault
 from repro.fuzz.planted import broken_checker_guard
+
+from ..conftest import small_run
 
 #: OneShot-only equivocation pressure; seed 24 is a known fork under
 #: the planted bug (see test_planted_bug.py for the full loop).
@@ -40,16 +41,16 @@ def test_liveness_oracle_fails_on_stall():
     # OneShot f=1 (n=3) with two replicas crashed for the whole run:
     # the survivor can never assemble a quorum, so the reference chain
     # stalls and the liveness oracle must flag it.
-    scenario = Scenario(
-        protocol="oneshot",
+    scenario = small_run(
+        "oneshot",
         f=1,
         seed=5,
         target_blocks=4,
         max_sim_time=10.0,
         reference_pid=0,
         faults=(
-            FaultSpec(pid=1, behaviour="crashed", start=0.0, end=100.0),
-            FaultSpec(pid=2, behaviour="crashed", start=0.0, end=100.0),
+            Fault(pid=1, behaviour="crashed", start=0.0, end=100.0),
+            Fault(pid=2, behaviour="crashed", start=0.0, end=100.0),
         ),
     )
     result = run_scenario(scenario)

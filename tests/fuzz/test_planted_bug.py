@@ -37,9 +37,9 @@ def _find_safety_seed(max_seeds=40):
 def test_planted_bug_found_shrunk_and_replayed(tmp_path):
     with broken_checker_guard():
         found = _find_safety_seed()
-        outcome = shrink(found.scenario, failing=found)
+        outcome = shrink(found.config, failing=found)
 
-        minimized = outcome.scenario
+        minimized = outcome.config
         assert outcome.result.failure == SAFETY
         # Acceptance bar: a minimized repro with at most 3 faults.
         assert len(minimized.faults) <= 3

@@ -1,21 +1,17 @@
 """Shrinker unit tests against a stubbed harness (fast, exhaustive)
 plus the kind-preservation rule."""
 
+import dataclasses
+
 import pytest
 
 import repro.fuzz.shrinker as shrinker_mod
-from repro.fuzz import (
-    AdaptiveSpec,
-    DegradeSpec,
-    FaultSpec,
-    FuzzResult,
-    IsolateSpec,
-    OracleReport,
-    Scenario,
-    generate_scenario,
-    shrink,
-)
-from repro.fuzz.shrinker import _weight
+from repro.faults import AdaptiveSpec, Fault
+from repro.fuzz import FuzzResult, OracleReport, generate_scenario, shrink
+from repro.fuzz.shrinker import _candidates, _weight
+from repro.net import DegradeSpec, IsolateSpec
+
+from ..conftest import small_run
 
 
 def _result(scenario, failure):
@@ -26,17 +22,17 @@ def _result(scenario, failure):
         report = OracleReport((), 0, scenario.target_blocks)
     else:
         report = OracleReport((), scenario.target_blocks, scenario.target_blocks)
-    return FuzzResult(scenario=scenario, report=report, fingerprint=None)
+    return FuzzResult(config=scenario, report=report, fingerprint=None)
 
 
-BUSY = Scenario(
-    protocol="oneshot",
+BUSY = small_run(
+    "oneshot",
     f=2,
     seed=1,
     target_blocks=8,
     faults=(
-        FaultSpec(pid=1, behaviour="crashed", start=0.0, end=1.0),
-        FaultSpec(pid=2, behaviour="garbage", start=0.5, end=2.0),
+        Fault(pid=1, behaviour="crashed", start=0.0, end=1.0),
+        Fault(pid=2, behaviour="garbage", start=0.5, end=2.0),
     ),
     degrades=(DegradeSpec(start=0.0, end=1.0, extra_s=0.01),),
     isolates=(IsolateSpec(node=3, start=0.0, end=1.0),),
@@ -64,7 +60,7 @@ def test_shrink_isolates_the_culprit_fault(monkeypatch):
         ),
     )
     outcome = shrink(BUSY)
-    s = outcome.scenario
+    s = outcome.config
     assert outcome.improved
     assert [f.pid for f in s.faults] == [2]
     assert not s.degrades and not s.isolates and s.adaptive is None
@@ -83,7 +79,7 @@ def test_shrink_preserves_failure_kind(monkeypatch):
     _stub(monkeypatch, judge)
     outcome = shrink(BUSY)
     assert outcome.result.failure == "safety"
-    assert any(f.behaviour == "crashed" for f in outcome.scenario.faults)
+    assert any(f.behaviour == "crashed" for f in outcome.config.faults)
 
 
 def test_shrink_reduces_cluster_size(monkeypatch):
@@ -91,8 +87,16 @@ def test_shrink_reduces_cluster_size(monkeypatch):
     # scenario at the smallest cluster.
     _stub(monkeypatch, lambda s: "liveness")
     outcome = shrink(BUSY)
-    assert outcome.scenario.f == 1
-    assert outcome.scenario.faults == ()
+    assert outcome.config.f == 1
+    assert outcome.config.faults == ()
+
+
+def test_smaller_cluster_drops_partitions_of_vanished_pids():
+    # n = 5 -> 3: the partition of pid 3 has no replica left to hit.
+    one_fault = dataclasses.replace(BUSY, faults=BUSY.faults[:1])
+    [smaller] = [c for c in _candidates(one_fault) if c.f == 1]
+    assert smaller.faults == one_fault.faults
+    assert smaller.isolates == ()
 
 
 def test_shrink_respects_run_budget(monkeypatch):
@@ -115,10 +119,8 @@ def test_shrink_rejects_passing_scenario():
 
 def test_weight_is_lexicographic():
     lighter = BUSY
-    assert _weight(Scenario()) < _weight(lighter)
+    assert _weight(small_run()) < _weight(lighter)
     # Dropping a condition strictly lightens.
-    import dataclasses
-
     assert _weight(dataclasses.replace(BUSY, adaptive=None)) < _weight(BUSY)
     # Narrowing a window lightens without changing fault count.
     narrowed = dataclasses.replace(

@@ -44,6 +44,8 @@ def test_subcommand_set_is_pinned():
         (["shard", "run", "--latency", "-1"], "local_latency_s"),
         (["run", "--workload", "open", "--regions", "0"], "workload_regions"),
         (["shard", "run", "--epoch", "-1"], "shard_epoch_s"),
+        (["fuzz", "run", "--protocols", "nope"], "--protocols"),
+        (["fuzz", "run", "--max-f", "0"], "FuzzConfig.max_f = 0"),
     ],
 )
 def test_bad_input_exits_two_with_an_error_line(argv, field, capsys):
@@ -209,7 +211,7 @@ def test_fuzz_shrink_command(capsys, tmp_path):
     # the synchronizer off in a copy to get a genuinely failing repro.
     corpus = Path(__file__).parent.parent / "fuzz" / "corpus"
     data = json.loads((corpus / "hotstuff-view-split-liveness.json").read_text())
-    data["scenario"]["view_sync"] = False
+    data["config"]["view_sync"] = False
     src = tmp_path / "livelock.json"
     src.write_text(json.dumps(data))
     out_file = tmp_path / "minimized.json"

@@ -16,11 +16,10 @@ effect on every copy.  Two checks per behaviour and protocol:
 
 import pytest
 
-from repro.analysis import fingerprint_run
 from repro.faults import FaultPlan
 from repro.net.message import HEADER_BYTES
 
-from ..conftest import make_cluster, run_blocks
+from ..conftest import fingerprint, make_cluster, run_blocks, small_run
 
 PROTOCOLS = ["oneshot", "damysus", "hotstuff"]
 BYZ = 1
@@ -92,8 +91,9 @@ def _plan(behaviour):
 
 @pytest.mark.parametrize("protocol,behaviour", sorted(PINNED))
 def test_faulty_sender_timeline_is_pinned(protocol, behaviour):
-    fp, _ = fingerprint_run(
-        protocol, seed=7, target_blocks=8, replica_factory=_plan(behaviour).factory()
+    fp, _ = fingerprint(
+        small_run(protocol, seed=7, target_blocks=8),
+        replica_factory=_plan(behaviour).factory(),
     )
     assert (
         fp.messages, fp.decisions, fp.timeline_hash, fp.chain_hash

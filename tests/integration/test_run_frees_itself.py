@@ -26,7 +26,6 @@ import tracemalloc
 
 import pytest
 
-from repro.analysis import fingerprint_run
 from repro.core import OneShotReplica
 from repro.crypto import digest_memo_entries, digest_of
 from repro.experiments import (
@@ -264,7 +263,6 @@ DRIVERS = {
         dataclasses.replace(SHARD_CONFIG, max_sim_time=0.5)
     ),
     "run_parallel": lambda: run_parallel(2, sim_time=0.3),
-    "fingerprint_run": lambda: fingerprint_run(target_blocks=4),
 }
 
 

@@ -14,10 +14,9 @@ window contract the fuzzer's scenario grammar relies on:
 
 import pytest
 
-from repro.analysis import fingerprint_run
 from repro.faults import BEHAVIOURS, FaultPlan
 
-from ..conftest import make_cluster
+from ..conftest import fingerprint, make_cluster, small_run
 
 PROTOCOLS = ["oneshot", "damysus", "hotstuff"]
 
@@ -32,8 +31,8 @@ FIRING_ATTRS = {
 
 def _digest(protocol: str, plan=None) -> str:
     factory = plan.factory() if plan is not None else None
-    fp, _ = fingerprint_run(
-        protocol, seed=7, target_blocks=8, replica_factory=factory
+    fp, _ = fingerprint(
+        small_run(protocol, seed=7, target_blocks=8), replica_factory=factory
     )
     return fp.digest()
 
@@ -65,8 +64,8 @@ def test_equivocator_attempts_blocked_or_inert(protocol):
     # CHECKER's once-per-view guard); on the other protocols it is
     # inert by construction.  Nowhere does it succeed.
     plan = FaultPlan().add(1, "equivocate")
-    _, collector = fingerprint_run(
-        protocol, seed=7, target_blocks=8, replica_factory=plan.factory()
+    _, collector = fingerprint(
+        small_run(protocol, seed=7, target_blocks=8), replica_factory=plan.factory()
     )
     sim, net, cluster = make_cluster(protocol, f=1, seed=7, replica_factory=plan.factory())
     cluster.start()

@@ -5,7 +5,8 @@ import dataclasses
 import pytest
 
 from repro.experiments import ExperimentConfig, run_shard_scaling, run_sharded
-from repro.fuzz import Scenario, ShardSpec, run_scenario
+from repro.fuzz import run_scenario
+from repro.net import DegradeSpec
 from repro.shard import ShardFingerprint
 
 
@@ -79,23 +80,21 @@ def test_weak_scaling_k1_to_k8():
 
 
 def test_fuzz_shard_scenario_runs_under_the_oracles():
-    scenario = Scenario(
+    scenario = ExperimentConfig(
         protocol="oneshot",
         f=1,
+        deployment="local",
+        warmup_blocks=0,
         seed=21,
         target_blocks=6,
         timeout_base=0.2,
-        latency_s=0.002,
+        local_latency_s=0.002,
         max_sim_time=4.0,
-        shard=ShardSpec(
-            k=2,
-            cross_permille=150,
-            offered_tps=1500.0,
-            slots=16,
-            decision_delay_s=0.05,
-            delay_start=0.5,
-            delay_end=1.5,
-        ),
+        shards=2,
+        cross_shard_permille=150,
+        offered_tps=1500.0,
+        shard_slots=16,
+        coordinator_delay=DegradeSpec(start=0.5, end=1.5, extra_s=0.05),
     )
     result = run_scenario(scenario)
     assert result.ok, result.describe()

@@ -7,8 +7,9 @@ from repro.experiments.degraded import DegradedResult, check_shape
 from repro.experiments.deployments import DEPLOYMENTS, latency_model_for
 from repro.experiments.fig7 import Fig7Result
 from repro.experiments.gains import PAPER_GAINS, compute_gains, render_gains
+from repro.faults import Fault
 from repro.metrics import RunStats
-from repro.net import ConstantLatency, TopologyLatency
+from repro.net import ConstantLatency, DegradeSpec, IsolateSpec, TopologyLatency
 
 
 def test_config_describe():
@@ -51,11 +52,27 @@ def test_config_defaults_sane():
         ("workload_regions", 0, {"workload": "open"}),
         ("workload_regions", 11, {"workload": "open", "virtual_clients": 10}),
         ("arrival_slab", 0, {"workload": "open"}),
+        ("protocol", "nope", {}),
+        ("payload_bytes", -5, {}),
+        ("reference_pid", 3, {}),
+        ("reference_pid", -1, {}),
+        ("faults", (Fault(pid=9, behaviour="crashed"),), {"f": 1}),
+        ("faults", (Fault(1, "crashed"), Fault(1, "slow")), {}),
+        ("isolates", (IsolateSpec(node=3, start=0.0, end=1.0),), {}),
+        ("coordinator_delay", DegradeSpec(0.5, 1.5, 0.05), {}),
+        ("coordinator_delay", DegradeSpec(0.5, 1.5, 0.05, nodes=(0,)),
+         {"shards": 2}),
     ],
 )
 def test_config_rejects_what_no_run_can_honour(field, value, extra):
     with pytest.raises(ConfigError, match=rf"^ExperimentConfig\.{field} = "):
         ExperimentConfig(**{field: value, **extra})
+
+
+def test_config_allows_more_faulty_pids_than_f():
+    """A run that must stall is the liveness oracle's own test."""
+    crashed = tuple(Fault(pid, "crashed") for pid in (1, 2))
+    assert ExperimentConfig(f=1, faults=crashed).faults == crashed
 
 
 def test_closed_loop_config_ignores_open_loop_fields():

@@ -1,5 +1,7 @@
 """Integration tests: parallel (multi-instance) OneShot (E-P)."""
 
+import hashlib
+
 import pytest
 
 from repro.experiments.parallel import (
@@ -64,3 +66,15 @@ def test_render(scaling):
 def test_invalid_k_rejected():
     with pytest.raises(ValueError):
         run_parallel(0)
+
+
+def test_parallel_section_is_pinned():
+    """The ``paper`` parallel section, byte for byte: its table and the
+    events each run executed."""
+    short = run_parallel_scaling(ks=(1, 2, 4), sim_time=0.5)
+    table = render_parallel(short).encode()
+    assert hashlib.sha256(table).hexdigest() == (
+        "723e7ce1f40c9ca0080bb2d16d963b719b5dfaa8b33157344220fd8ad67c2444"
+    )
+    events = {k: run.sim.events_executed for k, run in short.runs.items()}
+    assert events == {1: 855, 2: 1617, 4: 2248}

@@ -9,6 +9,7 @@ losslessly and a fuzz repro file is a saved config.
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Optional, Union
@@ -49,7 +50,8 @@ class ExperimentConfig:
     f: int = 1
     payload_bytes: int = 0
     deployment: str = "eu"
-    #: Stop after this many blocks are decided (by replica 0)...
+    #: Stop after this many blocks are decided (by ``reference_pid``)...
+    #: Sharded runs are time-bounded and do not read it.
     target_blocks: int = 30
     #: ... or when simulated time reaches this, whichever first.
     max_sim_time: float = 600.0
@@ -61,6 +63,7 @@ class ExperimentConfig:
     gst: float = 0.0
     pre_gst_extra: float = 0.0
     #: Skip this many initial decided blocks in the statistics (warm-up).
+    #: Sharded runs are time-bounded and do not read it.
     warmup_blocks: int = 2
     #: The one event kernel.  A plain class attribute, not a field (so
     #: ``ExperimentConfig(kernel=...)`` is a TypeError and ``to_dict``
@@ -89,8 +92,9 @@ class ExperimentConfig:
     #: reproduces the historical pacemaker with the HotStuff view-split
     #: livelock (docs/fuzzing.md).
     view_sync: bool = True
-    #: Shards (independent consensus groups over one keyspace) — 1
-    #: means unsharded; >1 is consumed by :mod:`repro.experiments.shard`.
+    #: Consensus groups, one network fabric each: 1 for
+    #: ``run_experiment``; ``run_sharded`` routes one keyspace over them
+    #: (open workload only), ``run_parallel`` co-locates them.
     shards: int = 1
     #: Fraction of transactions touching a second shard, in permille.
     cross_shard_permille: int = 0
@@ -180,6 +184,10 @@ class ExperimentConfig:
             f"{self.protocol} f={self.f} {self.deployment} "
             f"{self.payload_bytes}B seed={self.seed}"
         ]
+        if self.shards > 1:
+            bits.append(f"k={self.shards} cross={self.cross_shard_permille}‰")
+        if self.workload == "open":
+            bits.append(f"open {self.offered_tps:,.0f} tx/s")
         for x in self.faults:
             bits.append(f"{x.behaviour}@{x.pid}[{x.start:.2f},{x.end:.2f})")
         if self.degrades:
@@ -193,13 +201,17 @@ class ExperimentConfig:
 
 def to_dict(config: Any) -> dict[str, Any]:
     """JSON-ready field map of a frozen config dataclass: nested specs
-    become dicts and tuples become lists."""
+    become dicts, tuples become lists, and a non-finite float becomes
+    its name (``"inf"``, ``"-inf"``, ``"nan"``), so the map is strict
+    JSON."""
 
     def encode(value: Any) -> Any:
         if is_dataclass(value):
             return to_dict(value)
         if isinstance(value, tuple):
             return [encode(v) for v in value]
+        if isinstance(value, float) and not math.isfinite(value):
+            return repr(value)
         return value
 
     return {f.name: encode(getattr(config, f.name)) for f in fields(config)}
@@ -229,6 +241,8 @@ def _decode(hint: Any, value: Any) -> Any:
         return tuple(_decode(a, v) for a, v in zip(args, value))
     if is_dataclass(hint):
         return from_dict(hint, value)
+    if hint is float and value in ("inf", "-inf", "nan"):
+        return float(value)
     return value
 
 

@@ -7,7 +7,8 @@ that it "can for example be addressed using parallel executions"
 independent OneShot instances whose replica i's are co-located on one
 machine — sharing that machine's single core and NIC — with leader
 rotation offset by instance so the k leaders land on different
-machines each view.
+machines each view.  The instances are the groups of an
+``ExperimentConfig(shards=k)``, built as a sharded run's are.
 
 Aggregate throughput scales with k until the shared cores saturate,
 which is exactly the effect the objection and the reply are about.
@@ -16,16 +17,13 @@ which is exactly the effect the objection and the reply are about.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ..crypto import clear_digest_memos
-from ..metrics import MetricsCollector, compute_stats, render_table
-from ..net import Network
-from ..protocols.common import Cluster, LeaderMap, ProtocolConfig, build_cluster
-from ..protocols.registry import get_protocol
+from ..metrics import compute_stats, render_table
+from ..protocols.common import Cluster
 from ..sim import Cpu, Nic, Simulator
 from .config import ExperimentConfig
-from .deployments import latency_model_for
+from .runner import _drive, _run_scope
 
 
 @dataclass
@@ -43,15 +41,6 @@ class ParallelRun:
     cpu_utilization: float = 0.0
 
 
-def _offset_leader(cluster: Cluster, offset: int) -> None:
-    """Stagger leader rotation so instance leaders spread over machines."""
-    # The CHECKER validates proposer identity with the same map; the
-    # LeaderMap binds both sides (replica election + TEE rebind).
-    LeaderMap(n=cluster.config.n, offset=offset % cluster.config.n).bind_cluster(
-        cluster
-    )
-
-
 def run_parallel(
     k: int,
     f: int = 1,
@@ -63,57 +52,40 @@ def run_parallel(
     seed: int = 9,
 ) -> ParallelRun:
     """Run ``k`` co-located instances and aggregate their throughput."""
-    if k < 1:
-        raise ValueError("need at least one instance")
-    info = get_protocol(protocol)
-    n = info.n_for(f)
-    sim = Simulator(seed=seed)
-    # One machine per replica slot: a single core and a single NIC that
-    # all k instances' replica-i share.
-    cpus = [Cpu(name=f"machine{i}.cpu") for i in range(n)]
-    nics: list[Nic] = []
-    clusters: list[Cluster] = []
-    for instance in range(k):
-        network = Network(
-            sim, latency=latency_model_for(deployment, local_latency_s)
-        )
-        cluster = build_cluster(
-            info.replica_cls,
-            sim,
-            network,
-            ProtocolConfig(n=n, f=f),
-            payload_bytes=payload_bytes,
-            collector=MetricsCollector(),
-        )
-        _offset_leader(cluster, instance)
-        for i, replica in enumerate(cluster.replicas):
-            replica.cpu = cpus[i]
-            if instance == 0:
-                nics.append(network.nic(i))
-            else:
-                network.attach_nic(i, nics[i])
-        clusters.append(cluster)
+    config = ExperimentConfig(
+        protocol=protocol,
+        f=f,
+        payload_bytes=payload_bytes,
+        deployment=deployment,
+        local_latency_s=local_latency_s,
+        max_sim_time=sim_time,
+        seed=seed,
+        shards=k,
+    )
+    with _run_scope(config) as (sim, _, clusters):
+        # One machine per replica slot: a single core and a single NIC
+        # (instance 0's) that all k instances' replica-i share.
+        cpus = [Cpu(name=f"machine{r.pid}.cpu") for r in clusters[0].replicas]
+        nics = [clusters[0].network.nic(r.pid) for r in clusters[0].replicas]
+        for cluster in clusters:
+            for replica, cpu, nic in zip(cluster.replicas, cpus, nics):
+                replica.cpu = cpu
+                cluster.network.attach_nic(replica.pid, nic)
+        _drive(sim, clusters, config.max_sim_time)
 
-    try:
-        for cluster in clusters:
-            cluster.start()
-        sim.run(until=sim_time)
-        for cluster in clusters:
-            cluster.stop()
-    finally:
-        # As in run_experiment: the ended run lets go of its cycles.
-        sim.close()
-        for cluster in clusters:
-            cluster.network.close()
-        clear_digest_memos()
-
-    run = ParallelRun(k=k, f=f, clusters=clusters, cpus=cpus, nics=nics, sim=sim)
     stats = [compute_stats(c.collector) for c in clusters]
-    run.aggregate_tps = sum(s.throughput_tps for s in stats)
     lats = [s.mean_latency_s for s in stats if s.mean_latency_s > 0]
-    run.mean_latency_s = sum(lats) / len(lats) if lats else 0.0
-    run.cpu_utilization = max(c.utilization(sim.now) for c in cpus)
-    return run
+    return ParallelRun(
+        k=k,
+        f=f,
+        clusters=clusters,
+        cpus=cpus,
+        nics=nics,
+        sim=sim,
+        aggregate_tps=sum(s.throughput_tps for s in stats),
+        mean_latency_s=sum(lats) / len(lats) if lats else 0.0,
+        cpu_utilization=max(c.utilization(sim.now) for c in cpus),
+    )
 
 
 @dataclass

@@ -1,56 +1,116 @@
-"""Experiment runner: build a cluster, run it, summarize.
+"""Experiment runner: the one place a run is built and freed.
 
-``run_experiment`` is the single entry point every figure/table driver,
-the fuzzer and the determinism sanitizer use; it wires the simulator,
-network, protocol, faults and network conditions from an
-:class:`~repro.experiments.config.ExperimentConfig`.
+:func:`_run_scope` builds every run — ``run_experiment`` here,
+``run_sharded`` and ``run_parallel`` next door — from an
+:class:`~repro.experiments.config.ExperimentConfig`, and its one
+``finally`` frees it however it ended.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional, Type
+from typing import Callable, Iterator, Optional, Type
 
 from ..crypto import clear_digest_memos
 from ..faults import AdaptiveLeaderDelay, FaultPlan
 from ..metrics import MetricsCollector, RunStats, compute_stats
 from ..net import Network, degrade_window, isolate_node
-from ..protocols.common import BaseReplica, Cluster, ProtocolConfig, build_cluster
+from ..protocols import BaseReplica, Cluster, ProtocolConfig, build_cluster
+from ..protocols.common import LeaderMap
 from ..protocols.registry import get_protocol
 from ..sim import Simulator
 from ..workload import attach_workload
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, check_fields
 from .deployments import latency_model_for
 
 ReplicaFactory = Callable[[int, Type[BaseReplica]], Optional[Type[BaseReplica]]]
 
 
-def fault_factory(
-    config: ExperimentConfig, replica_factory: Optional[ReplicaFactory]
-) -> Optional[ReplicaFactory]:
-    """The replica factory of a run: ``config.faults`` as a fault plan,
-    or the caller's own factory (one of the two picks replica classes)."""
-    if not config.faults:
-        return replica_factory
-    if replica_factory is not None:
-        raise ConfigError(
-            "ExperimentConfig.faults and replica_factory= both choose "
-            "replica classes; give one"
-        )
-    return FaultPlan(list(config.faults)).factory()
+@contextmanager
+def _run_scope(
+    config: ExperimentConfig,
+    replica_factory: Optional[ReplicaFactory] = None,
+    message_log: bool = False,
+) -> Iterator[tuple[Simulator, list[Network], list[Cluster]]]:
+    """Build ``config.shards`` consensus groups on one simulator, each
+    on its own fabric with its leader rotation offset by its index, and
+    install the config's faults and network conditions on every group
+    (``replica_factory`` is the caller's alternative to the faults).
+    Ended or crashed, the run then lets go of its cycles, so the
+    caller's last reference frees it, and no digest memo outlives it
+    (docs/invariants.md).
+    """
+    info = get_protocol(config.protocol)
+    n = info.n_for(config.f)
+    factory = replica_factory
+    if config.faults:
+        if replica_factory is not None:
+            raise ConfigError(
+                "ExperimentConfig.faults and replica_factory= both choose "
+                "replica classes; give one"
+            )
+        factory = FaultPlan(list(config.faults)).factory()
+    sim = Simulator(seed=config.seed)
+    proto_cfg = ProtocolConfig(
+        n=n,
+        f=config.f,
+        timeout_base=config.timeout_base,
+        view_sync=config.view_sync,
+    )
+    networks: list[Network] = []
+    clusters: list[Cluster] = []
+    try:
+        for group in range(config.shards):
+            network = Network(
+                sim,
+                latency=latency_model_for(config.deployment, config.local_latency_s),
+                bandwidth_bps=config.bandwidth_bps,
+                gst=config.gst,
+                pre_gst_extra=config.pre_gst_extra,
+            )
+            networks.append(network)
+            if message_log:
+                network.enable_log()
+            cluster = build_cluster(
+                info.replica_cls,
+                sim,
+                network,
+                proto_cfg,
+                payload_bytes=config.payload_bytes,
+                collector=MetricsCollector(keep_decisions=not config.streaming_metrics),
+                replica_factory=factory,
+                saturated=(config.workload == "saturated"),
+            )
+            if group % n:  # offset 0 is every replica's own map
+                LeaderMap(n=n, offset=group % n).bind_cluster(cluster)
+            clusters.append(cluster)
+        for network, cluster in zip(networks, clusters):
+            for d in config.degrades:
+                degrade_window(network, d.start, d.end, d.extra_s, nodes=d.nodes)
+            for x in config.isolates:
+                isolate_node(network, x.node, x.start, x.end, delay_s=x.delay_s)
+            if config.adaptive is not None:
+                AdaptiveLeaderDelay(config.adaptive).install(sim, network, cluster)
+        yield sim, networks, clusters
+    finally:
+        sim.close()
+        for network in networks:
+            network.close()
+        clear_digest_memos()
 
 
-def install_conditions(
-    config: ExperimentConfig, sim: Simulator, network: Network, cluster: Cluster
-) -> None:
-    """The config's degrade windows, partitions and adaptive adversary,
-    on one network fabric and the cluster it carries."""
-    for d in config.degrades:
-        degrade_window(network, d.start, d.end, d.extra_s, nodes=d.nodes)
-    for iso in config.isolates:
-        isolate_node(network, iso.node, iso.start, iso.end, delay_s=iso.delay_s)
-    if config.adaptive is not None:
-        AdaptiveLeaderDelay(config.adaptive).install(sim, network, cluster)
+def _drive(sim: Simulator, clusters: list[Cluster], until: float, load=None) -> None:
+    """Start the clusters, then the load; run; stop the load, then them."""
+    for cluster in clusters:
+        cluster.start()
+    if load is not None:
+        load.start()
+    sim.run(until=until)
+    if load is not None:
+        load.stop()
+    for cluster in clusters:
+        cluster.stop()
 
 
 @dataclass
@@ -73,83 +133,43 @@ def run_experiment(
     enable_message_log: bool = False,
     instrument: Optional[Callable[[Simulator, Network, Cluster], None]] = None,
 ) -> RunResult:
-    """Run one experiment to completion and return its results.
+    """Run one single-group experiment until replica
+    ``config.reference_pid`` executes its ``warmup_blocks +
+    target_blocks``-th block (or ``config.max_sim_time``).
 
-    The config's faults become the replica factory and its network
-    conditions are installed just before the cluster starts; then
-    ``instrument`` (if given) is called with the built simulator,
-    network and cluster — the hook that lets the fuzz harness keep the
-    cluster of a run that crashes.  ``config.reference_pid`` selects
-    the replica whose executed-block count drives the stop condition.
+    ``instrument`` (if given) gets the built simulator, network and
+    cluster after the config's conditions are installed and before the
+    cluster starts: the hook that lets the fuzz harness keep the
+    cluster of a run that crashes.
     """
-    info = get_protocol(config.protocol)
-    n = info.n_for(config.f)
-    sim = Simulator(seed=config.seed)
-    network = Network(
-        sim,
-        latency=latency_model_for(config.deployment, config.local_latency_s),
-        bandwidth_bps=config.bandwidth_bps,
-        gst=config.gst,
-        pre_gst_extra=config.pre_gst_extra,
-    )
-    if enable_message_log:
-        network.enable_log()
-    proto_cfg = ProtocolConfig(
-        n=n,
-        f=config.f,
-        timeout_base=config.timeout_base,
-        view_sync=config.view_sync,
-    )
-    cluster = build_cluster(
-        info.replica_cls,
-        sim,
-        network,
-        proto_cfg,
-        payload_bytes=config.payload_bytes,
-        collector=MetricsCollector(keep_decisions=not config.streaming_metrics),
-        replica_factory=fault_factory(config, replica_factory),
-        saturated=(config.workload == "saturated"),
-    )
-    engine = None
-    if config.workload == "open":
-        engine = attach_workload(
-            sim,
-            network,
-            [r.pid for r in cluster.replicas],
-            offered_tps=config.offered_tps,
-            virtual_clients=config.virtual_clients,
-            regions=config.workload_regions,
-            payload_bytes=config.payload_bytes,
-            slab_rows=config.arrival_slab,
-        )
-    try:
-        install_conditions(config, sim, network, cluster)
+    check_fields(config, [
+        ("shards", config.shards == 1,
+         "run_experiment runs one group; run_sharded runs more"),
+    ])
+    with _run_scope(config, replica_factory, enable_message_log) as (
+        sim, (network,), (cluster,)
+    ):
+        engine = None
+        if config.workload == "open":
+            engine = attach_workload(
+                sim,
+                network,
+                [r.pid for r in cluster.replicas],
+                offered_tps=config.offered_tps,
+                virtual_clients=config.virtual_clients,
+                regions=config.workload_regions,
+                payload_bytes=config.payload_bytes,
+                slab_rows=config.arrival_slab,
+            )
         if instrument is not None:
             instrument(sim, network, cluster)
-        cluster.start()
-        if engine is not None:
-            engine.start()
-        # The run ends with the event in which the reference replica
-        # commits its last target block.
         cluster.replicas[config.reference_pid].log.when_length(
             config.target_blocks + config.warmup_blocks, sim.stop
         )
-        sim.run(until=config.max_sim_time)
-        if engine is not None:
-            engine.stop()
-        cluster.stop()
-    finally:
-        # Ended or crashed, the run lets go of its cycles through the
-        # event queue and the network registry, so the caller's last
-        # reference frees it (docs/invariants.md); no digest memo
-        # outlives it either.
-        sim.close()
-        network.close()
-        clear_digest_memos()
-    stats = compute_stats(cluster.collector, config.warmup_blocks)
+        _drive(sim, [cluster], config.max_sim_time, engine)
     return RunResult(
         config=config,
-        stats=stats,
+        stats=compute_stats(cluster.collector, config.warmup_blocks),
         collector=cluster.collector,
         cluster=cluster,
         network=network,
@@ -158,10 +178,4 @@ def run_experiment(
     )
 
 
-__all__ = [
-    "RunResult",
-    "run_experiment",
-    "ReplicaFactory",
-    "fault_factory",
-    "install_conditions",
-]
+__all__ = ["RunResult", "run_experiment", "ReplicaFactory"]

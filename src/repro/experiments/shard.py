@@ -1,24 +1,14 @@
 """Sharded-run driver: many consensus groups, one keyspace.
 
-This is the run harness for :mod:`repro.shard` — the only layer that
-builds simulators and calls ``sim.run`` (the shard package itself stays
-inside the protocol-layer substrate boundary).  Where
-:mod:`repro.experiments.parallel` runs k *independent* instances,
-``run_sharded`` runs k shards fed from one routed workload:
-
-* one :class:`~repro.sim.Simulator`, k disjoint network fabrics (the
-  shards are separate deployments; replica pids overlap across shards,
-  so each fabric is its own namespace);
-* per-shard clusters of the chosen protocol with leader rotation offset
-  by shard (as in ``parallel.py``, now via the shared
-  :class:`~repro.protocols.common.LeaderMap`);
-* one :class:`~repro.shard.ShardedWorkload` pump routing superposed
-  Poisson arrivals through the versioned router, and — when cross-shard
-  traffic is configured — one 2PC :class:`~repro.shard.Coordinator`.
-
-Every run ends with the atomicity oracle and a replay fingerprint, so
-drivers and tests get the safety verdict and the determinism handle for
-free.
+The run harness for :mod:`repro.shard` (which stays inside the
+protocol-layer substrate boundary).  The run scope of
+:mod:`repro.experiments.runner` builds the ``config.shards`` groups;
+this driver feeds them one :class:`~repro.shard.ShardedWorkload` pump
+routing superposed Poisson arrivals through the versioned router and,
+when cross-shard traffic is configured, one 2PC
+:class:`~repro.shard.Coordinator`.  Every run ends with the atomicity
+oracle and a replay fingerprint, so drivers and tests get the safety
+verdict and the determinism handle for free.
 """
 
 from __future__ import annotations
@@ -27,10 +17,9 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from ..crypto import clear_digest_memos
-from ..metrics import MetricsCollector, compute_stats, render_table
+from ..metrics import compute_stats, render_table
 from ..net import Network, degrade_window
-from ..protocols.common import Cluster, LeaderMap, ProtocolConfig, build_cluster
+from ..protocols.common import Cluster
 from ..protocols.registry import get_protocol
 from ..shard import (
     COORDINATOR_PID,
@@ -45,9 +34,8 @@ from ..shard import (
 )
 from ..sim import Simulator
 from ..workload import split_regions
-from .config import ExperimentConfig
-from .deployments import latency_model_for
-from .runner import fault_factory, install_conditions
+from .config import ExperimentConfig, check_fields
+from .runner import _drive, _run_scope
 
 #: ``instrument(sim, networks, clusters)`` — called after the config's
 #: conditions are installed, before the clusters start.
@@ -103,105 +91,63 @@ def run_sharded(
 ) -> ShardRun:
     """Run one sharded experiment to ``config.max_sim_time``.
 
-    The config's faults (or ``replica_factory``, as in
-    :func:`~repro.experiments.runner.run_experiment`) and network
-    conditions apply to *every* shard, since replica pids repeat
-    across shards.  ``config.coordinator_delay`` slows the 2PC
-    coordinator's traffic (its well-known pid names its port on each
-    fabric), stretching the window between prepare and decision where
-    a broken 2PC layering would apply a partial transfer.
+    The config's faults (or ``replica_factory``) and network conditions
+    apply to *every* shard, since replica pids repeat across shards.
+    ``config.coordinator_delay`` slows the 2PC coordinator's traffic
+    (its well-known pid names its port on each fabric), stretching the
+    window between prepare and decision where a broken 2PC layering
+    would apply a partial transfer.
     """
+    check_fields(config, [
+        ("workload", config.workload == "open",
+         "run_sharded feeds its shards from the open-loop pump only"),
+    ])
     info = get_protocol(config.protocol)
-    n = info.n_for(config.f)
     k = config.shards
-    factory = fault_factory(config, replica_factory)
-    sim = Simulator(seed=config.seed)
-    proto_cfg = ProtocolConfig(
-        n=n,
-        f=config.f,
-        timeout_base=config.timeout_base,
-        view_sync=config.view_sync,
-    )
-    networks: list[Network] = []
-    clusters: list[Cluster] = []
-    for shard in range(k):
-        network = Network(
-            sim,
-            latency=latency_model_for(config.deployment, config.local_latency_s),
-            bandwidth_bps=config.bandwidth_bps,
-            gst=config.gst,
-            pre_gst_extra=config.pre_gst_extra,
+    with _run_scope(config, replica_factory) as (sim, networks, clusters):
+        replica_pids = [[r.pid for r in c.replicas] for c in clusters]
+        router = Router(
+            k,
+            slots=config.shard_slots,
+            hot_permille=config.hot_key_permille,
+            cross_permille=config.cross_shard_permille if k > 1 else 0,
         )
-        cluster = build_cluster(
-            info.replica_cls,
-            sim,
-            network,
-            proto_cfg,
-            payload_bytes=config.payload_bytes,
-            collector=MetricsCollector(
-                keep_decisions=not config.streaming_metrics
-            ),
-            replica_factory=factory,
-            saturated=False,
-        )
-        # Stagger leaders per shard so the k leaders of any view land on
-        # different replica slots (same policy as parallel.py).
-        LeaderMap(n=n, offset=shard % n).bind_cluster(cluster)
-        networks.append(network)
-        clusters.append(cluster)
-    replica_pids = [[r.pid for r in c.replicas] for c in clusters]
-
-    router = Router(
-        k,
-        slots=config.shard_slots,
-        hot_permille=config.hot_key_permille,
-        cross_permille=config.cross_shard_permille if k > 1 else 0,
-    )
-    coordinator = None
-    if router.cross_permille:
-        coordinator = Coordinator(
+        coordinator = None
+        if router.cross_permille:
+            coordinator = Coordinator(
+                sim,
+                networks,
+                replica_pids,
+                f=config.f,
+                certified_replies=info.replica_cls.CERTIFIED_REPLIES,
+            )
+        pump = ShardedWorkload(
             sim,
             networks,
             replica_pids,
-            f=config.f,
-            certified_replies=info.replica_cls.CERTIFIED_REPLIES,
+            router,
+            split_regions(
+                config.virtual_clients,
+                config.offered_tps,
+                config.workload_regions,
+                config.payload_bytes,
+            ),
+            coordinator=coordinator,
+            slab_rows=config.arrival_slab,
+            epoch_s=config.shard_epoch_s,
+            rebalancer=Rebalancer(),
         )
-    pump = ShardedWorkload(
-        sim,
-        networks,
-        replica_pids,
-        router,
-        split_regions(
-            config.virtual_clients,
-            config.offered_tps,
-            config.workload_regions,
-            config.payload_bytes,
-        ),
-        coordinator=coordinator,
-        slab_rows=config.arrival_slab,
-        epoch_s=config.shard_epoch_s,
-        rebalancer=Rebalancer(),
-    )
-
-    try:
         delay = config.coordinator_delay
-        for network, cluster in zip(networks, clusters):
-            install_conditions(config, sim, network, cluster)
-            if delay is not None:
+        if delay is not None:
+            for network in networks:
                 degrade_window(
                     network, delay.start, delay.end, delay.extra_s,
                     nodes=(COORDINATOR_PID,),
                 )
         if instrument is not None:
             instrument(sim, networks, clusters)
-        for cluster in clusters:
-            cluster.start()
-        pump.start()
-        sim.run(until=config.max_sim_time)
-        pump.stop()
-        for cluster in clusters:
-            cluster.stop()
-        # Judged before the memos are emptied: both read digests.
+        _drive(sim, clusters, config.max_sim_time, pump)
+        # Judged before the scope empties the memos: both read digests.
         atomicity = check_atomicity(clusters)
         fingerprint = fingerprint_shards(
             config.protocol,
@@ -212,14 +158,15 @@ def run_sharded(
             end_time=sim.now,
             reference_pid=config.reference_pid,
         )
-    finally:
-        # As in run_experiment: the ended run lets go of its cycles,
-        # and no digest memo outlives it.
-        sim.close()
-        for network in networks:
-            network.close()
-        clear_digest_memos()
 
+    committed = sum(
+        c.replicas[config.reference_pid].log.txs_executed for c in clusters
+    )
+    lats = [
+        s.mean_latency_s
+        for s in (compute_stats(c.collector) for c in clusters)
+        if s.mean_latency_s > 0
+    ]
     run = ShardRun(
         config=config,
         k=k,
@@ -230,17 +177,12 @@ def run_sharded(
         pump=pump,
         coordinator=coordinator,
         duration_s=sim.now,
+        committed_txs=committed,
+        aggregate_tps=committed / sim.now if sim.now > 0 else 0.0,
+        mean_latency_s=sum(lats) / len(lats) if lats else 0.0,
+        atomicity=atomicity,
+        fingerprint=fingerprint,
     )
-    run.committed_txs = sum(
-        c.replicas[config.reference_pid].log.txs_executed for c in clusters
-    )
-    run.aggregate_tps = run.committed_txs / sim.now if sim.now > 0 else 0.0
-    lats = [
-        s.mean_latency_s
-        for s in (compute_stats(c.collector) for c in clusters)
-        if s.mean_latency_s > 0
-    ]
-    run.mean_latency_s = sum(lats) / len(lats) if lats else 0.0
     if coordinator is not None and coordinator.decision_latency.count:
         run.cross_mean_latency_s = coordinator.decision_latency.mean()
         run.cross_p99_latency_s = coordinator.decision_p99.value()
@@ -248,8 +190,6 @@ def run_sharded(
             run.cross_overhead_ratio = (
                 run.cross_mean_latency_s / run.mean_latency_s
             )
-    run.atomicity = atomicity
-    run.fingerprint = fingerprint
     return run
 
 
@@ -269,14 +209,11 @@ class ShardScaling:
 
 
 def run_shard_scaling(
-    ks: Sequence[int] = (1, 2, 4, 8),
-    config: Optional[ExperimentConfig] = None,
+    ks: Sequence[int], config: ExperimentConfig
 ) -> ShardScaling:
     """Sweep shard counts, scaling offered load and client population
     with k (weak scaling — per-shard load stays constant, the Mir-BFT
     framing of the parallelism objection)."""
-    if config is None:
-        config = ExperimentConfig()
     scaling = ShardScaling()
     for k in ks:
         cfg = dataclasses.replace(

@@ -92,7 +92,8 @@ def make_repro(result: FuzzResult, note: str = "") -> dict:
 def save_repro(path: Union[str, Path], result: FuzzResult, note: str = "") -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(make_repro(result, note=note), indent=2) + "\n")
+    text = json.dumps(make_repro(result, note=note), indent=2, allow_nan=False)
+    path.write_text(text + "\n")
     return path
 
 

@@ -2,9 +2,10 @@
 
 A plain AST walk over ``src/repro`` (not a lint rule): every
 module-level ``functools.lru_cache`` / ``functools.cache`` must be one
-of ``repro.crypto.hashing.RUN_MEMOS``, and every run driver must empty
-them in the ``finally`` that closes its simulator.  A new memo that no
-driver clears fails here instead of growing a long process run by run
+of ``repro.crypto.hashing.RUN_MEMOS``, the run scope that builds every
+run must empty them in the ``finally`` that closes its simulator, and
+every run driver must build its run in that scope.  A new memo that no
+run clears fails here instead of growing a long process run by run
 (docs/invariants.md, "No memo outlives its run").
 """
 
@@ -24,7 +25,8 @@ pytestmark = pytest.mark.lint
 ROOT = Path(repro.__file__).resolve().parent
 _MEMOS = {"lru_cache", "cache"}
 
-#: The run drivers: (module, function) pairs.
+#: The run drivers, (module, function) pairs: each builds and frees its
+#: run in ``repro.experiments.runner._run_scope``.
 DRIVERS = (
     ("repro.experiments.runner", "run_experiment"),
     ("repro.experiments.shard", "run_sharded"),
@@ -95,25 +97,49 @@ def test_every_module_level_memo_is_a_run_memo():
     assert sorted(memos.values(), key=id) == sorted(RUN_MEMOS, key=id)
 
 
-@pytest.mark.parametrize("module,function", DRIVERS)
-def test_every_driver_clears_the_memos_in_its_finally(module, function):
+def _function(module: str, name: str) -> ast.FunctionDef:
     path = ROOT.joinpath(*module.split(".")[1:]).with_suffix(".py")
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    (driver,) = [
-        n for n in tree.body
-        if isinstance(n, ast.FunctionDef) and n.name == function
+    (found,) = [
+        n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name
     ]
-    cleared = [
+    return found
+
+
+def _calls(node: ast.AST, name: str) -> list[ast.Call]:
+    return [
         call
-        for node in ast.walk(driver)
-        if isinstance(node, ast.Try)
-        for stmt in node.finalbody
-        for call in ast.walk(stmt)
+        for call in ast.walk(node)
         if isinstance(call, ast.Call)
         and isinstance(call.func, ast.Name)
-        and call.func.id == "clear_digest_memos"
+        and call.func.id == name
     ]
-    assert cleared, f"{module}.{function} does not clear the digest memos"
+
+
+def test_the_run_scope_clears_the_memos_in_its_finally():
+    scope = _function("repro.experiments.runner", "_run_scope")
+    cleared = [
+        call
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Try)
+        for stmt in node.finalbody
+        for call in _calls(stmt, "clear_digest_memos")
+    ]
+    assert cleared, "the run scope does not clear the digest memos"
+
+
+@pytest.mark.parametrize("module,function", DRIVERS, ids=[f for _, f in DRIVERS])
+def test_every_driver_goes_through_the_run_scope(module, function):
+    driver = _function(module, function)
+    scoped = [
+        item
+        for node in ast.walk(driver)
+        if isinstance(node, ast.With)
+        for item in node.items
+        if _calls(item.context_expr, "_run_scope")
+    ]
+    assert scoped, f"{module}.{function} builds its run outside the run scope"
+    assert not _calls(driver, "Simulator"), f"{module}.{function} builds a simulator"
 
 
 def test_the_walk_finds_every_spelling(tmp_path):

@@ -1,7 +1,9 @@
 """Committed regression corpus: every repro file must replay exactly,
 plus the repro-file format contract."""
 
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from repro.fuzz import (
     run_scenario,
     save_repro,
 )
+from repro.faults import Fault
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
@@ -98,6 +101,31 @@ def test_round_trip_and_format_check(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="unknown repro format"):
         load_repro(path)
+
+
+def _strict(text: str):
+    """``json.loads`` that rejects ``Infinity`` / ``NaN``, as strict
+    JSON parsers do."""
+
+    def reject(token: str):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_corpus_is_strict_json():
+    for path in corpus_paths(CORPUS_DIR):
+        _strict(path.read_text())
+
+
+def test_open_ended_fault_round_trips_as_strict_json(tmp_path):
+    config = dataclasses.replace(
+        generate_scenario(203), faults=(Fault(1, "crashed"),)
+    )
+    assert config.faults[0].end == math.inf
+    path = save_repro(tmp_path / "x.json", run_scenario(config))
+    assert _strict(path.read_text())["config"]["faults"][0]["end"] == "inf"
+    assert load_repro(path).config == config
 
 
 def test_replay_mismatch_on_drift(tmp_path):

@@ -2,14 +2,17 @@
 the config codec its scenarios ride through JSON on."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import ConfigError, ExperimentConfig, from_dict, to_dict
+from repro.faults import Fault
 from repro.fuzz import FuzzConfig, generate_scenario
 from repro.fuzz.generator import quiesce_time
+from repro.net import DegradeSpec, IsolateSpec
 from repro.protocols.registry import get_protocol
 
 SEEDS = range(0, 40)
@@ -82,6 +85,20 @@ def test_json_round_trip(seed):
 def test_json_round_trip_any_seed(seed):
     s = generate_scenario(seed)
     assert _round_trip(s) == s
+
+
+def test_non_finite_floats_round_trip_as_strict_json():
+    config = ExperimentConfig(
+        faults=(Fault(1, "crashed"),),
+        isolates=(IsolateSpec(node=2, start=0.0, end=math.inf),),
+        degrades=(DegradeSpec(start=-math.inf, end=math.inf, extra_s=math.nan),),
+    )
+    text = json.dumps(to_dict(config), allow_nan=False)
+    back = from_dict(ExperimentConfig, json.loads(text))
+    assert (back.faults, back.isolates) == (config.faults, config.isolates)
+    degrade = back.degrades[0]
+    assert (degrade.start, degrade.end) == (-math.inf, math.inf)
+    assert math.isnan(degrade.extra_s)
 
 
 def test_from_dict_rejects_unknown_fields():

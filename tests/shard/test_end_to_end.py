@@ -92,6 +92,7 @@ def test_fuzz_shard_scenario_runs_under_the_oracles():
         max_sim_time=4.0,
         shards=2,
         cross_shard_permille=150,
+        workload="open",
         offered_tps=1500.0,
         shard_slots=16,
         coordinator_delay=DegradeSpec(start=0.5, end=1.5, extra_s=0.05),

@@ -1,8 +1,16 @@
 """Unit tests for experiment configuration, deployments, and gains."""
 
+import inspect
+
 import pytest
 
-from repro.experiments import ConfigError, ExperimentConfig
+from repro.experiments import (
+    ConfigError,
+    ExperimentConfig,
+    run_experiment,
+    run_shard_scaling,
+    run_sharded,
+)
 from repro.experiments.degraded import DegradedResult, check_shape
 from repro.experiments.deployments import DEPLOYMENTS, latency_model_for
 from repro.experiments.fig7 import Fig7Result
@@ -16,6 +24,14 @@ def test_config_describe():
     cfg = ExperimentConfig(protocol="damysus", f=4, deployment="us", seed=9)
     out = cfg.describe()
     assert "damysus" in out and "f=4" in out and "us" in out and "seed=9" in out
+    assert out == "damysus f=4 us 0B seed=9"
+    sharded = ExperimentConfig(
+        shards=2, cross_shard_permille=150, workload="open", offered_tps=1500.0
+    )
+    assert sharded.describe() == (
+        "oneshot f=1 eu 0B seed=0 k=2 cross=150‰ open 1,500 tx/s"
+    )
+    assert ExperimentConfig(workload="open").describe().endswith(" open 10,000 tx/s")
 
 
 def test_config_defaults_sane():
@@ -67,6 +83,28 @@ def test_config_defaults_sane():
 def test_config_rejects_what_no_run_can_honour(field, value, extra):
     with pytest.raises(ConfigError, match=rf"^ExperimentConfig\.{field} = "):
         ExperimentConfig(**{field: value, **extra})
+
+
+@pytest.mark.parametrize(
+    "driver, field, config",
+    [
+        (run_experiment, "shards",
+         ExperimentConfig(shards=4, cross_shard_permille=200, deployment="local",
+                          workload="open", max_sim_time=0.5)),
+        (run_sharded, "workload",
+         ExperimentConfig(shards=2, workload="saturated", max_sim_time=0.5)),
+    ],
+)
+def test_driver_rejects_a_config_it_cannot_honour(driver, field, config):
+    """A driver never runs a different experiment than its config names."""
+    with pytest.raises(ConfigError, match=rf"^ExperimentConfig\.{field} = "):
+        driver(config)
+
+
+def test_shard_scaling_needs_a_config():
+    """No default config: ``ExperimentConfig()`` is a 600 s open loop."""
+    config = inspect.signature(run_shard_scaling).parameters["config"]
+    assert config.default is inspect.Parameter.empty
 
 
 def test_config_allows_more_faulty_pids_than_f():

@@ -1,13 +1,11 @@
-"""Static and runtime enforcement of the reproduction's invariants.
+"""Static enforcement of the reproduction's invariants.
 
-* :mod:`repro.analysis.engine` / :mod:`repro.analysis.rules` — an
-  AST lint engine that walks every module under ``repro`` and checks
-  the invariants the paper's argument rests on (determinism, TEE
-  encapsulation, message immutability, hygiene);
-* :mod:`repro.analysis.sanitizer` — runtime checks: same-seed replay
-  stability and the no-equivocation gate.  The run fingerprint and the
-  equivocation oracle they build on live in :mod:`repro.fuzz`, so the
-  runtime never imports the lint engine.
+:mod:`repro.analysis.engine` / :mod:`repro.analysis.rules` — an AST
+lint engine that walks every module under ``repro`` and checks the
+invariants the paper's argument rests on: determinism and RNG stream
+purity (Sec. VIII's replayable curves), TEE encapsulation and secret
+flow (Sec. IV's hybrid model), and ``__all__`` hygiene.  No run
+imports it.
 
 See ``docs/invariants.md`` for the rule catalogue and
 ``oneshot-repro lint`` for the CLI gate.
@@ -16,12 +14,6 @@ See ``docs/invariants.md`` for the rule catalogue and
 from .engine import LintEngine, LintReport, lint_package
 from .findings import Finding
 from .rules import default_rules
-from .sanitizer import (
-    DeterminismViolation,
-    EquivocationDetected,
-    assert_no_equivocation,
-    check_determinism,
-)
 
 __all__ = [
     "LintEngine",
@@ -29,8 +21,4 @@ __all__ = [
     "Finding",
     "default_rules",
     "lint_package",
-    "DeterminismViolation",
-    "EquivocationDetected",
-    "check_determinism",
-    "assert_no_equivocation",
 ]

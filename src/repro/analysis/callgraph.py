@@ -1,14 +1,13 @@
 """Project-wide symbol table and call graph.
 
 The per-file rules of :mod:`repro.analysis.rules` see one module at a
-time; the interprocedural passes (stream purity, secret taint,
-substrate boundaries, deep immutability) need to follow a value across
-function and module boundaries.  :class:`ProjectIndex` is the shared
-substrate they run on:
+time; the interprocedural passes (stream purity, secret taint) need to
+follow a value across function and module boundaries.
+:class:`ProjectIndex` is the shared substrate they run on:
 
 * a **symbol table** — every top-level function, every class with its
-  methods, dataclass fields and (best-effort) attribute types, every
-  module-level type alias;
+  methods, dataclass flags and (best-effort) attribute types, every
+  module-level variable;
 * **import resolution** — per-module alias maps that understand
   relative imports and follow ``__init__`` re-export chains, so
   ``repro.sim.Simulator`` resolves to
@@ -19,12 +18,11 @@ substrate they run on:
   ``self.sim.schedule(...)`` resolve to
   ``Simulator.schedule`` without executing anything;
 * the **call graph** itself — every ``ast.Call`` mapped to a project
-  function/class qualname or an external dotted name, with forward and
-  reverse edges.
+  function/class qualname or an external dotted name.
 
 Building the index costs one pass over every module plus a bounded
 attribute-type fixpoint; :func:`build_project_index` memoizes the
-result per content digest so the four whole-program passes (and
+result per content digest so the whole-program passes (and
 repeated :func:`~repro.analysis.engine.lint_package` calls in one
 process, e.g. the test suite) share a single build.
 """
@@ -151,8 +149,6 @@ class ClassInfo:
     attr_types: dict[str, str] = field(default_factory=dict)
     is_dataclass: bool = False
     frozen: bool = False
-    #: Dataclass field name -> annotation node, in declaration order.
-    fields: dict[str, ast.expr] = field(default_factory=dict)
 
 
 @dataclass
@@ -195,11 +191,12 @@ class ProjectIndex:
         self.modules = modules
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
-        self.type_aliases: dict[str, ast.expr] = {}
+        #: Qualnames of module-level single-name assignments
+        #: (``Digest = bytes``): names resolution may stop at.
+        self.variables: set[str] = set()
         self.aliases: dict[str, dict[str, str]] = {}
         self.modname_to_path: dict[str, str] = {}
-        self.calls: dict[str, list[CallSite]] = {}
-        self.callers: dict[str, set[str]] = {}
+        #: ``id(ast.Call)`` -> its resolved call site.
         self.call_of: dict[int, CallSite] = {}
         self._local_types: dict[str, dict[str, str]] = {}
         self._mro_cache: dict[str, list[str]] = {}
@@ -263,10 +260,6 @@ class ProjectIndex:
                             body=list(sub.body),
                             args=sub.args,
                         )
-                    elif is_dc and isinstance(sub, ast.AnnAssign) and isinstance(
-                        sub.target, ast.Name
-                    ):
-                        info.fields[sub.target.id] = sub.annotation
                 self.classes[cq] = info
             else:
                 top_body.append(stmt)
@@ -275,10 +268,7 @@ class ProjectIndex:
                     and len(stmt.targets) == 1
                     and isinstance(stmt.targets[0], ast.Name)
                 ):
-                    # Candidate type alias (``Digest = bytes``,
-                    # ``QuorumCert = Union[...]``); consumers decide
-                    # whether the right side is type-shaped.
-                    self.type_aliases[f"{modname}.{stmt.targets[0].id}"] = stmt.value
+                    self.variables.add(f"{modname}.{stmt.targets[0].id}")
         self.functions[f"{modname}.<module>"] = FunctionInfo(
             qualname=f"{modname}.<module>",
             module=path,
@@ -305,7 +295,7 @@ class ProjectIndex:
             if (
                 dotted in self.functions
                 or dotted in self.classes
-                or dotted in self.type_aliases
+                or dotted in self.variables
             ):
                 return dotted
             head, _, last = dotted.rpartition(".")
@@ -337,7 +327,7 @@ class ProjectIndex:
         if (
             cand in self.functions
             or cand in self.classes
-            or cand in self.type_aliases
+            or cand in self.variables
         ):
             return cand
         return name
@@ -566,7 +556,6 @@ class ProjectIndex:
 
     def _resolve_calls(self, fn: FunctionInfo) -> None:
         env = self.local_types(fn)
-        sites: list[CallSite] = []
         walk_root: list[ast.stmt] = fn.body
         for node in ast.walk(ast.Module(body=walk_root, type_ignores=[])):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -582,30 +571,7 @@ class ProjectIndex:
                 site.callee = target
             elif target is not None:
                 site.external = target
-            sites.append(site)
             self.call_of[id(node)] = site
-            if site.callee is not None:
-                self.callers.setdefault(site.callee, set()).add(fn.qualname)
-        self.calls[fn.qualname] = sites
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def callers_of(self, qualname: str) -> set[str]:
-        """Direct callers; for methods, includes resolved-by-type calls
-        only (the static over-approximation the passes accept)."""
-        return set(self.callers.get(qualname, ()))
-
-    def transitive_callers(self, qualname: str) -> set[str]:
-        out: set[str] = set()
-        queue = [qualname]
-        while queue:
-            q = queue.pop()
-            for c in self.callers.get(q, ()):
-                if c not in out:
-                    out.add(c)
-                    queue.append(c)
-        return out
 
 
 # ----------------------------------------------------------------------

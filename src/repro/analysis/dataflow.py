@@ -94,9 +94,6 @@ class FlowSpec:
 
     #: Rule id the findings are reported under.
     name = "flow"
-    #: Whether unresolved calls conservatively merge argument taints
-    #: into their result (``float(draw)`` stays tainted).
-    propagate_unresolved = True
 
     # -- sources -------------------------------------------------------
     def source_label(
@@ -488,12 +485,13 @@ class _FnContext:
             for t in kw_taints.values():
                 out |= t
         else:
-            if spec.propagate_unresolved:
-                for t in arg_taints:
-                    out |= t
-                for t in kw_taints.values():
-                    out |= t
-                out |= recv_taints
+            # Unresolved call: argument taints conservatively reach the
+            # result (``float(draw)`` stays tainted).
+            for t in arg_taints:
+                out |= t
+            for t in kw_taints.values():
+                out |= t
+            out |= recv_taints
         return out
 
 

@@ -6,13 +6,10 @@ subclass :class:`ProjectRule` and run over the shared
 """
 
 from .base import ImportMap, ModuleInfo, ProjectRule, Rule, dotted_name
-from .deepfreeze import DeepFreezeRule
 from .determinism import DeterminismRule
-from .hygiene import AllExportsRule, FloatEqualityRule
-from .messages import FrozenMessageRule, MutableDefaultRule
+from .hygiene import AllExportsRule
 from .secretflow import SecretFlowRule
 from .streamflow import StreamPurityRule
-from .substrate import SubstrateBoundaryRule
 from .tee import TeeEncapsulationRule
 
 
@@ -21,15 +18,10 @@ def default_rules() -> list[Rule]:
     return [
         DeterminismRule(),
         TeeEncapsulationRule(),
-        FrozenMessageRule(),
-        MutableDefaultRule(),
-        FloatEqualityRule(),
         AllExportsRule(),
         # Whole-program passes (shared ProjectIndex, built once per run).
         StreamPurityRule(),
         SecretFlowRule(),
-        SubstrateBoundaryRule(),
-        DeepFreezeRule(),
     ]
 
 
@@ -41,13 +33,8 @@ __all__ = [
     "dotted_name",
     "DeterminismRule",
     "TeeEncapsulationRule",
-    "FrozenMessageRule",
-    "MutableDefaultRule",
-    "FloatEqualityRule",
     "AllExportsRule",
     "StreamPurityRule",
     "SecretFlowRule",
-    "SubstrateBoundaryRule",
-    "DeepFreezeRule",
     "default_rules",
 ]

@@ -1,64 +1,18 @@
-"""Hygiene rules: float equality in protocol logic, ``__all__`` discipline.
+"""Hygiene rule: ``__all__`` discipline.
 
-* :class:`FloatEqualityRule` — simulated time and CPU charges are
-  floats; ``==``/``!=`` against a float literal inside protocol logic
-  (``repro/core``, ``repro/protocols``, ``repro/smr``, ``repro/tee``)
-  is almost always a latent bug (compare views/counters, or use
-  tolerances in tests).
-* :class:`AllExportsRule` — every module declares ``__all__``, every
-  listed name is actually defined, and every public top-level
-  class/function is listed.  This is what keeps ``from repro.x import
-  *`` surfaces (and the docs) in sync with the code.
+:class:`AllExportsRule` — every module declares ``__all__``, every
+listed name is actually defined, and every public top-level
+class/function is listed.  This is what keeps ``from repro.x import
+*`` surfaces (and the docs) in sync with the code.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from ..findings import Finding
 from .base import ModuleInfo, Rule
-
-#: Protocol-logic subtrees where float equality is flagged.
-DEFAULT_PROTOCOL_PATHS: tuple[str, ...] = (
-    "repro/core/",
-    "repro/protocols/",
-    "repro/smr/",
-    "repro/tee/",
-)
-
-
-class FloatEqualityRule(Rule):
-    """No ``==``/``!=`` against float literals in protocol logic."""
-
-    name = "float-equality"
-    description = "no float-literal equality comparisons in protocol logic"
-    paper_ref = "hygiene (simulated time is a float)"
-
-    def __init__(self, paths: Sequence[str] = DEFAULT_PROTOCOL_PATHS) -> None:
-        self.paths = tuple(paths)
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        if not module.matches_any(self.paths):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            operands = [node.left, *node.comparators]
-            for op, (lhs, rhs) in zip(node.ops, zip(operands, operands[1:])):
-                if not isinstance(op, (ast.Eq, ast.NotEq)):
-                    continue
-                for side in (lhs, rhs):
-                    if isinstance(side, ast.Constant) and isinstance(
-                        side.value, float
-                    ):
-                        yield self.finding(
-                            module,
-                            node,
-                            f"float-literal equality ({side.value!r}) — "
-                            f"compare counters or use a tolerance",
-                        )
-                        break
 
 
 def _assigned_names(stmt: ast.stmt) -> list[str]:
@@ -136,4 +90,4 @@ class AllExportsRule(Rule):
             )
 
 
-__all__ = ["FloatEqualityRule", "AllExportsRule", "DEFAULT_PROTOCOL_PATHS"]
+__all__ = ["AllExportsRule"]

@@ -3,8 +3,7 @@
 Every harness that replays runs fingerprints a finished
 :func:`~repro.experiments.run_experiment` run (message log on) through
 :func:`fingerprint_of`: the fuzzer (:mod:`repro.fuzz.harness`, the
-corpus), the scenario goldens and the determinism sanitizer
-(:func:`repro.analysis.sanitizer.check_determinism`).
+corpus) and the tests' determinism goldens and same-seed replays.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ def fingerprint_of(
     """Fingerprint an already-executed run (message log must be on).
 
     Every digest shares this form, whoever ran the run (the fuzzer,
-    the experiment runner or the sanitizer).
+    the experiment runner or a test).
     A collector that keeps no decisions raises
     :class:`~repro.metrics.DecisionsNotKept`.
     """

@@ -191,13 +191,20 @@ class Network:
         stream — so exactly that case falls back to the scalar
         :meth:`_send_one` loop.
         """
+        dsts = list(dsts)
+        procs = self._procs
+        for dst in dsts:
+            if dst not in procs:
+                # All-or-nothing on both paths: reject the whole batch
+                # before any RNG draw, NIC occupancy or scheduling.
+                raise KeyError(f"unknown destination {dst}")
         size = payload_size(payload) + HEADER_BYTES
         now = self.sim.now
         pre_gst = now < self.gst and self.pre_gst_extra > 0
         if pre_gst and not getattr(self.latency, "draw_free", False):
             send_one = self._send_one
             return [send_one(src, dst, payload, size, now) for dst in dsts]
-        return self._multicast_fast(src, list(dsts), payload, size, now, pre_gst)
+        return self._multicast_fast(src, dsts, payload, size, now, pre_gst)
 
     def _multicast_fast(
         self,
@@ -219,12 +226,6 @@ class Network:
         golden fingerprints and the multicast equivalence property
         tests.
         """
-        procs = self._procs
-        for dst in dsts:
-            if dst not in procs:
-                # All-or-nothing: reject the whole batch before any RNG
-                # draw, NIC occupancy or scheduling happens.
-                raise KeyError(f"unknown destination {dst}")
         n_remote = len(dsts) - dsts.count(src)
 
         sample_many = getattr(self.latency, "sample_many", None)

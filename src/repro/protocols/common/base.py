@@ -312,25 +312,6 @@ class BaseReplica(Process):
     # ------------------------------------------------------------------
     # Message dispatch
     # ------------------------------------------------------------------
-    def register_handler(
-        self,
-        msg_type: Type,
-        handler: Callable[[int, Any], None],
-        charged: bool = True,
-    ) -> None:
-        """Dispatch ``msg_type`` (exact type) to ``handler(sender,
-        payload)`` on this replica only; ``charged`` handlers cost
-        ``config.handler_overhead`` of CPU per message.
-
-        The replica then dispatches from its own copy of the class's
-        :meth:`handler_table`.
-        """
-
-        def call(_replica, sender: int, payload: Any) -> None:
-            handler(sender, payload)
-
-        self._handlers = {**self._handlers, msg_type: (call, charged)}
-
     def on_message(self, sender: int, payload: Any) -> None:
         if self.stopped:
             return

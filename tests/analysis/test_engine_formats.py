@@ -14,12 +14,12 @@ def test_inline_ignore_parsing():
     src = (
         "x = 1  # repro: lint-ignore[determinism]\n"
         "y = 2\n"
-        "z = 3  # repro: lint-ignore[tee-encapsulation, deep-freeze]\n"
+        "z = 3  # repro: lint-ignore[tee-encapsulation, secret-flow]\n"
     )
     ignores = parse_inline_ignores(src, "repro/a.py")
     assert [(i.line, i.rules) for i in ignores] == [
         (1, ("determinism",)),
-        (3, ("tee-encapsulation", "deep-freeze")),
+        (3, ("tee-encapsulation", "secret-flow")),
     ]
 
 
@@ -52,7 +52,7 @@ def test_inline_ignore_for_wrong_rule_does_not_suppress():
         "import time\n"
         "\n"
         "def bad():\n"
-        "    return time.time()  # repro: lint-ignore[deep-freeze]\n"
+        "    return time.time()  # repro: lint-ignore[secret-flow]\n"
         "\n"
         "__all__ = ['bad']\n"
     )

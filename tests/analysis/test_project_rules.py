@@ -1,4 +1,4 @@
-"""The four whole-program passes on multi-module fixtures.
+"""The two whole-program passes on multi-module fixtures.
 
 Each test lays out a synthetic package with a known violation and
 asserts the exact finding location, plus a clean twin proving the
@@ -8,13 +8,7 @@ pass does not fire on the sanctioned pattern.
 import pytest
 
 from repro.analysis.engine import LintEngine
-from repro.analysis.rules import (
-    DeepFreezeRule,
-    SecretFlowRule,
-    StreamPurityRule,
-    SubstrateBoundaryRule,
-)
-from repro.analysis.rules.substrate import SUBSTRATE_API
+from repro.analysis.rules import SecretFlowRule, StreamPurityRule
 
 
 def run_rule(rule, files: dict):
@@ -227,251 +221,3 @@ def test_secret_flow_flags_key_schedule_read_outside_the_key_module(attr):
     # flag.
     assert ("repro/crypto/keys.py", 13) in locs(findings)
     assert ("repro/protocols/pbft/replica.py", 3) in locs(findings)
-
-
-# -- substrate boundary ------------------------------------------------
-SIMULATOR = {
-    "repro/sim/simulator.py": (
-        "class Simulator:\n"
-        "    def __init__(self):\n"
-        "        self._queue = []\n"
-        "    @property\n"
-        "    def now(self):\n"
-        "        return 0.0\n"
-        "    def schedule(self, delay, fn):\n"
-        "        pass\n"
-        "    def step(self):\n"
-        "        pass\n"
-        "    def close(self):\n"
-        "        pass\n"
-    ),
-}
-
-
-def test_substrate_boundary_flags_internal_reach():
-    files = dict(SIMULATOR)
-    files["repro/protocols/pbft/replica.py"] = (
-        "from repro.sim.simulator import Simulator\n"
-        "def hurry(sim: Simulator):\n"
-        "    sim.step()\n"
-        "    return sim._queue\n"
-    )
-    findings = run_rule(SubstrateBoundaryRule(), files)
-    assert locs(findings) == [
-        ("repro/protocols/pbft/replica.py", 3),
-        ("repro/protocols/pbft/replica.py", 4),
-    ]
-    assert "Simulator.step" in findings[0].message
-    assert "Simulator._queue" in findings[1].message
-
-
-def test_substrate_boundary_allows_the_manifest_surface():
-    files = dict(SIMULATOR)
-    files["repro/protocols/pbft/replica.py"] = (
-        "from repro.sim.simulator import Simulator\n"
-        "def ok(sim: Simulator):\n"
-        "    sim.schedule(1.0, ok)\n"
-        "    return sim.now\n"
-    )
-    assert run_rule(SubstrateBoundaryRule(), files) == []
-
-
-def test_substrate_boundary_flags_a_replica_closing_its_simulator():
-    # ``close`` ends a run for good: only the driver that built the
-    # simulator may call it, so it stays out of the manifest.
-    assert "close" not in SUBSTRATE_API["repro.sim.simulator.Simulator"]
-    assert "close" not in SUBSTRATE_API["repro.net.network.Network"]
-    files = dict(SIMULATOR)
-    files["repro/protocols/pbft/replica.py"] = (
-        "from repro.sim.simulator import Simulator\n"
-        "class Replica:\n"
-        "    def __init__(self, sim: Simulator):\n"
-        "        self.sim = sim\n"
-        "    def give_up(self):\n"
-        "        self.sim.close()\n"
-    )
-    findings = run_rule(SubstrateBoundaryRule(), files)
-    assert locs(findings) == [("repro/protocols/pbft/replica.py", 6)]
-    assert "Simulator.close" in findings[0].message
-
-
-def test_substrate_boundary_ignores_non_protocol_layers():
-    files = dict(SIMULATOR)
-    files["repro/experiments/driver.py"] = (
-        "from repro.sim.simulator import Simulator\n"
-        "def drive(sim: Simulator):\n"
-        "    sim.step()\n"
-    )
-    assert run_rule(SubstrateBoundaryRule(), files) == []
-
-
-# -- deep freeze -------------------------------------------------------
-def test_deep_freeze_flags_nested_mutable_containers():
-    findings = run_rule(
-        DeepFreezeRule(),
-        {
-            "repro/core/messages.py": (
-                "from dataclasses import dataclass\n"
-                "@dataclass(frozen=True)\n"
-                "class Inner:\n"
-                "    items: tuple[list, ...]\n"
-                "@dataclass(frozen=True)\n"
-                "class Outer:\n"
-                "    inner: Inner\n"
-            ),
-        },
-    )
-    assert locs(findings) == [
-        ("repro/core/messages.py", 4),
-        ("repro/core/messages.py", 7),
-    ]
-    assert "Inner -> list" in findings[0].message
-    assert "Outer -> Inner.items -> list" in findings[1].message
-
-
-def test_deep_freeze_flags_unfrozen_dataclass_fields():
-    findings = run_rule(
-        DeepFreezeRule(),
-        {
-            "repro/core/messages.py": (
-                "from dataclasses import dataclass\n"
-                "@dataclass\n"
-                "class Loose:\n"
-                "    n: int\n"
-                "@dataclass(frozen=True)\n"
-                "class Msg:\n"
-                "    body: Loose\n"
-            ),
-        },
-    )
-    assert locs(findings) == [("repro/core/messages.py", 7)]
-    assert "unfrozen dataclass" in findings[0].message
-
-
-def test_deep_freeze_expands_union_aliases_across_modules():
-    findings = run_rule(
-        DeepFreezeRule(),
-        {
-            "repro/core/certificates.py": (
-                "from typing import Union\n"
-                "from dataclasses import dataclass\n"
-                "@dataclass(frozen=True)\n"
-                "class Good:\n"
-                "    n: int\n"
-                "@dataclass(frozen=True)\n"
-                "class Bad:\n"
-                "    sigs: dict\n"
-                "AnyCert = Union[Good, Bad]\n"
-            ),
-            "repro/core/messages.py": (
-                "from dataclasses import dataclass\n"
-                "from repro.core.certificates import AnyCert\n"
-                "@dataclass(frozen=True)\n"
-                "class Vote:\n"
-                "    cert: AnyCert\n"
-            ),
-        },
-    )
-    assert ("repro/core/certificates.py", 8) in locs(findings)
-    assert ("repro/core/messages.py", 5) in locs(findings)
-
-
-def test_deep_freeze_accepts_immutable_payloads():
-    findings = run_rule(
-        DeepFreezeRule(),
-        {
-            "repro/core/messages.py": (
-                "from dataclasses import dataclass\n"
-                "from typing import Optional\n"
-                "Digest = bytes\n"
-                "@dataclass(frozen=True)\n"
-                "class Tx:\n"
-                "    payload: bytes\n"
-                "@dataclass(frozen=True)\n"
-                "class Block:\n"
-                "    parent: Digest\n"
-                "    txs: tuple[Tx, ...]\n"
-                "    maybe: Optional[int]\n"
-            ),
-        },
-    )
-    assert findings == []
-
-
-def test_deep_freeze_allows_ndarray_only_in_read_only_array_owners():
-    """``_Columns`` freezes its arrays at run time (pinned by
-    tests/unit/test_smr_txbatch.py::TestFrozenSlab); the same field
-    type anywhere else, or a list in ``_Columns`` itself, is a finding."""
-    columns = (
-        "import numpy as np\n"
-        "from dataclasses import dataclass\n"
-        "@dataclass(frozen=True)\n"
-        "class _Columns:\n"
-        "    client_ids: np.ndarray\n"
-        "    payload_bytes: int\n"
-        "@dataclass(frozen=True)\n"
-        "class Other:\n"
-        "    client_ids: np.ndarray\n"
-    )
-    block = (
-        "from dataclasses import dataclass\n"
-        "from repro.smr.transaction import Other, _Columns\n"
-        "@dataclass(frozen=True)\n"
-        "class Block:\n"
-        "    txs: _Columns\n"
-        "    other: Other\n"
-    )
-    files = {"repro/smr/transaction.py": columns, "repro/smr/block.py": block}
-    assert locs(run_rule(DeepFreezeRule(), files)) == [("repro/smr/block.py", 6)]
-    files["repro/smr/transaction.py"] = columns.replace(
-        "payload_bytes: int", "payload_bytes: list"
-    )
-    assert locs(run_rule(DeepFreezeRule(), files)) == [
-        ("repro/smr/block.py", 5), ("repro/smr/block.py", 6),
-    ]
-
-
-def test_deep_freeze_walks_the_op_column():
-    """``_Columns.ops`` holds objects, not arrays: the ndarray allowance
-    does not cover it, so a tuple passes and a list is a finding."""
-    columns = (
-        "import numpy as np\n"
-        "from dataclasses import dataclass\n"
-        "from typing import Any, Optional\n"
-        "@dataclass(frozen=True)\n"
-        "class _Columns:\n"
-        "    client_ids: np.ndarray\n"
-        "    ops: Optional[tuple[Any, ...]] = None\n"
-    )
-    block = (
-        "from dataclasses import dataclass\n"
-        "from repro.smr.transaction import _Columns\n"
-        "@dataclass(frozen=True)\n"
-        "class Block:\n"
-        "    txs: _Columns\n"
-    )
-    files = {"repro/smr/transaction.py": columns, "repro/smr/block.py": block}
-    assert run_rule(DeepFreezeRule(), files) == []
-    files["repro/smr/transaction.py"] = columns.replace(
-        "tuple[Any, ...]", "list[Any]"
-    )
-    findings = run_rule(DeepFreezeRule(), files)
-    assert locs(findings) == [("repro/smr/block.py", 5)]
-    assert "_Columns.ops -> list" in findings[0].message
-
-
-def test_deep_freeze_handles_recursive_payload_types():
-    findings = run_rule(
-        DeepFreezeRule(),
-        {
-            "repro/core/messages.py": (
-                "from dataclasses import dataclass\n"
-                "from typing import Optional\n"
-                "@dataclass(frozen=True)\n"
-                "class Node:\n"
-                "    parent: 'Optional[Node]'\n"
-                "    label: str\n"
-            ),
-        },
-    )
-    assert findings == []

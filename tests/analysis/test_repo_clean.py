@@ -12,18 +12,22 @@ from repro.analysis import lint_package
 pytestmark = pytest.mark.lint
 
 
-def test_source_tree_is_lint_clean():
-    report = lint_package()
+@pytest.fixture(scope="module")
+def report():
+    """One lint run of the installed tree, shared by the checks below."""
+    return lint_package()
+
+
+def test_source_tree_is_lint_clean(report):
     assert report.parse_errors == []
     assert report.findings == [], "\n" + report.render_text()
 
 
-def test_suppression_list_has_no_dead_entries():
+def test_suppression_list_has_no_dead_entries(report):
     """The inline ``lint-ignore`` comments are the only suppressions;
     one that no longer matches a finding fails here."""
-    assert lint_package().unused_ignores == []
+    assert report.unused_ignores == []
 
 
-def test_every_default_rule_ran_over_a_nontrivial_tree():
-    report = lint_package()
+def test_every_default_rule_ran_over_a_nontrivial_tree(report):
     assert report.modules_checked > 50

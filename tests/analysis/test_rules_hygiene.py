@@ -1,55 +1,11 @@
-"""Hygiene rules: float-literal equality and ``__all__`` discipline."""
+"""Hygiene rule: ``__all__`` discipline."""
 
 from repro.analysis import LintEngine
-from repro.analysis.rules import AllExportsRule, FloatEqualityRule
-
-
-def lint_float(source: str, path: str = "repro/core/replica.py"):
-    return LintEngine(rules=[FloatEqualityRule()]).check_source(source, path=path)
+from repro.analysis.rules import AllExportsRule
 
 
 def lint_all(source: str, path: str = "repro/util.py"):
     return LintEngine(rules=[AllExportsRule()]).check_source(source, path=path)
-
-
-# -- float equality: positives ----------------------------------------
-def test_flags_float_literal_equality():
-    findings = lint_float("def f(t):\n    return t == 0.5\n")
-    assert len(findings) == 1
-    assert "0.5" in findings[0].message
-
-
-def test_flags_float_literal_inequality():
-    assert lint_float("def f(t):\n    return t != 1.0\n")
-
-
-def test_flags_literal_on_the_left():
-    assert lint_float("def f(t):\n    return 0.0 == t\n")
-
-
-def test_flags_in_all_protocol_subtrees():
-    src = "def f(t):\n    return t == 2.5\n"
-    for path in (
-        "repro/core/replica.py",
-        "repro/protocols/oneshot/replica.py",
-        "repro/smr/client.py",
-        "repro/tee/enclave.py",
-    ):
-        assert lint_float(src, path=path), path
-
-
-# -- float equality: negatives ----------------------------------------
-def test_integer_equality_is_fine():
-    assert lint_float("def f(v):\n    return v == 0\n") == []
-
-
-def test_float_ordering_is_fine():
-    assert lint_float("def f(t):\n    return t <= 0.5 or t > 1.0\n") == []
-
-
-def test_float_equality_outside_protocol_logic_is_fine():
-    src = "def f(t):\n    return t == 0.5\n"
-    assert lint_float(src, path="repro/metrics/stats.py") == []
 
 
 # -- __all__: positives ------------------------------------------------

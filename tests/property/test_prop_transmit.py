@@ -35,6 +35,19 @@ class _Probe:
         return self.size
 
 
+_OneShot = get_protocol("oneshot").replica_cls
+
+
+class _ProbedReplica(_OneShot):
+    """A OneShot replica that records every :class:`_Probe` it receives
+    in its world's ``arrivals`` list."""
+
+    HANDLERS = {**_OneShot.HANDLERS, _Probe: "_on_probe"}
+
+    def _on_probe(self, sender, msg):
+        self.arrivals.append((self.sim.now, self.pid, sender, msg.tag))
+
+
 def _reference_send_at(replica, when, dst, payload):
     """``BaseReplica.send_at`` as it was before ``transmit``."""
     if when <= replica.sim.now:
@@ -74,19 +87,11 @@ def _world(n, latency, seed, pre_gst, hook):
     if hook:
         network.delay_hooks.append(_CountingHook())
     cluster = build_cluster(
-        get_protocol("oneshot").replica_cls,
-        sim,
-        network,
-        ProtocolConfig(n=n, f=(n - 1) // 2),
+        _ProbedReplica, sim, network, ProtocolConfig(n=n, f=(n - 1) // 2)
     )
     arrivals = []
     for replica in cluster.replicas:
-        replica.register_handler(
-            _Probe,
-            lambda sender, msg, pid=replica.pid: arrivals.append(
-                (sim.now, pid, sender, msg.tag)
-            ),
-        )
+        replica.arrivals = arrivals
     return sim, network, cluster.replicas, arrivals
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import ConstantLatency, Network
+from repro.net import ConstantLatency, Network, UniformLatency
 from repro.net.message import HEADER_BYTES, payload_size
 from repro.sim import Process, Simulator
 
@@ -69,6 +69,19 @@ def test_unknown_destination_raises():
     sim, net, procs = make_net()
     with pytest.raises(KeyError):
         net.send(0, 99, "x")
+
+
+@pytest.mark.parametrize("gst", [1.0, 0.0])  # scalar pre-GST path, batched path
+def test_multicast_to_an_unknown_destination_sends_nothing(gst):
+    sim = Simulator(0)
+    net = Network(sim, UniformLatency(0.001, 0.003), gst=gst, pre_gst_extra=0.05)
+    for i in range(3):
+        net.register(Sink(sim, i))
+    with pytest.raises(KeyError, match="99"):
+        net.multicast(0, [1, 99, 2], "x")
+    assert net.messages_sent == 0
+    assert net.nic(0).busy_until == 0.0
+    assert sim.pending_events() == 0
 
 
 def test_duplicate_registration_rejected():

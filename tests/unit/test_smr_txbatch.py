@@ -198,8 +198,8 @@ class TestIdContract:
 
 
 class TestFrozenSlab:
-    """The slab is immutable all the way down: this is the runtime half
-    of the ``deep-freeze`` lint allowance for ``_Columns``."""
+    """The slab is immutable all the way down, so every receiver of a
+    multicast block or ``SubmitTxBatch`` may share it."""
 
     def test_no_field_or_column_of_any_segment_can_be_written(self):
         ops = TxBatch.from_transactions(

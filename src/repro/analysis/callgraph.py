@@ -555,12 +555,10 @@ class ProjectIndex:
         return None
 
     def _resolve_calls(self, fn: FunctionInfo) -> None:
+        # Call sites inside nested defs (closures) belong to ``fn``:
+        # the walk descends into them, as the dataflow pass does.
         env = self.local_types(fn)
-        walk_root: list[ast.stmt] = fn.body
-        for node in ast.walk(ast.Module(body=walk_root, type_ignores=[])):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                # Module top level: nested defs are indexed separately.
-                continue
+        for node in ast.walk(ast.Module(body=fn.body, type_ignores=[])):
             if not isinstance(node, ast.Call):
                 continue
             target = self._call_target(node, env, fn)

@@ -20,14 +20,6 @@ This rule bans, outside an allow-listed set of modules:
 
 ``numpy.random.Generator`` *annotations* are fine — only calls and
 imports are flagged.
-
-The rule also guards the network fast path: inside :mod:`repro.net`
-(except the latency models themselves), a scalar ``.sample()`` call
-inside a loop or comprehension is flagged — per-destination scalar
-sampling both costs the multicast fast path its batching and makes the
-RNG draw order depend on control flow.  Batch through
-``LatencyModel.sample_many`` / ``sample_per_link`` instead (see
-docs/invariants.md).
 """
 
 from __future__ import annotations
@@ -69,25 +61,6 @@ BANNED_MODULES: tuple[str, ...] = ("random", "secrets")
 #: Modules allowed to construct generators: the registry itself.
 DEFAULT_ALLOWED: tuple[str, ...] = ("repro/sim/rng.py",)
 
-#: Subtree where per-destination scalar ``.sample()`` loops are flagged.
-SCALAR_SAMPLE_PATHS: tuple[str, ...] = ("repro/net/",)
-
-#: Modules inside that subtree allowed to loop over scalar ``sample``:
-#: the latency models' own batch fallback (``sample_per_link``).
-SCALAR_SAMPLE_ALLOWED: tuple[str, ...] = ("repro/net/latency.py",)
-
-#: AST nodes that repeat their body/element expression.
-_LOOP_NODES = (
-    ast.For,
-    ast.AsyncFor,
-    ast.While,
-    ast.ListComp,
-    ast.SetComp,
-    ast.DictComp,
-    ast.GeneratorExp,
-)
-
-
 class DeterminismRule(Rule):
     """No ambient randomness or wall-clock outside the RNG registry."""
 
@@ -102,10 +75,6 @@ class DeterminismRule(Rule):
         self.allowed = tuple(allowed)
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        if module.matches_any(SCALAR_SAMPLE_PATHS) and not module.matches_any(
-            SCALAR_SAMPLE_ALLOWED
-        ):
-            yield from self._scalar_sample_loops(module)
         if module.matches_any(self.allowed):
             return
         imports = ImportMap.of(module.tree)
@@ -146,77 +115,6 @@ class DeterminismRule(Rule):
                         f"RngRegistry instead",
                     )
 
-    def _scalar_sample_loops(self, module: ModuleInfo) -> Iterator[Finding]:
-        """Flag ``<model>.sample(...)`` repeated by a loop/comprehension.
-
-        Inside :mod:`repro.net` a per-destination scalar sampling loop
-        defeats the vectorized multicast fast path *and* couples the
-        RNG draw order to control flow — the batch APIs
-        (``sample_many`` / ``sample_per_link``) keep draw order a
-        function of the destination vector alone.
-
-        Aliased references are caught too: binding the bound method
-        (``draw = model.sample``) and calling ``draw(...)`` in a loop
-        is the same scalar draw with the attribute hidden one
-        assignment earlier.
-        """
-        sample_aliases = self._sample_aliases(module.tree)
-        seen: set[int] = set()
-        for loop in ast.walk(module.tree):
-            if not isinstance(loop, _LOOP_NODES):
-                continue
-            for node in ast.walk(loop):
-                if not isinstance(node, ast.Call) or id(node) in seen:
-                    continue
-                direct = (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "sample"
-                )
-                aliased = (
-                    isinstance(node.func, ast.Name)
-                    and node.func.id in sample_aliases
-                )
-                if not (direct or aliased):
-                    continue
-                # Nested loops are walked as their own roots too —
-                # report each call site once.
-                seen.add(id(node))
-                what = (
-                    "scalar latency .sample()"
-                    if direct
-                    else f"scalar latency .sample() (via alias "
-                    f"{node.func.id!r})"
-                )
-                yield self.finding(
-                    module,
-                    node,
-                    f"{what} inside a loop — batch through "
-                    f"LatencyModel.sample_many / sample_per_link so the "
-                    f"multicast draw order stays vectorizable",
-                )
-
-    @staticmethod
-    def _sample_aliases(tree: ast.Module) -> set[str]:
-        """Names bound to a ``<expr>.sample`` bound method anywhere."""
-        out: set[str] = set()
-        for node in ast.walk(tree):
-            value: ast.expr | None
-            targets: Sequence[ast.expr]
-            if isinstance(node, ast.Assign):
-                value, targets = node.value, node.targets
-            elif isinstance(node, ast.AnnAssign):
-                value, targets = node.value, [node.target]
-            else:
-                continue
-            if not (
-                isinstance(value, ast.Attribute) and value.attr == "sample"
-            ):
-                continue
-            for tgt in targets:
-                if isinstance(tgt, ast.Name):
-                    out.add(tgt.id)
-        return out
-
 
 __all__ = [
     "DeterminismRule",
@@ -224,6 +122,4 @@ __all__ = [
     "BANNED_PREFIXES",
     "BANNED_MODULES",
     "DEFAULT_ALLOWED",
-    "SCALAR_SAMPLE_PATHS",
-    "SCALAR_SAMPLE_ALLOWED",
 ]

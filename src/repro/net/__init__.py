@@ -9,13 +9,7 @@ from .conditions import (
     remove_hook,
     slow_node,
 )
-from .latency import (
-    ConstantLatency,
-    LatencyModel,
-    TopologyLatency,
-    UniformLatency,
-    sample_per_link,
-)
+from .latency import ConstantLatency, LatencyModel, TopologyLatency
 from .message import HEADER_BYTES, Envelope, payload_size
 from .network import DEFAULT_BANDWIDTH_BPS, Network
 from .regions import EU4, LOCAL, TOPOLOGIES, US4, WORLD11, Topology, rtt_ms
@@ -30,8 +24,6 @@ __all__ = [
     "ConstantLatency",
     "LatencyModel",
     "TopologyLatency",
-    "UniformLatency",
-    "sample_per_link",
     "HEADER_BYTES",
     "Envelope",
     "payload_size",

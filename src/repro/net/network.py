@@ -19,14 +19,14 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Optional
 
 from ..sim import Nic, Process, Simulator
-from .latency import ConstantLatency, LatencyModel, sample_per_link
+from .latency import ConstantLatency, LatencyModel
 from .message import HEADER_BYTES, Envelope, payload_size
 
 #: A delay hook receives (now, src, dst, size) and returns extra
 #: seconds.  Contract: hooks must be deterministic functions of their
 #: arguments (plus their own state) and must **not** draw from the
-#: network RNG stream — that is what lets the multicast fast path batch
-#: latency draws around hook calls bit-identically.  A hook needing
+#: network RNG stream — that is what keeps the multicast draw order a
+#: function of the destination vector alone.  A hook needing
 #: randomness takes its own named stream from ``sim.rng``.
 DelayHook = Callable[[float, int, int, int], float]
 
@@ -47,7 +47,6 @@ class Network:
         gst: float = 0.0,
         delta: float = 0.5,
         pre_gst_extra: float = 0.0,
-        fifo_links: bool = False,
     ) -> None:
         self.sim = sim
         self.latency: LatencyModel = latency or ConstantLatency(1e-4)
@@ -55,16 +54,11 @@ class Network:
         self.gst = gst
         self.delta = delta
         self.pre_gst_extra = pre_gst_extra
-        #: TCP-style per-connection ordering: with fifo_links a message
-        #: never overtakes an earlier message on the same (src, dst)
-        #: link (jitter can otherwise reorder within a link).
-        self.fifo_links = fifo_links
         self._procs: dict[int, Process] = {}
         self._nics: dict[int, Nic] = {}
         self._seq = 0
         self._rng = sim.rng.stream("net", purpose="link latency jitter")
         self.delay_hooks: list[DelayHook] = []
-        self._link_clock: dict[tuple[int, int], float] = {}
         # accounting
         self.messages_sent = 0
         self.bytes_sent = 0
@@ -130,22 +124,16 @@ class Network:
     # Transmission
     # ------------------------------------------------------------------
     def send(self, src: int, dst: int, payload: Any) -> Envelope:
-        """Send ``payload`` from ``src`` to ``dst``; returns the envelope."""
-        return self._send_one(
-            src, dst, payload, payload_size(payload) + HEADER_BYTES, self.sim.now
-        )
+        """Send ``payload`` from ``src`` to ``dst``; returns the envelope.
 
-    def _send_one(
-        self, src: int, dst: int, payload: Any, size: int, now: float
-    ) -> Envelope:
-        """Transmit one pre-sized message at ``now`` (shared fast path).
-
-        ``size`` and ``now`` are computed by the caller so a multicast
-        charges the (potentially expensive) payload sizing walk once
-        per message, not once per destination.
+        The unicast path: bit-identical to ``multicast(src, [dst],
+        payload)`` (one latency draw, then one pre-GST extra draw), and
+        kept apart from it only because it is cheaper for one copy.
         """
         if dst not in self._procs:
             raise KeyError(f"unknown destination {dst}")
+        size = payload_size(payload) + HEADER_BYTES
+        now = self.sim.now
         seq = self._seq
         self._seq = seq + 1
         env = Envelope(src, dst, payload, size, now, 0.0, seq)
@@ -157,10 +145,6 @@ class Network:
             deliver = ser_end + self.latency.sample(src, dst, self._rng)
             if self.delay_hooks or now < self.gst:
                 deliver = deliver + self._extra_delay(now, src, dst, size)
-            if self.fifo_links:
-                link = (src, dst)
-                deliver = max(deliver, self._link_clock.get(link, 0.0))
-                self._link_clock[link] = deliver
         env.deliver_time = deliver
         self.messages_sent += 1
         self.bytes_sent += size
@@ -172,93 +156,53 @@ class Network:
     def multicast(self, src: int, dsts: Iterable[int], payload: Any) -> list[Envelope]:
         """Unicast fan-out to each destination (TCP-style, as in Salticidae).
 
-        Sizes the payload once and samples each link's latency in
-        destination order, so the result (envelopes, NIC occupancy and
-        RNG draw sequence) is bit-identical to calling :meth:`send` per
-        destination — only cheaper.
+        Sizes the payload once, then handles the destination vector in
+        batches.  The draw order on the ``net`` stream is: all remote
+        latencies in one :meth:`LatencyModel.sample_many` call, then
+        (before GST) all remote extra delays in one batched uniform
+        draw, each in destination order.  Loopback copies draw nothing.
+        NIC serialization is one batched occupancy, delay hooks are
+        called per remote copy in destination order (they never draw
+        from the network stream: the :data:`DelayHook` contract), and
+        the deliveries enter the event queue through one
+        :meth:`Simulator.schedule_many` insert.
 
-        Fast path: the whole destination vector is sampled in one
-        batched draw (:meth:`LatencyModel.sample_many` where the model
-        provides it), pre-GST extra delays are drawn in one batched
-        uniform request, NIC occupancy and delivery times are computed
-        for the batch, and the deliveries enter the event queue through
-        one :meth:`Simulator.schedule_many` bulk insert.  Delay hooks
-        compose with the batch because hooks never consume the network
-        RNG stream (the :data:`DelayHook` contract).  The single case
-        the batch cannot reproduce bit-identically is pre-GST asynchrony
-        with a *draw-consuming* latency model — there the scalar path
-        interleaves latency and extra-delay draws per destination on one
-        stream — so exactly that case falls back to the scalar
-        :meth:`_send_one` loop.
+        Every delivery time is summed exactly as :meth:`send` sums it,
+        so one destination is exactly :meth:`send`, and several equal a
+        loop of sends wherever no extra draw falls between two latency
+        draws: after GST, or with a model that draws nothing.  An
+        unknown destination rejects the whole batch before any draw,
+        occupancy or scheduling.
         """
         dsts = list(dsts)
         procs = self._procs
         for dst in dsts:
             if dst not in procs:
-                # All-or-nothing on both paths: reject the whole batch
-                # before any RNG draw, NIC occupancy or scheduling.
                 raise KeyError(f"unknown destination {dst}")
         size = payload_size(payload) + HEADER_BYTES
         now = self.sim.now
+        remote = [dst for dst in dsts if dst != src]
+        n_remote = len(remote)
+        props = self.latency.sample_many(src, remote, self._rng)
         pre_gst = now < self.gst and self.pre_gst_extra > 0
-        if pre_gst and not getattr(self.latency, "draw_free", False):
-            send_one = self._send_one
-            return [send_one(src, dst, payload, size, now) for dst in dsts]
-        return self._multicast_fast(src, dsts, payload, size, now, pre_gst)
-
-    def _multicast_fast(
-        self,
-        src: int,
-        dsts: list[int],
-        payload: Any,
-        size: int,
-        now: float,
-        pre_gst: bool,
-    ) -> list[Envelope]:
-        """Vectorized fan-out (batched draws, batched occupancy).
-
-        Every arithmetic step replays the scalar path's float
-        operations in the same order (NIC completion times by repeated
-        addition, ``(ser_end + prop) + extra`` delivery sums with the
-        extra accumulated ``0.0 + draw`` then ``+= hook`` exactly as
-        :meth:`_extra_delay` does), so the produced envelopes are
-        bit-identical to :meth:`_send_one` in a loop — proven by the
-        golden fingerprints and the multicast equivalence property
-        tests.
-        """
-        n_remote = len(dsts) - dsts.count(src)
-
-        sample_many = getattr(self.latency, "sample_many", None)
-        if sample_many is not None:
-            props = sample_many(src, dsts, self._rng)
-        else:
-            props = sample_per_link(self.latency, src, dsts, self._rng)
-
-        # Pre-GST extras in one batched draw.  Stream-identical to the
-        # scalar interleaving because this branch is only reachable
-        # with a draw-free latency model (multicast falls back
-        # otherwise): the extras are then the *only* draws, one per
-        # remote destination, in destination order.  ``.tolist()``
-        # yields exact Python floats (reprs feed the fingerprints).
         extras: list[float] = []
-        if pre_gst and n_remote:
+        if pre_gst:
+            # ``.tolist()`` yields exact Python floats (reprs feed the
+            # fingerprints).
             extras = self._rng.uniform(
                 0.0, self.pre_gst_extra, size=n_remote
             ).tolist()
         hooks = self.delay_hooks
         has_extra = pre_gst or bool(hooks)
-
-        seq = self._seq
-        fifo = self.fifo_links
-        link_clock = self._link_clock
         nic = self._nics.get(src)
         if nic is not None:
-            # NIC serialization is FIFO repeated addition, accumulated
-            # the way Resource.occupy would (bit-identical float sums).
+            # FIFO repeated addition, as n serialize calls would sum.  An
+            # unregistered sender (the shard pump) occupies no NIC.
             ser_ends = nic.serialize_many(now, size, n_remote)
         else:
             ser_ends = [now] * n_remote
 
+        seq = self._seq
         envs: list[Envelope] = []
         times: list[float] = []
         argss: list[tuple[Envelope]] = []
@@ -266,16 +210,15 @@ class Network:
         append_time = times.append
         append_args = argss.append
         ri = 0
-        for dst, prop in zip(dsts, props):
+        for dst in dsts:
             env = Envelope(src, dst, payload, size, now, 0.0, seq)
             seq += 1
             if src == dst:
-                # Loopback: no NIC occupancy, latency or extra delay.
                 deliver = now + 1e-6
             else:
-                deliver = ser_ends[ri] + prop
+                deliver = ser_ends[ri] + props[ri]
                 if has_extra:
-                    # Mirror _extra_delay's accumulation exactly.
+                    # Accumulated as _extra_delay does.
                     extra = 0.0
                     if pre_gst:
                         extra = extra + extras[ri]
@@ -283,10 +226,6 @@ class Network:
                         extra += max(0.0, hook(now, src, dst, size))
                     deliver = deliver + extra
                 ri += 1
-                if fifo:
-                    link = (src, dst)
-                    deliver = max(deliver, link_clock.get(link, 0.0))
-                    link_clock[link] = deliver
             env.deliver_time = deliver
             append_env(env)
             append_time(deliver)

@@ -281,10 +281,12 @@ class BaseReplica(Process):
         back, so they carried consecutive sequence numbers at one
         timestamp and one priority: nothing could run between them.
         Doing their work in one event therefore keeps the order of
-        every NIC occupancy, RNG draw, delay-hook call, envelope ``seq``
-        and delivery push, and ``multicast`` is stream-identical to the
-        ``send`` loop, pre-GST scalar fallback included
-        (tests/property/test_prop_multicast.py, test_prop_transmit.py).
+        every NIC occupancy, delay-hook call, envelope ``seq`` and
+        delivery push.  ``multicast`` also keeps the ``send`` loop's RNG
+        draws, except before GST with a latency model that draws: there
+        it draws all latencies, then all extras, where the loop
+        alternated (docs/invariants.md;
+        tests/property/test_prop_multicast.py, test_prop_transmit.py).
         Only the number of executed events differs.
 
         Fault behaviours that act on outbound traffic override this

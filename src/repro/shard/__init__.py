@@ -35,7 +35,6 @@ from .router import (
     RoutingTable,
     initial_table,
     mix64,
-    mix64_scalar,
 )
 from .workload import SHARD_WORKLOAD_PID, ShardedWorkload
 
@@ -60,5 +59,4 @@ __all__ = [
     "fingerprint_shards",
     "initial_table",
     "mix64",
-    "mix64_scalar",
 ]

@@ -22,7 +22,6 @@ import numpy as np
 from ..crypto import Digest, digest_of
 from ..smr import TxBatch
 
-_MASK = (1 << 64) - 1
 #: Distinct salts keep the three routing decisions (slot placement,
 #: hot-key membership, cross-shard partner choice) independent hashes.
 _SLOT_SALT = 0x9E3779B97F4A7C15
@@ -41,14 +40,6 @@ def mix64(x: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
-
-
-def mix64_scalar(x: int) -> int:
-    """Scalar splitmix64 (same bits as :func:`mix64`)."""
-    z = (x + _SLOT_SALT) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
 
 
 @dataclass(frozen=True)
@@ -188,5 +179,4 @@ __all__ = [
     "RoutingTable",
     "initial_table",
     "mix64",
-    "mix64_scalar",
 ]

@@ -51,8 +51,8 @@ class Resource:
         the same ``now`` — the completion times accumulate by repeated
         float addition, never ``start + i * duration`` (which rounds
         differently).  This is the batched-occupancy arithmetic behind
-        the multicast fan-out fast path: one call charges a whole
-        broadcast's serialization instead of one call per destination.
+        the multicast fan-out: one call charges a whole broadcast's
+        serialization instead of one call per destination.
         """
         if duration < 0:
             raise ValueError(f"negative duration {duration!r}")

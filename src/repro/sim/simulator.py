@@ -105,7 +105,7 @@ class Simulator:
         Equivalent to calling :meth:`schedule_at` once per pair — same
         deterministic sequence numbering, so equal-time events fire in
         list order — but the batch enters the heap in one pass without
-        per-call wrapper overhead (the network multicast fast path).
+        per-call wrapper overhead (the network's multicast fan-out).
         """
         if times and min(times) < self.now:
             raise SimulationError(

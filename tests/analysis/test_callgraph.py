@@ -146,6 +146,23 @@ def test_external_calls_keep_dotted_names():
     assert "hmac.new" in call_targets(idx, "repro.h.tag")
 
 
+def test_call_sites_inside_a_closure_belong_to_the_enclosing_function():
+    idx = make_index(
+        {
+            "repro/m.py": (
+                "def helper():\n"
+                "    return 1\n"
+                "def outer():\n"
+                "    def inner():\n"
+                "        return helper()\n"
+                "    return inner\n"
+            )
+        }
+    )
+    assert call_targets(idx, "repro.m.outer") == ["repro.m.helper"]
+    assert "repro.m.outer.inner" not in idx.functions
+
+
 def test_mro_walks_project_bases():
     idx = make_index(
         {

@@ -1,8 +1,6 @@
-"""Engine satellites: inline ignores and the aliased scalar-sample
-determinism fix."""
+"""Engine satellites: inline ignores."""
 
 from repro.analysis.engine import LintEngine, parse_inline_ignores
-from repro.analysis.rules import DeterminismRule
 
 
 def run_sources(files: dict, rules=None):
@@ -59,49 +57,3 @@ def test_inline_ignore_for_wrong_rule_does_not_suppress():
     report = run_sources({"repro/a.py": src})
     assert [f.rule for f in report.findings] == ["determinism"]
     assert len(report.unused_ignores) == 1
-
-
-# -- determinism: aliased scalar sample (satellite fix) ----------------
-def _determinism(src: str, path: str):
-    return [
-        f
-        for f in LintEngine(rules=[DeterminismRule()]).check_source(
-            src, path=path
-        )
-        if "sample" in f.message
-    ]
-
-
-def test_aliased_sample_in_loop_is_flagged():
-    src = (
-        "def multicast(model, dests):\n"
-        "    draw = model.sample\n"
-        "    return [draw(0, d) for d in dests]\n"
-    )
-    findings = _determinism(src, "repro/net/network.py")
-    assert [f.line for f in findings] == [3]
-    assert "alias 'draw'" in findings[0].message
-
-
-def test_direct_scalar_sample_in_loop_still_flagged():
-    src = (
-        "def multicast(model, dests):\n"
-        "    return [model.sample(0, d) for d in dests]\n"
-    )
-    findings = _determinism(src, "repro/net/network.py")
-    assert [f.line for f in findings] == [2]
-
-
-def test_sample_alias_outside_loop_is_fine():
-    src = "def one(model):\n    draw = model.sample\n    return draw(0, 1)\n"
-    assert _determinism(src, "repro/net/network.py") == []
-
-
-def test_latency_module_keeps_its_scalar_fallback():
-    src = (
-        "def sample_per_link(model, dests):\n"
-        "    draw = model.sample\n"
-        "    return [draw(0, d) for d in dests]\n"
-    )
-    assert _determinism(src, "repro/net/latency.py") == []
-

@@ -31,3 +31,12 @@ def test_suppression_list_has_no_dead_entries(report):
 
 def test_every_default_rule_ran_over_a_nontrivial_tree(report):
     assert report.modules_checked > 50
+
+
+def test_suppressed_findings_are_exactly_the_pinned_set(report):
+    """Every inline ignore in ``src/`` is pinned here, so a new one
+    shows up as a test diff: the one left is the paper driver's
+    wall-clock timing of its sections."""
+    assert sorted((f.rule, f.path) for f in report.suppressed) == [
+        ("determinism", "repro/experiments/paper.py"),
+    ]

@@ -90,72 +90,3 @@ def test_custom_allowlist():
     src = "import time\n\nt = time.time()\n"
     assert engine.check_source(src, path="repro/tools/bench.py") == []
     assert engine.check_source(src, path="repro/core/replica.py")
-
-
-# -- scalar-sample loops in repro.net ----------------------------------
-def test_flags_scalar_sample_loop_in_net():
-    findings = lint(
-        "def fanout(model, src, dsts, rng):\n"
-        "    out = []\n"
-        "    for dst in dsts:\n"
-        "        out.append(model.sample(src, dst, rng))\n"
-        "    return out\n",
-        path="repro/net/network.py",
-    )
-    assert len(findings) == 1
-    assert "sample_many" in findings[0].message
-
-
-def test_flags_scalar_sample_comprehension_in_net():
-    findings = lint(
-        "def fanout(model, src, dsts, rng):\n"
-        "    return [model.sample(src, dst, rng) for dst in dsts]\n",
-        path="repro/net/network.py",
-    )
-    assert len(findings) == 1
-
-
-def test_nested_loop_sample_reported_once():
-    findings = lint(
-        "def f(model, rng, batches):\n"
-        "    for batch in batches:\n"
-        "        for dst in batch:\n"
-        "            model.sample(0, dst, rng)\n",
-        path="repro/net/network.py",
-    )
-    assert len(findings) == 1
-
-
-def test_single_sample_call_in_net_is_fine():
-    # _send_one's one-destination draw is not a loop.
-    assert (
-        lint(
-            "def send(model, src, dst, rng):\n"
-            "    return model.sample(src, dst, rng)\n",
-            path="repro/net/network.py",
-        )
-        == []
-    )
-
-
-def test_sample_loop_in_latency_module_is_allowed():
-    # sample_per_link — the models' own scalar fallback — lives here.
-    assert (
-        lint(
-            "def sample_per_link(model, src, dsts, rng):\n"
-            "    return [model.sample(src, dst, rng) for dst in dsts]\n",
-            path="repro/net/latency.py",
-        )
-        == []
-    )
-
-
-def test_sample_loop_outside_net_is_not_flagged():
-    assert (
-        lint(
-            "def f(model, rng, dsts):\n"
-            "    return [model.sample(0, d, rng) for d in dsts]\n",
-            path="repro/experiments/sweep.py",
-        )
-        == []
-    )

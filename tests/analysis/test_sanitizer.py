@@ -24,10 +24,10 @@ from repro.fuzz import (
     run_scenario,
 )
 from repro.fuzz.fingerprint import _hash_chain
-from repro.fuzz.planted import broken_checker_guard
 from repro.metrics import Decision, DecisionsNotKept, MetricsCollector
 
-from ..conftest import fingerprint, small_run, with_latency
+from ..conftest import UniformLatency, fingerprint, small_run, with_latency
+from ..fuzz.planted import broken_checker_guard
 
 
 H0, H1, H2 = b"\x00" * 32, b"\x01" * 32, b"\x02" * 32
@@ -44,9 +44,10 @@ class WallClockLatency:
         self.base_s = base_s
 
     def sample(self, src: int, dst: int, rng: np.random.Generator) -> float:
-        if src == dst:
-            return 1e-6
         return self.base_s + (time.time_ns() % 997) * 1e-9
+
+    def sample_many(self, src: int, dsts, rng: np.random.Generator) -> list[float]:
+        return [self.sample(src, dst, rng) for dst in dsts]
 
 
 # -- determinism replay ------------------------------------------------
@@ -60,8 +61,6 @@ def test_same_seed_runs_are_identical():
 def test_fingerprint_changes_with_seed():
     # Jittered latency actually consumes the seeded RNG, so different
     # root seeds must yield different timelines.
-    from repro.net import UniformLatency
-
     fp_a, _ = fingerprint(
         small_run("oneshot", seed=1, target_blocks=3),
         instrument=with_latency(UniformLatency(0.001, 0.003)),

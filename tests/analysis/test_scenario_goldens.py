@@ -1,14 +1,20 @@
 """Scenario goldens: one pinned run per scenario the repo exercises.
 
 Smoke-size fig7/ablation/degraded configurations, pre-GST asynchrony
-(batched and draw-consuming) and delay-hook injection each pin their
-*behaviour* — message count, decision count, timeline hash, chain hash
-— in :data:`BEHAVIOUR` (captured from the per-destination ``send``
+(draw-free and draw-consuming latency) and delay-hook injection each
+pin their *behaviour* — message count, decision count, timeline hash,
+chain hash — in :data:`BEHAVIOUR` (captured from the per-destination ``send``
 loop, before replicas had a ``transmit`` seam; the chained-replica
 scenarios from the standalone chained HotStuff/Damysus classes, before
 they became overrides of their basic replicas).  A mismatch is a
 behaviour change, never something to re-pin.  The executed-event count
 is not pinned here: it is kernel bookkeeping (docs/invariants.md).
+
+One pin was moved on purpose, once: ``pre-gst-fallback``, when
+``Network.multicast`` dropped its per-destination fallback and every
+multicast took the one draw order (all latencies, then all pre-GST
+extras).  Before that, a draw-consuming model before GST interleaved
+one latency and one extra draw per destination.
 """
 
 import pytest
@@ -17,9 +23,8 @@ from repro.fuzz.fingerprint import _hash_chain, _hash_timeline
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.faults import FaultPlan, every_kth_view, forced_execution_factory
-from repro.net.latency import UniformLatency
 
-from ..conftest import fingerprint, small_run, with_latency
+from ..conftest import UniformLatency, fingerprint, small_run, with_latency
 
 PROTOCOLS = ("oneshot", "damysus", "hotstuff")
 CHAINED = tuple(f"{p}-chained" for p in PROTOCOLS)
@@ -76,10 +81,10 @@ BEHAVIOUR = {
         "863bbad287a83cddfcf601f88c32dd77406745d129a9220995766deb2d585516",
     ),
     "pre-gst-fallback": (
-        66,
-        17,
-        "b931faeae990b682ff4eede6e8acec8768c9505d05c866f0c517590760dab47d",
-        "4c0aa0fc8c95a3d12bc597695efe09198fd86e14fe78d92b08ea82b715ec06fd",
+        80,
+        19,
+        "b94766b5e8bce011cec54c8860fc492d551091c7db2ef61420035f84e91f3d43",
+        "e2c13baa5061ed95986ef95c9c6b24454509b7a6e9a28ee25938e99ce593adbd",
     ),
     "delay-hook": (
         70,
@@ -214,21 +219,23 @@ def test_degraded_smoke_config(protocol):
 
 
 # ----------------------------------------------------------------------
-# Pre-GST asynchrony and delay hooks (the paths the vectorized
-# multicast had to reproduce draw-for-draw)
+# Pre-GST asynchrony and delay hooks (the draw order of
+# Network.multicast, docs/invariants.md)
 # ----------------------------------------------------------------------
 def test_pre_gst_scenario():
-    """Draw-free latency + pre-GST extras: the batched-uniform fast
-    path.  The extras are real RNG draws, so this pins stream identity
-    through schedule_many bulk inserts."""
+    """Draw-free latency + pre-GST extras: the extras are the only RNG
+    draws, batched per multicast, so this pins stream identity through
+    schedule_many bulk inserts."""
     _assert_fingerprint(
         "pre-gst", "oneshot", seed=11, gst=0.05, pre_gst_extra=0.01
     )
 
 
 def test_pre_gst_draw_consuming_fallback():
-    """Pre-GST with a draw-consuming latency model takes the scalar
-    per-destination fallback (interleaved draws)."""
+    """Pre-GST with a draw-consuming latency model: each multicast
+    draws its latencies, then its extras, on the one ``net`` stream.
+    The name is from the per-destination fallback this case once took
+    (the module docstring gives the re-pin)."""
     _assert_fingerprint(
         "pre-gst-fallback",
         "oneshot",

@@ -104,6 +104,23 @@ def with_latency(model: LatencyModel):
     return instrument
 
 
+class UniformLatency:
+    """One-way delay drawn uniformly from ``[low, high]``: the cheapest
+    draw-consuming :class:`LatencyModel`, for seed-sensitive tests."""
+
+    def __init__(self, low_s: float, high_s: float) -> None:
+        if not 0 <= low_s <= high_s:
+            raise ValueError("need 0 <= low <= high")
+        self.low_s = low_s
+        self.high_s = high_s
+
+    def sample(self, src: int, dst: int, rng) -> float:
+        return float(rng.uniform(self.low_s, self.high_s))
+
+    def sample_many(self, src: int, dsts, rng) -> list[float]:
+        return rng.uniform(self.low_s, self.high_s, size=len(dsts)).tolist()
+
+
 @pytest.fixture
 def small_oneshot():
     """A started-but-not-run 3-replica OneShot cluster (f=1)."""

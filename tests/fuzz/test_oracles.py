@@ -18,9 +18,9 @@ from repro.fuzz import (
     run_scenario,
 )
 from repro.faults import Fault
-from repro.fuzz.planted import broken_checker_guard
 
 from ..conftest import small_run
+from .planted import broken_checker_guard
 
 #: OneShot-only equivocation pressure; seed 24 is a known fork under
 #: the planted bug (see test_planted_bug.py for the full loop).

@@ -1,7 +1,7 @@
 """End-to-end calibration: the fuzzer must catch the planted CHECKER
 bug, shrink it, and replay it deterministically (ISSUE-9 acceptance).
 
-With :func:`repro.fuzz.planted.broken_checker_guard` active, the
+With :func:`tests.fuzz.planted.broken_checker_guard` active, the
 once-per-view monotonicity guard is gone and the Equivocator's
 split-brain attack forks OneShot.  The loop below is the whole fuzzer
 pipeline on that target: find a safety violation, shrink it to a
@@ -21,7 +21,8 @@ from repro.fuzz import (
     save_repro,
     shrink,
 )
-from repro.fuzz.planted import broken_checker_guard
+
+from .planted import broken_checker_guard
 
 CFG = FuzzConfig(protocols=("oneshot",), behaviours=("equivocate",), max_f=2)
 

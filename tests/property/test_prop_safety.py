@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultPlan
-from repro.net import ConstantLatency, Network, UniformLatency
+from repro.net import ConstantLatency, Network
 from repro.protocols.common import ProtocolConfig, build_cluster
 from repro.protocols.registry import get_protocol
 from repro.sim import Simulator
 from repro.smr import prefix_agreement
+
+from ..conftest import UniformLatency
 
 BEHAVIOURS = ["crashed", "silent-leader", "slow", "withhold", "garbage"]
 

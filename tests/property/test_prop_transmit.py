@@ -11,17 +11,26 @@ without the sender, ``when`` before, at and after ``now``, several
 transmissions queued for the same instant, draw-free and draw-consuming
 latency models, pre-GST extra delay and a stateful delay hook.  Only
 the number of executed events may differ.
+
+One case needs another reference: before GST with a model that draws,
+a loop of sends interleaves latency and extra-delay draws, while a
+multicast draws all latencies first.  There the reference hands the
+fan-out to ``reference_multicast``, the per-destination re-derivation
+of that order in test_prop_multicast.py.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import ConstantLatency, Network, UniformLatency
+from repro.net import ConstantLatency, Network
 from repro.net.latency import TopologyLatency
 from repro.net.regions import WORLD11
 from repro.protocols.common import ProtocolConfig, build_cluster
 from repro.protocols.registry import get_protocol
 from repro.sim import Simulator
+
+from ..conftest import UniformLatency
+from .test_prop_multicast import reference_multicast
 
 
 class _Probe:
@@ -61,6 +70,19 @@ def _reference_send_at(replica, when, dst, payload):
 def _reference_transmit(replica, when, dsts, payload):
     for dst in dsts:
         _reference_send_at(replica, when, dst, payload)
+
+
+def _reference_drawn_fan_out(replica, when, dsts, payload):
+    """The reference before GST with a model that draws: a fan-out is
+    one ``reference_multicast`` at ``when``, a unicast one send."""
+    if len(dsts) == 1:
+        _reference_send_at(replica, when, dsts[0], payload)
+    elif when <= replica.sim.now:
+        reference_multicast(replica.network, replica.pid, dsts, payload)
+    else:
+        replica.sim.schedule_at(
+            when, reference_multicast, replica.network, replica.pid, dsts, payload
+        )
 
 
 class _CountingHook:
@@ -171,7 +193,9 @@ def test_transmit_equals_per_destination_send_at_loop(
     )
     reference = _drive(
         _world(n, _latency(kind), seed, pre_gst, hook),
-        _reference_transmit,
+        _reference_drawn_fan_out
+        if pre_gst and kind != "constant"
+        else _reference_transmit,
         n,
         plan,
     )

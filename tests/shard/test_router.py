@@ -9,9 +9,19 @@ from repro.shard import (
     RoutingTable,
     initial_table,
     mix64,
-    mix64_scalar,
 )
 from repro.smr import TxBatch
+
+_MASK = (1 << 64) - 1
+
+
+def mix64_scalar(x: int) -> int:
+    """Scalar splitmix64 with the router's slot salt: the oracle for
+    :func:`mix64`, one Python int at a time."""
+    z = (x + 0x9E3779B97F4A7C15) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
 
 
 def _batch(n: int = 256, base: int = 1_000_000) -> TxBatch:

@@ -2,13 +2,10 @@
 
 ``LintEngine(rules).run(root)`` walks ``root`` (normally the installed
 ``repro`` package directory), parses each ``*.py`` once, feeds the
-tree to every per-file rule, builds the shared
-:class:`~repro.analysis.callgraph.ProjectIndex` once and hands it to
-every whole-program :class:`~repro.analysis.rules.base.ProjectRule`,
-then partitions the resulting findings into *active* and *suppressed*
-by the one suppression mechanism: inline ``repro: lint-ignore[rule-id]``
-comments (written after a ``#``), line-precise; unused ignores are
-reported so they cannot rot.
+tree to every rule, then partitions the resulting findings into
+*active* and *suppressed* by the one suppression mechanism: inline
+``repro: lint-ignore[rule-id]`` comments (written after a ``#``),
+line-precise; unused ignores are reported so they cannot rot.
 
 Reports render as text or JSON.
 """
@@ -22,9 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .callgraph import build_project_index
 from .findings import Finding
-from .rules import ModuleInfo, ProjectRule, Rule, default_rules
+from .rules import ModuleInfo, Rule, default_rules
 
 #: One inline ignore comment: a ``#`` followed by
 #: ``repro: lint-ignore[rule-a, rule-b]``.
@@ -177,17 +173,8 @@ class LintEngine:
     ) -> None:
         report.modules_checked = len(modules)
         raw: list[Finding] = []
-        file_rules = [r for r in self.rules if not isinstance(r, ProjectRule)]
-        project_rules = [r for r in self.rules if isinstance(r, ProjectRule)]
         for module in modules.values():
-            for rule in file_rules:
-                raw.extend(rule.check(module))
-        if project_rules:
-            # One shared index per run; memoized by content digest so
-            # repeated runs in one process skip the rebuild entirely.
-            index = build_project_index(modules)
-            for rule in project_rules:
-                raw.extend(rule.check_project(index))
+            raw.extend(self.check_module(module))
 
         ignores: list[InlineIgnore] = []
         for module in modules.values():

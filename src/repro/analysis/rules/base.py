@@ -63,30 +63,6 @@ class Rule:
         )
 
 
-class ProjectRule(Rule):
-    """A whole-program rule running over the project index.
-
-    Per-module ``check`` is a no-op; the engine hands the shared
-    :class:`~repro.analysis.callgraph.ProjectIndex` (symbol table +
-    call graph, built once per run) to :meth:`check_project`.
-    """
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, index) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def finding_at(self, path: str, node: ast.AST, message: str) -> Finding:
-        return Finding(
-            rule=self.name,
-            path=path,
-            line=getattr(node, "lineno", 0),
-            col=getattr(node, "col_offset", 0),
-            message=message,
-        )
-
-
 @dataclass
 class ImportMap:
     """Alias → fully-qualified dotted name, collected from imports."""
@@ -126,4 +102,4 @@ def dotted_name(node: ast.AST) -> str:
     return ""
 
 
-__all__ = ["Rule", "ProjectRule", "ModuleInfo", "ImportMap", "dotted_name"]
+__all__ = ["Rule", "ModuleInfo", "ImportMap", "dotted_name"]

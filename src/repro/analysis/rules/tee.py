@@ -17,12 +17,11 @@ Everywhere else:
   ``_enter``, ``_charge``, ``_sign``, ``_sign_batch``, ``_verify``,
   ``_verify_many``) is flagged — untrusted code cannot even *name*
   sealed state;
-* the signing-key internals of :mod:`repro.crypto.keys` (``_secret``,
-  ``_check_tag``, ``_kp``) are policed the same way, with ``keys.py``
-  itself the only trusted holder: the verification fast paths (the
-  ``KeyRing`` memo, the certificate instance memos) and the batched
-  ecalls must route through the public ``verify``/``sign`` API and can
-  never reach a raw secret;
+* the closure escape hatches (``__closure__``, ``cell_contents``) are
+  policed the same way: :mod:`repro.crypto.keys` keeps each key
+  schedule only in the cells of a tag and a check closure, so these
+  two names are the one way to reach it, and ``keys.py`` is the only
+  trusted module that may use them;
 * writes to the trusted counters (``ecalls``, and ``view``/``phase``/
   ``prepv``-style step counters) on any receiver other than ``self``
   are flagged — replicas may read a checker's view (a getter ecall in
@@ -38,9 +37,8 @@ from ..findings import Finding
 from .base import ModuleInfo, Rule
 
 #: Modules allowed to touch enclave internals.  ``crypto/keys.py`` is
-#: the simulated key-asymmetry boundary: it is the only place the raw
-#: signing secret may be named, so the verify fast paths cannot skip
-#: the HMAC by peeking at it.
+#: the simulated key-asymmetry boundary: it builds the closures that
+#: hold the key schedules.
 DEFAULT_TRUSTED: tuple[str, ...] = (
     "repro/tee/",
     "repro/core/tee_services.py",
@@ -48,8 +46,9 @@ DEFAULT_TRUSTED: tuple[str, ...] = (
     "repro/crypto/keys.py",
 )
 
-#: Attributes private to the enclave or the signing-key objects (any
-#: access outside is a breach).
+#: Attributes private to the enclave, plus the two names that open a
+#: closure's cells (where the key schedules live); any access outside
+#: the trusted modules is a breach.
 PRIVATE_ATTRS: frozenset[str] = frozenset(
     {
         "_key",
@@ -63,11 +62,8 @@ PRIVATE_ATTRS: frozenset[str] = frozenset(
         "_sign_batch",
         "_verify",
         "_verify_many",
-        "_secret",
-        "_inner",
-        "_outer",
-        "_check_tag",
-        "_kp",
+        "__closure__",
+        "cell_contents",
     }
 )
 
@@ -87,8 +83,8 @@ class TeeEncapsulationRule(Rule):
 
     name = "tee-encapsulation"
     description = (
-        "enclave keys/cost ledger/counters reachable only from repro/tee "
-        "and */tee_services.py"
+        "enclave keys/cost ledger/counters and closure cells reachable "
+        "only from repro/tee, */tee_services.py and crypto/keys.py"
     )
     paper_ref = "Sec. IV (hybrid fault model), Fig. 5c (trusted services)"
 

@@ -2,10 +2,11 @@
 
 The paper's replicas and trusted components sign with ECDSA
 (prime256v1).  We simulate an asymmetric scheme with HMAC-SHA256 tags:
-a :class:`KeyPair` holds a secret; the :class:`KeyRing` (the "public
-key" side distributed during attestation) can *verify* tags but the
-secret itself is only reachable through the key-pair object, which for
-TEE keys lives inside the enclave.  Within the simulation this gives
+a :class:`KeyPair` holds a tag closure and a check closure over one
+key schedule; its :class:`PublicKey` (the "public key" side
+distributed during attestation, collected in a :class:`KeyRing`) holds
+the check closure alone.  Only the key-pair object can sign, and for
+TEE keys it lives inside the enclave.  Within the simulation this gives
 exactly the EUF-CMA-style behaviour protocols rely on: a signature
 verifies iff it was produced by the named signer over those exact
 bytes.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .hashing import Digest
 
@@ -48,23 +49,56 @@ class Signature:
         return f"sig({self.signer},{self.tag.hex()[:8]})"
 
 
+def _hmac_schedule(secret: bytes) -> tuple[
+    Callable[[Digest], bytes], Callable[[Digest, bytes], bool]
+]:
+    """Derive the RFC 2104 key schedule once; return ``(tag, check)``.
+
+    The schedule is the two SHA-256 states after absorbing
+    ``key ^ ipad`` and ``key ^ opad``.  They can forge tags, so they are
+    as secret as the key: they live only in these two closures' cells,
+    and no object holds them as an attribute.  ``tag(data)`` equals
+    ``hmac.new(key, data, sha256).digest()``; ``check(data, expected)``
+    recomputes it and compares in constant time.
+    """
+    if len(secret) > _BLOCK:
+        secret = hashlib.sha256(secret).digest()
+    secret = secret.ljust(_BLOCK, b"\0")
+    inner0 = hashlib.sha256(secret.translate(_IPAD))
+    outer0 = hashlib.sha256(secret.translate(_OPAD))
+    compare = hmac.compare_digest
+
+    def tag(data: Digest) -> bytes:
+        inner = inner0.copy()
+        inner.update(data)
+        outer = outer0.copy()
+        outer.update(inner.digest())
+        return outer.digest()
+
+    def check(data: Digest, expected: bytes) -> bool:
+        # ``tag`` inlined: one call fewer on the cold-verify path, and a
+        # PublicKey's closure then holds no tag function.
+        inner = inner0.copy()
+        inner.update(data)
+        outer = outer0.copy()
+        outer.update(inner.digest())
+        return compare(outer.digest(), expected)
+
+    return tag, check
+
+
 class KeyPair:
     """A signing key bound to an integer identity.
 
-    Holds only its RFC 2104 key schedule, derived once: the SHA-256
-    states after absorbing ``key ^ ipad`` and ``key ^ opad``.  They can
-    forge tags, so they are as secret as the key.
+    Holds ``owner`` and the two closures of :func:`_hmac_schedule`;
+    the key itself is not kept.
     """
 
-    __slots__ = ("owner", "_inner", "_outer")
+    __slots__ = ("owner", "_tag", "_check")
 
     def __init__(self, owner: int, secret: bytes) -> None:
         self.owner = owner
-        if len(secret) > _BLOCK:
-            secret = hashlib.sha256(secret).digest()
-        secret = secret.ljust(_BLOCK, b"\0")
-        self._inner = hashlib.sha256(secret.translate(_IPAD))
-        self._outer = hashlib.sha256(secret.translate(_OPAD))
+        self._tag, self._check = _hmac_schedule(secret)
 
     @classmethod
     def generate(cls, owner: int, master_seed: int = 0, domain: str = "") -> "KeyPair":
@@ -74,48 +108,36 @@ class KeyPair:
         ).digest()
         return cls(owner, secret)
 
-    def _tag(self, data: Digest) -> bytes:
-        inner = self._inner.copy()
-        inner.update(data)
-        outer = self._outer.copy()
-        outer.update(inner.digest())
-        return outer.digest()
-
     def sign(self, data: Digest) -> Signature:
         """Sign a digest; only the holder of this object can do this."""
         return Signature(self.owner, self._tag(data))
-
-    def _check_tag(self, data: Digest, sig: Signature) -> bool:
-        if sig.signer != self.owner:
-            return False
-        return hmac.compare_digest(self._tag(data), sig.tag)
 
     def __deepcopy__(self, memo: dict) -> "KeyPair":
         return self  # immutable; hash states cannot be pickled anyway
 
     def public(self) -> "PublicKey":
-        return PublicKey(self)
+        return PublicKey(self.owner, self._check)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<KeyPair owner={self.owner}>"
 
 
 class PublicKey:
-    """Verification-only handle for a :class:`KeyPair`.
+    """Verification-only handle: ``owner`` and a tag-check closure.
 
-    Holding a public key lets you verify but not sign: the secret is
-    not reachable through the public API (the simulated analogue of key
-    asymmetry).
+    It holds no :class:`KeyPair` and no tag function, so holding a
+    public key lets you verify but not sign (the simulated analogue of
+    key asymmetry).
     """
 
-    __slots__ = ("owner", "_kp")
+    __slots__ = ("owner", "_check")
 
-    def __init__(self, kp: KeyPair) -> None:
-        self.owner = kp.owner
-        self._kp = kp
+    def __init__(self, owner: int, check: Callable[[Digest, bytes], bool]) -> None:
+        self.owner = owner
+        self._check = check
 
     def verify(self, data: Digest, sig: Signature) -> bool:
-        return self._kp._check_tag(data, sig)
+        return sig.signer == self.owner and self._check(data, sig.tag)
 
 
 class KeyRing:

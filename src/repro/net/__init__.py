@@ -7,7 +7,6 @@ from .conditions import (
     degrade_window,
     isolate_node,
     remove_hook,
-    slow_node,
 )
 from .latency import ConstantLatency, LatencyModel, TopologyLatency
 from .message import HEADER_BYTES, Envelope, payload_size
@@ -20,7 +19,6 @@ __all__ = [
     "degrade_window",
     "isolate_node",
     "remove_hook",
-    "slow_node",
     "ConstantLatency",
     "LatencyModel",
     "TopologyLatency",

@@ -2,7 +2,7 @@
 
 The paper's Sec. VIII-d studies *unstable and degraded* conditions by
 artificially triggering catch-up/piggyback executions.  These helpers
-install delay hooks on a :class:`~repro.net.network.Network` to slow
+install delay hooks on a :class:`~repro.net.network.Network` to delay
 specific nodes or time windows, which is how a leader "misses" the
 previous view's certificate and must fall back.  :class:`DegradeSpec`
 and :class:`IsolateSpec` describe the same conditions as data
@@ -11,7 +11,6 @@ and :class:`IsolateSpec` describe the same conditions as data
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -65,24 +64,6 @@ def degrade_window(
     return hook
 
 
-def slow_node(
-    network: Network,
-    node: int,
-    extra_s: float,
-    start: float = 0.0,
-    end: float = math.inf,
-) -> DelayHook:
-    """Make every message from ``node`` take ``extra_s`` longer."""
-
-    def hook(now: float, src: int, dst: int, size: int) -> float:
-        if src == node and start <= now < end:
-            return extra_s
-        return 0.0
-
-    network.delay_hooks.append(hook)
-    return hook
-
-
 def isolate_node(
     network: Network,
     node: int,
@@ -117,7 +98,6 @@ __all__ = [
     "DegradeSpec",
     "IsolateSpec",
     "degrade_window",
-    "slow_node",
     "isolate_node",
     "remove_hook",
 ]

@@ -90,9 +90,7 @@ def test_cli_lint_json_contract(tmp_path, capsys):
 
 #: The rule catalogue: each rule fired on a real commit or guards what
 #: the paper rests on (docs/invariants.md, "Adding a rule").
-RULES = [
-    "determinism", "tee-encapsulation", "all-exports", "stream-purity", "secret-flow",
-]
+RULES = ["determinism", "tee-encapsulation", "all-exports"]
 
 
 def test_cli_lint_rules_listing(capsys):

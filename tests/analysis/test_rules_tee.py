@@ -1,5 +1,7 @@
 """TEE-encapsulation rule: enclave internals only behind ecalls."""
 
+import pytest
+
 from repro.analysis import LintEngine
 from repro.analysis.rules import TeeEncapsulationRule
 
@@ -84,22 +86,63 @@ def test_flags_batched_sign_outside_enclave():
 
 
 def test_flags_raw_secret_access():
-    findings = lint("def attack(kp):\n    return kp._secret\n")
+    # The key schedule lives only in the cells of the KeyPair's closures.
+    findings = lint("def attack(kp):\n    return kp._tag.__closure__\n")
     assert len(findings) == 1
-    assert "_secret" in findings[0].message
-    assert lint("def attack(pk, d, s):\n    return pk._check_tag(d, s)\n")
-    assert lint("def attack(pk):\n    return pk._kp\n")
+    assert "__closure__" in findings[0].message
+    findings = lint("def attack(cell):\n    return cell.cell_contents\n")
+    assert len(findings) == 1
+    assert "cell_contents" in findings[0].message
 
 
-def test_flags_key_schedule_access():
-    for attr in ("_inner", "_outer"):
-        findings = lint(f"def attack(kp, d):\n    return kp.{attr}.copy()\n")
-        assert len(findings) == 1
-        assert attr in findings[0].message
-        src = f"def _tag(self, d):\n    return self.{attr}.copy()\n"
-        assert lint(src, path="repro/crypto/keys.py") == []
+#: (source, line of the finding) for reads that reach the signing key
+#: through a closure, or an enclave key from code nested in a function.
+NESTED_LEAKS = {
+    "closure-cells": (
+        "def attack(kp):\n"
+        "    cells = kp._tag.__closure__\n"
+        "    return cells\n",
+        2,
+    ),
+    "cell-contents": (
+        "def attack(cells):\n"
+        "    x = 1\n"
+        "    return [c.cell_contents for c in cells]\n",
+        3,
+    ),
+    "nested-def": (
+        "def outer(enclave):\n"
+        "    def leak():\n"
+        "        return enclave._key\n"
+        "    return leak\n",
+        3,
+    ),
+    "lambda": (
+        "def outer(enclave):\n"
+        "    x = 1\n"
+        "    return lambda: enclave._key\n",
+        3,
+    ),
+    "class-in-function": (
+        "def outer(enclave):\n"
+        "    class Leak:\n"
+        "        x = 1\n"
+        "        key = enclave._key\n"
+        "    return Leak\n",
+        4,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NESTED_LEAKS))
+def test_flags_key_schedule_access(case):
+    source, line = NESTED_LEAKS[case]
+    findings = lint(source, path="repro/protocols/oneshot/replica.py")
+    assert [f.line for f in findings] == [line]
+    # The key module builds the closures and may open them.
+    assert lint(source, path="repro/crypto/keys.py") == []
 
 
 def test_keys_module_is_the_trusted_secret_holder():
-    src = "def _check_tag(self, d, t):\n    return self._kp is not None\n"
+    src = "def _tag(f):\n    return f.__closure__[0].cell_contents\n"
     assert lint(src, path="repro/crypto/keys.py") == []

@@ -1,8 +1,10 @@
-"""Shared test helpers: compact cluster construction, run loops and
-fingerprinted runs."""
+"""Shared test helpers: compact cluster construction, run loops,
+fingerprinted runs, and the run-time RNG stream-purity check."""
 
 from __future__ import annotations
 
+import math
+import sys
 from typing import Optional
 
 import pytest
@@ -11,9 +13,10 @@ from repro.experiments import ExperimentConfig, run_experiment
 from repro.fuzz import RunFingerprint, fingerprint_of
 from repro.metrics import MetricsCollector
 from repro.net import ConstantLatency, LatencyModel, Network
+from repro.net.network import DelayHook
 from repro.protocols.common import Cluster, ProtocolConfig, build_cluster
 from repro.protocols.registry import get_protocol
-from repro.sim import Simulator
+from repro.sim import RngRegistry, Simulator
 
 
 def make_cluster(
@@ -104,6 +107,24 @@ def with_latency(model: LatencyModel):
     return instrument
 
 
+def slow_node(
+    network: Network,
+    node: int,
+    extra_s: float,
+    start: float = 0.0,
+    end: float = math.inf,
+) -> DelayHook:
+    """Make every message from ``node`` take ``extra_s`` longer."""
+
+    def hook(now: float, src: int, dst: int, size: int) -> float:
+        if src == node and start <= now < end:
+            return extra_s
+        return 0.0
+
+    network.delay_hooks.append(hook)
+    return hook
+
+
 class UniformLatency:
     """One-way delay drawn uniformly from ``[low, high]``: the cheapest
     draw-consuming :class:`LatencyModel`, for seed-sensitive tests."""
@@ -126,3 +147,68 @@ def small_oneshot():
     """A started-but-not-run 3-replica OneShot cluster (f=1)."""
     sim, network, cluster = make_cluster("oneshot", f=1)
     return sim, network, cluster
+
+
+# -- RNG stream purity at run time (docs/invariants.md) -----------------
+#: Stream category -> the packages that may draw from its streams, one
+#: row per ``stream(`` call site in ``src/``.  A category without a row
+#: has no home: any draw on it from ``repro.*`` fails.
+STREAM_HOMES: dict[str, tuple[str, ...]] = {
+    "net": ("repro.net",),
+    "workload": ("repro.workload", "repro.shard"),
+    "generate": ("repro.fuzz",),
+}
+
+
+class StreamPurityError(AssertionError):
+    """A module under ``repro.`` drew from a stream outside its home."""
+
+
+def stream_category(name: str) -> str:
+    """``workload.region3.arrivals`` -> ``workload``, ``net2`` -> ``net``."""
+    return name.split(".")[0].rstrip("0123456789")
+
+
+class HomeCheckedStream:
+    """A stream that judges the calling module of every draw.
+
+    Looking up a public attribute other than ``bit_generator`` (every
+    draw method) from a module under ``repro.`` outside the stream's
+    home raises; test modules are not judged.
+    """
+
+    __slots__ = ("_gen", "_name", "_home")
+
+    def __init__(self, gen, name: str) -> None:
+        self._gen = gen
+        self._name = name
+        self._home = STREAM_HOMES.get(stream_category(name), ())
+
+    def __getattr__(self, attr: str):
+        if not attr.startswith("_") and attr != "bit_generator":
+            module = sys._getframe(1).f_globals.get("__name__", "")
+            if module.startswith("repro.") and not any(
+                module == h or module.startswith(f"{h}.") for h in self._home
+            ):
+                raise StreamPurityError(
+                    f"{module} draws {attr}() from RNG stream {self._name!r}, "
+                    f"whose home is {self._home or 'nowhere'}"
+                )
+        return getattr(self._gen, attr)
+
+
+@pytest.fixture(autouse=True, scope="session")
+def stream_purity():
+    """Every stream derived during the session is a HomeCheckedStream."""
+    real = RngRegistry.stream
+
+    def stream(self, name, purpose=None):
+        gen = real(self, name, purpose)
+        if not isinstance(gen, HomeCheckedStream):
+            # Cached in place, so a name keeps one identity per registry.
+            gen = self._streams[name] = HomeCheckedStream(gen, name)
+        return gen
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RngRegistry, "stream", stream)
+        yield

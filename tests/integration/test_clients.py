@@ -8,6 +8,8 @@ from repro.protocols.registry import get_protocol
 from repro.sim import Simulator
 from repro.smr import Client, SubmitTxBatch, TxBatch
 
+from ..conftest import slow_node
+
 
 def build(protocol="oneshot", f=1, seed=1, saturated=False, certified=None):
     info = get_protocol(protocol)
@@ -159,8 +161,6 @@ def test_oneshot_single_reply_beats_quorum_wait():
     """Responsiveness (Sec. II, Gupta et al. issue #1): transferring
     certificates to clients lets them trust the FIRST reply, which
     arrives earlier than an f+1 reply quorum when replicas are skewed."""
-    from repro.net import slow_node
-
     latencies = {}
     for certified in (True, False):
         sim, net, cluster, client = build("oneshot", f=1, seed=6, certified=certified)

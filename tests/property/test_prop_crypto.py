@@ -78,12 +78,14 @@ def _sized_binary(max_size):
 def test_key_schedule_tags_equal_one_shot_hmac(secret, data, flip, pos):
     """The precomputed key schedule is RFC 2104 for every key length —
     shorter than, equal to, and longer than the 64-byte block (long keys
-    are hashed first) — and ``_check_tag`` accepts exactly that tag."""
+    are hashed first) — and the public key's tag check accepts exactly
+    that tag."""
     kp = KeyPair(7, secret)
+    pk = kp.public()
     tag = hmac.digest(secret, data, "sha256")
     assert kp.sign(data).tag == tag
-    assert kp._check_tag(data, Signature(7, tag))
+    assert pk.verify(data, Signature(7, tag))
     forged = bytearray(tag)
     forged[pos] ^= flip
-    assert kp._check_tag(data, Signature(7, bytes(forged))) == (flip == 0)
-    assert not kp._check_tag(data, Signature(8, tag))
+    assert pk.verify(data, Signature(7, bytes(forged))) == (flip == 0)
+    assert not pk.verify(data, Signature(8, tag))

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.certificates import PrepareCert, store_digest
-from repro.crypto import KeyPair, KeyRing, Signature, memo, sha256
+from repro.crypto import KeyPair, KeyRing, PublicKey, Signature, memo, sha256
 
 PAIRS = [KeyPair.generate(i, master_seed=17, domain="cache-prop") for i in range(5)]
 
@@ -141,13 +141,13 @@ def test_warm_quorum_cert_verify_checks_no_tags(monkeypatch):
     instance carrying the same signatures — performs zero tag checks.
     Counted, not timed."""
     checks = []
-    real = KeyPair._check_tag
+    real = PublicKey.verify
 
     def counted(self, data, sig):
         checks.append(sig.signer)
         return real(self, data, sig)
 
-    monkeypatch.setattr(KeyPair, "_check_tag", counted)
+    monkeypatch.setattr(PublicKey, "verify", counted)
     ring = fresh_ring()
     h = sha256(b"warm-qc")
     digest = store_digest(4, h, 4)
@@ -167,13 +167,13 @@ def test_fresh_uncached_ring_bypasses_both_layers(monkeypatch):
     instance memos are keyed by ring — so every check re-runs the HMAC
     (how fingerprints and ledgers are proved memo-independent)."""
     checks = []
-    real = KeyPair._check_tag
+    real = PublicKey.verify
 
     def counted(self, data, sig):
         checks.append(sig.signer)
         return real(self, data, sig)
 
-    monkeypatch.setattr(KeyPair, "_check_tag", counted)
+    monkeypatch.setattr(PublicKey, "verify", counted)
     ring = fresh_ring()
     d = sha256(b"switch")
     sig = PAIRS[0].sign(d)

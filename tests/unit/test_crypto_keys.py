@@ -90,7 +90,9 @@ def test_public_key_cannot_sign(ring_and_keys):
     _, pairs = ring_and_keys
     pk = pairs[0].public()
     assert not hasattr(pk, "sign")
-    assert not hasattr(pk, "_secret")
+    # Nor does anything it holds: no key pair, no tag function.
+    held = [getattr(pk, slot) for slot in type(pk).__slots__]
+    assert not any(hasattr(obj, "sign") for obj in held)
 
 
 # ----------------------------------------------------------------------

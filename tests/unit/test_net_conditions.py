@@ -6,9 +6,10 @@ from repro.net import (
     degrade_window,
     isolate_node,
     remove_hook,
-    slow_node,
 )
 from repro.sim import Process, Simulator
+
+from ..conftest import slow_node
 
 
 class Sink(Process):

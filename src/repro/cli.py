@@ -46,11 +46,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = run_experiment(cfg)
     print(cfg.describe())
     print(result.stats)
-    if result.engine is not None:
+    if result.pump is not None:
         print(
-            f"offered load: {result.engine.txs_offered:,} txs from "
-            f"{result.engine.virtual_clients:,} virtual clients "
-            f"({result.engine.observed_rate_tps():,.0f} tx/s)"
+            f"offered load: {result.pump.txs_offered:,} txs from "
+            f"{result.pump.virtual_clients:,} virtual clients "
+            f"({cfg.offered_tps:,.0f} tx/s configured)"
         )
     return 0
 

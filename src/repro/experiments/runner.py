@@ -19,8 +19,9 @@ from ..net import Network, degrade_window, isolate_node
 from ..protocols import BaseReplica, Cluster, ProtocolConfig, build_cluster
 from ..protocols.common import LeaderMap
 from ..protocols.registry import get_protocol
+from ..shard import Router, ShardedWorkload
 from ..sim import Simulator
-from ..workload import attach_workload
+from ..workload import split_regions
 from .config import ConfigError, ExperimentConfig, check_fields
 from .deployments import latency_model_for
 
@@ -113,6 +114,35 @@ def _drive(sim: Simulator, clusters: list[Cluster], until: float, load=None) -> 
         cluster.stop()
 
 
+def _open_pump(
+    config: ExperimentConfig,
+    sim: Simulator,
+    networks: list[Network],
+    replica_pids: list[list[int]],
+    **kw,
+) -> ShardedWorkload:
+    """The one open-loop pump over the run's groups: the config's
+    clients and offered load split across its regions, routed by key
+    (cross-shard traffic needs two groups)."""
+    k = len(networks)
+    router = Router(
+        k,
+        slots=config.shard_slots,
+        hot_permille=config.hot_key_permille,
+        cross_permille=config.cross_shard_permille if k > 1 else 0,
+    )
+    regions = split_regions(
+        config.virtual_clients,
+        config.offered_tps,
+        config.workload_regions,
+        config.payload_bytes,
+    )
+    return ShardedWorkload(
+        sim, networks, replica_pids, router, regions,
+        slab_rows=config.arrival_slab, **kw,
+    )
+
+
 @dataclass
 class RunResult:
     """Everything a driver might want from one run."""
@@ -123,8 +153,8 @@ class RunResult:
     cluster: Cluster
     network: Network
     sim: Simulator
-    #: The aggregated load engine, when ``config.workload == "open"``.
-    engine: Optional[object] = None
+    #: The open-loop pump, when ``config.workload == "open"``.
+    pump: Optional[ShardedWorkload] = None
 
 
 def run_experiment(
@@ -149,24 +179,17 @@ def run_experiment(
     with _run_scope(config, replica_factory, enable_message_log) as (
         sim, (network,), (cluster,)
     ):
-        engine = None
+        pump = None
         if config.workload == "open":
-            engine = attach_workload(
-                sim,
-                network,
-                [r.pid for r in cluster.replicas],
-                offered_tps=config.offered_tps,
-                virtual_clients=config.virtual_clients,
-                regions=config.workload_regions,
-                payload_bytes=config.payload_bytes,
-                slab_rows=config.arrival_slab,
+            pump = _open_pump(
+                config, sim, [network], [[r.pid for r in cluster.replicas]]
             )
         if instrument is not None:
             instrument(sim, network, cluster)
         cluster.replicas[config.reference_pid].log.when_length(
             config.target_blocks + config.warmup_blocks, sim.stop
         )
-        _drive(sim, [cluster], config.max_sim_time, engine)
+        _drive(sim, [cluster], config.max_sim_time, pump)
     return RunResult(
         config=config,
         stats=compute_stats(cluster.collector, config.warmup_blocks),
@@ -174,7 +197,7 @@ def run_experiment(
         cluster=cluster,
         network=network,
         sim=sim,
-        engine=engine,
+        pump=pump,
     )
 
 

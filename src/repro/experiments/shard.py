@@ -25,7 +25,6 @@ from ..shard import (
     COORDINATOR_PID,
     AtomicityReport,
     Coordinator,
-    Rebalancer,
     Router,
     ShardedWorkload,
     ShardFingerprint,
@@ -33,9 +32,8 @@ from ..shard import (
     fingerprint_shards,
 )
 from ..sim import Simulator
-from ..workload import split_regions
 from .config import ExperimentConfig, check_fields
-from .runner import _drive, _run_scope
+from .runner import _drive, _open_pump, _run_scope
 
 #: ``instrument(sim, networks, clusters)`` — called after the config's
 #: conditions are installed, before the clusters start.
@@ -106,14 +104,8 @@ def run_sharded(
     k = config.shards
     with _run_scope(config, replica_factory) as (sim, networks, clusters):
         replica_pids = [[r.pid for r in c.replicas] for c in clusters]
-        router = Router(
-            k,
-            slots=config.shard_slots,
-            hot_permille=config.hot_key_permille,
-            cross_permille=config.cross_shard_permille if k > 1 else 0,
-        )
         coordinator = None
-        if router.cross_permille:
+        if k > 1 and config.cross_shard_permille:
             coordinator = Coordinator(
                 sim,
                 networks,
@@ -121,22 +113,11 @@ def run_sharded(
                 f=config.f,
                 certified_replies=info.replica_cls.CERTIFIED_REPLIES,
             )
-        pump = ShardedWorkload(
-            sim,
-            networks,
-            replica_pids,
-            router,
-            split_regions(
-                config.virtual_clients,
-                config.offered_tps,
-                config.workload_regions,
-                config.payload_bytes,
-            ),
-            coordinator=coordinator,
-            slab_rows=config.arrival_slab,
-            epoch_s=config.shard_epoch_s,
-            rebalancer=Rebalancer(),
+        pump = _open_pump(
+            config, sim, networks, replica_pids,
+            coordinator=coordinator, epoch_s=config.shard_epoch_s,
         )
+        router = pump.router
         delay = config.coordinator_delay
         if delay is not None:
             for network in networks:

@@ -1,8 +1,10 @@
-"""Sharded open-loop load: one pump feeding k shard mempools.
+"""The open-loop pump: superposed arrivals routed to k group mempools.
 
-The pump owns the same superposed-Poisson region generators as the
-single-group :class:`~repro.workload.engine.WorkloadEngine`, but every
-minted slab passes through the :class:`~repro.shard.router.Router`:
+Every open-loop run is fed by one :class:`ShardedWorkload`: a sharded
+run over its k groups, a single-group ``run_experiment`` over its one
+(a one-shard router, no coordinator).  Per region it owns a
+:class:`~repro.workload.arrivals.SuperposedArrivals` generator, and
+every minted slab passes through the :class:`~repro.shard.router.Router`:
 
 * single-shard rows are compacted into per-shard columnar sub-slabs
   and multicast to that shard's replicas (one ``SubmitTxBatch`` per
@@ -17,6 +19,16 @@ the :class:`~repro.shard.rebalance.Rebalancer` inspects the
 :class:`~repro.shard.rebalance.LoadMonitor` and may publish a new
 routing-table epoch, after which subsequent slabs route by the new
 table while everything already in flight drains under the old one.
+
+Two deliberate differences from N client processes:
+
+* slab granularity — a slab is dispatched when its last arrival
+  occurs, so its first rows reach the mempool up to
+  ``slab_rows / rate`` seconds after their nominal arrival (each row's
+  true arrival time rides in the slab's ``submit_times`` column);
+* no client machines — the pump is not registered on any fabric, so
+  injection occupies no NIC, and virtual clients track no replies:
+  commit latency is measured replica-side by the metrics collector.
 """
 
 from __future__ import annotations
@@ -28,8 +40,12 @@ import numpy as np
 from ..net import Network
 from ..sim import Process, Simulator
 from ..smr import SubmitTxBatch
-from ..workload.arrivals import DEFAULT_SLAB_ROWS, SuperposedArrivals
-from ..workload.engine import VIRTUAL_CLIENT_BASE, RegionSpec
+from ..workload.arrivals import (
+    DEFAULT_SLAB_ROWS,
+    VIRTUAL_CLIENT_BASE,
+    RegionSpec,
+    SuperposedArrivals,
+)
 from .coordinator import Coordinator
 from .rebalance import LoadMonitor, Migration, Rebalancer
 from .router import Router
@@ -86,6 +102,7 @@ class ShardedWorkload(Process):
                 )
             )
             base += spec.n_clients
+        self.virtual_clients = base - VIRTUAL_CLIENT_BASE
         self.txs_offered = 0
         self.cross_offered = 0
         self.slabs_sent = 0

@@ -1,31 +1,27 @@
-"""Aggregated open-loop workload generation (the million-client engine).
+"""Aggregated open-loop arrivals (the million-client load).
 
-Replaces N independent Poisson client processes with one
-superposed-Poisson generator per region (equivalent in law; see
-:mod:`repro.workload.arrivals`), minting arrivals in columnar slabs
-that flow through the batched submit path
-(:class:`~repro.smr.client.SubmitTxBatch` →
+N independent Poisson client processes become one superposed-Poisson
+generator per region (equivalent in law; see
+:mod:`repro.workload.arrivals`), minting arrivals in columnar slabs.
+The one pump that injects them, :class:`repro.shard.ShardedWorkload`,
+feeds every open-loop run, one group or many, through the batched
+submit path (:class:`~repro.smr.client.SubmitTxBatch` →
 :meth:`~repro.smr.mempool.Mempool.submit_batch`) without materializing
 per-transaction Python objects.
 """
 
-from .arrivals import DEFAULT_SLAB_ROWS, SuperposedArrivals
-from .engine import (
+from .arrivals import (
+    DEFAULT_SLAB_ROWS,
     VIRTUAL_CLIENT_BASE,
-    WORKLOAD_PID,
     RegionSpec,
-    WorkloadEngine,
-    attach_workload,
+    SuperposedArrivals,
     split_regions,
 )
 
 __all__ = [
     "DEFAULT_SLAB_ROWS",
+    "RegionSpec",
     "SuperposedArrivals",
     "VIRTUAL_CLIENT_BASE",
-    "WORKLOAD_PID",
-    "RegionSpec",
-    "WorkloadEngine",
-    "attach_workload",
     "split_regions",
 ]

@@ -165,7 +165,7 @@ class StreamPurityError(AssertionError):
 
 
 def stream_category(name: str) -> str:
-    """``workload.region3.arrivals`` -> ``workload``, ``net2`` -> ``net``."""
+    """``workload.shard-region3.arrivals`` -> ``workload``, ``net2`` -> ``net``."""
     return name.split(".")[0].rstrip("0123456789")
 
 

@@ -114,7 +114,7 @@ def test_open_loop_run_frees_itself(no_gc):
             virtual_clients=1_000,
         )
     )
-    assert run.engine is not None
+    assert run.pump is not None
     del run
     assert gc.collect() == 0
 

@@ -18,7 +18,7 @@ from repro.smr import (
     TxBatch,
     TxFactory,
 )
-from repro.workload import WORKLOAD_PID
+from repro.shard import SHARD_WORKLOAD_PID
 
 from ..conftest import make_cluster
 
@@ -132,18 +132,18 @@ class TestBatchScalarEquivalence:
 class TestSlabDrain:
     def test_one_fifo_across_client_and_engine_slabs(self):
         """A KV client's submission drains in arrival order between two
-        engine column slabs at a real replica — no kind of slab jumps
+        pump column slabs at a real replica — no kind of slab jumps
         the queue."""
         sim, net, cluster = make_cluster("oneshot", f=1)
         pids = [r.pid for r in cluster.replicas]
         client = Client(sim, net, pid=1000, replica_pids=pids, f=1)
-        net.multicast(WORKLOAD_PID, pids, SubmitTxBatch(
+        net.multicast(SHARD_WORKLOAD_PID, pids, SubmitTxBatch(
             _batch_from_keys([(1, 0), (2, 0)])
         ))
         sim.run()
         tx = client.submit(("set", "k", 1))
         sim.run()
-        net.multicast(WORKLOAD_PID, pids, SubmitTxBatch(
+        net.multicast(SHARD_WORKLOAD_PID, pids, SubmitTxBatch(
             _batch_from_keys([(3, 0)])
         ))
         sim.run()

@@ -54,10 +54,10 @@ def compute_stats(collector: MetricsCollector, warmup_blocks: int = 0) -> RunSta
     txs = sum(rec[2] for rec in blocks.values())
 
     if blocks:
-        # ``or``: a proposal at t = 0 counts as unrecorded, so the span
-        # starts at that block's execution; the paper tables pin this.
+        # A block with no recorded proposal starts at its execution.
         t_first = min(
-            (collector.proposal_time(h) or rec[3]) for h, rec in blocks.items()
+            rec[3] if (t0 := collector.proposal_time(h)) is None else t0
+            for h, rec in blocks.items()
         )
         t_last = max(rec[3] for rec in blocks.values())
         duration = max(t_last - t_first, 1e-9)

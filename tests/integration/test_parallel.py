@@ -74,7 +74,7 @@ def test_parallel_section_is_pinned():
     short = run_parallel_scaling(ks=(1, 2, 4), sim_time=0.5)
     table = render_parallel(short).encode()
     assert hashlib.sha256(table).hexdigest() == (
-        "723e7ce1f40c9ca0080bb2d16d963b719b5dfaa8b33157344220fd8ad67c2444"
+        "9ce65668110ceeba376ff3f8c57554dcfb344342b0d940820ed68b58dc507e74"
     )
     events = {k: run.sim.events_executed for k, run in short.runs.items()}
     assert events == {1: 855, 2: 1617, 4: 2248}

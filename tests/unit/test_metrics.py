@@ -50,6 +50,18 @@ def test_compute_stats_throughput():
     assert st.mean_latency_s == pytest.approx(0.2)
 
 
+def test_compute_stats_span_starts_at_a_proposal_at_t0():
+    c = MetricsCollector()
+    c.on_propose(0, 1, H1, now=0.0)
+    c.on_execute(0, 1, H1, ntxs=400, now=0.5, kind="normal")
+    c.on_propose(0, 2, H2, now=1.0)
+    c.on_execute(0, 2, H2, ntxs=400, now=1.5, kind="normal")
+    st = compute_stats(c)
+    # 800 txs from the proposal at t = 0 to the last execution (1.5).
+    assert st.duration_s == pytest.approx(1.5)
+    assert st.throughput_tps == pytest.approx(800 / 1.5)
+
+
 def test_compute_stats_empty_run():
     st = compute_stats(MetricsCollector())
     assert st.throughput_tps == 0.0

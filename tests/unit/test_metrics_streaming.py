@@ -50,7 +50,10 @@ def legacy_stats(collector: MetricsCollector, warmup_blocks: int = 0) -> RunStat
     lats = np.array(sorted(sums[h] / counts[h] for h in sums))
     txs = sum(ntx_by_block.values())
     if decided:
-        t_first = min((collector.proposal_time(h) or t) for h, t in decided.items())
+        t_first = min(
+            t if (t0 := collector.proposal_time(h)) is None else t0
+            for h, t in decided.items()
+        )
         duration = max(max(decided.values()) - t_first, 1e-9)
         tput = txs / duration
     else:

@@ -71,10 +71,10 @@ class ExperimentConfig:
     #: at import.
     kernel = "scalar"
     #: Load model: "saturated" (paper default — closed-loop synthetic
-    #: sources keep every block full) or "open" (the aggregated
-    #: open-loop engine of :mod:`repro.workload`: ``virtual_clients``
-    #: Poisson clients offering ``offered_tps`` total, superposed per
-    #: region and delivered in columnar slabs).
+    #: sources keep every block full) or "open" (the open-loop pump of
+    #: :mod:`repro.shard.workload`: ``virtual_clients`` Poisson clients
+    #: offering ``offered_tps`` total, superposed per region and
+    #: delivered in columnar slabs).
     workload: str = "saturated"
     #: Aggregate offered load (tx/s) in "open" mode.
     offered_tps: float = 10_000.0

@@ -175,6 +175,10 @@ def run_experiment(
     check_fields(config, [
         ("shards", config.shards == 1,
          "run_experiment runs one group; run_sharded runs more"),
+        ("cross_shard_permille", config.cross_shard_permille == 0,
+         "one group has no cross-shard traffic; run_sharded with shards > 1"),
+        ("shard_epoch_s", config.shard_epoch_s == 0,
+         "one group has no routing epochs; run_sharded with shards > 1"),
     ])
     with _run_scope(config, replica_factory, enable_message_log) as (
         sim, (network,), (cluster,)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collector import MetricsCollector
+from .streaming import percentile
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,8 @@ def compute_stats(collector: MetricsCollector, warmup_blocks: int = 0) -> RunSta
     if warmup_blocks > 0:
         by_time = sorted(blocks.items(), key=lambda kv: kv[1][3])
         blocks = dict(by_time[warmup_blocks:])
-    lats = np.array(sorted(s / n for s, n, _, _ in blocks.values() if n))
+    ordered = sorted(s / n for s, n, _, _ in blocks.values() if n)
+    lats = np.array(ordered)
     txs = sum(rec[2] for rec in blocks.values())
 
     if blocks:
@@ -69,8 +71,8 @@ def compute_stats(collector: MetricsCollector, warmup_blocks: int = 0) -> RunSta
     return RunStats(
         throughput_tps=tput,
         mean_latency_s=float(lats.mean()) if lats.size else 0.0,
-        p50_latency_s=float(np.percentile(lats, 50)) if lats.size else 0.0,
-        p99_latency_s=float(np.percentile(lats, 99)) if lats.size else 0.0,
+        p50_latency_s=percentile(ordered, 50) if ordered else 0.0,
+        p99_latency_s=percentile(ordered, 99) if ordered else 0.0,
         blocks_decided=len(blocks),
         txs_decided=txs,
         views_decided=len(collector.execution_kinds()),

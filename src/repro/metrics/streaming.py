@@ -9,13 +9,29 @@ Long-running observers — the 2PC coordinator's commit latencies
   adjusts them with piecewise-parabolic interpolation.  Deterministic
   (no randomness at all) and exact for the first five observations.
 * :class:`StreamingMoments` — running count, sum, min and max.
+
+:func:`percentile` is numpy's default (linear) ``percentile`` in plain
+Python: numpy's own pulls in ``numpy.ma`` on its first call.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
+from typing import Sequence
 
 _P2_MARKERS = 5
+
+
+def percentile(ordered: Sequence[float], q: float) -> float:
+    """``np.percentile(ordered, q)`` of an ascending non-empty sequence,
+    bit for bit: the same virtual index and the same two-sided lerp."""
+    v = (len(ordered) - 1) * (q / 100)
+    i = math.floor(v)
+    if i >= len(ordered) - 1:
+        return float(ordered[-1])
+    lo, hi = ordered[i], ordered[i + 1]
+    g, d = v - i, hi - lo
+    return float(hi - d * (1 - g) if g >= 0.5 else lo + d * g)
 
 
 class P2Quantile:
@@ -110,14 +126,14 @@ class P2Quantile:
     def value(self) -> float:
         """Current quantile estimate (0.0 before any observation).
 
-        Exact (numpy ``percentile`` on the buffered points) while fewer
+        Exact (:func:`percentile` of the buffered points) while fewer
         than five observations have arrived; the P² middle marker
         afterwards.
         """
         if self._count == 0:
             return 0.0
         if self._count < _P2_MARKERS:
-            return float(np.percentile(np.array(self._q), self.p * 100.0))
+            return percentile(sorted(self._q), self.p * 100.0)
         return self._q[2]
 
 
@@ -145,4 +161,4 @@ class StreamingMoments:
         return self.total / self.count if self.count else 0.0
 
 
-__all__ = ["P2Quantile", "StreamingMoments"]
+__all__ = ["P2Quantile", "StreamingMoments", "percentile"]

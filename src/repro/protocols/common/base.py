@@ -410,9 +410,7 @@ class BaseReplica(Process):
     def new_leaf(self, parent: Digest) -> Block:
         """createLeaf: the mempool's next batch on ``parent`` in this
         view, charged for hashing the block."""
-        block = create_leaf(
-            parent, self.view, self.mempool.next_batch(self.sim.now), self.pid
-        )
+        block = create_leaf(parent, self.view, self.mempool.next_batch(), self.pid)
         self.charge(self.config.crypto_costs.hash(block.wire_size()))
         return block
 

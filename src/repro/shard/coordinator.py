@@ -33,8 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-import numpy as np
-
 from ..metrics.streaming import P2Quantile, StreamingMoments
 from ..net import Network
 from ..sim import Process, Simulator
@@ -46,6 +44,14 @@ COORDINATOR_PID = 95_000
 
 #: Default prepare deadline (seconds) before a presumed abort.
 DEFAULT_PREPARE_TIMEOUT = 8.0
+
+#: A marker's packed key is ``_MARKERS | tx_id``: prepare ``2 * xid``,
+#: decision ``2 * xid + 1``.
+_MARKERS = COORDINATOR_PID << 32
+
+#: The decision op kinds; every decision marker shares one of these.
+XCOMMIT = "xcommit"
+XABORT = "xabort"
 
 
 class ShardPort(Process):
@@ -151,7 +157,7 @@ class Coordinator(Process):
             self._pending[xid] = _PendingTx(xid, (home, partner), now)
             for shard, delta in ((home, -1), (partner, 1)):
                 op = ("xprepare", xid, self._legs[shard][delta])
-                markers.setdefault(shard, []).append((2 * xid, op))
+                markers.setdefault(shard, []).append((_MARKERS | 2 * xid, op))
         if markers:
             self._send(markers, payload_bytes)
             self.after(self.prepare_timeout, self._deadline, xids)
@@ -160,18 +166,12 @@ class Coordinator(Process):
     def _send(
         self, markers: dict[int, list[tuple[int, Any]]], payload_bytes: int = 0
     ) -> None:
-        """One marker slab per shard — ``(tx_id, op)`` rows as columns of
-        the coordinator's client id and the current time — in ascending
-        shard order, to every replica (so a faulty leader cannot censor
-        it silently)."""
-        now = self.sim.now
+        """One marker slab per shard — its ``(packed key, op)`` rows — in
+        ascending shard order, to every replica (so a faulty leader
+        cannot censor it silently)."""
         for shard in sorted(markers):
-            tx_ids, ops = zip(*markers[shard])
-            n = len(tx_ids)
-            slab = TxBatch.columns(
-                np.full(n, COORDINATOR_PID), tx_ids, np.full(n, now),
-                payload_bytes, ops,
-            )
+            keys, ops = zip(*markers[shard])
+            slab = TxBatch.from_keys(keys, payload_bytes, ops)
             self.networks[shard].multicast(
                 COORDINATOR_PID,
                 self.replica_pids[shard],
@@ -210,11 +210,12 @@ class Coordinator(Process):
     # ------------------------------------------------------------------
     def _decide(self, pends: list[_PendingTx], outcome: str) -> None:
         now = self.sim.now
+        kind = XCOMMIT if outcome == "commit" else XABORT
         markers: dict[int, list[tuple[int, Any]]] = {}
         for pend in pends:
-            op = ("x" + outcome, pend.xid)
+            op = (kind, pend.xid)
             for shard in pend.shards:
-                markers.setdefault(shard, []).append((2 * pend.xid + 1, op))
+                markers.setdefault(shard, []).append((_MARKERS | 2 * pend.xid + 1, op))
             latency = now - pend.submitted_at
             self.decision_latency.add(latency)
             self.decision_p99.add(latency)

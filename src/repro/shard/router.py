@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..crypto import Digest, digest_of
-from ..smr import TxBatch
 
 #: Distinct salts keep the three routing decisions (slot placement,
 #: hot-key membership, cross-shard partner choice) independent hashes.
@@ -82,7 +81,7 @@ def initial_table(n_shards: int, slots: int = DEFAULT_SLOTS) -> RoutingTable:
 
 
 class Router:
-    """Versioned deterministic router over columnar slabs.
+    """Versioned deterministic router over columns of arrivals.
 
     Holds the full :class:`RoutingTable` history (epoch 0 plus every
     rebalance); all routing decisions use the *current* table, and the
@@ -145,9 +144,9 @@ class Router:
             % np.uint64(self.table.slots)
         ).astype(np.int64)
 
-    def classify(self, batch: TxBatch):
-        """Route one slab: per-row slot, home shard, cross-shard mask
-        and partner shard.
+    def classify(self, client_ids: np.ndarray, tx_ids: np.ndarray):
+        """Route one slab of arrivals, given as its id columns: per-row
+        slot, home shard, cross-shard mask and partner shard.
 
         Cross-shard membership and the partner shard are hashed from
         the *transaction* identity (client id and tx id), so they are
@@ -155,15 +154,14 @@ class Router:
         Returns ``(slots, home, cross_mask, partner)`` numpy arrays
         (``partner[i]`` is meaningful only where ``cross_mask[i]``).
         """
-        slots = self.slots_of(batch.client_ids)
+        slots = self.slots_of(client_ids)
         home = self.table.as_array()[slots]
-        n = len(batch)
         if not self.cross_permille or self.n_shards < 2:
-            cross = np.zeros(n, dtype=bool)
+            cross = np.zeros(len(client_ids), dtype=bool)
             return slots, home, cross, home
         ident = mix64(
-            batch.client_ids.astype(np.uint64)
-            ^ mix64(batch.tx_ids.astype(np.uint64) ^ np.uint64(_CROSS_SALT))
+            client_ids.astype(np.uint64)
+            ^ mix64(tx_ids.astype(np.uint64) ^ np.uint64(_CROSS_SALT))
         )
         cross = ident % np.uint64(1000) < np.uint64(self.cross_permille)
         hop = (ident >> np.uint64(32)) % np.uint64(self.n_shards - 1)

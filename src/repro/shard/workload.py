@@ -4,10 +4,11 @@ Every open-loop run is fed by one :class:`ShardedWorkload`: a sharded
 run over its k groups, a single-group ``run_experiment`` over its one
 (a one-shard router, no coordinator).  Per region it owns a
 :class:`~repro.workload.arrivals.SuperposedArrivals` generator, and
-every minted slab passes through the :class:`~repro.shard.router.Router`:
+the id columns of every minted slab of arrivals pass through the
+:class:`~repro.shard.router.Router`:
 
-* single-shard rows are compacted into per-shard columnar sub-slabs
-  and multicast to that shard's replicas (one ``SubmitTxBatch`` per
+* single-shard rows become per-shard slabs of their packed keys and
+  are multicast to that shard's replicas (one ``SubmitTxBatch`` per
   shard per slab — the slab fan-out stays O(k), not O(rows));
 * cross-shard rows are handed to the 2PC
   :class:`~repro.shard.coordinator.Coordinator` in one
@@ -24,8 +25,8 @@ Two deliberate differences from N client processes:
 
 * slab granularity — a slab is dispatched when its last arrival
   occurs, so its first rows reach the mempool up to
-  ``slab_rows / rate`` seconds after their nominal arrival (each row's
-  true arrival time rides in the slab's ``submit_times`` column);
+  ``slab_rows / rate`` seconds after their nominal arrival (a row's
+  true arrival time is not kept: latency runs from proposal);
 * no client machines — the pump is not registered on any fabric, so
   injection occupies no NIC, and virtual clients track no replies:
   commit latency is measured replica-side by the metrics collector.
@@ -39,7 +40,7 @@ import numpy as np
 
 from ..net import Network
 from ..sim import Process, Simulator
-from ..smr import SubmitTxBatch
+from ..smr import SubmitTxBatch, TxBatch
 from ..workload.arrivals import (
     DEFAULT_SLAB_ROWS,
     VIRTUAL_CLIENT_BASE,
@@ -127,29 +128,33 @@ class ShardedWorkload(Process):
     # Slab routing
     # ------------------------------------------------------------------
     def _schedule(self, ri: int) -> None:
-        slab = self.generators[ri].next_slab(self.slab_rows)
-        fire_at = float(slab.submit_times[-1])
-        self.after(max(0.0, fire_at - self.sim.now), self._emit, ri, slab)
+        gen = self.generators[ri]
+        client_ids, tx_ids, _ = gen.next_arrivals(self.slab_rows)
+        self.after(
+            max(0.0, gen.clock - self.sim.now), self._emit, ri, client_ids, tx_ids
+        )
 
-    def _emit(self, ri: int, slab) -> None:
+    def _emit(self, ri: int, client_ids: np.ndarray, tx_ids: np.ndarray) -> None:
         if not self._running:
             return
-        slots, home, cross, partner = self.router.classify(slab)
+        slots, home, cross, partner = self.router.classify(client_ids, tx_ids)
         self.monitor.record(slots, home)
         single = ~cross
+        keys = client_ids.astype(np.uint64) << np.uint64(32) | tx_ids.astype(np.uint64)
+        payload_bytes = self.generators[ri].payload_bytes
         for shard in range(self.router.n_shards):
             idx = np.nonzero(single & (home == shard))[0]
             if len(idx):
                 self.networks[shard].multicast(
                     self.pid,
                     self.replica_pids[shard],
-                    SubmitTxBatch(slab.select(idx)),
+                    SubmitTxBatch(TxBatch.from_keys(keys[idx], payload_bytes)),
                 )
         if self.coordinator is not None:
             pairs = list(zip(home[cross].tolist(), partner[cross].tolist()))
-            self.coordinator.submit_transfers(pairs, self.generators[ri].payload_bytes)
+            self.coordinator.submit_transfers(pairs, payload_bytes)
             self.cross_offered += len(pairs)
-        self.txs_offered += len(slab)
+        self.txs_offered += len(client_ids)
         self.slabs_sent += 1
         self._schedule(ri)
 

@@ -70,9 +70,9 @@ class Client(Process):
     Its bookkeeping is keyed by ``tx_id`` (its client id is its pid);
     a reply's keys of other clients are ignored.
 
-    **Bounded bookkeeping.**  The in-flight (``_inflight``) and
-    reply-voter (``_reply_counts``) entries of a transaction are popped
-    the moment it commits, leaving its commit time in ``committed``.
+    **Bounded bookkeeping.**  The in-flight (``_inflight``: submit time)
+    and reply-voter (``_reply_counts``) entries of a transaction are
+    popped the moment it commits, leaving its latency in ``committed``.
     Entries for transactions that *never* commit are capped at
     ``max_inflight`` (oldest evicted first), so no dict grows without
     bound over a long open-loop run.
@@ -101,7 +101,7 @@ class Client(Process):
         self.factory = TxFactory(client_id=pid, payload_bytes=payload_bytes)
         # OrderedDict so the cap eviction unlinks the oldest entry in
         # O(1); popping a plain dict's front rescans prior tombstones.
-        self._inflight: OrderedDict[int, None] = OrderedDict()
+        self._inflight: OrderedDict[int, float] = OrderedDict()
         self._reply_counts: dict[int, set[int]] = {}
         self.committed: dict[int, float] = {}
         self.results: dict[int, Any] = {}
@@ -112,11 +112,11 @@ class Client(Process):
     # ------------------------------------------------------------------
     def submit(self, op: Any = None) -> Transaction:
         """Create and broadcast a transaction; returns it."""
-        tx = self.factory.make(now=self.sim.now, op=op)
+        tx = self.factory.make(op)
         if len(self._inflight) >= self.max_inflight:
             stale, _ = self._inflight.popitem(last=False)
             self._reply_counts.pop(stale, None)
-        self._inflight[tx.tx_id] = None
+        self._inflight[tx.tx_id] = self.sim.now
         self.network.multicast(
             self.pid,
             self.replica_pids,
@@ -148,9 +148,8 @@ class Client(Process):
             self._commit(tx_id, payload)
 
     def _commit(self, tx_id: int, payload: Reply) -> None:
-        self.committed[tx_id] = self.sim.now
+        self.committed[tx_id] = self.sim.now - self._inflight.pop(tx_id)
         self.results[tx_id] = payload.result
-        del self._inflight[tx_id]
         self._reply_counts.pop(tx_id, None)
 
     # ------------------------------------------------------------------
@@ -158,8 +157,7 @@ class Client(Process):
     # ------------------------------------------------------------------
     def latency(self, tx: Transaction) -> Optional[float]:
         """Submit → commit latency, or None if still pending."""
-        done = self.committed.get(tx.tx_id) if tx.client_id == self.pid else None
-        return None if done is None else done - tx.submit_time
+        return self.committed.get(tx.tx_id) if tx.client_id == self.pid else None
 
     def pending(self) -> int:
         return len(self._inflight)

@@ -38,11 +38,14 @@ class Mempool:
     commit-time dedup is the execution log's job, and a second pending
     copy of a key is skipped at drain time.
 
-    **Interval entries.**  A committed run of one client's consecutive
-    ids (the filler) enters as *one* packed interval ``[lo, hi)`` that
-    counts as ``hi - lo`` keys and is evicted from its front, unless a
-    key of it could already be in the window or pending; then it is
-    expanded to its keys (argument: docs/invariants.md).
+    **Entries.**  Each call enters its fresh keys as one FIFO entry per
+    run of at most ``dedup_window`` of them (the caller's own key tuple
+    when every key is fresh), evicted from its front.  A run that short
+    is exact: eviction can only reach older entries.  A committed run
+    of one client's consecutive ids (the filler) enters as *one* packed
+    interval ``[lo, hi)`` that counts as ``hi - lo`` keys, unless a key
+    of it could already be in the window or pending; then it is entered
+    key by key (argument: docs/invariants.md).
     """
 
     def __init__(
@@ -57,14 +60,15 @@ class Mempool:
         self.batch_size = batch_size
         self.dedup_window = dedup_window
         #: The window.  ``_order`` lists its entries oldest first from
-        #: ``_head`` on: packed keys (also in ``_seen``) and ``[lo, hi]``
-        #: packed intervals (also in ``_runs`` by client id).  Advancing
-        #: ``_head`` evicts in O(1); popping a dict's front goes
-        #: quadratic in the tombstones of earlier evictions.
+        #: ``_head`` on: sequences of packed keys (also in ``_seen``;
+        #: the head entry's first ``_skip`` keys are gone) and ``[lo,
+        #: hi]`` packed intervals (also in ``_runs`` by client id).
+        #: Advancing ``_head`` evicts in O(1); popping a dict's front
+        #: goes quadratic in the tombstones of earlier evictions.
         self._seen: dict[int, None] = {}
         self._runs: dict[int, list[list[int]]] = {}
         self._order: list = []
-        self._head = 0
+        self._head = self._skip = 0
         self._run_keys = 0  # keys inside intervals
         self._single_lo: float = float("inf")  # span of single-key client ids
         self._single_hi: float = float("-inf")
@@ -81,14 +85,11 @@ class Mempool:
 
     # -- the dedup window ---------------------------------------------------
     def _evict(self, n: int) -> None:
-        """Forget the ``n`` oldest keys; amortized O(1) per entry."""
-        order, head = self._order, self._head
+        """Forget the ``n`` oldest keys; amortized O(1) per key."""
+        order, head, seen = self._order, self._head, self._seen
         while n > 0:
             entry = order[head]
-            if type(entry) is int:
-                del self._seen[entry]
-                n -= 1
-            else:
+            if type(entry) is list:
                 gone = min(n, entry[1] - entry[0])
                 entry[0] += gone
                 self._run_keys -= gone
@@ -100,6 +101,16 @@ class Mempool:
                 del live[0]  # one client's intervals leave oldest first
                 if not live:
                     del self._runs[cid]
+            else:
+                skip = self._skip
+                stop = min(len(entry), skip + n)
+                for k in entry[skip:stop]:
+                    del seen[k]
+                n -= stop - skip
+                if stop < len(entry):
+                    self._skip = stop
+                    break
+                self._skip = 0
             head += 1
         if head > 4096 and head * 2 >= len(order):
             del order[:head]
@@ -124,11 +135,12 @@ class Mempool:
     def _remember_keys(self, keys: Sequence[int]) -> list[int]:
         """Enter each packed key not yet in the window, in order, evicting the
         oldest key whenever the window is full; returns the positions
-        in ``keys`` of the keys entered."""
+        in ``keys`` (a tuple or range, which an entry may keep) of the
+        keys entered."""
         seen, runs, in_run = self._seen, self._runs, self._in_run
-        order_add = self._order.append
+        window = self.dedup_window
         fresh: list[int] = []
-        room = self.dedup_window - len(seen) - self._run_keys
+        room = window - len(seen) - self._run_keys
         for i, k in enumerate(keys):
             if k in seen or (runs and in_run(k)):
                 continue
@@ -137,9 +149,18 @@ class Mempool:
             else:
                 self._evict(1)
             seen[k] = None
-            order_add(k)
             fresh.append(i)
+            if len(fresh) % window == 0:
+                self._push(keys, fresh[-window:])
+        if len(fresh) % window:
+            self._push(keys, fresh[-(len(fresh) % window):])
         return fresh
+
+    def _push(self, keys: Sequence[int], at: list[int]) -> None:
+        """Append the keys at positions ``at`` as one FIFO entry."""
+        self._order.append(
+            keys if len(at) == len(keys) else tuple([keys[i] for i in at])
+        )
 
     def _remember_run(self, run: _Run) -> bool:
         """Enter a committed run as one interval if that is exact."""
@@ -194,7 +215,7 @@ class Mempool:
                 self._slab_keys.difference_update(keys)
 
     # -- block assembly -------------------------------------------------------
-    def next_batch(self, now: float = 0.0) -> TxBatch:
+    def next_batch(self) -> TxBatch:
         """Form the next block's transactions as one slab.
 
         Drain order: the pending slabs in arrival order (skipping rows
@@ -208,7 +229,7 @@ class Mempool:
             parts.append(part)
             need -= len(part)
         if self.source is not None and need > 0:
-            parts.append(self.source.batch(need, now))
+            parts.append(self.source.batch(need))
         return parts[0] if len(parts) == 1 else TxBatch.concat(parts)
 
     def _drain_head(self, need: int) -> TxBatch:

@@ -8,8 +8,8 @@ payloads of 0 B (protocol overhead) and 256 B (trend with block size).
 Between source, mempool, block, execution and client replies the only
 transaction container is the :class:`TxBatch` slab: a few segments
 describing many rows, so a 400-transaction block costs its handlers a
-handful of operations.  A segment is an arithmetic run or a set of
-columns; an ``op`` lives only in a column segment's ``ops`` column.  No
+handful of operations.  A segment is an arithmetic run or a tuple of
+packed keys; an ``op`` lives only in a key segment's ``ops`` column.  No
 slab holds a :class:`Transaction`: one is built when a reader indexes
 or iterates a slab, and not retained.  Inside the program a
 transaction's identity is one int, its *packed key* ``client_id << 32 |
@@ -47,7 +47,6 @@ class Transaction:
     tx_id: int
     payload_bytes: int = 0
     op: Any = None
-    submit_time: float = 0.0
 
     def wire_size(self) -> int:
         return TX_OVERHEAD_BYTES + self.payload_bytes
@@ -64,16 +63,19 @@ class Transaction:
 #: ``encode(t.encoding())`` up to the client id.
 _ROW_HEAD = sequence_header(4) + encode("tx")
 
+#: The low 32 bits of a packed key: its ``tx_id``.
+_TX_MASK = ID_LIMIT - 1
+
 
 @dataclass(frozen=True, eq=False)
 class _Run:
-    """One client, consecutive ids, one submit time: pure arithmetic."""
+    """One client, consecutive ids: pure arithmetic."""
 
+    __slots__ = ("client_id", "start", "n", "payload_bytes")
     client_id: int
     start: int
     n: int
     payload_bytes: int
-    submit_time: float
 
     ops = None
 
@@ -90,10 +92,7 @@ class _Run:
         return range(first, first + self.n)
 
     def row(self, i: int) -> Transaction:
-        return Transaction(
-            self.client_id, self.start + i, self.payload_bytes, None,
-            self.submit_time,
-        )
+        return Transaction(self.client_id, self.start + i, self.payload_bytes)
 
     def slice(self, lo: int, hi: int) -> "_Run":
         return replace(self, start=self.start + lo, n=hi - lo)
@@ -110,74 +109,61 @@ class _Run:
 
 
 @dataclass(frozen=True, eq=False)
-class _Columns:
-    """Rows as read-only numpy columns sharing one payload size.
+class _Keys:
+    """Rows as a tuple of packed keys sharing one payload size.
 
     ``ops`` is the op column: a tuple aligned with the rows (``None``
     where a row has no op), or ``None`` when no row has one.  Ops are
     opaque to consensus — never hashed, never sized — so they are kept
-    as the objects their client made.
+    as the objects their client made.  The id columns exist only while
+    :meth:`encoding` writes them.
     """
 
-    client_ids: np.ndarray
-    tx_ids: np.ndarray
-    submit_times: np.ndarray
+    __slots__ = ("packed", "payload_bytes", "ops")
+    packed: tuple[int, ...]
     payload_bytes: int
-    ops: Optional[tuple[Any, ...]] = None
-
-    def __post_init__(self) -> None:
-        for column in (self.client_ids, self.tx_ids, self.submit_times):
-            column.setflags(write=False)
+    ops: Optional[tuple[Any, ...]]
 
     def __len__(self) -> int:
-        return len(self.tx_ids)
+        return len(self.packed)
 
-    @cached_property
+    @property
     def span(self) -> tuple[int, int]:
-        return (int(self.client_ids.min()), int(self.client_ids.max()))
-
-    @cached_property
-    def packed(self) -> tuple[int, ...]:
-        """Each row's packed key, once: replicas share one int per row."""
-        wide = self.client_ids.astype(np.uint64) << np.uint64(32)
-        return tuple((wide | self.tx_ids.astype(np.uint64)).tolist())
+        return (min(self.packed) >> 32, max(self.packed) >> 32)
 
     def row(self, i: int) -> Transaction:
+        k = self.packed[i]
         return Transaction(
-            int(self.client_ids[i]), int(self.tx_ids[i]), self.payload_bytes,
-            self.ops and self.ops[i], float(self.submit_times[i]),
+            k >> 32, k & _TX_MASK, self.payload_bytes, self.ops and self.ops[i]
         )
 
-    def slice(self, lo: int, hi: int) -> "_Columns":
-        return self.take(np.s_[lo:hi])
+    def slice(self, lo: int, hi: int) -> "_Keys":
+        ops = self.ops and _op_column(self.ops[lo:hi])
+        return _Keys(self.packed[lo:hi], self.payload_bytes, ops)
 
-    def take(self, index) -> "_Columns":
-        """Rows at ``index`` (a slice is a view, an index array a copy)."""
-        ops = self.ops and _op_column(
-            self.ops[index] if type(index) is slice
-            else [self.ops[i] for i in index.tolist()]
-        )
-        return _Columns(
-            self.client_ids[index], self.tx_ids[index],
-            self.submit_times[index], self.payload_bytes, ops,
-        )
+    def take(self, index: Sequence[int]) -> "_Keys":
+        """The rows at ``index``, in that order."""
+        ops = self.ops and _op_column([self.ops[i] for i in index])
+        packed = self.packed
+        return _Keys(tuple([packed[i] for i in index]), self.payload_bytes, ops)
 
     def wire_bytes(self) -> int:
         return len(self) * (TX_OVERHEAD_BYTES + self.payload_bytes)
 
     def encoding(self) -> bytes:
-        return encode_int_rows(
-            _ROW_HEAD, (self.client_ids, self.tx_ids), encode(self.payload_bytes)
-        )
+        wide = np.array(self.packed, dtype=np.uint64)
+        ids = ((wide >> np.uint64(32)).astype(np.int64),
+               (wide & np.uint64(_TX_MASK)).astype(np.int64))
+        return encode_int_rows(_ROW_HEAD, ids, encode(self.payload_bytes))
 
 
 def _id_column(name: str, ids: Any) -> np.ndarray:
-    """``ids`` as an int64 column; ValueError naming ``name`` unless
+    """``ids`` as a uint64 column; ValueError naming ``name`` unless
     every id is unsigned 32-bit."""
     try:
         column = np.array(ids, dtype=np.int64)
         if not len(column) or column.min() >= 0 and column.max() < ID_LIMIT:
-            return column
+            return column.astype(np.uint64)
     except OverflowError:
         pass
     raise ValueError(f"TxBatch {name} outside [0, 2**32)")
@@ -189,29 +175,18 @@ def _op_column(ops: Iterable[Any]) -> Optional[tuple[Any, ...]]:
     return ops if any(op is not None for op in ops) else None
 
 
-Segment = Union[_Run, _Columns]
-
-
-def _column(name: str) -> property:
-    def read(self: "TxBatch") -> np.ndarray:
-        if len(self.segments) == 1 and type(self.segments[0]) is _Columns:
-            return getattr(self.segments[0], name + "s")
-        column = np.array([getattr(t, name) for t in self])
-        column.setflags(write=False)
-        return column
-
-    return property(read, doc=f"Every row's ``{name}``, read-only.")
+Segment = Union[_Run, _Keys]
 
 
 @dataclass(frozen=True, eq=False)
 class TxBatch(SequenceABC):
     """An immutable slab of transactions: a tuple of non-empty segments.
 
-    A segment is an arithmetic run (the filler) or a set of numpy
-    columns with an optional op column (arrivals, 2PC marker slabs,
-    client submissions and slices of them).  A slab is frozen all the
-    way down — read-only columns, an op tuple, write-once caches — so it
-    rides inside frozen messages and blocks, shared by every replica.
+    A segment is an arithmetic run (the filler) or a tuple of packed
+    keys with an optional op column (arrivals, 2PC marker slabs, client
+    submissions and slices of them).  A slab is frozen all the way down
+    — key and op tuples, write-once caches — so it rides inside frozen
+    messages and blocks, shared by every replica.
     """
 
     segments: tuple[Segment, ...] = ()
@@ -220,34 +195,39 @@ class TxBatch(SequenceABC):
     @classmethod
     def columns(
         cls,
-        client_ids: np.ndarray,
-        tx_ids: np.ndarray,
-        submit_times: np.ndarray,
+        client_ids: Sequence[int],
+        tx_ids: Sequence[int],
         payload_bytes: int = 0,
         ops: Optional[Sequence[Any]] = None,
     ) -> "TxBatch":
-        """A slab over (copies of) parallel columns of unsigned 32-bit
-        ids; ``ops``, if given, holds one op (or ``None``) per row."""
-        if not len(client_ids) == len(tx_ids) == len(submit_times) == len(
-            tx_ids if ops is None else ops
-        ):
+        """A slab over parallel columns of unsigned 32-bit ids; ``ops``,
+        if given, holds one op (or ``None``) per row."""
+        if len(client_ids) != len(tx_ids):
             raise ValueError("TxBatch columns must have equal length")
-        return cls._of(_Columns(
-            _id_column("client_id", client_ids),
-            _id_column("tx_id", tx_ids),
-            np.array(submit_times, dtype=np.float64),
-            int(payload_bytes),
-            None if ops is None else _op_column(ops),
+        keys = _id_column("client_id", client_ids) << np.uint64(32)
+        return cls.from_keys(keys | _id_column("tx_id", tx_ids), payload_bytes, ops)
+
+    @classmethod
+    def from_keys(
+        cls,
+        keys: Iterable[int],
+        payload_bytes: int = 0,
+        ops: Optional[Sequence[Any]] = None,
+    ) -> "TxBatch":
+        """A slab over packed keys (ints or a uint64 array); ``ops``, if
+        given, holds one op (or ``None``) per row."""
+        packed = tuple(keys.tolist() if isinstance(keys, np.ndarray) else keys)
+        if packed and not 0 <= min(packed) <= max(packed) < 1 << 64:
+            raise ValueError("TxBatch packed key outside [0, 2**64)")
+        if ops is not None and len(ops) != len(packed):
+            raise ValueError("TxBatch columns must have equal length")
+        return cls._of(_Keys(
+            packed, int(payload_bytes), None if ops is None else _op_column(ops)
         ))
 
     @classmethod
     def run(
-        cls,
-        client_id: int,
-        start: int,
-        n: int,
-        payload_bytes: int = 0,
-        submit_time: float = 0.0,
+        cls, client_id: int, start: int, n: int, payload_bytes: int = 0
     ) -> "TxBatch":
         """``n`` rows of one client with ids ``start, start+1, ...``."""
         if n < 0:
@@ -256,7 +236,7 @@ class TxBatch(SequenceABC):
             raise ValueError("TxBatch client_id outside [0, 2**32)")
         if not 0 <= start <= start + n <= ID_LIMIT:
             raise ValueError("TxBatch tx_id outside [0, 2**32)")
-        return cls._of(_Run(client_id, start, n, payload_bytes, submit_time))
+        return cls._of(_Run(client_id, start, n, payload_bytes))
 
     @classmethod
     def from_transactions(cls, txs: Iterable[Transaction]) -> "TxBatch":
@@ -264,10 +244,8 @@ class TxBatch(SequenceABC):
         segment per stretch of equal payload size."""
         parts = []
         for payload, group in groupby(txs, attrgetter("payload_bytes")):
-            cids, tids, times, ops = zip(
-                *[(t.client_id, t.tx_id, t.submit_time, t.op) for t in group]
-            )
-            parts.append(cls.columns(cids, tids, times, payload, ops))
+            cids, tids, ops = zip(*[(t.client_id, t.tx_id, t.op) for t in group])
+            parts.append(cls.columns(cids, tids, payload, ops))
         return cls.concat(parts)
 
     @classmethod
@@ -314,14 +292,9 @@ class TxBatch(SequenceABC):
 
     def select(self, indices: Sequence[int]) -> "TxBatch":
         """A new slab holding only the ``indices`` rows, in that order."""
-        if len(self.segments) == 1 and type(self.segments[0]) is _Columns:
-            idx = np.asarray(indices, dtype=np.int64)
-            return self._of(self.segments[0].take(idx))
+        if len(self.segments) == 1 and type(self.segments[0]) is _Keys:
+            return self._of(self.segments[0].take(indices))
         return self.from_transactions(self[int(i)] for i in indices)
-
-    client_ids = _column("client_id")
-    tx_ids = _column("tx_id")
-    submit_times = _column("submit_time")
 
     # -- whole-slab reads, one step per segment -----------------------------
     def wire_size(self) -> int:
@@ -342,7 +315,7 @@ class TxBatch(SequenceABC):
 
     def keys(self) -> tuple[tuple[int, int], ...]:
         """``(client_id, tx_id)`` per row, unpacked for readers."""
-        return tuple([(k >> 32, k & ID_LIMIT - 1) for k in self.packed()])
+        return tuple([(k >> 32, k & _TX_MASK) for k in self.packed()])
 
     def distinct_clients(self) -> set[int]:
         """Every client id with a row here, one step per one-client
@@ -350,7 +323,7 @@ class TxBatch(SequenceABC):
         out: set[int] = set()
         for seg in self.segments:
             lo, hi = seg.span
-            out.update([lo] if lo == hi else seg.client_ids.tolist())
+            out.update([lo] if lo == hi else [k >> 32 for k in seg.packed])
         return out
 
     def keys_by_client(self, clients: Collection[int]) -> dict[int, list[int]]:
@@ -380,16 +353,16 @@ class TxFactory:
         self.payload_bytes = payload_bytes
         self._next_id = 0
 
-    def make(self, now: float = 0.0, op: Any = None) -> Transaction:
+    def make(self, op: Any = None) -> Transaction:
         tx_id, self._next_id = self._next_id, self._next_id + 1
-        return Transaction(self.client_id, tx_id, self.payload_bytes, op, now)
+        return Transaction(self.client_id, tx_id, self.payload_bytes, op)
 
-    def batch(self, n: int, now: float = 0.0) -> TxBatch:
+    def batch(self, n: int) -> TxBatch:
         """``n`` fresh transactions as one arithmetic slab; same ids as
         ``n`` :meth:`make` calls."""
         start = self._next_id
         self._next_id = start + n
-        return TxBatch.run(self.client_id, start, n, self.payload_bytes, now)
+        return TxBatch.run(self.client_id, start, n, self.payload_bytes)
 
 
 __all__ = [

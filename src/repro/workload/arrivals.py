@@ -9,7 +9,7 @@ per-client rates the marks are iid-uniform over the client population.
 stream for the pooled process plus one uniform-integer stream for the
 marks — so its law matches N independent per-client Poisson
 processes merged into one stream, while costing one RNG call per *slab*
-instead of one simulator event per *arrival*.  That is what makes
+of arrivals instead of one simulator event per *arrival*.  That is what makes
 million-client populations affordable: the only per-client state is a
 ``tx_id`` counter for each client that has minted a row (one int64 per
 touched client, none for the rest of the population), and the work per
@@ -35,8 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from ..smr.transaction import TxBatch
 
 #: Default rows per minted slab: one simulator event carries this many
 #: arrivals.  Large enough to amortize event and numpy-call overhead,
@@ -134,8 +132,11 @@ class SuperposedArrivals:
         """Time of the last minted arrival."""
         return self._t
 
-    def next_slab(self, rows: int = DEFAULT_SLAB_ROWS) -> TxBatch:
-        """Mint the next ``rows`` arrivals as one columnar slab."""
+    def next_arrivals(
+        self, rows: int = DEFAULT_SLAB_ROWS
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Mint the next ``rows`` arrivals: their client ids, tx ids and
+        times, as int64, int64 and float64 arrays."""
         if rows <= 0:
             raise ValueError("rows must be positive")
         gaps = self.rng.exponential(1.0 / self.rate_tps, size=rows)
@@ -144,9 +145,7 @@ class SuperposedArrivals:
         marks = self.rng.integers(0, self.n_clients, size=rows)
         tx_ids = self._number(marks)
         self.minted += rows
-        return TxBatch.columns(
-            self.client_base + marks, tx_ids, times, self.payload_bytes
-        )
+        return self.client_base + marks, tx_ids, times
 
     def _number(self, marks: np.ndarray) -> np.ndarray:
         """Per-client occurrence numbers for a slab of client marks.

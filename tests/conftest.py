@@ -155,7 +155,7 @@ def small_oneshot():
 #: has no home: any draw on it from ``repro.*`` fails.
 STREAM_HOMES: dict[str, tuple[str, ...]] = {
     "net": ("repro.net",),
-    "workload": ("repro.workload", "repro.shard"),
+    "workload": ("repro.workload",),
     "generate": ("repro.fuzz",),
 }
 

@@ -84,7 +84,7 @@ class RollbackForkingLeader(OneShotReplica):
         from repro.smr import GENESIS
 
         sealed = snapshot(self.checker)
-        txs = self.mempool.next_batch(self.sim.now)
+        txs = self.mempool.next_batch()
         b1 = create_leaf(GENESIS.hash, 0, txs[:200], self.pid)
         b2 = create_leaf(GENESIS.hash, 0, txs[200:], self.pid)
 

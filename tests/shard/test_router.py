@@ -10,8 +10,6 @@ from repro.shard import (
     initial_table,
     mix64,
 )
-from repro.smr import TxBatch
-
 _MASK = (1 << 64) - 1
 
 
@@ -24,12 +22,12 @@ def mix64_scalar(x: int) -> int:
     return z ^ (z >> 31)
 
 
-def _batch(n: int = 256, base: int = 1_000_000) -> TxBatch:
+def _arrivals(n: int = 256, base: int = 1_000_000):
+    """The id columns of one slab of arrivals, as the pump routes them."""
     rng = np.random.default_rng(3)
     cids = base + rng.integers(0, 500, size=n)
     tids = np.arange(n, dtype=np.int64)
-    times = np.cumsum(rng.exponential(0.001, size=n))
-    return TxBatch.columns(cids, tids, times, 0)
+    return cids, tids
 
 
 def test_mix64_scalar_matches_vectorized():
@@ -54,9 +52,9 @@ def test_key_to_shard_is_stable_across_router_instances():
 
 def test_classification_is_stable_and_covers_all_shards():
     router = Router(4, slots=32, cross_permille=200)
-    batch = _batch()
-    s1 = router.classify(batch)
-    s2 = router.classify(batch)
+    cids, tids = _arrivals()
+    s1 = router.classify(cids, tids)
+    s2 = router.classify(cids, tids)
     for x, y in zip(s1, s2):
         assert np.array_equal(x, y)
     slots, home, cross, partner = s1
@@ -68,9 +66,9 @@ def test_classification_is_stable_and_covers_all_shards():
 
 def test_classify_home_agrees_with_slot_table():
     router = Router(3, slots=27)
-    batch = _batch()
-    _, home, _, _ = router.classify(batch)
-    assert home.tolist() == _shards_of(router, batch.client_ids)
+    cids, tids = _arrivals()
+    _, home, _, _ = router.classify(cids, tids)
+    assert home.tolist() == _shards_of(router, cids)
 
 
 def test_epoch_versioning_and_history():
@@ -109,8 +107,8 @@ def test_rebalance_moves_keys_with_their_slot():
 
 def test_hot_key_collapse_routes_to_one_slot():
     router = Router(4, slots=32, hot_permille=1000)
-    batch = _batch()
-    slots = router.slots_of(batch.client_ids)
+    cids, _ = _arrivals()
+    slots = router.slots_of(cids)
     assert len(np.unique(slots)) == 1
     expected = mix64_scalar(HOT_ROUTING_KEY) % 32
     assert int(slots[0]) == expected

@@ -93,6 +93,12 @@ def test_config_rejects_what_no_run_can_honour(field, value, extra):
                           workload="open", max_sim_time=0.5)),
         (run_sharded, "workload",
          ExperimentConfig(shards=2, workload="saturated", max_sim_time=0.5)),
+        (run_experiment, "cross_shard_permille",
+         ExperimentConfig(workload="open", cross_shard_permille=150,
+                          deployment="local", max_sim_time=0.5)),
+        (run_experiment, "shard_epoch_s",
+         ExperimentConfig(workload="open", shard_epoch_s=0.5,
+                          deployment="local", max_sim_time=0.5)),
     ],
 )
 def test_driver_rejects_a_config_it_cannot_honour(driver, field, config):

@@ -21,6 +21,7 @@ from repro.metrics import (
     StreamingMoments,
     compute_stats,
 )
+from repro.metrics.streaming import percentile
 from repro.protocols.registry import REGISTRY
 
 
@@ -91,6 +92,11 @@ class TestP2Quantile:
         for x in (3.0, 1.0, 2.0):
             q.add(x)
         assert q.value() == pytest.approx(2.0)
+        for p in (0.5, 0.99, 0.3):
+            q = P2Quantile(p)
+            for x in (3.0, 1.0, 2.5, 1.0):
+                q.add(x)
+            assert q.value() == float(np.percentile([3.0, 1.0, 2.5, 1.0], p * 100.0))
 
     def test_constant_memory(self):
         q = P2Quantile(0.99)
@@ -112,6 +118,35 @@ class TestP2Quantile:
             P2Quantile(0.0)
         with pytest.raises(ValueError):
             P2Quantile(1.0)
+
+
+#: No -0.0: numpy's partition may swap it with an equal 0.0.
+_samples = st.lists(
+    st.one_of(
+        st.floats(-1e9, 1e9, allow_nan=False).map(lambda x: x + 0.0),
+        st.sampled_from([0.0, 0.25, 1.0, 7.5]),  # ties
+    ),
+    min_size=1,
+    max_size=40,
+)
+_quantiles = st.one_of(
+    st.sampled_from([50, 99, 50.0, 99.0, 0, 100]),
+    st.floats(0.0, 1.0, exclude_max=True).map(lambda p: p * 100.0),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_samples, _quantiles)
+def test_percentile_is_numpys_bit_for_bit(xs, q):
+    ordered = sorted(xs)
+    assert percentile(ordered, q).hex() == float(np.percentile(ordered, q)).hex()
+
+
+@pytest.mark.parametrize("q", [0, 50, 99, 100, 37.5])
+def test_percentile_of_one_sample_and_of_ties(q):
+    assert percentile([0.125], q) == 0.125
+    assert percentile([2.0, 2.0, 2.0], q) == 2.0
+    assert percentile([1, 1, 3], q) == float(np.percentile([1, 1, 3], q))
 
 
 class TestStreamingMoments:

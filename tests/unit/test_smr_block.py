@@ -45,7 +45,7 @@ def test_block_hash_cached_and_deterministic():
 def test_blocks_compare_and_hash_by_digest():
     """A block built from Transactions and one built from the equivalent
     slab are the same block: equal, same hash, same dict key."""
-    slab = TxFactory(7, payload_bytes=256).batch(400, now=1.5)
+    slab = TxFactory(7, payload_bytes=256).batch(400)
     from_slab = create_leaf(GENESIS.hash, 3, slab, proposer=2)
     from_txs = create_leaf(GENESIS.hash, 3, tuple(slab), proposer=2)
     assert from_slab == from_txs and hash(from_slab) == hash(from_txs)

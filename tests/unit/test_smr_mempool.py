@@ -285,8 +285,8 @@ def test_drain_skips_windows_committed_from_another_block():
     # Rows 0-5 of the head slab commit from another leader's block; the
     # drain skips them a window at a time and resumes on the live rows.
     mp = Mempool(dedup_window=50, batch_size=3)
-    mp.submit_batch(TxBatch.columns([4] * 10, range(10), [0.0] * 10))
-    mp.submit_batch(TxBatch.columns([5] * 2, range(2), [0.0] * 2))
+    mp.submit_batch(TxBatch.columns([4] * 10, range(10)))
+    mp.submit_batch(TxBatch.columns([5] * 2, range(2)))
     _commit(mp, *(Transaction(4, i) for i in range(6)))
     assert [t.key() for t in mp.next_batch()] == [(4, 6), (4, 7), (4, 8)]
     assert [t.key() for t in mp.next_batch()] == [(4, 9), (5, 0), (5, 1)]

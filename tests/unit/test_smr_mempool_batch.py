@@ -5,7 +5,6 @@ a per-key window."""
 from collections import OrderedDict
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +26,6 @@ def _batch_from_keys(keys, payload=0):
     return TxBatch.columns(
         np.array([c for c, _ in keys], dtype=np.int64),
         np.array([t for _, t in keys], dtype=np.int64),
-        np.arange(len(keys), dtype=np.float64),
         payload,
     )
 
@@ -174,15 +172,13 @@ class TestSlabDrain:
         mp = Mempool(batch_size=2)
         slab = TxBatch.columns(
             np.array([5, 6], dtype=np.int64),
-            np.array([0, 0], dtype=np.int64),
-            np.array([1.25, 2.5]),
+            np.array([0, 3], dtype=np.int64),
             payload_bytes=256,
         )
         mp.submit_batch(slab)
         txs = mp.next_batch()
         assert txs[0].payload_bytes == 256
-        assert txs[0].submit_time == pytest.approx(1.25)
-        assert txs[1].submit_time == pytest.approx(2.5)
+        assert list(txs) == [Transaction(5, 0, 256), Transaction(6, 3, 256)]
 
     def test_partial_slab_drain_keeps_cursor(self):
         mp = Mempool(batch_size=2)
@@ -198,11 +194,11 @@ class TestSlabDrain:
         slab = _batch_from_keys([(i, 0) for i in range(3)])
         mp.submit_batch(row)
         mp.submit_batch(slab)
-        block = mp.next_batch(now=4.0)
+        block = mp.next_batch()
         assert [t.key() for t in block] == [
             (9, 0), (0, 0), (1, 0), (2, 0), (10_000, 0), (10_000, 1),
         ]
-        assert block[0].op == ("set", "k", 1) and block[5].submit_time == 4.0
+        assert block[0].op == ("set", "k", 1) and block[5] == Transaction(10_000, 1)
         assert block.segments[0] is row.segments[0]  # no row was copied
         assert block.segments[1] is slab.segments[0]
 

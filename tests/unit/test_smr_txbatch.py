@@ -22,11 +22,18 @@ from repro.smr.transaction import TX_OVERHEAD_BYTES
 
 def _slab(n=8, payload=0):
     return TxBatch.columns(
-        np.arange(n, dtype=np.int64),
-        np.zeros(n, dtype=np.int64),
-        np.linspace(0.0, 1.0, n),
-        payload,
+        np.arange(n, dtype=np.int64), np.zeros(n, dtype=np.int64), payload
     )
+
+
+def _client_ids(batch):
+    """Every row's client id, unpacked from its key."""
+    return [k >> 32 for k in batch.packed()]
+
+
+def _tx_ids(batch):
+    """Every row's tx id, unpacked from its key."""
+    return [k & 0xFFFF_FFFF for k in batch.packed()]
 
 
 class TestTxBatch:
@@ -37,14 +44,14 @@ class TestTxBatch:
 
     def test_columns_are_read_only(self):
         b = _slab()
-        with pytest.raises(ValueError):
-            b.client_ids[0] = 99
+        with pytest.raises(TypeError):
+            b.packed()[0] = 99
+        with pytest.raises(TypeError):
+            b.segments[0].packed[0] = 99
 
     def test_mismatched_columns_rejected(self):
         with pytest.raises(ValueError):
-            TxBatch.columns(
-                np.arange(3), np.arange(4), np.zeros(3, dtype=np.float64)
-            )
+            TxBatch.columns(np.arange(3), np.arange(4))
 
     def test_keys_match_rows(self):
         b = _slab(5)
@@ -55,9 +62,7 @@ class TestTxBatch:
         sub = b.select([1, 4])
         assert list(sub.keys()) == [(1, 0), (4, 0)]
         assert [t.payload_bytes for t in sub] == [4, 4]
-        assert sub.submit_times.tolist() == [
-            b.submit_times[1], b.submit_times[4]
-        ]
+        assert sub.packed() == (b.packed()[1], b.packed()[4])
 
     def test_mint_equals_factory_transactions(self):
         """Rows read out of a slab are plain Transactions."""
@@ -66,25 +71,25 @@ class TestTxBatch:
         assert all(isinstance(t, Transaction) for t in txs)
         assert [t.key() for t in txs] == [(0, 0), (2, 0)]
         assert all(t.payload_bytes == 16 for t in txs)
-        assert txs[1].submit_time == pytest.approx(b.submit_times[2])
+        assert txs[1] == Transaction(2, 0, 16)
         assert b[-1] == list(b)[-1]
         with pytest.raises(IndexError):
             b[4]
 
     def test_roundtrip_from_transactions(self):
         factory = TxFactory(client_id=7, payload_bytes=8)
-        txs = [factory.make(now=float(i)) for i in range(5)]
+        txs = [factory.make() for _ in range(5)]
         b = TxBatch.from_transactions(txs)
         assert list(b) == txs
-        assert b.tx_ids.tolist() == [0, 1, 2, 3, 4]
+        assert _tx_ids(b) == [0, 1, 2, 3, 4]
 
     def test_from_transactions_keeps_mixed_payloads_and_ops(self):
         txs = [
-            Transaction(1, 0, 0, ("set", "k", 1), 0.5),
-            Transaction(2, 7, 0, None, 0.25),
-            Transaction(1, 1, 256, None, 1.0),
-            Transaction(3, 2, 256, ("del", "k"), 2.0),
-            Transaction(1, 2, 0, ("add", "n", -1), 3.0),
+            Transaction(1, 0, 0, ("set", "k", 1)),
+            Transaction(2, 7, 0, None),
+            Transaction(1, 1, 256, None),
+            Transaction(3, 2, 256, ("del", "k")),
+            Transaction(1, 2, 0, ("add", "n", -1)),
         ]
         b = TxBatch.from_transactions(txs)
         assert list(b) == txs
@@ -99,9 +104,9 @@ class TestTxBatch:
     def test_segments_without_ops_carry_no_op_column(self):
         plain = TxBatch.from_transactions([Transaction(1, 0), Transaction(1, 1)])
         assert plain.segments[0].ops is None
-        assert TxBatch.columns([1], [0], [0.0], ops=[None]).segments[0].ops is None
+        assert TxBatch.columns([1], [0], ops=[None]).segments[0].ops is None
         with pytest.raises(ValueError):
-            TxBatch.columns([1, 2], [0, 0], [0.0, 0.0], ops=[None])
+            TxBatch.columns([1, 2], [0, 0], ops=[None])
 
     def test_select_and_slices_keep_ops_aligned(self):
         txs = [
@@ -121,12 +126,12 @@ class TestTxBatch:
         assert [t.op for t in mixed[6:11]] == [t.op for t in rows[6:11]]
 
     def test_run_is_arithmetic(self):
-        run = TxFactory(client_id=3, payload_bytes=256).batch(400, now=2.5)
+        run = TxFactory(client_id=3, payload_bytes=256).batch(400)
         assert len(run) == 400 and len(run.segments) == 1
         assert run.wire_size() == 8 + 400 * (TX_OVERHEAD_BYTES + 256)
-        assert run[399] == Transaction(3, 399, 256, None, 2.5)
+        assert run[399] == Transaction(3, 399, 256, None)
         assert [t.tx_id for t in run[398:]] == [398, 399]
-        assert run.client_ids.tolist() == [3] * 400
+        assert _client_ids(run) == [3] * 400
         with pytest.raises(ValueError):
             TxBatch.run(3, -1, 5)
 
@@ -169,7 +174,7 @@ class TestIdContract:
     )
     def test_columns_reject_ids_outside_32_bits(self, cids, tids, field):
         with pytest.raises(ValueError, match=field):
-            TxBatch.columns(cids, tids, [0.0])
+            TxBatch.columns(cids, tids)
 
     @pytest.mark.parametrize(
         "args,field",
@@ -180,6 +185,11 @@ class TestIdContract:
         with pytest.raises(ValueError, match=field):
             TxBatch.run(*args)
 
+    @pytest.mark.parametrize("keys", [[-1], [1 << 64], [0, 2**70]])
+    def test_from_keys_rejects_keys_outside_64_bits(self, keys):
+        with pytest.raises(ValueError, match="packed key"):
+            TxBatch.from_keys(keys)
+
     def test_from_transactions_names_the_field(self):
         with pytest.raises(ValueError, match="client_id"):
             TxBatch.from_transactions([Transaction(2**32, 0)])
@@ -189,7 +199,7 @@ class TestIdContract:
     def test_the_largest_ids_pack_and_unpack(self):
         top = 2**32 - 1
         run = TxBatch.run(top, top - 2, 3)
-        cols = TxBatch.columns([top, 0], [0, top], [0.0, 0.0])
+        cols = TxBatch.columns([top, 0], [0, top])
         assert list(run.packed()) == [(top << 32) | t for t in range(top - 2, 2**32)]
         assert cols.packed() == (top << 32, top)
         assert TxBatch.concat([run, cols]).keys() == (
@@ -223,17 +233,21 @@ class TestFrozenSlab:
             assert type(seg.ops) is tuple
             with pytest.raises(TypeError):
                 seg.ops[0] = ("set", "k", 1)
-        for column in (mixed.client_ids, mixed.tx_ids, mixed.submit_times):
-            with pytest.raises(ValueError):
-                column[0] = 1
+        # A segment's keys are a tuple (a run's a range), and no segment
+        # has a __dict__ to grow a cache in.
+        for seg in mixed.segments:
+            assert not hasattr(seg, "__dict__")
+            assert type(seg.packed) in (tuple, range)
+        with pytest.raises(TypeError):
+            mixed.packed()[0] = 1
         with pytest.raises(TypeError):
             mixed.keys()[0] = (1, 1)
 
     def test_caller_arrays_are_copied(self):
         cids = np.arange(3, dtype=np.int64)
-        b = TxBatch.columns(cids, cids, np.zeros(3))
+        b = TxBatch.columns(cids, cids)
         cids[0] = 77
-        assert b.client_ids[0] == 0 and cids.flags.writeable
+        assert _client_ids(b)[0] == 0 and cids.flags.writeable
 
 
 # -- canonical bytes -----------------------------------------------------
@@ -247,7 +261,7 @@ def test_encoding_across_digit_width_boundaries(power, payload):
     start, n = 10**power - 3, 6  # ...9 -> 10..., 99 999 -> 100 000
     run = TxBatch.run(10_001, start, n, payload)
     ids = np.arange(start, start + n)
-    cols = TxBatch.columns(ids, ids[::-1], np.zeros(n), payload)
+    cols = TxBatch.columns(ids, ids[::-1], payload)
     for slab in (run, cols, run[2:5], cols[2:5]):
         assert slab.encoding() == _reference(slab)
 
@@ -274,7 +288,6 @@ _segments = st.one_of(
         st.builds(
             Transaction, _ids, _ids, st.sampled_from([0, 256, 7]),
             st.sampled_from([None, ("set", "k", 1)]),
-            st.sampled_from([0.0, 1.5]),
         ),
         max_size=4,
     ).map(TxBatch.from_transactions),
@@ -282,7 +295,7 @@ _segments = st.one_of(
         st.lists(st.tuples(_ids, _ids), max_size=6),
         st.sampled_from([0, 256]),
     ).map(lambda a: TxBatch.columns(
-        [c for c, _ in a[0]], [t for _, t in a[0]], [0.0] * len(a[0]), a[1]
+        [c for c, _ in a[0]], [t for _, t in a[0]], a[1]
     )),
     st.builds(
         TxBatch.run, st.integers(0, 10**6), st.integers(0, 10**6),

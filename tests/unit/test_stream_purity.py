@@ -34,6 +34,11 @@ def draw(sim):
     return rng.integers(3)
 """
 
+WORKLOAD_IN_SHARD = """
+def draw(sim):
+    return sim.rng.stream("workload.shard-region0.arrivals").exponential(1.0)
+"""
+
 #: case -> (source, module where it must raise, module where it draws)
 PLANTS = {
     "net-closure-in-smr": (
@@ -41,6 +46,9 @@ PLANTS = {
     ),
     "homeless-client-arrivals": (
         HOMELESS_ARRIVALS, "repro.smr.client", "tests.unit.planted",
+    ),
+    "workload-draw-in-shard": (
+        WORKLOAD_IN_SHARD, "repro.shard.router", "repro.workload.arrivals",
     ),
     "generate-in-protocols": (
         GENERATE_IN_PROTOCOL, "repro.protocols.oneshot.replica", "repro.fuzz.generator",

@@ -44,9 +44,7 @@ def _superposed(seed=1, n_clients=1_000_000, rate=100_000.0):
 class TestSuperposition:
     def test_pooled_gaps_are_exponential(self):
         gen = _superposed()
-        times = np.concatenate(
-            [s.submit_times for s in (gen.next_slab(512) for _ in range(100))]
-        )
+        times = np.concatenate([gen.next_arrivals(512)[2] for _ in range(100)])
         gaps = np.diff(times)
         # 1.36/sqrt(n) ~ 0.006 at the 5% level for n=51k; fixed seed.
         assert _ks_against_exponential(gaps, 100_000.0) < 0.01
@@ -66,8 +64,7 @@ class TestSuperposition:
 
     def test_marks_uniform_over_population(self):
         gen = _superposed(seed=5, n_clients=1000, rate=1000.0)
-        slabs = [gen.next_slab(512) for _ in range(40)]
-        cids = np.concatenate([s.client_ids for s in slabs])
+        cids = np.concatenate([gen.next_arrivals(512)[0] for _ in range(40)])
         counts = np.bincount(cids, minlength=1000)
         # ~20.5 arrivals per client; a uniform mark distribution keeps
         # the max well under small-population hotspots.
@@ -78,28 +75,29 @@ class TestSuperposition:
         gen = _superposed(seed=9, n_clients=37, rate=500.0)
         seen: dict[int, int] = {}
         for _ in range(20):
-            slab = gen.next_slab(64)
-            for cid, tid in slab.keys():
+            cids, tids, _ = gen.next_arrivals(64)
+            for cid, tid in zip(cids.tolist(), tids.tolist()):
                 assert tid == seen.get(cid, 0)
                 seen[cid] = tid + 1
         assert sum(seen.values()) == gen.minted
 
     def test_deterministic_under_seed(self):
         a, b = _superposed(seed=3), _superposed(seed=3)
-        sa, sb = a.next_slab(256), b.next_slab(256)
-        assert sa.submit_times.tolist() == sb.submit_times.tolist()
-        assert sa.client_ids.tolist() == sb.client_ids.tolist()
+        (ca, ta, sa), (cb, tb, sb) = a.next_arrivals(256), b.next_arrivals(256)
+        assert sa.tolist() == sb.tolist()
+        assert ca.tolist() == cb.tolist() and ta.tolist() == tb.tolist()
         c = _superposed(seed=4)
-        assert c.next_slab(256).submit_times.tolist() != sa.submit_times.tolist()
+        assert c.next_arrivals(256)[2].tolist() != sa.tolist()
 
     def test_clock_monotone_across_slabs(self):
         gen = _superposed(seed=2)
         prev = 0.0
         for _ in range(10):
-            s = gen.next_slab(128)
-            assert s.submit_times[0] > prev
-            assert (np.diff(s.submit_times) >= 0).all()
-            prev = float(s.submit_times[-1])
+            times = gen.next_arrivals(128)[2]
+            assert times[0] > prev
+            assert (np.diff(times) >= 0).all()
+            prev = float(times[-1])
+            assert gen.clock == prev
 
     def test_validation(self):
         rng = np.random.default_rng(0)
@@ -110,7 +108,7 @@ class TestSuperposition:
         with pytest.raises(ValueError):
             SuperposedArrivals(rng, n_clients=1, rate_tps=0.0)
         with pytest.raises(ValueError):
-            SuperposedArrivals(rng, n_clients=1, rate_tps=1.0).next_slab(0)
+            SuperposedArrivals(rng, n_clients=1, rate_tps=1.0).next_arrivals(0)
 
 
 def _dense_number_occurrences(
@@ -154,22 +152,22 @@ class TestTouchedClientState:
         replay = _superposed(seed=seed, n_clients=n_clients, rate=500.0).rng
         dense = np.zeros(n_clients, dtype=np.int64)
         for rows in slab_rows:
-            slab = gen.next_slab(rows)
+            cids, tids, _ = gen.next_arrivals(rows)
             replay.exponential(1.0, size=rows)
             marks = replay.integers(0, n_clients, size=rows)
-            assert slab.client_ids.tolist() == marks.tolist()
+            assert cids.tolist() == marks.tolist()
             expected = _dense_number_occurrences(marks, dense)
-            assert slab.tx_ids.tolist() == expected.tolist()
+            assert tids.tolist() == expected.tolist()
 
     def test_large_population_allocates_only_touched_state(self):
         rng = np.random.default_rng(0)
         # Warm numpy's lazily built internals outside the trace.
-        SuperposedArrivals(rng, n_clients=10, rate_tps=1.0).next_slab(512)
+        SuperposedArrivals(rng, n_clients=10, rate_tps=1.0).next_arrivals(512)
         tracemalloc.start()
         try:
             gen = SuperposedArrivals(rng, n_clients=10**7, rate_tps=1000.0)
             for _ in range(8):
-                gen.next_slab(512)
+                gen.next_arrivals(512)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -178,7 +176,7 @@ class TestTouchedClientState:
     def test_touched_state_is_one_entry_per_client_in_few_runs(self):
         gen = _superposed(seed=3, n_clients=50_000, rate=1000.0)
         for _ in range(400):
-            gen.next_slab(512)
+            gen.next_arrivals(512)
         entries = np.concatenate(gen._runs)
         clients = entries >> 32
         assert len(np.unique(clients)) == len(clients)  # each in one run

@@ -9,8 +9,11 @@ message log — reproducing the Sec. V table:
     piggyback   2 blocks / 6 steps
     catch-up    2 blocks / 8 steps
 
-Run:  python examples/execution_types.py
+Run:  python examples/execution_types.py   (exits 1 unless every row
+matches the paper)
 """
+
+import sys
 
 from repro.experiments.steps_table import (
     PAPER_STEPS,
@@ -33,7 +36,7 @@ DESCRIPTIONS = {
 }
 
 
-def main() -> None:
+def main() -> int:
     rows = steps_table()
     print(render_steps_table(rows))
     print()
@@ -47,7 +50,8 @@ def main() -> None:
             f"    -> {row.blocks} block(s) in {row.steps} steps "
             f"({status} the paper's {blocks}/{steps})\n"
         )
+    return 0 if all(row.matches_paper for row in rows) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -7,9 +7,11 @@ faulty replicas — one crashed, one silent-when-leading, one that keeps
 and shows that the correct replicas keep agreeing and keep deciding.
 The faults are part of the run's description, the config.
 
-Run:  python examples/fault_injection.py
+Run:  python examples/fault_injection.py   (exits 1 unless the correct
+replicas keep prefix agreement and r5's equivocation never succeeds)
 """
 
+import sys
 from collections import Counter
 
 from repro.experiments import ExperimentConfig, run_experiment
@@ -17,7 +19,7 @@ from repro.faults import Fault
 from repro.smr import prefix_agreement
 
 
-def main() -> None:
+def main() -> int:
     config = ExperimentConfig(
         protocol="oneshot",
         f=3,
@@ -44,10 +46,8 @@ def main() -> None:
     print("  r5 attempts a second proposal in every view it leads\n")
     print(f"  {stats}")
     print(f"  correct replicas: {[r.pid for r in correct]}")
-    print(
-        "  common-prefix agreement among correct replicas: "
-        f"{prefix_agreement([r.log for r in correct])}"
-    )
+    agreed = prefix_agreement([r.log for r in correct])
+    print(f"  common-prefix agreement among correct replicas: {agreed}")
     equivocator = cluster.replicas[5]
     print(
         f"  r5 equivocation attempts: {equivocator.equivocation_attempts}, "
@@ -58,7 +58,8 @@ def main() -> None:
     by_kind = dict(sorted(by_kind.items()))
     print(f"  execution kinds observed: {by_kind}")
     print(f"  timed-out views: {stats.timeouts // max(1, len(correct))}")
+    return 0 if agreed and equivocator.equivocation_successes == 0 else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

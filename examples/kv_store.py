@@ -7,8 +7,11 @@ deterministic KV state machines.  Because OneShot replies carry the
 prepare certificate, a client trusts the *first* reply it receives
 (Sec. VI-C) — no f+1 reply quorum needed.
 
-Run:  python examples/kv_store.py
+Run:  python examples/kv_store.py   (exits 1 unless all 9 transactions
+commit and every replica ends in the same state)
 """
+
+import sys
 
 from repro.core import OneShotReplica
 from repro.net import ConstantLatency, Network
@@ -17,7 +20,7 @@ from repro.sim import Simulator
 from repro.smr import Client
 
 
-def main() -> None:
+def main() -> int:
     sim = Simulator(seed=7)
     network = Network(sim, latency=ConstantLatency(0.004))
     config = ProtocolConfig(n=5, f=2)
@@ -43,23 +46,26 @@ def main() -> None:
 
     # A scripted workload: each client writes its own keys, then all
     # increment one shared counter.
-    txs = []
+    txs = []  # (client, tx id, op)
     def submit_all() -> None:
         for i, c in enumerate(clients):
-            txs.append(c.submit(("set", f"owner:{i}", f"client-{c.pid}")))
-            txs.append(c.submit(("add", "counter", 1)))
-            txs.append(c.submit(("set", f"color:{i}", ["red", "green", "blue"][i])))
+            for op in (
+                ("set", f"owner:{i}", f"client-{c.pid}"),
+                ("add", "counter", 1),
+                ("set", f"color:{i}", ["red", "green", "blue"][i]),
+            ):
+                txs.append((c, c.submit(op), op))
     sim.schedule(0.010, submit_all)
 
     sim.run(until=3.0)
     cluster.stop()
 
     print("Replicated KV store on OneShot (3 clients, 9 transactions)")
-    committed = sum(1 for t in txs if clients[t.client_id - 1000].latency(t) is not None)
+    committed = sum(1 for c, tx_id, _ in txs if c.latency(tx_id) is not None)
     print(f"  committed {committed}/{len(txs)} transactions")
-    for t in txs[:3]:
-        lat = clients[t.client_id - 1000].latency(t)
-        print(f"  tx {t.key()} op={t.op!r:32s} latency={lat * 1e3:.1f} ms")
+    for c, tx_id, op in txs[:3]:
+        lat = c.latency(tx_id)
+        print(f"  tx {(c.pid, tx_id)} op={op!r:32s} latency={lat * 1e3:.1f} ms")
 
     print("  state on every replica:")
     for r in cluster.replicas:
@@ -70,7 +76,8 @@ def main() -> None:
         )
     digests = {r.log.state.state_digest() for r in cluster.replicas}
     print(f"  all replicas converged to one state: {len(digests) == 1}")
+    return 0 if committed == len(txs) == 9 and len(digests) == 1 else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

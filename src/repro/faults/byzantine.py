@@ -124,12 +124,12 @@ class Equivocator(ByzantineMixin):
     def _try_equivocate(self, when: float, msg: Any) -> bool:
         """Attempt the double proposal; True iff the attack was sent."""
         from ..core.messages import ProposalMsg
-        from ..smr import create_leaf
+        from ..smr import TxBatch, create_leaf
 
         checker = getattr(self, "checker", None)
         if checker is None or not hasattr(checker, "tee_prepare"):
             return False
-        evil = create_leaf(msg.block.parent, self.view, (), self.pid)  # type: ignore[attr-defined]
+        evil = create_leaf(msg.block.parent, self.view, TxBatch(), self.pid)  # type: ignore[attr-defined]
         if evil.hash == msg.block.hash:
             return False  # identical leaf: nothing conflicting to offer
         self.equivocation_attempts += 1

@@ -6,7 +6,7 @@ from .chain import BlockStore, ChainError
 from .client import Client, Reply, SubmitTxBatch
 from .execution import ExecutionLog, KVStore, prefix_agreement
 from .mempool import BLOCK_TXS, DEFAULT_DEDUP_WINDOW, Mempool
-from .transaction import TX_OVERHEAD_BYTES, Transaction, TxBatch, TxFactory
+from .transaction import TX_OVERHEAD_BYTES, TxBatch, TxFactory
 
 __all__ = [
     "GENESIS",
@@ -26,7 +26,6 @@ __all__ = [
     "DEFAULT_DEDUP_WINDOW",
     "Mempool",
     "TX_OVERHEAD_BYTES",
-    "Transaction",
     "TxBatch",
     "TxFactory",
 ]

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Union
 
 from ..crypto import Digest, digest_of, encode, sequence_header, sha256
-from .transaction import Transaction, TxBatch
+from .transaction import TxBatch
 
 #: ``encode`` of a 5-item tuple up to its first item, ``"block"``.
 _BLOCK_HEAD = sequence_header(5) + encode("block")
@@ -21,28 +20,22 @@ _BLOCK_HEAD = sequence_header(5) + encode("block")
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """An immutable block proposed at ``view`` extending ``parent``.
-
-    ``txs`` may be given as a :class:`TxBatch` slab or as any sequence
-    of :class:`Transaction`; it is stored as a slab either way, and a
-    slab reads as a sequence of transactions.  Two blocks are equal
-    when their digests are — the digest covers every field.
+    """An immutable block proposed at ``view`` extending ``parent``,
+    carrying its transactions as one :class:`TxBatch` slab.  Two blocks
+    are equal when their digests are — the digest covers every field.
     """
 
     parent: Digest
     view: int
-    txs: Union[TxBatch, Sequence[Transaction]] = TxBatch()
+    txs: TxBatch = TxBatch()
     proposer: int = -1
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.txs, TxBatch):
-            object.__setattr__(self, "txs", TxBatch.from_transactions(self.txs))
 
     @cached_property
     def hash(self) -> Digest:
-        """``digest_of("block", parent, view, proposer, tuple(t.encoding()
-        for t in txs))`` bit for bit, with the transaction part written
-        per slab segment and no process-global memo entry."""
+        """``digest_of("block", parent, view, proposer, rows)`` bit for
+        bit, ``rows`` being every transaction's ``("tx", client_id,
+        tx_id, payload_bytes)``, with the transaction part written per
+        slab segment and no process-global memo entry."""
         return sha256(
             _BLOCK_HEAD
             + encode(self.parent)
@@ -80,7 +73,7 @@ class Block:
 
 def make_genesis() -> Block:
     """The unique genesis block (view -1, no parent)."""
-    return Block(parent=digest_of("pre-genesis"), view=-1, txs=(), proposer=-1)
+    return Block(parent=digest_of("pre-genesis"), view=-1, txs=TxBatch(), proposer=-1)
 
 
 #: Shared immutable genesis instance and its hash.
@@ -91,7 +84,7 @@ GENESIS_HASH: Digest = GENESIS.hash
 def create_leaf(
     parent_hash: Digest,
     view: int,
-    txs: Union[TxBatch, Sequence[Transaction]],
+    txs: TxBatch,
     proposer: int,
 ) -> Block:
     """The paper's ``createLeaf``: a new block extending ``parent_hash``."""

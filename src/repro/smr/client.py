@@ -19,7 +19,7 @@ from typing import Any, Optional
 
 from ..net import Network
 from ..sim import Process, Simulator
-from .transaction import Transaction, TxBatch, TxFactory
+from .transaction import TxBatch
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,6 @@ class Reply:
     view: int
     replica: int
     certified: bool = False
-    result: Any = None
 
     def wire_size(self) -> int:
         # view + flag + 8 B per tx key (+ certificate bytes when certified)
@@ -98,31 +97,32 @@ class Client(Process):
         self.f = f
         self.certified_replies = certified_replies
         self.max_inflight = max_inflight
-        self.factory = TxFactory(client_id=pid, payload_bytes=payload_bytes)
+        self.payload_bytes = payload_bytes
+        self._next_tx_id = 0
         # OrderedDict so the cap eviction unlinks the oldest entry in
         # O(1); popping a plain dict's front rescans prior tombstones.
         self._inflight: OrderedDict[int, float] = OrderedDict()
         self._reply_counts: dict[int, set[int]] = {}
         self.committed: dict[int, float] = {}
-        self.results: dict[int, Any] = {}
         network.register(self)
 
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def submit(self, op: Any = None) -> Transaction:
-        """Create and broadcast a transaction; returns it."""
-        tx = self.factory.make(op)
+    def submit(self, op: Any = None) -> int:
+        """Broadcast a transaction carrying ``op`` as a one-row slab;
+        returns its tx id (ids count up from 0)."""
+        tx_id = self._next_tx_id
+        batch = TxBatch.columns([self.pid], [tx_id], self.payload_bytes, [op])
+        self._next_tx_id += 1
         if len(self._inflight) >= self.max_inflight:
             stale, _ = self._inflight.popitem(last=False)
             self._reply_counts.pop(stale, None)
-        self._inflight[tx.tx_id] = self.sim.now
+        self._inflight[tx_id] = self.sim.now
         self.network.multicast(
-            self.pid,
-            self.replica_pids,
-            SubmitTxBatch(TxBatch.from_transactions([tx]), wants_replies=True),
+            self.pid, self.replica_pids, SubmitTxBatch(batch, wants_replies=True)
         )
-        return tx
+        return tx_id
 
     # ------------------------------------------------------------------
     # Replies
@@ -145,19 +145,16 @@ class Client(Process):
                 voters.add(sender)
                 if len(voters) <= self.f:
                     continue
-            self._commit(tx_id, payload)
-
-    def _commit(self, tx_id: int, payload: Reply) -> None:
-        self.committed[tx_id] = self.sim.now - self._inflight.pop(tx_id)
-        self.results[tx_id] = payload.result
-        self._reply_counts.pop(tx_id, None)
+            self.committed[tx_id] = self.sim.now - self._inflight.pop(tx_id)
+            self._reply_counts.pop(tx_id, None)
 
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
-    def latency(self, tx: Transaction) -> Optional[float]:
-        """Submit → commit latency, or None if still pending."""
-        return self.committed.get(tx.tx_id) if tx.client_id == self.pid else None
+    def latency(self, tx_id: int) -> Optional[float]:
+        """Submit → commit latency of ``tx_id``, or None if still
+        pending."""
+        return self.committed.get(tx_id)
 
     def pending(self) -> int:
         return len(self._inflight)

@@ -9,23 +9,19 @@ Between source, mempool, block, execution and client replies the only
 transaction container is the :class:`TxBatch` slab: a few segments
 describing many rows, so a 400-transaction block costs its handlers a
 handful of operations.  A segment is an arithmetic run or a tuple of
-packed keys; an ``op`` lives only in a key segment's ``ops`` column.  No
-slab holds a :class:`Transaction`: one is built when a reader indexes
-or iterates a slab, and not retained.  Inside the program a
-transaction's identity is one int, its *packed key* ``client_id << 32 |
-tx_id``: both ids are unsigned 32-bit, like the paper's 4-byte fields.
+packed keys; an ``op`` lives only in a key segment's ``ops`` column.
+There is no row object: a transaction's identity is one int, its
+*packed key* ``client_id << 32 | tx_id``, and both ids are unsigned
+32-bit, like the paper's 4-byte fields.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence as SequenceABC
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, groupby
-from operator import attrgetter
-from typing import (
-    Any, Collection, Iterable, Iterator, Optional, Sequence, Union,
-)
+from itertools import accumulate, chain, groupby
+from typing import Any, Collection, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,29 +34,8 @@ TX_OVERHEAD_BYTES = 40
 ID_LIMIT = 1 << 32
 
 
-@dataclass(frozen=True, slots=True)
-class Transaction:
-    """An opaque client command with size accounting; ``op`` (the KV
-    example's operation) is never inspected by consensus."""
-
-    client_id: int
-    tx_id: int
-    payload_bytes: int = 0
-    op: Any = None
-
-    def wire_size(self) -> int:
-        return TX_OVERHEAD_BYTES + self.payload_bytes
-
-    def key(self) -> tuple[int, int]:
-        """Globally unique identity of this transaction."""
-        return (self.client_id, self.tx_id)
-
-    def encoding(self) -> tuple:
-        """Fields contributing to the enclosing block's hash."""
-        return ("tx", self.client_id, self.tx_id, self.payload_bytes)
-
-
-#: ``encode(t.encoding())`` up to the client id.
+#: A row encodes as ``encode(("tx", client_id, tx_id, payload_bytes))``;
+#: this is its bytes up to the client id.
 _ROW_HEAD = sequence_header(4) + encode("tx")
 
 #: The low 32 bits of a packed key: its ``tx_id``.
@@ -91,11 +66,13 @@ class _Run:
         first = self.client_id << 32 | self.start
         return range(first, first + self.n)
 
-    def row(self, i: int) -> Transaction:
-        return Transaction(self.client_id, self.start + i, self.payload_bytes)
-
     def slice(self, lo: int, hi: int) -> "_Run":
         return replace(self, start=self.start + lo, n=hi - lo)
+
+    def take(self, index: Sequence[int]) -> "_Keys":
+        """The rows at ``index``, in that order."""
+        packed = self.packed
+        return _Keys(tuple([packed[i] for i in index]), self.payload_bytes, None)
 
     def wire_bytes(self) -> int:
         return self.n * (TX_OVERHEAD_BYTES + self.payload_bytes)
@@ -130,12 +107,6 @@ class _Keys:
     @property
     def span(self) -> tuple[int, int]:
         return (min(self.packed) >> 32, max(self.packed) >> 32)
-
-    def row(self, i: int) -> Transaction:
-        k = self.packed[i]
-        return Transaction(
-            k >> 32, k & _TX_MASK, self.payload_bytes, self.ops and self.ops[i]
-        )
 
     def slice(self, lo: int, hi: int) -> "_Keys":
         ops = self.ops and _op_column(self.ops[lo:hi])
@@ -179,7 +150,7 @@ Segment = Union[_Run, _Keys]
 
 
 @dataclass(frozen=True, eq=False)
-class TxBatch(SequenceABC):
+class TxBatch:
     """An immutable slab of transactions: a tuple of non-empty segments.
 
     A segment is an arithmetic run (the filler) or a tuple of packed
@@ -239,16 +210,6 @@ class TxBatch(SequenceABC):
         return cls._of(_Run(client_id, start, n, payload_bytes))
 
     @classmethod
-    def from_transactions(cls, txs: Iterable[Transaction]) -> "TxBatch":
-        """The rows of ``txs`` (ops and payloads intact) as columns, one
-        segment per stretch of equal payload size."""
-        parts = []
-        for payload, group in groupby(txs, attrgetter("payload_bytes")):
-            cids, tids, ops = zip(*[(t.client_id, t.tx_id, t.op) for t in group])
-            parts.append(cls.columns(cids, tids, payload, ops))
-        return cls.concat(parts)
-
-    @classmethod
     def concat(cls, parts: Iterable["TxBatch"]) -> "TxBatch":
         """The rows of ``parts`` in order, sharing their segments."""
         return cls(tuple(seg for part in parts for seg in part.segments))
@@ -257,7 +218,7 @@ class TxBatch(SequenceABC):
     def _of(cls, segment: Segment) -> "TxBatch":
         return cls((segment,)) if len(segment) else cls()
 
-    # -- the sequence of transactions ---------------------------------------
+    # -- rows by position -----------------------------------------------------
     @cached_property
     def _len(self) -> int:
         return sum(map(len, self.segments))
@@ -265,36 +226,33 @@ class TxBatch(SequenceABC):
     def __len__(self) -> int:
         return self._len
 
-    def __iter__(self) -> Iterator[Transaction]:
+    def __getitem__(self, index: slice) -> "TxBatch":
+        """The rows of a slice, sharing every segment it spans whole."""
+        lo, hi, step = index.indices(self._len)
+        if step != 1:
+            return self.select(range(lo, hi, step))
+        out = []
         for seg in self.segments:
-            yield from map(seg.row, range(len(seg)))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            lo, hi, step = index.indices(self._len)
-            if step != 1:
-                return self.select(range(lo, hi, step))
-            out = []
-            for seg in self.segments:
-                a, b = max(lo, 0), min(hi, len(seg))
-                if a < b:
-                    out.append(seg if b - a == len(seg) else seg.slice(a, b))
-                lo -= len(seg)
-                hi -= len(seg)
-            return TxBatch(tuple(out))
-        if index < 0:
-            index += self._len
-        for seg in self.segments:
-            if 0 <= index < len(seg):
-                return seg.row(index)
-            index -= len(seg)
-        raise IndexError("TxBatch index out of range")
+            a, b = max(lo, 0), min(hi, len(seg))
+            if a < b:
+                out.append(seg if b - a == len(seg) else seg.slice(a, b))
+            lo -= len(seg)
+            hi -= len(seg)
+        return TxBatch(tuple(out))
 
     def select(self, indices: Sequence[int]) -> "TxBatch":
-        """A new slab holding only the ``indices`` rows, in that order."""
-        if len(self.segments) == 1 and type(self.segments[0]) is _Keys:
-            return self._of(self.segments[0].take(indices))
-        return self.from_transactions(self[int(i)] for i in indices)
+        """A new slab holding only the rows at ``indices`` (each in
+        ``[0, len)``), in that order: one key segment per stretch of
+        indices inside one segment."""
+        segs = self.segments
+        if len(segs) == 1:
+            return self._of(segs[0].take(indices))
+        ends = list(accumulate(map(len, segs)))
+        parts = []
+        for at, group in groupby(indices, lambda i: bisect_right(ends, i)):
+            lo = ends[at] - len(segs[at])
+            parts.append(segs[at].take([i - lo for i in group]))
+        return TxBatch(tuple(parts))
 
     # -- whole-slab reads, one step per segment -----------------------------
     def wire_size(self) -> int:
@@ -302,7 +260,8 @@ class TxBatch(SequenceABC):
         return 8 + sum(seg.wire_bytes() for seg in self.segments)
 
     def encoding(self) -> bytes:
-        """``encode(tuple(t.encoding() for t in self))``, byte for byte."""
+        """``encode`` of the tuple of every row's ``("tx", client_id,
+        tx_id, payload_bytes)``, byte for byte."""
         return sequence_header(self._len) + b"".join(
             [seg.encoding() for seg in self.segments]
         )
@@ -353,18 +312,14 @@ class TxFactory:
         self.payload_bytes = payload_bytes
         self._next_id = 0
 
-    def make(self, op: Any = None) -> Transaction:
-        tx_id, self._next_id = self._next_id, self._next_id + 1
-        return Transaction(self.client_id, tx_id, self.payload_bytes, op)
-
     def batch(self, n: int) -> TxBatch:
-        """``n`` fresh transactions as one arithmetic slab; same ids as
-        ``n`` :meth:`make` calls."""
+        """``n`` fresh transactions as one arithmetic slab, numbered on
+        from the previous batch."""
         start = self._next_id
         self._next_id = start + n
         return TxBatch.run(self.client_id, start, n, self.payload_bytes)
 
 
 __all__ = [
-    "Transaction", "TxBatch", "TxFactory", "ID_LIMIT", "TX_OVERHEAD_BYTES",
+    "TxBatch", "TxFactory", "ID_LIMIT", "TX_OVERHEAD_BYTES",
 ]

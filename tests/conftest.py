@@ -1,11 +1,12 @@
 """Shared test helpers: compact cluster construction, run loops,
-fingerprinted runs, and the run-time RNG stream-purity check."""
+fingerprinted runs, slab rows, and the run-time RNG stream-purity
+check."""
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Optional
+from typing import Any, Optional
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.net.network import DelayHook
 from repro.protocols.common import Cluster, ProtocolConfig, build_cluster
 from repro.protocols.registry import get_protocol
 from repro.sim import RngRegistry, Simulator
+from repro.smr import TxBatch
 
 
 def make_cluster(
@@ -123,6 +125,16 @@ def slow_node(
 
     network.delay_hooks.append(hook)
     return hook
+
+
+def slab_rows(batch: TxBatch) -> list[tuple[int, int, int, Any]]:
+    """Every row of ``batch`` as ``(client_id, tx_id, payload_bytes,
+    op)``, read segment by segment (a slab has no row view)."""
+    return [
+        (k >> 32, k & 0xFFFF_FFFF, seg.payload_bytes, seg.ops and seg.ops[i])
+        for seg in batch.segments
+        for i, k in enumerate(seg.packed)
+    ]
 
 
 class UniformLatency:

@@ -18,7 +18,7 @@ from repro.core.certificates import (
 )
 from repro.core.messages import PrepCertMsg, ProposalMsg, StoreMsg
 from repro.crypto import digest_of
-from repro.smr import GENESIS, create_leaf
+from repro.smr import GENESIS, TxBatch, create_leaf
 from repro.tee import provision
 
 from ..conftest import make_cluster, run_blocks
@@ -64,7 +64,7 @@ def test_proposal_with_forged_signature_rejected(cluster3):
     before = snapshot(victim)
     v = victim.view
     outsider = provision(5, master_seed=999)[0]
-    block = create_leaf(GENESIS.hash, v, (), proposer=0)
+    block = create_leaf(GENESIS.hash, v, TxBatch(), proposer=0)
     fake = Proposal(block.hash, v, outsider.keypair.sign(proposal_digest(block.hash, v)))
     deliver(sim, victim, victim.leader_of(v), ProposalMsg(block, fake, GENESIS_QC))
     assert snapshot(victim) == before
@@ -76,7 +76,7 @@ def test_proposal_from_non_leader_rejected(cluster3):
     creds = creds_for(cluster)
     v = victim.view
     non_leader = (victim.leader_of(v) + 1) % cluster.config.n
-    block = create_leaf(GENESIS.hash, v, (), proposer=non_leader)
+    block = create_leaf(GENESIS.hash, v, TxBatch(), proposer=non_leader)
     prop = Proposal(
         block.hash, v, creds[non_leader].keypair.sign(proposal_digest(block.hash, v))
     )
@@ -93,7 +93,7 @@ def test_proposal_not_extending_its_qc_rejected(cluster3):
     leader = victim.leader_of(v)
     qc = victim.prop.qc  # a real, valid certificate...
     # ...but the block extends something else entirely.
-    block = create_leaf(digest_of("elsewhere"), v, (), proposer=leader)
+    block = create_leaf(digest_of("elsewhere"), v, TxBatch(), proposer=leader)
     prop = Proposal(
         block.hash, v, creds[leader].keypair.sign(proposal_digest(block.hash, v))
     )
@@ -155,7 +155,7 @@ def test_stale_view_messages_ignored(cluster3):
     creds = creds_for(cluster)
     old_view = 0
     leader0 = victim.leader_of(old_view)
-    block = create_leaf(GENESIS.hash, old_view, (), proposer=leader0)
+    block = create_leaf(GENESIS.hash, old_view, TxBatch(), proposer=leader0)
     prop = Proposal(
         block.hash,
         old_view,

@@ -74,7 +74,7 @@ def test_oneshot_client_trusts_single_certified_reply():
     sim.schedule(0.01, go)
     sim.run(until=2.0)
     cluster.stop()
-    assert tx.tx_id in client.committed
+    assert tx in client.committed
 
 
 def test_quorum_client_needs_f_plus_1_replies():
@@ -89,7 +89,7 @@ def test_quorum_client_needs_f_plus_1_replies():
     sim.schedule(0.01, go)
     sim.run(until=2.0)
     cluster.stop()
-    assert tx.tx_id in client.committed
+    assert tx in client.committed
 
 
 def test_duplicate_submissions_commit_once():
@@ -97,10 +97,11 @@ def test_duplicate_submissions_commit_once():
     cluster.start()
 
     def go():
-        tx = client.submit(("add", "c", 1))
+        tx_id = client.submit(("add", "c", 1))
         # Re-broadcast the same transaction (e.g. a client retry).
         retry = SubmitTxBatch(
-            TxBatch.from_transactions([tx]), wants_replies=True
+            TxBatch.columns([client.pid], [tx_id], ops=[("add", "c", 1)]),
+            wants_replies=True,
         )
         for r in cluster.replicas:
             net.send(client.pid, r.pid, retry)

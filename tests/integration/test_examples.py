@@ -2,7 +2,9 @@
 
 Each example runs in its own interpreter, as a reader would run it
 (``python examples/<name>.py``), with ``src/`` on the path; a non-zero
-exit fails the test with the script's stderr.
+exit fails the test with the script's stderr.  An example that prints a
+verdict (``kv_store``, ``fault_injection``, ``execution_types``) exits
+non-zero when the verdict is false, so this also checks what it claims.
 """
 
 import os

@@ -6,7 +6,7 @@ import pytest
 from repro.metrics import NORMAL
 from repro.net import ConstantLatency, Network, isolate_node, remove_hook
 from repro.protocols.registry import REGISTRY
-from repro.smr import GENESIS, create_leaf, prefix_agreement
+from repro.smr import GENESIS, TxBatch, create_leaf, prefix_agreement
 
 from ..conftest import make_cluster, run_blocks
 
@@ -66,7 +66,7 @@ def test_pull_reply_stores_block_and_unblocks_commit():
 
     _, _, cluster = make_cluster("oneshot", f=1, seed=24)
     r1 = cluster.replicas[1]
-    blk = create_leaf(GENESIS.hash, 0, (), proposer=0)
+    blk = create_leaf(GENESIS.hash, 0, TxBatch(), proposer=0)
     sigs = tuple(cluster.replicas[i].creds.keypair.sign(blk.hash) for i in (0, 2))
     cert = VoteCert(block_hash=blk.hash, view=0, sigs=sigs)
     assert not r1.commit_chain(blk.hash, NORMAL, context=cert)  # pulls from r0

@@ -43,9 +43,7 @@ class TestOpenLoopRun:
         assert 0 < res.stats.txs_decided <= res.pump.txs_offered
         # Committed rows came from the virtual-client id space.
         block = res.cluster.replicas[0].log.blocks[2]
-        assert all(
-            tx.client_id >= VIRTUAL_CLIENT_BASE for tx in block.txs
-        )
+        assert all(k >> 32 >= VIRTUAL_CLIENT_BASE for k in block.txs.packed())
 
     def test_low_rate_open_loop_is_live(self):
         # A few hundred clients at 200 tx/s: small slabs keep flowing,

@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.smr import GENESIS, BlockStore, create_leaf
+from repro.smr import GENESIS, BlockStore, TxBatch, create_leaf
 
 
 @st.composite
@@ -14,7 +14,7 @@ def block_trees(draw):
     parents = {GENESIS.hash: None}
     for view in range(n):
         parent = blocks[draw(st.integers(0, len(blocks) - 1))]
-        b = create_leaf(parent.hash, view, (), proposer=draw(st.integers(0, 3)))
+        b = create_leaf(parent.hash, view, TxBatch(), proposer=draw(st.integers(0, 3)))
         if b.hash not in parents:
             blocks.append(b)
             parents[b.hash] = parent.hash

@@ -16,7 +16,7 @@ from repro.protocols.common import ProtocolConfig
 from repro.protocols.hotstuff.certificates import HsQC, hs_vote_digest
 from repro.protocols.hotstuff.chained import GENERIC, ChainedHotStuffReplica
 from repro.sim import Simulator
-from repro.smr import GENESIS, Mempool, create_leaf
+from repro.smr import GENESIS, Mempool, TxBatch, create_leaf
 from repro.tee import provision
 
 N, F = 4, 1
@@ -54,7 +54,7 @@ def build_chain(length, skip_views=()):
     blocks, qcs = [], {}
     parent = GENESIS.hash
     for view in range(length):
-        b = create_leaf(parent, view, (), proposer=view % N)
+        b = create_leaf(parent, view, TxBatch(), proposer=view % N)
         blocks.append(b)
         if view not in skip_views:
             qcs[b.hash] = qc_for(b, view)

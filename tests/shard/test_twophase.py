@@ -7,6 +7,7 @@ from repro.net import Network
 from repro.shard import COORDINATOR_PID, Coordinator, check_atomicity
 from repro.sim import Process, Simulator
 from repro.smr import KVStore, Reply, SubmitTxBatch
+from tests.conftest import slab_rows
 
 
 # ----------------------------------------------------------------------
@@ -176,8 +177,8 @@ class _Replica(Process):
             return
         assert payload.wants_replies
         self.slabs.append(payload.batch)
-        for tx in payload.batch:
-            self.kv.apply(tx.op)
+        for *_, op in slab_rows(payload.batch):
+            self.kv.apply(op)
         if not self.ack:
             return
         for replica in self.claims:
@@ -226,13 +227,15 @@ def test_coordinator_batches_markers_per_shard():
     sim.run(until=5.0)
     assert (coord.committed, coord.aborted, coord.in_flight) == (3, 0, 0)
     # One prepare slab per touched shard, rows in xid order.
-    prepares = [[tx.tx_id for tx in r.slabs[0]] for r in replicas]
+    prepares = [[k & 0xFFFF_FFFF for k in r.slabs[0].packed()] for r in replicas]
     assert prepares == [[0, 2, 4], [0, 4], [2]]
     # Shard 0's slab is the largest, so its ack lands last and completes
     # all three: one decision instant, one decision slab per shard.
     assert [x for x, _, _ in coord.decision_log] == [0, 1, 2]
     assert len({t for _, _, t in coord.decision_log}) == 1
-    decisions = [[tx.op for tx in slab] for r in replicas for slab in r.slabs[1:]]
+    decisions = [
+        [op for *_, op in slab_rows(slab)] for r in replicas for slab in r.slabs[1:]
+    ]
     assert decisions == [
         [("xcommit", 0), ("xcommit", 1), ("xcommit", 2)],
         [("xcommit", 0), ("xcommit", 2)],
@@ -276,7 +279,9 @@ def test_forced_deadline_aborts_a_whole_batch_together():
     assert coord.decision_log[0][2] == pytest.approx(0.5)
     for r in replicas:
         assert len(r.slabs) == 2
-        assert [tx.op for tx in r.slabs[1]] == [("xabort", x) for x in range(3)]
+        assert [op for *_, op in slab_rows(r.slabs[1])] == [
+            ("xabort", x) for x in range(3)
+        ]
         assert r.kv.x_aborted == {0, 1, 2}
 
 

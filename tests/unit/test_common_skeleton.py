@@ -13,7 +13,7 @@ from repro.crypto import digest_of
 from repro.metrics import NORMAL
 from repro.protocols.common.quorum import _view_of
 from repro.protocols.registry import REGISTRY, get_protocol
-from repro.smr import GENESIS, create_leaf
+from repro.smr import GENESIS, TxBatch, create_leaf
 
 from ..conftest import make_cluster, run_blocks
 
@@ -52,7 +52,7 @@ def test_chained_hotstuff_ignores_basic_phase_certificates():
 def test_missing_block_is_fetched_once_from_a_certificate_signer(protocol):
     sim, net, cluster = make_cluster(protocol, f=1, enable_log=True)
     r, holder = cluster.replicas[0], cluster.replicas[1]
-    block = create_leaf(GENESIS.hash, 0, (), proposer=1)
+    block = create_leaf(GENESIS.hash, 0, TxBatch(), proposer=1)
     holder.add_block(block)
     cert = _cert(cluster, block.hash, (0, 1, 2))
     assert not r.commit_chain(block.hash, NORMAL, context=cert)
@@ -72,7 +72,7 @@ def test_silent_first_signer_is_skipped_after_a_retry(protocol):
     the lagging replica's log for good.)"""
     sim, net, cluster = make_cluster(protocol, f=1, enable_log=True)
     r = cluster.replicas[0]
-    block = create_leaf(GENESIS.hash, 0, (), proposer=2)
+    block = create_leaf(GENESIS.hash, 0, TxBatch(), proposer=2)
     cluster.replicas[2].add_block(block)
     cert = _cert(cluster, block.hash, (0, 1, 2))
     assert not r.commit_chain(block.hash, NORMAL, context=cert)
@@ -89,7 +89,7 @@ def test_unsolicited_pull_reply_is_dropped(protocol):
     never reaches the block store."""
     _, _, cluster = make_cluster(protocol, f=1)
     r = cluster.replicas[0]
-    block = create_leaf(GENESIS.hash, 0, (), proposer=1)
+    block = create_leaf(GENESIS.hash, 0, TxBatch(), proposer=1)
     stored = len(r.store)
     r.on_message(1, r.FETCH[1](view=0, block=block))
     assert block.hash not in r.store and len(r.store) == stored

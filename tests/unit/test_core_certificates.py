@@ -25,7 +25,7 @@ from repro.core.certificates import (
     vote_digest,
 )
 from repro.crypto import digest_of
-from repro.smr import GENESIS, create_leaf
+from repro.smr import GENESIS, TxBatch, create_leaf
 from repro.tee import provision
 
 QUORUM = 2
@@ -193,14 +193,14 @@ def test_qc_verify_cost():
 def _nv_extends_case():
     """Timeout after an undecided proposal: b ≻ qc.hash, proposed at v."""
     parent_qc = make_prep(4, H1, 4)  # for ⟨5, H1⟩
-    block = create_leaf(H1, 5, (), proposer=0)
+    block = create_leaf(H1, 5, TxBatch(), proposer=0)
     store = make_store(1, 6, block.hash, 5)  # stored at 6, proposed at 5
     return NewViewCert(block, store, parent_qc)
 
 
 def _nv_self_certified():
     """Timeout after a decision: qc certifies the stored block itself."""
-    block = create_leaf(H1, 5, (), proposer=0)
+    block = create_leaf(H1, 5, TxBatch(), proposer=0)
     qc = make_prep(5, block.hash, 5)  # decide-phase cert for the block
     store = make_store(1, 6, block.hash, 5)
     return NewViewCert(block, store, qc)
@@ -236,7 +236,7 @@ def test_verify_new_view_rejects_view_mismatch():
 
 def test_verify_new_view_rejects_wrong_block():
     nv = _nv_extends_case()
-    other = create_leaf(H2, 5, (), proposer=0)
+    other = create_leaf(H2, 5, TxBatch(), proposer=0)
     assert not verify_new_view(NewViewCert(other, nv.store, nv.qc), RING, QUORUM)
 
 

@@ -12,7 +12,7 @@ from repro.core.certificates import (
 )
 from repro.core.tee_services import AccumulatorService, Checker
 from repro.crypto import FREE, T2_MICRO, digest_of
-from repro.smr import GENESIS, create_leaf
+from repro.smr import GENESIS, TxBatch, create_leaf
 from repro.tee import TeeCostModel, provision
 
 N = 5
@@ -158,7 +158,7 @@ def _nv(owner, stored_view, prop_view, block, qc):
 
 
 def make_nv_set(stored_view=1, top_prop_view=0):
-    block = create_leaf(GENESIS.hash, top_prop_view, (), proposer=0)
+    block = create_leaf(GENESIS.hash, top_prop_view, TxBatch(), proposer=0)
     top = _nv(1, stored_view, top_prop_view, block, GENESIS_QC)
     gblock = GENESIS
     rest = [

@@ -19,7 +19,7 @@ from repro.crypto.hashing import (
     encode,
     sha256,
 )
-from repro.smr import Block, Transaction
+from repro.smr import TX_OVERHEAD_BYTES, Block, TxBatch
 
 
 @pytest.fixture
@@ -124,7 +124,7 @@ def test_real_message_digests_use_memo(counting_sha256):
 
 
 def test_block_hash_is_cached_and_stable():
-    txs = tuple(Transaction(client_id=1, tx_id=i) for i in range(5))
+    txs = TxBatch.columns([1] * 5, range(5))
     b = Block(parent=_H, view=3, txs=txs, proposer=0)
     assert b.hash is b.hash  # cached_property: same object
     clone = Block(parent=_H, view=3, txs=txs, proposer=0)
@@ -132,10 +132,8 @@ def test_block_hash_is_cached_and_stable():
 
 
 def test_block_wire_size_cached_and_consistent():
-    txs = tuple(
-        Transaction(client_id=1, tx_id=i, payload_bytes=256) for i in range(4)
-    )
+    txs = TxBatch.columns([1] * 4, range(4), payload_bytes=256)
     b = Block(parent=_H, view=3, txs=txs, proposer=0)
-    expected = 8 + sum(t.wire_size() for t in txs)
+    expected = 8 + 4 * (TX_OVERHEAD_BYTES + 256)
     assert b.wire_size() == expected
     assert b.wire_size() == expected  # second read served from cache

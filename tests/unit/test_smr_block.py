@@ -7,7 +7,7 @@ from repro.smr import (
     GENESIS_HASH,
     TX_OVERHEAD_BYTES,
     Block,
-    Transaction,
+    TxBatch,
     TxFactory,
     create_leaf,
     make_genesis,
@@ -17,11 +17,11 @@ from repro.smr import (
 def test_genesis_is_stable():
     assert make_genesis().hash == GENESIS.hash == GENESIS_HASH
     assert GENESIS.view == -1
-    assert len(GENESIS.txs) == 0 and tuple(GENESIS.txs) == ()
+    assert len(GENESIS.txs) == 0 and GENESIS.txs.segments == ()
 
 
 def test_create_leaf_extends_parent():
-    b = create_leaf(GENESIS.hash, view=0, txs=(), proposer=1)
+    b = create_leaf(GENESIS.hash, view=0, txs=TxBatch(), proposer=1)
     assert b.extends(GENESIS.hash)
     assert not b.extends(b.hash)
 
@@ -36,24 +36,27 @@ def test_block_hash_covers_fields():
 
 
 def test_block_hash_cached_and_deterministic():
-    b = create_leaf(GENESIS.hash, 0, (), 0)
+    b = create_leaf(GENESIS.hash, 0, TxBatch(), 0)
     assert b.hash is b.hash  # cached object
-    b2 = create_leaf(GENESIS.hash, 0, (), 0)
+    b2 = create_leaf(GENESIS.hash, 0, TxBatch(), 0)
     assert b.hash == b2.hash
 
 
 def test_blocks_compare_and_hash_by_digest():
-    """A block built from Transactions and one built from the equivalent
-    slab are the same block: equal, same hash, same dict key."""
+    """A block built from the filler's run and one built from the same
+    rows as packed keys are the same block: equal, same hash, same dict
+    key."""
     slab = TxFactory(7, payload_bytes=256).batch(400)
     from_slab = create_leaf(GENESIS.hash, 3, slab, proposer=2)
-    from_txs = create_leaf(GENESIS.hash, 3, tuple(slab), proposer=2)
-    assert from_slab == from_txs and hash(from_slab) == hash(from_txs)
-    assert {from_slab: "x"}[from_txs] == "x"
-    assert list(from_txs.txs) == list(slab)
+    from_keys = create_leaf(
+        GENESIS.hash, 3, TxBatch.from_keys(slab.packed(), 256), proposer=2
+    )
+    assert from_slab == from_keys and hash(from_slab) == hash(from_keys)
+    assert {from_slab: "x"}[from_keys] == "x"
+    assert from_keys.txs.keys() == slab.keys()
     other = create_leaf(GENESIS.hash, 3, slab[:399], proposer=2)
     assert from_slab != other and from_slab != from_slab.hash
-    assert len({from_slab, from_txs, other}) == 2
+    assert len({from_slab, from_keys, other}) == 2
 
 
 def test_block_hashing_stays_out_of_the_digest_memo():
@@ -80,24 +83,24 @@ def test_paper_block_sizes():
 
 
 def test_tx_overhead_is_40_bytes():
-    tx = Transaction(client_id=1, tx_id=2, payload_bytes=0)
-    assert tx.wire_size() == TX_OVERHEAD_BYTES == 40
-    assert Transaction(1, 2, payload_bytes=256).wire_size() == 296
+    """A row costs 40 B plus its payload; a slab adds an 8 B header."""
+    assert TxBatch.columns([1], [2]).wire_size() - 8 == TX_OVERHEAD_BYTES == 40
+    assert TxBatch.columns([1], [2], payload_bytes=256).wire_size() - 8 == 296
 
 
 def test_tx_factory_unique_increasing_ids():
     f = TxFactory(5)
-    a, b = f.make(), f.make()
-    assert a.client_id == b.client_id == 5
-    assert b.tx_id == a.tx_id + 1
-    assert a.key() != b.key()
+    (a,), (b,) = f.batch(1).keys(), f.batch(1).keys()
+    assert a[0] == b[0] == 5
+    assert b[1] == a[1] + 1
+    assert a != b
 
 
 def test_tx_encoding_distinguishes_txs():
-    assert Transaction(1, 1).encoding() != Transaction(1, 2).encoding()
+    assert TxBatch.columns([1], [1]).encoding() != TxBatch.columns([1], [2]).encoding()
 
 
 def test_blocks_are_immutable():
-    b = create_leaf(GENESIS.hash, 0, (), 0)
+    b = create_leaf(GENESIS.hash, 0, TxBatch(), 0)
     with pytest.raises(Exception):
         b.view = 3

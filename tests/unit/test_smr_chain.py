@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.smr import GENESIS, BlockStore, ChainError, create_leaf
+from repro.smr import GENESIS, BlockStore, ChainError, TxBatch, create_leaf
 
 
 def chain(store, length, start_parent=None, view0=0, proposer=0):
     parent = start_parent if start_parent is not None else GENESIS.hash
     blocks = []
     for i in range(length):
-        b = create_leaf(parent, view0 + i, (), proposer)
+        b = create_leaf(parent, view0 + i, TxBatch(), proposer)
         store.add(b)
         blocks.append(b)
         parent = b.hash
@@ -24,7 +24,7 @@ def test_store_contains_genesis():
 
 def test_add_and_get():
     s = BlockStore()
-    b = create_leaf(GENESIS.hash, 0, (), 0)
+    b = create_leaf(GENESIS.hash, 0, TxBatch(), 0)
     s.add(b)
     assert s.get(b.hash) is b
     assert s.get(b"\x00" * 32) is None
@@ -32,7 +32,7 @@ def test_add_and_get():
 
 def test_add_idempotent():
     s = BlockStore()
-    b = create_leaf(GENESIS.hash, 0, (), 0)
+    b = create_leaf(GENESIS.hash, 0, TxBatch(), 0)
     s.add(b)
     s.add(b)
     assert len(s) == 2  # genesis + b
@@ -46,9 +46,9 @@ def test_heights_follow_chain():
 
 def test_out_of_order_insert_settles_heights():
     s = BlockStore()
-    a = create_leaf(GENESIS.hash, 0, (), 0)
-    b = create_leaf(a.hash, 1, (), 0)
-    c = create_leaf(b.hash, 2, (), 0)
+    a = create_leaf(GENESIS.hash, 0, TxBatch(), 0)
+    b = create_leaf(a.hash, 1, TxBatch(), 0)
+    c = create_leaf(b.hash, 2, TxBatch(), 0)
     s.add(c)
     s.add(b)
     assert s.height(c.hash) is None  # ancestry gap
@@ -73,7 +73,7 @@ def test_extends_plus_irreflexive():
 def test_conflicts_on_forks():
     s = BlockStore()
     a = chain(s, 2)
-    fork = create_leaf(a[0].hash, 5, (), 1)
+    fork = create_leaf(a[0].hash, 5, TxBatch(), 1)
     s.add(fork)
     assert s.conflicts(a[1].hash, fork.hash)
     assert not s.conflicts(a[1].hash, a[0].hash)
@@ -97,8 +97,8 @@ def test_path_from_unexecuted():
 
 def test_path_from_missing_block_raises():
     s = BlockStore()
-    a = create_leaf(GENESIS.hash, 0, (), 0)
-    b = create_leaf(a.hash, 1, (), 0)
+    a = create_leaf(GENESIS.hash, 0, TxBatch(), 0)
+    b = create_leaf(a.hash, 1, TxBatch(), 0)
     s.add(b)  # a missing
     with pytest.raises(ChainError):
         s.path_from(b.hash, {GENESIS.hash})

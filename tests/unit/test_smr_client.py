@@ -20,9 +20,9 @@ class FakeReplica:
         self.received.append((sender, payload))
 
 
-def _k(tx):
-    """The packed key a replica's reply names ``tx`` by."""
-    return tx.client_id << 32 | tx.tx_id
+def _k(tx_id, client_id=1000):
+    """The packed key a replica's reply names ``tx_id`` by."""
+    return client_id << 32 | tx_id
 
 
 def setup(f=1, certified=False):
@@ -46,9 +46,10 @@ def test_submit_broadcasts_to_all_replicas():
         assert len(r.received) == 1
         msg = r.received[0][1]
         assert isinstance(msg, SubmitTxBatch) and msg.wants_replies
-        assert msg.batch.keys() == (tx.key(),)
+        assert msg.batch.keys() == ((1000, tx),)
         assert msg.batch.packed() == (_k(tx),)
-        assert msg.batch[0] == tx and msg.batch[0].op is tx.op  # op rides along
+        (seg,) = msg.batch.segments
+        assert seg.ops == (("set", "k", 1),)  # op rides along
 
 
 def test_quorum_client_waits_for_f_plus_1_distinct():
@@ -57,11 +58,11 @@ def test_quorum_client_waits_for_f_plus_1_distinct():
     sim.run()
     key = _k(tx)
     client.on_message(0, Reply((key,), view=1, replica=0))
-    assert tx.tx_id not in client.committed
+    assert tx not in client.committed
     client.on_message(0, Reply((key,), view=1, replica=0))  # duplicate replica
-    assert tx.tx_id not in client.committed
+    assert tx not in client.committed
     client.on_message(1, Reply((key,), view=1, replica=1))
-    assert tx.tx_id in client.committed
+    assert tx in client.committed
 
 
 def test_self_declared_replica_ids_do_not_forge_a_quorum():
@@ -72,7 +73,7 @@ def test_self_declared_replica_ids_do_not_forge_a_quorum():
     sim.run()
     client.on_message(0, Reply((_k(tx),), view=1, replica=0))
     client.on_message(0, Reply((_k(tx),), view=1, replica=1))
-    assert tx.tx_id not in client.committed
+    assert tx not in client.committed
 
 
 def test_replies_from_non_replicas_ignored():
@@ -80,7 +81,7 @@ def test_replies_from_non_replicas_ignored():
     tx = client.submit(None)
     sim.run()
     client.on_message(7, Reply((_k(tx),), view=1, replica=0, certified=True))
-    assert tx.tx_id not in client.committed
+    assert tx not in client.committed
 
 
 def test_certified_client_trusts_single_certified_reply():
@@ -88,7 +89,7 @@ def test_certified_client_trusts_single_certified_reply():
     tx = client.submit(None)
     sim.run()
     client.on_message(2, Reply((_k(tx),), view=1, replica=2, certified=True))
-    assert tx.tx_id in client.committed
+    assert tx in client.committed
 
 
 def test_certified_client_falls_back_to_quorum_for_plain_replies():
@@ -96,9 +97,9 @@ def test_certified_client_falls_back_to_quorum_for_plain_replies():
     tx = client.submit(None)
     sim.run()
     client.on_message(0, Reply((_k(tx),), view=1, replica=0, certified=False))
-    assert tx.tx_id not in client.committed
+    assert tx not in client.committed
     client.on_message(1, Reply((_k(tx),), view=1, replica=1, certified=False))
-    assert tx.tx_id in client.committed
+    assert tx in client.committed
 
 
 def test_replies_for_unknown_tx_ignored():
@@ -120,17 +121,10 @@ def test_pending_count():
     sim, net, replicas, client = setup(certified=True)
     t1, t2 = client.submit(None), client.submit(None)
     sim.run()
+    assert (t1, t2) == (0, 1)  # tx ids count up from 0
     assert client.pending() == 2
     client.on_message(0, Reply((_k(t1),), view=1, replica=0, certified=True))
     assert client.pending() == 1
-
-
-def test_result_recorded_on_commit():
-    sim, net, replicas, client = setup(certified=True)
-    tx = client.submit(None)
-    sim.run()
-    client.on_message(0, Reply((_k(tx),), 1, 0, certified=True, result="ok"))
-    assert client.results[tx.tx_id] == "ok"
 
 
 def test_reply_wire_size_is_per_key():
@@ -147,8 +141,8 @@ def test_multi_key_reply_counts_f_plus_1_per_key():
     client.on_message(0, Reply((_k(t1), _k(t2)), view=1, replica=0))
     assert client.pending() == 3  # one distinct voter per key so far
     client.on_message(1, Reply((_k(t2), _k(t3)), view=1, replica=1))
-    assert t2.tx_id in client.committed
-    assert t1.tx_id not in client.committed and t3.tx_id not in client.committed
+    assert t2 in client.committed
+    assert t1 not in client.committed and t3 not in client.committed
     client.on_message(2, Reply((_k(t1), _k(t3)), view=1, replica=2))
     assert client.pending() == 0
 
@@ -158,7 +152,7 @@ def test_multi_key_certified_reply_commits_every_key():
     t1, t2 = client.submit(None), client.submit(None)
     sim.run()
     client.on_message(0, Reply((_k(t1), _k(t2)), 1, 0, certified=True))
-    assert t1.tx_id in client.committed and t2.tx_id in client.committed
+    assert t1 in client.committed and t2 in client.committed
     assert client.pending() == 0
 
 
@@ -167,9 +161,9 @@ def test_multi_key_reply_ignores_unknown_keys():
     tx = client.submit(None)
     sim.run()
     # Another client's row with the same tx_id, then an unknown tx_id.
-    keys = (9 << 32 | tx.tx_id, _k(tx), 1000 << 32 | 77)
+    keys = (_k(tx, client_id=9), _k(tx), _k(77))
     client.on_message(0, Reply(keys, view=1, replica=0, certified=True))
-    assert set(client.committed) == {tx.tx_id}
+    assert set(client.committed) == {tx}
     assert client.pending() == 0
 
 

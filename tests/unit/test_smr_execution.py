@@ -10,16 +10,15 @@ from repro.smr import (
     GENESIS,
     ExecutionLog,
     KVStore,
-    Transaction,
+    TxBatch,
     create_leaf,
     prefix_agreement,
 )
 
 
 def _block(parent, view, ops=()):
-    txs = tuple(
-        Transaction(client_id=1, tx_id=view * 100 + i, op=op)
-        for i, op in enumerate(ops)
+    txs = TxBatch.columns(
+        [1] * len(ops), [view * 100 + i for i in range(len(ops))], ops=ops
     )
     return create_leaf(parent, view, txs, proposer=0)
 

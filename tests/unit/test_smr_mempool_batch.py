@@ -1,6 +1,6 @@
 """Slab ingest: accept/reject identical to a per-key window, one FIFO
-drain across every kind of slab, and the interval window identical to
-a per-key window."""
+drain across every kind of slab, and the window of submitted keys
+identical to a per-key window that ignores the filler."""
 
 from collections import OrderedDict
 
@@ -13,13 +13,12 @@ from repro.smr import (
     Client,
     Mempool,
     SubmitTxBatch,
-    Transaction,
     TxBatch,
     TxFactory,
 )
 from repro.shard import SHARD_WORKLOAD_PID
 
-from ..conftest import make_cluster
+from ..conftest import make_cluster, slab_rows
 
 
 def _batch_from_keys(keys, payload=0):
@@ -31,14 +30,14 @@ def _batch_from_keys(keys, payload=0):
 
 
 def _one_row(key):
-    """A KV client's submission: one :class:`Transaction` row."""
-    return TxBatch.from_transactions([Transaction(*key)])
+    """A KV client's submission: a one-row slab."""
+    return TxBatch.columns([key[0]], [key[1]])
 
 
 class _PerKeyReference:
     """The mempool's bookkeeping with a plain FIFO of single keys and a
-    set of pending keys: the window every slab split and every interval
-    entry must be indistinguishable from."""
+    set of pending keys: the window every slab split must be
+    indistinguishable from."""
 
     def __init__(self, window=DEFAULT_DEDUP_WINDOW):
         self.window = window
@@ -139,7 +138,7 @@ class TestSlabDrain:
             _batch_from_keys([(1, 0), (2, 0)])
         ))
         sim.run()
-        tx = client.submit(("set", "k", 1))
+        tx_id = client.submit(("set", "k", 1))
         sim.run()
         net.multicast(SHARD_WORKLOAD_PID, pids, SubmitTxBatch(
             _batch_from_keys([(3, 0)])
@@ -147,26 +146,24 @@ class TestSlabDrain:
         sim.run()
         mp = cluster.replicas[0].mempool
         assert len(mp) == 4
-        assert [t.key() for t in mp.next_batch()][:4] == [
-            (1, 0), (2, 0), tx.key(), (3, 0),
-        ]
+        assert mp.next_batch().keys()[:4] == (
+            (1, 0), (2, 0), (client.pid, tx_id), (3, 0),
+        )
         assert len(mp) == 0
 
     def test_committed_while_slab_pending_is_skipped(self):
         mp = Mempool(batch_size=10)
         mp.submit_batch(_batch_from_keys([(1, 0), (2, 0), (3, 0)]))
-        mp.mark_committed(TxBatch.from_transactions([Transaction(2, 0)]))
+        mp.mark_committed(_one_row((2, 0)))
         assert len(mp) == 2
-        assert [t.key() for t in mp.next_batch()] == [(1, 0), (3, 0)]
+        assert mp.next_batch().keys() == ((1, 0), (3, 0))
 
     def test_committed_keys_bulk_while_slab_pending(self):
         mp = Mempool(batch_size=10)
         mp.submit_batch(_batch_from_keys([(i, 0) for i in range(6)]))
         mp.mark_committed(_batch_from_keys([(0, 0), (5, 0), (77, 77)]))
         assert len(mp) == 4
-        assert [t.key() for t in mp.next_batch()] == [
-            (i, 0) for i in (1, 2, 3, 4)
-        ]
+        assert mp.next_batch().keys() == tuple((i, 0) for i in (1, 2, 3, 4))
 
     def test_minted_rows_carry_slab_metadata(self):
         mp = Mempool(batch_size=2)
@@ -177,8 +174,7 @@ class TestSlabDrain:
         )
         mp.submit_batch(slab)
         txs = mp.next_batch()
-        assert txs[0].payload_bytes == 256
-        assert list(txs) == [Transaction(5, 0, 256), Transaction(6, 3, 256)]
+        assert slab_rows(txs) == [(5, 0, 256, None), (6, 3, 256, None)]
 
     def test_partial_slab_drain_keeps_cursor(self):
         mp = Mempool(batch_size=2)
@@ -186,52 +182,57 @@ class TestSlabDrain:
         assert len(mp.next_batch()) == 2
         assert len(mp) == 3
         assert len(mp.next_batch()) == 2
-        assert [t.key() for t in mp.next_batch()] == [(4, 0)]
+        assert mp.next_batch().keys() == ((4, 0),)
 
     def test_drained_slices_share_the_slab_and_filler_tops_up(self):
         mp = Mempool(source=TxFactory(10_000), batch_size=6)
-        row = TxBatch.from_transactions([Transaction(9, 0, op=("set", "k", 1))])
+        row = TxBatch.columns([9], [0], ops=[("set", "k", 1)])
         slab = _batch_from_keys([(i, 0) for i in range(3)])
         mp.submit_batch(row)
         mp.submit_batch(slab)
         block = mp.next_batch()
-        assert [t.key() for t in block] == [
+        assert block.keys() == (
             (9, 0), (0, 0), (1, 0), (2, 0), (10_000, 0), (10_000, 1),
-        ]
-        assert block[0].op == ("set", "k", 1) and block[5] == Transaction(10_000, 1)
+        )
+        rows = slab_rows(block)
+        assert rows[0][3] == ("set", "k", 1) and rows[5] == (10_000, 1, 0, None)
         assert block.segments[0] is row.segments[0]  # no row was copied
         assert block.segments[1] is slab.segments[0]
 
 
-# -- the interval window against a per-key window --------------------------
+# -- the window of submitted keys against a per-key window ----------------
 _CIDS, _TIDS = range(6), range(24)
+#: The filler's client id: like a replica's ``10_000 + pid``, no
+#: submission carries it.
+_FILLER = 10_000
 _key = st.tuples(st.sampled_from(_CIDS), st.sampled_from(_TIDS))
 _op = st.one_of(
     st.tuples(st.just("submit"), _key),
     st.tuples(st.just("submit_batch"), st.lists(_key, max_size=8)),
     st.tuples(st.just("commit_keys"), st.lists(_key, max_size=8)),
     st.tuples(
-        st.just("commit_run"),
-        st.tuples(st.sampled_from(_CIDS), st.sampled_from(_TIDS), st.integers(0, 9)),
+        st.just("commit_run"), st.tuples(st.sampled_from(_TIDS), st.integers(0, 9))
     ),
     st.tuples(st.just("propose_and_commit"), st.none()),
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.integers(1, 12), st.integers(1, 6), st.sampled_from([2, 5, 50]),
-    st.lists(_op, max_size=40),
-)
-def test_interval_window_equals_per_key_window(window, batch_size, filler, ops):
-    """Random interleavings of submissions, key commits, run commits
-    and proposals against tiny windows: every accept/reject, every
-    ``seen_recently`` answer and ``len()`` match the per-key window."""
-    mp = Mempool(
-        TxFactory(filler), batch_size, dedup_window=window
-    )
+@given(st.integers(1, 12), st.integers(1, 6), st.lists(_op, max_size=40))
+def test_window_of_submitted_keys_equals_per_key_window(window, batch_size, ops):
+    """Random interleavings of submissions, key commits, filler run
+    commits and proposals against tiny windows: every accept/reject,
+    every ``seen_recently`` answer and ``len()`` match a per-key window
+    that remembers nothing of a filler commit.  No filler key is ever
+    remembered, and a filler commit changes neither ``len()`` nor the
+    window (so it evicts nothing)."""
+    mp = Mempool(TxFactory(_FILLER), batch_size, dedup_window=window)
     ref = _PerKeyReference(window)
-    universe = [(c, t) for c in (*_CIDS, filler) for t in range(40)]
+    universe = [(c, t) for c in (*_CIDS, _FILLER) for t in range(40)]
+
+    def remembered():
+        return [k for k in universe if mp.seen_recently(k)]
+
     for kind, arg in ops:
         if kind == "submit":
             assert mp.submit_batch(_one_row(arg)) == ref.submit(arg)
@@ -242,18 +243,18 @@ def test_interval_window_equals_per_key_window(window, batch_size, filler, ops):
             mp.mark_committed(_batch_from_keys(arg))
             ref.commit(arg)
         elif kind == "commit_run":
-            cid, start, n = arg
-            mp.mark_committed(TxBatch.run(cid, start, n))
-            ref.commit([(cid, t) for t in range(start, start + n)])
+            start, n = arg
+            before = (remembered(), len(mp))
+            mp.mark_committed(TxBatch.run(_FILLER, start, n))
+            assert (remembered(), len(mp)) == before
         else:
             block = mp.next_batch()
             ref.drained(block.keys())
             mp.mark_committed(block)
-            ref.commit(block.keys())
+            ref.commit([k for k in block.keys() if k[0] != _FILLER])
         assert len(mp) == len(ref)
-        assert [k for k in universe if mp.seen_recently(k)] == [
-            k for k in universe if k in ref.seen
-        ]
+        assert remembered() == [k for k in universe if k in ref.seen]
+        assert not any(c == _FILLER for c, _ in remembered())
 
 
 # -- packed keys against the tuple-keyed reference -------------------------

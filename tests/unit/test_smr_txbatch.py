@@ -1,6 +1,8 @@
 """Columnar TxBatch slabs and the batched submit message."""
 
 import dataclasses
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -8,16 +10,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import digest_of, encode, encode_int_range
+from repro.net import ConstantLatency, Network
+from repro.sim import Simulator
 from repro.smr import (
     GENESIS,
+    Client,
     ExecutionLog,
     SubmitTxBatch,
-    Transaction,
     TxBatch,
     TxFactory,
     create_leaf,
 )
 from repro.smr.transaction import TX_OVERHEAD_BYTES
+
+from ..conftest import slab_rows
+
+
+def _slab_of(rows):
+    """A slab holding ``(client_id, tx_id, payload_bytes, op)`` rows in
+    order: one key segment per stretch of equal payload size."""
+    parts = []
+    for payload, group in groupby(rows, itemgetter(2)):
+        cids, tids, _, ops = zip(*group)
+        parts.append(TxBatch.columns(cids, tids, payload, ops))
+    return TxBatch.concat(parts)
 
 
 def _slab(n=8, payload=0):
@@ -55,98 +71,98 @@ class TestTxBatch:
 
     def test_keys_match_rows(self):
         b = _slab(5)
+        assert list(b.keys()) == [(c, t) for c, t, _, _ in slab_rows(b)]
         assert list(b.keys()) == [(i, 0) for i in range(5)]
 
     def test_select_subset(self):
         b = _slab(6, payload=4)
         sub = b.select([1, 4])
         assert list(sub.keys()) == [(1, 0), (4, 0)]
-        assert [t.payload_bytes for t in sub] == [4, 4]
+        assert [p for _, _, p, _ in slab_rows(sub)] == [4, 4]
         assert sub.packed() == (b.packed()[1], b.packed()[4])
 
     def test_mint_equals_factory_transactions(self):
-        """Rows read out of a slab are plain Transactions."""
-        b = _slab(4, payload=16)
-        txs = [b[0], b[2]]
-        assert all(isinstance(t, Transaction) for t in txs)
-        assert [t.key() for t in txs] == [(0, 0), (2, 0)]
-        assert all(t.payload_bytes == 16 for t in txs)
-        assert txs[1] == Transaction(2, 0, 16)
-        assert b[-1] == list(b)[-1]
-        with pytest.raises(IndexError):
-            b[4]
+        """A slab minted from id columns and the factory's arithmetic
+        slab over the same ids are the same rows and the same bytes."""
+        minted = TxBatch.columns([7] * 4, range(4), 16)
+        factory = TxFactory(client_id=7, payload_bytes=16).batch(4)
+        assert slab_rows(minted) == slab_rows(factory)
+        assert slab_rows(minted) == [(7, i, 16, None) for i in range(4)]
+        assert minted.encoding() == factory.encoding()
+        assert minted.wire_size() == factory.wire_size()
 
-    def test_roundtrip_from_transactions(self):
-        factory = TxFactory(client_id=7, payload_bytes=8)
-        txs = [factory.make() for _ in range(5)]
-        b = TxBatch.from_transactions(txs)
-        assert list(b) == txs
+    def test_roundtrip_through_packed_keys(self):
+        run = TxFactory(client_id=7, payload_bytes=8).batch(5)
+        b = TxBatch.from_keys(run.packed(), 8)
+        assert slab_rows(b) == slab_rows(run)
         assert _tx_ids(b) == [0, 1, 2, 3, 4]
 
-    def test_from_transactions_keeps_mixed_payloads_and_ops(self):
-        txs = [
-            Transaction(1, 0, 0, ("set", "k", 1)),
-            Transaction(2, 7, 0, None),
-            Transaction(1, 1, 256, None),
-            Transaction(3, 2, 256, ("del", "k")),
-            Transaction(1, 2, 0, ("add", "n", -1)),
+    def test_concat_keeps_mixed_payloads_and_ops(self):
+        rows = [
+            (1, 0, 0, ("set", "k", 1)),
+            (2, 7, 0, None),
+            (1, 1, 256, None),
+            (3, 2, 256, ("del", "k")),
+            (1, 2, 0, ("add", "n", -1)),
         ]
-        b = TxBatch.from_transactions(txs)
-        assert list(b) == txs
+        b = _slab_of(rows)
+        assert slab_rows(b) == rows
         # A new column segment wherever the payload changes.
         assert [len(seg) for seg in b.segments] == [2, 2, 1]
         assert b.segments[0].ops == (("set", "k", 1), None)
-        assert b.encoding() == encode(tuple(t.encoding() for t in txs))
-        assert b.wire_size() == 8 + sum(t.wire_size() for t in txs)
+        assert b.encoding() == encode(tuple(("tx", c, t, p) for c, t, p, _ in rows))
         assert b.wire_size() == 8 + 5 * TX_OVERHEAD_BYTES + 2 * 256
-        assert TxBatch.from_transactions([]).segments == ()
+        assert TxBatch.concat([]).segments == ()
 
     def test_segments_without_ops_carry_no_op_column(self):
-        plain = TxBatch.from_transactions([Transaction(1, 0), Transaction(1, 1)])
+        plain = TxBatch.columns([1, 1], [0, 1], ops=[None, None])
         assert plain.segments[0].ops is None
         assert TxBatch.columns([1], [0], ops=[None]).segments[0].ops is None
         with pytest.raises(ValueError):
             TxBatch.columns([1, 2], [0, 0], ops=[None])
 
     def test_select_and_slices_keep_ops_aligned(self):
-        txs = [
-            Transaction(i % 3, i, 0, None if i % 2 else ("add", "n", i))
-            for i in range(8)
+        rows = [
+            (i % 3, i, 0, None if i % 2 else ("add", "n", i)) for i in range(8)
         ]
-        b = TxBatch.from_transactions(txs)
-        assert list(b.select([5, 0, 4])) == [txs[5], txs[0], txs[4]]
-        assert list(b[3:7]) == txs[3:7]
-        assert list(b[3:7][1:3]) == txs[4:6]
+        b = _slab_of(rows)
+        assert slab_rows(b.select([5, 0, 4])) == [rows[5], rows[0], rows[4]]
+        assert slab_rows(b[3:7]) == rows[3:7]
+        assert slab_rows(b[3:7][1:3]) == rows[4:6]
         assert b.select([1, 3]).segments[0].ops is None  # no op left
+        # A mixed slab selects segment by segment, a run's rows included.
         mixed = TxBatch.concat([b, TxBatch.run(5, 0, 2), b[6:]])
-        rows = list(mixed)
-        assert list(mixed.select([9, 0, 10, 7])) == [
-            rows[9], rows[0], rows[10], rows[7],
-        ]
-        assert [t.op for t in mixed[6:11]] == [t.op for t in rows[6:11]]
+        every = slab_rows(mixed)
+        picked = mixed.select([9, 0, 10, 7])
+        assert slab_rows(picked) == [every[9], every[0], every[10], every[7]]
+        assert len(picked.segments) == 4
+        assert slab_rows(mixed[6:11]) == every[6:11]
+        assert slab_rows(mixed.select([])) == [] and len(mixed.select([])) == 0
+        with pytest.raises(IndexError):
+            mixed.select([len(mixed)])
 
     def test_run_is_arithmetic(self):
         run = TxFactory(client_id=3, payload_bytes=256).batch(400)
         assert len(run) == 400 and len(run.segments) == 1
         assert run.wire_size() == 8 + 400 * (TX_OVERHEAD_BYTES + 256)
-        assert run[399] == Transaction(3, 399, 256, None)
-        assert [t.tx_id for t in run[398:]] == [398, 399]
+        assert slab_rows(run[399:]) == [(3, 399, 256, None)]
+        assert _tx_ids(run[398:]) == [398, 399]
         assert _client_ids(run) == [3] * 400
         with pytest.raises(ValueError):
             TxBatch.run(3, -1, 5)
 
     def test_slices_and_concat_cross_segments(self):
-        cols = TxBatch.from_transactions([Transaction(9, i) for i in range(3)])
+        cols = TxBatch.columns([9] * 3, range(3))
         mixed = TxBatch.concat([cols, _slab(4), TxBatch.run(5, 10, 3)])
         assert len(mixed) == 10 and len(mixed.segments) == 3
-        everything = list(mixed)
-        assert list(mixed[2:8]) == everything[2:8]
-        assert list(mixed[::3]) == everything[::3]
-        assert list(mixed[7:]) == [Transaction(5, 10 + i) for i in range(3)]
+        everything = slab_rows(mixed)
+        assert slab_rows(mixed[2:8]) == everything[2:8]
+        assert slab_rows(mixed[::3]) == everything[::3]
+        assert slab_rows(mixed[7:]) == [(5, 10 + i, 0, None) for i in range(3)]
         assert len(mixed[5:5]) == 0 and mixed[5:5].segments == ()
 
     def test_keys_by_client_visits_only_registered_clients(self):
-        cols = TxBatch.from_transactions([Transaction(9, 0), Transaction(8, 0)])
+        cols = TxBatch.columns([9, 8], [0, 0])
         mixed = TxBatch.concat([cols, _slab(4), TxBatch.run(5, 10, 2)])
         assert mixed.keys_by_client({}) == {}
         routes = mixed.keys_by_client({5: "c", 2: "b", 9: "a"})
@@ -190,11 +206,20 @@ class TestIdContract:
         with pytest.raises(ValueError, match="packed key"):
             TxBatch.from_keys(keys)
 
-    def test_from_transactions_names_the_field(self):
+    def test_client_submit_names_the_field(self):
+        """A client's submission is a columns slab, so an id outside 32
+        bits fails by name before anything is sent or tracked."""
+        sim = Simulator(0)
+        net = Network(sim, ConstantLatency(0.001))
+        wide = Client(sim, net, pid=2**32, replica_pids=[], f=0)
         with pytest.raises(ValueError, match="client_id"):
-            TxBatch.from_transactions([Transaction(2**32, 0)])
+            wide.submit(("set", "k", 1))
+        assert wide.pending() == 0
+        spent = Client(sim, net, pid=1, replica_pids=[], f=0)
+        spent._next_tx_id = 2**32  # every 32-bit tx id already used
         with pytest.raises(ValueError, match="tx_id"):
-            TxBatch.from_transactions([Transaction(1, -5)])
+            spent.submit()
+        assert spent.pending() == 0
 
     def test_the_largest_ids_pack_and_unpack(self):
         top = 2**32 - 1
@@ -212,9 +237,7 @@ class TestFrozenSlab:
     multicast block or ``SubmitTxBatch`` may share it."""
 
     def test_no_field_or_column_of_any_segment_can_be_written(self):
-        ops = TxBatch.from_transactions(
-            [Transaction(9, 0, op=("del", "k")), Transaction(9, 1)]
-        )
+        ops = TxBatch.columns([9, 9], [0, 1], ops=[("del", "k"), None])
         mixed = TxBatch.concat([ops, _slab(4)[1:3], TxBatch.run(5, 10, 3)])
         taken = (ops.select([1, 0]).segments[0], ops[:1].segments[0])
         for obj in (mixed, *mixed.segments, _slab(3).select([0, 2]).segments[0],
@@ -251,8 +274,13 @@ class TestFrozenSlab:
 
 
 # -- canonical bytes -----------------------------------------------------
+def _row_encodings(slab):
+    """Each row's hashed fields, the tuple a block digest covers."""
+    return tuple(("tx", c, t, p) for c, t, p, _ in slab_rows(slab))
+
+
 def _reference(slab):
-    return encode(tuple(t.encoding() for t in slab))
+    return encode(_row_encodings(slab))
 
 
 @pytest.mark.parametrize("payload", [0, 256])
@@ -285,12 +313,12 @@ _ids = st.one_of(
 )
 _segments = st.one_of(
     st.lists(
-        st.builds(
-            Transaction, _ids, _ids, st.sampled_from([0, 256, 7]),
+        st.tuples(
+            _ids, _ids, st.sampled_from([0, 256, 7]),
             st.sampled_from([None, ("set", "k", 1)]),
         ),
         max_size=4,
-    ).map(TxBatch.from_transactions),
+    ).map(_slab_of),
     st.tuples(
         st.lists(st.tuples(_ids, _ids), max_size=6),
         st.sampled_from([0, 256]),
@@ -311,29 +339,26 @@ def test_slab_encoding_equals_per_transaction_encoding(parts, view, proposer):
     the block digest is the one ``digest_of`` gives the tuple form."""
     slab = TxBatch.concat(parts)
     assert slab.encoding() == _reference(slab)
-    assert slab.wire_size() == 8 + sum(t.wire_size() for t in slab)
+    assert slab.wire_size() == 8 + sum(
+        TX_OVERHEAD_BYTES + p for _, _, p, _ in slab_rows(slab)
+    )
     block = create_leaf(GENESIS.hash, view, slab, proposer)
     assert block.hash == digest_of(
-        "block", GENESIS.hash, view, proposer,
-        tuple(t.encoding() for t in slab),
+        "block", GENESIS.hash, view, proposer, _row_encodings(slab)
     )
 
 
 # -- ops survive the slab path ---------------------------------------------
 def test_op_survives_slab_block_execute_and_applies_once():
-    """Transaction -> slab -> block -> execute keeps the op; a pipelined
+    """Row -> slab -> block -> execute keeps the op; a pipelined
     leader ordering the same transaction twice applies it once."""
-    tx = Transaction(client_id=4, tx_id=0, op=("add", "n", 5))
+    row = TxBatch.columns([4], [0], ops=[("add", "n", 5)])
     filler = TxFactory(10_000)
-    first = TxBatch.concat(
-        [TxBatch.from_transactions([tx]), filler.batch(3)]
-    )
-    second = TxBatch.concat(
-        [filler.batch(2), TxBatch.from_transactions([tx]).select([0])]
-    )
+    first = TxBatch.concat([row, filler.batch(3)])
+    second = TxBatch.concat([filler.batch(2), row.select([0])])
     b1 = create_leaf(GENESIS.hash, 0, first, proposer=0)
     b2 = create_leaf(b1.hash, 1, second, proposer=1)
-    assert b1.txs[0].op == ("add", "n", 5) and b2.txs[2].op == ("add", "n", 5)
+    assert slab_rows(b1.txs)[0] == slab_rows(b2.txs)[2] == (4, 0, 0, ("add", "n", 5))
     log = ExecutionLog()
     log.execute(b1, 1.0)
     log.execute(b2, 2.0)

@@ -10,7 +10,6 @@ Examples::
     oneshot-repro fuzz run --seeds 200
     oneshot-repro fuzz replay tests/fuzz/corpus/*.json
     oneshot-repro fuzz shrink fuzz-findings/seed10-liveness.json
-    oneshot-repro lint --format json
 
 Every paper table comes from ``paper``; for custom seeds and block
 counts call its Python functions (``run_fig7``, ``run_degraded``, ...).
@@ -237,29 +236,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    """Static invariant gate (docs/invariants.md).
-
-    Exit code contract: 0 = clean (a finding counts only without an
-    inline ``lint-ignore`` on its line), 1 = violations found, 2 = the
-    ``--root`` given is not a directory.
-    """
-    from pathlib import Path
-
-    from .analysis import default_rules, lint_package
-
-    if args.rules:
-        for rule in default_rules():
-            print(f"{rule.name:20s} {rule.description}  [{rule.paper_ref}]")
-        return 0
-    if args.root and not Path(args.root).is_dir():
-        print(f"error: --root {args.root!r} is not a directory", file=sys.stderr)
-        return 2
-    report = lint_package(root=Path(args.root) if args.root else None)
-    print(report.to_json() if args.format == "json" else report.render_text())
-    return 0 if report.clean else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     # ``exit_on_error=False`` along the ``fuzz run`` path: a bad option
     # value there (``--protocols nope``) reaches ``main`` as an
@@ -440,17 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shrink-runs", type=int, default=200, help="shrinking budget"
     )
     pf.set_defaults(func=_cmd_fuzz)
-
-    p = sub.add_parser("lint", help="static invariant checks (docs/invariants.md)")
-    p.add_argument("--root", default=None, help="package dir to lint (default: repro)")
-    p.add_argument(
-        "--format",
-        default="text",
-        choices=["text", "json"],
-        help="output style: human text or JSON",
-    )
-    p.add_argument("--rules", action="store_true", help="list rules and exit")
-    p.set_defaults(func=_cmd_lint)
 
     return parser
 

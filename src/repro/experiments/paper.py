@@ -116,8 +116,9 @@ class SectionResult:
 
 def _wall_clock() -> float:
     # The harness's own cost, read only around whole simulations: it
-    # never reaches simulated state.
-    return time.perf_counter()  # repro: lint-ignore[determinism]
+    # never reaches simulated state (the one allowance in
+    # tests/analysis/test_determinism.py).
+    return time.perf_counter()
 
 
 def _timed(

@@ -228,6 +228,10 @@ class TxBatch:
 
     def __getitem__(self, index: slice) -> "TxBatch":
         """The rows of a slice, sharing every segment it spans whole."""
+        if not isinstance(index, slice):
+            raise TypeError(
+                "TxBatch has no row view: slice it, or read packed() or keys()"
+            )
         lo, hi, step = index.indices(self._len)
         if step != 1:
             return self.select(range(lo, hi, step))

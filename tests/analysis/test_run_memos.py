@@ -1,6 +1,6 @@
 """CI gate: no process-global memo outlives its run.
 
-A plain AST walk over ``src/repro`` (not a lint rule): every
+An AST walk over ``src/repro`` (``astwalk.modules``): every
 module-level ``functools.lru_cache`` / ``functools.cache`` must be one
 of ``repro.crypto.hashing.RUN_MEMOS``, the run scope that builds every
 run must empty them in the ``finally`` that closes its simulator, and
@@ -17,13 +17,13 @@ from pathlib import Path
 
 import pytest
 
-import repro
 from repro.crypto.hashing import RUN_MEMOS
+
+from .astwalk import ROOT, dotted, import_aliases, modules, resolve
 
 pytestmark = pytest.mark.lint
 
-ROOT = Path(repro.__file__).resolve().parent
-_MEMOS = {"lru_cache", "cache"}
+_MEMOS = {"functools.lru_cache", "functools.cache"}
 
 #: The run drivers, (module, function) pairs: each builds and frees its
 #: run in ``repro.experiments.runner._run_scope``.
@@ -34,50 +34,29 @@ DRIVERS = (
 )
 
 
-def _memo_names(tree: ast.Module) -> tuple[set[str], set[str]]:
-    """Names this module binds to the memo decorators, and to functools."""
-    memos, modules = set(), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "functools":
-            memos |= {a.asname or a.name for a in node.names if a.name in _MEMOS}
-        elif isinstance(node, ast.Import):
-            modules |= {
-                a.asname or a.name for a in node.names if a.name == "functools"
-            }
-    return memos, modules
-
-
-def _is_memo(node: ast.expr, memos: set[str], modules: set[str]) -> bool:
+def _is_memo(node: ast.expr, aliases: dict[str, str]) -> bool:
     """``lru_cache``, ``functools.cache(...)`` and the like."""
     if isinstance(node, ast.Call):
         node = node.func
-    if isinstance(node, ast.Name):
-        return node.id in memos
-    return (
-        isinstance(node, ast.Attribute)
-        and node.attr in _MEMOS
-        and isinstance(node.value, ast.Name)
-        and node.value.id in modules
-    )
+    return resolve(dotted(node), aliases) in _MEMOS
 
 
-def module_level_memos(root: Path, package: str = "repro") -> set[tuple[str, str]]:
-    """``(module, name)`` of every module-level memoized function under
-    ``root``: decorated definitions and ``name = lru_cache(...)(f)``."""
+def module_level_memos(root: Path = ROOT) -> set[tuple[str, str]]:
+    """``(module, name)`` of every module-level memoized function in the
+    package at ``root``: decorated definitions and
+    ``name = lru_cache(...)(f)``."""
     found = set()
-    for path in sorted(root.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        memos, modules = _memo_names(tree)
-        parts = path.relative_to(root).with_suffix("").parts
-        module = ".".join((package, *parts)).removesuffix(".__init__")
+    for path, tree in modules(root):
+        aliases = import_aliases(tree)
+        module = path.removesuffix(".py").replace("/", ".").removesuffix(".__init__")
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if any(_is_memo(d, memos, modules) for d in node.decorator_list):
+                if any(_is_memo(d, aliases) for d in node.decorator_list):
                     found.add((module, node.name))
             elif (
                 isinstance(node, ast.Assign)
                 and isinstance(node.value, ast.Call)
-                and _is_memo(node.value.func, memos, modules)
+                and _is_memo(node.value.func, aliases)
             ):
                 found |= {
                     (module, t.id) for t in node.targets if isinstance(t, ast.Name)
@@ -86,7 +65,7 @@ def module_level_memos(root: Path, package: str = "repro") -> set[tuple[str, str
 
 
 def test_every_module_level_memo_is_a_run_memo():
-    found = module_level_memos(ROOT)
+    found = module_level_memos()
     memos = {
         (module, name): getattr(importlib.import_module(module), name)
         for module, name in found
@@ -159,6 +138,6 @@ def test_the_walk_finds_every_spelling(tmp_path):
     (tmp_path / "pkg" / "mod.py").write_text(
         "cache = {}\ndef cache_user(): return cache\n"
     )
-    assert module_level_memos(tmp_path / "pkg", "pkg") == {
+    assert module_level_memos(tmp_path / "pkg") == {
         ("pkg", "a"), ("pkg", "b"), ("pkg", "d"), ("pkg", "e"),
     }

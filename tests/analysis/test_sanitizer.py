@@ -166,12 +166,12 @@ def test_replay_and_check_protocols(protocol):
     assert result.fingerprint.decisions >= 3
 
 
-def test_runtime_does_not_import_the_lint_engine():
-    """The fuzzer and the experiment runners load no part of the lint
-    engine."""
+def test_runs_do_not_import_the_fuzzer():
+    """The experiment drivers, the sharded layer and the workload load
+    no part of the fuzzer: a run's adversary lives in its config."""
     code = (
-        "import sys, repro.fuzz, repro.experiments; "
-        "print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))"
+        "import sys, repro.experiments, repro.shard, repro.workload; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.fuzz')))"
     )
     src = str(Path(repro.__file__).resolve().parents[1])
     out = subprocess.run(

@@ -22,11 +22,9 @@ def test_parser_requires_command():
 def test_subcommand_set_is_pinned():
     """One way in per job: the paper's tables come only from ``paper``."""
     commands = _choices(build_parser())
-    assert sorted(commands) == ["fuzz", "lint", "paper", "run", "shard", "timeline"]
+    assert sorted(commands) == ["fuzz", "paper", "run", "shard", "timeline"]
     assert sorted(_choices(commands["shard"])) == ["run", "sweep"]
     assert sorted(_choices(commands["fuzz"])) == ["replay", "run", "shrink"]
-    [fmt] = [a for a in commands["lint"]._actions if a.dest == "format"]
-    assert fmt.choices == ["text", "json"]
 
 
 @pytest.mark.parametrize(

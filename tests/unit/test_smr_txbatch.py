@@ -161,6 +161,16 @@ class TestTxBatch:
         assert slab_rows(mixed[7:]) == [(5, 10 + i, 0, None) for i in range(3)]
         assert len(mixed[5:5]) == 0 and mixed[5:5].segments == ()
 
+    def test_rows_are_read_through_keys_not_indexing(self):
+        b = _slab(3)
+        with pytest.raises(TypeError, match="no row view"):
+            b[0]
+        with pytest.raises(TypeError, match="no row view"):
+            list(b)
+        with pytest.raises(TypeError, match="packed"):
+            for _ in b:
+                pass
+
     def test_keys_by_client_visits_only_registered_clients(self):
         cols = TxBatch.columns([9, 8], [0, 0])
         mixed = TxBatch.concat([cols, _slab(4), TxBatch.run(5, 10, 2)])

@@ -74,7 +74,12 @@ def _shard_config(args: argparse.Namespace, k: int) -> ExperimentConfig:
 
 
 def _cmd_shard(args: argparse.Namespace) -> int:
-    from .experiments import render_shard, run_shard_scaling, run_sharded
+    from .experiments import (
+        fingerprint,
+        render_shard,
+        run_shard_scaling,
+        run_sharded,
+    )
 
     if args.shard_command == "run":
         run = run_sharded(_shard_config(args, args.k))
@@ -85,7 +90,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
                 f"{len(m.moved_slots)} slots, imbalance "
                 f"{m.imbalance_before:.2f} -> {m.imbalance_after:.2f}"
             )
-        print(f"fingerprint: {run.fingerprint.digest()}")
+        print(f"fingerprint: {fingerprint(run).digest()}")
         return 0 if run.atomicity.ok else 1
     # sweep
     scaling = run_shard_scaling(

@@ -23,6 +23,7 @@ from .fig7 import (
     render_fig7,
     run_fig7,
 )
+from .fingerprint import Fingerprint, fingerprint
 from .gains import GainTable, PAPER_GAINS, compute_gains, render_gains
 from .parallel import (
     ParallelScaling,
@@ -70,6 +71,8 @@ __all__ = [
     "Fig7Result",
     "render_fig7",
     "run_fig7",
+    "Fingerprint",
+    "fingerprint",
     "GainTable",
     "PAPER_GAINS",
     "compute_gains",

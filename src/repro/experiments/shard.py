@@ -7,8 +7,8 @@ this driver feeds them one :class:`~repro.shard.ShardedWorkload` pump
 routing superposed Poisson arrivals through the versioned router and,
 when cross-shard traffic is configured, one 2PC
 :class:`~repro.shard.Coordinator`.  Every run ends with the atomicity
-oracle and a replay fingerprint, so drivers and tests get the safety
-verdict and the determinism handle for free.
+oracle, so drivers and tests get the safety verdict for free
+(:func:`~repro.experiments.fingerprint` gives the replay handle).
 """
 
 from __future__ import annotations
@@ -27,9 +27,7 @@ from ..shard import (
     Coordinator,
     Router,
     ShardedWorkload,
-    ShardFingerprint,
     check_atomicity,
-    fingerprint_shards,
 )
 from ..sim import Simulator
 from .config import ExperimentConfig, check_fields
@@ -65,7 +63,6 @@ class ShardRun:
     #: 2PC decision latency over single-shard commit latency.
     cross_overhead_ratio: float = 0.0
     atomicity: AtomicityReport = field(default_factory=AtomicityReport)
-    fingerprint: Optional[ShardFingerprint] = None
 
     def describe(self) -> str:
         line = (
@@ -128,17 +125,7 @@ def run_sharded(
         if instrument is not None:
             instrument(sim, networks, clusters)
         _drive(sim, clusters, config.max_sim_time, pump)
-        # Judged before the scope empties the memos: both read digests.
         atomicity = check_atomicity(clusters)
-        fingerprint = fingerprint_shards(
-            config.protocol,
-            config.seed,
-            clusters,
-            router,
-            coordinator,
-            end_time=sim.now,
-            reference_pid=config.reference_pid,
-        )
 
     committed = sum(
         c.replicas[config.reference_pid].log.txs_executed for c in clusters
@@ -162,7 +149,6 @@ def run_sharded(
         aggregate_tps=committed / sim.now if sim.now > 0 else 0.0,
         mean_latency_s=sum(lats) / len(lats) if lats else 0.0,
         atomicity=atomicity,
-        fingerprint=fingerprint,
     )
     if coordinator is not None and coordinator.decision_latency.count:
         run.cross_mean_latency_s = coordinator.decision_latency.mean()

@@ -23,7 +23,6 @@ from .corpus import (
     save_repro,
 )
 from .generator import DEFAULT_CONFIG, FuzzConfig, generate_scenario
-from .fingerprint import RunFingerprint, fingerprint_of
 from .harness import FuzzResult, run_scenario
 from .oracles import (
     CRASH,
@@ -50,8 +49,6 @@ __all__ = [
     "FuzzConfig",
     "generate_scenario",
     "FuzzResult",
-    "RunFingerprint",
-    "fingerprint_of",
     "run_scenario",
     "CRASH",
     "LIVENESS",

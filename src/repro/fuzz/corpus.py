@@ -10,27 +10,21 @@ A repro file is a small JSON document:
       "config": { ...repro.experiments.to_dict(ExperimentConfig)... },
       "expect": {
         "failure": "safety" | "crash" | "liveness" | null,
-        "digest": "<RunFingerprint.digest()> or null (crashed runs)",
-        "timeline_hash": "<RunFingerprint.timeline_hash>  (optional)",
-        "chain_hash": "<RunFingerprint.chain_hash>  (optional)",
+        "digest": "<Fingerprint.digest()> or null (crashed runs)",
+        "components": { "<name>": <value>, ... } or null (crashed runs),
         "blocks_decided": 3
       }
     }
 
 ``expect`` records what the run did when the file was written; replay
-re-runs the config and verifies both the failure kind and — when the
-run completed — the exact fingerprint digest.  The committed regression
-corpus under ``tests/fuzz/corpus/`` is replayed in CI, so any drift in
-protocol, fault or network code that changes these runs is caught.
-
-``digest`` folds the executed-event count, which is kernel bookkeeping
-(docs/invariants.md): a scheduling change can move it without moving
-behaviour.  ``timeline_hash`` (every envelope, in order) and
-``chain_hash`` (every decision) are the behavioural components; they
-are written for every run that yields a
-:class:`~repro.fuzz.fingerprint.RunFingerprint` (sharded runs have a joint
-fingerprint with no such components), checked before the digest when
-present, and a mismatch names the component that drifted.
+re-runs the config and verifies the failure kind and, when the run
+completed, its :func:`~repro.experiments.fingerprint`: every recorded
+component by name (a mismatch names the component that drifted), then
+the digest over them.  The digest folds behaviour only, never the
+executed-event count (docs/invariants.md), so it moves only with a
+component.  The committed regression corpus under ``tests/fuzz/corpus/``
+is replayed in CI, so any drift in protocol, fault or network code that
+changes these runs is caught.
 """
 
 from __future__ import annotations
@@ -41,6 +35,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from ..experiments.config import ExperimentConfig, from_dict, to_dict
+from ..experiments.fingerprint import Component
 from .harness import FuzzResult, run_scenario
 
 #: The one format written and read; ``repro.fuzz/1`` files (a separate
@@ -61,13 +56,13 @@ class ReproFile:
     expect_digest: Optional[str]
     expect_blocks: int
     note: str = ""
-    #: Behavioural components of the fingerprint (None = not recorded).
-    expect_timeline_hash: Optional[str] = None
-    expect_chain_hash: Optional[str] = None
+    #: The fingerprint's components by name (None = not recorded).
+    expect_components: Optional[dict[str, Component]] = None
 
 
-#: ``expect`` keys pinning one behavioural fingerprint component each.
-_COMPONENTS = ("timeline_hash", "chain_hash")
+def _show(value: object) -> str:
+    text = str(value)
+    return text if len(text) <= 16 else text[:16] + "…"
 
 
 def make_repro(result: FuzzResult, note: str = "") -> dict:
@@ -76,11 +71,9 @@ def make_repro(result: FuzzResult, note: str = "") -> dict:
     expect = {
         "failure": result.failure,
         "digest": fp.digest() if fp is not None else None,
+        "components": fp.components if fp is not None else None,
+        "blocks_decided": result.report.blocks_decided,
     }
-    for name in _COMPONENTS:
-        if hasattr(fp, name):
-            expect[name] = getattr(fp, name)
-    expect["blocks_decided"] = result.report.blocks_decided
     return {
         "format": FORMAT,
         "note": note,
@@ -109,8 +102,7 @@ def load_repro(path: Union[str, Path]) -> ReproFile:
         expect_digest=expect.get("digest"),
         expect_blocks=int(expect.get("blocks_decided", 0)),
         note=data.get("note", ""),
-        expect_timeline_hash=expect.get("timeline_hash"),
-        expect_chain_hash=expect.get("chain_hash"),
+        expect_components=expect.get("components"),
     )
 
 
@@ -124,21 +116,24 @@ def replay_repro(path: Union[str, Path]) -> FuzzResult:
             f"got {result.failure!r} ({result.report.describe()})"
         )
     fp = result.fingerprint
-    for name in _COMPONENTS:
-        want = getattr(repro, f"expect_{name}")
-        if want is not None and getattr(fp, name, None) != want:
+    got = fp.components if fp is not None else {}
+    recorded = repro.expect_components or {}
+    for name, want in recorded.items():
+        if got.get(name) != want:
             raise ReplayMismatch(
-                f"{path}: {name} drift — expected {want[:16]}…, "
-                f"got {str(getattr(fp, name, None))[:16]}…"
+                f"{path}: {name} drift — expected {_show(want)}, "
+                f"got {_show(got.get(name))}"
             )
     if repro.expect_digest is not None:
-        got = fp.digest() if fp is not None else None
-        if got != repro.expect_digest:
-            held = [n for n in _COMPONENTS if getattr(repro, f"expect_{n}")]
+        digest = fp.digest() if fp is not None else None
+        if digest != repro.expect_digest:
+            held = ""
+            if recorded:
+                extra = ", ".join(sorted(set(got) - set(recorded))) or "none"
+                held = f" (recorded components unchanged; not recorded: {extra})"
             raise ReplayMismatch(
-                f"{path}: fingerprint drift — expected {repro.expect_digest[:16]}…, "
-                f"got {str(got)[:16]}…"
-                + (f" ({' and '.join(held)} unchanged)" if held else "")
+                f"{path}: fingerprint drift — expected "
+                f"{_show(repro.expect_digest)}, got {_show(digest)}{held}"
             )
     return result
 

@@ -13,25 +13,21 @@ harness contributes exactly three things:
   correct replicas afterwards (``ExecutionLog.execute`` refuses
   conflicting chains), and the harness must classify that run as a
   safety failure, not die with it;
-* the oracle verdict and a :class:`~repro.fuzz.RunFingerprint`
-  (for replay-identity checks) packed into a :class:`FuzzResult`.
+* the oracle verdict and the run's
+  :func:`~repro.experiments.fingerprint` (for replay-identity checks)
+  packed into a :class:`FuzzResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from ..experiments.config import ExperimentConfig
+from ..experiments.fingerprint import Fingerprint, fingerprint
 from ..experiments.runner import run_experiment
 from ..experiments.shard import run_sharded
-from .fingerprint import RunFingerprint, fingerprint_of
 from .oracles import OracleReport, judge, judge_sharded
-
-#: Either a single-cluster :class:`RunFingerprint` or a
-#: :class:`~repro.shard.ShardFingerprint`; both expose ``digest()``,
-#: which is all the corpus replay-identity check uses.
-Fingerprint = Union[RunFingerprint, "object"]
 
 
 @dataclass(frozen=True)
@@ -60,8 +56,8 @@ def run_scenario(config: ExperimentConfig) -> FuzzResult:
     captured: dict = {}
 
     def instrument(sim, network, cluster) -> None:
-        # Sharded runs pass the lists of fabrics and clusters.
-        captured.update(sim=sim, network=network, cluster=cluster)
+        # Sharded runs pass the list of clusters.
+        captured["cluster"] = cluster
 
     sharded = config.shards > 1
     crashed: Optional[str] = None
@@ -70,28 +66,21 @@ def run_scenario(config: ExperimentConfig) -> FuzzResult:
         if sharded:
             run = run_sharded(config, instrument=instrument)
         else:
-            run_experiment(config, enable_message_log=True, instrument=instrument)
+            run = run_experiment(
+                config, enable_message_log=True, instrument=instrument
+            )
     except Exception as exc:  # noqa: BLE001 - classified by the oracles
         if not captured:
             raise  # setup failure: a fuzzer bug, not a protocol finding
         crashed = f"{type(exc).__name__}: {exc}"
-    cluster = captured["cluster"]
-    fingerprint: Optional[Fingerprint] = None
-    if sharded:
-        report = judge_sharded(config, cluster, crashed=crashed)
-        if crashed is None:
-            fingerprint = run.fingerprint
-    else:
-        report = judge(config, cluster, crashed=crashed)
-        if crashed is None:
-            fingerprint = fingerprint_of(
-                config.protocol,
-                config.seed,
-                captured["sim"],
-                captured["network"],
-                cluster.collector,
-            )
-    return FuzzResult(config=config, report=report, fingerprint=fingerprint)
+    report = (judge_sharded if sharded else judge)(
+        config, captured["cluster"], crashed=crashed
+    )
+    return FuzzResult(
+        config=config,
+        report=report,
+        fingerprint=fingerprint(run) if run is not None else None,
+    )
 
 
 __all__ = ["FuzzResult", "run_scenario"]

@@ -5,9 +5,8 @@ into a real sharding layer: a deterministic epoch-versioned transaction
 router (:mod:`~repro.shard.router`), a 2PC coordinator for cross-shard
 commits layered on consensus decisions (:mod:`~repro.shard.coordinator`),
 hot-key rebalancing at epoch boundaries (:mod:`~repro.shard.rebalance`),
-a sharded open-loop workload pump (:mod:`~repro.shard.workload`), the
-cross-shard atomicity oracle (:mod:`~repro.shard.oracle`) and replay
-fingerprints (:mod:`~repro.shard.fingerprint`).
+a sharded open-loop workload pump (:mod:`~repro.shard.workload`) and
+the cross-shard atomicity oracle (:mod:`~repro.shard.oracle`).
 
 The run *driver* (building simulators, clusters and calling
 ``sim.run``) lives in :mod:`repro.experiments.shard` — this package is
@@ -20,7 +19,6 @@ from .coordinator import (
     Coordinator,
     ShardPort,
 )
-from .fingerprint import ShardFingerprint, fingerprint_shards
 from .oracle import AtomicityReport, check_atomicity
 from .rebalance import (
     DEFAULT_IMBALANCE_THRESHOLD,
@@ -52,11 +50,9 @@ __all__ = [
     "Router",
     "RoutingTable",
     "SHARD_WORKLOAD_PID",
-    "ShardFingerprint",
     "ShardPort",
     "ShardedWorkload",
     "check_atomicity",
-    "fingerprint_shards",
     "initial_table",
     "mix64",
 ]

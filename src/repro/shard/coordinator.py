@@ -135,7 +135,7 @@ class Coordinator(Process):
         self.decision_latency = StreamingMoments()
         self.decision_p99 = P2Quantile(0.99)
         #: (xid, outcome, decision_time) in decision order — folded into
-        #: the shard fingerprint so 2PC scheduling drift is detectable.
+        #: the run fingerprint so 2PC scheduling drift is detectable.
         self.decision_log: list[tuple[int, str, float]] = []
 
     # ------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..crypto import Digest, digest_of
+from ..crypto import Digest, encode, sha256
 
 #: Distinct salts keep the three routing decisions (slot placement,
 #: hot-key membership, cross-shard partner choice) independent hashes.
@@ -66,7 +66,8 @@ class RoutingTable:
         return np.asarray(self.slot_to_shard, dtype=np.int64)
 
     def table_digest(self) -> Digest:
-        return digest_of("routing-table", (self.epoch, self.slot_to_shard))
+        # Not memoized: a run reads it once, when it has ended.
+        return sha256(encode(("routing-table", (self.epoch, self.slot_to_shard))))
 
 
 def initial_table(n_shards: int, slots: int = DEFAULT_SLOTS) -> RoutingTable:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from ..crypto import Digest, digest_of
+from ..crypto import Digest, encode, sha256
 from .block import GENESIS, Block
 
 #: 2PC states besides the staged ops (see :class:`KVStore`).
@@ -114,9 +114,10 @@ class KVStore:
         return len(self._data)
 
     def state_digest(self) -> Digest:
-        """Order-independent digest of the full state (agreement checks)."""
+        """Order-independent digest of the full state (agreement checks).
+        Not memoized: a run reads it once, when it has ended."""
         items = tuple(sorted((k, repr(v)) for k, v in self._data.items()))
-        return digest_of("kv-state", items)
+        return sha256(encode(("kv-state", items)))
 
 
 class ExecutionLog:
@@ -194,8 +195,9 @@ class ExecutionLog:
         return self._exec_times[index]
 
     def log_digest(self) -> Digest:
-        """Digest of the committed order (prefix-agreement checks)."""
-        return digest_of("log", tuple(b.hash for b in self.blocks))
+        """Digest of the committed order (prefix-agreement checks).
+        Not memoized: a run reads it once, when it has ended."""
+        return sha256(encode(("log", tuple(b.hash for b in self.blocks))))
 
 
 def prefix_agreement(logs: list[ExecutionLog]) -> bool:

@@ -16,14 +16,14 @@ import pytest
 
 import repro
 from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments import fingerprint as run_fingerprint
+from repro.experiments.fingerprint import _hash_chain
 from repro.fuzz import (
     FuzzConfig,
     find_equivocations,
-    fingerprint_of,
     generate_scenario,
     run_scenario,
 )
-from repro.fuzz.fingerprint import _hash_chain
 from repro.metrics import Decision, DecisionsNotKept, MetricsCollector
 
 from ..conftest import UniformLatency, fingerprint, small_run, with_latency
@@ -55,7 +55,7 @@ def test_same_seed_runs_are_identical():
     config = small_run("oneshot", seed=11, target_blocks=3)
     fp, _ = fingerprint(config)
     assert fingerprint(config)[0] == fp
-    assert fp.decisions > 0 and fp.timeline_hash
+    assert fp["decisions"] > 0 and fp["timeline_hash"]
 
 
 def test_fingerprint_changes_with_seed():
@@ -80,7 +80,7 @@ def test_detects_injected_wall_clock_regression():
         fingerprint(config, instrument=with_latency(WallClockLatency()))[0]
         for _ in range(2)
     )
-    assert first.timeline_hash != second.timeline_hash
+    assert first["timeline_hash"] != second["timeline_hash"]
 
 
 # -- equivocation oracle ----------------------------------------------
@@ -143,17 +143,23 @@ def test_equivocation_oracle_refuses_a_collector_without_decisions():
 
 def test_chain_hash_refuses_a_collector_without_decisions():
     with pytest.raises(DecisionsNotKept, match="keep_decisions"):
-        _hash_chain(MetricsCollector(keep_decisions=False))
+        _hash_chain([MetricsCollector(keep_decisions=False)])
 
 
 def test_fingerprint_refuses_a_run_without_decisions():
+    """A run that kept no decision records has no chain to hash: its
+    fingerprint names no ``chain_hash`` or ``decisions``, and reading
+    either by name raises instead of reporting an empty chain."""
     cfg = ExperimentConfig(
         protocol="oneshot", f=1, deployment="local", target_blocks=3, seed=5,
         streaming_metrics=True,
     )
-    run = run_experiment(cfg, enable_message_log=True)
-    with pytest.raises(DecisionsNotKept, match="keep_decisions"):
-        fingerprint_of(cfg.protocol, cfg.seed, run.sim, run.network, run.collector)
+    fp = run_fingerprint(run_experiment(cfg, enable_message_log=True))
+    assert fp["timeline_hash"] and fp["log_digest[0]"]
+    for name in ("chain_hash", "decisions"):
+        assert name not in fp.components
+        with pytest.raises(KeyError, match=name):
+            fp[name]
 
 
 # -- replay and the safety oracle on each protocol ---------------------
@@ -163,7 +169,7 @@ def test_replay_and_check_protocols(protocol):
     result = run_scenario(config)
     assert result.failure is None
     assert fingerprint(config)[0] == result.fingerprint
-    assert result.fingerprint.decisions >= 3
+    assert result.fingerprint["decisions"] >= 3
 
 
 def test_runs_do_not_import_the_fuzzer():

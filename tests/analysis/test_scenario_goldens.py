@@ -19,9 +19,7 @@ one latency and one extra draw per destination.
 
 import pytest
 
-from repro.fuzz.fingerprint import _hash_chain, _hash_timeline
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_experiment
 from repro.faults import FaultPlan, every_kth_view, forced_execution_factory
 
 from ..conftest import UniformLatency, fingerprint, small_run, with_latency
@@ -137,20 +135,19 @@ BEHAVIOUR = {
 }
 
 
+def _behaviour(fp):
+    """A one-group fingerprint's ``(messages, decisions, timeline_hash,
+    chain_hash)``."""
+    return (
+        fp["messages_sent[0]"], fp["decisions"], fp["timeline_hash"], fp["chain_hash"]
+    )
+
+
 def _assert_run(scenario, replica_factory=None, **overrides):
     """Run one ``run_experiment`` scenario and check its pinned
-    ``(messages, decisions, timeline_hash, chain_hash)``."""
-    run = run_experiment(
-        ExperimentConfig(**overrides),
-        replica_factory=replica_factory,
-        enable_message_log=True,
-    )
-    assert (
-        len(run.network.message_log),
-        len(run.collector.decisions),
-        _hash_timeline(run.network.message_log),
-        _hash_chain(run.collector),
-    ) == BEHAVIOUR[scenario]
+    behaviour."""
+    fp, _ = fingerprint(ExperimentConfig(**overrides), replica_factory=replica_factory)
+    assert _behaviour(fp) == BEHAVIOUR[scenario]
 
 
 def _assert_fingerprint(
@@ -161,9 +158,7 @@ def _assert_fingerprint(
         instrument=instrument,
         replica_factory=replica_factory,
     )
-    assert (
-        fp.messages, fp.decisions, fp.timeline_hash, fp.chain_hash
-    ) == BEHAVIOUR[scenario]
+    assert _behaviour(fp) == BEHAVIOUR[scenario]
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,8 @@ The timeline and chain hashes, message and decision counts were
 captured from the pre-fast-path scalar per-destination ``send`` loop;
 the vectorized path must reproduce them bit-for-bit.  Divergence there
 is a correctness bug — never re-pin.  (``events`` and ``digest`` moved
-once, with one event per deferred broadcast: see
-test_fastpath_determinism.py.)
+once, with one event per deferred broadcast, and ``digest`` once more,
+when it stopped folding ``events``: see test_fastpath_determinism.py.)
 """
 
 import pytest
@@ -32,7 +32,7 @@ GOLDEN = {
         10,
         "51deaeebea247bbe44ecc3d482d53e8dcaad8b4670b2513f2ecc173e12aa3a55",
         "7b27c200453d309844510b0f76d3c0c8e9d6597e2effd27487ac468ec8dbc64c",
-        "f8c3e1a70ecd4d2a8edd31daa264fc0d3f84fe4bdd2fc85e9ef999ce6f15dc4c",
+        "6bbc617f0ac9f80c659fec1d319b5bd986a44d21b8b529fa7f72f2452f3a7153",
     ),
     "damysus": Golden(
         112,
@@ -40,7 +40,7 @@ GOLDEN = {
         10,
         "e31f10539cad5ed3e388e50c801c5f8987e825ed068dbb1842d0ba6ac3101d1f",
         "a31f734dd4d578fa293056ef8f3b416ddae545443355e07f12f4d0a819668053",
-        "d3ba391bdf7b662cb3e8b5a1bed03cb7e6bfa2c7cb8aaca2c076f466c9bb28d5",
+        "2fed727f3ebc6953328d076d7836e74b0b5ddcbffee19b720f1cf29c757e1e63",
     ),
     "hotstuff": Golden(
         208,
@@ -48,7 +48,7 @@ GOLDEN = {
         16,
         "df6e700a1f0c846a4c4b119155ddbd002f80973b4f4052b67a416b999ca2138f",
         "a2189146b1af3e6130765c4dc86afd45c40a47e394c7a8b4235a8772ea996afd",
-        "d86f09668f14f0383586770f9b8287f1aa73da5e23b0075ee1fbc1d1c55aa1ec",
+        "9790484f62b588b3d19111dcff2967388c4ecfb66027517602eb46751d16fd58",
     ),
 }
 
@@ -81,3 +81,4 @@ def test_world_fingerprint_is_replay_stable():
     a = _world_fingerprint("oneshot")
     b = _world_fingerprint("oneshot")
     assert a.digest() == b.digest()
+    assert a.events == b.events

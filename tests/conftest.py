@@ -10,8 +10,8 @@ from typing import Any, Optional
 
 import pytest
 
-from repro.experiments import ExperimentConfig, run_experiment
-from repro.fuzz import RunFingerprint, fingerprint_of
+from repro import experiments
+from repro.experiments import ExperimentConfig, Fingerprint, run_experiment
 from repro.metrics import MetricsCollector
 from repro.net import ConstantLatency, LatencyModel, Network
 from repro.net.network import DelayHook
@@ -87,7 +87,7 @@ def small_run(protocol: str = "oneshot", **overrides) -> ExperimentConfig:
 
 def fingerprint(
     config: ExperimentConfig, instrument=None, replica_factory=None
-) -> tuple[RunFingerprint, MetricsCollector]:
+) -> tuple[Fingerprint, MetricsCollector]:
     """Run ``config`` with the message log on: its fingerprint and its
     metrics collector."""
     run = run_experiment(
@@ -96,8 +96,7 @@ def fingerprint(
         enable_message_log=True,
         instrument=instrument,
     )
-    fp = fingerprint_of(config.protocol, config.seed, run.sim, run.network, run.collector)
-    return fp, run.collector
+    return experiments.fingerprint(run), run.collector
 
 
 def with_latency(model: LatencyModel):

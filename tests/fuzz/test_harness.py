@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.experiments.runner import run_experiment
-from repro.fuzz import fingerprint_of, generate_scenario, run_scenario
+from repro.experiments import fingerprint, run_experiment
+from repro.fuzz import generate_scenario, run_scenario
 
 #: The CI smoke budget: N fresh seeds from the verified-green range
 #: run under both oracles.
@@ -22,6 +22,7 @@ def test_replay_is_deterministic():
     a = run_scenario(generate_scenario(200))
     b = run_scenario(generate_scenario(200))
     assert a.fingerprint.digest() == b.fingerprint.digest()
+    assert a.fingerprint.events == b.fingerprint.events
     assert a.report == b.report
 
 
@@ -35,9 +36,6 @@ def test_fault_free_scenario_matches_plain_runner():
 
     fuzzed = run_scenario(config)
 
-    run = run_experiment(config, enable_message_log=True)
-    plain = fingerprint_of(
-        config.protocol, config.seed, run.sim, run.network, run.collector
-    )
+    plain = fingerprint(run_experiment(config, enable_message_log=True))
     assert fuzzed.fingerprint.digest() == plain.digest()
-    assert fuzzed.fingerprint == plain
+    assert fuzzed.fingerprint == plain  # every component and events

@@ -76,3 +76,4 @@ def test_planted_bug_does_not_perturb_clean_runs():
     with broken_checker_guard():
         patched = run_scenario(scenario)
     assert plain.fingerprint.digest() == patched.fingerprint.digest()
+    assert plain.fingerprint.events == patched.fingerprint.events

@@ -96,7 +96,7 @@ def test_faulty_sender_timeline_is_pinned(protocol, behaviour):
         replica_factory=_plan(behaviour).factory(),
     )
     assert (
-        fp.messages, fp.decisions, fp.timeline_hash, fp.chain_hash
+        fp["messages_sent[0]"], fp["decisions"], fp["timeline_hash"], fp["chain_hash"]
     ) == PINNED[(protocol, behaviour)]
 
 

@@ -14,8 +14,9 @@ same after it as before, and a closed simulator refuses to run or
 schedule.
 
 A third group pins that no memo outlives its run: the process-global
-digest memos are empty once any driver returns or raises, so repeated
-runs in one process hold a flat amount of memory.
+digest memos are empty once any driver returns or raises, and taking
+the run's fingerprint afterwards refills none, so repeated runs in one
+process hold a flat amount of memory.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.crypto import digest_memo_entries, digest_of
 from repro.experiments import (
     ExperimentConfig,
     run_experiment,
+    fingerprint,
     run_parallel,
     run_sharded,
 )
@@ -271,6 +273,16 @@ def test_driver_leaves_the_digest_memos_empty(driver):
     digest_of("filled before the run", 1)
     assert digest_memo_entries() > 0
     DRIVERS[driver]()
+    assert digest_memo_entries() == 0
+
+
+@pytest.mark.parametrize("driver", ["run_experiment", "run_sharded"])
+def test_fingerprint_refills_no_digest_memo(driver):
+    """A fingerprint is taken from the finished run: reading its chain,
+    state and routing-table digests puts nothing back in the memos."""
+    run = DRIVERS[driver]()
+    fp = fingerprint(run)
+    assert fp["log_digest[0]"] and fp["state_digest[0]"]
     assert digest_memo_entries() == 0
 
 

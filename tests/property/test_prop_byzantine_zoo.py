@@ -29,12 +29,12 @@ FIRING_ATTRS = {
 }
 
 
-def _digest(protocol: str, plan=None) -> str:
+def _fingerprint(protocol: str, plan=None):
     factory = plan.factory() if plan is not None else None
     fp, _ = fingerprint(
         small_run(protocol, seed=7, target_blocks=8), replica_factory=factory
     )
-    return fp.digest()
+    return fp
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -44,7 +44,7 @@ def test_noop_outside_window(protocol, behaviour):
     plan = FaultPlan().add(
         1, behaviour, start=1000.0, **FIRING_ATTRS.get(behaviour, {})
     )
-    assert _digest(protocol, plan) == _digest(protocol)
+    assert _fingerprint(protocol, plan) == _fingerprint(protocol)
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -54,7 +54,7 @@ def test_noop_outside_window(protocol, behaviour):
 def test_fires_inside_window(protocol, behaviour):
     # Window open over the whole run: the behaviour must leave a trace.
     plan = FaultPlan().add(1, behaviour, **FIRING_ATTRS.get(behaviour, {}))
-    assert _digest(protocol, plan) != _digest(protocol)
+    assert _fingerprint(protocol, plan).digest() != _fingerprint(protocol).digest()
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -77,7 +77,7 @@ def test_equivocator_attempts_blocked_or_inert(protocol):
         assert byz.equivocation_attempts > 0
     else:
         assert byz.equivocation_attempts == 0
-        assert _digest(protocol, plan) == _digest(protocol)
+        assert _fingerprint(protocol, plan) == _fingerprint(protocol)
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)

@@ -4,10 +4,14 @@ import dataclasses
 
 import pytest
 
-from repro.experiments import ExperimentConfig, run_shard_scaling, run_sharded
+from repro.experiments import (
+    ExperimentConfig,
+    fingerprint,
+    run_shard_scaling,
+    run_sharded,
+)
 from repro.fuzz import run_scenario
 from repro.net import DegradeSpec
-from repro.shard import ShardFingerprint
 
 
 def _config(protocol, **overrides):
@@ -44,10 +48,9 @@ def test_cross_shard_run_is_atomic_and_deterministic(protocol):
     # 2PC spans two consensus decisions, so it must cost more than one.
     assert run.cross_overhead_ratio > 1.0
     # Replay identity: same config, byte-identical fingerprint.
-    assert (
-        run_sharded(_config(protocol)).fingerprint.digest()
-        == run.fingerprint.digest()
-    )
+    again = fingerprint(run_sharded(_config(protocol)))
+    assert again.digest() == fingerprint(run).digest()
+    assert again.events == fingerprint(run).events
 
 
 def test_single_shard_run_disables_cross_traffic():
@@ -99,11 +102,11 @@ def test_fuzz_shard_scenario_runs_under_the_oracles():
     )
     result = run_scenario(scenario)
     assert result.ok, result.describe()
-    assert isinstance(result.fingerprint, ShardFingerprint)
+    # The fingerprint of both shards and of the 2PC decisions.
+    assert {"log_digest[1]", "coordinator_log"} <= set(result.fingerprint.components)
     assert result.report.blocks_decided >= scenario.target_blocks
     # Coordinator-targeted delay is part of the scenario, so it must be
     # replay-stable too.
-    assert (
-        run_scenario(scenario).fingerprint.digest()
-        == result.fingerprint.digest()
-    )
+    again = run_scenario(scenario).fingerprint
+    assert again.digest() == result.fingerprint.digest()
+    assert again.events == result.fingerprint.events

@@ -21,8 +21,6 @@ from .certificates import (
     certifies,
     nv_triple,
     qc_ref,
-    verify_new_view,
-    verify_qc,
 )
 from .messages import (
     DeliverMsg,
@@ -52,8 +50,6 @@ __all__ = [
     "certifies",
     "nv_triple",
     "qc_ref",
-    "verify_new_view",
-    "verify_qc",
     "DeliverMsg",
     "NewViewMsg",
     "PrepCertMsg",

@@ -18,6 +18,9 @@ certificate, or a ``B = true`` accumulator; :func:`qc_ref` maps each to
 the ⟨view, hash⟩ pair it is *for*, following Sec. VI-B(f):
 ``prep(v−1, h, v')`` and ``acc(true, v−1, h, id⃗)`` are for ⟨v, h⟩,
 ``vc(h, v)`` is for ⟨v, h⟩.
+
+Defs. 1-5 are :mod:`repro.crypto.signed` statements and certificates:
+each class declares its domain tag, wire size and fields only.
 """
 
 from __future__ import annotations
@@ -25,45 +28,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..crypto import Digest, KeyRing, Signature, digest_of
+from ..crypto import Digest, KeyRing, Signature
 from ..crypto.memo import record_valid, seen_valid
+from ..crypto.signed import SIG_BYTES, Certificate, Statement
 from ..smr import GENESIS, Block
 
 #: Phase labels of the CHECKER counter.
 PH0, PH1 = 0, 1
-
-#: Simulated ECDSA signature size on the wire.
-SIG_BYTES = 64
-
-
-# ----------------------------------------------------------------------
-# Signed-content digests (domain-separated)
-# ----------------------------------------------------------------------
-def proposal_digest(h: Digest, view: int) -> Digest:
-    return digest_of("os-prop", h, view)
-
-
-def store_digest(stored_view: int, h: Digest, prop_view: int) -> Digest:
-    return digest_of("os-store", stored_view, h, prop_view)
-
-
-def vote_digest(h: Digest, view: int) -> Digest:
-    return digest_of("os-vote", h, view)
-
-
-def accumulator_digest(
-    certified: bool, view: int, h: Digest, ids: tuple[int, ...]
-) -> Digest:
-    return digest_of("os-acc", certified, view, h, ids)
 
 
 # ----------------------------------------------------------------------
 # Def. 1 — Proposals
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class Proposal:
+class Proposal(Statement):
     """``prop(h, v)_σ``; ``view == -1`` is the unsigned genesis bootstrap."""
 
+    DOMAIN = "os-prop"
+    HEAD = 40
     block_hash: Digest
     view: int
     sig: Optional[Signature]
@@ -72,15 +54,10 @@ class Proposal:
     def is_genesis(self) -> bool:
         return self.view == -1
 
-    def verify(self, ring: KeyRing) -> bool:
+    def verify(self, ring: KeyRing, quorum: int = 1) -> bool:
         if self.is_genesis:
             return self.block_hash == GENESIS.hash and self.sig is None
-        return self.sig is not None and ring.verify(
-            proposal_digest(self.block_hash, self.view), self.sig
-        )
-
-    def wire_size(self) -> int:
-        return 40 + SIG_BYTES
+        return self.sig is not None and super().verify(ring)
 
 
 #: The bootstrap proposal every replica starts from.
@@ -88,38 +65,29 @@ GENESIS_PROPOSAL = Proposal(block_hash=GENESIS.hash, view=-1, sig=None)
 
 
 # ----------------------------------------------------------------------
-# Def. 2 — Store certificates
+# Defs. 2-3 — Store and prepare certificates
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class StoreCert:
+class StoreCert(Statement):
     """``store(v₂, h, v₁)_σ``."""
 
+    DOMAIN = "os-store"
+    HEAD = 48
     stored_view: int  # v2
     block_hash: Digest
     prop_view: int  # v1
     sig: Signature
 
-    def digest(self) -> Digest:
-        return store_digest(self.stored_view, self.block_hash, self.prop_view)
 
-    def verify(self, ring: KeyRing) -> bool:
-        return ring.verify(self.digest(), self.sig)
-
-    def wire_size(self) -> int:
-        return 48 + SIG_BYTES
-
-
-# ----------------------------------------------------------------------
-# Def. 3 — Prepare certificates
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class PrepareCert:
+class PrepareCert(Certificate, of=StoreCert):
     """``prep(v₂, h, v₁)_{σ⃗^{f+1}}`` — f+1 store-cert signatures.
 
     The instance with ``stored_view == prop_view == -1`` over the
     genesis hash is the bootstrap certificate, valid by convention.
     """
 
+    HEAD = 48
     stored_view: int
     block_hash: Digest
     prop_view: int
@@ -133,25 +101,6 @@ class PrepareCert:
             and self.block_hash == GENESIS.hash
         )
 
-    def signer_ids(self) -> tuple[int, ...]:
-        return tuple(s.signer for s in self.sigs)
-
-    def verify(self, ring: KeyRing, quorum: int) -> bool:
-        if self.is_genesis:
-            return True
-        if seen_valid(self, ring, quorum):
-            return True
-        if len(set(self.signer_ids())) < quorum:
-            return False
-        digest = store_digest(self.stored_view, self.block_hash, self.prop_view)
-        if not ring.verify_all(digest, self.sigs):
-            return False
-        record_valid(self, ring, quorum)
-        return True
-
-    def wire_size(self) -> int:
-        return 48 + SIG_BYTES * len(self.sigs)
-
 
 #: Bootstrap certificate: "genesis was prepared before view 0".
 GENESIS_QC = PrepareCert(
@@ -163,50 +112,31 @@ GENESIS_QC = PrepareCert(
 # Def. 4 — Votes
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class Vote:
+class Vote(Statement):
     """``vote(h, v)_σ``."""
 
+    DOMAIN = "os-vote"
+    HEAD = 40
     block_hash: Digest
     view: int
     sig: Signature
 
-    def verify(self, ring: KeyRing) -> bool:
-        return ring.verify(vote_digest(self.block_hash, self.view), self.sig)
-
-    def wire_size(self) -> int:
-        return 40 + SIG_BYTES
-
 
 @dataclass(frozen=True)
-class VoteCert:
+class VoteCert(Certificate, of=Vote):
     """``vc(h, v)_{σ⃗^{f+1}}``."""
 
+    HEAD = 40
     block_hash: Digest
     view: int
     sigs: tuple[Signature, ...]
-
-    def signer_ids(self) -> tuple[int, ...]:
-        return tuple(s.signer for s in self.sigs)
-
-    def verify(self, ring: KeyRing, quorum: int) -> bool:
-        if seen_valid(self, ring, quorum):
-            return True
-        if len(set(self.signer_ids())) < quorum:
-            return False
-        if not ring.verify_all(vote_digest(self.block_hash, self.view), self.sigs):
-            return False
-        record_valid(self, ring, quorum)
-        return True
-
-    def wire_size(self) -> int:
-        return 40 + SIG_BYTES * len(self.sigs)
 
 
 # ----------------------------------------------------------------------
 # Def. 5 — Accumulators
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class Accumulator:
+class Accumulator(Statement):
     """``acc(B, v, h, id⃗)_σ``.
 
     ``certified`` is the Boolean B: whether the top new-view
@@ -215,6 +145,8 @@ class Accumulator:
     nodes a block pull asks (:meth:`signer_ids`).
     """
 
+    DOMAIN = "os-acc"
+    HEAD = 48
     certified: bool  # B
     view: int  # v (the stored view of the contributing certificates)
     block_hash: Digest
@@ -224,22 +156,17 @@ class Accumulator:
     def signer_ids(self) -> tuple[int, ...]:
         return self.ids
 
-    def is_valid(self, ring: KeyRing, quorum: int) -> bool:
+    def verify(self, ring: KeyRing, quorum: int = 1) -> bool:
         """Def. 5 validity: correct signature + f+1 unique ids."""
         if seen_valid(self, ring, quorum):
             return True
-        if len(set(self.ids)) < quorum:
+        if len(set(self.ids)) < quorum or not super().verify(ring):
             return False
-        ok = ring.verify(
-            accumulator_digest(self.certified, self.view, self.block_hash, self.ids),
-            self.sig,
-        )
-        if ok:
-            record_valid(self, ring, quorum)
-        return ok
+        record_valid(self, ring, quorum)
+        return True
 
     def wire_size(self) -> int:
-        return 48 + 4 * len(self.ids) + SIG_BYTES
+        return self.HEAD + 4 * len(self.ids) + SIG_BYTES
 
 
 #: A quorum certificate φ_qc (Sec. VI-B(f)).
@@ -263,30 +190,6 @@ def qc_ref(qc: QuorumCert) -> Optional[tuple[int, Digest]]:
     return None
 
 
-def verify_qc(qc: QuorumCert, ring: KeyRing, quorum: int) -> bool:
-    if isinstance(qc, Accumulator):
-        return qc.is_valid(ring, quorum)
-    return qc.verify(ring, quorum)
-
-
-def qc_verify_cost_sigs(qc: QuorumCert) -> int:
-    """How many individual signature checks verifying ``qc`` costs.
-
-    This is *simulated* cost: the number of ECDSA verifications the
-    modeled hardware performs, charged to the replica's CPU before
-    ``verify`` is called.  The wall-clock verification memos
-    (:mod:`repro.crypto.memo`) intentionally do **not** reduce it — a
-    real replica cannot skip a signature check just because another
-    replica already did it, so the charge depends only on the
-    certificate's shape, never on cache state.
-    """
-    if isinstance(qc, Accumulator):
-        return 1
-    if isinstance(qc, PrepareCert) and qc.is_genesis:
-        return 0
-    return len(qc.sigs)
-
-
 # ----------------------------------------------------------------------
 # Def. 6 — New-view certificates
 # ----------------------------------------------------------------------
@@ -301,6 +204,51 @@ class NewViewCert:
     block: Optional[Block]
     store: StoreCert
     qc: QuorumCert
+
+    @property
+    def sig_count(self) -> int:
+        """Signature checks one verification costs: the store
+        certificate's and the quorum certificate's."""
+        return 1 + self.qc.sig_count
+
+    def verify(self, ring: KeyRing, quorum: int) -> bool:
+        """Structural + cryptographic validity of an nv-form certificate.
+
+        Checks the store certificate's signature, the inner quorum
+        certificate, and Def. 6's consistency: either the stored block
+        extends the qc's block at the proposal view (timeout after an
+        undecided proposal, l.31), or the qc certifies the stored block
+        itself (timeout after a decision, l.45).
+
+        The full check is memoized on the (frozen) instance per
+        ``(ring, quorum)``: the next leader and every deliver-phase
+        replica receive the same certificate object, so it is checked
+        once, not once per receiver.  Simulated cost is unaffected —
+        callers charge :attr:`sig_count` regardless.
+        """
+        if seen_valid(self, ring, quorum):
+            return True
+        store, block = self.store, self.block
+        if not store.verify(ring) or not self.qc.verify(ring, quorum):
+            return False
+        ref = qc_ref(self.qc)
+        if ref is None:
+            return False
+        qc_view, qc_hash = ref
+        if qc_hash == store.block_hash:
+            # Self-certified (decided in view v₁, qc is for ⟨v₁+1, h⟩).
+            if qc_view != store.prop_view + 1:
+                return False
+        else:
+            # Extends case: qc is for ⟨v₁, h'⟩ and b ≻ h'.
+            if qc_view != store.prop_view:
+                return False
+            if block is not None and not block.extends(qc_hash):
+                return False
+        if block is not None and block.hash != store.block_hash:
+            return False
+        record_valid(self, ring, quorum)
+        return True
 
     def wire_size(self) -> int:
         qc_size = self.qc.wire_size()
@@ -328,60 +276,6 @@ def certifies(h: Digest, nv: NewView) -> bool:
     return ref is not None and ref[1] == nv.store.block_hash == h
 
 
-def verify_new_view(nv: NewViewCert, ring: KeyRing, quorum: int) -> bool:
-    """Structural + cryptographic validity of an nv-form certificate.
-
-    Checks the store certificate's signature, the inner quorum
-    certificate, and Def. 6's consistency: either the stored block
-    extends the qc's block at the proposal view (timeout after an
-    undecided proposal, l.31), or the qc certifies the stored block
-    itself (timeout after a decision, l.45).
-
-    The full check is memoized on the (frozen) instance per
-    ``(ring, quorum)``: the next leader and every deliver-phase replica
-    receive the same certificate object, so it is checked once, not
-    once per receiver.  Simulated cost is unaffected — callers charge
-    :func:`nv_verify_cost_sigs` regardless.
-    """
-    if seen_valid(nv, ring, quorum):
-        return True
-    if not nv.store.verify(ring):
-        return False
-    if not verify_qc(nv.qc, ring, quorum):
-        return False
-    ref = qc_ref(nv.qc)
-    if ref is None:
-        return False
-    qc_view, qc_hash = ref
-    if qc_hash == nv.store.block_hash:
-        # Self-certified (decided in view v₁, qc is for ⟨v₁+1, h⟩).
-        if qc_view != nv.store.prop_view + 1:
-            return False
-    else:
-        # Extends case: qc is for ⟨v₁, h'⟩ and b ≻ h'.
-        if qc_view != nv.store.prop_view:
-            return False
-        if nv.block is not None and not nv.block.extends(qc_hash):
-            return False
-    if nv.block is not None and nv.block.hash != nv.store.block_hash:
-        return False
-    record_valid(nv, ring, quorum)
-    return True
-
-
-def nv_verify_cost_sigs(nv: NewView) -> int:
-    """Signature checks needed to verify a new-view certificate.
-
-    Like :func:`qc_verify_cost_sigs`, this reports *simulated*
-    signature-check cost — a pure function of the certificate's shape,
-    charged in full whether or not the wall-clock verification memo
-    hits (see :mod:`repro.crypto.memo`).
-    """
-    if isinstance(nv, PrepareCert):
-        return qc_verify_cost_sigs(nv)
-    return 1 + qc_verify_cost_sigs(nv.qc)
-
-
 __all__ = [
     "PH0",
     "PH1",
@@ -397,15 +291,7 @@ __all__ = [
     "QuorumCert",
     "NewView",
     "NewViewCert",
-    "proposal_digest",
-    "store_digest",
-    "vote_digest",
-    "accumulator_digest",
     "qc_ref",
-    "verify_qc",
-    "qc_verify_cost_sigs",
     "nv_triple",
     "certifies",
-    "verify_new_view",
-    "nv_verify_cost_sigs",
 ]

@@ -31,20 +31,14 @@ from ..smr import GENESIS, Block
 from .certificates import (
     GENESIS_PROPOSAL,
     GENESIS_QC,
-    Accumulator,
     NewViewCert,
     PrepareCert,
     Proposal,
     QuorumCert,
     StoreCert,
-    VoteCert,
     certifies,
     nv_triple,
-    nv_verify_cost_sigs,
     qc_ref,
-    qc_verify_cost_sigs,
-    verify_new_view,
-    verify_qc,
 )
 from .messages import (
     DeliverMsg,
@@ -126,9 +120,9 @@ class OneShotReplica(BaseReplica):
         #: Last proposal the CHECKER accepted — always storable again,
         #: so it can drive TEE fast-forwards across skipped views.
         self._ff_proposal: Proposal = GENESIS_PROPOSAL
-        # Leader-side collection state (deliver votes go to self.votes)
+        # Leader-side collection state (store certificates and deliver
+        # votes are combined in self.votes)
         self._nv_tracker = self.tracker()
-        self._store_tracker = self.tracker()
         self._prep_certs: dict[int, PrepareCert] = {}  # stored_view -> φ_c
         self._deliver: Optional[tuple[int, Digest]] = None  # (view, h)
         self._current_proposal: Optional[Proposal] = None
@@ -201,8 +195,7 @@ class OneShotReplica(BaseReplica):
         w, h, v1 = nv_triple(cert)
         if w + 1 < self.view or self.leader_of(w + 1) != self.pid:
             return
-        self.charge(self.config.crypto_costs.verify(nv_verify_cost_sigs(cert)))
-        if not verify_new_view(cert, self.ring, self.quorum):
+        if not self.check_qc(cert):
             return
         if cert.block is not None:
             self.add_block(cert.block)
@@ -220,12 +213,8 @@ class OneShotReplica(BaseReplica):
         triples = {nv_triple(c) for c in certs}
         if len(triples) == 1:
             # PIGGYBACK (l.17-20): all f+1 stored the same block.
-            _, h, v1 = triples.pop()
-            sigs = tuple(c.store.sig for c in certs)
-            phi_c = PrepareCert(
-                stored_view=w, block_hash=h, prop_view=v1, sigs=sigs
-            )
-            self._propose(h, phi_c, PIGGYBACK)
+            phi_c = certs[0].store.combine(tuple(c.store.sig for c in certs))
+            self._propose(phi_c.block_hash, phi_c, PIGGYBACK)
             return
         # Accumulator path (l.21-27).  Among certificates with the
         # highest proposal view, prefer a self-certified one — that is
@@ -302,14 +291,11 @@ class OneShotReplica(BaseReplica):
         v = phi_p.view
         if v < self.view or sender != self.leader_of(v):
             return False
-        cost = self.config.crypto_costs.verify(
-            1 + qc_verify_cost_sigs(msg.qc)
-        ) + self.config.crypto_costs.hash(msg.block.wire_size())
-        self.charge(cost)
-        if not phi_p.verify(self.ring):
+        hashing = self.config.crypto_costs.hash(msg.block.wire_size())
+        if not self.check_qc(msg.qc, extra_sigs=1, extra_cost=hashing):
             return False
         ref = qc_ref(msg.qc)
-        if ref is None or not verify_qc(msg.qc, self.ring, self.quorum):
+        if ref is None or not phi_p.verify(self.ring):
             return False
         qv, qh = ref
         # l.30/l.32: φ_qc is for ⟨view, h⟩, b ≻ h, H(b) == φ_p.hash.
@@ -357,16 +343,7 @@ class OneShotReplica(BaseReplica):
         φ_c once f+1 replicas stored the same block in its view."""
         if not self.check_sig(cert):
             return None
-        v = cert.stored_view
-        quorum = self._store_tracker.add((v, cert.block_hash), cert.sig.signer, cert)
-        if quorum is None:
-            return None
-        return PrepareCert(
-            stored_view=v,
-            block_hash=cert.block_hash,
-            prop_view=v,
-            sigs=tuple(c.sig for c in quorum),
-        )
+        return self.combine(cert, cert.stored_view)
 
     # ------------------------------------------------------------------
     # Decide ½-phase, replica side (l.41-46)
@@ -419,13 +396,10 @@ class OneShotReplica(BaseReplica):
         v = acc.view + 1  # deliver runs in the view after the stored view
         if v < self.view or sender != self.leader_of(v):
             return
-        self.charge(
-            self.config.crypto_costs.verify(1 + nv_verify_cost_sigs(top))
-        )
         # l.5: acc valid ∧ VERIFY(φ_n) ∧ b₁ ≻ h₂.
-        if not acc.is_valid(self.ring, self.quorum):
-            return
-        if not verify_new_view(top, self.ring, self.quorum):
+        if not self.check_qc(top, extra_sigs=1) or not acc.verify(
+            self.ring, self.quorum
+        ):
             return
         if (
             acc.block_hash != top.store.block_hash
@@ -465,12 +439,9 @@ class OneShotReplica(BaseReplica):
             return
         if not self.check_sig(vote):
             return
-        quorum = self.votes.add((dv, dh), vote.sig.signer, vote)
-        if quorum is None:
+        phi_vc = self.combine(vote, dv)
+        if phi_vc is None:
             return
-        phi_vc = VoteCert(
-            block_hash=dh, view=dv, sigs=tuple(x.sig for x in quorum)
-        )
         self._deliver = None
         self._propose(dh, phi_vc, CATCHUP)
 

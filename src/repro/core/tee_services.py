@@ -37,13 +37,8 @@ from .certificates import (
     Proposal,
     StoreCert,
     Vote,
-    accumulator_digest,
     certifies,
     nv_triple,
-    proposal_digest,
-    store_digest,
-    verify_new_view,
-    vote_digest,
 )
 
 
@@ -84,11 +79,7 @@ class Checker(Enclave):
         if self.phase != PH0:
             return None
         self.phase = PH1
-        return Proposal(
-            block_hash=h,
-            view=self.view,
-            sig=self._sign(proposal_digest(h, self.view)),
-        )
+        return self._issue(Proposal, h, self.view)
 
     # -- l.10-13, Fig. 5c -----------------------------------------------
     def tee_store(self, prop: Proposal) -> Optional[StoreCert]:
@@ -101,14 +92,7 @@ class Checker(Enclave):
         self.prepv = prop.view
         self.view += 1
         self.phase = PH0
-        return StoreCert(
-            stored_view=self.view - 1,
-            block_hash=prop.block_hash,
-            prop_view=prop.view,
-            sig=self._sign(
-                store_digest(self.view - 1, prop.block_hash, prop.view)
-            ),
-        )
+        return self._issue(StoreCert, self.view - 1, prop.block_hash, prop.view)
 
     def _verify_proposal(self, prop: Proposal) -> bool:
         """VERIFY(φ_p) ∧ φ_p is from the leader (of its view)."""
@@ -116,17 +100,13 @@ class Checker(Enclave):
             return prop.block_hash == GENESIS.hash
         if prop.sig is None or prop.sig.signer != self._leader_of(prop.view):
             return False
-        return self._verify(proposal_digest(prop.block_hash, prop.view), prop.sig)
+        return self._verify(prop.digest(), prop.sig)
 
     # -- l.21-22, Fig. 5c -----------------------------------------------
     def tee_vote(self, h: Digest) -> Vote:
         """Vote for a block at the TEE's current view (deliver phase)."""
         self._enter()
-        return Vote(
-            block_hash=h,
-            view=self.view,
-            sig=self._sign(vote_digest(h, self.view)),
-        )
+        return self._issue(Vote, h, self.view)
 
 
 class AccumulatorService(Enclave):
@@ -164,11 +144,10 @@ class AccumulatorService(Enclave):
             if not isinstance(nv, NewViewCert):
                 return None
             # Cost model: verifying each certificate inside the enclave.
-            if not verify_new_view(nv, self._ring, self.quorum):
+            if not nv.verify(self._ring, self.quorum):
                 return None
             self._charge(
-                self._crypto.verify(1 + len(getattr(nv.qc, "sigs", ())))
-                * self._tee.crypto_factor
+                self._crypto.verify(nv.sig_count) * self._tee.crypto_factor
             )
             v2, _, v1 = nv_triple(nv)
             if v2 != v2_top or v1 > v1_top:
@@ -176,16 +155,8 @@ class AccumulatorService(Enclave):
             signers.append(nv.store.sig.signer)
         if len(set(signers)) < self.quorum:
             return None
-        ids = tuple(signers)
-        certified = certifies(h_top, top)
-        return Accumulator(
-            certified=certified,
-            view=v2_top,
-            block_hash=h_top,
-            ids=ids,
-            sig=self._sign(
-                accumulator_digest(certified, v2_top, h_top, ids)
-            ),
+        return self._issue(
+            Accumulator, certifies(h_top, top), v2_top, h_top, tuple(signers)
         )
 
 

@@ -8,7 +8,7 @@ first sight:
   signature is verified once per process, not once per receiving
   replica (the ring is shared public information — see
   :func:`repro.tee.attestation.provision`);
-* frozen certificate dataclasses carry an instance-level memo
+* frozen certificates (:mod:`repro.crypto.signed`) carry a memo
   (:func:`seen_valid` / :func:`record_valid`) of the ``(ring, quorum)``
   pairs they verified against, so a certificate received by N replicas
   costs one structural + cryptographic check, not N.
@@ -20,12 +20,10 @@ check, which rejects it — cache present or not.  Caching only
 successes also keeps the memo trivially consistent when a ring learns
 new keys.
 
-**Simulated cost is never elided.**  The cost ledgers
-(`CryptoCostModel`, the enclave `_charge` path, and the
-``qc_verify_cost_sigs`` / ``nv_verify_cost_sigs`` helpers) charge the
-full per-signature verification cost whether or not the memo hits:
-replicas charge *before* calling ``verify``, and the charge is a pure
-function of the certificate's shape.  Only redundant Python work is
+**Simulated cost is never elided.**  Replicas and enclaves charge a
+certificate's ``sig_count`` signature checks *before* calling
+``verify``, memo hit or not: the charge is a pure function of the
+certificate's shape.  Only redundant Python work is
 skipped, which is why golden-run fingerprints are bit-identical
 whether a check hits a memo or runs cold against a fresh ring.
 """

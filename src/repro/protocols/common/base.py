@@ -55,9 +55,6 @@ class BaseReplica(Process):
     FETCH: tuple[type, type]
     #: Re-ask the next certifier when no reply came within this long.
     RETRY_S = 1.0
-    #: Certificate type a quorum of phase votes combines into
-    #: (:meth:`collect_vote`; fields phase, view, block_hash, sigs).
-    VOTE_CERT: Optional[type] = None
     #: Once every ``PRUNE_EVERY`` views, per-view state of views more
     #: than ``PRUNE_KEEP`` before the one entered is dropped.
     PRUNE_EVERY = 64
@@ -115,7 +112,7 @@ class BaseReplica(Process):
         #: Per-block maps (see :meth:`block_map`).
         self._block_maps: list[dict[Digest, Any]] = []
         self._pruned_at = 0
-        #: Vote collection (:meth:`collect_vote`, OneShot's deliver votes).
+        #: Signed statements counted toward a certificate (:meth:`combine`).
         self.votes = self.tracker()
         #: hash -> (view, certifiers, index of the next one): pulls
         #: outstanding (:meth:`pull`).
@@ -200,14 +197,14 @@ class BaseReplica(Process):
         return signed.verify(self.ring)
 
     def check_qc(self, qc: Any, extra_sigs: int = 0, extra_cost: float = 0.0) -> bool:
-        """Charge a quorum certificate's signature checks, then verify
-        it against :attr:`quorum`.
+        """Charge a certificate's signature checks (its ``sig_count``),
+        then verify it against :attr:`quorum`.
 
         ``extra_sigs`` further signatures and ``extra_cost`` seconds of
         other work checked in the same step go into the same charge.
         """
         self.charge(
-            self.config.crypto_costs.verify(len(qc.sigs) + extra_sigs) + extra_cost
+            self.config.crypto_costs.verify(qc.sig_count + extra_sigs) + extra_cost
         )
         return qc.verify(self.ring, self.quorum)
 
@@ -246,21 +243,19 @@ class BaseReplica(Process):
 
     def collect_vote(self, sender: int, vote: Any) -> Optional[Any]:
         """Count a phase vote — its signature checked unless this
-        replica cast it — and return the :attr:`VOTE_CERT` combining
-        the first quorum of signers on its (view, phase, block)."""
+        replica cast it — toward its certificate (:meth:`combine`)."""
         if sender != self.pid and not self.check_sig(vote):
             return None
-        quorum = self.votes.add(
-            (vote.view, vote.phase, vote.block_hash), vote.sig.signer, vote
-        )
+        return self.combine(vote, vote.view)
+
+    def combine(self, vote: Any, view: int) -> Optional[Any]:
+        """Count a checked signed statement of ``view``; the first time
+        a quorum of signers signed its content, the certificate that
+        combines their signatures (``vote.combine``)."""
+        quorum = self.votes.add((view, vote.content), vote.sig.signer, vote)
         if quorum is None:
             return None
-        return self.VOTE_CERT(
-            phase=vote.phase,
-            view=vote.view,
-            block_hash=vote.block_hash,
-            sigs=tuple(x.sig for x in quorum),
-        )
+        return vote.combine(tuple(x.sig for x in quorum))
 
     def transmit(self, when: float, dsts: Sequence[int], payload: Any) -> None:
         """Hand ``payload`` for ``dsts`` to the network at ``when`` — the
@@ -534,7 +529,7 @@ class BaseReplica(Process):
 
     def _reply_clients(self, block: Block, when: float) -> None:
         self.mempool.mark_committed(block.txs)
-        if not self.config.reply_to_clients or not self.clients:
+        if not self.clients:
             return
         clients = self.clients
         # One reply per client per block, clients in first-key order.

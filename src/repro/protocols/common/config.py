@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 from ...crypto import T2_MICRO, CryptoCostModel
 from ...tee import TeeCostModel
@@ -17,22 +18,26 @@ class ProtocolConfig:
     checked by :meth:`validate` when a replica is built.  The replica
     derives its quorum size from ``f``
     (:meth:`~repro.protocols.common.BaseReplica.quorum_for`).
+
+    The class constants are the same for every run.
     """
+
+    #: SGX boundary-crossing costs of every enclave.
+    tee_costs: ClassVar[TeeCostModel] = TeeCostModel()
+    #: Cap on the view timeout after backoff (seconds).
+    timeout_max: ClassVar[float] = 60.0
+    #: Fixed per-message handling overhead (dispatch, deserialization).
+    handler_overhead: ClassVar[float] = 5e-6
+    #: Replicas send Reply messages to registered clients.
+    reply_to_clients: ClassVar[bool] = True
 
     n: int
     f: int
     crypto_costs: CryptoCostModel = T2_MICRO
-    tee_costs: TeeCostModel = field(default_factory=TeeCostModel)
     #: Base view timeout (seconds) before exponential backoff.
     timeout_base: float = 2.0
     #: Backoff multiplier per consecutive failed view.
     timeout_backoff: float = 2.0
-    #: Cap on the timeout after backoff.
-    timeout_max: float = 60.0
-    #: Fixed per-message handling overhead (dispatch, deserialization).
-    handler_overhead: float = 5e-6
-    #: Whether replicas send Reply messages to registered clients.
-    reply_to_clients: bool = True
     #: Highest-view gossip on timeout (the minimal view synchronizer).
     #: Off reproduces the historical pacemaker, which the fuzzer showed
     #: can livelock HotStuff under a view split (docs/fuzzing.md).

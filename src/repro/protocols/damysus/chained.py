@@ -95,9 +95,8 @@ class ChainedDamysusReplica(DamysusReplica):
         if sender != self.pid:
             # Untrusted pre-check (Sec. III: verify before processing);
             # the CHECKER re-verifies the justify in-enclave.
-            nsigs = len(justify.sigs) if isinstance(justify, DamCert) else 1
             self.charge(
-                self.config.crypto_costs.verify(1 + nsigs)
+                self.config.crypto_costs.verify(1 + justify.sig_count)
                 + self.config.crypto_costs.hash(msg.block.wire_size())
             )
             if not prop.verify(self.ring):

@@ -26,7 +26,7 @@ from ...crypto import Digest
 from ...metrics import NORMAL
 from ...smr import GENESIS
 from ..common import BaseReplica
-from .certificates import PREPARE, DamCert, DamProposal, Justify
+from .certificates import PREPARE, DamProposal, Justify
 from .messages import (
     DamCertMsg,
     DamFetchReq,
@@ -49,7 +49,6 @@ class DamysusReplica(BaseReplica):
         DamCertMsg: "on_cert",
     }
     FETCH = (DamFetchReq, DamFetchResp)
-    VOTE_CERT = DamCert
     #: CHECKER enclave class and the proposal message it feeds.
     CHECKER = DamysusChecker
     PROPOSAL_MSG = DamProposalMsg

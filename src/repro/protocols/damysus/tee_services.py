@@ -27,10 +27,6 @@ from .certificates import (
     DamProposal,
     DamVote,
     Justify,
-    accum_digest,
-    commitment_digest,
-    proposal_digest,
-    vote_digest,
 )
 
 # Per-view step counter values (strictly increasing within a view).
@@ -66,14 +62,7 @@ class DamysusChecker(Enclave):
             return None  # monotonic
         self.view = view
         self.step = _STEP_NV
-        return Commitment(
-            prep_view=self.prep_view,
-            prep_hash=self.prep_hash,
-            view=view,
-            sig=self._sign(
-                commitment_digest(self.prep_view, self.prep_hash, view)
-            ),
-        )
+        return self._issue(Commitment, self.prep_view, self.prep_hash, view)
 
     def tee_prepare(self, h: Digest) -> Optional[DamProposal]:
         """Leader proposal; once per view (prevents equivocation)."""
@@ -81,11 +70,7 @@ class DamysusChecker(Enclave):
         if self.step != _STEP_NV:
             return None
         self.step = _STEP_PROPOSED
-        return DamProposal(
-            block_hash=h,
-            view=self.view,
-            sig=self._sign(proposal_digest(h, self.view)),
-        )
+        return self._issue(DamProposal, h, self.view)
 
     def tee_vote_prepare(self, h: Digest) -> Optional[DamVote]:
         """Prepare-phase vote; once per view."""
@@ -93,12 +78,7 @@ class DamysusChecker(Enclave):
         if self.step not in (_STEP_NV, _STEP_PROPOSED):
             return None
         self.step = _STEP_VOTED_PREPARE
-        return DamVote(
-            block_hash=h,
-            view=self.view,
-            phase=PREPARE,
-            sig=self._sign(vote_digest(h, self.view, PREPARE)),
-        )
+        return self._issue(DamVote, h, self.view, PREPARE)
 
     def tee_store(self, cert: DamCert) -> Optional[DamVote]:
         """Record a prepared block after verifying its prepare quorum
@@ -108,20 +88,13 @@ class DamysusChecker(Enclave):
             return None
         if cert.phase != PREPARE or cert.view != self.view:
             return None
-        self._charge(
-            self._crypto.verify(len(cert.sigs)) * self._tee.crypto_factor
-        )
+        self._charge(self._crypto.verify(cert.sig_count) * self._tee.crypto_factor)
         if not cert.verify(self._ring, self.quorum):
             return None
         self.step = _STEP_STORED
         self.prep_view = cert.view
         self.prep_hash = cert.block_hash
-        return DamVote(
-            block_hash=cert.block_hash,
-            view=cert.view,
-            phase=COMMIT,
-            sig=self._sign(vote_digest(cert.block_hash, cert.view, COMMIT)),
-        )
+        return self._issue(DamVote, cert.block_hash, cert.view, COMMIT)
 
 
 class DamysusAccumulator(Enclave):
@@ -156,12 +129,7 @@ class DamysusAccumulator(Enclave):
                 best = com
         if len(signers) < self.quorum:
             return None
-        return DamAccum(
-            view=view,
-            prep_hash=best.prep_hash,
-            prep_view=best.prep_view,
-            sig=self._sign(accum_digest(view, best.prep_hash, best.prep_view)),
-        )
+        return self._issue(DamAccum, view, best.prep_hash, best.prep_view)
 
 
 class ChainedDamysusChecker(Enclave):
@@ -191,9 +159,7 @@ class ChainedDamysusChecker(Enclave):
         if view <= self.proposed_view:
             return None
         self.proposed_view = view
-        return DamProposal(
-            block_hash=h, view=view, sig=self._sign(proposal_digest(h, view))
-        )
+        return self._issue(DamProposal, h, view)
 
     def tee_vote_chained(
         self, h: Digest, view: int, justify: Justify
@@ -201,42 +167,24 @@ class ChainedDamysusChecker(Enclave):
         """Verify the justify in-enclave, record the prepared pair, and
         sign the once-per-view prepare vote."""
         self._enter()
-        if view <= self.voted_view:
+        if view <= self.voted_view or not isinstance(justify, (DamCert, DamAccum)):
+            return None
+        self._charge(self._crypto.verify(justify.sig_count) * self._tee.crypto_factor)
+        if not justify.verify(self._ring, self.quorum):
             return None
         if isinstance(justify, DamCert):
-            self._charge(
-                self._crypto.verify(len(justify.sigs)) * self._tee.crypto_factor
-            )
-            if justify.phase != PREPARE or not justify.verify(self._ring, self.quorum):
+            if justify.phase != PREPARE:
                 return None
             if justify.view >= self.prep_view:
                 self.prep_view = justify.view
                 self.prep_hash = justify.block_hash
-        elif isinstance(justify, DamAccum):
-            self._charge(self._crypto.verify() * self._tee.crypto_factor)
-            if not justify.verify(self._ring):
-                return None
-        else:
-            return None
         self.voted_view = view
-        return DamVote(
-            block_hash=h,
-            view=view,
-            phase=PREPARE,
-            sig=self._sign(vote_digest(h, view, PREPARE)),
-        )
+        return self._issue(DamVote, h, view, PREPARE)
 
     def new_view(self, view: int) -> Optional[Commitment]:
         """Timeout commitment: the latest prepared pair, tagged ``view``."""
         self._enter()
-        return Commitment(
-            prep_view=self.prep_view,
-            prep_hash=self.prep_hash,
-            view=view,
-            sig=self._sign(
-                commitment_digest(self.prep_view, self.prep_hash, view)
-            ),
-        )
+        return self._issue(Commitment, self.prep_view, self.prep_hash, view)
 
 
 __all__ = [

@@ -9,10 +9,9 @@ costs 2f+1 signature checks — we model the same.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from ...crypto import Digest, KeyRing, Signature, digest_of
-from ...crypto.memo import record_valid, seen_valid
+from ...crypto import Digest, Signature
+from ...crypto.signed import Certificate, Statement
 from ...smr import GENESIS
 
 #: HotStuff phases.
@@ -22,32 +21,23 @@ HS_COMMIT = "commit"
 HS_DECIDE = "decide"
 
 
-def hs_vote_digest(phase: str, view: int, h: Digest) -> Digest:
-    return digest_of("hs-vote", phase, view, h)
-
-
 @dataclass(frozen=True)
-class HsVote:
+class HsVote(Statement):
     """A partial signature for one phase of one view."""
 
+    DOMAIN = "hs-vote"
+    HEAD = 48
     phase: str
     view: int
     block_hash: Digest
     sig: Signature
 
-    def verify(self, ring: KeyRing) -> bool:
-        return ring.verify(
-            hs_vote_digest(self.phase, self.view, self.block_hash), self.sig
-        )
-
-    def wire_size(self) -> int:
-        return 48 + 64
-
 
 @dataclass(frozen=True)
-class HsQC:
+class HsQC(Certificate, of=HsVote):
     """A quorum certificate: 2f+1 votes on ``(phase, view, hash)``."""
 
+    HEAD = 48
     phase: str
     view: int
     block_hash: Digest
@@ -56,25 +46,6 @@ class HsQC:
     @property
     def is_genesis(self) -> bool:
         return self.view == -1 and self.block_hash == GENESIS.hash
-
-    def signer_ids(self) -> tuple[int, ...]:
-        return tuple(s.signer for s in self.sigs)
-
-    def verify(self, ring: KeyRing, quorum: int) -> bool:
-        if self.is_genesis:
-            return True
-        if seen_valid(self, ring, quorum):
-            return True
-        if len(set(self.signer_ids())) < quorum:
-            return False
-        digest = hs_vote_digest(self.phase, self.view, self.block_hash)
-        if not ring.verify_all(digest, self.sigs):
-            return False
-        record_valid(self, ring, quorum)
-        return True
-
-    def wire_size(self) -> int:
-        return 48 + 64 * len(self.sigs)
 
 
 #: Bootstrap QC: genesis is prepared before view 0.
@@ -89,5 +60,4 @@ __all__ = [
     "HsVote",
     "HsQC",
     "HS_GENESIS_QC",
-    "hs_vote_digest",
 ]

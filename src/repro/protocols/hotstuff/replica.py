@@ -23,7 +23,6 @@ from .certificates import (
     HS_PREPARE,
     HsQC,
     HsVote,
-    hs_vote_digest,
 )
 from .messages import (
     HsFetchReq,
@@ -47,7 +46,6 @@ class HotStuffReplica(BaseReplica):
         HsQcMsg: "on_qc",
     }
     FETCH = (HsFetchReq, HsFetchResp)
-    VOTE_CERT = HsQC
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -144,12 +142,8 @@ class HotStuffReplica(BaseReplica):
 
     def _send_vote(self, phase: str, view: int, h: Digest, to: int) -> None:
         self.charge(self.config.crypto_costs.sign())
-        vote = HsVote(
-            phase=phase,
-            view=view,
-            block_hash=h,
-            sig=self.creds.keypair.sign(hs_vote_digest(phase, view, h)),
-        )
+        sig = self.creds.keypair.sign(HsVote.content_digest(phase, view, h))
+        vote = HsVote(phase, view, h, sig)
         done = max(self.sim.now, self.cpu.busy_until)
         self.send_at(done, to, HsVoteMsg(vote))
 

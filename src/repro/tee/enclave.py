@@ -20,6 +20,7 @@ except the ones providing these trusted services").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from ..crypto import CryptoCostModel, Digest, KeyPair, KeyRing, Signature
 
@@ -85,6 +86,10 @@ class Enclave:
     def _sign(self, digest: Digest) -> Signature:
         self._charge(self._crypto.sign() * self._tee.crypto_factor)
         return self._key.sign(digest)
+
+    def _issue(self, cls: type, *content: Any) -> Any:
+        """The ``cls`` statement of ``content``, signed by this enclave."""
+        return cls(*content, self._sign(cls.content_digest(*content)))
 
     def _verify(self, digest: Digest, sig: Signature) -> bool:
         self._charge(self._crypto.verify() * self._tee.crypto_factor)

@@ -33,7 +33,7 @@ TRUSTED = (
 #: Enclave-private attributes, and the two names that open a closure.
 PRIVATE_ATTRS = frozenset({
     "_key", "_accrued", "_ring", "_crypto", "_tee", "_enter", "_charge",
-    "_sign", "_sign_batch", "_verify", "_verify_many",
+    "_sign", "_sign_batch", "_issue", "_verify", "_verify_many",
     "__closure__", "cell_contents",
 })
 
@@ -96,6 +96,17 @@ def test_flags_in_any_untrusted_module():
     src = "def f(e):\n    return e._accrued\n"
     assert breaches(src, path="repro/core/replica.py")
     assert breaches(src, path="repro/experiments/runner.py")
+
+
+def test_flags_minting_a_statement_outside_enclave():
+    # ``_issue`` signs any content as the enclave, skipping the
+    # CHECKER's checks that its entry points run first.
+    [(_, message)] = breaches(
+        "def attack(checker, h, v):\n"
+        "    return checker._issue(Proposal, h, v)\n",
+        path="repro/core/replica.py",
+    )
+    assert "_issue" in message
 
 
 def test_flags_batched_sign_outside_enclave():

@@ -25,7 +25,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.core.certificates import Proposal, StoreCert, proposal_digest, store_digest
+from repro.core.certificates import Proposal, StoreCert
 from repro.core.tee_services import Checker
 
 
@@ -52,11 +52,7 @@ def broken_checker_guard() -> Iterator[None]:
         # reaching its private internals is the point of the sabotage
         # (and why this module lives in tests/, not in the package).
         self._evil_view = self.view
-        return Proposal(
-            block_hash=h,
-            view=self.view,
-            sig=self._sign(proposal_digest(h, self.view)),
-        )
+        return self._issue(Proposal, h, self.view)
 
     def buggy_store(self: Checker, prop):
         if (
@@ -68,14 +64,7 @@ def broken_checker_guard() -> Iterator[None]:
             # Guard disabled: re-issue a certificate for a view whose
             # counter was already spent (no increment — the rollback).
             self._enter()
-            return StoreCert(
-                stored_view=prop.view,
-                block_hash=prop.block_hash,
-                prop_view=prop.view,
-                sig=self._sign(
-                    store_digest(prop.view, prop.block_hash, prop.view)
-                ),
-            )
+            return self._issue(StoreCert, prop.view, prop.block_hash, prop.view)
         return orig_store(self, prop)
 
     Checker.tee_prepare = buggy_prepare  # type: ignore[method-assign]

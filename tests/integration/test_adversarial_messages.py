@@ -13,8 +13,6 @@ from repro.core.certificates import (
     PrepareCert,
     Proposal,
     StoreCert,
-    proposal_digest,
-    store_digest,
 )
 from repro.core.messages import PrepCertMsg, ProposalMsg, StoreMsg
 from repro.crypto import digest_of
@@ -65,7 +63,7 @@ def test_proposal_with_forged_signature_rejected(cluster3):
     v = victim.view
     outsider = provision(5, master_seed=999)[0]
     block = create_leaf(GENESIS.hash, v, TxBatch(), proposer=0)
-    fake = Proposal(block.hash, v, outsider.keypair.sign(proposal_digest(block.hash, v)))
+    fake = Proposal(block.hash, v, outsider.keypair.sign(Proposal.content_digest(block.hash, v)))
     deliver(sim, victim, victim.leader_of(v), ProposalMsg(block, fake, GENESIS_QC))
     assert snapshot(victim) == before
 
@@ -78,7 +76,7 @@ def test_proposal_from_non_leader_rejected(cluster3):
     non_leader = (victim.leader_of(v) + 1) % cluster.config.n
     block = create_leaf(GENESIS.hash, v, TxBatch(), proposer=non_leader)
     prop = Proposal(
-        block.hash, v, creds[non_leader].keypair.sign(proposal_digest(block.hash, v))
+        block.hash, v, creds[non_leader].keypair.sign(Proposal.content_digest(block.hash, v))
     )
     before = snapshot(victim)
     deliver(sim, victim, non_leader, ProposalMsg(block, prop, GENESIS_QC))
@@ -95,7 +93,7 @@ def test_proposal_not_extending_its_qc_rejected(cluster3):
     # ...but the block extends something else entirely.
     block = create_leaf(digest_of("elsewhere"), v, TxBatch(), proposer=leader)
     prop = Proposal(
-        block.hash, v, creds[leader].keypair.sign(proposal_digest(block.hash, v))
+        block.hash, v, creds[leader].keypair.sign(Proposal.content_digest(block.hash, v))
     )
     before = snapshot(victim)
     deliver(sim, victim, leader, ProposalMsg(block, prop, qc))
@@ -109,9 +107,9 @@ def test_prep_cert_with_duplicate_signers_rejected(cluster3):
     v = victim.view
     leader = victim.leader_of(v)
     h = digest_of("evil")
-    sig = creds[leader].keypair.sign(store_digest(v, h, v))
+    sig = creds[leader].keypair.sign(StoreCert.content_digest(v, h, v))
     cert = PrepareCert(v, h, v, (sig, sig))  # one signer twice
-    prop = Proposal(h, v, creds[leader].keypair.sign(proposal_digest(h, v)))
+    prop = Proposal(h, v, creds[leader].keypair.sign(Proposal.content_digest(h, v)))
     before = snapshot(victim)
     deliver(sim, victim, leader, PrepCertMsg(cert, prop))
     assert snapshot(victim) == before
@@ -125,10 +123,10 @@ def test_prep_cert_signed_over_wrong_content_rejected(cluster3):
     leader = victim.leader_of(v)
     h = digest_of("evil")
     sigs = tuple(
-        creds[i].keypair.sign(store_digest(v + 7, h, v)) for i in range(2)
+        creds[i].keypair.sign(StoreCert.content_digest(v + 7, h, v)) for i in range(2)
     )
     cert = PrepareCert(v, h, v, sigs)  # signatures are for another view
-    prop = Proposal(h, v, creds[leader].keypair.sign(proposal_digest(h, v)))
+    prop = Proposal(h, v, creds[leader].keypair.sign(Proposal.content_digest(h, v)))
     before = snapshot(victim)
     deliver(sim, victim, leader, PrepCertMsg(cert, prop))
     assert snapshot(victim) == before
@@ -143,7 +141,7 @@ def test_store_cert_for_foreign_block_never_forms_quorum(cluster3):
     v = leader.view
     log_before = len(leader.log)
     bogus = StoreCert(
-        v, digest_of("junk"), v, creds[2].keypair.sign(store_digest(v, digest_of("junk"), v))
+        v, digest_of("junk"), v, creds[2].keypair.sign(StoreCert.content_digest(v, digest_of("junk"), v))
     )
     deliver(sim, leader, 2, StoreMsg(bogus))
     assert len(leader.log) == log_before
@@ -159,7 +157,7 @@ def test_stale_view_messages_ignored(cluster3):
     prop = Proposal(
         block.hash,
         old_view,
-        creds[leader0].keypair.sign(proposal_digest(block.hash, old_view)),
+        creds[leader0].keypair.sign(Proposal.content_digest(block.hash, old_view)),
     )
     before = snapshot(victim)
     deliver(sim, victim, leader0, ProposalMsg(block, prop, GENESIS_QC))

@@ -88,7 +88,7 @@ def test_chained_damysus_vote_once_per_view():
     """The CHECKER's monotonic voted_view forbids double votes."""
     from repro.crypto import FREE, digest_of
     from repro.protocols.damysus.chained import ChainedDamysusChecker
-    from repro.protocols.damysus.certificates import DamCert, PREPARE, vote_digest
+    from repro.protocols.damysus.certificates import DamCert, DamVote, PREPARE
     from repro.tee import TeeCostModel, provision
 
     creds = provision(3)
@@ -96,7 +96,7 @@ def test_chained_damysus_vote_once_per_view():
         0, creds[0].keypair, creds[0].ring, FREE, TeeCostModel.free(), 2
     )
     h = digest_of("b")
-    d = vote_digest(h, 0, PREPARE)
+    d = DamVote.content_digest(h, 0, PREPARE)
     cert = DamCert(h, 0, PREPARE, tuple(creds[o].keypair.sign(d) for o in (1, 2)))
     assert checker.tee_vote_chained(digest_of("c"), 1, cert) is not None
     assert checker.tee_vote_chained(digest_of("other"), 1, cert) is None

@@ -9,11 +9,14 @@ and long sweeps cannot grow it without limit; (c) eviction never
 changes results, only wall-clock cost.
 """
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.certificates import PrepareCert, store_digest
+from repro.core.certificates import PrepareCert, StoreCert, VoteCert
 from repro.crypto import KeyPair, KeyRing, PublicKey, Signature, memo, sha256
+from repro.protocols.damysus.certificates import PREPARE, DamCert
+from repro.protocols.hotstuff.certificates import HS_PREPARE, HsQC
 
 PAIRS = [KeyPair.generate(i, master_seed=17, domain="cache-prop") for i in range(5)]
 
@@ -71,23 +74,40 @@ def test_wrong_digest_never_verifies_warm(data, other, owner):
     assert not ring.verify(e, sig)
 
 
+#: Every quorum-certificate class, with the content of one instance.
+#: They share one ``verify`` (:class:`repro.crypto.Certificate`).
+QUORUM_CERTS = {
+    "PrepareCert": (PrepareCert, lambda h: (2, h, 2)),
+    "VoteCert": (VoteCert, lambda h: (h, 2)),
+    "DamCert": (DamCert, lambda h: (h, 2, PREPARE)),
+    "HsQC": (HsQC, lambda h: (HS_PREPARE, 2, h)),
+}
+
+
+def quorum_cert(name, h):
+    """A ``name`` certificate on ``h`` signed by keys 0, 1, 2."""
+    cls, content = QUORUM_CERTS[name]
+    digest = cls.content_digest(*content(h))
+    return cls(*content(h), tuple(PAIRS[i].sign(digest) for i in range(3)))
+
+
+@pytest.mark.parametrize("name", sorted(QUORUM_CERTS))
 @given(st.integers(0, 4), st.integers(0, 31), st.integers(1, 255))
-def test_tampered_quorum_cert_never_verifies_warm(signer_slot, pos, flip):
+def test_tampered_quorum_cert_never_verifies_warm(name, signer_slot, pos, flip):
     """A certificate instance with one flipped tag byte fails even when
     a genuine twin has already been verified and memoized."""
     slot = signer_slot % 3
     h = sha256(b"qc-block")
-    digest = store_digest(2, h, 2)
-    sigs = [PAIRS[i].sign(digest) for i in range(3)]
     ring = fresh_ring()
-    genuine = PrepareCert(stored_view=2, block_hash=h, prop_view=2, sigs=tuple(sigs))
+    genuine = quorum_cert(name, h)
     assert genuine.verify(ring, 3)
     assert genuine.verify(ring, 3)  # warm: instance memo answers
 
+    sigs = list(genuine.sigs)
     tag = bytearray(sigs[slot].tag)
     tag[pos] ^= flip
     sigs[slot] = Signature(sigs[slot].signer, bytes(tag))
-    forged = PrepareCert(stored_view=2, block_hash=h, prop_view=2, sigs=tuple(sigs))
+    forged = type(genuine)(*genuine.content, tuple(sigs))
     assert not forged.verify(ring, 3)
 
 
@@ -135,7 +155,8 @@ def test_failures_are_never_memoized():
     assert ring.memo_size == 0
 
 
-def test_warm_quorum_cert_verify_checks_no_tags(monkeypatch):
+@pytest.mark.parametrize("name", sorted(QUORUM_CERTS))
+def test_warm_quorum_cert_verify_checks_no_tags(name, monkeypatch):
     """The memos are the crypto fast path: after a quorum certificate
     verified once against a ring, verifying it again — or a twin
     instance carrying the same signatures — performs zero tag checks.
@@ -149,14 +170,12 @@ def test_warm_quorum_cert_verify_checks_no_tags(monkeypatch):
 
     monkeypatch.setattr(PublicKey, "verify", counted)
     ring = fresh_ring()
-    h = sha256(b"warm-qc")
-    digest = store_digest(4, h, 4)
-    sigs = tuple(PAIRS[i].sign(digest) for i in range(3))
-    cert = PrepareCert(stored_view=4, block_hash=h, prop_view=4, sigs=sigs)
+    cert = quorum_cert(name, sha256(b"warm-qc"))
     assert cert.verify(ring, 3)
     assert len(checks) == 3  # cold: one HMAC check per signer
     assert cert.verify(ring, 3)  # instance memo
-    twin = PrepareCert(stored_view=4, block_hash=h, prop_view=4, sigs=sigs)
+    twin = type(cert)(*cert.content, cert.sigs)
+    assert twin == cert and twin is not cert
     assert twin.verify(ring, 3)  # ring memo
     assert len(checks) == 3
 
@@ -184,7 +203,7 @@ def test_fresh_uncached_ring_bypasses_both_layers(monkeypatch):
     assert len(checks) == 2
 
     h = sha256(b"switch-block")
-    digest = store_digest(1, h, 1)
+    digest = StoreCert.content_digest(1, h, 1)
     cert = PrepareCert(
         stored_view=1,
         block_hash=h,

@@ -8,7 +8,7 @@ from repro.protocols.damysus.certificates import (
     COMMIT,
     PREPARE,
     DamCert,
-    vote_digest,
+    DamVote,
 )
 from repro.protocols.damysus.tee_services import DamysusChecker
 from repro.tee import TeeCostModel, provision
@@ -26,7 +26,7 @@ def fresh():
 
 
 def prep_cert(h, view):
-    d = vote_digest(h, view, PREPARE)
+    d = DamVote.content_digest(h, view, PREPARE)
     return DamCert(h, view, PREPARE, tuple(CREDS[o].keypair.sign(d) for o in (1, 2, 3)))
 
 

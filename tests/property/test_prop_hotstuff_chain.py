@@ -13,7 +13,7 @@ from repro.crypto import FREE, digest_of
 from repro.metrics import MetricsCollector
 from repro.net import ConstantLatency, Network
 from repro.protocols.common import ProtocolConfig
-from repro.protocols.hotstuff.certificates import HsQC, hs_vote_digest
+from repro.protocols.hotstuff.certificates import HsQC, HsVote
 from repro.protocols.hotstuff.chained import GENERIC, ChainedHotStuffReplica
 from repro.sim import Simulator
 from repro.smr import GENESIS, Mempool, TxBatch, create_leaf
@@ -40,7 +40,7 @@ def make_replica():
 
 
 def qc_for(block, view):
-    d = hs_vote_digest(GENERIC, view, block.hash)
+    d = HsVote.content_digest(GENERIC, view, block.hash)
     return HsQC(
         GENERIC,
         view,

@@ -5,7 +5,7 @@ exactly these)."""
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.certificates import GENESIS_PROPOSAL, proposal_digest
+from repro.core.certificates import GENESIS_PROPOSAL, Proposal
 from repro.core.tee_services import Checker
 from repro.crypto import FREE, digest_of
 from repro.tee import TeeCostModel, provision
@@ -45,11 +45,9 @@ def run_calls(checker, calls):
             if s is not None:
                 stores.append(s)
         elif kind == "store_signed":
-            from repro.core.certificates import Proposal
-
             view = arg
             h = digest_of("signed", arg)
-            sig = CREDS[leader_of(view)].keypair.sign(proposal_digest(h, view))
+            sig = CREDS[leader_of(view)].keypair.sign(Proposal.content_digest(h, view))
             s = checker.tee_store(Proposal(h, view, sig))
             if s is not None:
                 stores.append(s)

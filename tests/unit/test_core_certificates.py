@@ -12,17 +12,9 @@ from repro.core.certificates import (
     StoreCert,
     Vote,
     VoteCert,
-    accumulator_digest,
     certifies,
     nv_triple,
-    nv_verify_cost_sigs,
-    proposal_digest,
     qc_ref,
-    qc_verify_cost_sigs,
-    store_digest,
-    verify_new_view,
-    verify_qc,
-    vote_digest,
 )
 from repro.crypto import digest_of
 from repro.smr import GENESIS, TxBatch, create_leaf
@@ -39,12 +31,12 @@ def sign(owner, digest):
 
 def make_store(owner, stored_view, h, prop_view):
     return StoreCert(
-        stored_view, h, prop_view, sign(owner, store_digest(stored_view, h, prop_view))
+        stored_view, h, prop_view, sign(owner, StoreCert.content_digest(stored_view, h, prop_view))
     )
 
 
 def make_prep(stored_view, h, prop_view, owners=(0, 1)):
-    d = store_digest(stored_view, h, prop_view)
+    d = StoreCert.content_digest(stored_view, h, prop_view)
     return PrepareCert(stored_view, h, prop_view, tuple(sign(o, d) for o in owners))
 
 
@@ -56,12 +48,12 @@ H2 = digest_of("block-2")
 # Proposals (Def. 1)
 # ----------------------------------------------------------------------
 def test_proposal_verify():
-    p = Proposal(H1, 3, sign(0, proposal_digest(H1, 3)))
+    p = Proposal(H1, 3, sign(0, Proposal.content_digest(H1, 3)))
     assert p.verify(RING)
 
 
 def test_proposal_tamper_fails():
-    p = Proposal(H1, 3, sign(0, proposal_digest(H1, 3)))
+    p = Proposal(H1, 3, sign(0, Proposal.content_digest(H1, 3)))
     assert not Proposal(H2, 3, p.sig).verify(RING)
     assert not Proposal(H1, 4, p.sig).verify(RING)
 
@@ -90,7 +82,7 @@ def test_prepare_cert_combines_store_signatures():
 
 
 def test_prepare_cert_requires_distinct_signers():
-    d = store_digest(5, H1, 5)
+    d = StoreCert.content_digest(5, H1, 5)
     pc = PrepareCert(5, H1, 5, (sign(0, d), sign(0, d)))
     assert not pc.verify(RING, QUORUM)
 
@@ -115,8 +107,8 @@ def test_non_genesis_empty_prep_invalid():
 # Votes (Def. 4)
 # ----------------------------------------------------------------------
 def test_vote_and_vote_cert():
-    v0 = Vote(H1, 7, sign(0, vote_digest(H1, 7)))
-    v1 = Vote(H1, 7, sign(1, vote_digest(H1, 7)))
+    v0 = Vote(H1, 7, sign(0, Vote.content_digest(H1, 7)))
+    v1 = Vote(H1, 7, sign(1, Vote.content_digest(H1, 7)))
     assert v0.verify(RING)
     vc = VoteCert(H1, 7, (v0.sig, v1.sig))
     assert vc.verify(RING, QUORUM)
@@ -128,23 +120,23 @@ def test_vote_and_vote_cert():
 # ----------------------------------------------------------------------
 def make_acc(certified=True, view=4, h=H1, ids=(0, 1), signer=2):
     return Accumulator(
-        certified, view, h, ids, sign(signer, accumulator_digest(certified, view, h, ids))
+        certified, view, h, ids, sign(signer, Accumulator.content_digest(certified, view, h, ids))
     )
 
 
 def test_accumulator_validity():
-    assert make_acc().is_valid(RING, QUORUM)
+    assert make_acc().verify(RING, QUORUM)
 
 
 def test_accumulator_requires_unique_ids():
     acc = make_acc(ids=(0, 0))
-    assert not acc.is_valid(RING, QUORUM)
+    assert not acc.verify(RING, QUORUM)
 
 
 def test_accumulator_tamper_fails():
     acc = make_acc()
     forged = Accumulator(acc.certified, acc.view + 1, acc.block_hash, acc.ids, acc.sig)
-    assert not forged.is_valid(RING, QUORUM)
+    assert not forged.verify(RING, QUORUM)
 
 
 # ----------------------------------------------------------------------
@@ -176,15 +168,16 @@ def test_qc_signer_ids():
 
 
 def test_verify_qc_dispatch():
-    assert verify_qc(make_prep(4, H1, 4), RING, QUORUM)
-    assert verify_qc(make_acc(), RING, QUORUM)
-    assert not verify_qc(make_acc(ids=(0, 0)), RING, QUORUM)
+    """Every quorum-certificate arm verifies through one ``verify``."""
+    assert make_prep(4, H1, 4).verify(RING, QUORUM)
+    assert make_acc().verify(RING, QUORUM)
+    assert not make_acc(ids=(0, 0)).verify(RING, QUORUM)
 
 
 def test_qc_verify_cost():
-    assert qc_verify_cost_sigs(make_prep(4, H1, 4)) == 2
-    assert qc_verify_cost_sigs(make_acc()) == 1
-    assert qc_verify_cost_sigs(GENESIS_QC) == 0
+    assert make_prep(4, H1, 4).sig_count == 2
+    assert make_acc().sig_count == 1
+    assert GENESIS_QC.sig_count == 0
 
 
 # ----------------------------------------------------------------------
@@ -223,38 +216,38 @@ def test_certifies_only_self_certified():
 
 
 def test_verify_new_view_accepts_both_cases():
-    assert verify_new_view(_nv_extends_case(), RING, QUORUM)
-    assert verify_new_view(_nv_self_certified(), RING, QUORUM)
+    assert _nv_extends_case().verify(RING, QUORUM)
+    assert _nv_self_certified().verify(RING, QUORUM)
 
 
 def test_verify_new_view_rejects_view_mismatch():
     nv = _nv_extends_case()
     # Store claims proposal view 6 but qc is for view 5.
     bad_store = make_store(1, 6, nv.block.hash, 6)
-    assert not verify_new_view(NewViewCert(nv.block, bad_store, nv.qc), RING, QUORUM)
+    assert not NewViewCert(nv.block, bad_store, nv.qc).verify(RING, QUORUM)
 
 
 def test_verify_new_view_rejects_wrong_block():
     nv = _nv_extends_case()
     other = create_leaf(H2, 5, TxBatch(), proposer=0)
-    assert not verify_new_view(NewViewCert(other, nv.store, nv.qc), RING, QUORUM)
+    assert not NewViewCert(other, nv.store, nv.qc).verify(RING, QUORUM)
 
 
 def test_verify_new_view_block_omission_allowed():
     nv = _nv_extends_case()
     omitted = NewViewCert(None, nv.store, nv.qc)
-    assert verify_new_view(omitted, RING, QUORUM)
+    assert omitted.verify(RING, QUORUM)
 
 
 def test_verify_new_view_rejects_bad_qc():
     nv = _nv_extends_case()
-    bad_qc = PrepareCert(4, H1, 4, (sign(0, store_digest(9, H1, 9)),) * 2)
-    assert not verify_new_view(NewViewCert(nv.block, nv.store, bad_qc), RING, QUORUM)
+    bad_qc = PrepareCert(4, H1, 4, (sign(0, StoreCert.content_digest(9, H1, 9)),) * 2)
+    assert not NewViewCert(nv.block, nv.store, bad_qc).verify(RING, QUORUM)
 
 
 def test_nv_verify_cost():
-    assert nv_verify_cost_sigs(_nv_extends_case()) == 3  # store + 2 qc sigs
-    assert nv_verify_cost_sigs(make_prep(5, H1, 5)) == 2
+    assert _nv_extends_case().sig_count == 3  # store + 2 qc sigs
+    assert make_prep(5, H1, 5).sig_count == 2
 
 
 def test_wire_sizes_positive_and_scale():

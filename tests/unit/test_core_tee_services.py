@@ -1,14 +1,15 @@
 """Unit tests for OneShot's CHECKER and ACCUMULATOR (Fig. 5c)."""
 
+import pytest
+
 from repro.core.certificates import (
     GENESIS_PROPOSAL,
     GENESIS_QC,
+    Accumulator,
     NewViewCert,
     PrepareCert,
     Proposal,
     StoreCert,
-    proposal_digest,
-    store_digest,
 )
 from repro.core.tee_services import AccumulatorService, Checker
 from repro.crypto import FREE, T2_MICRO, digest_of
@@ -76,7 +77,7 @@ def test_prepare_available_again_after_store():
 # ----------------------------------------------------------------------
 def test_store_increments_view_and_tags_previous():
     c = make_checker(owner=1)
-    p0 = Proposal(H1, 0, CREDS[0].keypair.sign(proposal_digest(H1, 0)))
+    p0 = Proposal(H1, 0, CREDS[0].keypair.sign(Proposal.content_digest(H1, 0)))
     s = c.tee_store(p0)
     assert s == StoreCert(0, H1, 0, s.sig)
     assert c.view == 1 and c.prepv == 0
@@ -86,30 +87,30 @@ def test_store_increments_view_and_tags_previous():
 def test_store_rejects_non_leader_proposal():
     c = make_checker(owner=1)
     # view 0's leader is replica 0; replica 2 signs instead.
-    p = Proposal(H1, 0, CREDS[2].keypair.sign(proposal_digest(H1, 0)))
+    p = Proposal(H1, 0, CREDS[2].keypair.sign(Proposal.content_digest(H1, 0)))
     assert c.tee_store(p) is None
 
 
 def test_store_rejects_future_proposal():
     c = make_checker(owner=1)
-    p = Proposal(H1, 3, CREDS[3].keypair.sign(proposal_digest(H1, 3)))
+    p = Proposal(H1, 3, CREDS[3].keypair.sign(Proposal.content_digest(H1, 3)))
     assert c.tee_store(p) is None  # view 0 < 3
 
 
 def test_store_rejects_below_prepv():
     c = make_checker(owner=1)
-    p2 = Proposal(H1, 2, CREDS[2].keypair.sign(proposal_digest(H1, 2)))
+    p2 = Proposal(H1, 2, CREDS[2].keypair.sign(Proposal.content_digest(H1, 2)))
     # Fast-forward to view 3 with prepv=2.
     c.view = 2  # (test shortcut: simulate earlier stores)
     assert c.tee_store(p2) is not None
     assert c.prepv == 2
-    old = Proposal(digest_of("old"), 1, CREDS[1].keypair.sign(proposal_digest(digest_of("old"), 1)))
+    old = Proposal(digest_of("old"), 1, CREDS[1].keypair.sign(Proposal.content_digest(digest_of("old"), 1)))
     assert c.tee_store(old) is None  # 1 < prepv
 
 
 def test_store_rejects_tampered_signature():
     c = make_checker(owner=1)
-    p = Proposal(H1, 0, CREDS[0].keypair.sign(proposal_digest(digest_of("x"), 0)))
+    p = Proposal(H1, 0, CREDS[0].keypair.sign(Proposal.content_digest(digest_of("x"), 0)))
     assert c.tee_store(p) is None
 
 
@@ -152,7 +153,7 @@ def test_vote_carries_tee_view():
 # ----------------------------------------------------------------------
 def _nv(owner, stored_view, prop_view, block, qc):
     sig = CREDS[owner].keypair.sign(
-        store_digest(stored_view, block.hash, prop_view)
+        StoreCert.content_digest(stored_view, block.hash, prop_view)
     )
     return NewViewCert(block, StoreCert(stored_view, block.hash, prop_view, sig), qc)
 
@@ -168,7 +169,7 @@ def make_nv_set(stored_view=1, top_prop_view=0):
                 stored_view,
                 GENESIS.hash,
                 -1,
-                CREDS[o].keypair.sign(store_digest(stored_view, GENESIS.hash, -1)),
+                CREDS[o].keypair.sign(StoreCert.content_digest(stored_view, GENESIS.hash, -1)),
             ),
             GENESIS_QC,
         )
@@ -184,7 +185,7 @@ def test_accum_certifies_highest():
     assert acc is not None
     assert acc.view == 1 and acc.block_hash == block.hash
     assert set(acc.ids) == {1, 2, 3}
-    assert acc.is_valid(RING, QUORUM)
+    assert acc.verify(RING, QUORUM)
     assert not acc.certified  # extends-case top
 
 
@@ -209,7 +210,7 @@ def _nv_genesis(owner, stored_view=1):
             stored_view,
             GENESIS.hash,
             -1,
-            CREDS[owner].keypair.sign(store_digest(stored_view, GENESIS.hash, -1)),
+            CREDS[owner].keypair.sign(StoreCert.content_digest(stored_view, GENESIS.hash, -1)),
         ),
         GENESIS_QC,
     )
@@ -252,6 +253,29 @@ def test_accum_rejects_prepare_cert_input():
     acc_svc = make_accum()
     top, rest, _ = make_nv_set()
     assert acc_svc.tee_accum(top, [rest[0], GENESIS_QC]) is None
+
+
+def test_accum_charges_both_signatures_of_an_accumulator_backed_certificate():
+    """An nv certificate whose quorum certificate is a ``B = true``
+    accumulator carries two signatures (its store certificate's and the
+    accumulator's), and TEEaccum charges both per certificate, as the
+    replica side does (``sig_count``)."""
+    acc_qc = Accumulator.content_digest(True, 4, H1, (0, 1, 2))
+    qc = Accumulator(True, 4, H1, (0, 1, 2), CREDS[4].keypair.sign(acc_qc))
+    block = create_leaf(H1, 5, TxBatch(), proposer=0)  # extends the qc's block
+    certs = [_nv(owner, 6, 5, block, qc) for owner in (1, 2, 3)]
+    assert all(nv.sig_count == 2 and nv.verify(RING, QUORUM) for nv in certs)
+
+    tee = TeeCostModel(ecall_overhead=20e-6, crypto_factor=2.0)
+    svc = AccumulatorService(0, CREDS[0].keypair, RING, T2_MICRO, tee, QUORUM)
+    acc = svc.tee_accum(certs[0], certs[1:])
+    assert acc is not None and acc.ids == (1, 2, 3)
+    expected = (
+        tee.ecall_overhead
+        + 3 * T2_MICRO.verify(2) * tee.crypto_factor
+        + T2_MICRO.sign() * tee.crypto_factor
+    )
+    assert svc.drain_cost() == pytest.approx(expected, rel=1e-12)
 
 
 # ----------------------------------------------------------------------

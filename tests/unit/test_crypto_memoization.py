@@ -113,13 +113,13 @@ def test_memoized_equals_recomputed(fields):
 
 def test_real_message_digests_use_memo(counting_sha256):
     """End-to-end: the actual certificate helpers hit the cache."""
-    from repro.core.certificates import proposal_digest, vote_digest
+    from repro.core.certificates import Proposal, Vote
 
-    proposal_digest(_H, 7)
-    vote_digest(_H, 7)
+    Proposal.content_digest(_H, 7)
+    Vote.content_digest(_H, 7)
     before = counting_sha256["n"]
-    proposal_digest(_H, 7)
-    vote_digest(_H, 7)
+    Proposal.content_digest(_H, 7)
+    Vote.content_digest(_H, 7)
     assert counting_sha256["n"] == before
 
 

@@ -7,7 +7,7 @@ from repro.protocols.damysus.certificates import (
     COMMIT,
     PREPARE,
     DamCert,
-    vote_digest,
+    DamVote,
 )
 from repro.protocols.damysus.tee_services import DamysusAccumulator, DamysusChecker
 from repro.smr import GENESIS
@@ -33,7 +33,7 @@ def make_accum(owner=0):
 
 
 def prep_cert(h, view, owners=(1, 2, 3)):
-    d = vote_digest(h, view, PREPARE)
+    d = DamVote.content_digest(h, view, PREPARE)
     return DamCert(h, view, PREPARE, tuple(CREDS[o].keypair.sign(d) for o in owners))
 
 

@@ -7,7 +7,6 @@ from repro.protocols.hotstuff.certificates import (
     HS_PREPARE,
     HsQC,
     HsVote,
-    hs_vote_digest,
 )
 from repro.smr import GENESIS
 from repro.tee import provision
@@ -19,7 +18,7 @@ QUORUM = 3
 
 
 def vote(owner, phase=HS_PREPARE, view=1, h=H):
-    return HsVote(phase, view, h, CREDS[owner].keypair.sign(hs_vote_digest(phase, view, h)))
+    return HsVote(phase, view, h, CREDS[owner].keypair.sign(HsVote.content_digest(phase, view, h)))
 
 
 def test_vote_verify_and_tamper():
